@@ -1,10 +1,10 @@
 // Command decos-bench regenerates the paper's figures as measurements:
-// experiments E1–E8 (one per figure, see DESIGN.md) and the ablations
-// A1–A4.
+// the experiments E1, E2, ... and the ablations A1, A2, ... (see
+// DESIGN.md; -h lists every identifier).
 //
 // Usage:
 //
-//	decos-bench [-experiment E1|...|A4|all] [-seed N] [-cpuprofile F] [-memprofile F] [-metrics D]
+//	decos-bench [-experiment ID|all] [-seed N] [-cpuprofile F] [-memprofile F] [-metrics D]
 //
 // The profile flags write pprof data covering the experiment run itself
 // (not flag parsing or output formatting), for `go tool pprof`.
@@ -41,7 +41,7 @@ import (
 )
 
 func main() {
-	which := flag.String("experiment", "all", "experiment id (E1..E8, A1..A4) or 'all'")
+	which := flag.String("experiment", "all", "experiment id ("+strings.Join(experiments.Names(), " ")+") or 'all'")
 	seed := flag.Uint64("seed", 20050404, "master seed")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write allocation profile to file on exit")

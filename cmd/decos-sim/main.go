@@ -6,7 +6,7 @@
 //
 //	decos-sim [-seed N] [-rounds N] [-fault kind] [-at ms] [-classifier C]
 //	          [-v] [-metrics N] [-checkpoint-every N] [-checkpoint-dir DIR]
-//	decos-sim -scenario pack.toml [-seed N] [-rounds N] [-classifier C] [-v] ...
+//	decos-sim -scenario pack.json [-seed N] [-rounds N] [-classifier C] [-v] ...
 //
 // -classifier picks the diagnostic pipeline's classification stage:
 // decos (the paper's rule engine, default), obd (the threshold
@@ -18,7 +18,7 @@
 // sensor-drift (empty = healthy run).
 //
 // With -scenario the cluster is built from a declarative scenario pack
-// (a JSON or TOML manifest, see packs/) instead of the built-in Fig. 10
+// (a JSON manifest, see packs/) instead of the built-in Fig. 10
 // setup: topology, fault mix and environment profiles all come from the
 // manifest. Explicit -seed/-rounds flags override the pack's values;
 // -fault is rejected (declare faults in the pack instead).
@@ -59,7 +59,7 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 1, "master seed")
 	rounds := flag.Int64("rounds", 3000, "TDMA rounds to simulate (1 ms each)")
-	scenarioPath := flag.String("scenario", "", "build the cluster from a scenario pack (JSON/TOML manifest)")
+	scenarioPath := flag.String("scenario", "", "build the cluster from a scenario pack (JSON manifest)")
 	classifier := flag.String("classifier", "", "classification stage: decos (default), obd or bayes; overrides the pack's selection")
 	faultName := flag.String("fault", "", "fault kind to inject (empty = healthy)")
 	atMS := flag.Int64("at", 300, "injection time in ms")

@@ -21,8 +21,7 @@ import (
 type Encoding int
 
 const (
-	// EncodingBinary posts batches in the binary trace encoding, falling
-	// back to NDJSON per peer when a pre-binary peer answers 415. The
+	// EncodingBinary posts batches in the binary trace encoding. The
 	// default: the binary decode path is what lets a single fleetd peer
 	// keep up with the fleet.
 	EncodingBinary Encoding = iota
@@ -55,8 +54,7 @@ type ClientOptions struct {
 	Seed uint64
 	// IngestPath is the peers' ingest route (default "/v1/ingest").
 	IngestPath string
-	// Encoding is the preferred batch wire encoding (default binary,
-	// with automatic per-peer NDJSON fallback on 415).
+	// Encoding is the batch wire encoding (default binary).
 	Encoding Encoding
 	// Telemetry, when non-nil, receives the client's retry, rejection and
 	// per-peer routing counters.
@@ -70,20 +68,19 @@ type ClientStats struct {
 	Retries        int64 // re-sent batches (any retryable failure)
 	Rejected       int64 // 429 responses observed
 	DroppedBatches int64 // batches abandoned after MaxRetries
-	Fallbacks      int64 // binary batches re-sent as NDJSON after a peer's 415
 	CorruptDropped int64 // records dropped while transcoding between encodings
 }
 
 // Client is the fleet-uplink side of the cluster: it routes each vehicle's
 // trace — NDJSON or binary, sniffed per blob — to the ring owner, buffers
-// per peer in the preferred wire encoding, and delivers batches with
-// bounded, jittered, server-hint-aware retries. A peer that refuses the
-// binary encoding with 415 is remembered as legacy and served NDJSON from
-// then on. Safe for concurrent use by many uplink workers.
+// per peer in the configured wire encoding, and delivers batches with
+// bounded, jittered, server-hint-aware retries. Safe for concurrent use
+// by many uplink workers.
 type Client struct {
-	ring *Ring
-	opts ClientOptions
-	bufs []*peerBuf
+	ring   *Ring
+	opts   ClientOptions
+	format trace.Format // wire encoding of every batch, fixed by opts.Encoding
+	bufs   []*peerBuf
 
 	rngMu sync.Mutex
 	rng   *sim.RNG
@@ -91,35 +88,30 @@ type Client struct {
 	// sleep is swapped out by tests to observe backoff decisions.
 	sleep func(context.Context, time.Duration) error
 
-	events    *telemetry.Counter
-	batches   *telemetry.Counter
-	retries   *telemetry.Counter
-	rejected  *telemetry.Counter
-	dropped   *telemetry.Counter
-	fallbacks *telemetry.Counter
-	corruptC  *telemetry.Counter
-	routed    []*telemetry.Counter
+	events   *telemetry.Counter
+	batches  *telemetry.Counter
+	retries  *telemetry.Counter
+	rejected *telemetry.Counter
+	dropped  *telemetry.Counter
+	corruptC *telemetry.Counter
+	routed   []*telemetry.Counter
 
-	statEvents, statBatches, statRetries, statRejected, statDropped atomic.Int64
-	statFallbacks, statCorrupt                                      atomic.Int64
+	statEvents, statBatches, statRetries, statRejected, statDropped, statCorrupt atomic.Int64
 }
 
 type peerBuf struct {
 	mu     sync.Mutex
 	buf    bytes.Buffer // record bytes only: binary batches get their header at send time
 	events int64
-	format trace.Format // encoding of the buffered bytes
-	legacy atomic.Bool  // peer answered 415 to binary: stay NDJSON
 }
 
 // take drains the buffer into a send-ready batch under pb.mu.
-func (pb *peerBuf) take() (payload []byte, events int64, format trace.Format) {
+func (pb *peerBuf) take() (payload []byte, events int64) {
 	payload = append([]byte(nil), pb.buf.Bytes()...)
 	events = pb.events
-	format = pb.format
 	pb.buf.Reset()
 	pb.events = 0
-	return payload, events, format
+	return payload, events
 }
 
 // NewClient builds a client over the ring.
@@ -146,19 +138,22 @@ func NewClient(ring *Ring, opts ClientOptions) *Client {
 		opts.IngestPath = "/v1/ingest"
 	}
 	c := &Client{
-		ring:  ring,
-		opts:  opts,
-		bufs:  make([]*peerBuf, len(ring.peers)),
-		rng:   sim.NewRNG(opts.Seed),
-		sleep: sleepCtx,
+		ring:   ring,
+		opts:   opts,
+		format: trace.FormatBinary,
+		bufs:   make([]*peerBuf, len(ring.peers)),
+		rng:    sim.NewRNG(opts.Seed),
+		sleep:  sleepCtx,
 
-		events:    opts.Telemetry.Counter("cluster.client.events"),
-		batches:   opts.Telemetry.Counter("cluster.client.batches"),
-		retries:   opts.Telemetry.Counter("cluster.client.retries"),
-		rejected:  opts.Telemetry.Counter("cluster.client.rejected"),
-		dropped:   opts.Telemetry.Counter("cluster.client.dropped_batches"),
-		fallbacks: opts.Telemetry.Counter("cluster.client.fallbacks"),
-		corruptC:  opts.Telemetry.Counter("cluster.client.corrupt_dropped"),
+		events:   opts.Telemetry.Counter("cluster.client.events"),
+		batches:  opts.Telemetry.Counter("cluster.client.batches"),
+		retries:  opts.Telemetry.Counter("cluster.client.retries"),
+		rejected: opts.Telemetry.Counter("cluster.client.rejected"),
+		dropped:  opts.Telemetry.Counter("cluster.client.dropped_batches"),
+		corruptC: opts.Telemetry.Counter("cluster.client.corrupt_dropped"),
+	}
+	if opts.Encoding == EncodingNDJSON {
+		c.format = trace.FormatNDJSON
 	}
 	for i := range c.bufs {
 		c.bufs[i] = &peerBuf{}
@@ -170,18 +165,11 @@ func NewClient(ring *Ring, opts ClientOptions) *Client {
 // Ring returns the routing ring the client was built over.
 func (c *Client) Ring() *Ring { return c.ring }
 
-// batch is one send-ready unit: record bytes plus the encoding they are in.
-type batch struct {
-	payload []byte
-	events  int64
-	format  trace.Format
-}
-
 // AddTrace routes one vehicle's trace blob — NDJSON or binary, sniffed
 // from its first bytes — to its owning peer's buffer, flushing that peer
 // when the batch limit is reached. The blob is converted once, at
-// admission, into the peer's wire encoding; an NDJSON blob bound for an
-// NDJSON peer passes through byte-for-byte (missing trailing newline
+// admission, into the client's wire encoding; an NDJSON blob on an
+// NDJSON client passes through byte-for-byte (missing trailing newline
 // repaired), exactly as the pre-binary client did.
 func (c *Client) AddTrace(ctx context.Context, vehicle int, blob []byte) error {
 	if len(blob) == 0 {
@@ -190,30 +178,25 @@ func (c *Client) AddTrace(ctx context.Context, vehicle int, blob []byte) error {
 	peer := c.ring.OwnerIndex(vehicle)
 	pb := c.bufs[peer]
 
-	target := trace.FormatBinary
-	if c.opts.Encoding == EncodingNDJSON || pb.legacy.Load() {
-		target = trace.FormatNDJSON
-	}
-
 	var body []byte
 	var events int64
 	addNewline := false
 	switch {
-	case target == trace.FormatNDJSON && !trace.HasBinaryHeader(blob):
+	case c.format == trace.FormatNDJSON && !trace.HasBinaryHeader(blob):
 		body = blob
 		events = int64(bytes.Count(blob, []byte{'\n'}))
 		if blob[len(blob)-1] != '\n' {
 			events++
 			addNewline = true
 		}
-	case target == trace.FormatBinary && trace.HasBinaryHeader(blob):
+	case c.format == trace.FormatBinary && trace.HasBinaryHeader(blob):
 		records, rbody, err := trace.ScanBinary(blob)
 		if err != nil {
 			return fmt.Errorf("cluster: vehicle %d trace: %w", vehicle, err)
 		}
 		body, events = rbody, int64(records)
 	default: // cross-encoding: transcode the vehicle blob once
-		out, n, corrupt, err := trace.TranscodeBytes(blob, target)
+		out, n, corrupt, err := trace.TranscodeBytes(blob, c.format)
 		if err != nil {
 			return fmt.Errorf("cluster: vehicle %d trace: %w", vehicle, err)
 		}
@@ -223,7 +206,7 @@ func (c *Client) AddTrace(ctx context.Context, vehicle int, blob []byte) error {
 		}
 		events = int64(n)
 		body = out
-		if target == trace.FormatBinary {
+		if c.format == trace.FormatBinary {
 			_, body, _ = trace.ScanBinary(out) // strip the stream header: buffers hold records only
 		}
 	}
@@ -234,33 +217,23 @@ func (c *Client) AddTrace(ctx context.Context, vehicle int, blob []byte) error {
 	c.events.Add(events)
 	c.statEvents.Add(events)
 
-	var out []batch
+	var payload []byte
+	var batchEvents int64
 	pb.mu.Lock()
-	if pb.buf.Len() > 0 && pb.format != target {
-		// The peer's wire encoding changed (415 fallback) mid-buffer:
-		// deliver the old-encoding remainder before mixing bytes.
-		p, e, f := pb.take()
-		out = append(out, batch{p, e, f})
-	}
-	pb.format = target
 	pb.buf.Write(body)
 	if addNewline {
 		pb.buf.WriteByte('\n')
 	}
 	pb.events += events
 	if pb.buf.Len() >= c.opts.MaxBatchBytes {
-		p, e, f := pb.take()
-		out = append(out, batch{p, e, f})
+		payload, batchEvents = pb.take()
 	}
 	pb.mu.Unlock()
 
-	var errs []error
-	for _, b := range out {
-		if err := c.send(ctx, peer, b); err != nil {
-			errs = append(errs, err)
-		}
+	if payload == nil {
+		return nil
 	}
-	return errors.Join(errs...)
+	return c.send(ctx, peer, payload, batchEvents)
 }
 
 // Flush delivers every peer's buffered remainder. Call it once the event
@@ -269,14 +242,14 @@ func (c *Client) Flush(ctx context.Context) error {
 	var errs []error
 	for i, pb := range c.bufs {
 		pb.mu.Lock()
-		var b *batch
+		var payload []byte
+		var events int64
 		if pb.buf.Len() > 0 {
-			p, e, f := pb.take()
-			b = &batch{p, e, f}
+			payload, events = pb.take()
 		}
 		pb.mu.Unlock()
-		if b != nil {
-			if err := c.send(ctx, i, *b); err != nil {
+		if payload != nil {
+			if err := c.send(ctx, i, payload, events); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -292,25 +265,18 @@ func (c *Client) Stats() ClientStats {
 		Retries:        c.statRetries.Load(),
 		Rejected:       c.statRejected.Load(),
 		DroppedBatches: c.statDropped.Load(),
-		Fallbacks:      c.statFallbacks.Load(),
 		CorruptDropped: c.statCorrupt.Load(),
 	}
 }
 
-// errUnsupportedMedia marks a peer's 415 to a binary batch: not a
-// failure of the batch but of the encoding — handled by falling back to
-// NDJSON, not by backoff.
-var errUnsupportedMedia = errors.New("peer does not accept the binary trace encoding (415)")
-
-// send delivers one batch to one peer with bounded retries. 429 and 5xx
-// are retryable (the former on the server's Retry-After schedule); a 415
-// to a binary batch re-sends the same events as NDJSON immediately and
-// marks the peer legacy; other 4xx are permanent.
-func (c *Client) send(ctx context.Context, peer int, b batch) error {
+// send delivers one batch of buffered records to one peer with bounded
+// retries. 429 and 5xx are retryable (the former on the server's
+// Retry-After schedule); other 4xx, 415 included, are permanent.
+func (c *Client) send(ctx context.Context, peer int, records []byte, events int64) error {
 	url := c.ring.peers[peer] + c.opts.IngestPath
-	payload := b.payload
-	if b.format == trace.FormatBinary {
-		payload = append(trace.AppendHeader(nil), b.payload...)
+	payload := records
+	if c.format == trace.FormatBinary {
+		payload = append(trace.AppendHeader(nil), records...)
 	}
 	for attempt := 0; ; attempt++ {
 		hint, err := c.post(ctx, url, payload)
@@ -318,24 +284,6 @@ func (c *Client) send(ctx context.Context, peer int, b batch) error {
 			c.batches.Inc()
 			c.statBatches.Add(1)
 			return nil
-		}
-		if errors.Is(err, errUnsupportedMedia) {
-			nd, _, corrupt, terr := trace.TranscodeBytes(payload, trace.FormatNDJSON)
-			if terr != nil {
-				c.dropped.Inc()
-				c.statDropped.Add(1)
-				return fmt.Errorf("cluster: peer %s: NDJSON fallback failed: %w", c.ring.peers[peer], terr)
-			}
-			c.bufs[peer].legacy.Store(true)
-			c.fallbacks.Inc()
-			c.statFallbacks.Add(1)
-			if corrupt > 0 {
-				c.corruptC.Add(int64(corrupt))
-				c.statCorrupt.Add(int64(corrupt))
-			}
-			payload = nd
-			attempt-- // the fallback re-send is not a retry
-			continue
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) || ctx.Err() != nil {
@@ -347,7 +295,7 @@ func (c *Client) send(ctx context.Context, peer int, b batch) error {
 			c.dropped.Inc()
 			c.statDropped.Add(1)
 			return fmt.Errorf("cluster: peer %s: %d events dropped after %d attempts: %w",
-				c.ring.peers[peer], b.events, attempt+1, err)
+				c.ring.peers[peer], events, attempt+1, err)
 		}
 		c.retries.Inc()
 		c.statRetries.Add(1)
@@ -371,8 +319,7 @@ func (c *Client) post(ctx context.Context, url string, payload []byte) (time.Dur
 	if err != nil {
 		return 0, &permanentError{msg: err.Error()}
 	}
-	binary := trace.HasBinaryHeader(payload)
-	if binary {
+	if c.format == trace.FormatBinary {
 		req.Header.Set("Content-Type", trace.ContentTypeBinary)
 	} else {
 		req.Header.Set("Content-Type", trace.ContentTypeNDJSON)
@@ -388,8 +335,6 @@ func (c *Client) post(ctx context.Context, url string, payload []byte) (time.Dur
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		return 0, nil
-	case resp.StatusCode == http.StatusUnsupportedMediaType && binary:
-		return 0, errUnsupportedMedia
 	case resp.StatusCode == http.StatusTooManyRequests:
 		c.rejected.Inc()
 		c.statRejected.Add(1)

@@ -176,63 +176,6 @@ func TestClientNDJSONModeByteCompat(t *testing.T) {
 	}
 }
 
-// TestClient415Fallback: a peer that refuses the binary encoding gets the
-// same events re-sent as NDJSON on the spot, is remembered as legacy (no
-// further binary attempts), and nothing is lost.
-func TestClient415Fallback(t *testing.T) {
-	var binaryPosts, ndjsonPosts atomic.Int64
-	var mu sync.Mutex
-	var received []byte
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == trace.ContentTypeBinary {
-			binaryPosts.Add(1)
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			return
-		}
-		ndjsonPosts.Add(1)
-		var buf bytes.Buffer
-		buf.ReadFrom(r.Body)
-		mu.Lock()
-		received = append(received, buf.Bytes()...)
-		mu.Unlock()
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	ring, _ := NewRing([]string{srv.URL}, 0)
-	c := NewClient(ring, ClientOptions{MaxBatchBytes: 64, Seed: 7})
-	var slept int
-	c.sleep = func(ctx context.Context, d time.Duration) error { slept++; return nil }
-
-	const n = 20
-	for v := 1; v <= n; v++ {
-		blob := []byte(`{"t_us":1,"kind":"frame","vehicle":` + strconv.Itoa(v) + `}` + "\n")
-		if err := c.AddTrace(context.Background(), v, blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := binaryPosts.Load(); got != 1 {
-		t.Errorf("peer saw %d binary attempts, want exactly 1 before the legacy mark", got)
-	}
-	mu.Lock()
-	total := countEvents(t, received)
-	mu.Unlock()
-	if total != n {
-		t.Errorf("peer ingested %d events after fallback, want %d", total, n)
-	}
-	st := c.Stats()
-	if st.Fallbacks != 1 || st.DroppedBatches != 0 || st.Events != n {
-		t.Errorf("stats = %+v, want 1 fallback, 0 drops, %d events", st, n)
-	}
-	if st.Retries != 0 || slept != 0 {
-		t.Errorf("fallback consumed retry budget: %d retries, %d sleeps", st.Retries, slept)
-	}
-}
-
 // TestClientRetryAfterHint: a 429 with Retry-After must stretch the wait
 // to the server's schedule (observed through the sleep hook), and the
 // batch must eventually be delivered.
@@ -308,24 +251,33 @@ func TestClientBoundedRetry(t *testing.T) {
 	}
 }
 
-// TestClientPermanentErrorNoRetry: 4xx other than 429 is not retried.
+// TestClientPermanentErrorNoRetry: 4xx other than 429 is not retried —
+// including a 415 from a peer that refuses the client's wire encoding:
+// the batch is dropped after exactly one attempt.
 func TestClientPermanentErrorNoRetry(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.WriteHeader(http.StatusBadRequest)
-	}))
-	defer srv.Close()
+	for _, status := range []int{http.StatusBadRequest, http.StatusUnsupportedMediaType} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			var hits atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				w.WriteHeader(status)
+			}))
+			defer srv.Close()
 
-	ring, _ := NewRing([]string{srv.URL}, 0)
-	c := NewClient(ring, ClientOptions{Seed: 7})
-	c.sleep = func(ctx context.Context, d time.Duration) error { return nil }
+			ring, _ := NewRing([]string{srv.URL}, 0)
+			c := NewClient(ring, ClientOptions{Seed: 7})
+			c.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 
-	c.AddTrace(context.Background(), 1, []byte(`{"t_us":1,"kind":"frame","vehicle":1}`+"\n"))
-	if err := c.Flush(context.Background()); err == nil {
-		t.Fatal("400 reported as success")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("permanent error hit the peer %d times, want 1", hits.Load())
+			c.AddTrace(context.Background(), 1, []byte(`{"t_us":1,"kind":"frame","vehicle":1}`+"\n"))
+			if err := c.Flush(context.Background()); err == nil {
+				t.Fatalf("%d reported as success", status)
+			}
+			if hits.Load() != 1 {
+				t.Fatalf("permanent error hit the peer %d times, want 1", hits.Load())
+			}
+			if st := c.Stats(); st.DroppedBatches != 1 || st.Retries != 0 {
+				t.Fatalf("stats = %+v, want 1 dropped batch, 0 retries", st)
+			}
+		})
 	}
 }

@@ -19,7 +19,7 @@ func (d *decoder) fail(line int, field, format string, args ...any) {
 	}
 }
 
-// objDec decodes one table node under a field path, tracking which keys
+// objDec decodes one object node under a field path, tracking which keys
 // the schema consumed so leftovers are rejected as unknown fields.
 type objDec struct {
 	d    *decoder
@@ -32,7 +32,7 @@ type objDec struct {
 func (d *decoder) object(v *value, path string) *objDec {
 	obj, ok := v.raw.(*object)
 	if !ok {
-		d.fail(v.line, path, "expected a table, got %s", typeName(v))
+		d.fail(v.line, path, "expected an object, got %s", typeName(v))
 		return &objDec{d: d, obj: newObject(), path: path, line: v.line, seen: map[string]bool{}}
 	}
 	return &objDec{d: d, obj: obj, path: path, line: v.line, seen: map[string]bool{}}
@@ -143,7 +143,7 @@ func (o *objDec) float(key string, def float64) float64 {
 	return def
 }
 
-// table returns the nested table decoder, or nil when the key is absent.
+// table returns the nested object decoder, or nil when the key is absent.
 func (o *objDec) table(key string) *objDec {
 	v, ok := o.lookup(key)
 	if !ok {
@@ -152,7 +152,7 @@ func (o *objDec) table(key string) *objDec {
 	return o.d.object(v, o.field(key))
 }
 
-// tables returns one decoder per element of an array-of-tables key.
+// tables returns one decoder per element of an array-of-objects key.
 func (o *objDec) tables(key string) []*objDec {
 	v, ok := o.lookup(key)
 	if !ok {
@@ -160,7 +160,7 @@ func (o *objDec) tables(key string) []*objDec {
 	}
 	arr, isArr := v.raw.([]*value)
 	if !isArr {
-		o.d.fail(v.line, o.field(key), "expected an array of tables, got %s", typeName(v))
+		o.d.fail(v.line, o.field(key), "expected an array of objects, got %s", typeName(v))
 		return nil
 	}
 	out := make([]*objDec, 0, len(arr))
@@ -193,7 +193,7 @@ func (o *objDec) intList(key string) []int {
 	return out
 }
 
-// floatMap decodes a table of string → number (campaign mixes).
+// floatMap decodes an object of string → number (campaign mixes).
 func (o *objDec) floatMap(key string) map[string]float64 {
 	v, ok := o.lookup(key)
 	if !ok {
@@ -201,7 +201,7 @@ func (o *objDec) floatMap(key string) map[string]float64 {
 	}
 	obj, isObj := v.raw.(*object)
 	if !isObj {
-		o.d.fail(v.line, o.field(key), "expected a table, got %s", typeName(v))
+		o.d.fail(v.line, o.field(key), "expected an object, got %s", typeName(v))
 		return nil
 	}
 	out := make(map[string]float64, len(obj.keys))

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// FuzzPackManifest throws arbitrary bytes at both manifest front ends
-// and holds the loader to its contract: never panic, never accept a
-// document that fails validation, and address every rejection as a
-// *pack.Error carrying the source name. The corpus seeds with the
-// shipped pack library plus syntax-boundary fragments so the fuzzer
-// starts at the interesting shapes instead of the empty string.
+// FuzzPackManifest throws arbitrary bytes at the manifest loader and
+// holds it to its contract: never panic, never accept a document that
+// fails validation, and address every rejection as a *pack.Error
+// carrying the source name. The corpus seeds with the shipped pack
+// library plus JSON boundary fragments so the fuzzer starts at the
+// interesting shapes instead of the empty string.
 func FuzzPackManifest(f *testing.F) {
 	if dir, ok := FindPacksDir("."); ok {
 		files, err := Discover(dir)
@@ -27,39 +27,39 @@ func FuzzPackManifest(f *testing.F) {
 			f.Add(data)
 		}
 	}
-	f.Add([]byte(minimalTOML))
-	f.Add([]byte(richTOML))
+	f.Add([]byte(minimalJSON))
 	f.Add([]byte(richJSON))
 	f.Add([]byte{})
-	f.Add([]byte("pack = 1"))
 	f.Add([]byte(`{"pack": 1, "topology": {"kind": "fig10"`))
-	f.Add([]byte("[[faults]]\nkind = \"quartz\"\nrate = 1e309\n"))
-	f.Add([]byte("[topology]\nkind = \"custom\"\ncomponents = [{id = 0, name = \"a\"}]\n"))
-	f.Add([]byte("a = { b = [1, \"two\", {c = true}] }\n"))
 	f.Add([]byte(`{"pack": 1, "name": "x", "seed": 18446744073709551615}`))
+	f.Add([]byte(`{"topology": {"kind": "custom", "components": [{"id": 0, "name": "a"}]}}`))
+	f.Add([]byte(`{"pack": 1, "name": "x", "name": "y"}`))
+	f.Add([]byte(minimalJSON + ` {"pack": 1}`))
+	f.Add([]byte(`{"faults": [{"kind": "quartz", "rate": 1e309}]}`))
+	f.Add([]byte(`{"pack": 1, "seed": 18446744073709551616}`))
+	f.Add([]byte(`{"environment": ` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, source := range []string{"fuzz.toml", "fuzz.json", "fuzz"} {
-			m, err := Parse(data, source)
-			if err != nil {
-				var pe *Error
-				if !errors.As(err, &pe) {
-					t.Fatalf("%s: rejection is %T, want *pack.Error: %v", source, err, err)
-				}
-				if !strings.Contains(err.Error(), source) {
-					t.Fatalf("%s: rejection does not name the source: %v", source, err)
-				}
-				continue
+		const source = "fuzz.json"
+		m, err := Parse(data, source)
+		if err != nil {
+			var pe *Error
+			if !errors.As(err, &pe) {
+				t.Fatalf("rejection is %T, want *pack.Error: %v", err, err)
 			}
-			// Accepted documents are fully validated: re-validating the
-			// decoded manifest must be a no-op, and the topology must have
-			// resolved to something an engine can be built from.
-			if err := m.Validate(); err != nil {
-				t.Fatalf("%s: accepted manifest fails re-validation: %v", source, err)
+			if !strings.Contains(err.Error(), source) {
+				t.Fatalf("rejection does not name the source: %v", err)
 			}
-			if m.Topology.Nodes < 1 || m.Topology.SlotLenUS < 1 || m.Topology.SlotBytes < 1 {
-				t.Fatalf("%s: accepted manifest has unresolved topology: %+v", source, m.Topology)
-			}
+			return
+		}
+		// Accepted documents are fully validated: re-validating the
+		// decoded manifest must be a no-op, and the topology must have
+		// resolved to something an engine can be built from.
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted manifest fails re-validation: %v", err)
+		}
+		if m.Topology.Nodes < 1 || m.Topology.SlotLenUS < 1 || m.Topology.SlotBytes < 1 {
+			t.Fatalf("accepted manifest has unresolved topology: %+v", m.Topology)
 		}
 	})
 }

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// parseJSON reads a JSON document into the shared value tree, attaching
+// parseJSON reads a JSON document into the value tree, attaching
 // 1-based source lines to every node. Lines come from the decoder's byte
 // offset mapped through the newline index of the input — encoding/json
 // reports offsets, not positions, so the mapping is ours.
@@ -17,7 +17,7 @@ func parseJSON(data []byte, source string) (*value, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 
-	root, err := decodeJSONValue(dec, lines, source)
+	root, err := decodeJSONValue(dec, lines, source, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -32,8 +32,14 @@ func parseJSON(data []byte, source string) (*value, error) {
 	return root, nil
 }
 
-// decodeJSONValue consumes one JSON value from the decoder.
-func decodeJSONValue(dec *json.Decoder, lines *lineIndex, source string) (*value, error) {
+// maxJSONDepth bounds object/array nesting. The deepest schema path
+// (an element of topology.dass[].jobs[].produce[]) nests 8 containers;
+// the bound keeps the recursive decode's stack small on hostile input.
+const maxJSONDepth = 32
+
+// decodeJSONValue consumes one JSON value, nested depth levels deep,
+// from the decoder.
+func decodeJSONValue(dec *json.Decoder, lines *lineIndex, source string, depth int) (*value, error) {
 	tok, err := dec.Token()
 	if err != nil {
 		return nil, jsonError(err, lines, source)
@@ -43,6 +49,9 @@ func decodeJSONValue(dec *json.Decoder, lines *lineIndex, source string) (*value
 	line := lines.line(dec.InputOffset())
 	switch t := tok.(type) {
 	case json.Delim:
+		if depth >= maxJSONDepth {
+			return nil, errf(source, line, "", "nesting deeper than %d levels", maxJSONDepth)
+		}
 		switch t {
 		case '{':
 			obj := newObject()
@@ -56,7 +65,7 @@ func decodeJSONValue(dec *json.Decoder, lines *lineIndex, source string) (*value
 					return nil, errf(source, lines.line(dec.InputOffset()), "", "object key must be a string, got %v", keyTok)
 				}
 				keyLine := lines.line(dec.InputOffset())
-				val, err := decodeJSONValue(dec, lines, source)
+				val, err := decodeJSONValue(dec, lines, source, depth+1)
 				if err != nil {
 					return nil, err
 				}
@@ -74,7 +83,7 @@ func decodeJSONValue(dec *json.Decoder, lines *lineIndex, source string) (*value
 		case '[':
 			var arr []*value
 			for dec.More() {
-				elem, err := decodeJSONValue(dec, lines, source)
+				elem, err := decodeJSONValue(dec, lines, source, depth+1)
 				if err != nil {
 					return nil, err
 				}
@@ -149,20 +158,3 @@ func (idx *lineIndex) line(offset int64) int {
 }
 
 func (idx *lineIndex) last() int { return len(idx.starts) }
-
-// looksLikeJSON reports whether the document's first non-space byte opens
-// a JSON value — the format sniff used when the file extension is absent
-// or ambiguous.
-func looksLikeJSON(data []byte) bool {
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{', '[':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
-}

@@ -12,25 +12,13 @@ import (
 // data, and a runaway file should fail early.
 const MaxManifestBytes = 1 << 20
 
-// Parse decodes and validates a manifest from raw bytes. The format is
-// chosen by the source's extension (.json / .toml); without one the
-// document is sniffed — JSON documents open with '{' or '['.
+// Parse decodes and validates a JSON manifest from raw bytes. source
+// names the document in error locations; its extension is not consulted.
 func Parse(data []byte, source string) (*Manifest, error) {
 	if len(data) > MaxManifestBytes {
 		return nil, errf(source, 0, "", "manifest is %d bytes (limit %d)", len(data), MaxManifestBytes)
 	}
-	var root *value
-	var err error
-	switch {
-	case strings.HasSuffix(source, ".json"):
-		root, err = parseJSON(data, source)
-	case strings.HasSuffix(source, ".toml"):
-		root, err = parseTOML(data, source)
-	case looksLikeJSON(data):
-		root, err = parseJSON(data, source)
-	default:
-		root, err = parseTOML(data, source)
-	}
+	root, err := parseJSON(data, source)
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +41,8 @@ func Load(path string) (*Manifest, error) {
 	return Parse(data, path)
 }
 
-// Discover lists the manifest files (.json/.toml) directly under dir,
-// sorted by name — the shipped pack library under packs/.
+// Discover lists the manifest files (.json) directly under dir, sorted
+// by name — the shipped pack library under packs/.
 func Discover(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -65,8 +53,7 @@ func Discover(dir string) ([]string, error) {
 		if e.IsDir() {
 			continue
 		}
-		name := e.Name()
-		if strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".toml") {
+		if name := e.Name(); strings.HasSuffix(name, ".json") {
 			out = append(out, filepath.Join(dir, name))
 		}
 	}

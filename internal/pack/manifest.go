@@ -1,31 +1,28 @@
 // Package pack is the declarative scenario layer of the reproduction:
-// a versioned manifest format (JSON or TOML) describing a complete
-// operating scenario — topology, fault mix, environment profiles,
-// diagnosis tuning, seeds, duration and expected verdicts — compiled
-// into the same engine.Option composition the hand-written scenario
-// constructors produce.
+// a versioned JSON manifest describing a complete operating scenario —
+// topology, fault mix, environment profiles, diagnosis tuning, seeds,
+// duration and expected verdicts — compiled into the same engine.Option
+// composition the hand-written scenario constructors produce.
 //
 // Before this layer existed every workload was Go code: the Fig. 10
 // system, the scalability grid and the campaign mixes each hand-rolled
 // their cluster wiring, so adding a scenario meant a code change in
 // internal/scenario. A pack turns that into a data file:
 //
-//	pack  = 1
-//	name  = "highway-emi-corridor"
-//	seed  = 20050404
-//	rounds = 3000
-//	[topology]
-//	kind = "fig10"
-//	[[environment]]
-//	profile   = "emi-storm"
-//	from_ms   = 300
-//	to_ms     = 2400
-//	period_ms = 300
-//	intensity = 0.7
-//	[expect]
-//	[[expect.verdicts]]
-//	fru   = "component[0]"
-//	class = "component-external"
+//	{
+//	  "pack": 1,
+//	  "name": "highway-emi-corridor",
+//	  "seed": 20050404,
+//	  "rounds": 3000,
+//	  "topology": {"kind": "fig10"},
+//	  "environment": [
+//	    {"profile": "emi-storm", "from_ms": 300, "to_ms": 2400,
+//	     "period_ms": 300, "intensity": 0.7}
+//	  ],
+//	  "expect": {
+//	    "verdicts": [{"fru": "component[0]", "class": "component-external"}]
+//	  }
+//	}
 //
 // Manifests are validated strictly: unknown fields, out-of-range rates
 // and dangling FRU references are rejected with errors that name the

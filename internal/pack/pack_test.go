@@ -2,66 +2,22 @@ package pack
 
 import (
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-const minimalTOML = `pack = 1
-name = "minimal"
-seed = 7
-rounds = 100
+const minimalJSON = `{
+  "pack": 1,
+  "name": "minimal",
+  "seed": 7,
+  "rounds": 100,
+  "topology": {"kind": "fig10"}
+}`
 
-[topology]
-kind = "fig10"
-`
-
-// The same scenario expressed in both front-end formats. The parsers
-// feed one shared document tree, so the decoded manifests must be
-// field-for-field identical.
-const richTOML = `pack = 1
-name = "rich"
-description = "round-trip fixture"
-seed = 20050404
-rounds = 2000
-
-[topology]
-kind = "fig10"
-
-[diagnosis]
-epoch_rounds = 16
-alpha_k = 3.5
-
-[[faults]]
-kind = "quartz"
-component = 1
-at_ms = 200
-drift_ppm = 90000
-
-[[faults]]
-kind = "sensor-stuck"
-job = "A/A1"
-at_ms = 300
-value = 42.5
-
-[[environment]]
-profile = "vibration"
-from_ms = 400
-to_ms = 900
-period_ms = 250
-intensity = 0.5
-components = [0, 2]
-
-[expect]
-max_false_alarms = 0
-
-[[expect.verdicts]]
-fru = "component[1]"
-class = "component-internal"
-action = "replace-component"
-classifier = "decos"
-`
-
+// richJSON exercises every top-level section a single-vehicle pack uses;
+// the fuzz corpus seeds from it.
 const richJSON = `{
   "pack": 1,
   "name": "rich",
@@ -88,7 +44,7 @@ const richJSON = `{
 }`
 
 func TestParseMinimal(t *testing.T) {
-	m, err := Parse([]byte(minimalTOML), "minimal.toml")
+	m, err := Parse([]byte(minimalJSON), "minimal.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,21 +63,6 @@ func TestParseMinimal(t *testing.T) {
 	e := m.Expect
 	if e.MaxFalseAlarms != -1 || e.MaxNFFRatio != -1 || e.MinScore != 1 || e.MinScoreOBD != 0 {
 		t.Fatalf("expect defaults: %+v", e)
-	}
-}
-
-func TestTOMLAndJSONDecodeIdentically(t *testing.T) {
-	mt, err := Parse([]byte(richTOML), "rich.toml")
-	if err != nil {
-		t.Fatalf("toml: %v", err)
-	}
-	mj, err := Parse([]byte(richJSON), "rich.json")
-	if err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	mt.Source, mj.Source = "", ""
-	if !reflect.DeepEqual(mt, mj) {
-		t.Fatalf("formats disagree:\ntoml: %+v\njson: %+v", mt, mj)
 	}
 }
 
@@ -145,8 +86,8 @@ func TestGoConstructedManifestValidates(t *testing.T) {
 }
 
 // TestParseErrors holds the strict-validation contract: malformed input
-// is rejected with an error naming the source, the offending field path
-// and — for decode-level failures — the source line.
+// is rejected with a *pack.Error naming the source, the offending field
+// path and — for decode-level failures — the source line.
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -154,42 +95,60 @@ func TestParseErrors(t *testing.T) {
 		doc   string
 		wants []string
 	}{
-		{"bad version", "v.toml", "pack = 99\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n",
-			[]string{"v.toml:", "pack:", "unsupported schema version 99"}},
-		{"missing topology kind", "k.toml", "pack = 1\nname = \"x\"\nrounds = 1\n",
+		{"bad version", "v.json", `{"pack": 99, "name": "x", "rounds": 1, "topology": {"kind": "fig10"}}`,
+			[]string{"v.json:", "pack:", "unsupported schema version 99"}},
+		{"missing topology kind", "k.json", `{"pack": 1, "name": "x", "rounds": 1}`,
 			[]string{"topology.kind:", "required"}},
-		{"unknown top-level field", "u.toml", "pack = 1\nname = \"x\"\nrounds = 1\nbogus = 3\n[topology]\nkind = \"fig10\"\n",
-			[]string{"u.toml:4:", "bogus", "unknown field"}},
+		{"unknown top-level field", "u.json", "{\n  \"pack\": 1,\n  \"name\": \"x\",\n  \"rounds\": 1,\n  \"bogus\": 3,\n  \"topology\": {\"kind\": \"fig10\"}\n}\n",
+			[]string{"u.json:5:", "bogus", "unknown field"}},
 		{"wrong field type", "t.json", `{"pack": 1, "name": "x", "rounds": "many", "topology": {"kind": "fig10"}}`,
 			[]string{"t.json:1:", "rounds"}},
-		{"bad slug", "s.toml", "pack = 1\nname = \"Not A Slug\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n",
+		{"bad slug", "s.json", `{"pack": 1, "name": "Not A Slug", "rounds": 1, "topology": {"kind": "fig10"}}`,
 			[]string{"name:", "slug"}},
-		{"rounds out of range", "r.toml", "pack = 1\nname = \"x\"\nrounds = 0\n[topology]\nkind = \"fig10\"\n",
+		{"rounds out of range", "r.json", `{"pack": 1, "name": "x", "rounds": 0, "topology": {"kind": "fig10"}}`,
 			[]string{"rounds:", "must be in [1"}},
-		{"unknown fault kind", "f.toml", "pack = 1\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n[[faults]]\nkind = \"gremlin\"\n",
+		{"unknown fault kind", "f.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "gremlin"}]}`,
 			[]string{"faults[0].kind", "gremlin"}},
-		{"heisenbug rate out of range", "h.toml", "pack = 1\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n[[faults]]\nkind = \"heisenbug\"\njob = \"A/A1\"\nchannel = 1\nrate = 1.5\n",
+		{"heisenbug rate out of range", "h.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "heisenbug", "job": "A/A1", "channel": 1, "rate": 1.5}]}`,
 			[]string{"faults[0].rate"}},
-		{"dangling job reference", "j.toml", "pack = 1\nname = \"x\"\nrounds = 100\n[topology]\nkind = \"fig10\"\n[[faults]]\nkind = \"job-crash\"\njob = \"A/Z9\"\nat_ms = 10\n",
+		{"dangling job reference", "j.json", `{"pack": 1, "name": "x", "rounds": 100, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "job-crash", "job": "A/Z9", "at_ms": 10}]}`,
 			[]string{"faults[0].job", "A/Z9"}},
-		{"unknown env profile", "e.toml", "pack = 1\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n[[environment]]\nprofile = \"monsoon\"\nfrom_ms = 1\nto_ms = 2\nperiod_ms = 1\nintensity = 0.5\n",
+		{"unknown env profile", "e.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"environment": [{"profile": "monsoon", "from_ms": 1, "to_ms": 2, "period_ms": 1, "intensity": 0.5}]}`,
 			[]string{"environment[0].profile", "monsoon"}},
-		{"unknown campaign kind", "c.toml", "pack = 1\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n[campaign]\nvehicles = 2\n[campaign.mix]\ngremlin = 1.0\n",
+		{"unknown campaign kind", "c.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"campaign": {"vehicles": 2, "mix": {"gremlin": 1.0}}}`,
 			[]string{"campaign.mix.gremlin", "unknown campaign fault kind"}},
-		{"campaign with faults", "cf.toml", "pack = 1\nname = \"x\"\nrounds = 100\n[topology]\nkind = \"fig10\"\n[campaign]\nvehicles = 2\n[[faults]]\nkind = \"seu\"\ncomponent = 1\nat_ms = 5\n",
+		{"campaign with faults", "cf.json", `{"pack": 1, "name": "x", "rounds": 100, "topology": {"kind": "fig10"},
+			"campaign": {"vehicles": 2},
+			"faults": [{"kind": "seu", "component": 1, "at_ms": 5}]}`,
 			[]string{"campaign:", "not allowed"}},
-		{"verdict FRU out of range", "vf.toml", "pack = 1\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n[expect]\n[[expect.verdicts]]\nfru = \"component[9]\"\nclass = \"component-internal\"\n",
+		{"verdict FRU out of range", "vf.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"expect": {"verdicts": [{"fru": "component[9]", "class": "component-internal"}]}}`,
 			[]string{"expect.verdicts[0].fru", "out of range"}},
-		{"verdict class unknown", "vc.toml", "pack = 1\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n[expect]\n[[expect.verdicts]]\nfru = \"component[1]\"\nclass = \"phase-of-moon\"\n",
+		{"verdict class unknown", "vc.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"expect": {"verdicts": [{"fru": "component[1]", "class": "phase-of-moon"}]}}`,
 			[]string{"expect.verdicts[0].class"}},
-		{"toml syntax", "x.toml", "pack = = 1\n", []string{"x.toml:1:"}},
+		// A key = value document (the INI-like syntax some config formats
+		// use) is not a manifest, whatever its file is called.
+		{"key-value syntax", "x.conf", "pack = 1\nname = \"x\"\n[topology]\nkind = \"fig10\"\n",
+			[]string{"x.conf:1:", "syntax error"}},
 		{"json syntax", "x.json", `{"pack": }`, []string{"x.json:"}},
+		{"nesting too deep", "d.json", `{"environment": ` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `}`,
+			[]string{"d.json:1:", "nesting deeper than"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse([]byte(tc.doc), tc.src)
 			if err == nil {
 				t.Fatal("parse accepted malformed manifest")
+			}
+			var pe *Error
+			if !errors.As(err, &pe) || pe.Source != tc.src {
+				t.Errorf("error %T %v is not a *pack.Error for %s", err, err, tc.src)
 			}
 			for _, want := range tc.wants {
 				if !strings.Contains(err.Error(), want) {
@@ -203,13 +162,31 @@ func TestParseErrors(t *testing.T) {
 // TestErrorType pins that load failures surface as *pack.Error so
 // callers can address source/line/field programmatically.
 func TestErrorType(t *testing.T) {
-	_, err := Parse([]byte("pack = 99\nname = \"x\"\nrounds = 1\n[topology]\nkind = \"fig10\"\n"), "e.toml")
+	_, err := Parse([]byte(`{"pack": 99, "name": "x", "rounds": 1, "topology": {"kind": "fig10"}}`), "e.json")
 	var pe *Error
 	if !errors.As(err, &pe) {
 		t.Fatalf("error is %T, want *pack.Error", err)
 	}
-	if pe.Source != "e.toml" || pe.Field != "pack" {
+	if pe.Source != "e.json" || pe.Field != "pack" {
 		t.Fatalf("error fields: %+v", pe)
+	}
+}
+
+// TestShippedPacksAreJSON pins that packs/ holds manifests only: Discover
+// lists .json files, so any other file there would be silently skipped.
+func TestShippedPacksAreJSON(t *testing.T) {
+	dir, ok := FindPacksDir(".")
+	if !ok {
+		t.Fatal("packs/ not found")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Type().IsRegular() && !strings.HasSuffix(e.Name(), ".json") {
+			t.Errorf("packs/%s: not a .json manifest, Discover would skip it", e.Name())
+		}
 	}
 }
 
@@ -218,19 +195,17 @@ func TestErrorType(t *testing.T) {
 // not randomized — series of activations, so two expansions of the same
 // profile are identical and bounded by MaxEnvEvents.
 func TestEnvironmentExpansionDeterministic(t *testing.T) {
-	m, err := Parse([]byte(`pack = 1
-name = "env"
-seed = 1
-rounds = 3000
-[topology]
-kind = "fig10"
-[[environment]]
-profile = "thermal-cycling"
-from_ms = 100
-to_ms = 2000
-period_ms = 150
-intensity = 0.7
-`), "env.toml")
+	m, err := Parse([]byte(`{
+  "pack": 1,
+  "name": "env",
+  "seed": 1,
+  "rounds": 3000,
+  "topology": {"kind": "fig10"},
+  "environment": [
+    {"profile": "thermal-cycling", "from_ms": 100, "to_ms": 2000,
+     "period_ms": 150, "intensity": 0.7}
+  ]
+}`), "env.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,11 @@ import (
 	"strings"
 )
 
-// value is one node of the parsed document tree, shared by the JSON and
-// TOML front ends so schema decoding and validation run once over a
-// single representation. raw is nil, bool, string, int64, float64,
-// []*value, or *object; line is the 1-based source line of the node.
+// value is one node of the parsed JSON document tree. It keeps what
+// encoding/json's own types drop: key order and source lines, so schema
+// decoding and validation can address errors by line. raw is nil, bool,
+// string, int64, float64, []*value, or *object; line is the 1-based
+// source line of the node.
 type value struct {
 	raw  any
 	line int
@@ -39,7 +40,7 @@ func (o *object) get(key string) (*value, bool) {
 }
 
 // Error is one manifest load failure, addressed by source file, line and
-// field path — "packs/x.toml:12: faults[2].rate: must be in (0, 1]".
+// field path — "packs/x.json:12: faults[2].rate: must be in (0, 1]".
 type Error struct {
 	Source string // file the manifest came from ("" for in-memory)
 	Line   int    // 1-based source line (0 when unknown)
@@ -88,7 +89,7 @@ func typeName(v *value) string {
 	case []*value:
 		return "array"
 	case *object:
-		return "table"
+		return "object"
 	}
 	return fmt.Sprintf("%T", v.raw)
 }

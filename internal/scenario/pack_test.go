@@ -76,23 +76,17 @@ func TestManifestFig10ByteIdentical(t *testing.T) {
 	})
 
 	manifest := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
-		m, err := pack.Parse([]byte(fmt.Sprintf(`pack = 1
-name = "round-trip"
-seed = %d
-rounds = %d
-[topology]
-kind = "fig10"
-[[faults]]
-kind = "quartz"
-component = 1
-at_ms = 200
-drift_ppm = 90000
-[[faults]]
-kind = "sensor-stuck"
-job = "A/A1"
-at_ms = 300
-value = 42.5
-`, seed, rounds)), "round-trip.toml")
+		m, err := pack.Parse([]byte(fmt.Sprintf(`{
+  "pack": 1,
+  "name": "round-trip",
+  "seed": %d,
+  "rounds": %d,
+  "topology": {"kind": "fig10"},
+  "faults": [
+    {"kind": "quartz", "component": 1, "at_ms": 200, "drift_ppm": 90000},
+    {"kind": "sensor-stuck", "job": "A/A1", "at_ms": 300, "value": 42.5}
+  ]
+}`, seed, rounds)), "round-trip.json")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,14 +120,13 @@ func TestManifestGridByteIdentical(t *testing.T) {
 		return sys.Engine
 	})
 	manifest := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
-		m, err := pack.Parse([]byte(fmt.Sprintf(`pack = 1
-name = "grid-round-trip"
-seed = %d
-rounds = %d
-[topology]
-kind = "grid"
-nodes = %d
-`, seed, rounds, nodes)), "grid-round-trip.toml")
+		m, err := pack.Parse([]byte(fmt.Sprintf(`{
+  "pack": 1,
+  "name": "grid-round-trip",
+  "seed": %d,
+  "rounds": %d,
+  "topology": {"kind": "grid", "nodes": %d}
+}`, seed, rounds, nodes)), "grid-round-trip.json")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"decos/internal/scenario"
@@ -102,9 +103,12 @@ func TestIngestContentNegotiation(t *testing.T) {
 // wire encoding must be invisible to warranty analysis.
 func TestIngestMixedEncodingsAgree(t *testing.T) {
 	c := scenario.Campaign{Vehicles: 24, Rounds: 400, Seed: 71, FaultFreeShare: 0.25}
+	var mu sync.Mutex // the sink runs on every campaign worker
 	var blobs [][]byte
 	c.RunTraced(func(v int, ndjson []byte) {
+		mu.Lock()
 		blobs = append(blobs, append([]byte(nil), ndjson...))
+		mu.Unlock()
 	})
 
 	colPure, colMixed := NewCollector(0), NewCollector(0)

@@ -59,10 +59,11 @@ echo "== fuzz smoke (engine checkpoint restore) =="
 go test -run='^$' -fuzz='^FuzzCheckpointReader$' -fuzztime=10s ./internal/engine/
 
 echo "== fuzz smoke (scenario-pack manifests) =="
-# Manifests are user-authored files fed to both front ends (TOML and
-# JSON): malformed documents must be rejected with source/line/field
-# errors, never a panic, and anything accepted must be fully validated.
-# Seeds: the shipped pack library plus syntax-boundary fragments.
+# Manifests are user-authored JSON files: malformed documents must be
+# rejected with source/line/field errors, never a panic, and anything
+# accepted must be fully validated. Seeds: the shipped pack library plus
+# JSON boundary fragments (duplicate keys, trailing content, out-of-range
+# numbers, deep nesting).
 go test -run='^$' -fuzz='^FuzzPackManifest$' -fuzztime=10s ./internal/pack/
 
 echo "OK"
