@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race bench benchfull benchall build fmt vet conform metrics-demo cluster-demo cluster-bench ingest-bench whatif-demo
+.PHONY: check test race bench benchfull benchall build fmt vet conform metrics-demo cluster-demo whatif-demo
 
 # Commit gate: gofmt (failing), vet, build, full tests, and a targeted
 # -race leg over the concurrent packages (scenario, warranty, engine).
@@ -16,33 +16,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fast perf gate: smoke-run the curated benchmark set, enforce the
-# hot-path allocation guards, and verify the committed perf-trajectory
-# report still parses.
+# Fast perf gate: run every root benchmark once (a smoke run, not a
+# measurement), then the allocation guards and the within-run
+# throughput-ratio tests of perf_guard_test.go.
 bench:
-	./scripts/bench.sh -short
-	$(GO) test -run 'TestAllocGuard' -v .
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr2.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr4.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr5.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr6.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr7.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr8.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr9.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr10.json
+	$(GO) test -run '^$$' -bench . -benchtime=1x .
+	$(GO) test -run 'TestAllocGuard|TestBinaryIngestRatio|TestClusterShardScaling' -v .
 
-# Full curated benchmark run (steady-state set at default benchtime plus
-# one-shot E8/E13), gated against the current-rig baseline. BENCH_pr2's
-# ns figures predate a machine-state change, so BENCH_pr10.json is the
-# anchor ns ratios are meaningful against. The default gate is 1.25:
-# back-to-back runs on the shared rig show ~±15% ns noise (alloc ratios
-# are the tight invariant and are pinned by TestAllocGuard instead).
-# Override with BASELINE=old.txt (bench text or a committed
-# BENCH_<pr>.json) and GATE=ratio, or GATE= to diff without failing.
-BASELINE ?= BENCH_pr10.json
-GATE ?= 1.25
+# Performance measurement: the repo benchmark (BENCHMARK.json, bench/)
+# over 5 runs per seed, reporting medians and quartile spreads. To compare
+# a change, run it first in a checkout of the parent commit on the same
+# host and pass that run's results directory as BASE=DIR.
 benchfull:
-	./scripts/bench.sh -baseline $(BASELINE) $(if $(GATE),-gate $(GATE))
+	bash bench/repeat.sh 5
 
 # Every benchmark in the repository.
 benchall:
@@ -61,21 +47,10 @@ metrics-demo:
 cluster-demo:
 	./scripts/cluster-demo.sh
 
-# Cluster scaling measurement: delivered uplink throughput for 1 vs 4
-# latency-bound shards, gated at >= 2x (the BENCH_pr6.json artifact).
-cluster-bench:
-	./scripts/cluster-bench.sh -gate 0.5
-
-# Ingest-encoding measurement: single-peer trace decode and collector
-# ingest for binary vs NDJSON, gated at >= 5x events/sec (the
-# BENCH_pr7.json artifact).
-ingest-bench:
-	./scripts/ingest-bench.sh -gate 0.2 -o BENCH_pr7.json
-
 # Scenario-pack conformance gate: every manifest under packs/ scored
-# against both classifiers (cmd/decos-conform via scripts/conform.sh).
+# against the DECOS, OBD and Bayesian classifiers (cmd/decos-conform).
 conform:
-	./scripts/conform.sh
+	$(GO) run ./cmd/decos-conform
 
 fmt:
 	gofmt -w .

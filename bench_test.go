@@ -1,7 +1,7 @@
 package decos
 
-// One benchmark per paper figure (experiments E1–E8 of DESIGN.md) and per
-// ablation (A1–A4), plus micro-benchmarks of the load-bearing machinery.
+// One benchmark per paper figure (experiments E1–E13 of DESIGN.md) and per
+// ablation (A1–A5), plus micro-benchmarks of the load-bearing machinery.
 // Run with: go test -bench=. -benchmem
 
 import (
@@ -343,54 +343,72 @@ func BenchmarkAlphaCount(b *testing.B) {
 // stays far from saturated. One op is one vehicle trace uplinked through
 // the ring client (batch-per-trace).
 func BenchmarkClusterIngest(b *testing.B) {
-	const (
-		corpusVehicles = 256
-		perVehicle     = 48
-		wanLatency     = 20 * time.Millisecond
-		connsPerPeer   = 2
-	)
-	gen := cluster.LoadGen{Seed: benchSeed, EventsPerVehicle: perVehicle}
-	traces := make([][]byte, corpusVehicles)
-	for v := range traces {
-		traces[v] = gen.VehicleTrace(v + 1)
-	}
+	traces := clusterCorpus(256)
 	for _, peers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", peers), func(b *testing.B) {
-			var urls []string
-			for i := 0; i < peers; i++ {
-				api := warranty.NewServer(warranty.NewCollector(0), warranty.ServerOptions{MaxInflight: 1024})
-				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					time.Sleep(wanLatency)
-					api.ServeHTTP(w, r)
-				}))
-				defer srv.Close()
-				urls = append(urls, srv.URL)
-			}
-			ring, err := cluster.NewRing(urls, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			client := cluster.NewClient(ring, cluster.ClientOptions{
-				HTTPClient: &http.Client{
-					Transport: &http.Transport{MaxConnsPerHost: connsPerPeer},
-				},
-				MaxBatchBytes: 1, // flush every trace: one batch per op
-				Seed:          benchSeed,
-			})
+			client := latencyBoundClient(b, peers)
 			var next atomic.Int64
-			b.SetParallelism(16) // enough uplink workers to fill every peer's pool
+			b.SetParallelism(uplinkWorkers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					v := int(next.Add(1))
-					if err := client.AddTrace(context.Background(), v, traces[(v-1)%corpusVehicles]); err != nil {
+					if err := client.AddTrace(context.Background(), v, traces[(v-1)%len(traces)]); err != nil {
 						b.Error(err)
 					}
 				}
 			})
 		})
 	}
+}
+
+// uplinkWorkers is enough concurrent uplinks to fill every peer's
+// connection pool in the cluster ingest measurements (the benchmark runs
+// this many per CPU).
+const uplinkWorkers = 16
+
+// clusterCorpus renders the loadgen traces of vehicles 1..n, 48 events
+// each.
+func clusterCorpus(n int) [][]byte {
+	gen := cluster.LoadGen{Seed: benchSeed, EventsPerVehicle: 48}
+	traces := make([][]byte, n)
+	for v := range traces {
+		traces[v] = gen.VehicleTrace(v + 1)
+	}
+	return traces
+}
+
+// latencyBoundClient starts peers fleetd shard servers, each answering
+// after a simulated 20 ms WAN service latency and admitting 2
+// connections, and returns a ring client over them that sends every
+// trace as its own batch. The servers close when tb completes.
+func latencyBoundClient(tb testing.TB, peers int) *cluster.Client {
+	const (
+		wanLatency   = 20 * time.Millisecond
+		connsPerPeer = 2
+	)
+	var urls []string
+	for i := 0; i < peers; i++ {
+		api := warranty.NewServer(warranty.NewCollector(0), warranty.ServerOptions{MaxInflight: 1024})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(wanLatency)
+			api.ServeHTTP(w, r)
+		}))
+		tb.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	ring, err := cluster.NewRing(urls, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cluster.NewClient(ring, cluster.ClientOptions{
+		HTTPClient: &http.Client{
+			Transport: &http.Transport{MaxConnsPerHost: connsPerPeer},
+		},
+		MaxBatchBytes: 1, // flush every trace: one batch per op
+		Seed:          benchSeed,
+	})
 }
 
 // encodeTraceBlob renders events as one complete stream in the format.
@@ -412,7 +430,7 @@ func encodeTraceBlob(tb testing.TB, events []trace.Event, f trace.Format) []byte
 // BenchmarkTraceDecode is the single-peer decode cost per event — the
 // number the binary codec exists to shrink. One op decodes one event;
 // the ns/op ratio between the sub-benchmarks is the encoding speedup
-// gated in BENCH_pr7.json (binary must decode ≥5x as many events/sec).
+// (TestBinaryIngestRatio gates binary at ≥5x the NDJSON events/sec).
 func BenchmarkTraceDecode(b *testing.B) {
 	events := syntheticFleetEvents(64, 256)
 	for _, f := range []trace.Format{trace.FormatNDJSON, trace.FormatBinary} {

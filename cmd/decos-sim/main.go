@@ -1,6 +1,7 @@
 // Command decos-sim runs one DECOS cluster with an optional fault
 // injection and prints the diagnostic outcome: per-FRU verdicts, trust
 // levels, the OBD baseline's trouble codes, and the membership view.
+// Given a fleet campaign pack it runs the whole campaign instead.
 //
 // Usage:
 //
@@ -15,13 +16,20 @@
 //
 // Fault kinds: emi seu connector-tx connector-rx wearout intermittent
 // permanent quartz config bohrbug heisenbug job-crash sensor-stuck
-// sensor-drift (empty = healthy run).
+// sensor-drift power-dip (empty = healthy run).
 //
 // With -scenario the cluster is built from a declarative scenario pack
 // (a JSON manifest, see packs/) instead of the built-in Fig. 10
 // setup: topology, fault mix and environment profiles all come from the
 // manifest. Explicit -seed/-rounds flags override the pack's values;
 // -fault is rejected (declare faults in the pack instead).
+//
+// A fleet campaign pack runs every vehicle of the campaign and prints the
+// audited fleet outcome of the selected classification stage and of the
+// OBD baseline, plus false alarms on the fault-free vehicles; -v adds one
+// CSV row per incident. -trace, -checkpoint-every and -metrics describe a
+// single cluster and are rejected for campaign packs. An interrupted
+// campaign prints the vehicles that completed and exits 130.
 //
 // With -checkpoint-every N the engine state is serialized every N rounds
 // to DIR/ckpt_<rounds>.bin (the number is the count of completed rounds,
@@ -44,6 +52,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 
 	"decos/internal/diagnosis"
@@ -63,7 +73,7 @@ func main() {
 	classifier := flag.String("classifier", "", "classification stage: decos (default), obd or bayes; overrides the pack's selection")
 	faultName := flag.String("fault", "", "fault kind to inject (empty = healthy)")
 	atMS := flag.Int64("at", 300, "injection time in ms")
-	verbose := flag.Bool("v", false, "print the fault-error-failure chain and symptom stats")
+	verbose := flag.Bool("v", false, "print the fault-error-failure chain and symptom stats (campaign packs: per-incident CSV)")
 	tracePath := flag.String("trace", "", "write an event trace to this file")
 	traceFormat := flag.String("trace-format", "ndjson", "trace encoding: ndjson or binary")
 	metricsEvery := flag.Int64("metrics", 0, "dump a telemetry snapshot to stderr every N rounds (0 = off)")
@@ -71,15 +81,21 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", ".", "directory for ckpt_<rounds>.bin files")
 	flag.Parse()
 
-	switch *classifier {
-	case "", pack.ClassifierDECOS, pack.ClassifierOBD, pack.ClassifierBayes:
-	default:
-		fmt.Fprintf(os.Stderr, "unknown classifier %q; pick one of: decos obd bayes\n", *classifier)
+	if *classifier != "" && !slices.Contains(pack.Classifiers, *classifier) {
+		fmt.Fprintf(os.Stderr, "unknown classifier %q; pick one of: %s\n", *classifier, strings.Join(pack.Classifiers, " "))
 		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+
+	var m *pack.Manifest
+	if *scenarioPath != "" {
+		m = loadPack(*scenarioPath, *faultName, *classifier, seed, rounds)
+		if m.Campaign != nil {
+			os.Exit(runCampaign(ctx, scenario.CampaignFromManifest(m), *verbose))
+		}
+	}
 
 	var metrics *telemetry.Registry
 	if *metricsEvery > 0 {
@@ -97,29 +113,26 @@ func main() {
 	}
 
 	var eng *engine.Engine
-	if *scenarioPath != "" {
-		eng = engineFromPack(*scenarioPath, *faultName, *classifier, seed, rounds, eopts)
+	if m != nil {
+		var err error
+		if eng, err = m.Engine(eopts...); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	} else {
 		eopts = append(eopts, pack.ClassifierOptions(*classifier)...)
-		var kind scenario.FaultKind = -1
+		// The injection rides the engine's fault manifest (not a post-build
+		// call) so a checkpoint restore reconstructs it.
+		var plan []scenario.InjectPlan
 		if *faultName != "" {
-			for _, k := range scenario.AllKinds() {
-				if k.String() == *faultName {
-					kind = k
-				}
-			}
-			if kind < 0 {
+			kind, ok := scenario.ParseKind(*faultName)
+			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown fault kind %q; known kinds:\n", *faultName)
 				for _, k := range scenario.AllKinds() {
 					fmt.Fprintf(os.Stderr, "  %s\n", k)
 				}
 				os.Exit(2)
 			}
-		}
-		// The injection rides the engine's fault manifest (not a post-build
-		// call) so a checkpoint restore reconstructs it.
-		var plan []scenario.InjectPlan
-		if kind >= 0 {
 			plan = append(plan, scenario.InjectPlan{
 				Kind:    kind,
 				At:      sim.Time(*atMS) * sim.Time(sim.Millisecond),
@@ -224,11 +237,12 @@ func main() {
 	}
 }
 
-// engineFromPack builds the engine from a scenario pack manifest.
-// Explicit -seed/-rounds/-classifier flags override the pack's values;
-// seed and rounds are written back so the caller's run length follows
-// the pack.
-func engineFromPack(path, faultName, classifier string, seed *uint64, rounds *int64, eopts []engine.Option) *engine.Engine {
+// loadPack loads and validates a scenario pack manifest. Explicit
+// -seed/-rounds/-classifier flags override the pack's values; seed and
+// rounds are written back so the caller's run length follows the pack.
+// Flags that describe one recorded cluster are rejected for campaign
+// packs.
+func loadPack(path, faultName, classifier string, seed *uint64, rounds *int64) *pack.Manifest {
 	if faultName != "" {
 		fmt.Fprintln(os.Stderr, "-fault cannot be combined with -scenario: declare faults in the pack")
 		os.Exit(2)
@@ -236,10 +250,6 @@ func engineFromPack(path, faultName, classifier string, seed *uint64, rounds *in
 	m, err := pack.Load(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if m.Campaign != nil {
-		fmt.Fprintf(os.Stderr, "%s is a fleet campaign pack; run it with decos-conform or decos-bench -scenario\n", path)
 		os.Exit(2)
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -250,6 +260,11 @@ func engineFromPack(path, faultName, classifier string, seed *uint64, rounds *in
 			m.Rounds = *rounds
 		case "classifier":
 			m.Classifier = classifier
+		case "trace", "checkpoint-every", "metrics":
+			if m.Campaign != nil {
+				fmt.Fprintf(os.Stderr, "-%s cannot be combined with a fleet campaign pack\n", f.Name)
+				os.Exit(2)
+			}
 		}
 	})
 	if err := m.Validate(); err != nil {
@@ -258,12 +273,48 @@ func engineFromPack(path, faultName, classifier string, seed *uint64, rounds *in
 	}
 	*seed, *rounds = m.Seed, m.Rounds
 	fmt.Printf("scenario pack: %s (%s)\n", m.Name, path)
-	eng, err := m.Engine(eopts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	return m
+}
+
+// runCampaign runs a fleet campaign and prints the audited outcome of the
+// selected classification stage and of the OBD baseline; csv adds one row
+// per incident of the selected stage. It returns the exit status: 130
+// when the run was interrupted (the completed vehicles are still
+// reported), 0 otherwise.
+func runCampaign(ctx context.Context, c scenario.Campaign, csv bool) int {
+	res := c.RunContext(ctx)
+	if res.Partial {
+		fmt.Fprintf(os.Stderr, "interrupted: %d of %d vehicles completed; partial results follow\n",
+			res.Completed, c.Vehicles)
 	}
-	return eng
+
+	if csv {
+		fmt.Println("incident,true_class,persistence,culprit,diagnosed,action,correct_class,correct_action,nff,missed,cost")
+		for _, o := range res.DECOS.Outcomes {
+			a := o.Activation
+			fmt.Printf("%d,%s,%s,%q,%s,%s,%v,%v,%v,%v,%.0f\n",
+				a.ID, a.Class, a.Persistence, a.Culprit.String(),
+				o.Diagnosed, o.Action, o.CorrectClass, o.CorrectAction, o.NFF, o.Missed, o.Cost)
+		}
+		fmt.Println()
+	}
+
+	stage := "DECOS diagnostic DAS"
+	if c.Classifier != "" && c.Classifier != pack.ClassifierDECOS {
+		stage = c.Classifier + " classification stage"
+	}
+	fmt.Printf("campaign: %d vehicles × %d rounds, %d fault-free\n\n",
+		c.Vehicles, c.Rounds, res.FaultFreeCount)
+	fmt.Printf("== %s ==\n", stage)
+	fmt.Print(res.DECOS.Format())
+	fmt.Printf("false alarms on healthy vehicles: %d\n\n", res.DECOSFalseAlarms)
+	fmt.Println("== OBD baseline ==")
+	fmt.Print(res.OBD.Format())
+	fmt.Printf("false alarms on healthy vehicles: %d\n", res.OBDFalseAlarms)
+	if res.Partial {
+		return 130
+	}
+	return 0
 }
 
 // runWithMetrics advances the engine by rounds TDMA rounds. With a

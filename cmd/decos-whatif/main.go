@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,9 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch *classifier {
-	case "", pack.ClassifierDECOS, pack.ClassifierOBD, pack.ClassifierBayes:
-	default:
+	if *classifier != "" && !slices.Contains(pack.Classifiers, *classifier) {
 		fail2("unknown classifier %q; known: %s", *classifier, strings.Join(pack.Classifiers, " "))
 	}
 
@@ -197,10 +196,8 @@ func parseKind(name string, fail func(string, ...any)) scenario.FaultKind {
 	if name == "" {
 		return -1
 	}
-	for _, k := range scenario.AllKinds() {
-		if k.String() == name {
-			return k
-		}
+	if k, ok := scenario.ParseKind(name); ok {
+		return k
 	}
 	known := make([]string, 0, len(scenario.AllKinds()))
 	for _, k := range scenario.AllKinds() {

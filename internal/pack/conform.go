@@ -115,20 +115,13 @@ func (r *Report) Format() string {
 // layer (which owns the fleet campaign driver); calling this on one
 // returns an error result.
 func ConformSingle(ctx context.Context, m *Manifest) *PackResult {
-	return ConformSingleFor(ctx, m, Classifiers)
-}
-
-// ConformSingleFor is ConformSingle restricted to the named classifiers
-// (the -classifier CLI flags time one stage without paying for the
-// others).
-func ConformSingleFor(ctx context.Context, m *Manifest, clss []string) *PackResult {
 	pr := &PackResult{Name: m.Name, Source: m.Source, Seed: m.Seed, Rounds: m.Rounds}
 	if m.Campaign != nil {
 		pr.Error = "campaign pack: score through the scenario conformance runner"
 		return pr
 	}
 	pr.Pass = true
-	for _, cls := range clss {
+	for _, cls := range Classifiers {
 		cs, err := conformClassifier(ctx, m, cls)
 		if err != nil {
 			pr.Error = err.Error()
@@ -292,9 +285,7 @@ type CampaignLeg struct {
 }
 
 // ScoreCampaign scores a campaign pack from the audited fleet reports
-// of every classifier the caller ran: one leg per Classifiers name
-// present in the map (absent names score no column — that is how
-// classifier-restricted CLI runs skip legs).
+// of every classifier: legs holds one entry per Classifiers name.
 func ScoreCampaign(m *Manifest, legs map[string]CampaignLeg) *PackResult {
 	pr := &PackResult{
 		Name: m.Name, Source: m.Source, Seed: m.Seed, Rounds: m.Rounds,
@@ -303,10 +294,7 @@ func ScoreCampaign(m *Manifest, legs map[string]CampaignLeg) *PackResult {
 	decos := legs[ClassifierDECOS].Report
 	obd := legs[ClassifierOBD].Report
 	for _, cls := range Classifiers {
-		leg, ok := legs[cls]
-		if !ok {
-			continue
-		}
+		leg := legs[cls]
 		rep, falseAlarms := leg.Report, leg.FalseAlarms
 		cs := &ClassifierScore{Classifier: cls, MinScore: m.minScoreFor(cls), WallClockMS: leg.WallClockMS}
 		e := &m.Expect
@@ -333,7 +321,7 @@ func ScoreCampaign(m *Manifest, legs map[string]CampaignLeg) *PackResult {
 				Detail: fmt.Sprintf("measured %d", falseAlarms),
 			})
 		}
-		if e.DECOSBeatsOBD && decos != nil && obd != nil {
+		if e.DECOSBeatsOBD {
 			// The architecture claim: strictly better fault classification
 			// without paying for it in no-fault-found removals.
 			cs.Checks = append(cs.Checks, Check{

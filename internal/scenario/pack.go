@@ -61,49 +61,27 @@ func CampaignFromManifest(m *pack.Manifest) Campaign {
 // with the Bayesian pipeline. The pack's own classifier selection is
 // ignored: conformance always pins the stage per leg.
 func Conform(ctx context.Context, m *pack.Manifest) *pack.PackResult {
-	return ConformFor(ctx, m, pack.Classifiers)
-}
-
-// ConformFor is Conform restricted to the named classifiers; campaign
-// legs that are not asked for are not simulated.
-func ConformFor(ctx context.Context, m *pack.Manifest, clss []string) *pack.PackResult {
 	if m.Campaign == nil {
-		return pack.ConformSingleFor(ctx, m, clss)
+		return pack.ConformSingle(ctx, m)
 	}
-	want := map[string]bool{}
-	for _, cls := range clss {
-		want[cls] = true
-	}
-	legs := map[string]pack.CampaignLeg{}
-	partial := false
-	if want[pack.ClassifierDECOS] || want[pack.ClassifierOBD] {
-		base := CampaignFromManifest(m)
-		base.Classifier = ""
-		start := time.Now()
-		res := base.RunContext(ctx)
-		baseMS := float64(time.Since(start).Microseconds()) / 1e3
-		partial = partial || res.Partial
-		if want[pack.ClassifierDECOS] {
-			legs[pack.ClassifierDECOS] = pack.CampaignLeg{
-				Report: res.DECOS, FalseAlarms: res.DECOSFalseAlarms, WallClockMS: baseMS}
-		}
-		if want[pack.ClassifierOBD] {
-			legs[pack.ClassifierOBD] = pack.CampaignLeg{
-				Report: res.OBD, FalseAlarms: res.OBDFalseAlarms, WallClockMS: baseMS}
-		}
-	}
-	if want[pack.ClassifierBayes] {
-		bc := CampaignFromManifest(m)
-		bc.Classifier = pack.ClassifierBayes
-		start := time.Now()
-		bres := bc.RunContext(ctx)
-		partial = partial || bres.Partial
-		legs[pack.ClassifierBayes] = pack.CampaignLeg{
-			Report: bres.DECOS, FalseAlarms: bres.DECOSFalseAlarms,
-			WallClockMS: float64(time.Since(start).Microseconds()) / 1e3}
-	}
-	pr := pack.ScoreCampaign(m, legs)
-	if partial {
+	base := CampaignFromManifest(m)
+	base.Classifier = ""
+	start := time.Now()
+	res := base.RunContext(ctx)
+	baseMS := float64(time.Since(start).Microseconds()) / 1e3
+
+	bc := CampaignFromManifest(m)
+	bc.Classifier = pack.ClassifierBayes
+	start = time.Now()
+	bres := bc.RunContext(ctx)
+	bayesMS := float64(time.Since(start).Microseconds()) / 1e3
+
+	pr := pack.ScoreCampaign(m, map[string]pack.CampaignLeg{
+		pack.ClassifierDECOS: {Report: res.DECOS, FalseAlarms: res.DECOSFalseAlarms, WallClockMS: baseMS},
+		pack.ClassifierOBD:   {Report: res.OBD, FalseAlarms: res.OBDFalseAlarms, WallClockMS: baseMS},
+		pack.ClassifierBayes: {Report: bres.DECOS, FalseAlarms: bres.DECOSFalseAlarms, WallClockMS: bayesMS},
+	})
+	if res.Partial || bres.Partial {
 		pr.Error = "campaign cancelled before all vehicles completed"
 		pr.Pass = false
 	}

@@ -66,4 +66,11 @@ echo "== fuzz smoke (scenario-pack manifests) =="
 # numbers, deep nesting).
 go test -run='^$' -fuzz='^FuzzPackManifest$' -fuzztime=10s ./internal/pack/
 
+echo "== bench module (vet + smoke tests) =="
+# bench/ is its own Go module, so ./... above skips it. Its tests run
+# every benchmark workload at a tiny scale plus the oracle and ledger
+# checks; an internal/ API change that breaks the benchmark build fails
+# here.
+(cd bench && go vet ./... && go test ./...)
+
 echo "OK"
