@@ -178,26 +178,58 @@ func BenchmarkRNG(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkMessageRoundtrip measures the VN hot path: pack one state
-// message into a frame segment and decode+dispatch it at a receiver.
+// BenchmarkMessageRoundtrip measures the VN hot path for one TDMA slot:
+// pack two state messages into the sender's frame and deliver the frame to
+// the four receivers of a Fig. 10-sized bus, the sender among them, as
+// the broadcast medium does. The frame is decoded once and dispatched at
+// each receiver.
 func BenchmarkMessageRoundtrip(b *testing.B) {
-	payload := vnet.FloatPayload(3.14)
-	cfg := tt.UniformSchedule(1, 250, 64)
-	f := vnet.NewFabric(cfg, sim.NewRNG(1))
-	n := vnet.NewNetwork("bench", vnet.TimeTriggered, "x")
-	n.AddEndpoint(0, 32, 0)
-	n.DeclareChannel(1, 0)
-	f.AddNetwork(n)
-	f.Subscribe(0, 1, 0, true)
-	if err := f.Seal(); err != nil {
-		b.Fatal(err)
-	}
+	f, n := fanoutFabric(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Send(1, payload, sim.Time(i))
-		p := f.BuildPayload(0)
-		f.ConsumeFrame(0, tt.Frame{Sender: 0, Payload: p}, tt.FrameOK, sim.Time(i))
+		fanoutSlot(f, n, int64(i), tt.FrameOK)
+	}
+}
+
+// fanoutFabric wires a Fig. 10-sized broadcast: four nodes, node 0
+// producing a state channel every node (itself included) subscribes to
+// and a diagnostic-range channel (diagnosis.Options' default
+// DiagChannelBase) that node 3 reads.
+func fanoutFabric(tb testing.TB) (*vnet.Fabric, *vnet.Network) {
+	tb.Helper()
+	f := vnet.NewFabric(tt.UniformSchedule(4, 250, 64), sim.NewRNG(1))
+	n := vnet.NewNetwork("bench", vnet.TimeTriggered, "x")
+	for node := tt.NodeID(0); node < 4; node++ {
+		n.AddEndpoint(node, 40, 0)
+	}
+	n.DeclareChannel(1, 0)
+	n.DeclareChannel(60000, 0)
+	f.AddNetwork(n)
+	for node := tt.NodeID(0); node < 4; node++ {
+		f.Subscribe(node, 1, 0, true)
+	}
+	f.Subscribe(3, 60000, 0, true)
+	if err := f.Seal(); err != nil {
+		tb.Fatal(err)
+	}
+	return f, n
+}
+
+var fanoutValue = vnet.FloatPayload(3.14)
+
+// fanoutSlot runs one slot of round i on a fanoutFabric: node 0 publishes,
+// builds its frame, and all four nodes receive it with status st.
+func fanoutSlot(f *vnet.Fabric, n *vnet.Network, i int64, st tt.FrameStatus) {
+	now := sim.Time(i)
+	n.Send(1, fanoutValue, now)
+	n.Send(60000, fanoutValue, now)
+	fr := tt.Frame{Round: i, Sender: 0, Payload: f.BuildPayload(0), Status: st}
+	if st == tt.FrameCorrupted {
+		fr.CorruptBits = 2
+	}
+	for rcv := tt.NodeID(0); rcv < 4; rcv++ {
+		f.ConsumeFrame(rcv, fr, st, now)
 	}
 }
 

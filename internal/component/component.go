@@ -1,8 +1,10 @@
 package component
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"decos/internal/sim"
@@ -198,8 +200,6 @@ func (cl *Cluster) AddJob(d *DAS, comp *Component, name string, partition int, i
 		Comp:      comp,
 		Partition: partition,
 		Impl:      impl,
-		in:        make(map[vnet.ChannelID]*vnet.InPort),
-		out:       make(map[vnet.ChannelID]*vnet.Network),
 	}
 	d.Jobs = append(d.Jobs, j)
 	comp.Jobs = append(comp.Jobs, j)
@@ -213,7 +213,13 @@ func (cl *Cluster) AddJob(d *DAS, comp *Component, name string, partition int, i
 // and registers the channel's LIF specification.
 func (cl *Cluster) Produce(j *Instance, n *vnet.Network, spec ChannelSpec) {
 	n.DeclareChannel(spec.Channel, j.Comp.ID)
-	j.out[spec.Channel] = n
+	o := outPort{ch: spec.Channel, net: n}
+	i, dup := slices.BinarySearchFunc(j.out, o.ch, func(o outPort, ch vnet.ChannelID) int { return cmp.Compare(o.ch, ch) })
+	if dup {
+		j.out[i] = o
+	} else {
+		j.out = slices.Insert(j.out, i, o)
+	}
 	cl.specs[spec.Channel] = spec
 }
 
@@ -221,7 +227,12 @@ func (cl *Cluster) Produce(j *Instance, n *vnet.Network, spec ChannelSpec) {
 // capacity (overwrite=true gives state-port semantics).
 func (cl *Cluster) Subscribe(j *Instance, ch vnet.ChannelID, capacity int, overwrite bool) *vnet.InPort {
 	p := cl.Fabric.Subscribe(j.Comp.ID, ch, capacity, overwrite)
-	j.in[ch] = p
+	i, dup := slices.BinarySearchFunc(j.in, ch, func(p *vnet.InPort, ch vnet.ChannelID) int { return cmp.Compare(p.Channel, ch) })
+	if dup {
+		j.in[i] = p
+	} else {
+		j.in = slices.Insert(j.in, i, p)
+	}
 	return p
 }
 
@@ -238,7 +249,7 @@ func (cl *Cluster) Specs() map[vnet.ChannelID]ChannelSpec { return cl.specs }
 func (cl *Cluster) Producer(ch vnet.ChannelID) *Instance {
 	for _, d := range cl.dass {
 		for _, j := range d.Jobs {
-			if _, ok := j.out[ch]; ok {
+			if j.outNet(ch) != nil {
 				return j
 			}
 		}

@@ -67,8 +67,10 @@ type Instance struct {
 	Partition int
 	Impl      Job
 
-	in  map[vnet.ChannelID]*vnet.InPort
-	out map[vnet.ChannelID]*vnet.Network
+	// in and out are sorted by channel: a job has a handful of ports, so
+	// a scan beats hashing the channel id on every send and receive.
+	in  []*vnet.InPort
+	out []outPort
 
 	// Halted stops the job from executing (crashed partition / disabled
 	// job). The encapsulation service guarantees a halted or misbehaving
@@ -85,39 +87,52 @@ type Instance struct {
 	ctx *Context // reused per round
 }
 
+// outPort is one channel a job produces and the network carrying it.
+type outPort struct {
+	ch  vnet.ChannelID
+	net *vnet.Network
+}
+
 // String identifies the job as "das/name@component".
 func (j *Instance) String() string {
 	return fmt.Sprintf("%s/%s@%s", j.DAS.Name, j.Name, j.Comp.Name)
 }
 
 // InPort returns the job's subscription on ch, or nil.
-func (j *Instance) InPort(ch vnet.ChannelID) *vnet.InPort { return j.in[ch] }
+func (j *Instance) InPort(ch vnet.ChannelID) *vnet.InPort {
+	for _, p := range j.in {
+		if p.Channel == ch {
+			return p
+		}
+	}
+	return nil
+}
+
+// outNet returns the network carrying the job's output channel ch, or nil.
+func (j *Instance) outNet(ch vnet.ChannelID) *vnet.Network {
+	for _, o := range j.out {
+		if o.ch == ch {
+			return o.net
+		}
+	}
+	return nil
+}
 
 // InChannels returns the channels the job subscribes to, in ascending
 // order.
 func (j *Instance) InChannels() []vnet.ChannelID {
-	out := make([]vnet.ChannelID, 0, len(j.in))
-	for ch := range j.in {
-		out = append(out, ch)
-	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k] < out[k-1]; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
+	out := make([]vnet.ChannelID, len(j.in))
+	for i, p := range j.in {
+		out[i] = p.Channel
 	}
 	return out
 }
 
 // OutChannels returns the channels the job produces, in ascending order.
 func (j *Instance) OutChannels() []vnet.ChannelID {
-	out := make([]vnet.ChannelID, 0, len(j.out))
-	for ch := range j.out {
-		out = append(out, ch)
-	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k] < out[k-1]; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
+	out := make([]vnet.ChannelID, len(j.out))
+	for i, o := range j.out {
+		out[i] = o.ch
 	}
 	return out
 }
@@ -138,8 +153,8 @@ type Context struct {
 // installed fault filter. It reports whether the message was accepted by
 // the virtual network (false = suppressed by a fault or queue overflow).
 func (c *Context) Send(ch vnet.ChannelID, payload []byte) bool {
-	n, ok := c.Job.out[ch]
-	if !ok {
+	n := c.Job.outNet(ch)
+	if n == nil {
 		panic(fmt.Sprintf("component: job %s sends on undeclared channel %d", c.Job, ch))
 	}
 	if f := c.Job.OutFault; f != nil {
@@ -159,8 +174,8 @@ func (c *Context) SendFloat(ch vnet.ChannelID, v float64) bool {
 
 // Receive pops the oldest queued message on one of the job's input ports.
 func (c *Context) Receive(ch vnet.ChannelID) (vnet.Message, bool) {
-	p, ok := c.Job.in[ch]
-	if !ok {
+	p := c.Job.InPort(ch)
+	if p == nil {
 		panic(fmt.Sprintf("component: job %s receives on unsubscribed channel %d", c.Job, ch))
 	}
 	return p.Receive()
@@ -169,8 +184,8 @@ func (c *Context) Receive(ch vnet.ChannelID) (vnet.Message, bool) {
 // Latest peeks at the newest message on an input port without consuming the
 // queue (state-port style access).
 func (c *Context) Latest(ch vnet.ChannelID) (vnet.Message, bool) {
-	p, ok := c.Job.in[ch]
-	if !ok {
+	p := c.Job.InPort(ch)
+	if p == nil {
 		panic(fmt.Sprintf("component: job %s reads unsubscribed channel %d", c.Job, ch))
 	}
 	return p.Peek()

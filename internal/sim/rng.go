@@ -25,6 +25,13 @@ func splitmix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from the given 64-bit seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the state NewRNG(seed) starts from. A generator that is
+// seeded in place needs no allocation.
+func (r *RNG) Seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -33,7 +40,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -40,11 +40,10 @@ func decodeMessage(d *ckpt.Decoder) Message {
 // counters (ascending channel order) and per-endpoint outbound state
 // (ascending node order).
 func (n *Network) Snapshot(e *ckpt.Encoder) {
-	chans := n.Channels()
-	e.Int(len(chans))
-	for _, ch := range chans {
-		e.Int(int(ch))
-		e.Uvarint(uint64(n.channels[ch].nextSeq))
+	e.Int(len(n.channels))
+	for _, cs := range n.channels {
+		e.Int(int(cs.id))
+		e.Uvarint(uint64(cs.nextSeq))
 	}
 	nodes := make([]int, 0, len(n.endpoints))
 	for id := range n.endpoints {
@@ -64,8 +63,8 @@ func (n *Network) Snapshot(e *ckpt.Encoder) {
 		}
 		// Published TT state in packing order; absent channels are marked.
 		e.Int(len(ep.ttOrder))
-		for _, ch := range ep.ttOrder {
-			m := ep.outState[ch]
+		for _, cs := range ep.ttOrder {
+			m := cs.state
 			e.Bool(m != nil)
 			if m != nil {
 				encodeMessage(e, m)
@@ -79,7 +78,7 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 	nc := d.Len(1 << 16)
 	for i := 0; i < nc && d.Err() == nil; i++ {
 		ch := ChannelID(d.Int())
-		cs := n.channels[ch]
+		cs := n.channel(ch)
 		if cs == nil {
 			return fmt.Errorf("vnet: checkpoint names undeclared channel %d on %s", ch, n.Name)
 		}
@@ -105,12 +104,12 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 			return fmt.Errorf("vnet: checkpoint TT state count %d, endpoint has %d channels", nt, len(ep.ttOrder))
 		}
 		for j := 0; j < nt && d.Err() == nil; j++ {
-			ch := ep.ttOrder[j]
+			cs := ep.ttOrder[j]
 			if d.Bool() {
 				m := decodeMessage(d)
-				ep.outState[ch] = &m
+				cs.state = &m
 			} else {
-				delete(ep.outState, ch)
+				cs.state = nil
 			}
 		}
 	}
@@ -120,14 +119,9 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 // sortedPorts returns every subscribed port in (channel, subscription)
 // order — the canonical iteration the snapshot encoding is defined over.
 func (f *Fabric) sortedPorts() []*InPort {
-	chans := make([]int, 0, len(f.subs))
-	for ch := range f.subs {
-		chans = append(chans, int(ch))
-	}
-	sort.Ints(chans)
 	var out []*InPort
-	for _, ch := range chans {
-		out = append(out, f.subs[ChannelID(ch)]...)
+	for _, s := range f.subs {
+		out = append(out, s.ports...)
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package vnet
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"decos/internal/sim"
 	"decos/internal/tt"
@@ -103,11 +106,61 @@ func (p *InPort) deliver(m Message, crcValid bool, now sim.Time) {
 	p.queue = append(p.queue, m)
 }
 
-// segment is one network's byte range within a node's frame payload.
+// subscription is one channel's subscribed ports, in subscription order.
+type subscription struct {
+	ch    ChannelID
+	ports []*InPort
+}
+
+// segment is one network's byte range within a node's frame payload, with
+// the route table Seal resolves for it: every channel the network carries
+// from that node, with the channel's subscribed ports.
 type segment struct {
-	net    *Network
+	ep     *Endpoint
 	offset int
 	length int
+	routes []subscription
+}
+
+// route returns the ports subscribed to ch and whether the segment's
+// network carries ch from this sender at all.
+func (s *segment) route(ch ChannelID) ([]*InPort, bool) {
+	for _, r := range s.routes {
+		if r.ch == ch {
+			return r.ports, true
+		}
+	}
+	return nil, false
+}
+
+// sender is one node's frame layout plus its reused frame buffer: frames
+// are fully consumed within their slot event, so the buffer's contents are
+// dead by the time the node builds its next frame.
+type sender struct {
+	segs []segment
+	buf  []byte
+}
+
+// frameDecode is one broadcast frame decoded for all of its receivers.
+// Parsing, CRC checks and channel routing depend only on the bytes that
+// were broadcast (after a corrupted frame's deterministic bit flips), never
+// on the receiver, so the first ConsumeFrame of a slot fills it and the
+// other receivers reuse it. The key is the frame as received: coordinates,
+// corruption and a copy of the payload bytes, so a payload the fabric did
+// not build, or one reused in place, is never confused with another.
+type frameDecode struct {
+	valid       bool
+	sender      tt.NodeID
+	round       int64
+	slot        int
+	corruptBits int
+	raw         []byte // the payload as received (part of the key)
+	damaged     []byte // a corrupted frame's bytes after the bit flips
+	// msgs are the routed records with at least one subscriber; their
+	// payloads alias raw or damaged.
+	msgs []decodeResult
+	// errors is the decode-error count one consumption of the frame adds.
+	errors int
 }
 
 // Fabric wires a set of virtual networks onto a time-triggered cluster: it
@@ -116,19 +169,18 @@ type segment struct {
 type Fabric struct {
 	cfg      tt.Config
 	networks []*Network
-	layout   map[tt.NodeID][]segment
-	subs     map[ChannelID][]*InPort
+	// subs is sorted by channel id.
+	subs []subscription
+	// senders is indexed by NodeID; Seal fills it.
+	senders []sender
 	// corruptSeed makes bit-flip placement for a corrupted frame a pure
 	// function of the frame's coordinates, so every receiver of one
 	// corrupted broadcast observes the same damaged bytes.
 	corruptSeed uint64
-
-	// Per-node frame buffers and a decode scratch list, reused across
-	// rounds: frames are fully consumed within their slot event, so the
-	// buffer's contents are dead by the time the node builds its next
-	// frame.
-	frameBufs map[tt.NodeID][]byte
-	decodeBuf []decodeResult
+	// decoded holds the current slot's frame as received intact
+	// (decoded[0]) and as received corrupted (decoded[1]): a receiver-side
+	// fault may corrupt the frame at some receivers only.
+	decoded [2]frameDecode
 
 	// DecodeErrors counts frames whose segment structure was undecodable
 	// after corruption.
@@ -139,13 +191,7 @@ type Fabric struct {
 // NewFabric creates a fabric for the given core-network configuration. The
 // rng seeds bit-corruption placement for corrupted frames.
 func NewFabric(cfg tt.Config, rng *sim.RNG) *Fabric {
-	return &Fabric{
-		cfg:         cfg,
-		layout:      make(map[tt.NodeID][]segment),
-		subs:        make(map[ChannelID][]*InPort),
-		corruptSeed: rng.Uint64(),
-		frameBufs:   make(map[tt.NodeID][]byte),
-	}
+	return &Fabric{cfg: cfg, corruptSeed: rng.Uint64()}
 }
 
 // AddNetwork registers a virtual network. All networks must be added before
@@ -158,14 +204,30 @@ func (f *Fabric) AddNetwork(n *Network) {
 }
 
 // Subscribe attaches an in-port at the given node to a channel. The channel
-// must exist on one of the fabric's networks.
+// must exist on one of the fabric's networks, and all subscriptions must be
+// made before Seal.
 func (f *Fabric) Subscribe(node tt.NodeID, ch ChannelID, capacity int, overwrite bool) *InPort {
+	if f.sealed {
+		panic("vnet: Subscribe after Seal")
+	}
 	if f.findChannel(ch) == nil {
 		panic(fmt.Sprintf("vnet: subscribe to unknown channel %d", ch))
 	}
 	p := &InPort{Channel: ch, Node: node, Capacity: capacity, Overwrite: overwrite}
-	f.subs[ch] = append(f.subs[ch], p)
+	i, ok := f.subIndex(ch)
+	if !ok {
+		f.subs = slices.Insert(f.subs, i, subscription{ch: ch})
+	}
+	f.subs[i].ports = append(f.subs[i].ports, p)
 	return p
+}
+
+// subIndex returns the position of ch in the sorted subs slice and whether
+// it has subscribers.
+func (f *Fabric) subIndex(ch ChannelID) (int, bool) {
+	return slices.BinarySearchFunc(f.subs, ch, func(s subscription, ch ChannelID) int {
+		return cmp.Compare(s.ch, ch)
+	})
 }
 
 func (f *Fabric) findChannel(ch ChannelID) *Network {
@@ -177,45 +239,62 @@ func (f *Fabric) findChannel(ch ChannelID) *Network {
 	return nil
 }
 
-// Seal computes the frame layout. It fails if any node's total allocation
-// exceeds the frame payload size.
+// Seal computes the frame layout and each segment's route table. It fails
+// if any node's total allocation exceeds the frame payload size.
 func (f *Fabric) Seal() error {
 	if f.sealed {
 		return nil
 	}
-	for _, node := range f.cfg.Nodes() {
+	nodes := f.cfg.Nodes()
+	if len(nodes) > 0 {
+		f.senders = make([]sender, nodes[len(nodes)-1]+1)
+	}
+	for _, node := range nodes {
 		off := 0
+		var segs []segment
 		for _, n := range f.networks {
 			ep := n.Endpoint(node)
 			if ep == nil || ep.AllocBytes == 0 {
 				continue
 			}
-			f.layout[node] = append(f.layout[node], segment{net: n, offset: off, length: ep.AllocBytes})
+			var routes []subscription
+			for _, cs := range n.channels {
+				if cs.ep != ep {
+					continue
+				}
+				r := subscription{ch: cs.id}
+				if i, ok := f.subIndex(cs.id); ok {
+					r.ports = f.subs[i].ports
+				}
+				routes = append(routes, r)
+			}
+			segs = append(segs, segment{ep: ep, offset: off, length: ep.AllocBytes, routes: routes})
 			off += ep.AllocBytes
 		}
 		if off > f.cfg.PayloadBytes {
 			return fmt.Errorf("vnet: node %d allocation %d exceeds frame payload %d", node, off, f.cfg.PayloadBytes)
 		}
+		f.senders[node].segs = segs
 	}
 	f.sealed = true
 	return nil
 }
 
+// layout returns node's frame segments; none for a node outside the
+// schedule.
+func (f *Fabric) layout(node tt.NodeID) []segment {
+	if node < 0 || int(node) >= len(f.senders) {
+		return nil
+	}
+	return f.senders[node].segs
+}
+
 // PortsAt returns all in-ports subscribed at the given node, in channel
 // order (stable across runs). The diagnostic monitors scan these.
 func (f *Fabric) PortsAt(node tt.NodeID) []*InPort {
-	var chans []int
-	for ch := range f.subs {
-		chans = append(chans, int(ch))
-	}
-	for i := 1; i < len(chans); i++ {
-		for j := i; j > 0 && chans[j] < chans[j-1]; j-- {
-			chans[j], chans[j-1] = chans[j-1], chans[j]
-		}
-	}
 	var out []*InPort
-	for _, ch := range chans {
-		for _, p := range f.subs[ChannelID(ch)] {
+	for _, s := range f.subs {
+		for _, p := range s.ports {
 			if p.Node == node {
 				out = append(out, p)
 			}
@@ -241,8 +320,8 @@ type PortTotals struct {
 // themselves it is not safe for use concurrently with the simulation loop.
 func (f *Fabric) Totals() PortTotals {
 	t := PortTotals{DecodeErrors: int64(f.DecodeErrors)}
-	for _, ports := range f.subs {
-		for _, p := range ports {
+	for _, s := range f.subs {
+		for _, p := range s.ports {
 			t.Received += int64(p.Stats.Received)
 			t.CRCFailures += int64(p.Stats.CRCFailures)
 			t.FrameMisses += int64(p.Stats.FrameMisses)
@@ -269,28 +348,27 @@ func (f *Fabric) Network(name string) *Network {
 // BuildPayload assembles node's frame payload for one round by packing each
 // attached network's segment at its fixed offset. The returned buffer is
 // reused on the node's next BuildPayload: frames are consumed within their
-// TDMA slot, so nothing holds it longer.
+// TDMA slot, so nothing holds it longer. Building a frame starts a new
+// slot, so it also drops the previous slot's decodes.
 func (f *Fabric) BuildPayload(node tt.NodeID) []byte {
 	if !f.sealed {
 		panic("vnet: BuildPayload before Seal")
 	}
-	segs := f.layout[node]
+	f.decoded[0].valid, f.decoded[1].valid = false, false
+	segs := f.layout(node)
 	if len(segs) == 0 {
 		return nil
 	}
 	last := segs[len(segs)-1]
 	size := last.offset + last.length
-	buf := f.frameBufs[node]
-	if cap(buf) < size {
-		buf = make([]byte, size)
-		f.frameBufs[node] = buf
-	} else {
-		buf = buf[:size]
-		clear(buf)
+	snd := &f.senders[node]
+	if cap(snd.buf) < size {
+		snd.buf = make([]byte, size)
 	}
+	buf := snd.buf[:size]
+	clear(buf)
 	for _, s := range segs {
-		packed := s.net.Endpoint(node).packSegment()
-		copy(buf[s.offset:s.offset+s.length], packed)
+		copy(buf[s.offset:s.offset+s.length], s.ep.packSegment())
 	}
 	return buf
 }
@@ -299,25 +377,20 @@ func (f *Fabric) BuildPayload(node tt.NodeID) []byte {
 // frames are decoded per the sender's layout and delivered to the
 // receiver's subscribed ports; corrupted frames have CorruptBits random bits
 // flipped first (so CRC checks fail realistically); omitted/timing frames
-// record a miss on every subscribed port fed by the sender.
+// record a miss on every subscribed port fed by the sender. The decode is
+// shared by every receiver of the slot; only the delivery is per receiver.
 func (f *Fabric) ConsumeFrame(receiver tt.NodeID, fr tt.Frame, st tt.FrameStatus, now sim.Time) {
 	if !f.sealed {
 		panic("vnet: ConsumeFrame before Seal")
 	}
-	if fr.Sender == tt.NoNode {
-		return
-	}
-	segs := f.layout[fr.Sender]
+	segs := f.layout(fr.Sender)
 	if len(segs) == 0 {
 		return
 	}
 	if st == tt.FrameOmitted || st == tt.FrameTiming {
 		for _, s := range segs {
-			for ch, prod := range s.net.channels {
-				if prod.producer != fr.Sender {
-					continue
-				}
-				for _, p := range f.subs[ch] {
+			for _, r := range s.routes {
+				for _, p := range r.ports {
 					if p.Node == receiver {
 						p.Stats.FrameMisses++
 					}
@@ -326,48 +399,76 @@ func (f *Fabric) ConsumeFrame(receiver tt.NodeID, fr tt.Frame, st tt.FrameStatus
 		}
 		return
 	}
-
-	payload := fr.Payload
-	if st == tt.FrameCorrupted {
-		payload = append([]byte(nil), payload...)
-		bits := fr.CorruptBits
-		if bits <= 0 {
-			bits = 1
-		}
-		crng := sim.NewRNG(f.corruptSeed ^ uint64(fr.Round)*0x9e3779b97f4a7c15 ^ uint64(fr.Slot)<<48)
-		for i := 0; i < bits && len(payload) > 0; i++ {
-			pos := crng.Intn(len(payload) * 8)
-			payload[pos/8] ^= 1 << (pos % 8)
+	d := f.decode(fr, st == tt.FrameCorrupted, segs)
+	f.DecodeErrors += d.errors
+	for i := range d.msgs {
+		r := &d.msgs[i]
+		for _, p := range r.ports {
+			if p.Node == receiver {
+				p.deliver(r.msg, r.crcValid, now)
+			}
 		}
 	}
+}
 
+// decode returns the slot's decode of fr as received intact or corrupted,
+// reusing the previous receiver's when it saw the same frame.
+func (f *Fabric) decode(fr tt.Frame, corrupted bool, segs []segment) *frameDecode {
+	d := &f.decoded[0]
+	if corrupted {
+		d = &f.decoded[1]
+	}
+	if d.valid && d.sender == fr.Sender && d.round == fr.Round && d.slot == fr.Slot &&
+		d.corruptBits == fr.CorruptBits && bytes.Equal(d.raw, fr.Payload) {
+		return d
+	}
+	d.valid, d.sender, d.round, d.slot, d.corruptBits = true, fr.Sender, fr.Round, fr.Slot, fr.CorruptBits
+	d.raw = append(d.raw[:0], fr.Payload...)
+	d.msgs, d.errors = d.msgs[:0], 0
+	payload := d.raw
+	if corrupted {
+		d.damaged = f.corrupt(append(d.damaged[:0], d.raw...), fr)
+		payload = d.damaged
+	}
 	for _, s := range segs {
-		end := s.offset + s.length
-		if end > len(payload) {
-			end = len(payload)
-		}
+		end := min(s.offset+s.length, len(payload))
 		if s.offset >= end {
 			continue
 		}
-		msgs, ok := decodeSegment(f.decodeBuf[:0], payload[s.offset:end])
-		f.decodeBuf = msgs[:0]
+		first := len(d.msgs)
+		msgs, ok := decodeSegment(d.msgs, payload[s.offset:end])
 		if !ok {
-			f.DecodeErrors++
+			d.errors++
 		}
-		for _, r := range msgs {
+		d.msgs = msgs[:first]
+		for _, r := range msgs[first:] {
 			// Receivers know the static channel-to-sender mapping: a
 			// record claiming a channel not produced by this frame's
 			// sender is mis-framed corruption, not that channel's
 			// traffic.
-			if prod, known := s.net.Producer(r.msg.Channel); !known || prod != fr.Sender {
-				f.DecodeErrors++
+			ports, known := s.route(r.msg.Channel)
+			if !known {
+				d.errors++
 				continue
 			}
-			for _, p := range f.subs[r.msg.Channel] {
-				if p.Node == receiver {
-					p.deliver(r.msg, r.crcValid, now)
-				}
+			if len(ports) > 0 {
+				r.ports = ports
+				d.msgs = append(d.msgs, r)
 			}
 		}
 	}
+	return d
+}
+
+// corrupt flips fr.CorruptBits (at least one) bits of payload in place.
+// Their placement is a pure function of the frame's coordinates.
+func (f *Fabric) corrupt(payload []byte, fr tt.Frame) []byte {
+	bits := max(fr.CorruptBits, 1)
+	var crng sim.RNG
+	crng.Seed(f.corruptSeed ^ uint64(fr.Round)*0x9e3779b97f4a7c15 ^ uint64(fr.Slot)<<48)
+	for i := 0; i < bits && len(payload) > 0; i++ {
+		pos := crng.Intn(len(payload) * 8)
+		payload[pos/8] ^= 1 << (pos % 8)
+	}
+	return payload
 }

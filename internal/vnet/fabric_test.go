@@ -35,10 +35,10 @@ func TestFabricSealLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 0 carries both networks (40+40 ≤ 128), node 1 only the TT one.
-	if got := len(f.layout[0]); got != 2 {
+	if got := len(f.layout(0)); got != 2 {
 		t.Errorf("node 0 segments = %d, want 2", got)
 	}
-	if got := len(f.layout[1]); got != 1 {
+	if got := len(f.layout(1)); got != 1 {
 		t.Errorf("node 1 segments = %d, want 1", got)
 	}
 }

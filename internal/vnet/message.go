@@ -78,10 +78,11 @@ const (
 func WireSize(payloadLen int) int { return headerBytes + payloadLen + crcBytes }
 
 // crcTable is the byte-indexed lookup table for CRC-16/CCITT-FALSE
-// (polynomial 0x1021). Every encoded and decoded message is checksummed,
-// making the CRC the single hottest function of a full simulation;
-// table-driven computation is ~8x faster than bit-at-a-time and produces
-// identical checksums.
+// (polynomial 0x1021). Every encoded message is checksummed, and every
+// broadcast frame's messages are checked once per slot (not once per
+// receiver), which keeps the CRC among the hottest functions of a full
+// simulation; table-driven computation is ~8x faster than bit-at-a-time
+// and produces identical checksums.
 var crcTable = func() (t [256]uint16) {
 	for i := range t {
 		crc := uint16(i) << 8
@@ -125,10 +126,12 @@ func encode(dst []byte, m Message) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeResult is one decoded message plus its integrity verdict.
+// decodeResult is one decoded message plus its integrity verdict and,
+// once the fabric has routed it, the ports subscribed to its channel.
 type decodeResult struct {
 	msg      Message
 	crcValid bool
+	ports    []*InPort
 }
 
 // decodeSegment parses all messages in a VN segment, appending to dst (a

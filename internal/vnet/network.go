@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"fmt"
+	"slices"
 
 	"decos/internal/sim"
 	"decos/internal/tt"
@@ -39,13 +40,42 @@ type Network struct {
 	DAS string
 
 	endpoints map[tt.NodeID]*Endpoint
-	channels  map[ChannelID]*channelState
+	// channels is sorted by id: a binary search over a handful of
+	// entries is cheaper than hashing the id on every send.
+	channels []*channelState
 }
 
 type channelState struct {
-	id       ChannelID
-	producer tt.NodeID
-	nextSeq  uint32
+	id      ChannelID
+	ep      *Endpoint // the producing node's endpoint
+	nextSeq uint32
+	// state is a TT channel's published value, nil until the first send.
+	state *Message
+}
+
+// channelIndex returns the position of id in the sorted channels slice
+// and whether it is declared there. It runs on every send, so the search
+// is written out rather than paying slices.BinarySearchFunc's indirect
+// compare.
+func (n *Network) channelIndex(id ChannelID) (int, bool) {
+	lo, hi := 0, len(n.channels)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n.channels[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(n.channels) && n.channels[lo].id == id
+}
+
+// channel returns the declared channel id, or nil.
+func (n *Network) channel(id ChannelID) *channelState {
+	if i, ok := n.channelIndex(id); ok {
+		return n.channels[i]
+	}
+	return nil
 }
 
 // NewNetwork creates an empty virtual network.
@@ -55,7 +85,6 @@ func NewNetwork(name string, kind Kind, das string) *Network {
 		Kind:      kind,
 		DAS:       das,
 		endpoints: make(map[tt.NodeID]*Endpoint),
-		channels:  make(map[ChannelID]*channelState),
 	}
 }
 
@@ -71,10 +100,9 @@ type Endpoint struct {
 	// paper's job-borderline configuration fault.
 	QueueCap int
 
-	outQueue []Message              // ET pending messages, FIFO
-	outState map[ChannelID]*Message // TT latest value per produced channel
-	ttOrder  []ChannelID            // deterministic packing order
-	freeBufs [][]byte               // recycled ET payload buffers
+	outQueue []Message       // ET pending messages, FIFO
+	ttOrder  []*channelState // produced TT channels in packing order
+	freeBufs [][]byte        // recycled ET payload buffers
 
 	// TxOverflows counts messages dropped at the sender because the
 	// outbound queue was full — the encapsulation service refusing to let
@@ -97,7 +125,6 @@ func (n *Network) AddEndpoint(node tt.NodeID, allocBytes, queueCap int) *Endpoin
 		Node:       node,
 		AllocBytes: allocBytes,
 		QueueCap:   queueCap,
-		outState:   make(map[ChannelID]*Message),
 	}
 	n.endpoints[node] = ep
 	return ep
@@ -112,40 +139,37 @@ func (n *Network) DeclareChannel(id ChannelID, producer tt.NodeID) {
 	if id == 0 {
 		panic("vnet: channel id 0 is reserved")
 	}
-	if _, dup := n.channels[id]; dup {
+	i, dup := n.channelIndex(id)
+	if dup {
 		panic(fmt.Sprintf("vnet: duplicate channel %d on %s", id, n.Name))
 	}
 	ep := n.endpoints[producer]
 	if ep == nil {
 		panic(fmt.Sprintf("vnet: channel %d producer node %d has no endpoint on %s", id, producer, n.Name))
 	}
-	n.channels[id] = &channelState{id: id, producer: producer}
+	cs := &channelState{id: id, ep: ep}
+	n.channels = slices.Insert(n.channels, i, cs)
 	if n.Kind == TimeTriggered {
-		ep.ttOrder = append(ep.ttOrder, id)
+		ep.ttOrder = append(ep.ttOrder, cs)
 	}
 }
 
 // Producer returns the producing node of a channel and whether the channel
 // exists on this network.
 func (n *Network) Producer(id ChannelID) (tt.NodeID, bool) {
-	cs, ok := n.channels[id]
-	if !ok {
+	cs := n.channel(id)
+	if cs == nil {
 		return tt.NoNode, false
 	}
-	return cs.producer, true
+	return cs.ep.Node, true
 }
 
 // Channels returns all channel ids declared on the network, in ascending
 // order.
 func (n *Network) Channels() []ChannelID {
-	out := make([]ChannelID, 0, len(n.channels))
-	for id := range n.channels {
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := make([]ChannelID, len(n.channels))
+	for i, cs := range n.channels {
+		out[i] = cs.id
 	}
 	return out
 }
@@ -157,18 +181,18 @@ func (n *Network) Channels() []ChannelID {
 // The payload is copied into endpoint-owned storage, so the caller may reuse
 // its buffer immediately.
 func (n *Network) Send(ch ChannelID, payload []byte, now sim.Time) bool {
-	cs, ok := n.channels[ch]
-	if !ok {
+	cs := n.channel(ch)
+	if cs == nil {
 		panic(fmt.Sprintf("vnet: send on undeclared channel %d", ch))
 	}
-	ep := n.endpoints[cs.producer]
+	ep := cs.ep
 	seq := cs.nextSeq
 	cs.nextSeq++
 	if n.Kind == TimeTriggered {
-		st := ep.outState[ch]
+		st := cs.state
 		if st == nil {
 			st = &Message{}
-			ep.outState[ch] = st
+			cs.state = st
 		}
 		st.Channel, st.Seq, st.SentAt = ch, seq, now
 		st.Payload = append(st.Payload[:0], payload...)
@@ -209,8 +233,8 @@ func (ep *Endpoint) packSegment() []byte {
 	seg := ep.packBuf[:0]
 	defer func() { ep.packBuf = seg[:0] }()
 	if ep.Net.Kind == TimeTriggered {
-		for _, ch := range ep.ttOrder {
-			m := ep.outState[ch]
+		for _, cs := range ep.ttOrder {
+			m := cs.state
 			if m == nil {
 				continue
 			}

@@ -1,3 +1,10 @@
+//go:build !race
+
+// The race detector's runtime allocates where the plain runtime does not
+// (it defeats sync.Pool reuse, for one) and runs several times slower, so
+// neither the allocation guards nor the timing ratios below mean anything
+// under -race; every plain `go test` runs them.
+
 package decos
 
 import (
@@ -61,6 +68,31 @@ func TestAllocGuardBusSlot(t *testing.T) {
 	t.Logf("bus slot: %.4f allocs/slot", perSlot)
 	if perSlot > 2 {
 		t.Errorf("bus slot allocates %.2f objects/slot, want <= 2", perSlot)
+	}
+}
+
+// TestAllocGuardFrameFanout drives a Fig. 10-sized broadcast (four
+// receivers, the sender among them) and requires 0 allocations per slot in
+// steady state, for intact and for corrupted frames: the frame is decoded
+// once per slot into fabric-owned scratch, and a corrupted frame's damaged
+// copy lives there too instead of being allocated at every receiver.
+func TestAllocGuardFrameFanout(t *testing.T) {
+	for _, st := range []tt.FrameStatus{tt.FrameOK, tt.FrameCorrupted} {
+		f, n := fanoutFabric(t)
+		const slotsPerRun = 256
+		var round int64
+		run := func() {
+			for i := 0; i < slotsPerRun; i++ {
+				fanoutSlot(f, n, round, st)
+				round++
+			}
+		}
+		run() // size the frame, decode and port scratch
+		allocs := testing.AllocsPerRun(5, run)
+		t.Logf("%s frame fan-out: %.4f allocs/slot", st, allocs/slotsPerRun)
+		if allocs != 0 {
+			t.Errorf("%s frame fan-out allocates %.2f objects per %d slots, want 0", st, allocs, slotsPerRun)
+		}
 	}
 }
 

@@ -51,6 +51,13 @@ echo "== fuzz smoke (binary trace decoder) =="
 # plain test above; this leg explores beyond it.
 go test -run='^$' -fuzz='^FuzzBinaryReader$' -fuzztime=10s ./internal/trace/
 
+echo "== fuzz smoke (broadcast frame fan-out) =="
+# Ten seconds of generated topologies and frames (intact, corrupted,
+# omitted, timing, cleared, hand-built, corrupted at one receiver only):
+# decoding must never panic, and the once-per-slot decode every receiver
+# shares must match a per-receiver reference decode at every receiver.
+go test -run='^$' -fuzz='^FuzzFrameFanout$' -fuzztime=10s ./internal/vnet/
+
 echo "== fuzz smoke (engine checkpoint restore) =="
 # Same contract for the restore path: checkpoint files travel through
 # disks and uplinks, so corrupt or truncated bytes must surface as
