@@ -290,7 +290,7 @@ func BenchmarkBathtubSample(b *testing.B) {
 }
 
 // BenchmarkE13FleetWarranty times the full warranty round trip: traced
-// campaign → NDJSON ingest → fleet summary, asserting exact agreement
+// campaign → binary trace ingest → fleet summary, asserting exact agreement
 // with the in-process audit.
 func BenchmarkE13FleetWarranty(b *testing.B) {
 	for i := 0; i < b.N; i++ {

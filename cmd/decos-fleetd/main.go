@@ -111,8 +111,8 @@ func main() {
 			Seed:     *demoSeed,
 			Workers:  runtime.GOMAXPROCS(0),
 		}
-		res := c.RunTracedContext(ctx, func(v int, ndjson []byte) {
-			if _, _, err := col.IngestStream(bytes.NewReader(ndjson), *maxLineBytes); err != nil {
+		res := c.RunTracedContext(ctx, func(v int, blob []byte) {
+			if _, _, err := col.IngestStream(bytes.NewReader(blob), *maxLineBytes); err != nil {
 				log.Printf("demo vehicle %d: %v", v, err)
 			}
 		})

@@ -54,11 +54,11 @@ func newShardFixture(t *testing.T, n, vehicles int, rounds int64) *shardFixture 
 		FaultFreeShare: 0.2,
 		Workers:        1,
 	}
-	c.RunTraced(func(v int, ndjson []byte) {
-		if _, _, err := f.single.IngestStream(bytes.NewReader(ndjson), 0); err != nil {
+	c.RunTraced(func(v int, blob []byte) {
+		if _, _, err := f.single.IngestStream(bytes.NewReader(blob), 0); err != nil {
 			t.Error(err)
 		}
-		if _, _, err := byURL[ring.Owner(v)].IngestStream(bytes.NewReader(ndjson), 0); err != nil {
+		if _, _, err := byURL[ring.Owner(v)].IngestStream(bytes.NewReader(blob), 0); err != nil {
 			t.Error(err)
 		}
 	})

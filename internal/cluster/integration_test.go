@@ -44,11 +44,11 @@ func TestClusterIntegration(t *testing.T) {
 		Workers:        1,
 	}
 	var uplinkErr error
-	c.RunTraced(func(v int, ndjson []byte) {
-		if _, _, err := single.IngestStream(bytes.NewReader(ndjson), 0); err != nil {
+	c.RunTraced(func(v int, blob []byte) {
+		if _, _, err := single.IngestStream(bytes.NewReader(blob), 0); err != nil {
 			t.Error(err)
 		}
-		if err := client.AddTrace(context.Background(), v, ndjson); err != nil && uplinkErr == nil {
+		if err := client.AddTrace(context.Background(), v, blob); err != nil && uplinkErr == nil {
 			uplinkErr = err
 		}
 	})
@@ -153,14 +153,14 @@ func TestClusterE13ByteIdentical(t *testing.T) {
 		Seed:           20050404,
 		FaultFreeShare: 0.2,
 	}
-	c.RunTraced(func(v int, ndjson []byte) {
-		if _, _, err := single.IngestStream(bytes.NewReader(ndjson), 0); err != nil {
+	c.RunTraced(func(v int, blob []byte) {
+		if _, _, err := single.IngestStream(bytes.NewReader(blob), 0); err != nil {
 			t.Error(err)
 		}
-		if err := binClient.AddTrace(context.Background(), v, ndjson); err != nil {
+		if err := binClient.AddTrace(context.Background(), v, blob); err != nil {
 			t.Error(err)
 		}
-		if err := ndClient.AddTrace(context.Background(), v, ndjson); err != nil {
+		if err := ndClient.AddTrace(context.Background(), v, blob); err != nil {
 			t.Error(err)
 		}
 	})

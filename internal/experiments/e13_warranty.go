@@ -11,7 +11,7 @@ import (
 
 // E13FleetWarranty closes the paper's Section V-B loop at fleet scale: a
 // mixed-fault campaign is run with per-vehicle trace recording, every
-// vehicle's NDJSON stream is ingested into the concurrent warranty
+// vehicle's binary (DCS-B) trace is ingested into the concurrent warranty
 // collector (straight from the campaign workers, as fielded uplinks
 // would arrive), and the trace-fed fleet summary is compared against the
 // in-process audit. The claim under test is that the offline warranty
@@ -27,10 +27,10 @@ func E13FleetWarranty(seed uint64) *Result {
 		Workers:        runtime.GOMAXPROCS(0),
 	}
 	col := warranty.NewCollector(0)
-	res := c.RunTraced(func(v int, ndjson []byte) {
+	res := c.RunTraced(func(v int, blob []byte) {
 		// The sink runs on the campaign worker pool: ingestion is
 		// concurrent across vehicles, like uplinks in the field.
-		col.IngestStream(bytes.NewReader(ndjson), 0)
+		col.IngestStream(bytes.NewReader(blob), 0)
 	})
 	s := col.Summary(0)
 

@@ -274,10 +274,14 @@ type vehicleOutcome struct {
 	incidents        []fleet.Incident
 }
 
-// TraceSink receives one vehicle's complete NDJSON trace, audit block
-// included. Vehicles are 1-based. It is invoked from worker goroutines:
-// implementations must be safe for concurrent use.
-type TraceSink func(vehicle int, ndjson []byte)
+// TraceSink receives one vehicle's complete trace, audit block included,
+// as a binary (DCS-B) blob: one stream header, then the records (read it
+// with trace.OpenReader or any warranty ingest path; trace.TranscodeBytes
+// renders it as NDJSON). Vehicles are 1-based. The blob is valid only for
+// the duration of the call — the worker reuses its buffer for the next
+// vehicle — so a sink that keeps it must copy it. It is invoked from
+// worker goroutines: implementations must be safe for concurrent use.
+type TraceSink func(vehicle int, blob []byte)
 
 // Run executes the campaign — in parallel when Workers > 1 — and audits
 // both diagnosers against the shared ground truth.
@@ -290,11 +294,12 @@ func (c Campaign) Run() *CampaignResult { return c.run(context.Background(), nil
 func (c Campaign) RunContext(ctx context.Context) *CampaignResult { return c.run(ctx, nil) }
 
 // RunTraced is Run doubling as the fleet load generator: every vehicle
-// additionally records a JSON-lines trace (failed frames, symptoms,
-// verdicts, trust samples, injections, end-of-run audit) and hands it to
-// sink — the off-line warranty-analysis interface of Section V-B at fleet
-// scale. Recording only observes, so the returned result is bit-identical
-// to Run's for the same seeds. Workers ≤ 0 uses runtime.NumCPU().
+// additionally records a binary trace (failed frames, symptoms, verdicts,
+// trust samples, injections, end-of-run audit) and hands it to sink — the
+// off-line warranty-analysis interface of Section V-B at fleet scale. The
+// blob is valid only for the duration of the sink call (see TraceSink).
+// Recording only observes, so the returned result is bit-identical to
+// Run's for the same seeds. Workers ≤ 0 uses runtime.NumCPU().
 func (c Campaign) RunTraced(sink TraceSink) *CampaignResult {
 	return c.RunTracedContext(context.Background(), sink)
 }
@@ -309,96 +314,27 @@ func (c Campaign) RunTracedContext(ctx context.Context, sink TraceSink) *Campaig
 }
 
 func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
-	mix := c.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
-	kinds, weights := normalizeMix(mix)
-	perVehicle := c.FaultsPerVehicle
-	if perVehicle <= 0 {
-		perVehicle = 1
-	}
-
-	// Draw all randomness up front, sequentially.
-	pickRNG := sim.NewRNG(c.Seed ^ 0xcafef00d)
-	plans := make([]vehiclePlan, c.Vehicles)
-	for v := range plans {
-		p := vehiclePlan{
-			seed:      c.Seed + uint64(v)*7919,
-			faultFree: pickRNG.Bool(c.FaultFreeShare),
-		}
-		if !p.faultFree {
-			used := map[FaultKind]bool{}
-			for len(p.kinds) < perVehicle && len(used) < len(kinds) {
-				kind := kinds[sample(pickRNG, weights)]
-				if used[kind] {
-					continue
-				}
-				used[kind] = true
-				p.kinds = append(p.kinds, kind)
-				p.atFrac = append(p.atFrac, 0.1+0.3*pickRNG.Float64())
-			}
-		}
-		plans[v] = p
-	}
-
+	plans := c.plans()
 	outcomes := make([]vehicleOutcome, c.Vehicles)
 	done := make([]bool, c.Vehicles)
 	// runOne simulates vehicle v end to end and reports whether it
 	// completed. A cancelled vehicle is discarded whole — no partial
 	// outcome, no trace handed to sink — so merged numbers stay exact.
-	runOne := func(v int) bool {
+	// buf is the worker's trace buffer, reused vehicle after vehicle.
+	runOne := func(v int, buf *bytes.Buffer) bool {
 		if ctx.Err() != nil {
 			return false
 		}
 		p := plans[v]
-		// Each vehicle gets its own classifier instance (the Bayesian
-		// stage is stateful; posteriors must not leak across vehicles).
-		extra := pack.ClassifierOptions(c.Classifier)
-		var buf bytes.Buffer
+		var rec trace.Sink
 		if sink != nil {
-			extra = append(extra, engine.WithTraceWriter(&buf,
-				trace.Options{TrustEveryEpochs: 5, Vehicle: v + 1}))
+			buf.Reset()
+			rec = trace.NewBinarySink(buf)
 		}
-		// The injections ride in the fault manifest (Fig10Faulted), not as
-		// post-build calls: a manifest is what a checkpoint restore can
-		// reconstruct, so chunked execution replays it per chunk.
-		horizon := sim.Time(c.Rounds * tt.UniformSchedule(4, 250*sim.Microsecond, 256).RoundDuration().Micros())
-		plan := make([]InjectPlan, 0, len(p.kinds))
-		for i, kind := range p.kinds {
-			plan = append(plan, InjectPlan{
-				Kind: kind, At: sim.Time(float64(horizon) * p.atFrac[i]), Horizon: horizon,
-			})
-		}
-		sys := Fig10Faulted(p.seed, c.Opts, plan, extra...)
-		if c.ChunkRounds > 0 {
-			// Chunked resume: run, checkpoint, rebuild restored, repeat.
-			// The trace buffer is shared across chunk engines — the restored
-			// recorder's cursors continue the stream seamlessly.
-			for ran := int64(0); ran < c.Rounds; {
-				step := c.ChunkRounds
-				if ran+step > c.Rounds {
-					step = c.Rounds - ran
-				}
-				ran += step
-				if err := sys.Cluster.RunToRoundCtx(ctx, ran); err != nil {
-					return false
-				}
-				if ran >= c.Rounds {
-					break
-				}
-				var ck bytes.Buffer
-				if err := sys.Engine.Checkpoint(&ck); err != nil {
-					panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
-				}
-				sys = Fig10Faulted(p.seed, c.Opts, plan,
-					append(append([]engine.Option{}, extra...),
-						engine.WithRestore(bytes.NewReader(ck.Bytes())))...)
-			}
-		} else if err := sys.RunCtx(ctx, c.Rounds); err != nil {
+		sys, err := c.runVehicle(ctx, v, p, rec)
+		if err != nil {
 			return false
 		}
-		rec := sys.Engine.Recorder
 		out := vehicleOutcome{
 			faultFree: p.faultFree, diag: sys.Diag, obd: sys.OBD,
 			acts: sys.Injector.Ledger(),
@@ -414,10 +350,7 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 				})
 			}
 		}
-		if rec != nil {
-			rec.WriteAudit(horizon, p.faultFree, out.acts,
-				[]trace.Advisor{{Name: "decos", Adv: sys.Diag}, {Name: "obd", Adv: sys.OBD}},
-				hardwareFRUs(sys))
+		if sink != nil {
 			sink(v+1, buf.Bytes())
 		}
 		outcomes[v] = out
@@ -431,8 +364,9 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var buf bytes.Buffer
 				for v := range work {
-					done[v] = runOne(v)
+					done[v] = runOne(v, &buf)
 				}
 			}()
 		}
@@ -447,8 +381,9 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 		close(work)
 		wg.Wait()
 	} else {
+		var buf bytes.Buffer
 		for v := 0; v < c.Vehicles && ctx.Err() == nil; v++ {
-			done[v] = runOne(v)
+			done[v] = runOne(v, &buf)
 		}
 	}
 
@@ -479,6 +414,101 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 	res.OBD = evaluatePairs(obdLedger)
 	res.Partial = ctx.Err() != nil && res.Completed < c.Vehicles
 	return res
+}
+
+// plans draws every vehicle's randomness up front, sequentially, so the
+// campaign result is independent of the worker count.
+func (c Campaign) plans() []vehiclePlan {
+	mix := c.Mix
+	if mix == nil {
+		mix = DefaultMix()
+	}
+	kinds, weights := normalizeMix(mix)
+	perVehicle := c.FaultsPerVehicle
+	if perVehicle <= 0 {
+		perVehicle = 1
+	}
+	pickRNG := sim.NewRNG(c.Seed ^ 0xcafef00d)
+	plans := make([]vehiclePlan, c.Vehicles)
+	for v := range plans {
+		p := vehiclePlan{
+			seed:      c.Seed + uint64(v)*7919,
+			faultFree: pickRNG.Bool(c.FaultFreeShare),
+		}
+		if !p.faultFree {
+			used := map[FaultKind]bool{}
+			for len(p.kinds) < perVehicle && len(used) < len(kinds) {
+				kind := kinds[sample(pickRNG, weights)]
+				if used[kind] {
+					continue
+				}
+				used[kind] = true
+				p.kinds = append(p.kinds, kind)
+				p.atFrac = append(p.atFrac, 0.1+0.3*pickRNG.Float64())
+			}
+		}
+		plans[v] = p
+	}
+	return plans
+}
+
+// runVehicle builds vehicle v (0-based) of the campaign from its plan and
+// runs it to the horizon — in ChunkRounds checkpoint/restore chunks when
+// set. With a non-nil rec, the vehicle records into it and ends its trace
+// with the audit block. It fails only when ctx is cancelled mid-run.
+func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trace.Sink) (*System, error) {
+	// Each vehicle gets its own classifier instance (the Bayesian stage is
+	// stateful; posteriors must not leak across vehicles).
+	extra := pack.ClassifierOptions(c.Classifier)
+	if rec != nil {
+		extra = append(extra, engine.WithSink(rec,
+			trace.Options{TrustEveryEpochs: 5, Vehicle: v + 1}))
+	}
+	// The injections ride in the fault manifest (Fig10Faulted), not as
+	// post-build calls: a manifest is what a checkpoint restore can
+	// reconstruct, so chunked execution replays it per chunk.
+	horizon := sim.Time(c.Rounds * tt.UniformSchedule(4, 250*sim.Microsecond, 256).RoundDuration().Micros())
+	plan := make([]InjectPlan, 0, len(p.kinds))
+	for i, kind := range p.kinds {
+		plan = append(plan, InjectPlan{
+			Kind: kind, At: sim.Time(float64(horizon) * p.atFrac[i]), Horizon: horizon,
+		})
+	}
+	sys := Fig10Faulted(p.seed, c.Opts, plan, extra...)
+	if c.ChunkRounds > 0 {
+		// Chunked resume: run, checkpoint, rebuild restored, repeat. Every
+		// chunk engine records into the same sink — the restored
+		// recorder's cursors continue the stream seamlessly, and a second
+		// binary sink would open a second stream header mid-stream.
+		for ran := int64(0); ran < c.Rounds; {
+			step := c.ChunkRounds
+			if ran+step > c.Rounds {
+				step = c.Rounds - ran
+			}
+			ran += step
+			if err := sys.Cluster.RunToRoundCtx(ctx, ran); err != nil {
+				return nil, err
+			}
+			if ran >= c.Rounds {
+				break
+			}
+			var ck bytes.Buffer
+			if err := sys.Engine.Checkpoint(&ck); err != nil {
+				panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
+			}
+			sys = Fig10Faulted(p.seed, c.Opts, plan,
+				append(append([]engine.Option{}, extra...),
+					engine.WithRestore(bytes.NewReader(ck.Bytes())))...)
+		}
+	} else if err := sys.RunCtx(ctx, c.Rounds); err != nil {
+		return nil, err
+	}
+	if r := sys.Engine.Recorder; r != nil {
+		r.WriteAudit(horizon, p.faultFree, sys.Injector.Ledger(),
+			[]trace.Advisor{{Name: "decos", Adv: sys.Diag}, {Name: "obd", Adv: sys.OBD}},
+			hardwareFRUs(sys))
+	}
+	return sys, nil
 }
 
 type auditPair struct {

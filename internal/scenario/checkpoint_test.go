@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
 	"decos/internal/diagnosis"
+	"decos/internal/trace"
 )
 
 // collectTraces is a concurrency-safe TraceSink keeping each vehicle's
@@ -16,10 +19,10 @@ type collectTraces struct {
 	by map[int][]byte
 }
 
-func (c *collectTraces) sink(vehicle int, ndjson []byte) {
+func (c *collectTraces) sink(vehicle int, blob []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.by[vehicle] = bytes.Clone(ndjson)
+	c.by[vehicle] = bytes.Clone(blob)
 }
 
 // TestCampaignChunkedBitIdentical: a campaign executed in checkpoint/
@@ -70,6 +73,61 @@ func TestCampaignChunkedBitIdentical(t *testing.T) {
 		if !bytes.Equal(tr, chunkedTraces.by[v]) {
 			t.Errorf("vehicle %d: chunked trace differs (%d vs %d bytes)",
 				v, len(tr), len(chunkedTraces.by[v]))
+		}
+	}
+}
+
+// TestRunTracedBinaryMatchesNDJSON pins the campaign's binary trace
+// recording to the NDJSON encoding: for every fault kind and for
+// fault-free vehicles, unchunked and in checkpoint/restore chunks, each
+// vehicle's blob is one well-framed binary stream (exactly one header,
+// even across chunk engines), and transcoding it to NDJSON reproduces,
+// byte for byte, what the same vehicle records through an NDJSON sink —
+// so the binary recording drops no event and no field.
+func TestRunTracedBinaryMatchesNDJSON(t *testing.T) {
+	var campaigns []Campaign
+	for _, k := range AllKinds() {
+		campaigns = append(campaigns, Campaign{Mix: map[FaultKind]float64{k: 1}})
+	}
+	campaigns = append(campaigns, Campaign{FaultFreeShare: 1})
+	for i, c := range campaigns {
+		// Two vehicles on one worker: the second reuses the first's buffer.
+		c.Vehicles, c.Rounds, c.Seed, c.Workers = 2, 400, 20050404+uint64(i), 1
+		name := "fault-free"
+		if c.FaultFreeShare == 0 {
+			name = fmt.Sprint(FaultKind(i))
+		}
+		plans := c.plans()
+		want := make(map[int][]byte, c.Vehicles)
+		for v, p := range plans {
+			var nd bytes.Buffer
+			if _, err := c.runVehicle(context.Background(), v, p, trace.NewNDJSONSink(&nd)); err != nil {
+				t.Fatal(err)
+			}
+			want[v+1] = nd.Bytes()
+		}
+		for _, chunk := range []int64{0, 150} {
+			c.ChunkRounds = chunk
+			got := &collectTraces{by: map[int][]byte{}}
+			c.RunTraced(got.sink)
+			if len(got.by) != c.Vehicles {
+				t.Fatalf("%s chunk=%d: %d traces, want %d", name, chunk, len(got.by), c.Vehicles)
+			}
+			for v, blob := range got.by {
+				records, _, err := trace.ScanBinary(blob)
+				if err != nil {
+					t.Fatalf("%s chunk=%d vehicle %d: %v", name, chunk, v, err)
+				}
+				nd, events, corrupt, err := trace.TranscodeBytes(blob, trace.FormatNDJSON)
+				if err != nil || corrupt != 0 || events != records {
+					t.Fatalf("%s chunk=%d vehicle %d: transcode %d of %d records, corrupt %d, err %v",
+						name, chunk, v, events, records, corrupt, err)
+				}
+				if !bytes.Equal(nd, want[v]) {
+					t.Errorf("%s chunk=%d vehicle %d: binary trace transcodes to %d NDJSON bytes, the NDJSON sink wrote %d",
+						name, chunk, v, len(nd), len(want[v]))
+				}
+			}
 		}
 	}
 }

@@ -246,8 +246,8 @@ func TestCampaignCancellation(t *testing.T) {
 	// vehicles still pending.
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	res := c.RunTracedContext(ctx, func(v int, ndjson []byte) {
-		if len(ndjson) == 0 {
+	res := c.RunTracedContext(ctx, func(v int, blob []byte) {
+		if len(blob) == 0 {
 			t.Errorf("vehicle %d: empty trace", v)
 		}
 		once.Do(cancel)

@@ -13,7 +13,10 @@ import (
 // from the single-threaded simulator loop and need not be safe for
 // concurrent use unless documented otherwise.
 type Sink interface {
-	// Record consumes one event. A non-nil error stops the recorder that
+	// Record consumes one event. The *Event is valid only for the call:
+	// the recorder reuses it for the next event, so a sink that keeps the
+	// event must copy it (a shallow copy suffices — the pointer fields
+	// point to per-event memory). A non-nil error stops the recorder that
 	// owns the sink (recording is best-effort observation; the simulation
 	// itself never fails because a trace back end did).
 	Record(e *Event) error

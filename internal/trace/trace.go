@@ -1,9 +1,13 @@
-// Package trace records a structured event stream of a cluster run as
-// JSON-lines: failed frames, disseminated symptoms, verdict emissions,
-// trust samples and injection activations. The format is the offline
-// interface to the OEM's warranty-analysis tooling the paper's Section V-B
-// sketches (off-line analysis of returned units informing fault-pattern
-// design) — and a debugging aid for the simulator itself.
+// Package trace records a structured event stream of a cluster run:
+// failed frames, disseminated symptoms, verdict emissions, trust samples
+// and injection activations. The stream is the offline interface to the
+// OEM's warranty-analysis tooling the paper's Section V-B sketches
+// (off-line analysis of returned units informing fault-pattern design) —
+// and a debugging aid for the simulator itself. It has two encodings
+// behind one Sink interface: JSON lines (NDJSONSink, human-readable, the
+// interop and archival format) and the compact binary DCS-B format
+// (BinarySink, see binary.go; what fleet campaigns record and uplink).
+// Every reader sniffs which one it is given (OpenReader).
 package trace
 
 import (
@@ -73,6 +77,10 @@ type Recorder struct {
 	sink Sink
 	opts Options
 
+	// ev is the event handed to the sink. Sink.Record may not retain the
+	// pointer, so one scratch event serves every record.
+	ev Event
+
 	// Events counts written records; Err holds the first write error
 	// (recording stops after it).
 	Events int
@@ -104,12 +112,27 @@ func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Inj
 		if !opts.AllFrames && !f.Status.Failed() {
 			return
 		}
-		s, sl, rd := int(f.Sender), f.Slot, f.Round
+		// One allocation backs all three pointer fields. They stay
+		// per-event memory: sinks may keep shallow copies of events.
+		at := &struct {
+			sender, slot int
+			round        int64
+		}{int(f.Sender), f.Slot, f.Round}
 		r.write(Event{
 			T: f.At.Micros(), Kind: "frame",
-			Sender: &s, Slot: &sl, Round: &rd, Status: f.Status.String(),
+			Sender: &at.sender, Slot: &at.slot, Round: &at.round, Status: f.Status.String(),
 		})
 	})
+
+	// The registry is immutable, so each FRU's subject string is rendered
+	// once here rather than through fmt on every event.
+	var subjects []string
+	if d != nil {
+		subjects = make([]string, d.Reg.Len())
+		for i := range subjects {
+			subjects[i] = d.Reg.FRU(diagnosis.FRUIndex(i)).String()
+		}
+	}
 
 	cl.OnRound(func(round int64, now sim.Time) {
 		if inj != nil {
@@ -127,11 +150,11 @@ func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Inj
 		if opts.TrustEveryEpochs > 0 {
 			if e := d.Assessor.Epoch(); e >= r.lastTrustEpoch+opts.TrustEveryEpochs {
 				r.lastTrustEpoch = e
-				for i := 0; i < d.Reg.Len(); i++ {
+				for i, subject := range subjects {
 					tv := float64(d.Assessor.Trust(diagnosis.FRUIndex(i)))
 					r.write(Event{
 						T: now.Micros(), Kind: "trust",
-						Subject: d.Reg.FRU(diagnosis.FRUIndex(i)).String(), Trust: &tv,
+						Subject: subject, Trust: &tv,
 					})
 				}
 			}
@@ -146,15 +169,17 @@ func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Inj
 		d.Assessor.OnVerdict(func(v diagnosis.Verdict) {
 			r.write(Event{
 				T: v.At.Micros(), Kind: "verdict",
-				Subject: v.FRU.String(), Class: v.Class.String(),
+				Subject: subjects[v.Subject], Class: v.Class.String(),
 				Pattern: v.Pattern, Action: v.Action.String(), Conf: v.Confidence,
 			})
 		})
 		d.Assessor.OnSymptom(func(s diagnosis.Symptom) {
 			obs := int(s.Observer)
-			subject := fmt.Sprint(int(s.Subject))
-			if int(s.Subject) < d.Reg.Len() {
-				subject = d.Reg.FRU(s.Subject).String()
+			var subject string
+			if int(s.Subject) < len(subjects) {
+				subject = subjects[s.Subject]
+			} else {
+				subject = fmt.Sprint(int(s.Subject))
 			}
 			r.write(Event{
 				T: s.At.Micros(), Kind: "symptom",
@@ -173,7 +198,10 @@ func (r *Recorder) write(e Event) {
 	if e.Vehicle == 0 {
 		e.Vehicle = r.opts.Vehicle
 	}
-	if err := r.sink.Record(&e); err != nil {
+	// Recording &e would move every event to the heap; the scratch
+	// event does not escape per call.
+	r.ev = e
+	if err := r.sink.Record(&r.ev); err != nil {
 		r.Err = err
 		return
 	}

@@ -1,6 +1,6 @@
 // Package warranty is the OEM side of the paper's Section V-B interface:
-// a fleet-scale warranty-analysis engine that ingests the JSON-lines
-// diagnostic traces of fielded vehicles and maintains the fleet-level
+// a fleet-scale warranty-analysis engine that ingests the diagnostic
+// traces of fielded vehicles (NDJSON or binary) and maintains the fleet-level
 // aggregates that drive maintenance decisions on-line — the no-fault-found
 // audit against the OBD baseline (the paper's headline metric), the 20-80
 // software-fault concentration of Section V-C, per-FRU trust trajectories
@@ -16,6 +16,7 @@
 package warranty
 
 import (
+	"bufio"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -252,12 +253,24 @@ func (c *Collector) Ingest(e trace.Event) {
 	}
 }
 
+// readers pools the 64 KiB stream buffers of IngestStream, which runs
+// once per vehicle trace and once per HTTP ingest request.
+var readers = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nil, 64<<10) },
+}
+
 // IngestStream decodes a trace stream — NDJSON or binary, sniffed from
 // the first bytes — and ingests every event. Corrupt records are skipped
 // and counted, per the trace readers' semantics. maxLineBytes bounds one
 // record's decode buffer (< 1 uses the default).
 func (c *Collector) IngestStream(r io.Reader, maxLineBytes int) (events, corrupt int, err error) {
-	rd, _ := trace.OpenReader(r)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil) // drop the caller's stream before pooling
+		readers.Put(br)
+	}()
+	rd, _ := trace.OpenReader(br)
 	rd.SetMaxRecordBytes(maxLineBytes)
 	err = rd.ReadAll(func(e trace.Event) {
 		c.Ingest(e)

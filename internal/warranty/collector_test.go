@@ -11,7 +11,7 @@ import (
 )
 
 // campaignTraces runs one small traced campaign and returns the per-vehicle
-// NDJSON streams, keyed 1-based as the campaign emits them.
+// binary trace streams, keyed 1-based as the campaign emits them.
 func campaignTraces(t testing.TB, vehicles int, rounds int64) map[int][]byte {
 	t.Helper()
 	traces := make(map[int][]byte)
@@ -22,10 +22,10 @@ func campaignTraces(t testing.TB, vehicles int, rounds int64) map[int][]byte {
 		Seed:           20050404,
 		FaultFreeShare: 0.25,
 	}
-	c.RunTraced(func(v int, ndjson []byte) {
+	c.RunTraced(func(v int, blob []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		traces[v] = append([]byte(nil), ndjson...)
+		traces[v] = append([]byte(nil), blob...)
 	})
 	if len(traces) != vehicles {
 		t.Fatalf("got %d traces, want %d", len(traces), vehicles)
@@ -99,8 +99,8 @@ func TestSummaryMatchesInProcessAudit(t *testing.T) {
 		Seed:           777,
 		FaultFreeShare: 0.2,
 	}
-	res := c.RunTraced(func(v int, ndjson []byte) {
-		if _, _, err := col.IngestStream(bytes.NewReader(ndjson), 0); err != nil {
+	res := c.RunTraced(func(v int, blob []byte) {
+		if _, _, err := col.IngestStream(bytes.NewReader(blob), 0); err != nil {
 			t.Errorf("vehicle %d: %v", v, err)
 		}
 	})

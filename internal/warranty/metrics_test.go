@@ -11,6 +11,7 @@ import (
 
 	"decos/internal/scenario"
 	"decos/internal/telemetry"
+	"decos/internal/trace"
 )
 
 // TestMetricsEndpointLive drives a fleetd-style server — shared telemetry
@@ -30,8 +31,8 @@ func TestMetricsEndpointLive(t *testing.T) {
 	defer ts.Close()
 
 	c := scenario.Campaign{Vehicles: 10, Rounds: 500, Seed: 20050404}
-	c.RunTraced(func(v int, ndjson []byte) {
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", bytes.NewReader(ndjson))
+	c.RunTraced(func(v int, blob []byte) {
+		resp, err := http.Post(ts.URL+"/v1/ingest", trace.ContentTypeBinary, bytes.NewReader(blob))
 		if err != nil {
 			t.Errorf("vehicle %d: %v", v, err)
 			return
@@ -45,6 +46,9 @@ func TestMetricsEndpointLive(t *testing.T) {
 
 	if got := s.Counters["ingest.requests"]; got != int64(c.Vehicles) {
 		t.Errorf("ingest.requests = %d, want %d", got, c.Vehicles)
+	}
+	if got := s.Counters["ingest.binary_requests"]; got != int64(c.Vehicles) {
+		t.Errorf("ingest.binary_requests = %d, want %d", got, c.Vehicles)
 	}
 	if got := s.Counters["ingest.events"]; got != col.Events() {
 		t.Errorf("ingest.events = %d, collector says %d", got, col.Events())

@@ -105,9 +105,9 @@ func TestIngestMixedEncodingsAgree(t *testing.T) {
 	c := scenario.Campaign{Vehicles: 24, Rounds: 400, Seed: 71, FaultFreeShare: 0.25}
 	var mu sync.Mutex // the sink runs on every campaign worker
 	var blobs [][]byte
-	c.RunTraced(func(v int, ndjson []byte) {
+	c.RunTraced(func(v int, blob []byte) {
 		mu.Lock()
-		blobs = append(blobs, append([]byte(nil), ndjson...))
+		blobs = append(blobs, append([]byte(nil), blob...))
 		mu.Unlock()
 	})
 
@@ -117,17 +117,18 @@ func TestIngestMixedEncodingsAgree(t *testing.T) {
 	defer tsPure.Close()
 	defer tsMixed.Close()
 
+	// The campaign records binary; the NDJSON bodies are its transcodes.
 	for i, blob := range blobs {
-		if resp := post(t, tsPure.URL+"/v1/ingest", trace.ContentTypeNDJSON, blob); resp.StatusCode != http.StatusOK {
+		nd, _, corrupt, err := trace.TranscodeBytes(blob, trace.FormatNDJSON)
+		if err != nil || corrupt != 0 {
+			t.Fatalf("vehicle %d transcode: corrupt=%d err=%v", i, corrupt, err)
+		}
+		if resp := post(t, tsPure.URL+"/v1/ingest", trace.ContentTypeNDJSON, nd); resp.StatusCode != http.StatusOK {
 			t.Fatalf("pure vehicle %d: status %d", i, resp.StatusCode)
 		}
-		body, ct := blob, trace.ContentTypeNDJSON
+		body, ct := nd, trace.ContentTypeNDJSON
 		if i%2 == 0 {
-			bin, _, corrupt, err := trace.TranscodeBytes(blob, trace.FormatBinary)
-			if err != nil || corrupt != 0 {
-				t.Fatalf("vehicle %d transcode: corrupt=%d err=%v", i, corrupt, err)
-			}
-			body, ct = bin, trace.ContentTypeBinary
+			body, ct = blob, trace.ContentTypeBinary
 		}
 		if resp := post(t, tsMixed.URL+"/v1/ingest", ct, body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("mixed vehicle %d: status %d", i, resp.StatusCode)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"decos/internal/scenario"
+	"decos/internal/trace"
 )
 
 // TestHTTPFleetCampaign is the acceptance path: ≥ 100 simulated vehicles
@@ -32,8 +33,8 @@ func TestHTTPFleetCampaign(t *testing.T) {
 		Seed:           20050404,
 		FaultFreeShare: 0.2,
 	}
-	res := c.RunTraced(func(v int, ndjson []byte) {
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", bytes.NewReader(ndjson))
+	res := c.RunTraced(func(v int, blob []byte) {
+		resp, err := http.Post(ts.URL+"/v1/ingest", trace.ContentTypeBinary, bytes.NewReader(blob))
 		if err != nil {
 			t.Errorf("vehicle %d: %v", v, err)
 			return

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"decos/internal/scenario"
+	"decos/internal/trace"
 )
 
 // campaignBlobs runs a small traced campaign once and returns every
@@ -26,8 +27,8 @@ func campaignBlobs(t *testing.T, vehicles int, rounds int64) map[int][]byte {
 		FaultFreeShare: 0.2,
 		Workers:        1,
 	}
-	c.RunTraced(func(v int, ndjson []byte) {
-		blobs[v] = append([]byte(nil), ndjson...)
+	c.RunTraced(func(v int, blob []byte) {
+		blobs[v] = append([]byte(nil), blob...)
 	})
 	return blobs
 }
@@ -184,7 +185,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewServer(col, ServerOptions{PeerName: "shard-7"}))
 	defer srv.Close()
 	for _, b := range blobs {
-		resp, err := http.Post(srv.URL+"/v1/ingest", "application/x-ndjson", bytes.NewReader(b))
+		resp, err := http.Post(srv.URL+"/v1/ingest", trace.ContentTypeBinary, bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}

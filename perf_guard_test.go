@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -211,6 +212,96 @@ func TestAllocGuardTraceCodec(t *testing.T) {
 	runs := len(events)/perRun - 2 // stay clear of EOF
 	if allocs := testing.AllocsPerRun(runs, decodeRun); allocs != 0 {
 		t.Errorf("binary decode allocates %.0f times per %d events, want 0", allocs, perRun)
+	}
+}
+
+// pointerEvents counts the recorded events that set a pointer field
+// (frame, symptom and trust events) on their way into the wrapped sink.
+type pointerEvents struct {
+	trace.Sink
+	n int
+}
+
+func (s *pointerEvents) Record(e *trace.Event) error {
+	if e.Sender != nil || e.Slot != nil || e.Round != nil || e.Observer != nil || e.Trust != nil {
+		s.n++
+	}
+	return s.Sink.Record(e)
+}
+
+// TestAllocGuardTraceRecord pins the recorder's allocation budget: a
+// Fig. 10 round under a connector fault, traced into a binary sink on a
+// pre-grown buffer, may allocate no more than the same untraced round
+// plus one object per recorded event that sets a pointer field (the
+// event's pointed-to values stay per-event memory, because sinks may keep
+// shallow copies). Everything else — the event itself, subject strings,
+// the encoding — must come from reused scratch.
+func TestAllocGuardTraceRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster warm-up in -short mode")
+	}
+	const roundsPerRun = 64
+	// perRound returns the allocations and the pointer-field events per
+	// round, with the counting sink attached or not.
+	perRound := func(traced bool) (allocs, events float64) {
+		buf := bytes.NewBuffer(make([]byte, 0, 1<<20))
+		sink := &pointerEvents{Sink: trace.NewBinarySink(buf)}
+		var opts []engine.Option
+		if traced {
+			opts = append(opts, engine.WithSink(sink, trace.Options{TrustEveryEpochs: 5, Vehicle: 1}))
+		}
+		sys := scenario.Fig10With(20050404, diagnosis.Options{}, opts...)
+		sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+		sys.Run(2000) // warm pools, scratch and histories; verdicts settle
+		const runs = 5
+		counts := make([]int, 0, runs+1) // AllocsPerRun adds a warm-up call
+		allocs = testing.AllocsPerRun(runs, func() {
+			buf.Reset()
+			n0 := sink.n
+			sys.Run(roundsPerRun)
+			counts = append(counts, sink.n-n0)
+		})
+		for _, n := range counts[1:] {
+			events += float64(n)
+		}
+		return allocs / roundsPerRun, events / runs / roundsPerRun
+	}
+	base, _ := perRound(false)
+	traced, ptrEvents := perRound(true)
+	t.Logf("allocs/round: untraced %.3f, traced %.3f, pointer-field events %.3f", base, traced, ptrEvents)
+	if ptrEvents == 0 {
+		t.Fatal("the faulted round recorded no frame, symptom or trust events")
+	}
+	if traced > base+ptrEvents {
+		t.Errorf("traced round allocates %.3f objects, want <= untraced %.3f + %.3f pointer-field events",
+			traced, base, ptrEvents)
+	}
+}
+
+// TestAllocGuardIngestStream pins the per-call overhead of collector
+// ingest: re-ingesting an in-memory binary trace in steady state must
+// allocate under 16 KiB per call — the 64 KiB stream buffer comes from a
+// pool, not from every vehicle and every HTTP request.
+func TestAllocGuardIngestStream(t *testing.T) {
+	blob := encodeTraceBlob(t, syntheticFleetEvents(1, 1024), trace.FormatBinary)
+	col := warranty.NewCollector(0)
+	ingest := func() {
+		if n, corrupt, err := col.IngestStream(bytes.NewReader(blob), 0); err != nil || corrupt != 0 || n != 1024 {
+			t.Fatalf("ingest: n=%d corrupt=%d err=%v", n, corrupt, err)
+		}
+	}
+	ingest() // fill the reader pool and the vehicle's collector state
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("IngestStream: %d B/call", perCall)
+	if perCall >= 16<<10 {
+		t.Errorf("IngestStream allocates %d B per call, want < 16 KiB", perCall)
 	}
 }
 

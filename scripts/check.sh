@@ -51,6 +51,13 @@ echo "== fuzz smoke (binary trace decoder) =="
 # plain test above; this leg explores beyond it.
 go test -run='^$' -fuzz='^FuzzBinaryReader$' -fuzztime=10s ./internal/trace/
 
+echo "== fuzz smoke (warranty stream ingest) =="
+# Ten seconds of arbitrary NDJSON and binary bodies through the ingest
+# path every uplink and HTTP request uses: it must never panic, and its
+# pooled stream reader must leak nothing into the next call (a valid trace
+# ingested afterwards must summarize exactly as in a fresh collector).
+go test -run='^$' -fuzz='^FuzzIngestStream$' -fuzztime=10s ./internal/warranty/
+
 echo "== fuzz smoke (broadcast frame fan-out) =="
 # Ten seconds of generated topologies and frames (intact, corrupted,
 # omitted, timing, cleared, hand-built, corrupted at one receiver only):
