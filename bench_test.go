@@ -556,7 +556,7 @@ func BenchmarkRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := checkpointGrid(engine.WithRestore(bytes.NewReader(data)))
+		sys := checkpointGrid(engine.WithRestore(data))
 		if v := sys.Engine.StateVersion(); v != 500 {
 			b.Fatalf("restored StateVersion = %d, want 500", v)
 		}

@@ -21,13 +21,19 @@
 // Evolution rules mirror the trace codec: the version byte names the
 // layout of every section; a decoder refuses versions it does not know,
 // and any layout change bumps the version.
+//
+// A Decoder reads the stream in place: section bodies and Bytes8 results
+// alias the caller's bytes, so a Restore method copies whatever it keeps
+// (String already does), and the caller may reuse the stream once its
+// restore returns. Every count read through Len is bounded by the bytes
+// left in its section — each element encodes to at least one byte — so
+// corrupt input cannot drive an allocation larger than the input itself.
 package ckpt
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -46,6 +52,10 @@ const maxSectionBytes = 64 << 20
 // maxNameBytes bounds a section name.
 const maxNameBytes = 256
 
+// maxSections bounds the section directory, which the decoder scans by
+// name (an engine checkpoint carries at most 12 sections).
+const maxSections = 64
+
 // ErrBadMagic reports a stream that does not open with the checkpoint
 // magic.
 var ErrBadMagic = errors.New("ckpt: bad magic (not a checkpoint stream)")
@@ -61,9 +71,19 @@ type Encoder struct {
 // NewEncoder returns an encoder with the stream header already written.
 func NewEncoder() *Encoder {
 	e := &Encoder{out: make([]byte, 0, 4096)}
-	e.out = append(e.out, Magic[:]...)
-	e.out = append(e.out, Version)
+	e.Reset()
 	return e
+}
+
+// Reset discards the stream built so far and starts a new one with the
+// header written, keeping the buffers' capacity: a warm encoder encodes
+// its next stream without allocating. A slice returned by Bytes is
+// invalid after Reset.
+func (e *Encoder) Reset() {
+	e.out = append(e.out[:0], Magic[:]...)
+	e.out = append(e.out, Version)
+	e.buf = e.buf[:0]
+	e.name = ""
 }
 
 // Begin opens a named section; every Put call until End lands in its body.
@@ -91,19 +111,13 @@ func (e *Encoder) End() {
 }
 
 // Bytes finalizes the stream (terminator appended) and returns it. The
-// encoder must not be used afterwards.
+// slice aliases the encoder's buffer; the encoder must not be used again
+// until Reset.
 func (e *Encoder) Bytes() []byte {
 	if e.name != "" {
 		panic(fmt.Sprintf("ckpt: Bytes with section %q still open", e.name))
 	}
 	return binary.AppendUvarint(e.out, 0)
-}
-
-// WriteTo finalizes the stream and writes it to w.
-func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
-	b := e.Bytes()
-	n, err := w.Write(b)
-	return int64(n), err
 }
 
 func (e *Encoder) Uvarint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -137,20 +151,26 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Decoder reads one checkpoint stream. Construct with NewDecoder; then
-// Section/Need per section and the typed getters inside it. Decoding
-// errors are sticky: the first corruption poisons every later read, so
-// callers may check Err once after a batch of reads.
+// Decoder reads one checkpoint stream in place. Construct with
+// NewDecoder; then Section/Need per section and the typed getters inside
+// it. Decoding errors are sticky: the first corruption poisons every
+// later read, so callers may check Err once after a batch of reads.
 type Decoder struct {
-	sections map[string][]byte
-	order    []string
-	body     []byte // current section remainder
+	sections []section // stream order
+	body     []byte    // current section remainder
 	name     string
 	err      error
 }
 
+// section is one directory entry; name and body alias the stream.
+type section struct {
+	name, body []byte
+}
+
 // NewDecoder parses the framing of a complete checkpoint stream: header,
-// section directory, terminator. Section bodies are not interpreted.
+// section directory, terminator. Section bodies are not interpreted, and
+// nothing is copied: the decoder aliases stream, which must stay
+// unmodified while it is in use.
 func NewDecoder(stream []byte) (*Decoder, error) {
 	if len(stream) < len(Magic)+1 || [4]byte(stream[:4]) != Magic {
 		return nil, ErrBadMagic
@@ -158,7 +178,7 @@ func NewDecoder(stream []byte) (*Decoder, error) {
 	if v := stream[4]; v != Version {
 		return nil, fmt.Errorf("ckpt: unsupported version %d (decoder knows %d)", v, Version)
 	}
-	d := &Decoder{sections: make(map[string][]byte)}
+	d := &Decoder{sections: make([]section, 0, 16)}
 	rest := stream[5:]
 	for {
 		nameLen, n := binary.Uvarint(rest)
@@ -172,40 +192,46 @@ func NewDecoder(stream []byte) (*Decoder, error) {
 		if nameLen > maxNameBytes || uint64(len(rest)) < nameLen {
 			return nil, fmt.Errorf("ckpt: bad section name length %d", nameLen)
 		}
-		name := string(rest[:nameLen])
+		name := rest[:nameLen]
 		rest = rest[nameLen:]
 		bodyLen, n := binary.Uvarint(rest)
 		if n <= 0 || bodyLen > maxSectionBytes || uint64(len(rest[n:])) < bodyLen {
 			return nil, fmt.Errorf("ckpt: bad body length for section %q", name)
 		}
 		rest = rest[n:]
-		if _, dup := d.sections[name]; dup {
+		if d.find(string(name)) >= 0 {
 			return nil, fmt.Errorf("ckpt: duplicate section %q", name)
 		}
-		d.sections[name] = rest[:bodyLen]
-		d.order = append(d.order, name)
+		if len(d.sections) == maxSections {
+			return nil, fmt.Errorf("ckpt: more than %d sections", maxSections)
+		}
+		d.sections = append(d.sections, section{name: name, body: rest[:bodyLen]})
 		rest = rest[bodyLen:]
 	}
 	return d, nil
 }
 
-// Sections returns the section names in stream order.
-func (d *Decoder) Sections() []string { return d.order }
+// find returns the directory index of the named section, or -1.
+func (d *Decoder) find(name string) int {
+	for i := range d.sections {
+		if string(d.sections[i].name) == name {
+			return i
+		}
+	}
+	return -1
+}
 
 // Has reports whether the stream carries the named section.
-func (d *Decoder) Has(name string) bool {
-	_, ok := d.sections[name]
-	return ok
-}
+func (d *Decoder) Has(name string) bool { return d.find(name) >= 0 }
 
 // Section positions the decoder at the start of the named section;
 // ok=false if the stream does not carry it.
 func (d *Decoder) Section(name string) bool {
-	body, ok := d.sections[name]
-	if !ok {
+	i := d.find(name)
+	if i < 0 {
 		return false
 	}
-	d.body, d.name = body, name
+	d.body, d.name = d.sections[i].body, name
 	return true
 }
 
@@ -321,18 +347,34 @@ func (d *Decoder) Bytes8() []byte {
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.Bytes8()) }
 
-// Len is a checked slice-length read: a non-negative varint bounded by
-// limit, so corrupt input cannot drive huge allocations.
+// Len is a checked element-count read: a non-negative varint bounded by
+// limit and by the bytes left in the section. Every element of a counted
+// list encodes to at least one byte, so a count beyond the remainder is
+// corruption, and corrupt input cannot drive huge allocations.
 func (d *Decoder) Len(limit int) int {
 	n := d.Varint()
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n > int64(limit) {
-		d.fail(fmt.Sprintf("length (got %d, limit %d)", n, limit))
+	if n < 0 || n > int64(limit) || n > int64(len(d.body)) {
+		d.fail(fmt.Sprintf("length (got %d, limit %d, %d bytes left)", n, limit, len(d.body)))
 		return 0
 	}
 	return int(n)
+}
+
+// MakeSlice reads a checked element count (see Len) and returns it with
+// an empty slice to decode that many elements into. This is the one
+// sizing policy for restored slices: the capacity carries append
+// headroom (a quarter plus four) over the count, because restored
+// histories keep growing and an exact-size slice would be copied whole by
+// the first append after the restore. A zero count yields a nil slice.
+func MakeSlice[T any](d *Decoder, limit int) ([]T, int) {
+	n := d.Len(limit)
+	if n == 0 {
+		return nil, 0
+	}
+	return make([]T, 0, n+n/4+4), n
 }
 
 // Snapshotter is the one interface every stateful subsystem implements for

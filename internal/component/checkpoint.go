@@ -105,8 +105,7 @@ func (e *Environment) Restore(d *ckpt.Decoder) error {
 	n := d.Len(1 << 16)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		name := d.String()
-		nh := d.Len(1 << 24)
-		h := make([]Actuation, 0, nh)
+		h, nh := ckpt.MakeSlice[Actuation](d, 1<<24)
 		for k := 0; k < nh && d.Err() == nil; k++ {
 			h = append(h, Actuation{At: sim.Time(d.Varint()), Value: d.Float64()})
 		}

@@ -68,8 +68,7 @@ func (h *History) Restore(d *ckpt.Decoder) error {
 	n := d.Len(1 << 20)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		subj := FRUIndex(d.Int())
-		nl := d.Len(1 << 24)
-		list := make([]Symptom, 0, nl)
+		list, nl := ckpt.MakeSlice[Symptom](d, 1<<24)
 		for k := 0; k < nl && d.Err() == nil; k++ {
 			list = append(list, decodeSymptom(d))
 		}
@@ -172,11 +171,7 @@ func (ad *Adviser) Restore(d *ckpt.Decoder) error {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		f := FRUIndex(i)
 		ad.trust[f] = d.Float64()
-		nh := d.Len(1 << 24)
-		var hist []TrustPoint
-		if nh > 0 {
-			hist = make([]TrustPoint, 0, nh)
-		}
+		hist, nh := ckpt.MakeSlice[TrustPoint](d, 1<<24)
 		for k := 0; k < nh && d.Err() == nil; k++ {
 			hist = append(hist, TrustPoint{
 				At:      sim.Time(d.Varint()),

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"sync"
 
 	"decos/internal/ckpt"
 	"decos/internal/component"
@@ -41,30 +43,40 @@ func WithCheckpointSink(sink CheckpointSink, everyRounds int64) Option {
 	return func(c *Config) { c.ckptSink, c.ckptEvery = sink, everyRounds }
 }
 
-// WithRestore makes New restore the engine from the checkpoint stream on
-// r instead of starting fresh. The remaining options must describe the
+// WithRestore makes New restore the engine from the checkpoint stream
+// data instead of starting fresh. The remaining options must describe the
 // same system the checkpoint was taken from (same topology, seed, build
 // hooks and fault manifest); the meta section is validated against them.
-func WithRestore(r io.Reader) Option {
-	return func(c *Config) { c.restore = r }
+// The bytes are read in place, not copied, and every restored field is
+// copied out of them, so the caller may reuse data once New returns.
+func WithRestore(data []byte) Option {
+	return func(c *Config) { c.restore = &data }
 }
 
-// Restore rebuilds an engine from a checkpoint stream: engine.Restore(r,
-// opts...) is New(append(opts, WithRestore(r))...). The restored run
-// continues bit-identically to the uninterrupted run the checkpoint was
-// taken from.
-func Restore(r io.Reader, opts ...Option) (*Engine, error) {
-	return New(append(append([]Option{}, opts...), WithRestore(r))...)
+// Restore rebuilds an engine from a checkpoint stream:
+// engine.Restore(data, opts...) is New(append(opts, WithRestore(data))...).
+// The restored run continues bit-identically to the uninterrupted run the
+// checkpoint was taken from. As with WithRestore, data is read in place
+// and may be reused once Restore returns.
+func Restore(data []byte, opts ...Option) (*Engine, error) {
+	return New(append(append([]Option{}, opts...), WithRestore(data))...)
 }
+
+// encoders recycles checkpoint encoders: a warm encoder keeps its buffers'
+// capacity, so a chunked campaign's per-chunk checkpoint stops regrowing
+// them from empty.
+var encoders = sync.Pool{New: func() any { return ckpt.NewEncoder() }}
 
 // Checkpoint encodes the engine's complete state into w. Valid at round
 // boundaries only: after New (round -1), between Run calls, or inside a
 // checkpoint sink. Mid-round state (in-flight slots) is deliberately not
 // serializable.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	enc := ckpt.NewEncoder()
+	enc := encoders.Get().(*ckpt.Encoder)
+	defer encoders.Put(enc)
+	enc.Reset()
 	e.encode(enc)
-	_, err := enc.WriteTo(w)
+	_, err := w.Write(enc.Bytes())
 	return err
 }
 
@@ -76,9 +88,12 @@ func (e *Engine) installCheckpointHook() {
 		if e.CkptErr != nil || e.rounds%e.cfg.ckptEvery != 0 {
 			return
 		}
-		enc := ckpt.NewEncoder()
-		e.encode(enc)
-		if err := e.cfg.ckptSink(round, enc.Bytes()); err != nil {
+		var buf bytes.Buffer // a fresh buffer per call: the sink owns it
+		err := e.Checkpoint(&buf)
+		if err == nil {
+			err = e.cfg.ckptSink(round, buf.Bytes())
+		}
+		if err != nil {
 			e.CkptErr = err
 		}
 	})
@@ -167,12 +182,8 @@ func restoreEngine(cfg Config) (e *Engine, err error) {
 			e, err = nil, fmt.Errorf("engine: restore: corrupt checkpoint: %v", p)
 		}
 	}()
-	var data []byte
-	if data, err = io.ReadAll(cfg.restore); err != nil {
-		return nil, fmt.Errorf("engine: restore: read checkpoint: %w", err)
-	}
 	var d *ckpt.Decoder
-	if d, err = ckpt.NewDecoder(data); err != nil {
+	if d, err = ckpt.NewDecoder(*cfg.restore); err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
 	if err := d.Need("meta"); err != nil {

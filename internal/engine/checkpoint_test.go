@@ -2,8 +2,12 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
 
+	"decos/internal/ckpt"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/faults"
@@ -100,7 +104,7 @@ func TestRestoreByteIdentical(t *testing.T) {
 	for _, p := range points {
 		var resTrace bytes.Buffer
 		res := fig10Ckpt(&resTrace,
-			engine.WithRestore(bytes.NewReader(p.data)),
+			engine.WithRestore(p.data),
 			engine.WithCheckpointSink(func(int64, []byte) error { return nil }, 40))
 		if v, want := res.Engine.StateVersion(), p.round+1; v != want {
 			t.Errorf("restored StateVersion = %d, want %d", v, want)
@@ -130,7 +134,7 @@ func TestRestoreAtBoot(t *testing.T) {
 	goldFinal := checkpointBytes(t, gold.Engine)
 
 	var resTrace bytes.Buffer
-	res := fig10Ckpt(&resTrace, engine.WithRestore(bytes.NewReader(boot)))
+	res := fig10Ckpt(&resTrace, engine.WithRestore(boot))
 	if v := res.Engine.StateVersion(); v != 0 {
 		t.Errorf("StateVersion = %d at boot restore, want 0", v)
 	}
@@ -150,18 +154,151 @@ func TestRestoreValidatesOptions(t *testing.T) {
 	sys := fig10Ckpt(&w)
 	data := checkpointBytes(t, sys.Engine)
 
-	if _, err := engine.Restore(bytes.NewReader(data),
+	if _, err := engine.Restore(data,
 		engine.WithTopology(5, 250*sim.Microsecond, 256),
 		engine.WithSeed(20050404)); err == nil {
 		t.Error("restore with mismatched topology should fail")
 	}
-	if _, err := engine.Restore(bytes.NewReader(data),
+	if _, err := engine.Restore(data,
 		engine.WithTopology(4, 250*sim.Microsecond, 256),
 		engine.WithSeed(99)); err == nil {
 		t.Error("restore with mismatched seed should fail")
 	}
-	if _, err := engine.Restore(bytes.NewReader([]byte("not a checkpoint")),
+	if _, err := engine.Restore([]byte("not a checkpoint"),
 		engine.WithTopology(4, 250*sim.Microsecond, 256)); err == nil {
 		t.Error("restore from garbage should fail")
+	}
+}
+
+// TestRestoreCopiesOutOfStream pins WithRestore's reuse contract: the
+// restore reads the caller's bytes in place, so every field it keeps must
+// be a copy. Overwriting the stream right after the restore must leave
+// the run byte-identical to the uninterrupted one.
+func TestRestoreCopiesOutOfStream(t *testing.T) {
+	const mid, total = 60, 120
+	var goldTrace bytes.Buffer
+	gold := fig10Ckpt(&goldTrace)
+	gold.Cluster.RunToRound(mid)
+	data := checkpointBytes(t, gold.Engine)
+	traceLen := goldTrace.Len()
+	gold.Cluster.RunToRound(total)
+	goldFinal := checkpointBytes(t, gold.Engine)
+
+	var resTrace bytes.Buffer
+	res := fig10Ckpt(&resTrace, engine.WithRestore(data))
+	for i := range data {
+		data[i] = 0xFF
+	}
+	res.Cluster.RunToRound(total)
+	if got := checkpointBytes(t, res.Engine); !bytes.Equal(got, goldFinal) {
+		t.Error("overwriting the restored stream changed the run's final state")
+	}
+	if !bytes.Equal(resTrace.Bytes(), goldTrace.Bytes()[traceLen:]) {
+		t.Error("overwriting the restored stream changed the run's trace")
+	}
+}
+
+// varints appends each value as a signed varint, the encoding of
+// ckpt.Encoder.Int.
+func varints(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
+
+// sectionStream frames body as the only section of a checkpoint stream.
+func sectionStream(name string, body []byte) []byte {
+	s := append([]byte{}, ckpt.Magic[:]...)
+	s = append(s, ckpt.Version)
+	s = binary.AppendUvarint(s, uint64(len(name)))
+	s = append(s, name...)
+	s = binary.AppendUvarint(s, uint64(len(body)))
+	s = append(s, body...)
+	return binary.AppendUvarint(s, 0)
+}
+
+// spliceSection replaces the body of the named section of stream.
+func spliceSection(tb testing.TB, stream []byte, name string, body []byte) []byte {
+	tb.Helper()
+	tag := append([]byte{byte(len(name))}, name...)
+	i := bytes.Index(stream, tag)
+	if i < 0 {
+		tb.Fatalf("stream has no section %q", name)
+	}
+	i += len(tag)
+	n, w := binary.Uvarint(stream[i:])
+	out := binary.AppendUvarint(append([]byte{}, stream[:i]...), uint64(len(body)))
+	out = append(out, body...)
+	return append(out, stream[i+w+int(n):]...)
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// corruptHistory is a history section cut short after its first list
+// length, which claims 1<<24 symptoms: latest granule, total, one subject
+// (FRU 0), then the list length.
+func corruptHistory() []byte {
+	return varints(binary.AppendUvarint(varints(nil, 7), 1), 1, 0, 1<<24)
+}
+
+// corruptHistoryStream is the golden checkpoint with corruptHistory in
+// its diag section, after the collector's two counters.
+func corruptHistoryStream(tb testing.TB) []byte {
+	return spliceSection(tb, generateGoldenCkpt(tb), "diag", append(varints(nil, 0, 0), corruptHistory()...))
+}
+
+// TestRestoreCorruptLengthBounded: a section whose list length claims
+// 1<<24 elements it does not carry must fail with an error naming the
+// section, before allocating for the claim — for every restored history
+// sized from its encoded length.
+func TestRestoreCorruptLengthBounded(t *testing.T) {
+	var w bytes.Buffer
+	sys := fig10Ckpt(&w)
+	for _, c := range []struct {
+		site    string
+		body    []byte
+		restore func(d *ckpt.Decoder) error
+	}{
+		{"History", corruptHistory(), sys.Diag.Assessor.Hist.Restore},
+		// epoch, FRU count, FRU 0's trust, then its trust-history length
+		{"Adviser", varints(binary.LittleEndian.AppendUint64(varints(nil, 0, int64(sys.Diag.Reg.Len())), 0), 1<<24),
+			sys.Diag.Assessor.Adviser.Restore},
+		// one actuator, its name, then its history length
+		{"Environment", varints(append(binary.AppendUvarint(varints(nil, 1), 5), "valve"...), 1<<24),
+			sys.Cluster.Env.Restore},
+	} {
+		d, err := ckpt.NewDecoder(sectionStream("s", c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Need("s"); err != nil {
+			t.Fatal(err)
+		}
+		var rerr error
+		if n := allocated(func() { rerr = c.restore(d) }); n >= 64<<10 {
+			t.Errorf("%s.Restore allocated %d bytes for a %d-byte section", c.site, n, len(c.body))
+		}
+		if rerr == nil || !strings.Contains(rerr.Error(), `section "s"`) {
+			t.Errorf("%s.Restore error = %v, want one naming the section", c.site, rerr)
+		}
+	}
+
+	// The same corruption inside a full stream: the restore fails on the
+	// diag section instead of allocating for the claim.
+	stream := corruptHistoryStream(t)
+	var rerr error
+	if n := allocated(func() { _, rerr = restoreGolden(stream) }); n >= 64<<20 {
+		t.Errorf("restoring the corrupt stream allocated %d bytes", n)
+	}
+	if rerr == nil || !strings.Contains(rerr.Error(), "restore diag") {
+		t.Errorf("restoring the corrupt stream: %v, want a diag section error", rerr)
 	}
 }

@@ -72,7 +72,7 @@ type Config struct {
 	metrics       *telemetry.Registry
 	ckptSink      CheckpointSink
 	ckptEvery     int64
-	restore       io.Reader
+	restore       *[]byte // the checkpoint stream; nil builds fresh
 }
 
 // Option configures an Engine build.

@@ -30,7 +30,7 @@ const (
 // checkpoint files (decos-sim -checkpoint-dir, decos-whatif -ckpt) take.
 func restoreGolden(data []byte) (*scenario.System, error) {
 	var tr bytes.Buffer
-	return scenario.Fig10Restored(bytes.NewReader(data), 20050404, diagnosis.Options{}, nil,
+	return scenario.Fig10Restored(data, 20050404, diagnosis.Options{}, nil,
 		engine.WithFaults(richManifest),
 		engine.WithTraceWriter(&tr, trace.Options{AllFrames: true, TrustEveryEpochs: 2}))
 }
@@ -91,7 +91,8 @@ func TestGoldenCheckpointV1(t *testing.T) {
 // engine. Bytes that do pass every validation must yield an engine whose
 // own re-encoding succeeds. The corpus seeds at the interesting
 // boundaries: the golden fixture, its truncations, bit flips in the
-// header and body, and plain garbage.
+// header and body, plain garbage, and the fixture with a list length
+// claiming far more elements than its section carries.
 func FuzzCheckpointReader(f *testing.F) {
 	golden := generateGoldenCkpt(f)
 	f.Add(golden)
@@ -106,6 +107,7 @@ func FuzzCheckpointReader(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add([]byte("not a checkpoint"))
+	f.Add(corruptHistoryStream(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sys, err := restoreGolden(data)

@@ -85,7 +85,7 @@ func TestBayesCheckpointRestoreRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed := build(engine.WithRestore(bytes.NewReader(ck.Bytes())))
+	resumed := build(engine.WithRestore(ck.Bytes()))
 	if err := resumed.Cluster.RunToRoundCtx(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}

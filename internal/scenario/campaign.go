@@ -320,18 +320,18 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 	// runOne simulates vehicle v end to end and reports whether it
 	// completed. A cancelled vehicle is discarded whole — no partial
 	// outcome, no trace handed to sink — so merged numbers stay exact.
-	// buf is the worker's trace buffer, reused vehicle after vehicle.
-	runOne := func(v int, buf *bytes.Buffer) bool {
+	// w holds the worker's buffers, reused vehicle after vehicle.
+	runOne := func(v int, w *workerBufs) bool {
 		if ctx.Err() != nil {
 			return false
 		}
 		p := plans[v]
 		var rec trace.Sink
 		if sink != nil {
-			buf.Reset()
-			rec = trace.NewBinarySink(buf)
+			w.trace.Reset()
+			rec = trace.NewBinarySink(&w.trace)
 		}
-		sys, err := c.runVehicle(ctx, v, p, rec)
+		sys, err := c.runVehicle(ctx, v, p, rec, &w.ckpt)
 		if err != nil {
 			return false
 		}
@@ -351,7 +351,7 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 			}
 		}
 		if sink != nil {
-			sink(v+1, buf.Bytes())
+			sink(v+1, w.trace.Bytes())
 		}
 		outcomes[v] = out
 		return true
@@ -364,9 +364,9 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var buf bytes.Buffer
+				var w workerBufs
 				for v := range work {
-					done[v] = runOne(v, &buf)
+					done[v] = runOne(v, &w)
 				}
 			}()
 		}
@@ -381,9 +381,9 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 		close(work)
 		wg.Wait()
 	} else {
-		var buf bytes.Buffer
+		var w workerBufs
 		for v := 0; v < c.Vehicles && ctx.Err() == nil; v++ {
-			done[v] = runOne(v, &buf)
+			done[v] = runOne(v, &w)
 		}
 	}
 
@@ -452,11 +452,16 @@ func (c Campaign) plans() []vehiclePlan {
 	return plans
 }
 
+// workerBufs are one campaign worker's reusable buffers: the vehicle's
+// binary trace and the chunk checkpoint.
+type workerBufs struct{ trace, ckpt bytes.Buffer }
+
 // runVehicle builds vehicle v (0-based) of the campaign from its plan and
-// runs it to the horizon — in ChunkRounds checkpoint/restore chunks when
-// set. With a non-nil rec, the vehicle records into it and ends its trace
-// with the audit block. It fails only when ctx is cancelled mid-run.
-func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trace.Sink) (*System, error) {
+// runs it to the horizon — in ChunkRounds checkpoint/restore chunks
+// through ck when set. With a non-nil rec, the vehicle records into it
+// and ends its trace with the audit block. It fails only when ctx is
+// cancelled mid-run.
+func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trace.Sink, ck *bytes.Buffer) (*System, error) {
 	// Each vehicle gets its own classifier instance (the Bayesian stage is
 	// stateful; posteriors must not leak across vehicles).
 	extra := pack.ClassifierOptions(c.Classifier)
@@ -492,13 +497,15 @@ func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trac
 			if ran >= c.Rounds {
 				break
 			}
-			var ck bytes.Buffer
-			if err := sys.Engine.Checkpoint(&ck); err != nil {
+			// The restore copies everything it keeps out of ck, so the
+			// next chunk's checkpoint may overwrite it.
+			ck.Reset()
+			if err := sys.Engine.Checkpoint(ck); err != nil {
 				panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
 			}
 			sys = Fig10Faulted(p.seed, c.Opts, plan,
 				append(append([]engine.Option{}, extra...),
-					engine.WithRestore(bytes.NewReader(ck.Bytes())))...)
+					engine.WithRestore(ck.Bytes()))...)
 		}
 	} else if err := sys.RunCtx(ctx, c.Rounds); err != nil {
 		return nil, err

@@ -30,6 +30,9 @@ func (c *collectTraces) sink(vehicle int, blob []byte) {
 // mid-run, at a cadence that does not divide the horizon) produces the
 // exact result and byte-identical per-vehicle traces of the unchunked
 // campaign — the fleet-scale form of the restore determinism contract.
+// Each of the two workers restores every chunk from one checkpoint buffer
+// that the next chunk's checkpoint overwrites, so this also pins the
+// restore's "caller may reuse the bytes" contract at campaign scale.
 func TestCampaignChunkedBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-vehicle campaign in -short mode")
@@ -101,7 +104,7 @@ func TestRunTracedBinaryMatchesNDJSON(t *testing.T) {
 		want := make(map[int][]byte, c.Vehicles)
 		for v, p := range plans {
 			var nd bytes.Buffer
-			if _, err := c.runVehicle(context.Background(), v, p, trace.NewNDJSONSink(&nd)); err != nil {
+			if _, err := c.runVehicle(context.Background(), v, p, trace.NewNDJSONSink(&nd), nil); err != nil {
 				t.Fatal(err)
 			}
 			want[v+1] = nd.Bytes()

@@ -8,7 +8,6 @@ package scenario
 
 import (
 	"context"
-	"io"
 
 	"decos/internal/baseline"
 	"decos/internal/component"
@@ -96,8 +95,9 @@ func Fig10Faulted(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra 
 // Fig10Faulted's configuration plus engine.WithRestore, through the
 // error-returning constructor. Checkpoint bytes are external input
 // (files, uplinks), so a corrupt or mismatched stream must surface as an
-// error, not a panic.
-func Fig10Restored(r io.Reader, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) (*System, error) {
+// error, not a panic. The bytes are read in place and may be reused once
+// Fig10Restored returns.
+func Fig10Restored(data []byte, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) (*System, error) {
 	sys := &System{}
 	return sys.assembleE(seed, opts, append([]engine.Option{
 		engine.WithFaults(func(inj *faults.Injector) {
@@ -105,7 +105,7 @@ func Fig10Restored(r io.Reader, seed uint64, opts diagnosis.Options, plan []Inje
 				sys.InjectWith(inj, p.Kind, p.At, p.Horizon)
 			}
 		}),
-		engine.WithRestore(r),
+		engine.WithRestore(data),
 	}, extra...))
 }
 

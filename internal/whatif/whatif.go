@@ -189,7 +189,7 @@ func (c *capture) Close() error                { return nil }
 // verdict — trust sampling and ledger echo off, so the stream is a pure
 // function of cluster behaviour).
 func (cfg *Config) replica() (*scenario.System, *capture, error) {
-	sys, err := scenario.Fig10Restored(bytes.NewReader(cfg.Checkpoint), cfg.Seed, cfg.Opts, cfg.Plan,
+	sys, err := scenario.Fig10Restored(cfg.Checkpoint, cfg.Seed, cfg.Opts, cfg.Plan,
 		pack.ClassifierOptions(cfg.Classifier)...)
 	if err != nil {
 		return nil, nil, err

@@ -12,6 +12,7 @@ import (
 	"context"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -302,6 +303,71 @@ func TestAllocGuardIngestStream(t *testing.T) {
 	t.Logf("IngestStream: %d B/call", perCall)
 	if perCall >= 16<<10 {
 		t.Errorf("IngestStream allocates %d B per call, want < 16 KiB", perCall)
+	}
+}
+
+// TestAllocGuardCheckpointEncode pins the pooled checkpoint encoder: a
+// warm Engine.Checkpoint into a reused buffer allocates under 1 KiB per
+// call. What remains is the subsystems' own sorting scratch; the stream
+// buffers are recycled instead of regrown from empty on every call. The
+// bound holds for the median call: a sync.Pool may miss now and then (a
+// GC empties it, or the goroutine moves to another P), and each miss
+// grows one fresh encoder.
+func TestAllocGuardCheckpointEncode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster warm-up in -short mode")
+	}
+	sys := scenario.Fig10(20050404, diagnosis.Options{})
+	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+	sys.Run(2000)
+	var buf bytes.Buffer
+	encode := func() {
+		buf.Reset()
+		if err := sys.Engine.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode() // warm the encoder pool and the buffer
+	perCall := make([]uint64, 15)
+	for i := range perCall {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		encode()
+		runtime.ReadMemStats(&after)
+		perCall[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perCall)
+	median := perCall[len(perCall)/2]
+	t.Logf("Checkpoint: median %d B/call (max %d) for a %d B stream", median, perCall[len(perCall)-1], buf.Len())
+	if median >= 1<<10 {
+		t.Errorf("Checkpoint allocates %d B per call (median), want < 1 KiB", median)
+	}
+}
+
+// TestAllocGuardChunkedResume pins the checkpoint→restore round trip of a
+// chunked campaign: one 3000-round vehicle restored into a fresh engine
+// every 100 rounds allocates at most 12x its unchunked run. The bound sits
+// between the pooled, copy-free round trip (measured 8.5x) and an encoder
+// regrown and a stream copied on every chunk (35x).
+func TestAllocGuardChunkedResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3000-round campaigns in -short mode")
+	}
+	c := scenario.Campaign{Vehicles: 1, Rounds: 3000, Seed: 20050404}
+	bytesOf := func(chunk int64) uint64 {
+		c.ChunkRounds = chunk
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.Run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	bytesOf(100) // warm the encoder pool
+	plain, chunked := bytesOf(0), bytesOf(100)
+	ratio := float64(chunked) / float64(plain)
+	t.Logf("chunked resume: %d B chunked, %d B unchunked (%.1fx)", chunked, plain, ratio)
+	if ratio > 12 {
+		t.Errorf("chunked campaign allocates %.1fx its unchunked run, want <= 12x", ratio)
 	}
 }
 

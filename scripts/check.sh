@@ -72,6 +72,14 @@ echo "== fuzz smoke (engine checkpoint restore) =="
 # truncated and bit-flipped variants.
 go test -run='^$' -fuzz='^FuzzCheckpointReader$' -fuzztime=10s ./internal/engine/
 
+echo "== fuzz smoke (checkpoint codec) =="
+# The codec under the restore path, on its own: arbitrary streams and
+# section bodies through the framing and every typed getter. Decoding
+# must never panic, and no checked count may exceed the bytes left in
+# its section (the bound that keeps corrupt input from driving huge
+# allocations).
+go test -run='^$' -fuzz='^FuzzDecoder$' -fuzztime=10s ./internal/ckpt/
+
 echo "== fuzz smoke (scenario-pack manifests) =="
 # Manifests are user-authored JSON files: malformed documents must be
 # rejected with source/line/field errors, never a panic, and anything
