@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"decos/internal/ckpt"
@@ -16,30 +17,8 @@ import (
 
 // Snapshot serializes the diagnoser's mutable state in key order.
 func (o *OBD) Snapshot(e *ckpt.Encoder) {
-	nodes := make([]int, 0, len(o.commFailing))
-	for n := range o.commFailing {
-		nodes = append(nodes, int(n))
-	}
-	sort.Ints(nodes)
-	e.Int(len(nodes))
-	for _, n := range nodes {
-		id := tt.NodeID(n)
-		e.Int(n)
-		e.Bool(o.commFailing[id])
-		e.Varint(int64(o.commFailSince[id]))
-	}
-	chans := make([]int, 0, len(o.valueFailing))
-	for ch := range o.valueFailing {
-		chans = append(chans, int(ch))
-	}
-	sort.Ints(chans)
-	e.Int(len(chans))
-	for _, ch := range chans {
-		id := vnet.ChannelID(ch)
-		e.Int(ch)
-		e.Bool(o.valueFailing[id])
-		e.Varint(int64(o.valueFailSince[id]))
-	}
+	snapshotSpans(e, o.comm, func(i int) int { return i })
+	snapshotSpans(e, o.value, func(i int) int { return int(o.valueChans[i]) })
 	e.Int(len(o.watched))
 	for i := range o.watched {
 		e.Int(o.watched[i].prev)
@@ -70,21 +49,14 @@ func (o *OBD) Snapshot(e *ckpt.Encoder) {
 
 // Restore replaces the diagnoser's state.
 func (o *OBD) Restore(d *ckpt.Decoder) error {
-	clear(o.commFailing)
-	clear(o.commFailSince)
-	nn := d.Len(1 << 16)
-	for i := 0; i < nn && d.Err() == nil; i++ {
-		id := tt.NodeID(d.Int())
-		o.commFailing[id] = d.Bool()
-		o.commFailSince[id] = sim.Time(d.Varint())
+	err := restoreSpans(d, o.comm, "node", func(n int) (int, bool) { return n, n >= 0 && n < len(o.comm) })
+	if err == nil {
+		err = restoreSpans(d, o.value, "channel", func(ch int) (int, bool) {
+			return slices.BinarySearch(o.valueChans, vnet.ChannelID(ch))
+		})
 	}
-	clear(o.valueFailing)
-	clear(o.valueFailSince)
-	nc := d.Len(1 << 16)
-	for i := 0; i < nc && d.Err() == nil; i++ {
-		id := vnet.ChannelID(d.Int())
-		o.valueFailing[id] = d.Bool()
-		o.valueFailSince[id] = sim.Time(d.Varint())
+	if err != nil {
+		return err
 	}
 	nw := d.Len(1 << 20)
 	if d.Err() == nil && nw != len(o.watched) {
@@ -111,6 +83,44 @@ func (o *OBD) Restore(d *ckpt.Decoder) error {
 		if d.Err() == nil {
 			o.dtcs[comp] = m
 		}
+	}
+	return d.Err()
+}
+
+// snapshotSpans writes the tracked spans, keyed by key(i), in slice order
+// (ascending key).
+func snapshotSpans(e *ckpt.Encoder, spans []span, key func(int) int) {
+	n := 0
+	for i := range spans {
+		if spans[i].seen {
+			n++
+		}
+	}
+	e.Int(n)
+	for i, s := range spans {
+		if s.seen {
+			e.Int(key(i))
+			e.Bool(s.failing)
+			e.Varint(int64(s.since))
+		}
+	}
+}
+
+// restoreSpans replaces spans with the checkpointed ones. index maps a
+// key to its span; a key the diagnoser does not track is an error.
+func restoreSpans(d *ckpt.Decoder, spans []span, what string, index func(int) (int, bool)) error {
+	clear(spans)
+	n := d.Len(1 << 16)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		key, failing, since := d.Int(), d.Bool(), sim.Time(d.Varint())
+		if d.Err() != nil {
+			break
+		}
+		j, ok := index(key)
+		if !ok {
+			return fmt.Errorf("baseline: checkpoint tracks %s %d, which the diagnoser does not watch", what, key)
+		}
+		spans[j] = span{seen: true, failing: failing, since: since}
 	}
 	return d.Err()
 }

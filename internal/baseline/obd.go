@@ -10,6 +10,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"decos/internal/component"
@@ -44,13 +45,12 @@ func (d DTC) String() string {
 type OBD struct {
 	cl *component.Cluster
 
-	// failure spans per sender component (communication path).
-	commFailSince map[tt.NodeID]sim.Time
-	commFailing   map[tt.NodeID]bool
-
-	// plausibility spans per channel.
-	valueFailSince map[vnet.ChannelID]sim.Time
-	valueFailing   map[vnet.ChannelID]bool
+	// Continuous-failure spans, dense and sized at Attach: comm per
+	// sender node id (communication path), value per distinct watched
+	// channel (plausibility), in ascending channel order valueChans.
+	comm       []span
+	value      []span
+	valueChans []vnet.ChannelID
 
 	watched []watchedPort
 
@@ -60,10 +60,35 @@ type OBD struct {
 	findings []diagnosis.Finding
 }
 
+// span is one continuous-failure span. seen marks a span that has been
+// tracked at least once: exactly those are carried by a checkpoint.
+type span struct {
+	seen, failing bool
+	since         sim.Time
+}
+
+// track advances the span by one observation. When the failure has
+// persisted for DTCThreshold it reports the span's start and re-arms the
+// span at now, so a persisting fault re-counts.
+func (s *span) track(failing bool, now sim.Time) (since sim.Time, record bool) {
+	s.seen = true
+	switch {
+	case !failing:
+		s.failing = false
+	case !s.failing:
+		s.failing, s.since = true, now
+	case now.Sub(s.since) >= DTCThreshold:
+		since, s.since = s.since, now
+		return since, true
+	}
+	return 0, false
+}
+
 type watchedPort struct {
 	port *vnet.InPort
 	spec component.ChannelSpec
 	comp tt.NodeID // producing component (blamed on plausibility DTC)
+	slot int       // index of the port's channel span in OBD.value
 	prev int       // received count snapshot
 }
 
@@ -71,13 +96,10 @@ type watchedPort struct {
 // diagnostics, it must be attached after application configuration and
 // before Start.
 func Attach(cl *component.Cluster) *OBD {
-	o := &OBD{
-		cl:             cl,
-		commFailSince:  make(map[tt.NodeID]sim.Time),
-		commFailing:    make(map[tt.NodeID]bool),
-		valueFailSince: make(map[vnet.ChannelID]sim.Time),
-		valueFailing:   make(map[vnet.ChannelID]bool),
-		dtcs:           make(map[tt.NodeID]map[string]*DTC),
+	o := &OBD{cl: cl, dtcs: make(map[tt.NodeID]map[string]*DTC)}
+	// Frames are sent by components only; one span per node id.
+	if comps := cl.Components(); len(comps) > 0 {
+		o.comm = make([]span, comps[len(comps)-1].ID+1)
 	}
 
 	// Watch every application in-port with a spec, blaming the producer's
@@ -98,8 +120,16 @@ func Attach(cl *component.Cluster) *OBD {
 					spec: spec,
 					comp: prod.Comp.ID,
 				})
+				o.valueChans = append(o.valueChans, ch)
 			}
 		}
+	}
+	// Ports watching the same channel share its span.
+	slices.Sort(o.valueChans)
+	o.valueChans = slices.Compact(o.valueChans)
+	o.value = make([]span, len(o.valueChans))
+	for i := range o.watched {
+		o.watched[i].slot, _ = slices.BinarySearch(o.valueChans, o.watched[i].port.Channel)
 	}
 
 	// Frame-level communication monitoring.
@@ -107,7 +137,9 @@ func Attach(cl *component.Cluster) *OBD {
 		if f.Sender == tt.NoNode {
 			return
 		}
-		o.trackComm(f.Sender, f.Status.Failed(), cl.Sched.Now())
+		if since, ok := o.comm[f.Sender].track(f.Status.Failed(), cl.Sched.Now()); ok {
+			o.recordDTC(f.Sender, "U", since)
+		}
 	})
 
 	cl.OnRound(func(round int64, now sim.Time) {
@@ -120,46 +152,13 @@ func Attach(cl *component.Cluster) *OBD {
 				v := vnet.Message{Payload: w.port.Stats.LastValue}.Float()
 				bad = !w.spec.Conforms(v)
 			}
-			o.trackValue(w.port.Channel, w.comp, bad, now)
+			// A plausibility code is stored against the producer ECU.
+			if since, ok := o.value[w.slot].track(bad, now); ok {
+				o.recordDTC(w.comp, "P", since)
+			}
 		}
 	})
 	return o
-}
-
-// trackComm updates the sender's continuous-failure span; crossing the
-// threshold stores a communication ("U") code against the sender.
-func (o *OBD) trackComm(n tt.NodeID, failing bool, now sim.Time) {
-	if !failing {
-		o.commFailing[n] = false
-		return
-	}
-	if !o.commFailing[n] {
-		o.commFailing[n] = true
-		o.commFailSince[n] = now
-		return
-	}
-	if now.Sub(o.commFailSince[n]) >= DTCThreshold {
-		o.recordDTC(n, "U", o.commFailSince[n])
-		o.commFailSince[n] = now // re-arm so a persisting fault re-counts
-	}
-}
-
-// trackValue updates a channel's continuous-implausibility span; crossing
-// the threshold stores a plausibility ("P") code against the producer ECU.
-func (o *OBD) trackValue(ch vnet.ChannelID, comp tt.NodeID, bad bool, now sim.Time) {
-	if !bad {
-		o.valueFailing[ch] = false
-		return
-	}
-	if !o.valueFailing[ch] {
-		o.valueFailing[ch] = true
-		o.valueFailSince[ch] = now
-		return
-	}
-	if now.Sub(o.valueFailSince[ch]) >= DTCThreshold {
-		o.recordDTC(comp, "P", o.valueFailSince[ch])
-		o.valueFailSince[ch] = now
-	}
 }
 
 func (o *OBD) recordDTC(comp tt.NodeID, code string, at sim.Time) {

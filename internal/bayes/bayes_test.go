@@ -35,11 +35,12 @@ func newRig(c *Classifier) *rig {
 		cl.AddComponent(tt.NodeID(i), fmt.Sprintf("c%d", i), float64(10*i), 0)
 	}
 	opts := diagnosis.DefaultOptions()
+	reg := diagnosis.NewRegistry(cl)
 	return &rig{
 		c: c,
 		ctx: &diagnosis.EvalContext{
-			Hist:      diagnosis.NewHistory(opts.RetainGranules),
-			Reg:       diagnosis.NewRegistry(cl),
+			Hist:      diagnosis.NewHistory(opts.RetainGranules, reg.Len()),
+			Reg:       reg,
 			Alpha:     diagnosis.NewAlphaCount(opts.AlphaK, opts.AlphaThreshold),
 			SW:        diagnosis.NewAlphaCount(opts.AlphaK, opts.AlphaThreshold),
 			Window:    opts.WindowGranules,

@@ -27,11 +27,14 @@ type Adviser struct {
 	reg  *Registry
 	opts Options
 
-	trust     map[FRUIndex]float64
-	trustHist map[FRUIndex][]TrustPoint
-	current   map[FRUIndex]Verdict
-	emitted   []Verdict
-	epoch     int64
+	// Per-FRU state, indexed by FRUIndex; hasCurrent marks the FRUs
+	// with a standing verdict in current.
+	trust      []float64
+	trustHist  [][]TrustPoint
+	current    []Verdict
+	hasCurrent []bool
+	emitted    []Verdict
+	epoch      int64
 
 	verdictHooks []func(Verdict)
 }
@@ -39,15 +42,17 @@ type Adviser struct {
 // NewAdviser creates an adviser over the given registry; every FRU
 // starts fully trusted.
 func NewAdviser(reg *Registry, opts Options) *Adviser {
+	n := reg.Len()
 	ad := &Adviser{
-		reg:       reg,
-		opts:      opts.withDefaults(),
-		trust:     make(map[FRUIndex]float64),
-		trustHist: make(map[FRUIndex][]TrustPoint),
-		current:   make(map[FRUIndex]Verdict),
+		reg:        reg,
+		opts:       opts.withDefaults(),
+		trust:      make([]float64, n),
+		trustHist:  make([][]TrustPoint, n),
+		current:    make([]Verdict, n),
+		hasCurrent: make([]bool, n),
 	}
-	for i := 0; i < reg.Len(); i++ {
-		ad.trust[FRUIndex(i)] = 1
+	for i := range ad.trust {
+		ad.trust[i] = 1
 	}
 	return ad
 }
@@ -81,8 +86,8 @@ func (ad *Adviser) Advance(ctx *EvalContext, findings []Finding, now sim.Time) {
 			Confidence:  f.Confidence,
 			Action:      action,
 		}
-		prev, had := ad.current[f.Subject]
-		ad.current[f.Subject] = v
+		prev, had := ad.current[f.Subject], ad.hasCurrent[f.Subject]
+		ad.current[f.Subject], ad.hasCurrent[f.Subject] = v, true
 		if !had || prev.Class != v.Class || prev.Pattern != v.Pattern {
 			ad.emitted = append(ad.emitted, v)
 			for _, h := range ad.verdictHooks {
@@ -137,16 +142,15 @@ func (ad *Adviser) TrustHistory(f FRUIndex) []TrustPoint { return ad.trustHist[f
 
 // Current returns the FRU's standing verdict.
 func (ad *Adviser) Current(f FRUIndex) (Verdict, bool) {
-	v, ok := ad.current[f]
-	return v, ok
+	return ad.current[f], ad.hasCurrent[f]
 }
 
 // CurrentAll returns the standing verdict of every FRU that has one, in
 // subject order.
 func (ad *Adviser) CurrentAll() []Verdict {
 	var out []Verdict
-	for i := 0; i < ad.reg.Len(); i++ {
-		if v, ok := ad.current[FRUIndex(i)]; ok {
+	for i, v := range ad.current {
+		if ad.hasCurrent[i] {
 			out = append(out, v)
 		}
 	}
@@ -163,6 +167,6 @@ func (ad *Adviser) Epoch() int64 { return ad.epoch }
 // Forget drops the FRU's standing verdict and restores full trust (after
 // a repair action).
 func (ad *Adviser) Forget(f FRUIndex) {
-	delete(ad.current, f)
+	ad.current[f], ad.hasCurrent[f] = Verdict{}, false
 	ad.trust[f] = 1
 }

@@ -204,7 +204,7 @@ func NewAssessor(reg *Registry, opts Options) *Assessor {
 	opts = opts.withDefaults()
 	a := &Assessor{
 		Reg:        reg,
-		Collector:  NewCollector(opts.RetainGranules),
+		Collector:  NewCollector(opts.RetainGranules, reg.Len()),
 		Adviser:    NewAdviser(reg, opts),
 		Alpha:      NewAlphaCount(opts.AlphaK, opts.AlphaThreshold),
 		SW:         NewAlphaCount(opts.AlphaK, opts.AlphaThreshold),

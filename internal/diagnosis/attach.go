@@ -94,7 +94,6 @@ func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 		cl:      d.cl,
 		net:     d.Net,
 		self:    self,
-		acc:     make(map[accKey]accVal),
 		KeepLog: d.opts.KeepMonitorLogs,
 	}
 

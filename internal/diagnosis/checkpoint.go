@@ -48,11 +48,18 @@ func decodeSymptom(d *ckpt.Decoder) Symptom {
 func (h *History) Snapshot(e *ckpt.Encoder) {
 	e.Varint(h.latest)
 	e.Uvarint(h.total)
-	subjects := h.Subjects()
-	e.Int(len(subjects))
-	for _, subj := range subjects {
-		e.Int(int(subj))
-		list := h.bySubject[subj]
+	n := 0
+	for _, list := range h.bySubject {
+		if list != nil {
+			n++
+		}
+	}
+	e.Int(n)
+	for subj, list := range h.bySubject {
+		if list == nil {
+			continue
+		}
+		e.Int(subj)
 		e.Int(len(list))
 		for i := range list {
 			encodeSymptom(e, &list[i])
@@ -67,12 +74,18 @@ func (h *History) Restore(d *ckpt.Decoder) error {
 	clear(h.bySubject)
 	n := d.Len(1 << 20)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		subj := FRUIndex(d.Int())
+		subj := d.Int()
+		if d.Err() == nil && (subj < 0 || subj >= len(h.bySubject)) {
+			return fmt.Errorf("diagnosis: checkpoint history names subject %d, registry has %d FRUs", subj, len(h.bySubject))
+		}
 		list, nl := ckpt.MakeSlice[Symptom](d, 1<<24)
 		for k := 0; k < nl && d.Err() == nil; k++ {
 			list = append(list, decodeSymptom(d))
 		}
 		if d.Err() == nil {
+			if list == nil {
+				list = []Symptom{} // present, though every symptom was pruned
+			}
 			h.bySubject[subj] = list
 		}
 	}
@@ -138,10 +151,8 @@ func (ad *Adviser) decodeVerdict(d *ckpt.Decoder) Verdict {
 func (ad *Adviser) Snapshot(e *ckpt.Encoder) {
 	e.Varint(ad.epoch)
 	e.Int(ad.reg.Len())
-	for i := 0; i < ad.reg.Len(); i++ {
-		f := FRUIndex(i)
+	for f, hist := range ad.trustHist {
 		e.Float64(ad.trust[f])
-		hist := ad.trustHist[f]
 		e.Int(len(hist))
 		for _, p := range hist {
 			e.Varint(int64(p.At))
@@ -168,8 +179,7 @@ func (ad *Adviser) Restore(d *ckpt.Decoder) error {
 		return fmt.Errorf("diagnosis: checkpoint has %d FRUs, registry has %d", n, ad.reg.Len())
 	}
 	clear(ad.trustHist)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		f := FRUIndex(i)
+	for f := 0; f < n && d.Err() == nil; f++ {
 		ad.trust[f] = d.Float64()
 		hist, nh := ckpt.MakeSlice[TrustPoint](d, 1<<24)
 		for k := 0; k < nh && d.Err() == nil; k++ {
@@ -179,15 +189,20 @@ func (ad *Adviser) Restore(d *ckpt.Decoder) error {
 				Trust:   core.TrustLevel(d.Float64()),
 			})
 		}
-		if len(hist) > 0 {
-			ad.trustHist[f] = hist
-		}
+		ad.trustHist[f] = hist
 	}
 	clear(ad.current)
+	clear(ad.hasCurrent)
 	nc := d.Len(1 << 20)
 	for i := 0; i < nc && d.Err() == nil; i++ {
 		v := ad.decodeVerdict(d)
-		ad.current[v.Subject] = v
+		if d.Err() != nil {
+			break
+		}
+		if int(v.Subject) >= len(ad.current) {
+			return fmt.Errorf("diagnosis: checkpoint has a standing verdict for FRU %d, registry has %d", v.Subject, len(ad.current))
+		}
+		ad.current[v.Subject], ad.hasCurrent[v.Subject] = v, true
 	}
 	ne := d.Len(1 << 20)
 	ad.emitted = ad.emitted[:0]
@@ -231,17 +246,11 @@ func (m *Monitor) Snapshot(e *ckpt.Encoder) {
 	e.Int(m.SymptomsSent)
 	// In-flight accumulator: empty after a flush, but a monitor on a dead
 	// node may hold observations its skipped round hook never flushed.
-	keys := make([]accKey, 0, len(m.acc))
-	for k := range m.acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return accKeyLess(keys[i], keys[j]) })
-	e.Int(len(keys))
-	for _, k := range keys {
-		v := m.acc[k]
-		e.Uvarint(uint64(k.kind))
-		e.Int(int(k.subject))
-		e.Int(int(k.channel))
+	e.Int(len(m.acc))
+	for _, v := range m.acc {
+		e.Uvarint(uint64(v.kind))
+		e.Int(int(v.subject))
+		e.Int(int(v.channel))
 		e.Int(v.count)
 		e.Float64(v.dev)
 	}
@@ -278,15 +287,15 @@ func (m *Monitor) Snapshot(e *ckpt.Encoder) {
 // Restore replaces the monitor's cursors and counters.
 func (m *Monitor) Restore(d *ckpt.Decoder) error {
 	m.SymptomsSent = d.Int()
-	clear(m.acc)
+	m.acc = m.acc[:0]
 	na := d.Len(1 << 20)
 	for i := 0; i < na && d.Err() == nil; i++ {
-		k := accKey{
+		a := m.entry(accKey{
 			kind:    Kind(d.Uvarint()),
 			subject: FRUIndex(d.Int()),
 			channel: vnet.ChannelID(d.Int()),
-		}
-		m.acc[k] = accVal{count: d.Int(), dev: d.Float64()}
+		})
+		a.count, a.dev = d.Int(), d.Float64()
 	}
 	np := d.Len(1 << 20)
 	if d.Err() == nil && np != len(m.ports) {

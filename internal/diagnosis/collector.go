@@ -23,9 +23,10 @@ type Collector struct {
 	symptomHooks []func(Symptom)
 }
 
-// NewCollector creates a collector retaining the given granule horizon.
-func NewCollector(retainGranules int64) *Collector {
-	return &Collector{Hist: NewHistory(retainGranules)}
+// NewCollector creates a collector for the given number of subject FRUs,
+// retaining the given granule horizon.
+func NewCollector(retainGranules int64, subjects int) *Collector {
+	return &Collector{Hist: NewHistory(retainGranules, subjects)}
 }
 
 // Subscribe adds a diagnostic in-port the collector drains every round.

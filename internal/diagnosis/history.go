@@ -7,24 +7,33 @@ type History struct {
 	// RetainGranules bounds how far back symptoms are kept.
 	RetainGranules int64
 
-	bySubject map[FRUIndex][]Symptom
+	// bySubject is indexed by subject FRU. A subject's list is non-nil
+	// once a symptom about it has been added (or restored), even if every
+	// symptom has since been pruned: exactly those subjects are carried by
+	// a checkpoint.
+	bySubject [][]Symptom
 	latest    int64
 	total     uint64
 }
 
-// NewHistory returns a store retaining the given number of granules.
-func NewHistory(retain int64) *History {
+// NewHistory returns a store for the given number of subject FRUs (the
+// registry's Len), retaining the given number of granules.
+func NewHistory(retain int64, subjects int) *History {
 	if retain <= 0 {
 		panic("diagnosis: history retention must be positive")
 	}
-	return &History{RetainGranules: retain, bySubject: make(map[FRUIndex][]Symptom)}
+	return &History{RetainGranules: retain, bySubject: make([][]Symptom, subjects)}
 }
 
 // Add inserts a symptom and prunes expired entries for its subject.
 // Symptoms may arrive out of granule order (the diagnostic network queues
 // under load), so insertion keeps each subject's list granule-sorted —
-// front-pruning stays exact.
+// front-pruning stays exact. A symptom about a subject outside the
+// registry names no FRU and is not stored.
 func (h *History) Add(s Symptom) {
+	if int(s.Subject) >= len(h.bySubject) {
+		return
+	}
 	if s.Granule > h.latest {
 		h.latest = s.Granule
 	}
@@ -51,20 +60,6 @@ func (h *History) Latest() int64 { return h.latest }
 // Total returns the number of symptoms ever added.
 func (h *History) Total() uint64 { return h.total }
 
-// Subjects returns all FRUs with retained symptoms, in index order.
-func (h *History) Subjects() []FRUIndex {
-	var out []FRUIndex
-	for f := range h.bySubject {
-		out = append(out, f)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // Filter is a symptom predicate used in window queries; nil matches all.
 type Filter func(Symptom) bool
 
@@ -82,13 +77,18 @@ func KindIn(kinds ...Kind) Filter {
 
 // list returns the subject's retained symptoms, granule-sorted. Shared
 // internal state: same-package query helpers iterate it without copying.
-func (h *History) list(subject FRUIndex) []Symptom { return h.bySubject[subject] }
+func (h *History) list(subject FRUIndex) []Symptom {
+	if int(subject) >= len(h.bySubject) {
+		return nil
+	}
+	return h.bySubject[subject]
+}
 
 // Window returns the subject's symptoms with granule in [from, to]
 // (inclusive) that pass the filter.
 func (h *History) Window(subject FRUIndex, from, to int64, f Filter) []Symptom {
 	var out []Symptom
-	for _, s := range h.bySubject[subject] {
+	for _, s := range h.list(subject) {
 		if s.Granule > to {
 			break
 		}
@@ -104,7 +104,7 @@ func (h *History) Window(subject FRUIndex, from, to int64, f Filter) []Symptom {
 // allocates nothing — ONAs call this many times per epoch.
 func (h *History) Count(subject FRUIndex, from, to int64, f Filter) int {
 	n := 0
-	for _, s := range h.bySubject[subject] {
+	for _, s := range h.list(subject) {
 		if s.Granule > to {
 			break
 		}
@@ -119,7 +119,7 @@ func (h *History) Count(subject FRUIndex, from, to int64, f Filter) int {
 // the subject in the window.
 func (h *History) Observers(subject FRUIndex, from, to int64, f Filter) []FRUIndex {
 	var out []FRUIndex
-	for _, s := range h.bySubject[subject] {
+	for _, s := range h.list(subject) {
 		if s.Granule > to {
 			break
 		}
@@ -145,7 +145,7 @@ func (h *History) Observers(subject FRUIndex, from, to int64, f Filter) []FRUInd
 // distinctness is a comparison against the previous entry.
 func (h *History) ActiveGranules(subject FRUIndex, from, to int64, f Filter) []int64 {
 	var out []int64
-	for _, s := range h.bySubject[subject] {
+	for _, s := range h.list(subject) {
 		if s.Granule > to {
 			break
 		}
@@ -163,7 +163,7 @@ func (h *History) ActiveGranules(subject FRUIndex, from, to int64, f Filter) []i
 // window.
 func (h *History) MaxDeviation(subject FRUIndex, from, to int64, f Filter) float64 {
 	max := 0.0
-	for _, s := range h.bySubject[subject] {
+	for _, s := range h.list(subject) {
 		if s.Granule > to {
 			break
 		}

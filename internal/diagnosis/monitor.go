@@ -1,6 +1,8 @@
 package diagnosis
 
 import (
+	"slices"
+
 	"decos/internal/component"
 	"decos/internal/sim"
 	"decos/internal/tt"
@@ -27,9 +29,10 @@ type Monitor struct {
 	net  *vnet.Network
 	self FRUIndex
 
-	acc map[accKey]accVal
-	// flush scratch, reused across rounds.
-	keys   []accKey
+	// acc aggregates the round's observations, one entry per key, kept
+	// in accKeyLess order: the order flush sends them in.
+	acc []accEntry
+	// encBuf is flush's encoding scratch, reused across rounds.
 	encBuf []byte
 
 	ports  []*portTracker
@@ -53,7 +56,8 @@ type accKey struct {
 	channel vnet.ChannelID
 }
 
-type accVal struct {
+type accEntry struct {
+	accKey
 	count int
 	dev   float64
 }
@@ -101,13 +105,24 @@ func (m *Monitor) observe(k Kind, subject FRUIndex, ch vnet.ChannelID, count int
 	if count <= 0 {
 		return
 	}
-	key := accKey{kind: k, subject: subject, channel: ch}
-	v := m.acc[key]
-	v.count += count
-	if dev > v.dev {
-		v.dev = dev
+	a := m.entry(accKey{kind: k, subject: subject, channel: ch})
+	a.count += count
+	if dev > a.dev {
+		a.dev = dev
 	}
-	m.acc[key] = v
+}
+
+// entry returns the round's accumulator for key, inserting an empty one
+// at its sorted position if the key is new.
+func (m *Monitor) entry(key accKey) *accEntry {
+	i := 0
+	for i < len(m.acc) && accKeyLess(m.acc[i].accKey, key) {
+		i++
+	}
+	if i == len(m.acc) || m.acc[i].accKey != key {
+		m.acc = slices.Insert(m.acc, i, accEntry{accKey: key})
+	}
+	return &m.acc[i]
 }
 
 // onSlot ingests the frame status this component observed for one slot.
@@ -253,31 +268,16 @@ func (m *Monitor) scanVoter(vt *voterTracker) {
 // flush encodes the round's aggregated symptoms and sends them on the
 // diagnostic network in deterministic order.
 func (m *Monitor) flush(round int64, now sim.Time) {
-	if len(m.acc) == 0 {
-		return
-	}
-	keys := m.keys[:0]
-	for k := range m.acc {
-		keys = append(keys, k)
-	}
-	// Insertion sort into deterministic (kind, subject, channel) order; the
-	// per-round key count is small and this avoids sort.Slice's closure.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && accKeyLess(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	for _, k := range keys {
-		v := m.acc[k]
+	for _, v := range m.acc {
 		count := v.count
 		if count > 0xffff {
 			count = 0xffff
 		}
 		s := Symptom{
-			Kind:      k.kind,
+			Kind:      v.kind,
 			Observer:  m.self,
-			Subject:   k.subject,
-			Channel:   k.channel,
+			Subject:   v.subject,
+			Channel:   v.channel,
 			Granule:   round,
 			At:        now,
 			Count:     uint16(count),
@@ -292,8 +292,7 @@ func (m *Monitor) flush(round int64, now sim.Time) {
 			m.LocalLog = append(m.LocalLog, s)
 		}
 	}
-	m.keys = keys[:0]
-	clear(m.acc)
+	m.acc = m.acc[:0]
 }
 
 func accKeyLess(a, b accKey) bool {

@@ -9,7 +9,9 @@
 package diagnosis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"decos/internal/component"
 	"decos/internal/core"
@@ -39,22 +41,25 @@ type ChannelMeta struct {
 
 // Registry is the static diagnostic configuration of one cluster: FRU
 // table, channel metadata and component geometry. It is derived
-// deterministically from the cluster configuration.
+// deterministically from the cluster configuration and immutable after
+// construction.
 type Registry struct {
 	frus    []core.FRU
 	index   map[core.FRU]FRUIndex
-	hwOf    map[FRUIndex]FRUIndex // software FRU -> hosting hardware FRU
-	dasOf   map[FRUIndex]string   // software FRU -> DAS name
-	compPos map[FRUIndex][2]float64
 	channel map[vnet.ChannelID]ChannelMeta
-	node    map[FRUIndex]tt.NodeID // hardware FRU -> node id
 
-	// Cached index lists. The registry is immutable after construction and
-	// these are queried on every assessment epoch; callers must not modify
-	// the returned slices.
-	hw     []FRUIndex
-	sw     []FRUIndex
-	jobsOn map[FRUIndex][]FRUIndex
+	// Per-FRU tables indexed by FRUIndex. The hardware FRUs lead the FRU
+	// table in node order, so compPos, one entry per component, is
+	// indexed by FRUIndex too.
+	hostOf  []FRUIndex   // hosting hardware FRU (itself for hardware)
+	dasOf   []string     // DAS name ("" for hardware)
+	jobsOn  [][]FRUIndex // software FRUs hosted on a hardware FRU
+	compPos [][2]float64
+
+	// Index lists queried on every assessment epoch; callers must not
+	// modify the returned slices.
+	hw []FRUIndex
+	sw []FRUIndex
 }
 
 // NewRegistry builds the registry for a cluster: one hardware FRU per
@@ -63,28 +68,24 @@ type Registry struct {
 func NewRegistry(cl *component.Cluster) *Registry {
 	r := &Registry{
 		index:   make(map[core.FRU]FRUIndex),
-		hwOf:    make(map[FRUIndex]FRUIndex),
-		dasOf:   make(map[FRUIndex]string),
-		compPos: make(map[FRUIndex][2]float64),
 		channel: make(map[vnet.ChannelID]ChannelMeta),
-		node:    make(map[FRUIndex]tt.NodeID),
 	}
-	add := func(f core.FRU) FRUIndex {
+	add := func(f core.FRU, host FRUIndex, das string) FRUIndex {
 		idx := FRUIndex(len(r.frus))
 		r.frus = append(r.frus, f)
 		r.index[f] = idx
+		r.hostOf = append(r.hostOf, host)
+		r.dasOf = append(r.dasOf, das)
 		return idx
 	}
 	for _, c := range cl.Components() {
-		idx := add(core.HardwareFRU(int(c.ID)))
-		r.compPos[idx] = [2]float64{c.X, c.Y}
-		r.node[idx] = c.ID
+		r.hw = append(r.hw, add(core.HardwareFRU(int(c.ID)), FRUIndex(len(r.frus)), ""))
+		r.compPos = append(r.compPos, [2]float64{c.X, c.Y})
 	}
 	for _, d := range cl.DASs() {
 		for _, j := range d.Jobs {
-			idx := add(core.SoftwareFRU(int(j.Comp.ID), d.Name+"/"+j.Name))
-			r.hwOf[idx] = r.index[core.HardwareFRU(int(j.Comp.ID))]
-			r.dasOf[idx] = d.Name
+			host := r.index[core.HardwareFRU(int(j.Comp.ID))]
+			r.sw = append(r.sw, add(core.SoftwareFRU(int(j.Comp.ID), d.Name+"/"+j.Name), host, d.Name))
 		}
 	}
 	for ch, spec := range cl.Specs() {
@@ -100,15 +101,9 @@ func NewRegistry(cl *component.Cluster) *Registry {
 			DAS:          j.DAS.Name,
 		}
 	}
-	r.jobsOn = make(map[FRUIndex][]FRUIndex)
-	for i, f := range r.frus {
-		idx := FRUIndex(i)
-		if f.IsHardware() {
-			r.hw = append(r.hw, idx)
-		} else {
-			r.sw = append(r.sw, idx)
-			r.jobsOn[r.hwOf[idx]] = append(r.jobsOn[r.hwOf[idx]], idx)
-		}
+	r.jobsOn = make([][]FRUIndex, len(r.frus))
+	for _, sw := range r.sw {
+		r.jobsOn[r.hostOf[sw]] = append(r.jobsOn[r.hostOf[sw]], sw)
 	}
 	return r
 }
@@ -130,25 +125,26 @@ func (r *Registry) Index(f core.FRU) (FRUIndex, bool) {
 	return i, ok
 }
 
-// HardwareIndex returns the hardware FRU index of a component node.
+// HardwareIndex returns the hardware FRU index of a component node: a
+// search of the hardware FRUs, which lead the table in node order.
 func (r *Registry) HardwareIndex(n tt.NodeID) (FRUIndex, bool) {
-	return r.Index(core.HardwareFRU(int(n)))
+	i, ok := slices.BinarySearchFunc(r.frus[:len(r.hw)], int(n), func(f core.FRU, n int) int {
+		return cmp.Compare(f.Component, n)
+	})
+	return FRUIndex(i), ok
 }
 
 // Node returns the node id of a hardware FRU.
 func (r *Registry) Node(i FRUIndex) (tt.NodeID, bool) {
-	n, ok := r.node[i]
-	return n, ok
+	if !r.IsHardware(i) {
+		return 0, false
+	}
+	return tt.NodeID(r.frus[i].Component), true
 }
 
 // HostOf returns the hardware FRU hosting a software FRU (or the argument
 // itself if it already is hardware).
-func (r *Registry) HostOf(i FRUIndex) FRUIndex {
-	if hw, ok := r.hwOf[i]; ok {
-		return hw
-	}
-	return i
-}
+func (r *Registry) HostOf(i FRUIndex) FRUIndex { return r.hostOf[i] }
 
 // DASOf returns the DAS name of a software FRU ("" for hardware FRUs).
 func (r *Registry) DASOf(i FRUIndex) string { return r.dasOf[i] }
@@ -162,20 +158,13 @@ func (r *Registry) IsHardware(i FRUIndex) bool {
 // returned slice is shared registry state; callers must not modify it.
 func (r *Registry) JobsOn(hw FRUIndex) []FRUIndex { return r.jobsOn[hw] }
 
-// Position returns the coordinates of a hardware FRU.
-func (r *Registry) Position(i FRUIndex) ([2]float64, bool) {
-	p, ok := r.compPos[i]
-	return p, ok
-}
-
 // Distance returns the Euclidean distance between two hardware FRUs (+Inf
 // when either is unknown).
 func (r *Registry) Distance(a, b FRUIndex) float64 {
-	pa, oka := r.compPos[a]
-	pb, okb := r.compPos[b]
-	if !oka || !okb {
+	if int(a) >= len(r.compPos) || int(b) >= len(r.compPos) {
 		return 1e308
 	}
+	pa, pb := r.compPos[a], r.compPos[b]
 	dx, dy := pa[0]-pb[0], pa[1]-pb[1]
 	d2 := dx*dx + dy*dy
 	// Cheap sqrt via Newton (avoid importing math for one call site).

@@ -120,7 +120,7 @@ func TestAlphaCountWeight(t *testing.T) {
 }
 
 func TestHistoryWindowQueries(t *testing.T) {
-	h := NewHistory(100)
+	h := NewHistory(100, 4)
 	for g := int64(0); g < 50; g++ {
 		h.Add(Symptom{Kind: SymOmission, Subject: 1, Observer: 2, Granule: g, Count: 2})
 	}
@@ -151,7 +151,7 @@ func TestHistoryWindowQueries(t *testing.T) {
 }
 
 func TestHistoryPrunes(t *testing.T) {
-	h := NewHistory(10)
+	h := NewHistory(10, 4)
 	for g := int64(0); g < 100; g++ {
 		h.Add(Symptom{Kind: SymOmission, Subject: 1, Granule: g, Count: 1})
 	}

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -301,4 +302,59 @@ func TestRestoreCorruptLengthBounded(t *testing.T) {
 	if rerr == nil || !strings.Contains(rerr.Error(), "restore diag") {
 		t.Errorf("restoring the corrupt stream: %v, want a diag section error", rerr)
 	}
+}
+
+// obdUnknownChannel is an OBD section whose plausibility spans name
+// channel ch: no communication spans, then one channel span (not failing,
+// since 0).
+func obdUnknownChannel(ch int64) []byte { return varints(nil, 0, 1, ch, 0, 0) }
+
+// TestRestoreRejectsUntrackedKeys: a checkpoint naming a span or subject
+// the rebuilt system has no slot for — a channel the OBD diagnoser does
+// not watch, a node id beyond the cluster, a history subject outside the
+// registry — fails with an error naming the key, and allocates nothing
+// proportional to it.
+func TestRestoreRejectsUntrackedKeys(t *testing.T) {
+	var w bytes.Buffer
+	sys := fig10Ckpt(&w)
+	diagChan := int64(sys.Diag.Monitors[0].Chan) // on the fabric, unwatched by OBD
+	for _, c := range []struct {
+		site, want string
+		body       []byte
+		restore    func(d *ckpt.Decoder) error
+	}{
+		{"OBD channel", fmt.Sprintf("channel %d", diagChan), obdUnknownChannel(diagChan), sys.OBD.Restore},
+		// one communication span, for node 1<<40
+		{"OBD node", "node 1099511627776", varints(nil, 1, 1<<40, 0, 0), sys.OBD.Restore},
+		// latest granule, total, one subject (FRU 60000), then its empty list
+		{"History", "subject 60000", varints(binary.AppendUvarint(varints(nil, 7), 1), 1, 60000, 0),
+			sys.Diag.Assessor.Hist.Restore},
+	} {
+		d, err := ckpt.NewDecoder(sectionStream("s", c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Need("s"); err != nil {
+			t.Fatal(err)
+		}
+		var rerr error
+		if n := allocated(func() { rerr = c.restore(d) }); n >= 64<<10 {
+			t.Errorf("%s: Restore allocated %d bytes for a %d-byte section", c.site, n, len(c.body))
+		}
+		if rerr == nil || !strings.Contains(rerr.Error(), c.want) {
+			t.Errorf("%s: Restore error = %v, want one naming %q", c.site, rerr, c.want)
+		}
+	}
+
+	// Inside a full stream the error names the section too.
+	_, err := restoreGolden(obdUnknownChannelStream(t))
+	if err == nil || !strings.Contains(err.Error(), "restore obd") {
+		t.Errorf("restoring a stream with an unwatched OBD channel: %v, want an obd section error", err)
+	}
+}
+
+// obdUnknownChannelStream is the golden checkpoint with its obd section
+// replaced by one naming channel 0xffff, which no Fig. 10 port watches.
+func obdUnknownChannelStream(tb testing.TB) []byte {
+	return spliceSection(tb, generateGoldenCkpt(tb), "obd", obdUnknownChannel(0xffff))
 }

@@ -91,8 +91,9 @@ func TestGoldenCheckpointV1(t *testing.T) {
 // engine. Bytes that do pass every validation must yield an engine whose
 // own re-encoding succeeds. The corpus seeds at the interesting
 // boundaries: the golden fixture, its truncations, bit flips in the
-// header and body, plain garbage, and the fixture with a list length
-// claiming far more elements than its section carries.
+// header and body, plain garbage, the fixture with a list length
+// claiming far more elements than its section carries, and the fixture
+// with an OBD span for a channel the diagnoser does not watch.
 func FuzzCheckpointReader(f *testing.F) {
 	golden := generateGoldenCkpt(f)
 	f.Add(golden)
@@ -108,6 +109,7 @@ func FuzzCheckpointReader(f *testing.F) {
 	}
 	f.Add([]byte("not a checkpoint"))
 	f.Add(corruptHistoryStream(f))
+	f.Add(obdUnknownChannelStream(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sys, err := restoreGolden(data)

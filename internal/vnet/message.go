@@ -77,14 +77,14 @@ const (
 // length.
 func WireSize(payloadLen int) int { return headerBytes + payloadLen + crcBytes }
 
-// crcTable is the byte-indexed lookup table for CRC-16/CCITT-FALSE
-// (polynomial 0x1021). Every encoded message is checksummed, and every
-// broadcast frame's messages are checked once per slot (not once per
-// receiver), which keeps the CRC among the hottest functions of a full
-// simulation; table-driven computation is ~8x faster than bit-at-a-time
-// and produces identical checksums.
-var crcTable = func() (t [256]uint16) {
-	for i := range t {
+// crcTables are the slicing-by-4 tables for CRC-16/CCITT-FALSE (polynomial
+// 0x1021, MSB first): crcTables[k][v] is the register contribution of byte
+// v followed by k zero bytes, so four XORed lookups advance the register
+// over four bytes. Every message is checksummed on encode and checked on
+// decode, which makes the CRC one of the hottest functions of a full
+// simulation.
+var crcTables = func() (t [4][256]uint16) {
+	for i := range t[0] {
 		crc := uint16(i) << 8
 		for b := 0; b < 8; b++ {
 			if crc&0x8000 != 0 {
@@ -93,16 +93,26 @@ var crcTable = func() (t [256]uint16) {
 				crc <<= 1
 			}
 		}
-		t[i] = crc
+		t[0][i] = crc
+	}
+	for k := 1; k < len(t); k++ {
+		for i, v := range t[k-1] {
+			t[k][i] = v<<8 ^ t[0][v>>8]
+		}
 	}
 	return
 }()
 
-// crc16 computes CRC-16/CCITT-FALSE.
+// crc16 computes CRC-16/CCITT-FALSE, four bytes per step; the zero to
+// three trailing bytes go through the byte table.
 func crc16(data []byte) uint16 {
+	t := &crcTables
 	crc := uint16(0xffff)
+	for ; len(data) >= 4; data = data[4:] {
+		crc = t[3][byte(crc>>8)^data[0]] ^ t[2][byte(crc)^data[1]] ^ t[1][data[2]] ^ t[0][data[3]]
+	}
 	for _, b := range data {
-		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		crc = crc<<8 ^ t[0][byte(crc>>8)^b]
 	}
 	return crc
 }

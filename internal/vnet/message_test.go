@@ -3,6 +3,7 @@ package vnet
 import (
 	"bytes"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +108,46 @@ func TestCRCDetectsBitFlip(t *testing.T) {
 	// ≥ 4 for short messages) or at minimum alter the framing.
 	if detected != len(buf)*8 {
 		t.Errorf("only %d/%d single-bit flips detected", detected, len(buf)*8)
+	}
+}
+
+// crc16Bitwise is the reference CRC-16/CCITT-FALSE, one bit at a time
+// straight from the definition: polynomial 0x1021, initial value 0xffff,
+// MSB first, no reflection, no final XOR.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xffff)
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+// TestCRC16MatchesBitwiseReference checks the table-driven CRC against the
+// bitwise definition at every length a wire record can have, so each
+// residue of the four-byte step and its byte-wise tail is covered, plus
+// the catalogue check value of CRC-16/CCITT-FALSE.
+func TestCRC16MatchesBitwiseReference(t *testing.T) {
+	if got := crc16([]byte("123456789")); got != 0x29B1 {
+		t.Errorf(`crc16("123456789") = %#04x, want 0x29b1`, got)
+	}
+	rng := rand.New(rand.NewPCG(20050404, 7))
+	buf := make([]byte, WireSize(MaxPayload))
+	for trial := 0; trial < 4; trial++ {
+		for i := range buf {
+			buf[i] = byte(rng.Uint32())
+		}
+		for n := 0; n <= len(buf); n++ {
+			if got, want := crc16(buf[:n]), crc16Bitwise(buf[:n]); got != want {
+				t.Fatalf("trial %d, length %d: crc16 = %#04x, bitwise reference = %#04x", trial, n, got, want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package warranty
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -44,6 +45,49 @@ func FuzzIngestStream(f *testing.F) {
 		NewCollector(0).IngestStream(bytes.NewReader(data), 0)
 		if got := ingest(t); !reflect.DeepEqual(got, want) {
 			t.Fatalf("valid trace summarizes differently after input %q:\ngot  %+v\nwant %+v", data, got, want)
+		}
+	})
+}
+
+// FuzzSnapshot throws arbitrary bytes at the shard-snapshot decode a
+// coordinator runs on every peer's GET /v1/fleet/snapshot body and a
+// restarted daemon runs on its state file: JSON decode, then Validate.
+// Decoding must never panic, and a snapshot Validate accepts must load
+// into a fresh collector and merge without error or panic, and
+// summarize. The corpus is seeded with a real two-vehicle snapshot, its
+// truncations and JSON fragments at the validation boundaries.
+func FuzzSnapshot(f *testing.F) {
+	col := NewCollector(0)
+	for _, tr := range campaignTraces(f, 2, 60) {
+		if _, _, err := col.IngestStream(bytes.NewReader(tr), 0); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap, err := json.Marshal(col.Snapshot("p0"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Add(snap[:len(snap)/2])
+	f.Add([]byte{})
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{"version":2,"vehicles":[{"vehicle":1}]}`))
+	f.Add([]byte(`{"version":1,"vehicles":[{"vehicle":2},{"vehicle":1}]}`))
+	f.Add([]byte(`{"version":1,"vehicles":[{"vehicle":1,"truths":[{"class":"no such class"}]}]}`))
+	f.Add([]byte(`{"version":1,"tally":{"jobs":[{"job":"A/A1","incidents":-3,"vehicles":[1,1]}]},"vehicles":[{"vehicle":1,"subjects":{"x":{"trust":{"n":-1}}}}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		loaded := NewCollector(0)
+		if err := loaded.LoadSnapshot(&s); err != nil {
+			t.Fatalf("LoadSnapshot rejects a snapshot Validate accepts: %v", err)
+		}
+		loaded.Summary(0)
+		if _, err := MergeSnapshots([]*Snapshot{&s}, 0); err != nil {
+			t.Fatalf("MergeSnapshots rejects a snapshot Validate accepts: %v", err)
 		}
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"decos/internal/baseline"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/scenario"
@@ -174,6 +175,42 @@ func TestAllocGuardBayesOffRound(t *testing.T) {
 	t.Logf("bayes-off cluster round: %.3f allocs/round", perRound)
 	if perRound > 3 {
 		t.Errorf("default cluster round allocates %.3f objects/round, want <= 3 (the pre-bayes baseline)", perRound)
+	}
+}
+
+// TestAllocGuardOBDHooks pins the OBD baseline's per-call cost: its frame
+// hook (every slot) and round hook (every round) allocate nothing in
+// steady state, with a dead component and an implausible sensor keeping
+// both kinds of span failing and re-recording their trouble codes. Two
+// identical Fig. 10 systems run the same rounds, one with a second OBD
+// diagnoser attached; the rounds may differ only by those hooks, so they
+// must allocate the same.
+func TestAllocGuardOBDHooks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster warm-up in -short mode")
+	}
+	faulty := func() *scenario.System {
+		sys := scenario.Fig10(20050404, diagnosis.Options{})
+		sys.Injector.PermanentFailSilent(3, sim.Time(100*sim.Millisecond))
+		sys.Injector.Bohrbug(sys.Sensor, scenario.ChSpeed,
+			func(v float64, now sim.Time) bool { return true }, 400)
+		return sys
+	}
+	plain, extra := faulty(), faulty()
+	obd := baseline.Attach(extra.Cluster)
+	const roundsPerRun = 512
+	var perRun [2]float64
+	for i, sys := range []*scenario.System{plain, extra} {
+		sys.Run(2000) // past the DTC threshold: both codes stored and re-counting
+		perRun[i] = testing.AllocsPerRun(2, func() { sys.Run(roundsPerRun) })
+	}
+	dtcs := obd.DTCs()
+	t.Logf("allocs per %d rounds: %.0f plain, %.0f with a second OBD (its codes: %v)", roundsPerRun, perRun[0], perRun[1], dtcs)
+	if len(dtcs) != 2 || dtcs[0].Count < 2 || dtcs[1].Count < 2 {
+		t.Fatalf("the second OBD should hold re-counted U and P codes, has %v", dtcs)
+	}
+	if perRun[1] != perRun[0] {
+		t.Errorf("OBD hooks allocate %.0f objects per %d rounds, want 0", perRun[1]-perRun[0], roundsPerRun)
 	}
 }
 

@@ -58,6 +58,13 @@ echo "== fuzz smoke (warranty stream ingest) =="
 # ingested afterwards must summarize exactly as in a fresh collector).
 go test -run='^$' -fuzz='^FuzzIngestStream$' -fuzztime=10s ./internal/warranty/
 
+echo "== fuzz smoke (warranty shard snapshot) =="
+# Ten seconds of arbitrary bytes through the snapshot decode a coordinator
+# runs on every peer's snapshot and a restarted daemon on its state file:
+# JSON decode and Validate must never panic, and a snapshot Validate
+# accepts must load, merge and summarize without error.
+go test -run='^$' -fuzz='^FuzzSnapshot$' -fuzztime=10s ./internal/warranty/
+
 echo "== fuzz smoke (broadcast frame fan-out) =="
 # Ten seconds of generated topologies and frames (intact, corrupted,
 # omitted, timing, cleared, hand-built, corrupted at one receiver only):
