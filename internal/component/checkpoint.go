@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"decos/internal/ckpt"
+	"decos/internal/seglog"
 	"decos/internal/sim"
 )
 
@@ -89,25 +90,27 @@ func (e *Environment) Snapshot(enc *ckpt.Encoder) {
 	for _, name := range names {
 		enc.String(name)
 		h := e.actuations[name]
-		enc.Int(len(h))
-		for _, a := range h {
-			enc.Varint(int64(a.At))
-			enc.Float64(a.Value)
+		enc.Int(h.Len())
+		for k := 0; k < h.NumSegs(); k++ {
+			for _, a := range h.Seg(k) {
+				enc.Varint(int64(a.At))
+				enc.Float64(a.Value)
+			}
 		}
 	}
 }
 
 // Restore replaces the environment's actuator history.
 func (e *Environment) Restore(d *ckpt.Decoder) error {
-	for name := range e.actuations {
-		delete(e.actuations, name)
-	}
+	clear(e.actuations)
 	n := d.Len(1 << 16)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		name := d.String()
-		h, nh := ckpt.MakeSlice[Actuation](d, 1<<24)
+		nh := d.Len(1 << 24)
+		h := new(seglog.Log[Actuation])
+		h.Reserve(nh)
 		for k := 0; k < nh && d.Err() == nil; k++ {
-			h = append(h, Actuation{At: sim.Time(d.Varint()), Value: d.Float64()})
+			h.Append(Actuation{At: sim.Time(d.Varint()), Value: d.Float64()})
 		}
 		if d.Err() == nil {
 			e.actuations[name] = h

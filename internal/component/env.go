@@ -3,6 +3,7 @@ package component
 import (
 	"math"
 
+	"decos/internal/seglog"
 	"decos/internal/sim"
 )
 
@@ -22,7 +23,7 @@ type Actuation struct {
 // every job has exclusive access to its sensors and actuators.
 type Environment struct {
 	signals     map[string]Signal
-	actuations  map[string][]Actuation
+	actuations  map[string]*seglog.Log[Actuation]
 	actuatorCap int
 }
 
@@ -31,7 +32,7 @@ type Environment struct {
 func NewEnvironment(cap int) *Environment {
 	return &Environment{
 		signals:     make(map[string]Signal),
-		actuations:  make(map[string][]Actuation),
+		actuations:  make(map[string]*seglog.Log[Actuation]),
 		actuatorCap: cap,
 	}
 }
@@ -60,23 +61,32 @@ func (e *Environment) Sample(name string, at sim.Time) float64 {
 	return 0
 }
 
-// Actuate records an actuator command.
+// Actuate records an actuator command. The history is a segmented log, so
+// once it reaches the cap, recording a command allocates nothing.
 func (e *Environment) Actuate(name string, v float64, at sim.Time) {
-	h := append(e.actuations[name], Actuation{At: at, Value: v})
-	if e.actuatorCap > 0 && len(h) > e.actuatorCap {
-		h = h[len(h)-e.actuatorCap:]
+	h := e.actuations[name]
+	if h == nil {
+		h = new(seglog.Log[Actuation])
+		e.actuations[name] = h
 	}
-	e.actuations[name] = h
+	h.Append(Actuation{At: at, Value: v})
+	if e.actuatorCap > 0 {
+		h.DropFront(h.Len() - e.actuatorCap)
+	}
 }
 
-// Actuations returns the recorded history of one actuator.
-func (e *Environment) Actuations(name string) []Actuation { return e.actuations[name] }
+// Actuations returns a copy of the recorded history of one actuator.
+func (e *Environment) Actuations(name string) []Actuation {
+	if h := e.actuations[name]; h != nil {
+		return h.AppendTo(nil)
+	}
+	return nil
+}
 
 // LastActuation returns the most recent command on the actuator.
 func (e *Environment) LastActuation(name string) (Actuation, bool) {
-	h := e.actuations[name]
-	if len(h) == 0 {
-		return Actuation{}, false
+	if h := e.actuations[name]; h != nil {
+		return h.Last()
 	}
-	return h[len(h)-1], true
+	return Actuation{}, false
 }

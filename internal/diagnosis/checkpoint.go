@@ -49,20 +49,24 @@ func (h *History) Snapshot(e *ckpt.Encoder) {
 	e.Varint(h.latest)
 	e.Uvarint(h.total)
 	n := 0
-	for _, list := range h.bySubject {
-		if list != nil {
+	for _, p := range h.present {
+		if p {
 			n++
 		}
 	}
 	e.Int(n)
-	for subj, list := range h.bySubject {
-		if list == nil {
+	for subj, p := range h.present {
+		if !p {
 			continue
 		}
+		list := &h.bySubject[subj]
 		e.Int(subj)
-		e.Int(len(list))
-		for i := range list {
-			encodeSymptom(e, &list[i])
+		e.Int(list.Len())
+		for k := 0; k < list.NumSegs(); k++ {
+			seg := list.Seg(k)
+			for i := range seg {
+				encodeSymptom(e, &seg[i])
+			}
 		}
 	}
 }
@@ -71,23 +75,27 @@ func (h *History) Snapshot(e *ckpt.Encoder) {
 func (h *History) Restore(d *ckpt.Decoder) error {
 	h.latest = d.Varint()
 	h.total = d.Uvarint()
-	clear(h.bySubject)
+	for i := range h.bySubject {
+		h.bySubject[i].Reset()
+	}
+	clear(h.present)
 	n := d.Len(1 << 20)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		subj := d.Int()
-		if d.Err() == nil && (subj < 0 || subj >= len(h.bySubject)) {
+		if d.Err() != nil {
+			break
+		}
+		if subj < 0 || subj >= len(h.bySubject) {
 			return fmt.Errorf("diagnosis: checkpoint history names subject %d, registry has %d FRUs", subj, len(h.bySubject))
 		}
-		list, nl := ckpt.MakeSlice[Symptom](d, 1<<24)
+		nl := d.Len(1 << 24)
+		list := &h.bySubject[subj]
+		list.Reset()
+		list.Reserve(nl)
 		for k := 0; k < nl && d.Err() == nil; k++ {
-			list = append(list, decodeSymptom(d))
+			list.Append(decodeSymptom(d))
 		}
-		if d.Err() == nil {
-			if list == nil {
-				list = []Symptom{} // present, though every symptom was pruned
-			}
-			h.bySubject[subj] = list
-		}
+		h.present[subj] = true
 	}
 	return d.Err()
 }

@@ -1,5 +1,7 @@
 package diagnosis
 
+import "decos/internal/seglog"
+
 // History is the distributed state the diagnostic DAS operates on: the
 // recent symptom stream, ordered by action-lattice granule, indexed by
 // subject FRU. ONAs are predicates over this store (paper Section V-A).
@@ -7,13 +9,16 @@ type History struct {
 	// RetainGranules bounds how far back symptoms are kept.
 	RetainGranules int64
 
-	// bySubject is indexed by subject FRU. A subject's list is non-nil
-	// once a symptom about it has been added (or restored), even if every
-	// symptom has since been pruned: exactly those subjects are carried by
-	// a checkpoint.
-	bySubject [][]Symptom
-	latest    int64
-	total     uint64
+	// bySubject is indexed by subject FRU. Each list is a segmented log,
+	// so a subject's sliding window stops allocating once it has reached
+	// its retention footprint; the queries below walk its segments.
+	bySubject []seglog.Log[Symptom]
+	// present marks the subjects a symptom has been added (or restored)
+	// for, even if every symptom has since been pruned: exactly those
+	// subjects are carried by a checkpoint.
+	present []bool
+	latest  int64
+	total   uint64
 }
 
 // NewHistory returns a store for the given number of subject FRUs (the
@@ -22,7 +27,11 @@ func NewHistory(retain int64, subjects int) *History {
 	if retain <= 0 {
 		panic("diagnosis: history retention must be positive")
 	}
-	return &History{RetainGranules: retain, bySubject: make([][]Symptom, subjects)}
+	return &History{
+		RetainGranules: retain,
+		bySubject:      make([]seglog.Log[Symptom], subjects),
+		present:        make([]bool, subjects),
+	}
 }
 
 // Add inserts a symptom and prunes expired entries for its subject.
@@ -38,20 +47,37 @@ func (h *History) Add(s Symptom) {
 		h.latest = s.Granule
 	}
 	h.total++
-	list := h.bySubject[s.Subject]
-	i := len(list)
-	for i > 0 && list[i-1].Granule > s.Granule {
-		i--
+	h.present[s.Subject] = true
+	list := &h.bySubject[s.Subject]
+	// Insert after the last symptom not newer than s, walking back from
+	// the tail: arrivals are at most slightly out of order.
+	i := list.Len()
+	for k := list.NumSegs() - 1; k >= 0; k-- {
+		seg := list.Seg(k)
+		j := len(seg)
+		for j > 0 && seg[j-1].Granule > s.Granule {
+			j--
+		}
+		i -= len(seg) - j
+		if j > 0 {
+			break
+		}
 	}
-	list = append(list, Symptom{})
-	copy(list[i+1:], list[i:])
-	list[i] = s
+	list.Insert(i, s)
 	cut := h.latest - h.RetainGranules
-	start := 0
-	for start < len(list) && list[start].Granule < cut {
-		start++
+	expired := 0
+	for k := 0; k < list.NumSegs(); k++ {
+		seg := list.Seg(k)
+		j := 0
+		for j < len(seg) && seg[j].Granule < cut {
+			j++
+		}
+		expired += j
+		if j < len(seg) {
+			break
+		}
 	}
-	h.bySubject[s.Subject] = list[start:]
+	list.DropFront(expired)
 }
 
 // Latest returns the newest granule seen.
@@ -75,25 +101,32 @@ func KindIn(kinds ...Kind) Filter {
 	}
 }
 
+// noSymptoms is the empty list of a subject outside the registry.
+var noSymptoms seglog.Log[Symptom]
+
 // list returns the subject's retained symptoms, granule-sorted. Shared
-// internal state: same-package query helpers iterate it without copying.
-func (h *History) list(subject FRUIndex) []Symptom {
+// internal state: same-package query helpers scan its segments in place.
+func (h *History) list(subject FRUIndex) *seglog.Log[Symptom] {
 	if int(subject) >= len(h.bySubject) {
-		return nil
+		return &noSymptoms
 	}
-	return h.bySubject[subject]
+	return &h.bySubject[subject]
 }
 
 // Window returns the subject's symptoms with granule in [from, to]
 // (inclusive) that pass the filter.
 func (h *History) Window(subject FRUIndex, from, to int64, f Filter) []Symptom {
 	var out []Symptom
-	for _, s := range h.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule >= from && (f == nil || f(s)) {
-			out = append(out, s)
+	l := h.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
+			}
+			if s.Granule >= from && (f == nil || f(s)) {
+				out = append(out, s)
+			}
 		}
 	}
 	return out
@@ -104,12 +137,16 @@ func (h *History) Window(subject FRUIndex, from, to int64, f Filter) []Symptom {
 // allocates nothing — ONAs call this many times per epoch.
 func (h *History) Count(subject FRUIndex, from, to int64, f Filter) int {
 	n := 0
-	for _, s := range h.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule >= from && (f == nil || f(s)) {
-			n += int(s.Count)
+	l := h.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
+			}
+			if s.Granule >= from && (f == nil || f(s)) {
+				n += int(s.Count)
+			}
 		}
 	}
 	return n
@@ -119,22 +156,26 @@ func (h *History) Count(subject FRUIndex, from, to int64, f Filter) int {
 // the subject in the window.
 func (h *History) Observers(subject FRUIndex, from, to int64, f Filter) []FRUIndex {
 	var out []FRUIndex
-	for _, s := range h.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == s.Observer {
-				dup = true
-				break
+	l := h.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
 			}
-		}
-		if !dup {
-			out = append(out, s.Observer)
+			if s.Granule < from || (f != nil && !f(s)) {
+				continue
+			}
+			dup := false
+			for _, o := range out {
+				if o == s.Observer {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				out = append(out, s.Observer)
+			}
 		}
 	}
 	return out
@@ -145,15 +186,19 @@ func (h *History) Observers(subject FRUIndex, from, to int64, f Filter) []FRUInd
 // distinctness is a comparison against the previous entry.
 func (h *History) ActiveGranules(subject FRUIndex, from, to int64, f Filter) []int64 {
 	var out []int64
-	for _, s := range h.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] != s.Granule {
-			out = append(out, s.Granule)
+	l := h.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
+			}
+			if s.Granule < from || (f != nil && !f(s)) {
+				continue
+			}
+			if len(out) == 0 || out[len(out)-1] != s.Granule {
+				out = append(out, s.Granule)
+			}
 		}
 	}
 	return out
@@ -163,13 +208,17 @@ func (h *History) ActiveGranules(subject FRUIndex, from, to int64, f Filter) []i
 // window.
 func (h *History) MaxDeviation(subject FRUIndex, from, to int64, f Filter) float64 {
 	max := 0.0
-	for _, s := range h.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule >= from && (f == nil || f(s)) {
-			if d := float64(s.Deviation); d > max {
-				max = d
+	l := h.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
+			}
+			if s.Granule >= from && (f == nil || f(s)) {
+				if d := float64(s.Deviation); d > max {
+					max = d
+				}
 			}
 		}
 	}

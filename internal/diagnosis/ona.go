@@ -73,16 +73,20 @@ func (c *EvalContext) windowStart() int64 {
 // symptoms granule-sorted).
 func (c *EvalContext) activeGranuleCount(subject FRUIndex, from, to int64, f Filter) int {
 	n, last := 0, int64(-1)
-	for _, s := range c.Hist.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		if n == 0 || s.Granule != last {
-			n++
-			last = s.Granule
+	l := c.Hist.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
+			}
+			if s.Granule < from || (f != nil && !f(s)) {
+				continue
+			}
+			if n == 0 || s.Granule != last {
+				n++
+				last = s.Granule
+			}
 		}
 	}
 	return n
@@ -92,15 +96,19 @@ func (c *EvalContext) activeGranuleCount(subject FRUIndex, from, to int64, f Fil
 // (ascending) to dst and returns the extended slice.
 func (c *EvalContext) appendActiveGranules(dst []int64, subject FRUIndex, from, to int64, f Filter) []int64 {
 	start := len(dst)
-	for _, s := range c.Hist.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		if len(dst) == start || dst[len(dst)-1] != s.Granule {
-			dst = append(dst, s.Granule)
+	l := c.Hist.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
+			}
+			if s.Granule < from || (f != nil && !f(s)) {
+				continue
+			}
+			if len(dst) == start || dst[len(dst)-1] != s.Granule {
+				dst = append(dst, s.Granule)
+			}
 		}
 	}
 	return dst
@@ -111,22 +119,26 @@ func (c *EvalContext) appendActiveGranules(dst []int64, subject FRUIndex, from, 
 // (NoFRU otherwise).
 func (c *EvalContext) observerStats(subject FRUIndex, from, to int64, f Filter) (int, FRUIndex) {
 	seen := c.obsScratch[:0]
-	for _, s := range c.Hist.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		dup := false
-		for _, o := range seen {
-			if o == s.Observer {
-				dup = true
-				break
+	l := c.Hist.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
 			}
-		}
-		if !dup {
-			seen = append(seen, s.Observer)
+			if s.Granule < from || (f != nil && !f(s)) {
+				continue
+			}
+			dup := false
+			for _, o := range seen {
+				if o == s.Observer {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				seen = append(seen, s.Observer)
+			}
 		}
 	}
 	c.obsScratch = seen[:0]
@@ -579,17 +591,21 @@ func (o ConfigurationONA) Evaluate(ctx *EvalContext) []Finding {
 		}
 		total := 0
 		producersClean := true
-		for _, s := range ctx.Hist.list(sw) {
-			if s.Granule > ctx.Granule {
-				break
-			}
-			if s.Granule < from || s.Kind != SymOverflow {
-				continue
-			}
-			total += int(s.Count)
-			if meta, ok := ctx.Reg.Channel(s.Channel); ok {
-				if ctx.Hist.Count(meta.ProducerJob, from, ctx.Granule, hardValue) > 0 {
-					producersClean = false
+		l := ctx.Hist.list(sw)
+	scan:
+		for k := 0; k < l.NumSegs(); k++ {
+			for _, s := range l.Seg(k) {
+				if s.Granule > ctx.Granule {
+					break scan
+				}
+				if s.Granule < from || s.Kind != SymOverflow {
+					continue
+				}
+				total += int(s.Count)
+				if meta, ok := ctx.Reg.Channel(s.Channel); ok {
+					if ctx.Hist.Count(meta.ProducerJob, from, ctx.Granule, hardValue) > 0 {
+						producersClean = false
+					}
 				}
 			}
 		}

@@ -24,15 +24,22 @@ func encodeMessage(e *ckpt.Encoder, m *Message) {
 	e.Bytes8(m.Payload)
 }
 
+// decodeMessage reads a message whose payload aliases the stream; the
+// caller copies it into storage it owns.
 func decodeMessage(d *ckpt.Decoder) Message {
-	m := Message{
+	return Message{
 		Channel: ChannelID(d.Int()),
 		Seq:     uint32(d.Uvarint()),
 		SentAt:  sim.Time(d.Varint()),
+		Payload: d.Bytes8(),
 	}
-	if b := d.Bytes8(); len(b) > 0 {
-		m.Payload = append([]byte(nil), b...)
-	}
+}
+
+// ownedMessage is decodeMessage with the payload copied out of the
+// stream (nil when empty).
+func ownedMessage(d *ckpt.Decoder) Message {
+	m := decodeMessage(d)
+	m.Payload = append([]byte(nil), m.Payload...)
 	return m
 }
 
@@ -97,7 +104,7 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 		nq := d.Len(1 << 20)
 		ep.outQueue = ep.outQueue[:0]
 		for j := 0; j < nq && d.Err() == nil; j++ {
-			ep.outQueue = append(ep.outQueue, decodeMessage(d))
+			ep.outQueue = append(ep.outQueue, ownedMessage(d))
 		}
 		nt := d.Len(1 << 16)
 		if d.Err() == nil && nt != len(ep.ttOrder) {
@@ -106,7 +113,7 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 		for j := 0; j < nt && d.Err() == nil; j++ {
 			cs := ep.ttOrder[j]
 			if d.Bool() {
-				m := decodeMessage(d)
+				m := ownedMessage(d)
 				cs.state = &m
 			} else {
 				cs.state = nil
@@ -173,9 +180,16 @@ func (f *Fabric) Restore(d *ckpt.Decoder) error {
 		}
 		p.Capacity = d.Int()
 		nq := d.Len(1 << 20)
-		p.queue = p.queue[:0]
+		p.queue, p.queued = p.queue[:0], 0
 		for j := 0; j < nq && d.Err() == nil; j++ {
-			p.queue = append(p.queue, decodeMessage(d))
+			if p.Overwrite {
+				p.queue = append(p.queue, ownedMessage(d))
+				continue
+			}
+			m := decodeMessage(d)
+			m.Payload = p.own(m.Payload)
+			p.queue = append(p.queue, m)
+			p.queued += len(m.Payload)
 		}
 		st := &p.Stats
 		st.Received = d.Int()

@@ -24,6 +24,12 @@ type InPort struct {
 	Overwrite bool
 
 	queue []Message
+	// arena holds an event port's payloads, appended in arrival order:
+	// those of the queued messages, plus received and dropped ones until
+	// the next reset or compaction (see own). queued is the byte count of
+	// the queued payloads.
+	arena  []byte
+	queued int
 
 	Stats PortStats
 }
@@ -43,7 +49,9 @@ type PortStats struct {
 }
 
 // Receive pops the oldest queued message. ok is false when the queue is
-// empty.
+// empty. On an event port the payload lives in the port's arena, so like
+// Peek's it is valid only until the next delivery to this port; copy it
+// to retain it.
 func (p *InPort) Receive() (Message, bool) {
 	if len(p.queue) == 0 {
 		return Message{}, false
@@ -53,12 +61,15 @@ func (p *InPort) Receive() (Message, bool) {
 	n := copy(p.queue, p.queue[1:])
 	p.queue[n] = Message{}
 	p.queue = p.queue[:n]
+	if !p.Overwrite {
+		p.queued -= len(m.Payload)
+	}
 	return m, true
 }
 
-// Peek returns the newest message without consuming it. On a state port
-// (Overwrite) the payload is only valid until the next delivery; copy it to
-// retain it across rounds.
+// Peek returns the newest message without consuming it. Its payload is
+// only valid until the next delivery to this port; copy it to retain it
+// across rounds.
 func (p *InPort) Peek() (Message, bool) {
 	if len(p.queue) == 0 {
 		return Message{}, false
@@ -80,11 +91,16 @@ func (p *InPort) deliver(m Message, crcValid bool, now sim.Time) {
 	// port recycles the buffer of the value it is about to displace — by
 	// the time this delivery returns, nothing references it (Stats is
 	// repointed below, and Peek'd payloads are documented as transient).
-	var buf []byte
-	if p.Overwrite && len(p.queue) == 1 {
-		buf = p.queue[0].Payload[:0]
+	// An event port copies into its arena.
+	if p.Overwrite {
+		var buf []byte
+		if len(p.queue) == 1 {
+			buf = p.queue[0].Payload[:0]
+		}
+		m.Payload = append(buf, m.Payload...)
+	} else {
+		m.Payload = p.own(m.Payload)
 	}
-	m.Payload = append(buf, m.Payload...)
 	if p.Stats.haveSeq && m.Seq != p.Stats.LastSeq+1 && m.Seq > p.Stats.LastSeq {
 		p.Stats.SeqGaps++
 	}
@@ -104,6 +120,37 @@ func (p *InPort) deliver(m Message, crcValid bool, now sim.Time) {
 		return
 	}
 	p.queue = append(p.queue, m)
+	p.queued += len(m.Payload)
+}
+
+// own copies an event payload to the end of the port's arena and returns
+// the copy, capped so an append to it cannot reach the next payload. The
+// arena is emptied when the queue is, and once the queued payloads are
+// under half of it, they are moved down to its front, in queue order;
+// both happen only here, so every payload a port has handed out stays
+// intact until its next delivery. A port that is never drained thus
+// keeps at most twice its queued bytes plus one payload.
+//
+// The compaction relies on the queued payloads lying in queue order at
+// ascending arena offsets (a payload appended before the arena last grew
+// sits at the same offset of the array it outgrew), so each one's new
+// place never overlaps a later one's bytes.
+func (p *InPort) own(payload []byte) []byte {
+	if len(p.queue) == 0 {
+		p.arena = p.arena[:0]
+	} else if len(p.arena) > 2*p.queued {
+		n := 0
+		for i := range p.queue {
+			q := &p.queue[i]
+			k := copy(p.arena[n:], q.Payload)
+			q.Payload = p.arena[n : n+k : n+k]
+			n += k
+		}
+		p.arena = p.arena[:n]
+	}
+	off := len(p.arena)
+	p.arena = append(p.arena, payload...)
+	return p.arena[off:len(p.arena):len(p.arena)]
 }
 
 // subscription is one channel's subscribed ports, in subscription order.

@@ -1,6 +1,8 @@
 package vnet
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"decos/internal/sim"
@@ -161,6 +163,87 @@ func TestReceiveQueueOverflow(t *testing.T) {
 	}
 	if in.QueueLen() != 1 {
 		t.Errorf("queue = %d, want 1", in.QueueLen())
+	}
+}
+
+// TestEventPortArenaStaysBounded feeds bursty event traffic of varying
+// payload sizes to two bounded ports for 10k rounds: one is never
+// drained, the other drains a random number of messages each round. Each
+// port's arena must stay within twice its queued bytes plus the last
+// payload, and every queued or received payload must still read as sent,
+// although compaction keeps moving the queued ones.
+func TestEventPortArenaStaysBounded(t *testing.T) {
+	const capacity, maxLen = 16, 24
+	cfg := tt.UniformSchedule(3, 250*sim.Microsecond, 128)
+	f := NewFabric(cfg, sim.NewRNG(1))
+	etn := NewNetwork("das.et", EventTriggered, "das")
+	etn.AddEndpoint(0, 120, 64)
+	etn.DeclareChannel(10, 0)
+	f.AddNetwork(etn)
+	stuck := f.Subscribe(1, 10, capacity, false)
+	drained := f.Subscribe(2, 10, capacity, false)
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewPCG(20050404, 18))
+	var sent [][]byte // indexed by sequence number
+	check := func(p *InPort, round int) {
+		t.Helper()
+		queued := 0
+		for _, m := range p.queue {
+			if !bytes.Equal(m.Payload, sent[m.Seq]) {
+				t.Fatalf("round %d, node %d: queued seq %d reads %v, sent %v", round, p.Node, m.Seq, m.Payload, sent[m.Seq])
+			}
+			queued += len(m.Payload)
+		}
+		if queued != p.queued {
+			t.Fatalf("round %d, node %d: port counts %d queued bytes, queue holds %d", round, p.Node, p.queued, queued)
+		}
+		if limit := 2*queued + len(p.Stats.LastValue); len(p.arena) > limit {
+			t.Fatalf("round %d, node %d: arena holds %d B for %d queued B (limit %d)", round, p.Node, len(p.arena), queued, limit)
+		}
+	}
+	for round := 0; round < 10000; round++ {
+		now := sim.Time(round * 1000)
+		burst := 0
+		if rng.IntN(4) == 0 {
+			burst = rng.IntN(12)
+		}
+		for i := 0; i < burst; i++ {
+			p := make([]byte, 1+rng.IntN(maxLen))
+			for j := range p {
+				p[j] = byte(len(sent) + j)
+			}
+			sent = append(sent, p)
+			etn.Send(10, p, now)
+		}
+		frame := f.BuildPayload(0)
+		delivered := drained.Stats.Received
+		for _, rcv := range []tt.NodeID{1, 2} {
+			f.ConsumeFrame(rcv, tt.Frame{Round: int64(round), Sender: 0, Payload: frame}, tt.FrameOK, now)
+		}
+		check(stuck, round)
+		// The bound holds after every delivery; receives leave dead
+		// bytes behind until the next one.
+		if drained.Stats.Received > delivered {
+			check(drained, round)
+		}
+		for n := rng.IntN(4); n > 0; n-- {
+			m, ok := drained.Receive()
+			if !ok {
+				break
+			}
+			if !bytes.Equal(m.Payload, sent[m.Seq]) {
+				t.Fatalf("round %d: received seq %d reads %v, sent %v", round, m.Seq, m.Payload, sent[m.Seq])
+			}
+		}
+	}
+	if stuck.Stats.Overflows == 0 || drained.Stats.Overflows == 0 || drained.Stats.Received < 1000 {
+		t.Fatalf("traffic too light to test the arena: stats %+v and %+v", stuck.Stats, drained.Stats)
+	}
+	if limit := 2 * (2*capacity*maxLen + maxLen); cap(stuck.arena) > limit || cap(drained.arena) > limit {
+		t.Errorf("arena capacities %d and %d B, want <= %d", cap(stuck.arena), cap(drained.arena), limit)
 	}
 }
 

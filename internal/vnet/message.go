@@ -77,13 +77,13 @@ const (
 // length.
 func WireSize(payloadLen int) int { return headerBytes + payloadLen + crcBytes }
 
-// crcTables are the slicing-by-4 tables for CRC-16/CCITT-FALSE (polynomial
+// crcTables are the slicing-by-8 tables for CRC-16/CCITT-FALSE (polynomial
 // 0x1021, MSB first): crcTables[k][v] is the register contribution of byte
-// v followed by k zero bytes, so four XORed lookups advance the register
-// over four bytes. Every message is checksummed on encode and checked on
-// decode, which makes the CRC one of the hottest functions of a full
-// simulation.
-var crcTables = func() (t [4][256]uint16) {
+// v followed by k zero bytes, so eight XORed lookups advance the register
+// over eight bytes (and the first four tables over four). Every message is
+// checksummed on encode and checked on decode, which makes the CRC one of
+// the hottest functions of a full simulation.
+var crcTables = func() (t [8][256]uint16) {
 	for i := range t[0] {
 		crc := uint16(i) << 8
 		for b := 0; b < 8; b++ {
@@ -103,13 +103,20 @@ var crcTables = func() (t [4][256]uint16) {
 	return
 }()
 
-// crc16 computes CRC-16/CCITT-FALSE, four bytes per step; the zero to
-// three trailing bytes go through the byte table.
+// crc16 computes CRC-16/CCITT-FALSE, eight bytes per step, then one
+// four-byte step if four or more bytes remain (most 15- to 28-byte
+// messages end with one); the zero to three trailing bytes go through the
+// byte table.
 func crc16(data []byte) uint16 {
 	t := &crcTables
 	crc := uint16(0xffff)
-	for ; len(data) >= 4; data = data[4:] {
+	for ; len(data) >= 8; data = data[8:] {
+		crc = t[7][byte(crc>>8)^data[0]] ^ t[6][byte(crc)^data[1]] ^ t[5][data[2]] ^ t[4][data[3]] ^
+			t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]]
+	}
+	if len(data) >= 4 {
 		crc = t[3][byte(crc>>8)^data[0]] ^ t[2][byte(crc)^data[1]] ^ t[1][data[2]] ^ t[0][data[3]]
+		data = data[4:]
 	}
 	for _, b := range data {
 		crc = crc<<8 ^ t[0][byte(crc>>8)^b]

@@ -72,6 +72,13 @@ echo "== fuzz smoke (broadcast frame fan-out) =="
 # shares must match a per-receiver reference decode at every receiver.
 go test -run='^$' -fuzz='^FuzzFrameFanout$' -fuzztime=10s ./internal/vnet/
 
+echo "== fuzz smoke (segmented log) =="
+# Ten seconds of op streams (appends, near-tail inserts, front drops,
+# reserves, resets) through the segmented log that holds the symptom and
+# actuator histories: every state must read, segment by segment, exactly
+# as a plain-slice model of the same ops.
+go test -run='^$' -fuzz='^FuzzLog$' -fuzztime=10s ./internal/seglog/
+
 echo "== fuzz smoke (engine checkpoint restore) =="
 # Same contract for the restore path: checkpoint files travel through
 # disks and uplinks, so corrupt or truncated bytes must surface as
