@@ -148,12 +148,11 @@ func NewCluster(n int, maxDriftPPM, jitterUS, precisionUS float64, k int, rng *s
 // Resync.
 func (c *Cluster) InSync(i int) bool { return c.inSync[i] }
 
-// Resync performs one FTA resynchronization round at global time now and
-// returns the achieved precision (max pairwise deviation of in-sync nodes
-// after correction). Nodes whose deviation from the fault-tolerant ensemble
-// midpoint exceeds PrecisionUS are marked out of sync and do not contribute
-// to subsequent corrections.
-func (c *Cluster) Resync(now sim.Time) float64 {
+// Resync performs one FTA resynchronization round at global time now.
+// Nodes whose deviation from the fault-tolerant ensemble midpoint exceeds
+// PrecisionUS are marked out of sync and do not contribute to subsequent
+// corrections. Precision reads the achieved precision.
+func (c *Cluster) Resync(now sim.Time) {
 	devs := c.devs[:0]
 	idx := c.idx[:0]
 	for i, o := range c.Oscillators {
@@ -176,7 +175,6 @@ func (c *Cluster) Resync(now sim.Time) float64 {
 		}
 		c.Oscillators[i].Adjust(now, corr)
 	}
-	return c.Precision(now)
 }
 
 // Readmit marks node i as in sync again (after repair/restart) and snaps

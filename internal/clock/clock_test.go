@@ -99,8 +99,8 @@ func TestClusterResyncMaintainsPrecision(t *testing.T) {
 	worst := 0.0
 	for r := 0; r < 1000; r++ {
 		now = now.Add(2 * sim.Millisecond)
-		p := c.Resync(now)
-		worst = math.Max(worst, p)
+		c.Resync(now)
+		worst = math.Max(worst, c.Precision(now))
 	}
 	if c.SyncedCount() != 6 {
 		t.Fatalf("lost sync: %d/6 nodes in sync", c.SyncedCount())

@@ -65,10 +65,6 @@ func (ct controller) BuildFrame(round int64, slot int) []byte {
 	return ct.c.cluster.Fabric.BuildPayload(ct.c.ID)
 }
 
-func (ct controller) OnSlot(f tt.Frame, st tt.FrameStatus) {
-	ct.c.cluster.Fabric.ConsumeFrame(ct.c.ID, f, st, ct.c.cluster.Sched.Now())
-}
-
 func (ct controller) OnRoundEnd(round int64) {
 	c := ct.c
 	now := c.cluster.Sched.Now()
@@ -127,6 +123,7 @@ func NewCluster(cfg tt.Config, seed uint64) *Cluster {
 		dass:       make(map[string]*DAS),
 		specs:      make(map[vnet.ChannelID]ChannelSpec),
 	}
+	cl.Bus.SetReception(cl.Fabric.ConsumeSlot)
 	return cl
 }
 

@@ -14,10 +14,6 @@ type Controller interface {
 	// the frame payload (at most Config.PayloadBytes; longer payloads are
 	// truncated by the guardian, shorter ones are allowed).
 	BuildFrame(round int64, slot int) []byte
-	// OnSlot is called on every node for every slot with the frame as this
-	// node received it. A node also observes its own transmissions
-	// (loop-back), as time-triggered controllers do.
-	OnSlot(f Frame, status FrameStatus)
 	// OnRoundEnd is called after the final slot of each round, in node-id
 	// order. Application jobs execute here.
 	OnRoundEnd(round int64)
@@ -32,6 +28,11 @@ type TxFault func(f *Frame)
 // transmitted and the status as seen so far, and returns the (possibly
 // degraded) status. Receiver-side faults model inbound connector problems.
 type RxFault func(receiver NodeID, f *Frame, status FrameStatus) FrameStatus
+
+// Reception delivers a slot's broadcast frame to all nodes (the sender too)
+// at once: statuses can differ per receiver; powered is false for ids that
+// receive nothing. Slices are indexed by NodeID and, like f, reused.
+type Reception func(f *Frame, perReceiver []FrameStatus, powered []bool)
 
 // SlotObserver is called once per slot after delivery, with the per-receiver
 // statuses indexed by NodeID (entries for unattached ids are meaningless).
@@ -72,6 +73,7 @@ type Bus struct {
 
 	txFaults   []txHook // insertion (== id) order
 	rxFaults   []rxHook
+	reception  Reception
 	observers  []SlotObserver
 	roundHooks []func(round int64)
 	nextHookID int
@@ -219,6 +221,10 @@ func (b *Bus) RemoveFault(id int) {
 	}
 }
 
+// SetReception installs the delivery called once per slot, after every
+// node's rx faults and membership update, before the slot observers.
+func (b *Bus) SetReception(r Reception) { b.reception = r }
+
 // Observe installs a slot observer.
 func (b *Bus) Observe(o SlotObserver) { b.observers = append(b.observers, o) }
 
@@ -331,7 +337,7 @@ func (b *Bus) runSlot(round int64, slot int) {
 		h.fn(f)
 	}
 
-	// Delivery: every attached node observes the slot.
+	// Reception: every attached node's status, then one delivery.
 	per := b.per
 	for _, n := range b.nodeOrder {
 		st := f.Status
@@ -341,10 +347,11 @@ func (b *Bus) runSlot(round int64, slot int) {
 		per[n] = st
 		if b.alive[n] {
 			b.membership[n].Record(f.Sender, round, st)
-			b.nodes[n].OnSlot(*f, st)
 		}
 	}
-
+	if b.reception != nil {
+		b.reception(f, per, b.alive)
+	}
 	for _, o := range b.observers {
 		o(f, per)
 	}

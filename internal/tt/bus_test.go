@@ -1,13 +1,16 @@
 package tt
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"decos/internal/clock"
 	"decos/internal/sim"
 )
 
-// recController is a minimal controller that records everything it observes.
+// recController is a minimal controller that records everything it
+// observes; receive feeds it the slots its node receives.
 type recController struct {
 	id       NodeID
 	payload  []byte
@@ -22,9 +25,17 @@ func (r *recController) BuildFrame(round int64, slot int) []byte {
 	return r.payload
 }
 
-func (r *recController) OnSlot(f Frame, st FrameStatus) {
-	r.statuses = append(r.statuses, st)
-	r.senders = append(r.senders, f.Sender)
+// receive is a Reception that hands every powered node's status to its
+// recController.
+func receive(ctrls []*recController) Reception {
+	return func(f *Frame, per []FrameStatus, powered []bool) {
+		for _, r := range ctrls {
+			if powered[r.id] {
+				r.statuses = append(r.statuses, per[r.id])
+				r.senders = append(r.senders, f.Sender)
+			}
+		}
+	}
 }
 
 func (r *recController) OnRoundEnd(round int64) { r.rounds = append(r.rounds, round) }
@@ -39,6 +50,7 @@ func newCluster(t *testing.T, n int) (*sim.Scheduler, *Bus, []*recController) {
 		ctrls[i] = &recController{id: NodeID(i), payload: []byte{byte(i)}}
 		bus.Attach(NodeID(i), ctrls[i])
 	}
+	bus.SetReception(receive(ctrls))
 	bus.Start()
 	return sched, bus, ctrls
 }
@@ -241,6 +253,7 @@ func TestOutOfSyncSenderProducesTimingFailures(t *testing.T) {
 		ctrls[i] = &recController{id: NodeID(i), payload: []byte{byte(i)}}
 		bus.Attach(NodeID(i), ctrls[i])
 	}
+	bus.SetReception(receive(ctrls))
 	bus.Start()
 	// Defective quartz on node 1.
 	bus.Clocks.Oscillators[1].DriftPPM = 100000
@@ -369,4 +382,76 @@ func TestSetAliveUnattachedPanics(t *testing.T) {
 	bus.SetBabbling(1, true)
 	bus.SetBabbling(1, false)
 	bus.SetAlive(1, true)
+}
+
+// TestReceptionOncePerSlot pins the reception contract: one call per
+// slot, after every attached node's receiver-side faults (in node order)
+// and membership update, before the slot observers, carrying the statuses
+// the faults left.
+func TestReceptionOncePerSlot(t *testing.T) {
+	sched := sim.NewScheduler()
+	cfg := UniformSchedule(4, 250*sim.Microsecond, 32)
+	bus := NewBus(cfg, sched)
+	for i := 0; i < 4; i++ {
+		bus.Attach(NodeID(i), &recController{payload: []byte{byte(i)}})
+	}
+	var log []string
+	bus.AddRxFault(func(rcv NodeID, f *Frame, st FrameStatus) FrameStatus {
+		log = append(log, fmt.Sprintf("rx%d", rcv))
+		if rcv == 3 {
+			return FrameCorrupted
+		}
+		return st
+	})
+	receptions := 0
+	bus.SetReception(func(f *Frame, per []FrameStatus, powered []bool) {
+		receptions++
+		log = append(log, "reception")
+		for n := NodeID(0); n < 4; n++ {
+			if got := bus.Membership(n).lastSeen[f.Sender]; got != f.Round {
+				t.Errorf("round %d slot %d: node %d's membership last saw round %d at reception", f.Round, f.Slot, n, got)
+			}
+			want := FrameOK
+			if n == 3 {
+				want = FrameCorrupted
+			}
+			if per[n] != want || !powered[n] {
+				t.Errorf("round %d slot %d: node %d status %v powered %v, want %v powered", f.Round, f.Slot, n, per[n], powered[n], want)
+			}
+		}
+	})
+	bus.Observe(func(*Frame, []FrameStatus) { log = append(log, "observer") })
+	bus.Start()
+	runRounds(sched, cfg, 2)
+
+	if receptions != 8 {
+		t.Errorf("%d receptions in 8 slots, want one per slot", receptions)
+	}
+	slot := "rx0 rx1 rx2 rx3 reception observer"
+	if got, want := strings.Join(log, " "), strings.TrimSpace(strings.Repeat(slot+" ", 8)); got != want {
+		t.Errorf("call order\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestPoweredOffNodeReceivesNothing powers node 2 off: it receives no
+// slot, its own slots go out omitted, and the frame tallies count exactly
+// that.
+func TestPoweredOffNodeReceivesNothing(t *testing.T) {
+	sched, bus, ctrls := newCluster(t, 4)
+	runRounds(sched, bus.Cfg, 2)
+	before := len(ctrls[2].statuses)
+	bus.SetAlive(2, false)
+	runRounds(sched, bus.Cfg, 5)
+	if got := len(ctrls[2].statuses); got != before {
+		t.Errorf("powered-off node 2 received %d slots", got-before)
+	}
+	for _, n := range []int{0, 1, 3} {
+		if got := len(ctrls[n].statuses); got != 20 {
+			t.Errorf("node %d received %d slots in 5 rounds, want 20", n, got)
+		}
+	}
+	want := FrameCounts{Total: 20, OK: 17, Omitted: 3}
+	if got := bus.FrameCounts(); got != want {
+		t.Errorf("FrameCounts = %+v, want %+v", got, want)
+	}
 }

@@ -1,7 +1,6 @@
 package vnet
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -188,28 +187,6 @@ type sender struct {
 	buf  []byte
 }
 
-// frameDecode is one broadcast frame decoded for all of its receivers.
-// Parsing, CRC checks and channel routing depend only on the bytes that
-// were broadcast (after a corrupted frame's deterministic bit flips), never
-// on the receiver, so the first ConsumeFrame of a slot fills it and the
-// other receivers reuse it. The key is the frame as received: coordinates,
-// corruption and a copy of the payload bytes, so a payload the fabric did
-// not build, or one reused in place, is never confused with another.
-type frameDecode struct {
-	valid       bool
-	sender      tt.NodeID
-	round       int64
-	slot        int
-	corruptBits int
-	raw         []byte // the payload as received (part of the key)
-	damaged     []byte // a corrupted frame's bytes after the bit flips
-	// msgs are the routed records with at least one subscriber; their
-	// payloads alias raw or damaged.
-	msgs []decodeResult
-	// errors is the decode-error count one consumption of the frame adds.
-	errors int
-}
-
 // Fabric wires a set of virtual networks onto a time-triggered cluster: it
 // computes the per-node frame layout, packs outbound segments into frames
 // and dispatches received segments to subscriber ports.
@@ -224,13 +201,13 @@ type Fabric struct {
 	// function of the frame's coordinates, so every receiver of one
 	// corrupted broadcast observes the same damaged bytes.
 	corruptSeed uint64
-	// decoded holds the current slot's frame as received intact
-	// (decoded[0]) and as received corrupted (decoded[1]): a receiver-side
-	// fault may corrupt the frame at some receivers only.
-	decoded [2]frameDecode
+	// damaged holds the current slot's frame after the bit flips, for the
+	// receivers that got it corrupted.
+	damaged []byte
 
-	// DecodeErrors counts frames whose segment structure was undecodable
-	// after corruption.
+	// DecodeErrors counts, per receiver that consumed it, the undecodable
+	// records of a frame: truncated segment tails and records claiming a
+	// channel the sender does not produce.
 	DecodeErrors int
 	sealed       bool
 }
@@ -392,16 +369,14 @@ func (f *Fabric) Network(name string) *Network {
 	return nil
 }
 
-// BuildPayload assembles node's frame payload for one round by packing each
-// attached network's segment at its fixed offset. The returned buffer is
-// reused on the node's next BuildPayload: frames are consumed within their
-// TDMA slot, so nothing holds it longer. Building a frame starts a new
-// slot, so it also drops the previous slot's decodes.
+// BuildPayload assembles node's frame payload for one round: each attached
+// network packs its segment in place, at its fixed offset. The returned
+// buffer is reused on the node's next BuildPayload: frames are consumed
+// within their TDMA slot, so nothing holds it longer.
 func (f *Fabric) BuildPayload(node tt.NodeID) []byte {
 	if !f.sealed {
 		panic("vnet: BuildPayload before Seal")
 	}
-	f.decoded[0].valid, f.decoded[1].valid = false, false
 	segs := f.layout(node)
 	if len(segs) == 0 {
 		return nil
@@ -413,103 +388,129 @@ func (f *Fabric) BuildPayload(node tt.NodeID) []byte {
 		snd.buf = make([]byte, size)
 	}
 	buf := snd.buf[:size]
-	clear(buf)
 	for _, s := range segs {
-		copy(buf[s.offset:s.offset+s.length], s.ep.packSegment())
+		end := s.offset + s.length
+		s.ep.packSegment(buf[s.offset:end:end])
 	}
 	return buf
 }
 
-// ConsumeFrame dispatches one received frame at one receiver. Correct
-// frames are decoded per the sender's layout and delivered to the
-// receiver's subscribed ports; corrupted frames have CorruptBits random bits
-// flipped first (so CRC checks fail realistically); omitted/timing frames
-// record a miss on every subscribed port fed by the sender. The decode is
-// shared by every receiver of the slot; only the delivery is per receiver.
-func (f *Fabric) ConsumeFrame(receiver tt.NodeID, fr tt.Frame, st tt.FrameStatus, now sim.Time) {
+// form maps a receiver's status to how it got the frame: not at all
+// (FrameOmitted, for timing failures too), FrameCorrupted, or intact
+// (FrameOK, for any other status).
+func form(st tt.FrameStatus) tt.FrameStatus {
+	switch st {
+	case tt.FrameOmitted, tt.FrameTiming:
+		return tt.FrameOmitted
+	case tt.FrameCorrupted:
+		return tt.FrameCorrupted
+	}
+	return tt.FrameOK
+}
+
+// slotReceivers is one slot's reception, indexed by NodeID (see
+// tt.Reception).
+type slotReceivers struct {
+	per     []tt.FrameStatus
+	powered []bool
+}
+
+// got reports whether receiver n is powered and got the frame in form f.
+func (r slotReceivers) got(n tt.NodeID, f tt.FrameStatus) bool {
+	return uint(n) < uint(len(r.powered)) && r.powered[n] && form(r.per[n]) == f
+}
+
+// ConsumeSlot is the cluster's tt.Reception: it delivers one broadcast
+// frame, arriving at fr.At, to every powered receiver at once, each per its
+// status. Receivers that missed the frame record a miss on their ports fed
+// by the sender. All that got it intact read the same bytes, and so do all
+// that got it corrupted (CorruptBits bits flipped where a pure function of
+// the frame puts them, so CRC checks fail realistically): each form is
+// parsed once, only if some receiver got it, and each record is delivered
+// as it is parsed.
+func (f *Fabric) ConsumeSlot(fr *tt.Frame, perReceiver []tt.FrameStatus, powered []bool) {
 	if !f.sealed {
-		panic("vnet: ConsumeFrame before Seal")
+		panic("vnet: ConsumeSlot before Seal")
 	}
 	segs := f.layout(fr.Sender)
 	if len(segs) == 0 {
 		return
 	}
-	if st == tt.FrameOmitted || st == tt.FrameTiming {
+	var receivers [tt.FrameTiming + 1]int // per form
+	for n, on := range powered {
+		if on {
+			receivers[form(perReceiver[n])]++
+		}
+	}
+	rx := slotReceivers{per: perReceiver, powered: powered}
+	if receivers[tt.FrameOmitted] > 0 {
 		for _, s := range segs {
 			for _, r := range s.routes {
 				for _, p := range r.ports {
-					if p.Node == receiver {
+					if rx.got(p.Node, tt.FrameOmitted) {
 						p.Stats.FrameMisses++
 					}
 				}
 			}
 		}
-		return
 	}
-	d := f.decode(fr, st == tt.FrameCorrupted, segs)
-	f.DecodeErrors += d.errors
-	for i := range d.msgs {
-		r := &d.msgs[i]
-		for _, p := range r.ports {
-			if p.Node == receiver {
-				p.deliver(r.msg, r.crcValid, now)
-			}
-		}
+	if receivers[tt.FrameOK] > 0 {
+		f.DecodeErrors += receivers[tt.FrameOK] * deliver(segs, fr.Payload, rx, tt.FrameOK, fr.At)
+	}
+	if receivers[tt.FrameCorrupted] > 0 {
+		f.damaged = f.corrupt(append(f.damaged[:0], fr.Payload...), fr)
+		f.DecodeErrors += receivers[tt.FrameCorrupted] * deliver(segs, f.damaged, rx, tt.FrameCorrupted, fr.At)
 	}
 }
 
-// decode returns the slot's decode of fr as received intact or corrupted,
-// reusing the previous receiver's when it saw the same frame.
-func (f *Fabric) decode(fr tt.Frame, corrupted bool, segs []segment) *frameDecode {
-	d := &f.decoded[0]
-	if corrupted {
-		d = &f.decoded[1]
-	}
-	if d.valid && d.sender == fr.Sender && d.round == fr.Round && d.slot == fr.Slot &&
-		d.corruptBits == fr.CorruptBits && bytes.Equal(d.raw, fr.Payload) {
-		return d
-	}
-	d.valid, d.sender, d.round, d.slot, d.corruptBits = true, fr.Sender, fr.Round, fr.Slot, fr.CorruptBits
-	d.raw = append(d.raw[:0], fr.Payload...)
-	d.msgs, d.errors = d.msgs[:0], 0
-	payload := d.raw
-	if corrupted {
-		d.damaged = f.corrupt(append(d.damaged[:0], d.raw...), fr)
-		payload = d.damaged
-	}
+// deliver parses one form of a frame in place, checks each record's CRC
+// and resolves its route as it goes, and hands the record to the ports of
+// the receivers that got this form. A record nobody subscribes to is
+// skipped unchecked. deliver returns the decode errors of the form.
+func deliver(segs []segment, payload []byte, rx slotReceivers, f tt.FrameStatus, now sim.Time) (errors int) {
 	for _, s := range segs {
 		end := min(s.offset+s.length, len(payload))
 		if s.offset >= end {
 			continue
 		}
-		first := len(d.msgs)
-		msgs, ok := decodeSegment(d.msgs, payload[s.offset:end])
-		if !ok {
-			d.errors++
-		}
-		d.msgs = msgs[:first]
-		for _, r := range msgs[first:] {
+		seg := payload[s.offset:end]
+		var m Message
+		for {
+			n, ok := parseRecord(seg, &m)
+			if n == 0 {
+				if !ok {
+					errors++
+				}
+				break
+			}
+			rec := seg[:n]
+			seg = seg[n:]
 			// Receivers know the static channel-to-sender mapping: a
 			// record claiming a channel not produced by this frame's
 			// sender is mis-framed corruption, not that channel's
 			// traffic.
-			ports, known := s.route(r.msg.Channel)
+			ports, known := s.route(m.Channel)
 			if !known {
-				d.errors++
+				errors++
 				continue
 			}
-			if len(ports) > 0 {
-				r.ports = ports
-				d.msgs = append(d.msgs, r)
+			if len(ports) == 0 {
+				continue
+			}
+			valid := crcValid(rec)
+			for _, p := range ports {
+				if rx.got(p.Node, f) {
+					p.deliver(m, valid, now)
+				}
 			}
 		}
 	}
-	return d
+	return errors
 }
 
 // corrupt flips fr.CorruptBits (at least one) bits of payload in place.
 // Their placement is a pure function of the frame's coordinates.
-func (f *Fabric) corrupt(payload []byte, fr tt.Frame) []byte {
+func (f *Fabric) corrupt(payload []byte, fr *tt.Frame) []byte {
 	bits := max(fr.CorruptBits, 1)
 	var crng sim.RNG
 	crng.Seed(f.corruptSeed ^ uint64(fr.Round)*0x9e3779b97f4a7c15 ^ uint64(fr.Slot)<<48)

@@ -3,6 +3,7 @@ package vnet
 import (
 	"bytes"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"decos/internal/sim"
@@ -29,6 +30,21 @@ func buildFabric(t *testing.T) (*Fabric, *Network, *Network) {
 	f.AddNetwork(ttn)
 	f.AddNetwork(etn)
 	return f, ttn, etn
+}
+
+// consume runs fr as one slot arriving at now, in which only the receivers
+// rcvs are powered, each getting the frame with status st.
+func consume(f *Fabric, fr tt.Frame, st tt.FrameStatus, now sim.Time, rcvs ...tt.NodeID) {
+	n := 0
+	for _, r := range rcvs {
+		n = max(n, int(r)+1)
+	}
+	per, powered := make([]tt.FrameStatus, n), make([]bool, n)
+	for _, r := range rcvs {
+		per[r], powered[r] = st, true
+	}
+	fr.At = now
+	f.ConsumeSlot(&fr, per, powered)
 }
 
 func TestFabricSealLayout(t *testing.T) {
@@ -67,7 +83,7 @@ func TestTTStateDelivery(t *testing.T) {
 	ttn.Send(1, FloatPayload(42), 0)
 	payload := f.BuildPayload(0)
 	fr := tt.Frame{Round: 0, Slot: 0, Sender: 0, Payload: payload, Status: tt.FrameOK}
-	f.ConsumeFrame(2, fr, tt.FrameOK, 100)
+	consume(f, fr, tt.FrameOK, 100, 2)
 
 	m, ok := in.Peek()
 	if !ok || m.Float() != 42 {
@@ -76,8 +92,8 @@ func TestTTStateDelivery(t *testing.T) {
 	// State semantics: a newer value replaces, and is re-published every
 	// round even without a new Send.
 	ttn.Send(1, FloatPayload(43), 200)
-	f.ConsumeFrame(2, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 300)
-	f.ConsumeFrame(2, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 400)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 300, 2)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 400, 2)
 	if in.QueueLen() != 1 {
 		t.Errorf("overwrite port queue = %d, want 1", in.QueueLen())
 	}
@@ -108,7 +124,7 @@ func TestETQueueFIFOAndAllocationLimit(t *testing.T) {
 	if ep.QueueLen() != 3 {
 		t.Errorf("queue after first round = %d, want 3", ep.QueueLen())
 	}
-	f.ConsumeFrame(1, tt.Frame{Sender: 0, Payload: payload}, tt.FrameOK, 100)
+	consume(f, tt.Frame{Sender: 0, Payload: payload}, tt.FrameOK, 100, 1)
 	if in.QueueLen() != 2 {
 		t.Errorf("delivered %d messages, want 2", in.QueueLen())
 	}
@@ -117,8 +133,8 @@ func TestETQueueFIFOAndAllocationLimit(t *testing.T) {
 		t.Errorf("FIFO violated: first = %v", m.Float())
 	}
 	// Next round drains the remainder.
-	f.ConsumeFrame(1, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 200)
-	f.ConsumeFrame(1, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 300)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 200, 1)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 300, 1)
 	total := in.QueueLen()
 	for _, want := range []float64{1, 2, 3, 4} {
 		m, ok := in.Receive()
@@ -157,7 +173,7 @@ func TestReceiveQueueOverflow(t *testing.T) {
 	}
 	etn.Send(10, FloatPayload(1), 0)
 	etn.Send(10, FloatPayload(2), 0)
-	f.ConsumeFrame(1, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 100)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 100, 1)
 	if in.Stats.Overflows != 1 {
 		t.Errorf("Overflows = %d, want 1", in.Stats.Overflows)
 	}
@@ -220,9 +236,7 @@ func TestEventPortArenaStaysBounded(t *testing.T) {
 		}
 		frame := f.BuildPayload(0)
 		delivered := drained.Stats.Received
-		for _, rcv := range []tt.NodeID{1, 2} {
-			f.ConsumeFrame(rcv, tt.Frame{Round: int64(round), Sender: 0, Payload: frame}, tt.FrameOK, now)
-		}
+		consume(f, tt.Frame{Round: int64(round), Sender: 0, Payload: frame}, tt.FrameOK, now, 1, 2)
 		check(stuck, round)
 		// The bound holds after every delivery; receives leave dead
 		// bytes behind until the next one.
@@ -255,14 +269,14 @@ func TestFrameMissRecordedOnOmission(t *testing.T) {
 	if err := f.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	f.ConsumeFrame(2, tt.Frame{Sender: 0}, tt.FrameOmitted, 100)
+	consume(f, tt.Frame{Sender: 0}, tt.FrameOmitted, 100, 2)
 	if inTT.Stats.FrameMisses != 1 || inET.Stats.FrameMisses != 1 {
 		t.Errorf("misses TT=%d ET=%d, want 1/1", inTT.Stats.FrameMisses, inET.Stats.FrameMisses)
 	}
 	if inOther.Stats.FrameMisses != 0 {
 		t.Errorf("channel of another producer recorded a miss")
 	}
-	f.ConsumeFrame(2, tt.Frame{Sender: 0}, tt.FrameTiming, 200)
+	consume(f, tt.Frame{Sender: 0}, tt.FrameTiming, 200, 2)
 	if inTT.Stats.FrameMisses != 2 {
 		t.Errorf("timing failure not recorded as miss")
 	}
@@ -281,8 +295,7 @@ func TestCorruptionConsistentAcrossReceivers(t *testing.T) {
 		fr := tt.Frame{Round: round, Slot: 0, Sender: 0, Payload: f.BuildPayload(0),
 			Status: tt.FrameCorrupted, CorruptBits: 2}
 		before1, before2 := in1.Stats.CRCFailures, in2.Stats.CRCFailures
-		f.ConsumeFrame(1, fr, tt.FrameCorrupted, sim.Time(round*1000))
-		f.ConsumeFrame(2, fr, tt.FrameCorrupted, sim.Time(round*1000))
+		consume(f, fr, tt.FrameCorrupted, sim.Time(round*1000), 1, 2)
 		d1, d2 := in1.Stats.CRCFailures-before1, in2.Stats.CRCFailures-before2
 		if d1 != d2 {
 			crcSplit++
@@ -303,15 +316,15 @@ func TestSeqGapDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	etn.Send(10, FloatPayload(1), 0)
-	f.ConsumeFrame(1, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 0)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 0, 1)
 	// Two messages are sent but the frame carrying them is lost.
 	etn.Send(10, FloatPayload(2), 0)
 	etn.Send(10, FloatPayload(3), 0)
 	f.BuildPayload(0) // drains the queue onto the (lost) frame
-	f.ConsumeFrame(1, tt.Frame{Sender: 0}, tt.FrameOmitted, 100)
+	consume(f, tt.Frame{Sender: 0}, tt.FrameOmitted, 100, 1)
 	// Next message arrives with a sequence gap.
 	etn.Send(10, FloatPayload(4), 0)
-	f.ConsumeFrame(1, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 200)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 200, 1)
 	if in.Stats.SeqGaps != 1 {
 		t.Errorf("SeqGaps = %d, want 1", in.Stats.SeqGaps)
 	}
@@ -332,7 +345,7 @@ func TestEncapsulationIsolation(t *testing.T) {
 		etn.Send(10, FloatPayload(float64(i)), 0) // mostly overflows
 	}
 	ttn.Send(1, FloatPayload(5), 0)
-	f.ConsumeFrame(2, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 100)
+	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 100, 2)
 	if m, ok := inTT.Peek(); !ok || m.Float() != 5 {
 		t.Errorf("TT traffic disturbed by ET flood: ok=%v v=%v", ok, m.Float())
 	}
@@ -393,5 +406,84 @@ func TestNetworkAccessors(t *testing.T) {
 	}
 	if TimeTriggered.String() != "TT" || EventTriggered.String() != "ET" {
 		t.Error("Kind.String wrong")
+	}
+}
+
+// TestConsumeSlotPerReceiverStats consumes one slot whose four receivers
+// each get the frame differently — node 0 intact, node 1 corrupted by a
+// receiver-side fault, node 2 not at all (omitted), node 3 powered off —
+// and checks every port's exact statistics. An undecodable frame then
+// adds one decode error per receiver that consumed it.
+func TestConsumeSlotPerReceiverStats(t *testing.T) {
+	value := bytes.Repeat([]byte{0xa5}, 100)
+	f := NewFabric(tt.UniformSchedule(4, 250*sim.Microsecond, 128), sim.NewRNG(1))
+	n := NewNetwork("das.tt", TimeTriggered, "das")
+	n.AddEndpoint(0, WireSize(len(value)), 0) // the record fills the segment
+	n.DeclareChannel(1, 0)
+	f.AddNetwork(n)
+	var ports []*InPort
+	for node := tt.NodeID(0); node < 4; node++ {
+		ports = append(ports, f.Subscribe(node, 1, 0, true))
+	}
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+
+	n.Send(1, value, 0)
+	per := []tt.FrameStatus{tt.FrameOK, tt.FrameCorrupted, tt.FrameOmitted, tt.FrameOK}
+	powered := []bool{true, true, true, false}
+	fr := tt.Frame{Round: 3, Slot: 0, Sender: 0, At: 750, Payload: f.BuildPayload(0), Status: tt.FrameOK}
+	f.ConsumeSlot(&fr, per, powered)
+
+	want := []PortStats{
+		{Received: 1, haveSeq: true, LastArrival: 750, LastValue: value, LastWasValid: true},
+		{CRCFailures: 1},
+		{FrameMisses: 1},
+		{},
+	}
+	for i, p := range ports {
+		if !reflect.DeepEqual(p.Stats, want[i]) {
+			t.Errorf("node %d port stats %+v, want %+v", i, p.Stats, want[i])
+		}
+	}
+	if f.DecodeErrors != 0 {
+		t.Errorf("DecodeErrors = %d after a decodable frame, want 0", f.DecodeErrors)
+	}
+
+	// A record running past its segment: nodes 0 and 1 consume the frame,
+	// node 2 misses it and node 3 is off.
+	fr.Payload = bytes.Repeat([]byte{0xff}, WireSize(len(value)))
+	f.ConsumeSlot(&fr, per, powered)
+	if f.DecodeErrors != 2 {
+		t.Errorf("DecodeErrors = %d after an undecodable frame at two receivers, want 2", f.DecodeErrors)
+	}
+	if !reflect.DeepEqual(ports[3].Stats, PortStats{}) {
+		t.Errorf("powered-off node's port changed: %+v", ports[3].Stats)
+	}
+}
+
+// TestBuildPayloadPacksInPlace checks a frame's bytes: each segment holds
+// its records back to back from its offset, then zeros to its end, also
+// where an earlier frame in the same buffer carried more.
+func TestBuildPayloadPacksInPlace(t *testing.T) {
+	f, ttn, etn := buildFabric(t) // node 0: TT segment [0,40), ET [40,80)
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	ttn.Send(1, bytes.Repeat([]byte{0xee}, 25), 0)
+	etn.Send(10, FloatPayload(1), 0)
+	etn.Send(10, FloatPayload(2), 0)
+	f.BuildPayload(0)
+
+	ttn.Send(1, []byte{7}, 100)
+	etn.Send(10, FloatPayload(3), 100)
+	got := f.BuildPayload(0)
+	want := make([]byte, 80)
+	state, _ := encode(nil, Message{Channel: 1, Seq: 1, Payload: []byte{7}})
+	event, _ := encode(nil, Message{Channel: 10, Seq: 2, Payload: FloatPayload(3)})
+	copy(want, state)
+	copy(want[40:], event)
+	if !bytes.Equal(got, want) {
+		t.Errorf("frame\n%x\nwant\n%x", got, want)
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"decos/internal/tt"
 )
 
-// The fabric decodes each broadcast frame once per slot and lets every
-// receiver reuse the result. The tests below hold that shared decode to
-// the per-receiver decode it replaced: two fabrics are built from one
-// generated topology and fed the same traffic, one through ConsumeFrame and
-// one through consumeFramePerReceiver, and every receiver's observations
-// must agree after every slot.
+// The fabric consumes each broadcast frame once per slot for all of its
+// receivers, parsing each form of it (intact, corrupted) at most once. The
+// tests below hold that to a decode done separately at each receiver: two
+// fabrics are built from one generated topology and fed the same traffic,
+// one through ConsumeSlot and one through consumeFramePerReceiver at every
+// powered receiver, and every receiver's observations must agree after
+// every slot.
 
 // consumeFramePerReceiver is the reference decoder: each receiver copies,
 // corrupts, parses, checksums and routes the frame on its own.
@@ -68,7 +69,7 @@ func consumeFramePerReceiver(f *Fabric, receiver tt.NodeID, fr tt.Frame, st tt.F
 		if s.offset >= end {
 			continue
 		}
-		msgs, ok := decodeSegment(nil, payload[s.offset:end])
+		msgs, ok := decodeSegment(payload[s.offset:end])
 		if !ok {
 			f.DecodeErrors++
 		}
@@ -227,7 +228,7 @@ const (
 	shapeOmitted
 	shapeTiming
 	shapeCleared   // a TxFault cleared the payload; status stays OK
-	shapeHandBuilt // arbitrary bytes, edited in place between receivers
+	shapeHandBuilt // arbitrary bytes; a later one may edit them in place
 	shapeCount
 )
 
@@ -240,6 +241,12 @@ func runFanout(t testing.TB, data []byte) PortTotals {
 	seed := uint64(s.byte())
 	shared, sharedNets := top.build(t, seed)
 	ref, refNets := top.build(t, seed)
+	per := make([]tt.FrameStatus, top.nodes)
+	powered := make([]bool, top.nodes)
+	// hand and handRef are the two sides' hand-built frame buffers; a
+	// later hand-built slot may edit them in place instead of replacing
+	// them, at the same coordinates when those are reused too.
+	var hand, handRef []byte
 
 	for round := int64(0); s.i < len(s.b); round++ {
 		for slot := 0; slot < top.nodes; slot++ {
@@ -258,7 +265,8 @@ func runFanout(t testing.TB, data []byte) PortTotals {
 			if !bytes.Equal(sp, rp) {
 				t.Fatalf("round %d slot %d: identical fabrics built different frames", round, slot)
 			}
-			fr := tt.Frame{Round: round, Slot: slot, Sender: sender, Status: tt.FrameOK}
+			fr := tt.Frame{Round: round, Slot: slot, Sender: sender, Status: tt.FrameOK,
+				At: sim.Time(round*1000 + int64(slot))}
 			if s.intn(4) == 0 {
 				fr.Round, fr.Slot = 0, 0 // frames rebuilt at reused coordinates
 			}
@@ -273,33 +281,34 @@ func runFanout(t testing.TB, data []byte) PortTotals {
 			case shapeCleared:
 				sp, rp = nil, nil
 			case shapeHandBuilt:
-				sp = s.bytes(s.intn(top.payload + 8))
-				rp = append([]byte(nil), sp...)
-			}
-			// A receiver-side fault corrupts an intact frame at one
-			// receiver only.
-			rxCorrupt := tt.NodeID(-1)
-			if fr.Status == tt.FrameOK && s.intn(3) == 0 {
-				rxCorrupt = tt.NodeID(s.intn(top.nodes))
-			}
-			for rcv := tt.NodeID(0); int(rcv) < top.nodes; rcv++ {
-				st := fr.Status
-				if rcv == rxCorrupt {
-					st = tt.FrameCorrupted
+				if len(hand) > 0 && s.intn(2) == 0 {
+					i, bit := s.intn(len(hand)), byte(1)<<s.intn(8)
+					hand[i] ^= bit
+					handRef[i] ^= bit
+				} else {
+					hand = s.bytes(s.intn(top.payload + 8))
+					handRef = append([]byte(nil), hand...)
 				}
-				now := sim.Time(round*1000 + int64(slot))
-				sf, rf := fr, fr
-				sf.Payload, rf.Payload = sp, rp
-				shared.ConsumeFrame(rcv, sf, st, now)
-				consumeFramePerReceiver(ref, rcv, rf, st, now)
-				if shape == shapeHandBuilt && len(sp) > 0 && s.intn(2) == 0 {
-					i, bit := s.intn(len(sp)), byte(1)<<s.intn(8)
-					sp[i] ^= bit
-					rp[i] ^= bit
+				sp, rp = hand, handRef
+			}
+			// Receiver-side faults degrade the frame at some receivers
+			// only, and some receivers are powered off.
+			for rcv := range per {
+				per[rcv], powered[rcv] = fr.Status, s.intn(5) != 0
+				if s.intn(3) == 0 {
+					per[rcv] = tt.FrameStatus(s.intn(4))
+				}
+			}
+			sf, rf := fr, fr
+			sf.Payload, rf.Payload = sp, rp
+			shared.ConsumeSlot(&sf, per, powered)
+			for rcv, on := range powered {
+				if on {
+					consumeFramePerReceiver(ref, tt.NodeID(rcv), rf, per[rcv], rf.At)
 				}
 			}
 			if err := sameObservations(shared, ref); err != nil {
-				t.Fatalf("round %d slot %d (shape %d, rx-corrupt %d): %v", round, slot, shape, rxCorrupt, err)
+				t.Fatalf("round %d slot %d (shape %d, statuses %v, powered %v): %v", round, slot, shape, per, powered, err)
 			}
 		}
 	}
@@ -330,8 +339,8 @@ func sameObservations(a, b *Fabric) error {
 }
 
 // TestFrameFanoutMatchesPerReceiverDecode runs the harness over random
-// scripts: random topologies and payload bytes, every frame shape, and
-// receiver-side corruption at a single receiver.
+// scripts: random topologies and payload bytes, every frame shape, mixed
+// receiver statuses within a slot, and powered-off receivers.
 func TestFrameFanoutMatchesPerReceiverDecode(t *testing.T) {
 	rng := sim.NewRNG(20050404)
 	var sum PortTotals
@@ -356,9 +365,9 @@ func TestFrameFanoutMatchesPerReceiverDecode(t *testing.T) {
 	}
 }
 
-// FuzzFrameFanout explores scripts beyond the random ones: decoding must
-// never panic, and the shared decode must match the reference on every
-// receiver.
+// FuzzFrameFanout explores scripts beyond the random ones: consuming a
+// slot must never panic, and must match the per-receiver reference decode
+// on every receiver.
 func FuzzFrameFanout(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 64, 1, 0, 1, 2, 40, 30, 20, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})

@@ -130,57 +130,36 @@ func encode(dst []byte, m Message) ([]byte, error) {
 		return dst, fmt.Errorf("vnet: payload %d exceeds max %d", len(m.Payload), MaxPayload)
 	}
 	start := len(dst)
-	var hdr [headerBytes]byte
-	binary.BigEndian.PutUint16(hdr[0:2], uint16(m.Channel))
-	binary.BigEndian.PutUint32(hdr[2:6], m.Seq)
-	hdr[6] = byte(len(m.Payload))
-	dst = append(dst, hdr[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(m.Channel))
+	dst = binary.BigEndian.AppendUint32(dst, m.Seq)
+	dst = append(dst, byte(len(m.Payload)))
 	dst = append(dst, m.Payload...)
-	crc := crc16(dst[start:])
-	var tail [crcBytes]byte
-	binary.BigEndian.PutUint16(tail[:], crc)
-	dst = append(dst, tail[:]...)
-	return dst, nil
+	return binary.BigEndian.AppendUint16(dst, crc16(dst[start:])), nil
 }
 
-// decodeResult is one decoded message plus its integrity verdict and,
-// once the fabric has routed it, the ports subscribed to its channel.
-type decodeResult struct {
-	msg      Message
-	crcValid bool
-	ports    []*InPort
-}
-
-// decodeSegment parses all messages in a VN segment, appending to dst (a
-// reusable scratch buffer). Messages whose CRC fails are still returned
-// (with crcValid=false) when their framing is intact; undecodable trailing
-// garbage terminates the parse with ok=false.
-//
-// The returned payloads alias the segment buffer: a consumer that retains
-// one must copy it (InPort.deliver does).
-func decodeSegment(dst []decodeResult, seg []byte) (out []decodeResult, ok bool) {
-	out = dst
-	ok = true
-	for len(seg) >= headerBytes+crcBytes {
-		ch := binary.BigEndian.Uint16(seg[0:2])
-		plen := int(seg[6])
-		if ch == 0 && plen == 0 {
-			break // padding terminator
-		}
-		total := WireSize(plen)
-		if total > len(seg) {
-			ok = false
-			break
-		}
-		rec := seg[:total]
-		crc := binary.BigEndian.Uint16(rec[total-crcBytes:])
-		m := Message{
-			Channel: ChannelID(ch),
-			Seq:     binary.BigEndian.Uint32(rec[2:6]),
-			Payload: rec[headerBytes : headerBytes+plen],
-		}
-		out = append(out, decodeResult{msg: m, crcValid: crc16(rec[:total-crcBytes]) == crc})
-		seg = seg[total:]
+// parseRecord parses the record at the front of a VN segment into m, whose
+// payload then aliases seg (a consumer that retains it must copy it, as
+// InPort.deliver does), and returns its wire length n. n == 0 ends the
+// segment: cleanly (ok) at padding or a tail too short for a record, or at
+// undecodable garbage (!ok), a record running past the segment. The CRC is
+// left to crcValid. (m is an out-parameter so the hot loop fills one
+// Message in place instead of copying a returned one.)
+func parseRecord(seg []byte, m *Message) (n int, ok bool) {
+	if len(seg) < headerBytes+crcBytes || seg[0]|seg[1]|seg[6] == 0 {
+		return 0, true // short tail or padding terminator
 	}
-	return out, ok
+	n = WireSize(int(seg[6]))
+	if n > len(seg) {
+		return 0, false
+	}
+	m.Channel = ChannelID(binary.BigEndian.Uint16(seg))
+	m.Seq = binary.BigEndian.Uint32(seg[2:])
+	m.Payload = seg[headerBytes : n-crcBytes]
+	return n, true
+}
+
+// crcValid reports whether a record's trailing CRC matches its contents.
+func crcValid(rec []byte) bool {
+	n := len(rec) - crcBytes
+	return crc16(rec[:n]) == binary.BigEndian.Uint16(rec[n:])
 }

@@ -10,6 +10,27 @@ import (
 	"decos/internal/sim"
 )
 
+// decoded is one record of a segment and its CRC verdict.
+type decoded struct {
+	msg      Message
+	crcValid bool
+}
+
+// decodeSegment parses every record of a segment with parseRecord and
+// checks each one's CRC; ok is false when the segment ends in undecodable
+// garbage.
+func decodeSegment(seg []byte) (out []decoded, ok bool) {
+	for {
+		var m Message
+		n, ok := parseRecord(seg, &m)
+		if n == 0 {
+			return out, ok
+		}
+		out = append(out, decoded{msg: m, crcValid: crcValid(seg[:n])})
+		seg = seg[n:]
+	}
+}
+
 func TestMessageRoundtrip(t *testing.T) {
 	m := Message{Channel: 7, Seq: 42, Payload: []byte{1, 2, 3}, SentAt: 100}
 	buf, err := encode(nil, m)
@@ -19,7 +40,7 @@ func TestMessageRoundtrip(t *testing.T) {
 	if len(buf) != WireSize(3) {
 		t.Errorf("wire size = %d, want %d", len(buf), WireSize(3))
 	}
-	out, ok := decodeSegment(nil, buf)
+	out, ok := decodeSegment(buf)
 	if !ok || len(out) != 1 {
 		t.Fatalf("decode failed: ok=%v n=%d", ok, len(out))
 	}
@@ -45,7 +66,7 @@ func TestMessageRoundtripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, ok := decodeSegment(nil, buf)
+		out, ok := decodeSegment(buf)
 		if !ok || len(out) != 1 || !out[0].crcValid {
 			return false
 		}
@@ -66,7 +87,7 @@ func TestMultipleMessagesInSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, ok := decodeSegment(nil, buf)
+	out, ok := decodeSegment(buf)
 	if !ok || len(out) != 5 {
 		t.Fatalf("decoded %d messages, ok=%v", len(out), ok)
 	}
@@ -80,7 +101,7 @@ func TestMultipleMessagesInSegment(t *testing.T) {
 func TestPaddingTerminatesSegment(t *testing.T) {
 	buf, _ := encode(nil, Message{Channel: 3, Seq: 1, Payload: []byte{9}})
 	padded := append(buf, make([]byte, 20)...) // zero padding
-	out, ok := decodeSegment(nil, padded)
+	out, ok := decodeSegment(padded)
 	if !ok || len(out) != 1 {
 		t.Errorf("padding not terminated cleanly: ok=%v n=%d", ok, len(out))
 	}
@@ -92,7 +113,7 @@ func TestCRCDetectsBitFlip(t *testing.T) {
 	for bit := 0; bit < len(buf)*8; bit++ {
 		mut := append([]byte(nil), buf...)
 		mut[bit/8] ^= 1 << (bit % 8)
-		out, _ := decodeSegment(nil, mut)
+		out, _ := decodeSegment(mut)
 		flagged := true
 		for _, r := range out {
 			if r.crcValid && r.msg.Channel == 5 && r.msg.Seq == 9 &&
@@ -153,7 +174,7 @@ func TestCRC16MatchesBitwiseReference(t *testing.T) {
 
 func TestTruncatedRecordFailsDecode(t *testing.T) {
 	buf, _ := encode(nil, Message{Channel: 2, Seq: 1, Payload: []byte{1, 2, 3, 4}})
-	_, ok := decodeSegment(nil, buf[:len(buf)-3])
+	_, ok := decodeSegment(buf[:len(buf)-3])
 	if ok {
 		t.Error("truncated record decoded ok")
 	}

@@ -110,8 +110,6 @@ type Endpoint struct {
 	TxOverflows int
 	// TxMessages counts successfully accepted sends.
 	TxMessages int
-
-	packBuf []byte // reused segment scratch
 }
 
 // AddEndpoint attaches the network to a node with the given frame-segment
@@ -221,24 +219,20 @@ func (ep *Endpoint) takeBuf() []byte {
 	return nil
 }
 
-// packSegment serializes the endpoint's pending traffic into at most
-// AllocBytes and returns the segment (valid until the next packSegment on
-// this endpoint — the fabric copies it into the frame buffer immediately).
-// TT networks publish every produced channel's current state; ET networks
-// drain the queue head-first as far as the budget allows.
-func (ep *Endpoint) packSegment() []byte {
-	if cap(ep.packBuf) < ep.AllocBytes {
-		ep.packBuf = make([]byte, 0, ep.AllocBytes)
-	}
-	seg := ep.packBuf[:0]
-	defer func() { ep.packBuf = seg[:0] }()
+// packSegment serializes the endpoint's pending traffic into window, its
+// AllocBytes-long segment of the frame buffer, and zeroes the unused tail
+// (the padding that terminates the segment). TT networks publish every
+// produced channel's current state; ET networks drain the queue head-first
+// as far as the budget allows.
+func (ep *Endpoint) packSegment(window []byte) {
+	seg := window[:0]
 	if ep.Net.Kind == TimeTriggered {
 		for _, cs := range ep.ttOrder {
 			m := cs.state
 			if m == nil {
 				continue
 			}
-			if WireSize(len(m.Payload)) > ep.AllocBytes-len(seg) {
+			if WireSize(len(m.Payload)) > len(window)-len(seg) {
 				break
 			}
 			var err error
@@ -247,12 +241,13 @@ func (ep *Endpoint) packSegment() []byte {
 				panic(err)
 			}
 		}
-		return seg
+		clear(window[len(seg):])
+		return
 	}
 	drained := 0
 	for drained < len(ep.outQueue) {
 		m := ep.outQueue[drained]
-		if WireSize(len(m.Payload)) > ep.AllocBytes-len(seg) {
+		if WireSize(len(m.Payload)) > len(window)-len(seg) {
 			break
 		}
 		var err error
@@ -265,6 +260,7 @@ func (ep *Endpoint) packSegment() []byte {
 		}
 		drained++
 	}
+	clear(window[len(seg):])
 	if drained > 0 {
 		// Shift the remainder down instead of reslicing so the queue's
 		// backing array (and its capacity) is kept across rounds.
@@ -275,7 +271,6 @@ func (ep *Endpoint) packSegment() []byte {
 		}
 		ep.outQueue = ep.outQueue[:rest]
 	}
-	return seg
 }
 
 // QueueLen returns the number of messages waiting in the outbound queue.

@@ -36,7 +36,7 @@ func TestETConservationProperty(t *testing.T) {
 				n.Send(1, FloatPayload(float64(i)), sim.Time(r))
 			}
 			payload := fab.BuildPayload(0)
-			fab.ConsumeFrame(0, tt.Frame{Sender: 0, Round: int64(r), Payload: payload}, tt.FrameOK, sim.Time(r))
+			consume(fab, tt.Frame{Sender: 0, Round: int64(r), Payload: payload}, tt.FrameOK, sim.Time(r), 0)
 		}
 		// Conservation: accepted = delivered + still queued at sender.
 		return ep.TxMessages == in.Stats.Received+ep.QueueLen()
@@ -69,7 +69,7 @@ func TestSeqMonotoneUnderLossProperty(t *testing.T) {
 				st = tt.FrameOmitted
 				payload = nil
 			}
-			fab.ConsumeFrame(0, tt.Frame{Sender: 0, Round: int64(r), Payload: payload}, st, sim.Time(r))
+			consume(fab, tt.Frame{Sender: 0, Round: int64(r), Payload: payload}, st, sim.Time(r), 0)
 		}
 		last := int64(-1)
 		for {
@@ -112,7 +112,7 @@ func TestEncapsulationProperty(t *testing.T) {
 			etn.Send(2, FloatPayload(1), 0)
 		}
 		ttn.Send(1, FloatPayload(7), 0)
-		fab.ConsumeFrame(0, tt.Frame{Sender: 0, Payload: fab.BuildPayload(0)}, tt.FrameOK, 0)
+		consume(fab, tt.Frame{Sender: 0, Payload: fab.BuildPayload(0)}, tt.FrameOK, 0, 0)
 		m, ok := in.Peek()
 		return ok && m.Float() == 7
 	}

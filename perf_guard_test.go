@@ -42,12 +42,11 @@ import (
 type nullController struct{ payload []byte }
 
 func (c *nullController) BuildFrame(round int64, slot int) []byte { return c.payload }
-func (c *nullController) OnSlot(f tt.Frame, st tt.FrameStatus)    {}
 func (c *nullController) OnRoundEnd(round int64)                  {}
 
-// TestAllocGuardBusSlot drives a bare 4-node bus and requires at most 2
-// allocations per TDMA slot in steady state (the pooled slot event and the
-// bus scratch make the expected count 0).
+// TestAllocGuardBusSlot drives a bare 4-node bus with a no-op reception
+// and requires at most 2 allocations per TDMA slot in steady state (the
+// pooled slot event and the bus scratch make the expected count 0).
 func TestAllocGuardBusSlot(t *testing.T) {
 	sched := sim.NewScheduler()
 	cfg := tt.UniformSchedule(4, 250*sim.Microsecond, 32)
@@ -55,6 +54,7 @@ func TestAllocGuardBusSlot(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		bus.Attach(tt.NodeID(i), &nullController{payload: []byte{byte(i)}})
 	}
+	bus.SetReception(func(*tt.Frame, []tt.FrameStatus, []bool) {})
 	bus.Start()
 
 	const roundsPerRun = 512
@@ -77,25 +77,29 @@ func TestAllocGuardBusSlot(t *testing.T) {
 
 // TestAllocGuardFrameFanout drives a Fig. 10-sized broadcast (four
 // receivers, the sender among them) and requires 0 allocations per slot in
-// steady state, for intact and for corrupted frames: the frame is decoded
-// once per slot into fabric-owned scratch, and a corrupted frame's damaged
-// copy lives there too instead of being allocated at every receiver.
+// steady state, for intact, corrupted and mixed-status slots: the frame is
+// parsed in place, and a corrupted frame's damaged copy lives in
+// fabric-owned scratch instead of being allocated per slot or receiver.
 func TestAllocGuardFrameFanout(t *testing.T) {
-	for _, st := range []tt.FrameStatus{tt.FrameOK, tt.FrameCorrupted} {
+	for name, per := range map[string][]tt.FrameStatus{
+		"intact":    fanoutStatuses(tt.FrameOK),
+		"corrupted": fanoutStatuses(tt.FrameCorrupted),
+		"mixed":     {tt.FrameOK, tt.FrameCorrupted, tt.FrameOmitted, tt.FrameTiming},
+	} {
 		f, n := fanoutFabric(t)
 		const slotsPerRun = 256
 		var round int64
 		run := func() {
 			for i := 0; i < slotsPerRun; i++ {
-				fanoutSlot(f, n, round, st)
+				fanoutSlot(f, n, round, per)
 				round++
 			}
 		}
-		run() // size the frame, decode and port scratch
+		run() // size the frame, corruption and port scratch
 		allocs := testing.AllocsPerRun(5, run)
-		t.Logf("%s frame fan-out: %.4f allocs/slot", st, allocs/slotsPerRun)
+		t.Logf("%s frame fan-out: %.4f allocs/slot", name, allocs/slotsPerRun)
 		if allocs != 0 {
-			t.Errorf("%s frame fan-out allocates %.2f objects per %d slots, want 0", st, allocs, slotsPerRun)
+			t.Errorf("%s frame fan-out allocates %.2f objects per %d slots, want 0", name, allocs, slotsPerRun)
 		}
 	}
 }

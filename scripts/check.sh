@@ -67,9 +67,10 @@ go test -run='^$' -fuzz='^FuzzSnapshot$' -fuzztime=10s ./internal/warranty/
 
 echo "== fuzz smoke (broadcast frame fan-out) =="
 # Ten seconds of generated topologies and frames (intact, corrupted,
-# omitted, timing, cleared, hand-built, corrupted at one receiver only):
-# decoding must never panic, and the once-per-slot decode every receiver
-# shares must match a per-receiver reference decode at every receiver.
+# omitted, timing, cleared, hand-built), with mixed statuses across a
+# slot's receivers and some receivers powered off: consuming a slot must
+# never panic, and one ConsumeSlot per slot must match a decode done
+# separately at each powered receiver, at every receiver.
 go test -run='^$' -fuzz='^FuzzFrameFanout$' -fuzztime=10s ./internal/vnet/
 
 echo "== fuzz smoke (segmented log) =="
