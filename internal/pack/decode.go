@@ -1,478 +1,304 @@
 package pack
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
+	"io"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// decoder carries the first decode error across the schema walk; every
-// accessor is a no-op once an error is latched, so call sites read
-// straight-line.
+// defaults holds the starting value of every manifest type whose unset
+// fields do not mean zero. A JSON object decodes onto a copy of its
+// type's entry (or the zero value), so absent keys keep the default.
+var defaults = map[reflect.Type]any{
+	reflect.TypeFor[Manifest]():      Manifest{Expect: defaultExpect},
+	reflect.TypeFor[Expect]():        defaultExpect,
+	reflect.TypeFor[Topology]():      Topology{DiagNode: -1, Clocks: DefaultClocks()},
+	reflect.TypeFor[ClockSpec]():     DefaultClocks(),
+	reflect.TypeFor[ComponentSpec](): ComponentSpec{ID: -1},
+	reflect.TypeFor[NetworkSpec]():   NetworkSpec{Kind: "tt"},
+	reflect.TypeFor[EndpointSpec]():  EndpointSpec{Node: -1},
+	reflect.TypeFor[JobSpec](): JobSpec{Component: -1, PhysMin: -10, PhysMax: 110, FrozenWindow: 20,
+		Gain: 1, InMax: 100, MeanPerRound: 1, Tolerance: 1},
+	reflect.TypeFor[ProduceSpec]():  ProduceSpec{Max: 100},
+	reflect.TypeFor[FaultSpec]():    FaultSpec{Component: -1},
+	reflect.TypeFor[EnvProfile]():   EnvProfile{Intensity: 0.5},
+	reflect.TypeFor[CampaignSpec](): CampaignSpec{FaultFreeShare: 0.2, FaultsPerVehicle: 1},
+}
+
+// defaultExpect leaves the optional bounds unchecked and gates DECOS at
+// a full score.
+var defaultExpect = Expect{MaxFalseAlarms: -1, MaxNFFRatio: -1, MinScore: 1}
+
+// decoder reads one manifest straight from encoding/json's token stream
+// into the Manifest type, checking every value against its Go type as it
+// is read. Structure comes from the types themselves: object keys are
+// the fields' json tags, so the recursion is never deeper than the type
+// and the first error in document order ends the decode. Semantic rules
+// (ranges, cross-references) are Validate's.
 type decoder struct {
+	dec    *json.Decoder
 	source string
-	err    error
+	// starts[i] is the byte offset where line i+1 begins; encoding/json
+	// reports offsets, not positions, so the mapping is ours.
+	starts []int64
 }
 
-func (d *decoder) fail(line int, field, format string, args ...any) {
-	if d.err == nil {
-		d.err = errf(d.source, line, field, format, args...)
-	}
-}
-
-// objDec decodes one object node under a field path, tracking which keys
-// the schema consumed so leftovers are rejected as unknown fields.
-type objDec struct {
-	d    *decoder
-	obj  *object
-	path string
-	line int
-	seen map[string]bool
-}
-
-func (d *decoder) object(v *value, path string) *objDec {
-	obj, ok := v.raw.(*object)
-	if !ok {
-		d.fail(v.line, path, "expected an object, got %s", typeName(v))
-		return &objDec{d: d, obj: newObject(), path: path, line: v.line, seen: map[string]bool{}}
-	}
-	return &objDec{d: d, obj: obj, path: path, line: v.line, seen: map[string]bool{}}
-}
-
-func (o *objDec) field(key string) string {
-	if o.path == "" {
-		return key
-	}
-	return o.path + "." + key
-}
-
-// finish rejects keys the schema never consumed.
-func (o *objDec) finish() {
-	for _, k := range o.obj.keys {
-		if !o.seen[k] {
-			v := o.obj.vals[k]
-			o.d.fail(v.line, o.field(k), "unknown field (known fields: %s)", sortedKeys(o.seen))
-			return
+// decode parses data into a Manifest without validating it.
+func decode(data []byte, source string) (*Manifest, error) {
+	d := &decoder{dec: json.NewDecoder(bytes.NewReader(data)), source: source, starts: []int64{0}}
+	d.dec.UseNumber()
+	for i, b := range data {
+		if b == '\n' {
+			d.starts = append(d.starts, int64(i+1))
 		}
 	}
-}
-
-func (o *objDec) lookup(key string) (*value, bool) {
-	o.seen[key] = true
-	return o.obj.get(key)
-}
-
-// has marks a key consumed and reports presence without decoding it.
-func (o *objDec) str(key, def string) string {
-	v, ok := o.lookup(key)
-	if !ok {
-		return def
+	var m Manifest
+	if err := d.value(reflect.ValueOf(&m).Elem(), "", 0); err != nil {
+		return nil, err
 	}
-	s, isStr := v.raw.(string)
-	if !isStr {
-		o.d.fail(v.line, o.field(key), "expected a string, got %s", typeName(v))
-		return def
-	}
-	return s
-}
-
-func (o *objDec) boolean(key string, def bool) bool {
-	v, ok := o.lookup(key)
-	if !ok {
-		return def
-	}
-	b, isBool := v.raw.(bool)
-	if !isBool {
-		o.d.fail(v.line, o.field(key), "expected a bool, got %s", typeName(v))
-		return def
-	}
-	return b
-}
-
-func (o *objDec) int64(key string, def int64) int64 {
-	v, ok := o.lookup(key)
-	if !ok {
-		return def
-	}
-	i, isInt := v.raw.(int64)
-	if !isInt {
-		o.d.fail(v.line, o.field(key), "expected an integer, got %s", typeName(v))
-		return def
-	}
-	return i
-}
-
-func (o *objDec) integer(key string, def int) int {
-	return int(o.int64(key, int64(def)))
-}
-
-func (o *objDec) uint64(key string, def uint64) uint64 {
-	v, ok := o.lookup(key)
-	if !ok {
-		return def
-	}
-	i, isInt := v.raw.(int64)
-	if !isInt {
-		o.d.fail(v.line, o.field(key), "expected an integer, got %s", typeName(v))
-		return def
-	}
-	if i < 0 {
-		o.d.fail(v.line, o.field(key), "must be non-negative, got %d", i)
-		return def
-	}
-	return uint64(i)
-}
-
-// float accepts both integer and float literals (a pack author writing
-// `rate = 1` should not be told 1 is not a number).
-func (o *objDec) float(key string, def float64) float64 {
-	v, ok := o.lookup(key)
-	if !ok {
-		return def
-	}
-	switch n := v.raw.(type) {
-	case float64:
-		if math.IsNaN(n) || math.IsInf(n, 0) {
-			o.d.fail(v.line, o.field(key), "must be finite")
-			return def
+	if tok, err := d.dec.Token(); err != io.EOF {
+		if err != nil {
+			return nil, d.syntax(err)
 		}
-		return n
-	case int64:
-		return float64(n)
+		return nil, d.fail(d.line(d.dec.InputOffset()), "", "unexpected trailing content %v after document", tok)
 	}
-	o.d.fail(v.line, o.field(key), "expected a number, got %s", typeName(v))
-	return def
+	m.Source = source
+	return &m, nil
 }
 
-// table returns the nested object decoder, or nil when the key is absent.
-func (o *objDec) table(key string) *objDec {
-	v, ok := o.lookup(key)
-	if !ok {
-		return nil
-	}
-	return o.d.object(v, o.field(key))
+func (d *decoder) fail(line int, field, format string, args ...any) error {
+	return errf(d.source, line, field, format, args...)
 }
 
-// tables returns one decoder per element of an array-of-objects key.
-func (o *objDec) tables(key string) []*objDec {
-	v, ok := o.lookup(key)
-	if !ok {
-		return nil
-	}
-	arr, isArr := v.raw.([]*value)
-	if !isArr {
-		o.d.fail(v.line, o.field(key), "expected an array of objects, got %s", typeName(v))
-		return nil
-	}
-	out := make([]*objDec, 0, len(arr))
-	for i, elem := range arr {
-		out = append(out, o.d.object(elem, fmt.Sprintf("%s[%d]", o.field(key), i)))
-	}
-	return out
+// line maps a byte offset to its 1-based line.
+func (d *decoder) line(offset int64) int {
+	return sort.Search(len(d.starts), func(i int) bool { return d.starts[i] > offset })
 }
 
-// intList decodes an array of integers.
-func (o *objDec) intList(key string) []int {
-	v, ok := o.lookup(key)
-	if !ok {
-		return nil
+// syntax converts an encoding/json error into a line-addressed Error.
+func (d *decoder) syntax(err error) error {
+	var syn *json.SyntaxError
+	switch {
+	case errors.As(err, &syn):
+		return d.fail(d.line(syn.Offset), "", "syntax error: %s", syn.Error())
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return d.fail(len(d.starts), "", "unexpected end of document")
 	}
-	arr, isArr := v.raw.([]*value)
-	if !isArr {
-		o.d.fail(v.line, o.field(key), "expected an array of integers, got %s", typeName(v))
-		return nil
+	return d.fail(0, "", "%s", err.Error())
+}
+
+// value decodes the next JSON value into v under the field path. line
+// addresses type errors: an object member's key line, or 0 for the line
+// of the value's first token (array elements and the document itself).
+func (d *decoder) value(v reflect.Value, path string, line int) error {
+	tok, err := d.dec.Token()
+	if err != nil {
+		return d.syntax(err)
 	}
-	out := make([]int, 0, len(arr))
-	for i, elem := range arr {
-		n, isInt := elem.raw.(int64)
-		if !isInt {
-			o.d.fail(elem.line, fmt.Sprintf("%s[%d]", o.field(key), i), "expected an integer, got %s", typeName(elem))
+	if line == 0 {
+		// The offset points just past the token — close enough for the
+		// line of scalars and opening delimiters.
+		line = d.line(d.dec.InputOffset())
+	}
+	if delim, ok := tok.(json.Delim); ok {
+		return d.container(v, delim, path, line)
+	}
+	x, err := scalar(tok)
+	if err != nil {
+		return d.fail(line, path, "invalid number %q", tok)
+	}
+	switch v.Kind() {
+	case reflect.String:
+		if s, ok := x.(string); ok {
+			v.SetString(s)
 			return nil
 		}
-		out = append(out, int(n))
-	}
-	return out
-}
-
-// floatMap decodes an object of string → number (campaign mixes).
-func (o *objDec) floatMap(key string) map[string]float64 {
-	v, ok := o.lookup(key)
-	if !ok {
-		return nil
-	}
-	obj, isObj := v.raw.(*object)
-	if !isObj {
-		o.d.fail(v.line, o.field(key), "expected an object, got %s", typeName(v))
-		return nil
-	}
-	out := make(map[string]float64, len(obj.keys))
-	for _, k := range obj.keys {
-		elem := obj.vals[k]
-		switch n := elem.raw.(type) {
+	case reflect.Bool:
+		if b, ok := x.(bool); ok {
+			v.SetBool(b)
+			return nil
+		}
+	case reflect.Int, reflect.Int64:
+		if i, ok := x.(int64); ok {
+			v.SetInt(i)
+			return nil
+		}
+	case reflect.Uint64:
+		if i, ok := x.(int64); ok {
+			if i < 0 {
+				return d.fail(line, path, "must be non-negative, got %d", i)
+			}
+			v.SetUint(uint64(i))
+			return nil
+		}
+		// Seeds span the whole uint64 range, past int64's.
+		if n, ok := tok.(json.Number); ok {
+			if u, err := strconv.ParseUint(string(n), 10, 64); err == nil {
+				v.SetUint(u)
+				return nil
+			}
+		}
+	case reflect.Float64:
+		// Integer literals are numbers too: a pack author writing
+		// `"rate": 1` should not be told 1 is not a number.
+		switch n := x.(type) {
 		case float64:
-			out[k] = n
+			v.SetFloat(n)
+			return nil
 		case int64:
-			out[k] = float64(n)
-		default:
-			o.d.fail(elem.line, o.field(key)+"."+k, "expected a number, got %s", typeName(elem))
+			v.SetFloat(float64(n))
 			return nil
 		}
 	}
-	return out
+	return d.mismatch(v, path, line, typeName(x))
 }
 
-// decodeManifest walks the document tree into a Manifest. Structural
-// errors (wrong types, unknown fields) surface here; semantic rules live
-// in validate.go.
-func decodeManifest(root *value, source string) (*Manifest, error) {
-	d := &decoder{source: source}
-	doc := d.object(root, "")
-
-	m := &Manifest{Source: source}
-	m.Pack = doc.integer("pack", 0)
-	m.Name = doc.str("name", "")
-	m.Description = doc.str("description", "")
-	m.Seed = doc.uint64("seed", 0)
-	m.Rounds = doc.int64("rounds", 0)
-	m.Classifier = doc.str("classifier", "")
-
-	if topo := doc.table("topology"); topo != nil {
-		decodeTopology(topo, &m.Topology)
-	}
-	if diag := doc.table("diagnosis"); diag != nil {
-		decodeDiagnosis(diag, &m.Diagnosis)
-	}
-	for _, fd := range doc.tables("faults") {
-		m.Faults = append(m.Faults, decodeFault(fd))
-	}
-	for _, ed := range doc.tables("environment") {
-		m.Environment = append(m.Environment, decodeEnv(ed))
-	}
-	if cd := doc.table("campaign"); cd != nil {
-		m.Campaign = decodeCampaign(cd)
-	}
-	m.Expect = Expect{MaxFalseAlarms: -1, MaxNFFRatio: -1, MinScore: 1}
-	if ed := doc.table("expect"); ed != nil {
-		decodeExpect(ed, &m.Expect)
-	}
-	doc.finish()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return m, nil
-}
-
-func decodeTopology(o *objDec, t *Topology) {
-	t.Kind = o.str("kind", "")
-	t.Nodes = o.integer("nodes", 0)
-	t.SlotLenUS = o.int64("slot_len_us", 0)
-	t.SlotBytes = o.integer("slot_bytes", 0)
-	t.DiagNode = o.integer("diag_node", -1)
-	t.Clocks = DefaultClocks()
-	if cd := o.table("clocks"); cd != nil {
-		t.Clocks.MaxDriftPPM = cd.float("max_drift_ppm", t.Clocks.MaxDriftPPM)
-		t.Clocks.JitterUS = cd.float("jitter_us", t.Clocks.JitterUS)
-		t.Clocks.PrecisionUS = cd.float("precision_us", t.Clocks.PrecisionUS)
-		t.Clocks.Tolerated = cd.integer("tolerated", t.Clocks.Tolerated)
-		cd.finish()
-	}
-	for _, c := range o.tables("components") {
-		t.Components = append(t.Components, ComponentSpec{
-			ID:   c.integer("id", -1),
-			Name: c.str("name", ""),
-			X:    c.float("x", 0),
-			Y:    c.float("y", 0),
-		})
-		c.finish()
-	}
-	for _, s := range o.tables("signals") {
-		t.Signals = append(t.Signals, SignalSpec{
-			Name:      s.str("name", ""),
-			Amplitude: s.float("amplitude", 0),
-			PeriodMS:  s.float("period_ms", 0),
-			Offset:    s.float("offset", 0),
-		})
-		s.finish()
-	}
-	for _, dd := range o.tables("dass") {
-		t.DASs = append(t.DASs, decodeDAS(dd))
-	}
-	o.finish()
-}
-
-func decodeDAS(o *objDec) DASSpec {
-	das := DASSpec{
-		Name:     o.str("name", ""),
-		Critical: o.boolean("critical", false),
-	}
-	for _, nd := range o.tables("networks") {
-		net := NetworkSpec{
-			Name: nd.str("name", ""),
-			Kind: nd.str("kind", "tt"),
+// container decodes an array into a slice, or an object into a struct,
+// map or pointer to struct, then consumes the closing delimiter.
+func (d *decoder) container(v reflect.Value, delim json.Delim, path string, line int) error {
+	switch kind := v.Kind(); {
+	case delim == '[' && kind == reflect.Slice:
+		s := reflect.Zero(v.Type())
+		for i := 0; d.dec.More(); i++ {
+			elem := reflect.New(v.Type().Elem()).Elem()
+			if err := d.value(elem, fmt.Sprintf("%s[%d]", path, i), 0); err != nil {
+				return err
+			}
+			s = reflect.Append(s, elem)
 		}
-		for _, ep := range nd.tables("endpoints") {
-			net.Endpoints = append(net.Endpoints, EndpointSpec{
-				Node:       ep.integer("node", -1),
-				AllocBytes: ep.integer("alloc_bytes", 0),
-				QueueCap:   ep.integer("queue_cap", 0),
-			})
-			ep.finish()
+		v.Set(s)
+	case delim == '{' && kind == reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		return d.container(v.Elem(), delim, path, line)
+	case delim == '{' && (kind == reflect.Struct || kind == reflect.Map):
+		if err := d.members(v, path); err != nil {
+			return err
 		}
-		nd.finish()
-		das.Networks = append(das.Networks, net)
+	case delim == '[':
+		return d.mismatch(v, path, line, "array")
+	default:
+		return d.mismatch(v, path, line, "object")
 	}
-	for _, jd := range o.tables("jobs") {
-		das.Jobs = append(das.Jobs, decodeJob(jd))
+	if _, err := d.dec.Token(); err != nil {
+		return d.syntax(err)
 	}
-	o.finish()
-	return das
+	return nil
 }
 
-func decodeJob(o *objDec) JobSpec {
-	j := JobSpec{
-		Name:      o.str("name", ""),
-		Component: o.integer("component", -1),
-		Partition: o.integer("partition", 0),
-		Type:      o.str("type", ""),
-
-		Signal:       o.str("signal", ""),
-		PhysMin:      o.float("phys_min", -10),
-		PhysMax:      o.float("phys_max", 110),
-		FrozenWindow: o.integer("frozen_window", 20),
-
-		In:    o.integer("in", 0),
-		Gain:  o.float("gain", 1),
-		InMin: o.float("in_min", 0),
-		InMax: o.float("in_max", 100),
-
-		Out:      o.integer("out", 0),
-		Actuator: o.str("actuator", ""),
-
-		MeanPerRound: o.float("mean_per_round", 1),
-
-		Ins:       o.intList("ins"),
-		Tolerance: o.float("tolerance", 1),
-
-		Watch: o.integer("watch", 0),
+// members decodes an object's members into a struct, matched by json
+// tag, or into a map. Unknown and repeated keys fail at the key's line.
+func (d *decoder) members(v reflect.Value, path string) error {
+	switch def, ok := defaults[v.Type()]; {
+	case ok:
+		v.Set(reflect.ValueOf(def))
+	case v.Kind() == reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+	default:
+		v.SetZero()
 	}
-	for _, pd := range o.tables("produce") {
-		j.Produce = append(j.Produce, ProduceSpec{
-			Network:      pd.str("network", ""),
-			Channel:      pd.integer("channel", 0),
-			Name:         pd.str("name", ""),
-			Min:          pd.float("min", 0),
-			Max:          pd.float("max", 100),
-			MaxAgeRounds: pd.integer("max_age_rounds", 0),
-			StuckRounds:  pd.integer("stuck_rounds", 0),
-			Sensor:       pd.boolean("sensor", false),
-		})
-		pd.finish()
+	seen := map[string]bool{}
+	for d.dec.More() {
+		tok, err := d.dec.Token()
+		if err != nil {
+			return d.syntax(err)
+		}
+		line := d.line(d.dec.InputOffset())
+		key, _ := tok.(string) // Token yields only strings as object keys
+		field := key
+		if path != "" {
+			field = path + "." + key
+		}
+		if seen[key] {
+			return d.fail(line, field, "duplicate key")
+		}
+		seen[key] = true
+		if v.Kind() == reflect.Map {
+			elem := reflect.New(v.Type().Elem()).Elem()
+			if err := d.value(elem, field, line); err != nil {
+				return err
+			}
+			v.SetMapIndex(reflect.ValueOf(key), elem)
+			continue
+		}
+		f, known := fieldByTag(v, key)
+		if !f.IsValid() {
+			return d.fail(line, field, "unknown field (known fields: %s)", known)
+		}
+		if err := d.value(f, field, line); err != nil {
+			return err
+		}
 	}
-	for _, sd := range o.tables("subscribe") {
-		j.Subscribe = append(j.Subscribe, SubscribeSpec{
-			Channel:   sd.integer("channel", 0),
-			Capacity:  sd.integer("capacity", 0),
-			Overwrite: sd.boolean("overwrite", false),
-		})
-		sd.finish()
-	}
-	o.finish()
-	return j
+	return nil
 }
 
-func decodeDiagnosis(o *objDec, s *DiagnosisSpec) {
-	s.EpochRounds = o.int64("epoch_rounds", 0)
-	s.WindowGranules = o.int64("window_granules", 0)
-	s.RetainGranules = o.int64("retain_granules", 0)
-	s.ProximityRadius = o.float("proximity_radius", 0)
-	s.BurstGranules = o.int64("burst_granules", 0)
-	s.MultiBitThreshold = o.float("multi_bit_threshold", 0)
-	s.PermanentWindow = o.int64("permanent_window", 0)
-	s.PermanentDuty = o.float("permanent_duty", 0)
-	s.RiseFactor = o.float("rise_factor", 0)
-	s.AlphaK = o.float("alpha_k", 0)
-	s.AlphaThreshold = o.float("alpha_threshold", 0)
-	s.MinRecurrentGranules = o.integer("min_recurrent_granules", 0)
-	s.OverflowMin = o.integer("overflow_min", 0)
-	s.JobInternalAssertions = o.boolean("job_internal_assertions", false)
-	o.finish()
+// fieldByTag returns the struct field whose json tag is key or, when
+// there is none, the invalid Value and the sorted list of known keys.
+func fieldByTag(v reflect.Value, key string) (reflect.Value, string) {
+	var known []string
+	for i := 0; i < v.NumField(); i++ {
+		switch tag := v.Type().Field(i).Tag.Get("json"); tag {
+		case "-":
+		case key:
+			return v.Field(i), ""
+		default:
+			known = append(known, tag)
+		}
+	}
+	sort.Strings(known)
+	return reflect.Value{}, strings.Join(known, ", ")
 }
 
-func decodeFault(o *objDec) FaultSpec {
-	f := FaultSpec{
-		Kind: o.str("kind", ""),
-
-		AtMS:       o.float("at_ms", 0),
-		EndMS:      o.float("end_ms", 0),
-		DurationMS: o.float("duration_ms", 0),
-
-		Component: o.integer("component", -1),
-		Job:       o.str("job", ""),
-		Channel:   o.integer("channel", 0),
-
-		Rate:      o.float("rate", 0),
-		Value:     o.float("value", 0),
-		Threshold: o.float("threshold", 0),
-		Omit:      o.boolean("omit", false),
-
-		X:      o.float("x", 0),
-		Y:      o.float("y", 0),
-		Radius: o.float("radius", 0),
-		Bits:   o.integer("bits", 0),
-
-		DriftPPM:        o.float("drift_ppm", 0),
-		DriftPerHour:    o.float("drift_per_hour", 0),
-		RatePerHour:     o.float("rate_per_hour", 0),
-		TauMS:           o.float("tau_ms", 0),
-		BaseRatePerHour: o.float("base_rate_per_hour", 0),
-		MaxFactor:       o.float("max_factor", 0),
-
-		QueueCap: o.integer("queue_cap", 0),
+// mismatch reports a value whose JSON type (got) does not fit v's type.
+func (d *decoder) mismatch(v reflect.Value, path string, line int, got string) error {
+	want := "an integer"
+	switch t := v.Type(); t.Kind() {
+	case reflect.String:
+		want = "a string"
+	case reflect.Bool:
+		want = "a bool"
+	case reflect.Float64:
+		want = "a number"
+	case reflect.Struct, reflect.Map, reflect.Pointer:
+		want = "an object"
+	case reflect.Slice:
+		want = "an array of integers"
+		if t.Elem().Kind() == reflect.Struct {
+			want = "an array of objects"
+		}
 	}
-	o.finish()
-	return f
+	return d.fail(line, path, "expected %s, got %s", want, got)
 }
 
-func decodeEnv(o *objDec) EnvProfile {
-	e := EnvProfile{
-		Profile:    o.str("profile", ""),
-		FromMS:     o.float("from_ms", 0),
-		ToMS:       o.float("to_ms", 0),
-		PeriodMS:   o.float("period_ms", 0),
-		Intensity:  o.float("intensity", 0.5),
-		Components: o.intList("components"),
+// scalar types a scalar token the way the schema reads it: nil, bool,
+// string, int64 (an integer literal within int64's range) or float64.
+func scalar(tok json.Token) (any, error) {
+	n, ok := tok.(json.Number)
+	if !ok {
+		return tok, nil
 	}
-	o.finish()
-	return e
+	if i, err := n.Int64(); err == nil {
+		return i, nil
+	}
+	return n.Float64()
 }
 
-func decodeCampaign(o *objDec) *CampaignSpec {
-	c := &CampaignSpec{
-		Vehicles:         o.integer("vehicles", 0),
-		FaultFreeShare:   o.float("fault_free_share", 0.2),
-		FaultsPerVehicle: o.integer("faults_per_vehicle", 1),
-		Mix:              o.floatMap("mix"),
+// typeName names a scalar's JSON type for error messages.
+func typeName(x any) string {
+	switch x.(type) {
+	case nil:
+		return "null"
+	case bool:
+		return "bool"
+	case string:
+		return "string"
+	case int64:
+		return "integer"
 	}
-	o.finish()
-	return c
-}
-
-func decodeExpect(o *objDec, e *Expect) {
-	e.Healthy = o.boolean("healthy", false)
-	e.MaxFalseAlarms = o.integer("max_false_alarms", -1)
-	e.MinScore = o.float("min_score", 1)
-	e.MinScoreOBD = o.float("min_score_obd", 0)
-	e.MinScoreBayes = o.float("min_score_bayes", 0)
-	e.MinClassAccuracy = o.float("min_class_accuracy", 0)
-	e.MaxNFFRatio = o.float("max_nff_ratio", -1)
-	e.DECOSBeatsOBD = o.boolean("decos_beats_obd", false)
-	for _, vd := range o.tables("verdicts") {
-		e.Verdicts = append(e.Verdicts, VerdictExpect{
-			FRU:        vd.str("fru", ""),
-			Class:      vd.str("class", ""),
-			Action:     vd.str("action", ""),
-			Classifier: vd.str("classifier", ""),
-		})
-		vd.finish()
-	}
-	o.finish()
+	return "float"
 }

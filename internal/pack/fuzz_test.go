@@ -9,10 +9,11 @@ import (
 
 // FuzzPackManifest throws arbitrary bytes at the manifest loader and
 // holds it to its contract: never panic, never accept a document that
-// fails validation, and address every rejection as a *pack.Error
-// carrying the source name. The corpus seeds with the shipped pack
-// library plus JSON boundary fragments so the fuzzer starts at the
-// interesting shapes instead of the empty string.
+// fails validation, address every rejection as a *pack.Error carrying
+// the source name, and accept only single-vehicle packs the engine can
+// build and run. The corpus seeds with the shipped pack library plus
+// JSON boundary fragments so the fuzzer starts at the interesting shapes
+// instead of the empty string.
 func FuzzPackManifest(f *testing.F) {
 	if dir, ok := FindPacksDir("."); ok {
 		files, err := Discover(dir)
@@ -61,5 +62,16 @@ func FuzzPackManifest(f *testing.F) {
 		if m.Topology.Nodes < 1 || m.Topology.SlotLenUS < 1 || m.Topology.SlotBytes < 1 {
 			t.Fatalf("accepted manifest has unresolved topology: %+v", m.Topology)
 		}
+		// Validation is the gate to the simulator: what it accepts must
+		// build and run without panicking. An engine error (a frame
+		// budget the schedule cannot hold) is a refusal, not a crash.
+		if m.Campaign != nil {
+			return
+		}
+		e, err := m.Engine()
+		if err != nil {
+			return
+		}
+		e.RunRounds(min(m.Rounds, 3))
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -18,11 +19,7 @@ func Parse(data []byte, source string) (*Manifest, error) {
 	if len(data) > MaxManifestBytes {
 		return nil, errf(source, 0, "", "manifest is %d bytes (limit %d)", len(data), MaxManifestBytes)
 	}
-	root, err := parseJSON(data, source)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeManifest(root, source)
+	m, err := decode(data, source)
 	if err != nil {
 		return nil, err
 	}
@@ -30,6 +27,37 @@ func Parse(data []byte, source string) (*Manifest, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// Error is one manifest load failure, addressed by source file, line and
+// field path — "packs/x.json:12: faults[2].rate: must be in (0, 1]".
+type Error struct {
+	Source string // file the manifest came from ("" for in-memory)
+	Line   int    // 1-based source line (0 when unknown)
+	Field  string // dotted field path ("" for document-level errors)
+	Msg    string
+}
+
+func (e *Error) Error() string {
+	var loc string
+	if e.Source != "" {
+		loc = e.Source + ":"
+	}
+	if e.Line > 0 {
+		loc += strconv.Itoa(e.Line) + ":"
+	}
+	if loc != "" {
+		loc += " "
+	}
+	if e.Field != "" {
+		loc += e.Field + ": "
+	}
+	return loc + e.Msg
+}
+
+// errf builds a field-addressed Error.
+func errf(source string, line int, field, format string, args ...any) *Error {
+	return &Error{Source: source, Line: line, Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
 // Load reads, decodes and validates a manifest file.

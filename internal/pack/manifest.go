@@ -45,39 +45,43 @@ const (
 	MaxFaults      = 256
 	MaxEnvEvents   = 256
 	MaxEnvProfiles = 32
+	// MaxRatePerHour caps transient episode rates at one per millisecond
+	// on average; faster episodes follow each other at the same instant
+	// and the run never advances.
+	MaxRatePerHour = 3.6e6
 )
 
 // Manifest is one parsed, validated scenario pack.
 type Manifest struct {
 	// Pack is the schema version (must equal Version).
-	Pack int
+	Pack int `json:"pack"`
 	// Name identifies the pack (lowercase slug).
-	Name string
+	Name string `json:"name"`
 	// Description is free documentation text.
-	Description string
+	Description string `json:"description"`
 	// Seed is the master seed of the run; every RNG stream derives from
 	// it, so a pack is a pure function of its manifest.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Rounds is the simulated horizon in TDMA rounds.
-	Rounds int64
+	Rounds int64 `json:"rounds"`
 	// Classifier selects the diagnostic pipeline's classification stage
 	// for plain (non-conformance) runs: "decos" (default), "obd" or
 	// "bayes". The conformance runner ignores it — it always scores all
 	// classifiers side by side.
-	Classifier string
+	Classifier string `json:"classifier"`
 
-	Topology    Topology
-	Diagnosis   DiagnosisSpec
-	Faults      []FaultSpec
-	Environment []EnvProfile
+	Topology    Topology      `json:"topology"`
+	Diagnosis   DiagnosisSpec `json:"diagnosis"`
+	Faults      []FaultSpec   `json:"faults"`
+	Environment []EnvProfile  `json:"environment"`
 	// Campaign, when present, turns the pack into a fleet campaign over
 	// the topology (fig10 only) instead of a single-vehicle run.
-	Campaign *CampaignSpec
-	Expect   Expect
+	Campaign *CampaignSpec `json:"campaign"`
+	Expect   Expect        `json:"expect"`
 
 	// Source is the file the manifest was loaded from ("" for in-memory
 	// manifests); it prefixes error and report locations.
-	Source string
+	Source string `json:"-"`
 }
 
 // Horizon returns the simulated span of the run.
@@ -87,10 +91,10 @@ func (m *Manifest) Horizon() sim.Time {
 
 // ClockSpec mirrors engine.ClockSpec in manifest form.
 type ClockSpec struct {
-	MaxDriftPPM float64
-	JitterUS    float64
-	PrecisionUS float64
-	Tolerated   int
+	MaxDriftPPM float64 `json:"max_drift_ppm"`
+	JitterUS    float64 `json:"jitter_us"`
+	PrecisionUS float64 `json:"precision_us"`
+	Tolerated   int     `json:"tolerated"`
 }
 
 // DefaultClocks is the clock ensemble every current scenario uses.
@@ -102,21 +106,21 @@ func DefaultClocks() ClockSpec {
 // topology ("fig10", "grid") or a fully declarative custom FRU graph
 // ("custom") listing components, environment signals and DASs.
 type Topology struct {
-	Kind string // "fig10" | "grid" | "custom"
+	Kind string `json:"kind"` // "fig10" | "grid" | "custom"
 	// Nodes is the component count (grid: required; fig10: fixed at 4;
 	// custom: derived from Components).
-	Nodes int
+	Nodes int `json:"nodes"`
 	// SlotLenUS and SlotBytes dimension the uniform TDMA schedule.
-	SlotLenUS int64
-	SlotBytes int
+	SlotLenUS int64 `json:"slot_len_us"`
+	SlotBytes int   `json:"slot_bytes"`
 	// DiagNode hosts the diagnostic DAS's analysis stage.
-	DiagNode int
-	Clocks   ClockSpec
+	DiagNode int       `json:"diag_node"`
+	Clocks   ClockSpec `json:"clocks"`
 
 	// Custom graph (Kind == "custom").
-	Components []ComponentSpec
-	Signals    []SignalSpec
-	DASs       []DASSpec
+	Components []ComponentSpec `json:"components"`
+	Signals    []SignalSpec    `json:"signals"`
+	DASs       []DASSpec       `json:"dass"`
 }
 
 // SlotLen returns the TDMA slot length.
@@ -132,115 +136,117 @@ func (t *Topology) RoundDuration() sim.Duration {
 
 // ComponentSpec places one node computer (hardware FRU).
 type ComponentSpec struct {
-	ID   int
-	Name string
-	X, Y float64
+	ID   int     `json:"id"`
+	Name string  `json:"name"`
+	X    float64 `json:"x"`
+	Y    float64 `json:"y"`
 }
 
 // SignalSpec registers one sinusoidal environment signal:
 // amplitude·sin(2π·t/period) + offset.
 type SignalSpec struct {
-	Name      string
-	Amplitude float64
-	PeriodMS  float64
-	Offset    float64
+	Name      string  `json:"name"`
+	Amplitude float64 `json:"amplitude"`
+	PeriodMS  float64 `json:"period_ms"`
+	Offset    float64 `json:"offset"`
 }
 
 // DASSpec declares a distributed application subsystem with its virtual
 // networks and jobs.
 type DASSpec struct {
-	Name     string
-	Critical bool
-	Networks []NetworkSpec
-	Jobs     []JobSpec
+	Name     string        `json:"name"`
+	Critical bool          `json:"critical"`
+	Networks []NetworkSpec `json:"networks"`
+	Jobs     []JobSpec     `json:"jobs"`
 }
 
 // NetworkSpec declares a virtual network. Kind is "tt" (state semantics)
 // or "et" (event semantics).
 type NetworkSpec struct {
-	Name      string
-	Kind      string // "tt" | "et"
-	Endpoints []EndpointSpec
+	Name      string         `json:"name"`
+	Kind      string         `json:"kind"` // "tt" | "et"
+	Endpoints []EndpointSpec `json:"endpoints"`
 }
 
 // EndpointSpec attaches a network to a node with a frame-segment byte
 // allocation and (for ET networks) a send-queue capacity.
 type EndpointSpec struct {
-	Node       int
-	AllocBytes int
-	QueueCap   int
+	Node       int `json:"node"`
+	AllocBytes int `json:"alloc_bytes"`
+	QueueCap   int `json:"queue_cap"`
 }
 
 // JobSpec deploys one job. Type selects the implementation; the
 // remaining fields parameterize it. Produce/Subscribe declare the job's
 // LIF channels in order.
 type JobSpec struct {
-	Name      string
-	Component int
-	Partition int
-	Type      string // sensor | control | actuator | bursty | sink | voter | observer
+	Name      string `json:"name"`
+	Component int    `json:"component"`
+	Partition int    `json:"partition"`
+	Type      string `json:"type"` // sensor | control | actuator | bursty | sink | voter | observer
 
 	// sensor
-	Signal       string
-	PhysMin      float64
-	PhysMax      float64
-	FrozenWindow int
+	Signal       string  `json:"signal"`
+	PhysMin      float64 `json:"phys_min"`
+	PhysMax      float64 `json:"phys_max"`
+	FrozenWindow int     `json:"frozen_window"`
 	// control
-	In    int
-	Gain  float64
-	InMin float64
-	InMax float64
+	In    int     `json:"in"`
+	Gain  float64 `json:"gain"`
+	InMin float64 `json:"in_min"`
+	InMax float64 `json:"in_max"`
 	// sensor/control/bursty/voter output channel
-	Out int
+	Out int `json:"out"`
 	// actuator
-	Actuator string
+	Actuator string `json:"actuator"`
 	// bursty
-	MeanPerRound float64
+	MeanPerRound float64 `json:"mean_per_round"`
 	// voter
-	Ins       []int
-	Tolerance float64
+	Ins       []int   `json:"ins"`
+	Tolerance float64 `json:"tolerance"`
 	// observer (consumes the latest state value, side-effect free)
-	Watch int
+	Watch int `json:"watch"`
 
-	Produce   []ProduceSpec
-	Subscribe []SubscribeSpec
+	Produce   []ProduceSpec   `json:"produce"`
+	Subscribe []SubscribeSpec `json:"subscribe"`
 }
 
 // ProduceSpec declares a published channel with its LIF specification.
 type ProduceSpec struct {
-	Network      string
-	Channel      int
-	Name         string
-	Min, Max     float64
-	MaxAgeRounds int
-	StuckRounds  int
-	Sensor       bool
+	Network      string  `json:"network"`
+	Channel      int     `json:"channel"`
+	Name         string  `json:"name"`
+	Min          float64 `json:"min"`
+	Max          float64 `json:"max"`
+	MaxAgeRounds int     `json:"max_age_rounds"`
+	StuckRounds  int     `json:"stuck_rounds"`
+	Sensor       bool    `json:"sensor"`
 }
 
 // SubscribeSpec attaches the job to a channel.
 type SubscribeSpec struct {
-	Channel   int
-	Capacity  int
-	Overwrite bool
+	Channel   int  `json:"channel"`
+	Capacity  int  `json:"capacity"`
+	Overwrite bool `json:"overwrite"`
 }
 
 // DiagnosisSpec overrides a subset of diagnosis.Options. Zero values
 // keep the defaults (diagnosis.DefaultOptions), exactly like the Go API.
 type DiagnosisSpec struct {
-	EpochRounds           int64
-	WindowGranules        int64
-	RetainGranules        int64
-	ProximityRadius       float64
-	BurstGranules         int64
-	MultiBitThreshold     float64
-	PermanentWindow       int64
-	PermanentDuty         float64
-	RiseFactor            float64
-	AlphaK                float64
-	AlphaThreshold        float64
-	MinRecurrentGranules  int
-	OverflowMin           int
-	JobInternalAssertions bool
+	EpochRounds           int64   `json:"epoch_rounds"`
+	WindowGranules        int64   `json:"window_granules"`
+	RetainGranules        int64   `json:"retain_granules"`
+	ProximityRadius       float64 `json:"proximity_radius"`
+	BurstGranules         int64   `json:"burst_granules"`
+	MultiBitThreshold     float64 `json:"multi_bit_threshold"`
+	PermanentWindow       int64   `json:"permanent_window"`
+	PermanentDuty         float64 `json:"permanent_duty"`
+	RiseFactor            float64 `json:"rise_factor"`
+	AlphaK                float64 `json:"alpha_k"`
+	AlphaThreshold        float64 `json:"alpha_threshold"`
+	MinRecurrentGranules  int     `json:"min_recurrent_granules"`
+	OverflowMin           int     `json:"overflow_min"`
+	JobInternalAssertions bool    `json:"job_internal_assertions"`
 }
 
 // FaultSpec is one declarative injection, routed through the engine's
@@ -248,39 +254,41 @@ type DiagnosisSpec struct {
 // it. Kind names the injector primitive; the remaining fields
 // parameterize it (validation enforces the per-kind requirements).
 type FaultSpec struct {
-	Kind string
+	Kind string `json:"kind"`
 
-	AtMS       float64
-	EndMS      float64
-	DurationMS float64
+	AtMS       float64 `json:"at_ms"`
+	EndMS      float64 `json:"end_ms"`
+	DurationMS float64 `json:"duration_ms"`
 
 	// Hardware target (component node id); -1 when unset.
-	Component int
+	Component int `json:"component"`
 	// Software target ("DAS/job", e.g. "A/A1").
-	Job string
+	Job string `json:"job"`
 	// Channel targeted by job-level faults.
-	Channel int
+	Channel int `json:"channel"`
 
 	// Probabilities and values.
-	Rate      float64 // drop/corruption probability per frame or send
-	Value     float64 // stuck-at / bad output value
-	Threshold float64 // bohrbug trigger: inject when value > threshold
-	Omit      bool    // heisenbug: omit instead of corrupting
+	Rate      float64 `json:"rate"`      // drop/corruption probability per frame or send
+	Value     float64 `json:"value"`     // stuck-at / bad output value
+	Threshold float64 `json:"threshold"` // bohrbug trigger: inject when value > threshold
+	Omit      bool    `json:"omit"`      // heisenbug: omit instead of corrupting
 
 	// EMI geometry.
-	X, Y, Radius float64
-	Bits         int
+	X      float64 `json:"x"`
+	Y      float64 `json:"y"`
+	Radius float64 `json:"radius"`
+	Bits   int     `json:"bits"`
 
 	// Rates and drifts.
-	DriftPPM        float64
-	DriftPerHour    float64
-	RatePerHour     float64
-	TauMS           float64
-	BaseRatePerHour float64
-	MaxFactor       float64
+	DriftPPM        float64 `json:"drift_ppm"`
+	DriftPerHour    float64 `json:"drift_per_hour"`
+	RatePerHour     float64 `json:"rate_per_hour"`
+	TauMS           float64 `json:"tau_ms"`
+	BaseRatePerHour float64 `json:"base_rate_per_hour"`
+	MaxFactor       float64 `json:"max_factor"`
 
 	// Queue misconfiguration.
-	QueueCap int
+	QueueCap int `json:"queue_cap"`
 }
 
 // At returns the activation instant.
@@ -302,26 +310,26 @@ func msToTime(ms float64) sim.Time {
 // arithmetic phases — no randomness, so packs replay bit-identically
 // and checkpoint restores reconstruct every activation.
 type EnvProfile struct {
-	Profile   string // vibration | thermal-cycling | emi-storm | connector-chatter | power-sags
-	FromMS    float64
-	ToMS      float64
-	PeriodMS  float64
-	Intensity float64 // (0, 1]
+	Profile   string  `json:"profile"` // vibration | thermal-cycling | emi-storm | connector-chatter | power-sags
+	FromMS    float64 `json:"from_ms"`
+	ToMS      float64 `json:"to_ms"`
+	PeriodMS  float64 `json:"period_ms"`
+	Intensity float64 `json:"intensity"` // (0, 1]
 	// Components targets specific nodes; empty targets every component
 	// except the diagnostic node.
-	Components []int
+	Components []int `json:"components"`
 }
 
 // CampaignSpec turns the pack into a fleet campaign: Vehicles
 // independent realizations of the topology, each with faults drawn from
 // Mix (scenario.Campaign semantics).
 type CampaignSpec struct {
-	Vehicles         int
-	FaultFreeShare   float64
-	FaultsPerVehicle int
+	Vehicles         int     `json:"vehicles"`
+	FaultFreeShare   float64 `json:"fault_free_share"`
+	FaultsPerVehicle int     `json:"faults_per_vehicle"`
 	// Mix weights fault kinds by campaign kind name (scenario.FaultKind
 	// strings); empty uses the default field distribution.
-	Mix map[string]float64
+	Mix map[string]float64 `json:"mix"`
 }
 
 // VerdictExpect asserts one diagnostic outcome: the named FRU carries a
@@ -329,10 +337,10 @@ type CampaignSpec struct {
 // honored) and, when Action is set, whose advised action equals it.
 // Classifier scopes the assertion ("decos", "obd", "bayes", "" = all).
 type VerdictExpect struct {
-	FRU        string
-	Class      string
-	Action     string
-	Classifier string
+	FRU        string `json:"fru"`
+	Class      string `json:"class"`
+	Action     string `json:"action"`
+	Classifier string `json:"classifier"`
 }
 
 // Expect is the pack's scored contract. Every assertion contributes one
@@ -343,17 +351,17 @@ type VerdictExpect struct {
 type Expect struct {
 	// Healthy asserts a clean bill: no standing verdicts and no removal
 	// advice on any hardware FRU.
-	Healthy bool
+	Healthy bool `json:"healthy"`
 	// MaxFalseAlarms bounds removal recommendations for FRUs that were
 	// never a culprit (-1 = unchecked).
-	MaxFalseAlarms int
-	Verdicts       []VerdictExpect
-	MinScore       float64
-	MinScoreOBD    float64
-	MinScoreBayes  float64
+	MaxFalseAlarms int             `json:"max_false_alarms"`
+	Verdicts       []VerdictExpect `json:"verdicts"`
+	MinScore       float64         `json:"min_score"`
+	MinScoreOBD    float64         `json:"min_score_obd"`
+	MinScoreBayes  float64         `json:"min_score_bayes"`
 
 	// Campaign expectations (campaign packs only).
-	MinClassAccuracy float64
-	MaxNFFRatio      float64 // -1 = unchecked
-	DECOSBeatsOBD    bool
+	MinClassAccuracy float64 `json:"min_class_accuracy"`
+	MaxNFFRatio      float64 `json:"max_nff_ratio"` // -1 = unchecked
+	DECOSBeatsOBD    bool    `json:"decos_beats_obd"`
 }

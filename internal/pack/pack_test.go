@@ -1,8 +1,13 @@
 package pack
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,7 +30,7 @@ const richJSON = `{
   "seed": 20050404,
   "rounds": 2000,
   "topology": {"kind": "fig10"},
-  "diagnosis": {"epoch_rounds": 16, "alpha_k": 3.5},
+  "diagnosis": {"epoch_rounds": 16, "alpha_k": 0.85},
   "faults": [
     {"kind": "quartz", "component": 1, "at_ms": 200, "drift_ppm": 90000},
     {"kind": "sensor-stuck", "job": "A/A1", "at_ms": 300, "value": 42.5}
@@ -137,8 +142,47 @@ func TestParseErrors(t *testing.T) {
 		{"key-value syntax", "x.conf", "pack = 1\nname = \"x\"\n[topology]\nkind = \"fig10\"\n",
 			[]string{"x.conf:1:", "syntax error"}},
 		{"json syntax", "x.json", `{"pack": }`, []string{"x.json:"}},
+		// The decoder recurses no deeper than the schema: a nested array
+		// where an object belongs is a type error at its first level.
 		{"nesting too deep", "d.json", `{"environment": ` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `}`,
-			[]string{"d.json:1:", "nesting deeper than"}},
+			[]string{"d.json:1:", "environment[0]: expected an object, got array"}},
+		{"duplicate nested key", "dk.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"campaign": {"vehicles": 2, "mix": {"emi": 1, "emi": 2}}}`,
+			[]string{"dk.json:2:", "campaign.mix.emi: duplicate key"}},
+		{"invalid number", "n.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "quartz", "drift_ppm": 1e309}]}`,
+			[]string{"n.json:2:", `faults[0].drift_ppm: invalid number "1e309"`}},
+		// Clock and α-count parameters the engine cannot run with.
+		{"negative tolerated clocks", "ct.json", `{"pack": 1, "name": "x", "rounds": 1,
+			"topology": {"kind": "fig10", "clocks": {"tolerated": -4}}}`,
+			[]string{"topology.clocks.tolerated:", "must be ≥ 0, got -4"}},
+		{"zero precision", "cp.json", `{"pack": 1, "name": "x", "rounds": 1,
+			"topology": {"kind": "fig10", "clocks": {"precision_us": 0}}}`,
+			[]string{"topology.clocks.precision_us:", "must be > 0"}},
+		{"negative drift", "cd.json", `{"pack": 1, "name": "x", "rounds": 1,
+			"topology": {"kind": "grid", "nodes": 4, "clocks": {"max_drift_ppm": -1}}}`,
+			[]string{"topology.clocks.max_drift_ppm:", "must be ≥ 0"}},
+		{"negative jitter", "cj.json", `{"pack": 1, "name": "x", "rounds": 1,
+			"topology": {"kind": "fig10", "clocks": {"jitter_us": -0.5}}}`,
+			[]string{"topology.clocks.jitter_us:", "must be ≥ 0"}},
+		// Episode rates so high that episodes never leave the current
+		// instant would stall the run.
+		{"intermittent rate too high", "ir.json", `{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "intermittent", "component": 1, "rate_per_hour": 1e300}]}`,
+			[]string{"faults[0].rate_per_hour:", "must be ≤"}},
+		{"wearout rate too high", "wr.json", `{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "wearout", "component": 1, "tau_ms": 1, "base_rate_per_hour": 1e6, "max_factor": 10}]}`,
+			[]string{"faults[0].base_rate_per_hour:", "exceeds"}},
+		// Fault targets the injector would dereference or look up.
+		{"emi burst on missing component", "eb.json", `{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "emi-burst", "component": 9, "radius": 1, "bits": 1}]}`,
+			[]string{"faults[0].component:", "must be in [0, 4)"}},
+		{"queue on unsubscribed channel", "mq.json", `{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "misconfig-queue", "job": "A/A1", "channel": 1, "queue_cap": 2}]}`,
+			[]string{"faults[0].channel:", "does not subscribe channel 1"}},
+		{"alpha decay not below 1", "ak.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"diagnosis": {"alpha_k": 3.5}}`,
+			[]string{"diagnosis.alpha_k:", "must be < 1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,6 +288,221 @@ func TestExportedTopologiesValidate(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m.Topology, tc.top) {
 			t.Errorf("%s: validation changed the resolved topology:\n got %+v\nwant %+v", tc.name, m.Topology, tc.top)
+		}
+	}
+}
+
+// TestParseSeedFullRange pins that seeds cover uint64, as they do on the
+// decos-sim command line, not just int64.
+func TestParseSeedFullRange(t *testing.T) {
+	doc := strings.Replace(minimalJSON, `"seed": 7`, `"seed": 18446744073709551615`, 1)
+	m, err := Parse([]byte(doc), "seed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Seed != math.MaxUint64 {
+		t.Fatalf("seed = %d, want %d", m.Seed, uint64(math.MaxUint64))
+	}
+}
+
+// packTree decodes a shipped pack into a generic JSON tree for editing.
+func packTree(t *testing.T, name string) map[string]any {
+	t.Helper()
+	dir, ok := FindPacksDir(".")
+	if !ok {
+		t.Fatal("packs/ not found")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var tree map[string]any
+	if err := dec.Decode(&tree); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// parseTree re-encodes an edited tree and parses it.
+func parseTree(t *testing.T, tree any) (*Manifest, error) {
+	t.Helper()
+	data, err := json.Marshal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Parse(data, "edit.json")
+}
+
+// wantField asserts err is a *pack.Error addressed to exactly field.
+func wantField(t *testing.T, err error, field string) {
+	t.Helper()
+	var pe *Error
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v (%T), want a *pack.Error at %s", err, err, field)
+	}
+	if pe.Field != field {
+		t.Fatalf("error %q is addressed to %q, want %q", err, pe.Field, field)
+	}
+}
+
+// TestCustomChannelWiring holds the custom-topology rules that keep a
+// pack from building a cluster that panics: a job sends only on
+// channels it produces, reads only channels it subscribes, subscribes
+// only channels declared by itself or an earlier job, produces each
+// channel once on a network its component is attached to, and each
+// network has one endpoint per node.
+func TestCustomChannelWiring(t *testing.T) {
+	const das = "topology.dass[0]"
+	cases := []struct {
+		name  string
+		edit  func(net map[string]any, jobs []any)
+		field string
+	}{
+		{"out not produced", func(_ map[string]any, jobs []any) {
+			job(jobs, 0)["produce"] = []any{}
+		}, das + ".jobs[0].out"},
+		{"out on another channel", func(_ map[string]any, jobs []any) {
+			job(jobs, 0)["out"] = 9
+		}, das + ".jobs[0].out"},
+		{"in not subscribed", func(_ map[string]any, jobs []any) {
+			job(jobs, 1)["in"] = 9
+		}, das + ".jobs[1].in"},
+		{"watch not subscribed", func(_ map[string]any, jobs []any) {
+			display := job(jobs, 2)
+			delete(display, "in")
+			delete(display, "actuator")
+			display["type"], display["watch"] = "observer", 9
+		}, das + ".jobs[2].watch"},
+		{"voter input not subscribed", func(_ map[string]any, jobs []any) {
+			display := job(jobs, 2)
+			delete(display, "in")
+			delete(display, "actuator")
+			display["type"], display["ins"], display["out"] = "voter", []any{2, 2, 9}, 3
+			display["produce"] = []any{map[string]any{"network": "T.tt", "channel": 3, "name": "voted"}}
+		}, das + ".jobs[2].ins[2]"},
+		{"subscribed before produced", func(_ map[string]any, jobs []any) {
+			jobs[0], jobs[1] = jobs[1], jobs[0]
+		}, das + ".jobs[0].subscribe[0].channel"},
+		{"channel produced twice", func(_ map[string]any, jobs []any) {
+			job(jobs, 1)["produce"].([]any)[0].(map[string]any)["channel"] = 1
+		}, das + ".jobs[1].produce[0].channel"},
+		{"producer without endpoint", func(net map[string]any, _ []any) {
+			eps := net["endpoints"].([]any)
+			net["endpoints"] = []any{eps[0], eps[2]}
+		}, das + ".jobs[1].produce[0].network"},
+		{"duplicate endpoint", func(net map[string]any, _ []any) {
+			net["endpoints"].([]any)[1].(map[string]any)["node"] = 0
+		}, das + ".networks[0].endpoints[1].node"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := packTree(t, "custom-telemetry-rig.json")
+			d := tree["topology"].(map[string]any)["dass"].([]any)[0].(map[string]any)
+			tc.edit(d["networks"].([]any)[0].(map[string]any), d["jobs"].([]any))
+			_, err := parseTree(t, tree)
+			wantField(t, err, tc.field)
+		})
+	}
+}
+
+func job(jobs []any, i int) map[string]any { return jobs[i].(map[string]any) }
+
+// TestMisconfigQueueTargets pins the validator's subscription tables
+// for the built-in topologies to their build hooks: a misdimensioned
+// queue on each listed channel is accepted and applies at engine start.
+func TestMisconfigQueueTargets(t *testing.T) {
+	for _, tc := range []struct {
+		topology, job string
+		channel       int
+	}{
+		{`{"kind": "fig10"}`, "A/A2", 1}, {`{"kind": "fig10"}`, "A/A3", 2},
+		{`{"kind": "fig10"}`, "C/C2", 10}, {`{"kind": "fig10"}`, "S/V", 23},
+		{`{"kind": "grid", "nodes": 4}`, "D2/consume", 3},
+	} {
+		doc := fmt.Sprintf(`{"pack": 1, "name": "x", "rounds": 10, "topology": %s,
+			"faults": [{"kind": "misconfig-queue", "job": %q, "channel": %d, "queue_cap": 1}]}`, tc.topology, tc.job, tc.channel)
+		m, err := Parse([]byte(doc), "q.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Engine(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestManifestMutantsAddressed holds the decoder's addressing contract
+// over the whole shipped library: every scalar and object value given
+// JSON types its field rejects, and every object given an unknown key, is
+// rejected as a *pack.Error addressed to exactly the changed path.
+func TestManifestMutantsAddressed(t *testing.T) {
+	dir, ok := FindPacksDir(".")
+	if !ok {
+		t.Fatal("packs/ not found")
+	}
+	files, err := Discover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := 0
+	for _, path := range files {
+		tree := packTree(t, filepath.Base(path))
+		mutate(tree, "", func(field string, undo func()) {
+			cases++
+			_, err := parseTree(t, tree)
+			undo()
+			var pe *Error
+			if !errors.As(err, &pe) || pe.Field != field {
+				t.Errorf("%s: mutant at %s: got %v, want a *pack.Error at that field", filepath.Base(path), field, err)
+			}
+		})
+	}
+	if cases < 1000 {
+		t.Fatalf("only %d mutants generated", cases)
+	}
+}
+
+// mutate calls check once per mutant of the tree under path: each
+// scalar or object value swapped for values of other JSON types, and
+// each object given an unknown key. check must call undo before
+// returning, restoring the tree.
+func mutate(v any, path string, check func(field string, undo func())) {
+	join := func(key string) string {
+		if path == "" {
+			return key
+		}
+		return path + "." + key
+	}
+	switch n := v.(type) {
+	case map[string]any:
+		n["zz_unknown"] = 1
+		check(join("zz_unknown"), func() { delete(n, "zz_unknown") })
+		for key, child := range n {
+			swap(child, func(x any) { n[key] = x }, join(key), check)
+			mutate(child, join(key), check)
+		}
+	case []any:
+		for i, child := range n {
+			elem := fmt.Sprintf("%s[%d]", path, i)
+			swap(child, func(x any) { n[i] = x }, elem, check)
+			mutate(child, elem, check)
+		}
+	}
+}
+
+// swap replaces a scalar or object value with each value of another
+// JSON type. A number is never swapped for an integer (float fields take
+// integer literals), so every swap is one its field rejects.
+func swap(v any, set func(any), field string, check func(string, func())) {
+	if _, isArray := v.([]any); isArray {
+		return
+	}
+	for _, other := range []any{"x", json.Number("1"), true, nil} {
+		if reflect.TypeOf(other) != reflect.TypeOf(v) {
+			set(other)
+			check(field, func() { set(v) })
 		}
 	}
 }

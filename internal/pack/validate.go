@@ -2,6 +2,7 @@ package pack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -60,10 +61,14 @@ var campaignKinds = func() map[string]bool {
 // components exist and which DAS/job pairs faults may target.
 type topologyInfo struct {
 	nodes int
-	// jobs maps "DAS/job" → hosting component.
-	jobs map[string]int
+	// jobs maps "DAS/job" → the channels the job subscribes.
+	jobs map[string][]int
 	// signals defined by the topology (sensor jobs must reference one).
 	signals map[string]bool
+	// produced holds the channels a custom topology's jobs declared so
+	// far: the build wires jobs in declaration order, and a subscription
+	// needs its channel already declared.
+	produced map[int]bool
 }
 
 // Validate checks the manifest's semantic rules — topology shape, fault
@@ -110,6 +115,9 @@ func (v *validator) run() {
 	if v.err != nil {
 		return
 	}
+	if d := m.Diagnosis; d.AlphaK >= 1 {
+		v.failf("diagnosis.alpha_k", "must be < 1 (≤ 0 keeps the default), got %g", d.AlphaK)
+	}
 	v.faults(info)
 	v.environment(info)
 	v.campaign()
@@ -136,11 +144,28 @@ func (v *validator) topology() *topologyInfo {
 		// fills it, but validation must too so both paths resolve alike.
 		t.Clocks = DefaultClocks()
 	}
+	// FTA discards `tolerated` readings at each end of the sorted
+	// ensemble, and a node whose deviation exceeds the precision window
+	// drops out of sync.
+	c := t.Clocks
+	if c.MaxDriftPPM < 0 {
+		v.failf("topology.clocks.max_drift_ppm", "must be ≥ 0, got %g", c.MaxDriftPPM)
+	}
+	if c.JitterUS < 0 {
+		v.failf("topology.clocks.jitter_us", "must be ≥ 0, got %g", c.JitterUS)
+	}
+	if c.PrecisionUS <= 0 {
+		v.failf("topology.clocks.precision_us", "must be > 0, got %g", c.PrecisionUS)
+	}
+	if c.Tolerated < 0 {
+		v.failf("topology.clocks.tolerated", "must be ≥ 0, got %d", c.Tolerated)
+	}
+	var info *topologyInfo
 	switch t.Kind {
 	case "fig10":
-		return v.fig10Topology(t)
+		info = v.fig10Topology(t)
 	case "grid":
-		return v.gridTopology(t)
+		info = v.gridTopology(t)
 	case "custom":
 		return v.customTopology(t)
 	case "":
@@ -148,7 +173,10 @@ func (v *validator) topology() *topologyInfo {
 	default:
 		v.failf("topology.kind", "unknown kind %q (one of fig10, grid, custom)", t.Kind)
 	}
-	return nil
+	if len(t.Components) > 0 || len(t.Signals) > 0 || len(t.DASs) > 0 {
+		v.failf("topology", "components/signals/dass are only valid for kind \"custom\"")
+	}
+	return info
 }
 
 func (v *validator) fig10Topology(t *Topology) *topologyInfo {
@@ -156,22 +184,13 @@ func (v *validator) fig10Topology(t *Topology) *topologyInfo {
 		v.failf("topology.nodes", "fig10 is a 4-component system, got %d", t.Nodes)
 	}
 	t.Nodes = 4
-	defaultSlot(t, 250, 256)
-	if t.DiagNode < 0 {
-		t.DiagNode = 3
-	}
-	if t.DiagNode >= t.Nodes {
-		v.failf("topology.diag_node", "must be < %d, got %d", t.Nodes, t.DiagNode)
-	}
-	if len(t.Components) > 0 || len(t.Signals) > 0 || len(t.DASs) > 0 {
-		v.failf("topology", "components/signals/dass are only valid for kind \"custom\"")
-	}
+	v.schedule(t, 256)
 	return &topologyInfo{
 		nodes: 4,
-		jobs: map[string]int{
-			"A/A1": 0, "A/A2": 1, "A/A3": 2,
-			"C/C1": 1, "C/C2": 2,
-			"S/S1": 0, "S/S2": 2, "S/S3": 3, "S/V": 1,
+		jobs: map[string][]int{
+			"A/A1": nil, "A/A2": {1}, "A/A3": {2},
+			"C/C1": nil, "C/C2": {10},
+			"S/S1": nil, "S/S2": nil, "S/S3": nil, "S/V": {21, 22, 23},
 		},
 		signals: map[string]bool{"wheel.speed": true, "brake.pressure": true},
 	}
@@ -186,20 +205,11 @@ func (v *validator) gridTopology(t *Topology) *topologyInfo {
 		v.failf("topology.nodes", "must be ≤ %d, got %d", MaxNodes, t.Nodes)
 		return nil
 	}
-	defaultSlot(t, 250, 160)
-	if t.DiagNode < 0 {
-		t.DiagNode = t.Nodes - 1
-	}
-	if t.DiagNode >= t.Nodes {
-		v.failf("topology.diag_node", "must be < %d, got %d", t.Nodes, t.DiagNode)
-	}
-	if len(t.Components) > 0 || len(t.Signals) > 0 || len(t.DASs) > 0 {
-		v.failf("topology", "components/signals/dass are only valid for kind \"custom\"")
-	}
-	info := &topologyInfo{nodes: t.Nodes, jobs: map[string]int{}, signals: map[string]bool{"signal": true}}
+	v.schedule(t, 160)
+	info := &topologyInfo{nodes: t.Nodes, jobs: map[string][]int{}, signals: map[string]bool{"signal": true}}
 	for i := 0; i+1 < t.Nodes; i++ {
-		info.jobs[fmt.Sprintf("D%d/sense", i)] = i
-		info.jobs[fmt.Sprintf("D%d/consume", i)] = i + 1
+		info.jobs[fmt.Sprintf("D%d/sense", i)] = nil
+		info.jobs[fmt.Sprintf("D%d/consume", i)] = []int{i + 1}
 	}
 	return info
 }
@@ -244,15 +254,9 @@ func (v *validator) customTopology(t *Topology) *topologyInfo {
 			break
 		}
 	}
-	defaultSlot(t, 250, 256)
-	if t.DiagNode < 0 {
-		t.DiagNode = t.Nodes - 1
-	}
-	if t.DiagNode >= t.Nodes {
-		v.failf("topology.diag_node", "must be < %d, got %d", t.Nodes, t.DiagNode)
-	}
+	v.schedule(t, 256)
 
-	info := &topologyInfo{nodes: t.Nodes, jobs: map[string]int{}, signals: map[string]bool{}}
+	info := &topologyInfo{nodes: t.Nodes, jobs: map[string][]int{}, signals: map[string]bool{}, produced: map[int]bool{}}
 	for i, s := range t.Signals {
 		field := fmt.Sprintf("topology.signals[%d]", i)
 		if s.Name == "" {
@@ -290,7 +294,7 @@ func (v *validator) customDAS(di int, das DASSpec, info *topologyInfo, dasNames 
 	}
 	dasNames[das.Name] = true
 
-	nets := map[string]string{} // name → kind
+	nets := map[string]map[int]bool{} // name → nodes with an endpoint
 	for ni, net := range das.Networks {
 		nf := fmt.Sprintf("%s.networks[%d]", field, ni)
 		if net.Name == "" {
@@ -303,7 +307,8 @@ func (v *validator) customDAS(di int, das DASSpec, info *topologyInfo, dasNames 
 		if _, dup := nets[net.Name]; dup {
 			v.failf(nf+".name", "duplicate network %q", net.Name)
 		}
-		nets[net.Name] = net.Kind
+		nodes := map[int]bool{}
+		nets[net.Name] = nodes
 		if len(net.Endpoints) == 0 {
 			v.failf(nf+".endpoints", "network needs at least one endpoint")
 		}
@@ -318,6 +323,10 @@ func (v *validator) customDAS(di int, das DASSpec, info *topologyInfo, dasNames 
 			if net.Kind == "et" && ep.QueueCap <= 0 {
 				v.failf(ef+".queue_cap", "event-triggered endpoints need a send-queue capacity")
 			}
+			if nodes[ep.Node] {
+				v.failf(ef+".node", "node %d already has an endpoint on this network", ep.Node)
+			}
+			nodes[ep.Node] = true
 		}
 	}
 	if len(das.Jobs) == 0 {
@@ -328,7 +337,7 @@ func (v *validator) customDAS(di int, das DASSpec, info *topologyInfo, dasNames 
 	}
 }
 
-func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, info *topologyInfo, nets map[string]string) {
+func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, info *topologyInfo, nets map[string]map[int]bool) {
 	field := fmt.Sprintf("%s.jobs[%d]", dasField, ji)
 	if job.Name == "" {
 		v.failf(field+".name", "required")
@@ -347,7 +356,7 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 	if _, dup := info.jobs[ref]; dup {
 		v.failf(field+".name", "duplicate job %q in DAS %q", job.Name, dasName)
 	}
-	info.jobs[ref] = job.Component
+	info.jobs[ref] = nil
 
 	switch job.Type {
 	case "sensor":
@@ -396,9 +405,11 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 		v.failf(field+".type", "unknown type %q (sensor, control, actuator, bursty, sink, voter, observer)", job.Type)
 	}
 
+	var produces []int
 	for pi, p := range job.Produce {
 		pf := fmt.Sprintf("%s.produce[%d]", field, pi)
-		if _, ok := nets[p.Network]; !ok {
+		endpoints, ok := nets[p.Network]
+		if !ok {
 			v.failf(pf+".network", "unknown network %q in DAS %q", p.Network, dasName)
 		}
 		if p.Channel <= 0 {
@@ -410,6 +421,14 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 		if p.Min >= p.Max {
 			v.failf(pf, "min %g must be < max %g", p.Min, p.Max)
 		}
+		if ok && !endpoints[job.Component] {
+			v.failf(pf+".network", "component %d has no endpoint on network %q", job.Component, p.Network)
+		}
+		if info.produced[p.Channel] {
+			v.failf(pf+".channel", "channel %d is already produced (channel ids are cluster-wide)", p.Channel)
+		}
+		info.produced[p.Channel] = true
+		produces = append(produces, p.Channel)
 	}
 	for si, s := range job.Subscribe {
 		sf := fmt.Sprintf("%s.subscribe[%d]", field, si)
@@ -419,15 +438,51 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 		if s.Capacity < 0 {
 			v.failf(sf+".capacity", "must be ≥ 0, got %d", s.Capacity)
 		}
+		if !info.produced[s.Channel] {
+			v.failf(sf+".channel", "channel %d is not produced by this job or one declared before it", s.Channel)
+		}
+		info.jobs[ref] = append(info.jobs[ref], s.Channel)
+	}
+
+	// The job may send only on channels it produces and read only
+	// channels it subscribes.
+	subscribes := info.jobs[ref]
+	port := func(key string, ch int, ports []int, list string) {
+		if !slices.Contains(ports, ch) {
+			v.failf(field+"."+key, "channel %d is not in this job's %s list", ch, list)
+		}
+	}
+	switch job.Type {
+	case "control", "actuator", "sink":
+		port("in", job.In, subscribes, "subscribe")
+	case "voter":
+		for i, ch := range job.Ins {
+			port(fmt.Sprintf("ins[%d]", i), ch, subscribes, "subscribe")
+		}
+	case "observer":
+		port("watch", job.Watch, subscribes, "subscribe")
+	}
+	switch job.Type {
+	case "sensor", "control", "bursty", "voter":
+		port("out", job.Out, produces, "produce")
 	}
 }
 
-func defaultSlot(t *Topology, slotUS int64, slotBytes int) {
+// schedule fills the TDMA defaults of a sized topology — 250 µs slots
+// of slotBytes, diagnosis on the last node (fig10: its node 3) — and
+// checks the diagnostic node.
+func (v *validator) schedule(t *Topology, slotBytes int) {
 	if t.SlotLenUS < 1 {
-		t.SlotLenUS = slotUS
+		t.SlotLenUS = 250
 	}
 	if t.SlotBytes < 1 {
 		t.SlotBytes = slotBytes
+	}
+	if t.DiagNode < 0 {
+		t.DiagNode = t.Nodes - 1
+	}
+	if t.DiagNode >= t.Nodes {
+		v.failf("topology.diag_node", "must be < %d, got %d", t.Nodes, t.DiagNode)
 	}
 }
 
@@ -441,7 +496,7 @@ func (v *validator) faults(info *topologyInfo) {
 	for i, f := range v.m.Faults {
 		field := fmt.Sprintf("faults[%d]", i)
 		if !faultKinds[f.Kind] {
-			v.failf(field+".kind", "unknown kind %q (known: %s)", f.Kind, strings.Join(sortedKindNames(faultKinds), ", "))
+			v.failf(field+".kind", "unknown kind %q (known: %s)", f.Kind, strings.Join(sortedKeys(faultKinds), ", "))
 			return
 		}
 		if f.AtMS < 0 {
@@ -456,12 +511,12 @@ func (v *validator) faults(info *topologyInfo) {
 		if f.DurationMS < 0 {
 			v.failf(field+".duration_ms", "must be ≥ 0, got %g", f.DurationMS)
 		}
-		v.faultKind(field, i, &v.m.Faults[i], info)
+		v.faultKind(field, &v.m.Faults[i], info)
 	}
 }
 
 // faultKind enforces the per-kind parameter requirements.
-func (v *validator) faultKind(field string, i int, f *FaultSpec, info *topologyInfo) {
+func (v *validator) faultKind(field string, f *FaultSpec, info *topologyInfo) {
 	needComp := func() {
 		if f.Component < 0 || f.Component >= info.nodes {
 			v.failf(field+".component", "kind %q targets a component: must be in [0, %d), got %d", f.Kind, info.nodes, f.Component)
@@ -473,12 +528,18 @@ func (v *validator) faultKind(field string, i int, f *FaultSpec, info *topologyI
 			return
 		}
 		if _, ok := info.jobs[f.Job]; !ok {
-			v.failf(field+".job", "unknown job %q (topology defines: %s)", f.Job, strings.Join(sortedJobRefs(info.jobs), ", "))
+			v.failf(field+".job", "unknown job %q (topology defines: %s)", f.Job, strings.Join(sortedKeys(info.jobs), ", "))
 		}
 	}
 	needRate01 := func(key string, rate float64) {
 		if rate <= 0 || rate > 1 {
 			v.failf(field+"."+key, "must be in (0, 1], got %g", rate)
+		}
+	}
+	needChannel := func() {
+		needJob()
+		if f.Channel <= 0 {
+			v.failf(field+".channel", "must be > 0, got %d", f.Channel)
 		}
 	}
 	switch f.Kind {
@@ -488,6 +549,10 @@ func (v *validator) faultKind(field string, i int, f *FaultSpec, info *topologyI
 		}
 		if f.Bits < 1 {
 			v.failf(field+".bits", "must be ≥ 1, got %d", f.Bits)
+		}
+		if f.Component >= 0 {
+			// A component-targeted burst is centred on that component.
+			needComp()
 		}
 	case "seu", "power-dip", "permanent-silent", "permanent-babbling":
 		needComp()
@@ -505,46 +570,39 @@ func (v *validator) faultKind(field string, i int, f *FaultSpec, info *topologyI
 		if f.MaxFactor < 1 {
 			v.failf(field+".max_factor", "must be ≥ 1, got %g", f.MaxFactor)
 		}
+		if f.BaseRatePerHour*f.MaxFactor > MaxRatePerHour {
+			v.failf(field+".base_rate_per_hour", "accelerated rate %g/h exceeds %g/h", f.BaseRatePerHour*f.MaxFactor, MaxRatePerHour)
+		}
 	case "intermittent":
 		needComp()
 		if f.RatePerHour <= 0 {
 			v.failf(field+".rate_per_hour", "must be > 0, got %g", f.RatePerHour)
 		}
-	case "quartz":
+		if f.RatePerHour > MaxRatePerHour {
+			v.failf(field+".rate_per_hour", "must be ≤ %g, got %g", MaxRatePerHour, f.RatePerHour)
+		}
+	case "quartz", "transient-quartz":
 		needComp()
 		if f.DriftPPM == 0 {
 			v.failf(field+".drift_ppm", "required (non-zero oscillator drift)")
 		}
-	case "transient-quartz":
-		needComp()
-		if f.DriftPPM == 0 {
-			v.failf(field+".drift_ppm", "required (non-zero oscillator drift)")
-		}
-		if f.DurationMS <= 0 {
+		if f.Kind == "transient-quartz" && f.DurationMS <= 0 {
 			v.failf(field+".duration_ms", "transient quartz drift needs a window, got %g", f.DurationMS)
 		}
 	case "misconfig-queue":
-		needJob()
-		if f.Channel <= 0 {
-			v.failf(field+".channel", "must be > 0, got %d", f.Channel)
-		}
+		needChannel()
 		if f.QueueCap < 1 {
 			v.failf(field+".queue_cap", "must be ≥ 1, got %d", f.QueueCap)
 		}
+		if subs, ok := info.jobs[f.Job]; ok && !slices.Contains(subs, f.Channel) {
+			v.failf(field+".channel", "job %q does not subscribe channel %d", f.Job, f.Channel)
+		}
 	case "bohrbug":
-		needJob()
-		if f.Channel <= 0 {
-			v.failf(field+".channel", "must be > 0, got %d", f.Channel)
-		}
+		needChannel()
 	case "heisenbug":
-		needJob()
-		if f.Channel <= 0 {
-			v.failf(field+".channel", "must be > 0, got %d", f.Channel)
-		}
+		needChannel()
 		needRate01("rate", f.Rate)
-	case "job-crash":
-		needJob()
-	case "sensor-stuck":
+	case "job-crash", "sensor-stuck":
 		needJob()
 	case "sensor-drift":
 		needJob()
@@ -552,7 +610,6 @@ func (v *validator) faultKind(field string, i int, f *FaultSpec, info *topologyI
 			v.failf(field+".drift_per_hour", "required (non-zero drift)")
 		}
 	}
-	_ = i
 }
 
 func (v *validator) environment(info *topologyInfo) {
@@ -564,7 +621,7 @@ func (v *validator) environment(info *topologyInfo) {
 	for i, e := range v.m.Environment {
 		field := fmt.Sprintf("environment[%d]", i)
 		if !envProfiles[e.Profile] {
-			v.failf(field+".profile", "unknown profile %q (known: %s)", e.Profile, strings.Join(sortedKindNames(envProfiles), ", "))
+			v.failf(field+".profile", "unknown profile %q (known: %s)", e.Profile, strings.Join(sortedKeys(envProfiles), ", "))
 			return
 		}
 		if e.FromMS < 0 {
@@ -627,17 +684,14 @@ func (v *validator) campaign() {
 
 func (v *validator) expect(info *topologyInfo) {
 	e := &v.m.Expect
-	if e.MinScore < 0 || e.MinScore > 1 {
-		v.failf("expect.min_score", "must be in [0, 1], got %g", e.MinScore)
-	}
-	if e.MinScoreOBD < 0 || e.MinScoreOBD > 1 {
-		v.failf("expect.min_score_obd", "must be in [0, 1], got %g", e.MinScoreOBD)
-	}
-	if e.MinScoreBayes < 0 || e.MinScoreBayes > 1 {
-		v.failf("expect.min_score_bayes", "must be in [0, 1], got %g", e.MinScoreBayes)
-	}
-	if e.MinClassAccuracy < 0 || e.MinClassAccuracy > 1 {
-		v.failf("expect.min_class_accuracy", "must be in [0, 1], got %g", e.MinClassAccuracy)
+	for _, r := range []struct {
+		key string
+		x   float64
+	}{{"min_score", e.MinScore}, {"min_score_obd", e.MinScoreOBD},
+		{"min_score_bayes", e.MinScoreBayes}, {"min_class_accuracy", e.MinClassAccuracy}} {
+		if r.x < 0 || r.x > 1 {
+			v.failf("expect."+r.key, "must be in [0, 1], got %g", r.x)
+		}
 	}
 	if e.Healthy && len(e.Verdicts) > 0 {
 		v.failf("expect.healthy", "healthy packs cannot also expect verdicts")
@@ -659,7 +713,7 @@ func (v *validator) expect(info *topologyInfo) {
 		} else {
 			ref := jobRefOf(ve.FRU)
 			if _, ok := info.jobs[ref]; !ok {
-				v.failf(field+".fru", "unknown job FRU %q (topology defines: %s)", ve.FRU, strings.Join(sortedJobRefs(info.jobs), ", "))
+				v.failf(field+".fru", "unknown job FRU %q (topology defines: %s)", ve.FRU, strings.Join(sortedKeys(info.jobs), ", "))
 			}
 		}
 		if ve.Class == "" {
@@ -691,18 +745,10 @@ func jobRefOf(fruStr string) string {
 	return s
 }
 
-func sortedKindNames(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedJobRefs(jobs map[string]int) []string {
-	out := make([]string, 0, len(jobs))
-	for k := range jobs {
+// sortedKeys lists a map's keys in order, for error messages.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
