@@ -161,6 +161,17 @@ func Attach(cl *component.Cluster) *OBD {
 	return o
 }
 
+// Reset returns the diagnoser to its just-attached state for a new run on
+// a reset cluster: no span tracked, no trouble code stored.
+func (o *OBD) Reset() {
+	clear(o.comm)
+	clear(o.value)
+	for i := range o.watched {
+		o.watched[i].prev = 0
+	}
+	clear(o.dtcs)
+}
+
 func (o *OBD) recordDTC(comp tt.NodeID, code string, at sim.Time) {
 	m := o.dtcs[comp]
 	if m == nil {

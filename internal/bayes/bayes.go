@@ -225,8 +225,6 @@ type Classifier struct {
 	// residual, so environmental stress that subsides does not leave a
 	// stale removal recommendation. Belief state: checkpointed.
 	accused []bool
-	// granScratch backs the episode-rate queries.
-	granScratch []int64
 }
 
 // New returns a Bayesian classifier with default tuning. The belief
@@ -237,6 +235,14 @@ func New() *Classifier { return NewWithOptions(Options{}) }
 // NewWithOptions returns a classifier with the given tuning.
 func NewWithOptions(opts Options) *Classifier {
 	return &Classifier{opts: opts.withDefaults()}
+}
+
+// Reset returns the classifier to its just-constructed state — no belief
+// state, no epoch — keeping its storage: the next Classify sizes the
+// posterior again, reusing the slices.
+func (c *Classifier) Reset() {
+	c.nFRU, c.epochs, c.abstained = 0, 0, 0
+	c.logp, c.accused = c.logp[:0], c.accused[:0]
 }
 
 // Name identifies the stage in verdict provenance and CLI selection.
@@ -338,20 +344,31 @@ var swLik = map[Hypothesis][numSWFeat]float64{
 
 // ensureInit sizes the belief state to the registry.
 func (c *Classifier) ensureInit(reg *diagnosis.Registry) {
-	if c.nFRU == reg.Len() && c.logp != nil {
+	if c.nFRU == reg.Len() && len(c.logp) > 0 {
 		return
 	}
 	c.nFRU = reg.Len()
-	c.logp = make([]float64, c.nFRU*int(numHyp))
-	c.hwActive = make([]bool, c.nFRU)
-	c.swSick = make([]bool, c.nFRU)
-	c.soleObs = make([]int32, c.nFRU)
-	c.accuses = make([]int32, c.nFRU)
-	c.framed = make([]bool, c.nFRU)
-	c.accused = make([]bool, c.nFRU)
+	c.logp = resize(c.logp, c.nFRU*int(numHyp))
+	c.hwActive = resize(c.hwActive, c.nFRU)
+	c.swSick = resize(c.swSick, c.nFRU)
+	c.soleObs = resize(c.soleObs, c.nFRU)
+	c.accuses = resize(c.accuses, c.nFRU)
+	c.framed = resize(c.framed, c.nFRU)
+	c.accused = resize(c.accused, c.nFRU)
 	for i := 0; i < c.nFRU; i++ {
 		c.resetRow(diagnosis.FRUIndex(i), reg.IsHardware(diagnosis.FRUIndex(i)))
 	}
+}
+
+// resize returns s resized to n zero elements, reusing its storage when
+// it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // resetRow reinstates the prior for one FRU.
@@ -537,20 +554,15 @@ func (c *Classifier) updateHardware(ctx *diagnosis.EvalContext, f diagnosis.FRUI
 		permFrom = 0
 	}
 	span := g - permFrom + 1
-	loss := ctx.Hist.ActiveGranules(f, permFrom, g, fltOmOrTim)
-	feat[fhDuty] = float64(len(loss)) >= ctx.Opts.PermanentDuty*float64(span)
+	loss := ctx.Hist.ActiveGranuleCount(f, permFrom, g, fltOmOrTim)
+	feat[fhDuty] = float64(loss) >= ctx.Opts.PermanentDuty*float64(span)
 
-	episodes := ctx.Hist.ActiveGranules(f, winFrom, g, fltFrame)
-	feat[fhRecur] = len(episodes) >= ctx.Opts.MinRecurrentGranules
+	// Episodes: distinct symptomatic granules over the window, counted
+	// per half (a granule falls in exactly one half).
 	mid := winFrom + (g-winFrom)/2
-	early, late := 0, 0
-	for _, gr := range episodes {
-		if gr <= mid {
-			early++
-		} else {
-			late++
-		}
-	}
+	early := ctx.Hist.ActiveGranuleCount(f, winFrom, mid, fltFrame)
+	late := ctx.Hist.ActiveGranuleCount(f, mid+1, g, fltFrame)
+	feat[fhRecur] = early+late >= ctx.Opts.MinRecurrentGranules
 	feat[fhRise] = late >= 4 && early >= 1 && float64(late) >= ctx.Opts.RiseFactor*float64(early)
 
 	// Accusation-graph explain-away: when every window omission about

@@ -137,11 +137,25 @@ func NewCluster(n int, maxDriftPPM, jitterUS, precisionUS float64, k int, rng *s
 		inSync:      make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
-		drift := (2*rng.Float64() - 1) * maxDriftPPM
-		c.Oscillators = append(c.Oscillators, NewOscillator(drift, jitterUS, rng))
+		c.Oscillators = append(c.Oscillators, NewOscillator(drawDrift(rng, maxDriftPPM), jitterUS, rng))
 		c.inSync[i] = true
 	}
 	return c
+}
+
+// drawDrift draws one oscillator's drift uniformly from ±maxDriftPPM.
+func drawDrift(rng *sim.RNG, maxDriftPPM float64) float64 {
+	return (2*rng.Float64() - 1) * maxDriftPPM
+}
+
+// Reset returns the ensemble to the state NewCluster builds — every
+// oscillator in sync, with no correction folded in — drawing the drifts
+// afresh from rng in oscillator order, as NewCluster draws them.
+func (c *Cluster) Reset(maxDriftPPM, jitterUS float64, rng *sim.RNG) {
+	for i, o := range c.Oscillators {
+		*o = Oscillator{DriftPPM: drawDrift(rng, maxDriftPPM), JitterUS: jitterUS, rng: rng}
+		c.inSync[i] = true
+	}
 }
 
 // InSync reports whether node i was within the precision window at the last

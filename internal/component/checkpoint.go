@@ -3,10 +3,10 @@ package component
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"decos/internal/ckpt"
-	"decos/internal/seglog"
 	"decos/internal/sim"
 )
 
@@ -78,18 +78,21 @@ func (cl *Cluster) RestoreJobs(d *ckpt.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot serializes the environment's actuator history in name order.
-// Signals are pure time functions (configuration) and are excluded.
+// Snapshot serializes the environment's actuator history in name order:
+// every actuator that recorded a command. Signals are pure time functions
+// (configuration) and are excluded.
 func (e *Environment) Snapshot(enc *ckpt.Encoder) {
-	names := make([]string, 0, len(e.actuations))
-	for name := range e.actuations {
-		names = append(names, name)
+	var acts []*actuator
+	for _, a := range e.actuators {
+		if a.log.Len() > 0 {
+			acts = append(acts, a)
+		}
 	}
-	sort.Strings(names)
-	enc.Int(len(names))
-	for _, name := range names {
-		enc.String(name)
-		h := e.actuations[name]
+	slices.SortFunc(acts, func(a, b *actuator) int { return strings.Compare(a.name, b.name) })
+	enc.Int(len(acts))
+	for _, a := range acts {
+		enc.String(a.name)
+		h := &a.log
 		enc.Int(h.Len())
 		for k := 0; k < h.NumSegs(); k++ {
 			for _, a := range h.Seg(k) {
@@ -102,18 +105,19 @@ func (e *Environment) Snapshot(enc *ckpt.Encoder) {
 
 // Restore replaces the environment's actuator history.
 func (e *Environment) Restore(d *ckpt.Decoder) error {
-	clear(e.actuations)
+	e.reset()
 	n := d.Len(1 << 16)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		name := d.String()
 		nh := d.Len(1 << 24)
-		h := new(seglog.Log[Actuation])
+		if d.Err() != nil {
+			break
+		}
+		h := &e.actuators[e.actuatorID(name)].log
+		h.Reset()
 		h.Reserve(nh)
 		for k := 0; k < nh && d.Err() == nil; k++ {
 			h.Append(Actuation{At: sim.Time(d.Varint()), Value: d.Float64()})
-		}
-		if d.Err() == nil {
-			e.actuations[name] = h
 		}
 	}
 	return d.Err()

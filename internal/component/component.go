@@ -74,13 +74,13 @@ func (ct controller) OnRoundEnd(round int64) {
 		}
 		// The execution context is allocated once per job and refreshed
 		// per round: context construction (and the stream lookup behind
-		// it) is on the per-round hot path.
+		// it) is on the per-round hot path. A reset cluster re-opens the
+		// stream on the job's first step, as a fresh one opens it.
 		if j.ctx == nil {
-			j.ctx = &Context{
-				Job:  j,
-				Rand: c.cluster.Streams.Stream("job/" + j.String()),
-				env:  c.cluster.Env,
-			}
+			j.ctx = &Context{Job: j, env: c.cluster.Env}
+		}
+		if j.ctx.Rand == nil {
+			j.ctx.Rand = c.cluster.Streams.Stream(j.stream)
 		}
 		j.ctx.Now = now
 		j.ctx.Round = round
@@ -198,6 +198,7 @@ func (cl *Cluster) AddJob(d *DAS, comp *Component, name string, partition int, i
 		Partition: partition,
 		Impl:      impl,
 	}
+	j.stream = "job/" + j.String()
 	d.Jobs = append(d.Jobs, j)
 	comp.Jobs = append(comp.Jobs, j)
 	sort.SliceStable(comp.Jobs, func(a, b int) bool {
@@ -261,10 +262,18 @@ func (cl *Cluster) OnRound(f func(round int64, now sim.Time)) {
 	cl.Bus.OnRound(func(round int64) { f(round, cl.Sched.Now()) })
 }
 
-// Seal freezes the configuration and computes the frame layout.
+// Seal freezes the configuration, computes the frame layout and resolves
+// the jobs' environment names to ids.
 func (cl *Cluster) Seal() error {
 	if err := cl.Fabric.Seal(); err != nil {
 		return err
+	}
+	for _, c := range cl.Components() {
+		for _, j := range c.Jobs {
+			if b, ok := j.Impl.(envBinder); ok {
+				b.bindEnv(cl.Env)
+			}
+		}
 	}
 	cl.sealed = true
 	return nil
@@ -277,8 +286,30 @@ func (cl *Cluster) Start() error {
 			return err
 		}
 	}
+	// The streams the build drew from are the ones Reset keeps open.
+	cl.Streams.Keep()
 	cl.Bus.Start()
 	return nil
+}
+
+// Reset returns a started cluster to its state before Start, for a new
+// run under seed, keeping the topology and all storage: the scheduler is
+// emptied and its clock zeroed; the streams open at Start restart under
+// seed and every other stream is closed; the fabric, the bus, every job
+// and the environment are reset (see their Reset methods and Resetter).
+// The clock ensemble is the caller's: its drifts come from the "clocks"
+// stream (clock.Cluster.Reset). Start the cluster again to run it.
+func (cl *Cluster) Reset(seed uint64) {
+	cl.Sched.Reset()
+	cl.Streams.Reset(seed)
+	cl.Fabric.Reset(cl.Streams.Stream("fabric"))
+	cl.Bus.Reset()
+	for _, c := range cl.components {
+		for _, j := range c.Jobs {
+			j.reset()
+		}
+	}
+	cl.Env.reset()
 }
 
 // RunRounds advances the simulation by n full TDMA rounds.

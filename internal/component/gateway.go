@@ -33,6 +33,12 @@ type GatewayRoute struct {
 	Transform func(payload []byte) []byte
 }
 
+// Reset implements Resetter.
+func (g *GatewayJob) Reset() {
+	clear(g.Forwarded)
+	clear(g.RateLimited)
+}
+
 // Step implements Job.
 func (g *GatewayJob) Step(ctx *Context) {
 	if g.Forwarded == nil {

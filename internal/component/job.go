@@ -84,7 +84,36 @@ type Instance struct {
 	// Steps counts executed rounds, for liveness checks.
 	Steps int
 
-	ctx *Context // reused per round
+	ctx    *Context // reused per round
+	stream string   // name of the job's private random stream
+}
+
+// Resetter is implemented by job implementations that hold run state
+// between rounds: Reset returns that state to what the job had when it
+// was deployed, keeping its configuration. Cluster.Reset calls it; every
+// stateful job that is a ckpt.Snapshotter must be a Resetter too.
+type Resetter interface {
+	Reset()
+}
+
+// envBinder is implemented by jobs that resolve environment names to ids
+// once the topology is complete (see Cluster.Seal).
+type envBinder interface {
+	bindEnv(e *Environment)
+}
+
+// reset returns the instance to its deployed state: running, no steps
+// taken, no fault filters, its implementation reset, and its random
+// stream re-opened on its next step (the stream restarts for the new run).
+func (j *Instance) reset() {
+	j.Halted, j.Steps = false, 0
+	j.OutFault, j.SensorFault = nil, nil
+	if j.ctx != nil {
+		j.ctx.Rand = nil
+	}
+	if r, ok := j.Impl.(Resetter); ok {
+		r.Reset()
+	}
 }
 
 // outPort is one channel a job produces and the network carrying it.
@@ -194,7 +223,12 @@ func (c *Context) Latest(ch vnet.ChannelID) (vnet.Message, bool) {
 // Sensor samples the named environment signal through the job's exclusive
 // transducer, applying any installed sensor fault.
 func (c *Context) Sensor(name string) float64 {
-	v := c.env.Sample(name, c.Now)
+	return c.sensor(c.env.signalID(name), name)
+}
+
+// sensor is Sensor for a resolved signal id.
+func (c *Context) sensor(id int, name string) float64 {
+	v := c.env.sampleID(id, c.Now)
 	if f := c.Job.SensorFault; f != nil {
 		v = f(name, v, c.Now)
 	}

@@ -33,11 +33,20 @@ type SensorJob struct {
 	haveRaw    bool
 	frozenRuns int
 	report     SelfReport
+
+	sig int // Signal's environment id
+}
+
+func (s *SensorJob) bindEnv(e *Environment) { s.sig = e.signalID(s.Signal) }
+
+// Reset implements Resetter.
+func (s *SensorJob) Reset() {
+	s.lastRaw, s.haveRaw, s.frozenRuns, s.report = 0, false, 0, SelfReport{}
 }
 
 // Step implements Job.
 func (s *SensorJob) Step(ctx *Context) {
-	raw := ctx.Sensor(s.Signal)
+	raw := ctx.sensor(s.sig, s.Signal)
 	s.selfCheck(raw)
 	v := raw
 	if s.NoiseStd > 0 {
@@ -89,6 +98,9 @@ type ControlJob struct {
 	hasOut  bool
 }
 
+// Reset implements Resetter.
+func (c *ControlJob) Reset() { c.RejectedInputs, c.lastOut, c.hasOut = 0, 0, false }
+
 // Step implements Job.
 func (c *ControlJob) Step(ctx *Context) {
 	m, ok := ctx.Latest(c.In)
@@ -112,7 +124,11 @@ func (c *ControlJob) Step(ctx *Context) {
 type ActuatorJob struct {
 	In       vnet.ChannelID
 	Actuator string
+
+	act int // Actuator's environment id
 }
+
+func (a *ActuatorJob) bindEnv(e *Environment) { a.act = e.actuatorID(a.Actuator) }
 
 // Step implements Job.
 func (a *ActuatorJob) Step(ctx *Context) {
@@ -121,7 +137,7 @@ func (a *ActuatorJob) Step(ctx *Context) {
 		if !ok {
 			return
 		}
-		ctx.Actuate(a.Actuator, m.Float())
+		ctx.env.actuateID(a.act, m.Float(), ctx.Now)
 	}
 }
 
@@ -136,6 +152,9 @@ type BurstyJob struct {
 	Rejected int
 	counter  float64
 }
+
+// Reset implements Resetter.
+func (b *BurstyJob) Reset() { b.Rejected, b.counter = 0, 0 }
 
 // Step implements Job.
 func (b *BurstyJob) Step(ctx *Context) {
@@ -154,6 +173,9 @@ type SinkJob struct {
 	In       vnet.ChannelID
 	Received int
 }
+
+// Reset implements Resetter.
+func (s *SinkJob) Reset() { s.Received = 0 }
 
 // Step implements Job.
 func (s *SinkJob) Step(ctx *Context) {

@@ -40,6 +40,11 @@ type VoterJob struct {
 	started [3]bool
 }
 
+// Reset implements Resetter.
+func (v *VoterJob) Reset() {
+	*v = VoterJob{Ins: v.Ins, Out: v.Out, Tolerance: v.Tolerance}
+}
+
 // Step implements Job.
 func (v *VoterJob) Step(ctx *Context) {
 	var vals [3]float64

@@ -51,10 +51,21 @@ func NewAdviser(reg *Registry, opts Options) *Adviser {
 		current:    make([]Verdict, n),
 		hasCurrent: make([]bool, n),
 	}
+	ad.reset()
+	return ad
+}
+
+// reset returns the adviser to its just-built state: every FRU fully
+// trusted with an empty trajectory (its storage kept), no standing
+// verdict, no emission, no epoch.
+func (ad *Adviser) reset() {
 	for i := range ad.trust {
 		ad.trust[i] = 1
+		ad.trustHist[i] = ad.trustHist[i][:0]
 	}
-	return ad
+	clear(ad.current)
+	clear(ad.hasCurrent)
+	ad.emitted, ad.epoch = nil, 0
 }
 
 // OnVerdict registers the adviser stage's attach point, invoked at every
@@ -137,8 +148,12 @@ func (ad *Adviser) Trust(f FRUIndex) core.TrustLevel {
 	return core.TrustLevel(ad.trust[f])
 }
 
-// TrustHistory returns the FRU's trust trajectory, one point per epoch.
-func (ad *Adviser) TrustHistory(f FRUIndex) []TrustPoint { return ad.trustHist[f] }
+// TrustHistory returns a copy of the FRU's trust trajectory, one point
+// per epoch. The copy is the caller's: it stays as it is when the
+// adviser runs on or is reset.
+func (ad *Adviser) TrustHistory(f FRUIndex) []TrustPoint {
+	return append([]TrustPoint(nil), ad.trustHist[f]...)
+}
 
 // Current returns the FRU's standing verdict.
 func (ad *Adviser) Current(f FRUIndex) (Verdict, bool) {
@@ -158,7 +173,8 @@ func (ad *Adviser) CurrentAll() []Verdict {
 }
 
 // Emitted returns every verdict emission (first classifications and class
-// changes) in order.
+// changes) in order. Later emissions append to it, but a reset starts a
+// new list, so a slice taken before the reset keeps its contents.
 func (ad *Adviser) Emitted() []Verdict { return ad.emitted }
 
 // Epoch returns the number of completed assessment epochs.

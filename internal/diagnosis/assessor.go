@@ -286,6 +286,21 @@ func (a *Assessor) evaluateEpoch(granule int64, now sim.Time) {
 	a.stageTimer(StageAdvise, time.Since(t1).Nanoseconds())
 }
 
+// reset returns the pipeline to its just-built state, keeping its
+// storage: counters zeroed, history emptied, recurrence scores cleared,
+// the adviser and the classifier reset. The classifier resets through
+// its own Reset method when it has one (a stateless stage needs none).
+func (a *Assessor) reset() {
+	a.SymptomsReceived, a.DecodeFailures = 0, 0
+	a.Hist.reset()
+	clear(a.Alpha.score)
+	clear(a.SW.score)
+	a.Adviser.reset()
+	if r, ok := a.classifier.(interface{ Reset() }); ok {
+		r.Reset()
+	}
+}
+
 // ClearVerdict forgets the FRU's verdict and resets its recurrence scores
 // (after a repair action).
 func (a *Assessor) ClearVerdict(f FRUIndex) {

@@ -85,6 +85,18 @@ func Attach(cl *component.Cluster, diagNode tt.NodeID, opts Options) *Diagnostic
 	return d
 }
 
+// Reset returns the diagnostic architecture to its just-attached state
+// for a new run on a reset cluster (component.Cluster.Reset), keeping the
+// wiring and all storage: every monitor and the assessment pipeline —
+// collector, history, α-counts, adviser and classification stage — start
+// over.
+func (d *Diagnostics) Reset() {
+	for _, m := range d.Monitors {
+		m.reset()
+	}
+	d.Assessor.reset()
+}
+
 func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 	self, _ := d.Reg.HardwareIndex(c.ID)
 	m := &Monitor{

@@ -48,8 +48,8 @@ func (a *Assessor) Trend(hw FRUIndex) WearoutTrend {
 	if span1 <= 0 || span2 <= 0 {
 		return WearoutTrend{Growth: 1}
 	}
-	early := float64(len(a.Hist.ActiveGranules(hw, from, mid, KindIn(SymCorruption))))
-	late := float64(len(a.Hist.ActiveGranules(hw, mid+1, g, KindIn(SymCorruption))))
+	early := float64(a.Hist.ActiveGranuleCount(hw, from, mid, corruptionOnly))
+	late := float64(a.Hist.ActiveGranuleCount(hw, mid+1, g, corruptionOnly))
 	t := WearoutTrend{
 		EarlyRate: early / span1,
 		LateRate:  late / span2,
@@ -63,7 +63,7 @@ func (a *Assessor) Trend(hw FRUIndex) WearoutTrend {
 		t.Growth = t.LateRate / t.EarlyRate
 	}
 	for _, sw := range a.Reg.JobsOn(hw) {
-		if d := a.Hist.MaxDeviation(sw, mid+1, g, KindIn(SymDeviation, SymValue)); d > t.Deviation {
+		if d := a.Hist.MaxDeviation(sw, mid+1, g, devOrValue); d > t.Deviation {
 			t.Deviation = d
 		}
 	}

@@ -73,12 +73,9 @@ func (h *History) Snapshot(e *ckpt.Encoder) {
 
 // Restore replaces the history's content.
 func (h *History) Restore(d *ckpt.Decoder) error {
+	h.reset()
 	h.latest = d.Varint()
 	h.total = d.Uvarint()
-	for i := range h.bySubject {
-		h.bySubject[i].Reset()
-	}
-	clear(h.present)
 	n := d.Len(1 << 20)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		subj := d.Int()

@@ -80,6 +80,15 @@ func (h *History) Add(s Symptom) {
 	list.DropFront(expired)
 }
 
+// reset empties the history, keeping every subject log's segments.
+func (h *History) reset() {
+	for i := range h.bySubject {
+		h.bySubject[i].Reset()
+	}
+	clear(h.present)
+	h.latest, h.total = 0, 0
+}
+
 // Latest returns the newest granule seen.
 func (h *History) Latest() int64 { return h.latest }
 
@@ -182,10 +191,16 @@ scan:
 }
 
 // ActiveGranules returns the distinct granules with matching symptoms for
-// the subject in the window, ascending. The list is granule-sorted, so
-// distinctness is a comparison against the previous entry.
+// the subject in the window, ascending.
 func (h *History) ActiveGranules(subject FRUIndex, from, to int64, f Filter) []int64 {
-	var out []int64
+	return h.appendActiveGranules(nil, subject, from, to, f)
+}
+
+// appendActiveGranules appends ActiveGranules' list to dst and returns the
+// extended slice. The subject list is granule-sorted, so distinctness is a
+// comparison against the previous entry.
+func (h *History) appendActiveGranules(dst []int64, subject FRUIndex, from, to int64, f Filter) []int64 {
+	start := len(dst)
 	l := h.list(subject)
 scan:
 	for k := 0; k < l.NumSegs(); k++ {
@@ -196,12 +211,34 @@ scan:
 			if s.Granule < from || (f != nil && !f(s)) {
 				continue
 			}
-			if len(out) == 0 || out[len(out)-1] != s.Granule {
-				out = append(out, s.Granule)
+			if len(dst) == start || dst[len(dst)-1] != s.Granule {
+				dst = append(dst, s.Granule)
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// ActiveGranuleCount is len(ActiveGranules(...)), counted in place.
+func (h *History) ActiveGranuleCount(subject FRUIndex, from, to int64, f Filter) int {
+	n, last := 0, int64(0)
+	l := h.list(subject)
+scan:
+	for k := 0; k < l.NumSegs(); k++ {
+		for _, s := range l.Seg(k) {
+			if s.Granule > to {
+				break scan
+			}
+			if s.Granule < from || (f != nil && !f(s)) {
+				continue
+			}
+			if n == 0 || s.Granule != last {
+				n++
+				last = s.Granule
+			}
+		}
+	}
+	return n
 }
 
 // MaxDeviation returns the maximum Deviation of matching symptoms in the

@@ -101,6 +101,23 @@ type selfTracker struct {
 	subject FRUIndex
 }
 
+// reset returns the monitor to its just-built state: nothing
+// accumulated or sent, every tracker's cursors at their start.
+func (m *Monitor) reset() {
+	m.acc = m.acc[:0]
+	m.SymptomsSent = 0
+	m.LocalLog = m.LocalLog[:0]
+	for _, pt := range m.ports {
+		*pt = portTracker{port: pt.port, meta: pt.meta, owner: pt.owner, lastValue: pt.lastValue[:0]}
+	}
+	for _, vt := range m.voters {
+		vt.prevDisagree = [3]int{}
+	}
+	for _, tx := range m.txs {
+		tx.prev = 0
+	}
+}
+
 func (m *Monitor) observe(k Kind, subject FRUIndex, ch vnet.ChannelID, count int, dev float64) {
 	if count <= 0 {
 		return

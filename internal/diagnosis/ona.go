@@ -68,52 +68,6 @@ func (c *EvalContext) windowStart() int64 {
 	return s
 }
 
-// activeGranuleCount counts the subject's distinct matching granules in the
-// window without materializing the list (History keeps each subject's
-// symptoms granule-sorted).
-func (c *EvalContext) activeGranuleCount(subject FRUIndex, from, to int64, f Filter) int {
-	n, last := 0, int64(-1)
-	l := c.Hist.list(subject)
-scan:
-	for k := 0; k < l.NumSegs(); k++ {
-		for _, s := range l.Seg(k) {
-			if s.Granule > to {
-				break scan
-			}
-			if s.Granule < from || (f != nil && !f(s)) {
-				continue
-			}
-			if n == 0 || s.Granule != last {
-				n++
-				last = s.Granule
-			}
-		}
-	}
-	return n
-}
-
-// appendActiveGranules appends the subject's distinct matching granules
-// (ascending) to dst and returns the extended slice.
-func (c *EvalContext) appendActiveGranules(dst []int64, subject FRUIndex, from, to int64, f Filter) []int64 {
-	start := len(dst)
-	l := c.Hist.list(subject)
-scan:
-	for k := 0; k < l.NumSegs(); k++ {
-		for _, s := range l.Seg(k) {
-			if s.Granule > to {
-				break scan
-			}
-			if s.Granule < from || (f != nil && !f(s)) {
-				continue
-			}
-			if len(dst) == start || dst[len(dst)-1] != s.Granule {
-				dst = append(dst, s.Granule)
-			}
-		}
-	}
-	return dst
-}
-
 // observerStats returns the number of distinct observers reporting matching
 // symptoms for the subject and, when there is exactly one, that observer
 // (NoFRU otherwise).
@@ -195,7 +149,7 @@ func (o MassiveTransientONA) Evaluate(ctx *EvalContext) []Finding {
 	offs := ctx.hitOffs[:0]
 	for _, hw := range ctx.Reg.HardwareFRUs() {
 		start := len(arena)
-		arena = ctx.appendActiveGranules(arena, hw, from, ctx.Granule, multiBit)
+		arena = ctx.Hist.appendActiveGranules(arena, hw, from, ctx.Granule, multiBit)
 		if len(arena) > start {
 			frus = append(frus, hw)
 			offs = append(offs, [2]int{start, len(arena)})
@@ -281,8 +235,8 @@ func (o PermanentONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] {
 			continue
 		}
-		omit := ctx.activeGranuleCount(hw, from, ctx.Granule, omissionOnly)
-		timing := ctx.activeGranuleCount(hw, from, ctx.Granule, timingOnly)
+		omit := ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, omissionOnly)
+		timing := ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, timingOnly)
 		n := omit
 		pattern := "permanent-silence"
 		if timing > omit {
@@ -328,8 +282,8 @@ func (o WearoutONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] {
 			continue
 		}
-		early := ctx.activeGranuleCount(hw, from, mid, corruptionOnly)
-		late := ctx.activeGranuleCount(hw, mid+1, ctx.Granule, corruptionOnly)
+		early := ctx.Hist.ActiveGranuleCount(hw, from, mid, corruptionOnly)
+		late := ctx.Hist.ActiveGranuleCount(hw, mid+1, ctx.Granule, corruptionOnly)
 		if early < 1 || late < 4 || float64(late) < ctx.Opts.RiseFactor*float64(early) {
 			continue
 		}
@@ -375,7 +329,7 @@ func (o RecurrentInternalONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] || !ctx.Alpha.Exceeded(hw) {
 			continue
 		}
-		if ctx.activeGranuleCount(hw, from, ctx.Granule, corruptionOnly) < ctx.Opts.MinRecurrentGranules {
+		if ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, corruptionOnly) < ctx.Opts.MinRecurrentGranules {
 			continue
 		}
 		out = append(out, Finding{
@@ -468,7 +422,7 @@ func (o ConnectorTxONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] || !ctx.Alpha.Exceeded(hw) {
 			continue
 		}
-		gs := ctx.activeGranuleCount(hw, from, ctx.Granule, omissionOnly)
+		gs := ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, omissionOnly)
 		if gs < ctx.Opts.MinRecurrentGranules {
 			continue
 		}

@@ -187,8 +187,9 @@ type Engine struct {
 	// after it (mirroring the trace recorder's error latch).
 	CkptErr error
 
-	cfg    Config
-	rounds int64
+	cfg      Config
+	resetCfg *Config // Reset's option scratch
+	rounds   int64
 }
 
 // New assembles and starts a cluster from the given options. The build
@@ -273,6 +274,83 @@ func build(cfg Config, restoring bool) (*Engine, error) {
 		apply(e.Injector)
 	}
 	return e, nil
+}
+
+// Reset returns the engine to the state New leaves it in, without
+// rebuilding it, for another run: every subsystem is reset in place and
+// keeps its storage, and the topology wiring stays as built. opts apply
+// on top of the options the engine was built with, and only these three
+// may be given:
+//
+//   - WithSeed sets the run's master seed (default: the current one).
+//     The named RNG streams restart from it and the clock drifts are
+//     drawn again, in build order.
+//   - WithFaults hooks form the run's fault manifest, replacing the one
+//     the engine ran (none given: a fault-free run).
+//   - WithSink re-points the trace recorder (default: the current sink
+//     and options). It cannot attach recording to an engine built
+//     without it, nor detach it.
+//
+// For the same seed and faults a reset engine is indistinguishable from
+// a freshly built one: its checkpoint, and everything it records and
+// checkpoints as it runs, equal the fresh engine's byte for byte.
+// Results of the previous run that the caller keeps are left alone:
+// Injector.Ledger and Assessor.Emitted start new slices, and trust
+// trajectories are read out as copies. A telemetry registry keeps
+// accumulating across runs.
+func (e *Engine) Reset(opts ...Option) error {
+	// The options write into a scratch held by the engine: a local would
+	// escape through the option calls and cost an allocation per reset.
+	if e.resetCfg == nil {
+		e.resetCfg = new(Config)
+	}
+	run := e.resetCfg
+	*run = Config{Seed: e.cfg.Seed, sink: e.cfg.sink, traceOpts: e.cfg.traceOpts}
+	for _, o := range opts {
+		o(run)
+	}
+	if !run.perRun() {
+		return fmt.Errorf("engine: reset: only WithSeed, WithFaults and WithSink may change between runs")
+	}
+	if trace.IsNop(run.sink) != (e.Recorder == nil) {
+		return fmt.Errorf("engine: reset: cannot attach or detach trace recording")
+	}
+	cfg := &e.cfg
+	cfg.Seed, cfg.manifest, cfg.sink, cfg.traceOpts, cfg.restore = run.Seed, run.manifest, run.sink, run.traceOpts, nil
+
+	// The build pipeline's order, over the existing subsystems.
+	cl := e.Cluster
+	cl.Reset(cfg.Seed)
+	if cs := cfg.clocks; cs != nil {
+		cl.Bus.Clocks.Reset(cs.MaxDriftPPM, cs.JitterUS, cl.Streams.Stream("clocks"))
+	}
+	e.rounds, e.CkptErr = 0, nil
+	if e.Diag != nil {
+		e.Diag.Reset()
+	}
+	if e.OBD != nil {
+		e.OBD.Reset()
+	}
+	e.Injector.Reset()
+	if e.Recorder != nil {
+		e.Recorder.Reset(cfg.sink, cfg.traceOpts)
+	}
+	if err := cl.Start(); err != nil {
+		return fmt.Errorf("engine: reset: start: %w", err)
+	}
+	for _, apply := range cfg.manifest {
+		apply(e.Injector)
+	}
+	return nil
+}
+
+// perRun reports whether the configuration sets nothing but the per-run
+// fields Reset may change: seed, fault manifest and trace sink.
+func (c *Config) perRun() bool {
+	return c.Nodes == 0 && c.SlotLen == 0 && c.SlotBytes == 0 && c.clocks == nil &&
+		c.build == nil && !c.withDiag && !c.withOBD && c.classifier == nil &&
+		!c.obdClassifier && c.metrics == nil && c.ckptSink == nil && c.ckptEvery == 0 &&
+		c.restore == nil
 }
 
 // MustNew is New, panicking on configuration errors — for scenario

@@ -184,6 +184,15 @@ func NewInjector(cl *component.Cluster) *Injector {
 	return &Injector{cl: cl, rng: cl.Streams.Stream("faults")}
 }
 
+// Reset returns the injector to its just-built state for a new run on a
+// reset cluster (component.Cluster.Reset, which drops the pending timers
+// and fault hooks along with the scheduler's queue and the bus): no
+// activation, no armed timer. The ledger starts as a new slice, so one
+// taken before the reset keeps its contents.
+func (in *Injector) Reset() {
+	in.ledger, in.nextID, in.armSeq, in.restoring = nil, 0, 0, false
+}
+
 // SetReconstructing switches the injector into (or out of) restore-
 // reconstruction mode. The engine enables it before re-running the fault
 // manifest of a checkpointed run and disables it again after Restore has
@@ -254,7 +263,8 @@ func (in *Injector) removeRole(a *Activation, role string) {
 	a.hooks = kept
 }
 
-// Ledger returns all recorded activations in injection order.
+// Ledger returns all recorded activations in injection order. Later
+// injections append to it; Reset starts a new one.
 func (in *Injector) Ledger() []*Activation { return in.ledger }
 
 // Cluster returns the cluster under injection.

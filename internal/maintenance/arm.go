@@ -23,7 +23,7 @@ type ArmAudit struct {
 // judges the result — the in-process form, where the activation is at
 // hand.
 func (a *ArmAudit) Audit(act *faults.Activation, adv Advisor) {
-	a.Report.Record(auditOne(act, adv))
+	a.Report.Record(Audit(act, adv))
 }
 
 // Judged folds one incident judged from the fields that survive in a

@@ -232,7 +232,10 @@ func Judge(truth, diagnosed core.FaultClass, action core.MaintenanceAction, foun
 	return out
 }
 
-func auditOne(a *faults.Activation, adv Advisor) Outcome {
+// Audit consults the advisor about one ground-truth activation and
+// judges its advice. The outcome holds the verdict, not the advisor, so
+// it stays valid once the advisor moves on to another vehicle.
+func Audit(a *faults.Activation, adv Advisor) Outcome {
 	action, diagnosed, found := adv.Advise(AuditSubject(a))
 	out := Judge(a.Class, diagnosed, action, found)
 	out.Activation = a

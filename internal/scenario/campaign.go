@@ -211,7 +211,9 @@ type Campaign struct {
 	// Vehicles are fully independent simulations, so the campaign is
 	// embarrassingly parallel; results are identical for any worker
 	// count (all randomness is pre-drawn sequentially). 0 or 1 runs
-	// sequentially.
+	// sequentially. Each worker builds one engine on its first vehicle
+	// and resets it in place for every later one (engine.Engine.Reset),
+	// across the replicates of a Monte Carlo run too.
 	Workers int
 	// Classifier selects the diagnostic pipeline's classification stage
 	// for every vehicle: "" or "decos" keeps the DECOS rule engine, "obd"
@@ -263,14 +265,15 @@ type vehiclePlan struct {
 	atFrac    []float64
 }
 
-// vehicleOutcome is one simulated vehicle's audit material.
+// vehicleOutcome is one simulated vehicle's audit material, taken out of
+// its engine before the worker resets the engine for its next vehicle:
+// each diagnoser's audited outcome per injected fault (their Activation
+// fields keep the vehicle's ledger), the false alarms and the incidents.
 type vehicleOutcome struct {
 	faultFree        bool
 	decosFalseAlarms int
 	obdFalseAlarms   int
-	acts             []*faults.Activation
-	diag             maintenance.Advisor
-	obd              maintenance.Advisor
+	decos, obd       []maintenance.Outcome
 	incidents        []fleet.Incident
 }
 
@@ -278,9 +281,10 @@ type vehicleOutcome struct {
 // as a binary (DCS-B) blob: one stream header, then the records (read it
 // with trace.OpenReader or any warranty ingest path; trace.TranscodeBytes
 // renders it as NDJSON). Vehicles are 1-based. The blob is valid only for
-// the duration of the call — the worker reuses its buffer for the next
-// vehicle — so a sink that keeps it must copy it. It is invoked from
-// worker goroutines: implementations must be safe for concurrent use.
+// the duration of the call — the worker records its next vehicle into
+// the same buffer — so a sink that keeps it must copy it. It is invoked
+// from worker goroutines: implementations must be safe for concurrent
+// use.
 type TraceSink func(vehicle int, blob []byte)
 
 // Run executes the campaign — in parallel when Workers > 1 — and audits
@@ -313,86 +317,141 @@ func (c Campaign) RunTracedContext(ctx context.Context, sink TraceSink) *Campaig
 	return c.run(ctx, sink)
 }
 
+// run is the one-replicate case of runReplicates.
 func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
-	plans := c.plans()
-	outcomes := make([]vehicleOutcome, c.Vehicles)
-	done := make([]bool, c.Vehicles)
-	// runOne simulates vehicle v end to end and reports whether it
-	// completed. A cancelled vehicle is discarded whole — no partial
-	// outcome, no trace handed to sink — so merged numbers stay exact.
-	// w holds the worker's buffers, reused vehicle after vehicle.
-	runOne := func(v int, w *workerBufs) bool {
-		if ctx.Err() != nil {
-			return false
+	return c.runReplicates(ctx, 1, sink)[0].result(ctx)
+}
+
+// replicate is one replicate campaign's vehicles: their plans, and the
+// outcomes of those that completed.
+type replicate struct {
+	plans    []vehiclePlan
+	outcomes []vehicleOutcome
+	done     []bool
+}
+
+// replicateSeed is the master seed of Monte Carlo replicate r; replicate
+// 0 is the campaign itself. 0x9e3779b97f4a7c15 is the 64-bit golden-ratio
+// increment: the multiplied offset keeps replicate seed streams disjoint
+// from the per-vehicle seed lattice (Seed + v·7919) inside each replicate.
+func (c Campaign) replicateSeed(r int) uint64 { return c.Seed + uint64(r)*0x9e3779b97f4a7c15 }
+
+// runReplicates simulates n replicates of the campaign — replicate r
+// reseeded with replicateSeed(r) — as one pool of Workers workers over
+// (replicate, vehicle) jobs, fed in that order. Each worker keeps one
+// engine from vehicle to vehicle and replicate to replicate. A vehicle
+// cancelled by ctx is discarded whole (no outcome, no trace handed to
+// sink), so merged numbers stay exact.
+func (c Campaign) runReplicates(ctx context.Context, n int, sink TraceSink) []*replicate {
+	reps := make([]*replicate, n)
+	for r := range reps {
+		rc := c
+		rc.Seed = c.replicateSeed(r)
+		reps[r] = &replicate{
+			plans:    rc.plans(),
+			outcomes: make([]vehicleOutcome, c.Vehicles),
+			done:     make([]bool, c.Vehicles),
 		}
-		p := plans[v]
+	}
+	runOne := func(w *worker, r, v int) {
+		if ctx.Err() != nil {
+			return
+		}
+		rep := reps[r]
+		p := rep.plans[v]
 		var rec trace.Sink
 		if sink != nil {
-			w.trace.Reset()
-			rec = trace.NewBinarySink(&w.trace)
-		}
-		sys, err := c.runVehicle(ctx, v, p, rec, &w.ckpt)
-		if err != nil {
-			return false
-		}
-		out := vehicleOutcome{
-			faultFree: p.faultFree, diag: sys.Diag, obd: sys.OBD,
-			acts: sys.Injector.Ledger(),
-		}
-		if p.faultFree {
-			out.decosFalseAlarms = countRemovalAdvice(sys, sys.Diag)
-			out.obdFalseAlarms = countRemovalAdvice(sys, sys.OBD)
-		}
-		for _, vd := range sys.Diag.Assessor.Emitted() {
-			if fleet.Relevant(vd.Class) {
-				out.incidents = append(out.incidents, fleet.Incident{
-					Vehicle: v + 1, Job: vd.FRU.Job, Class: vd.Class, Pattern: vd.Pattern,
-				})
+			if w.sink == nil {
+				w.trace = traceBuffers.Get().(*bytes.Buffer)
+				w.sink = trace.NewBinarySink(w.trace)
 			}
+			w.trace.Reset()
+			w.sink.Reset()
+			rec = w.sink
 		}
+		sys, err := c.runVehicle(ctx, w.sys, v, p, rec, &w.ckpt)
+		if c.ChunkRounds == 0 {
+			w.sys = sys
+		}
+		if err != nil {
+			return
+		}
+		rep.outcomes[v] = outcomeOf(sys, v, p)
 		if sink != nil {
 			sink(v+1, w.trace.Bytes())
 		}
-		outcomes[v] = out
-		return true
+		rep.done[v] = true
 	}
 
 	if c.Workers > 1 {
+		type job struct{ r, v int }
 		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < c.Workers; w++ {
+		work := make(chan job)
+		for k := 0; k < c.Workers; k++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var w workerBufs
-				for v := range work {
-					done[v] = runOne(v, &w)
+				var w worker
+				defer w.release()
+				for j := range work {
+					runOne(&w, j.r, j.v)
 				}
 			}()
 		}
 	feed:
-		for v := 0; v < c.Vehicles; v++ {
-			select {
-			case work <- v:
-			case <-ctx.Done():
-				break feed
+		for r := range reps {
+			for v := 0; v < c.Vehicles; v++ {
+				select {
+				case work <- job{r, v}:
+				case <-ctx.Done():
+					break feed
+				}
 			}
 		}
 		close(work)
 		wg.Wait()
 	} else {
-		var w workerBufs
-		for v := 0; v < c.Vehicles && ctx.Err() == nil; v++ {
-			done[v] = runOne(v, &w)
+		var w worker
+		for r := 0; r < n && ctx.Err() == nil; r++ {
+			for v := 0; v < c.Vehicles && ctx.Err() == nil; v++ {
+				runOne(&w, r, v)
+			}
+		}
+		w.release()
+	}
+	return reps
+}
+
+// outcomeOf takes vehicle v's audit material out of its system.
+func outcomeOf(sys *System, v int, p vehiclePlan) vehicleOutcome {
+	out := vehicleOutcome{faultFree: p.faultFree}
+	if p.faultFree {
+		out.decosFalseAlarms = countRemovalAdvice(sys, sys.Diag)
+		out.obdFalseAlarms = countRemovalAdvice(sys, sys.OBD)
+	} else {
+		for _, act := range sys.Injector.Ledger() {
+			out.decos = append(out.decos, maintenance.Audit(act, sys.Diag))
+			out.obd = append(out.obd, maintenance.Audit(act, sys.OBD))
 		}
 	}
+	for _, vd := range sys.Diag.Assessor.Emitted() {
+		if fleet.Relevant(vd.Class) {
+			out.incidents = append(out.incidents, fleet.Incident{
+				Vehicle: v + 1, Job: vd.FRU.Job, Class: vd.Class, Pattern: vd.Pattern,
+			})
+		}
+	}
+	return out
+}
 
-	// Merge in vehicle order: deterministic regardless of Workers. Only
-	// completed vehicles contribute.
+// result merges the replicate's completed vehicles in vehicle order —
+// deterministic regardless of Workers — auditing both diagnosers.
+func (rep *replicate) result(ctx context.Context) *CampaignResult {
 	res := &CampaignResult{Fleet: fleet.NewTally()}
-	var decosLedger, obdLedger []auditPair
-	for v, out := range outcomes {
-		if !done[v] {
+	decos := maintenance.Report{Confusion: map[core.FaultClass]map[core.FaultClass]int{}}
+	obd := maintenance.Report{Confusion: map[core.FaultClass]map[core.FaultClass]int{}}
+	for v, out := range rep.outcomes {
+		if !rep.done[v] {
 			continue
 		}
 		res.Completed++
@@ -405,14 +464,13 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 			res.OBDFalseAlarms += out.obdFalseAlarms
 			continue
 		}
-		for _, act := range out.acts {
-			decosLedger = append(decosLedger, auditPair{act: act, adv: out.diag})
-			obdLedger = append(obdLedger, auditPair{act: act, adv: out.obd})
+		for i := range out.decos {
+			decos.Record(out.decos[i])
+			obd.Record(out.obd[i])
 		}
 	}
-	res.DECOS = evaluatePairs(decosLedger)
-	res.OBD = evaluatePairs(obdLedger)
-	res.Partial = ctx.Err() != nil && res.Completed < c.Vehicles
+	res.DECOS, res.OBD = &decos, &obd
+	res.Partial = ctx.Err() != nil && res.Completed < len(rep.outcomes)
 	return res
 }
 
@@ -452,26 +510,49 @@ func (c Campaign) plans() []vehiclePlan {
 	return plans
 }
 
-// workerBufs are one campaign worker's reusable buffers: the vehicle's
-// binary trace and the chunk checkpoint.
-type workerBufs struct{ trace, ckpt bytes.Buffer }
+// worker is one campaign worker's state, kept from vehicle to vehicle:
+// its system (nil until its first vehicle, and for chunked campaigns),
+// the vehicle's binary trace buffer and sink (traced runs only), and the
+// chunk checkpoint.
+type worker struct {
+	sys   *System
+	trace *bytes.Buffer
+	sink  *trace.BinarySink
+	ckpt  bytes.Buffer
+}
 
-// runVehicle builds vehicle v (0-based) of the campaign from its plan and
-// runs it to the horizon — in ChunkRounds checkpoint/restore chunks
-// through ck when set. With a non-nil rec, the vehicle records into it
+// traceBuffers recycles worker trace buffers across campaigns: a
+// vehicle's binary trace runs to hundreds of KiB, and regrowing one from
+// empty in every worker of every campaign was 41 % of the bytes a traced
+// fleet of short campaigns allocated.
+var traceBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// release hands the worker's trace buffer back for the next campaign.
+func (w *worker) release() {
+	if w.trace != nil {
+		w.trace.Reset()
+		traceBuffers.Put(w.trace)
+	}
+}
+
+// runVehicle readies a system for vehicle v (0-based) of the campaign
+// from its plan and runs it to the horizon. sys is the worker's system
+// from its previous vehicle, reset in place for this one; a nil sys
+// builds a fresh one. A chunked campaign runs in ChunkRounds
+// checkpoint/restore chunks through ck, each restored into a freshly
+// built engine, so its workers keep no system and always pass nil. With a non-nil rec, the vehicle records into it
 // and ends its trace with the audit block. It fails only when ctx is
 // cancelled mid-run.
-func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trace.Sink, ck *bytes.Buffer) (*System, error) {
-	// Each vehicle gets its own classifier instance (the Bayesian stage is
-	// stateful; posteriors must not leak across vehicles).
-	extra := pack.ClassifierOptions(c.Classifier)
+func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehiclePlan, rec trace.Sink, ck *bytes.Buffer) (*System, error) {
+	var extra []engine.Option
 	if rec != nil {
 		extra = append(extra, engine.WithSink(rec,
 			trace.Options{TrustEveryEpochs: 5, Vehicle: v + 1}))
 	}
 	// The injections ride in the fault manifest (Fig10Faulted), not as
 	// post-build calls: a manifest is what a checkpoint restore can
-	// reconstruct, so chunked execution replays it per chunk.
+	// reconstruct, so chunked execution replays it per chunk, and what
+	// a reset re-runs on the worker's engine.
 	horizon := sim.Time(c.Rounds * tt.UniformSchedule(4, 250*sim.Microsecond, 256).RoundDuration().Micros())
 	plan := make([]InjectPlan, 0, len(p.kinds))
 	for i, kind := range p.kinds {
@@ -479,7 +560,16 @@ func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trac
 			Kind: kind, At: sim.Time(float64(horizon) * p.atFrac[i]), Horizon: horizon,
 		})
 	}
-	sys := Fig10Faulted(p.seed, c.Opts, plan, extra...)
+	if sys != nil {
+		if err := sys.Reset(p.seed, plan, extra...); err != nil {
+			panic(fmt.Sprintf("scenario: vehicle reset: %v", err))
+		}
+	} else {
+		// Each vehicle's engine gets its own classifier instance (the
+		// Bayesian stage is stateful; a reset clears it).
+		extra = append(pack.ClassifierOptions(c.Classifier), extra...)
+		sys = Fig10Faulted(p.seed, c.Opts, plan, extra...)
+	}
 	if c.ChunkRounds > 0 {
 		// Chunked resume: run, checkpoint, rebuild restored, repeat. Every
 		// chunk engine records into the same sink — the restored
@@ -508,7 +598,7 @@ func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trac
 					engine.WithRestore(ck.Bytes()))...)
 		}
 	} else if err := sys.RunCtx(ctx, c.Rounds); err != nil {
-		return nil, err
+		return sys, err
 	}
 	if r := sys.Engine.Recorder; r != nil {
 		r.WriteAudit(horizon, p.faultFree, sys.Injector.Ledger(),
@@ -516,24 +606,6 @@ func (c Campaign) runVehicle(ctx context.Context, v int, p vehiclePlan, rec trac
 			hardwareFRUs(sys))
 	}
 	return sys, nil
-}
-
-type auditPair struct {
-	act *faults.Activation
-	adv maintenance.Advisor
-}
-
-// evaluatePairs audits activations that live on different advisor
-// instances (one per vehicle), through the same arm-audit accumulation
-// the trace-fed warranty engine runs.
-func evaluatePairs(pairs []auditPair) *maintenance.Report {
-	audit := maintenance.ArmAudit{
-		Report: maintenance.Report{Confusion: map[core.FaultClass]map[core.FaultClass]int{}},
-	}
-	for _, p := range pairs {
-		audit.Audit(p.act, p.adv)
-	}
-	return &audit.Report
 }
 
 // hardwareFRUs lists the hardware FRUs of a system (the audit block

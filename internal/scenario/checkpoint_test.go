@@ -104,7 +104,7 @@ func TestRunTracedBinaryMatchesNDJSON(t *testing.T) {
 		want := make(map[int][]byte, c.Vehicles)
 		for v, p := range plans {
 			var nd bytes.Buffer
-			if _, err := c.runVehicle(context.Background(), v, p, trace.NewNDJSONSink(&nd), nil); err != nil {
+			if _, err := c.runVehicle(context.Background(), nil, v, p, trace.NewNDJSONSink(&nd), nil); err != nil {
 				t.Fatal(err)
 			}
 			want[v+1] = nd.Bytes()

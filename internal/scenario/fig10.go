@@ -82,13 +82,24 @@ type InjectPlan struct {
 // in plan order.
 func Fig10Faulted(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *System {
 	sys := &System{}
-	return sys.assemble(seed, opts, append([]engine.Option{
-		engine.WithFaults(func(inj *faults.Injector) {
-			for _, p := range plan {
-				sys.InjectWith(inj, p.Kind, p.At, p.Horizon)
-			}
-		}),
-	}, extra...))
+	return sys.assemble(seed, opts, append([]engine.Option{sys.manifest(plan)}, extra...))
+}
+
+// manifest is the fault manifest injecting plan into the system.
+func (sys *System) manifest(plan []InjectPlan) engine.Option {
+	return engine.WithFaults(func(inj *faults.Injector) {
+		for _, p := range plan {
+			sys.InjectWith(inj, p.Kind, p.At, p.Horizon)
+		}
+	})
+}
+
+// Reset readies the system for another vehicle without rebuilding it
+// (engine.Engine.Reset): afterwards it is what Fig10Faulted builds for
+// seed and plan, with the same diagnostic options and classifier. extra
+// may re-point the trace sink (engine.WithSink).
+func (sys *System) Reset(seed uint64, plan []InjectPlan, extra ...engine.Option) error {
+	return sys.Engine.Reset(append([]engine.Option{engine.WithSeed(seed), sys.manifest(plan)}, extra...)...)
 }
 
 // Fig10Restored rebuilds a Fig. 10 system from an engine checkpoint:
@@ -99,14 +110,7 @@ func Fig10Faulted(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra 
 // Fig10Restored returns.
 func Fig10Restored(data []byte, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) (*System, error) {
 	sys := &System{}
-	return sys.assembleE(seed, opts, append([]engine.Option{
-		engine.WithFaults(func(inj *faults.Injector) {
-			for _, p := range plan {
-				sys.InjectWith(inj, p.Kind, p.At, p.Horizon)
-			}
-		}),
-		engine.WithRestore(data),
-	}, extra...))
+	return sys.assembleE(seed, opts, append([]engine.Option{sys.manifest(plan), engine.WithRestore(data)}, extra...))
 }
 
 // fig10Engine assembles the Fig. 10 system through the run engine; extra

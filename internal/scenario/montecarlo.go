@@ -71,21 +71,22 @@ type MonteCarloResult struct {
 // independent fault mixes, targets and activation instants — the
 // between-replicate spread measures how sensitive a verdict-accuracy
 // claim is to the draw, which a single campaign run cannot show.
-// Replicates run sequentially (each already parallelizes over
-// Workers); cancellation stops after the current replicate.
+// All replicates' vehicles run through one pool of Workers workers
+// (replicate by replicate, in vehicle order), each worker resetting one
+// engine from vehicle to vehicle, so no replicate waits for the last
+// vehicle of the one before it. Cancellation stops the pool; the result
+// then aggregates the leading replicates whose vehicles all completed.
 func (c Campaign) MonteCarlo(ctx context.Context, n int) *MonteCarloResult {
+	return aggregate(ctx, n, c.runReplicates(ctx, n, nil))
+}
+
+// aggregate folds the leading replicates whose vehicles all completed
+// into the per-metric statistics.
+func aggregate(ctx context.Context, n int, reps []*replicate) *MonteCarloResult {
 	mc := &MonteCarloResult{Replicates: n}
 	var pAcc, pNFF, bAcc, bNFF, fa []float64
-	for r := 0; r < n; r++ {
-		if ctx.Err() != nil {
-			break
-		}
-		rc := c
-		// 0x9e3779b97f4a7c15 is the 64-bit golden-ratio increment; the
-		// multiplied offset keeps replicate seed streams disjoint from the
-		// per-vehicle seed lattice (Seed + v·7919) inside each replicate.
-		rc.Seed = c.Seed + uint64(r)*0x9e3779b97f4a7c15
-		res := rc.RunContext(ctx)
+	for _, rep := range reps {
+		res := rep.result(ctx)
 		if res.Partial {
 			break
 		}

@@ -181,29 +181,76 @@ func (r *RNG) Perm(n int) []int {
 // seed. Requesting the same name twice returns the same stream instance.
 type Streams struct {
 	master uint64
-	open   map[string]*RNG
+	open   map[string]*stream
+	// closed holds the streams Reset closed, by name, for reuse when they
+	// are opened again.
+	closed map[string]*stream
+}
+
+// stream is one named generator; kept marks it as one Reset keeps open.
+type stream struct {
+	RNG
+	kept bool
 }
 
 // NewStreams returns a stream factory for the given master seed.
 func NewStreams(master uint64) *Streams {
-	return &Streams{master: master, open: make(map[string]*RNG)}
+	return &Streams{master: master, open: make(map[string]*stream)}
 }
 
 // Stream returns the RNG stream with the given name, creating it on first
 // use. The stream seed is a hash of the master seed and the name, so streams
 // with different names are statistically independent.
 func (st *Streams) Stream(name string) *RNG {
-	if r, ok := st.open[name]; ok {
-		return r
+	if s, ok := st.open[name]; ok {
+		return &s.RNG
 	}
+	s, ok := st.closed[name]
+	if ok {
+		delete(st.closed, name)
+	} else {
+		s = new(stream)
+	}
+	st.seed(s, name)
+	st.open[name] = s
+	return &s.RNG
+}
+
+// seed positions s at the start of the named stream under the current
+// master seed.
+func (st *Streams) seed(s *stream, name string) {
 	seed := st.master
 	for _, b := range []byte(name) {
 		seed = (seed ^ uint64(b)) * 0x100000001b3 // FNV-1a style mixing
 	}
-	x := seed
-	r := NewRNG(splitmix64(&x))
-	st.open[name] = r
-	return r
+	s.Seed(splitmix64(&seed))
+}
+
+// Keep marks every open stream as one Reset keeps open.
+func (st *Streams) Keep() {
+	for _, s := range st.open {
+		s.kept = true
+	}
+}
+
+// Reset switches the factory to a new master seed. The streams marked by
+// Keep stay open and restart in place, so pointers to them stay valid;
+// every other stream is closed, exactly as if it had never been opened.
+// A closed stream's generator is handed out again, freshly seeded, when
+// Stream next opens it.
+func (st *Streams) Reset(master uint64) {
+	st.master = master
+	for name, s := range st.open {
+		if s.kept {
+			st.seed(s, name)
+			continue
+		}
+		if st.closed == nil {
+			st.closed = make(map[string]*stream)
+		}
+		st.closed[name] = s
+		delete(st.open, name)
+	}
 }
 
 // Substream returns a stream named by formatting args, convenient for

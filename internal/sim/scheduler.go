@@ -196,6 +196,15 @@ func (s *Scheduler) Cancel(e *Event) {
 	heap.Remove(&s.queue, e.index)
 }
 
+// Reset returns the scheduler to its just-constructed state, keeping the
+// event pool warm: every pending event is dropped, the clock returns to
+// zero and the counters restart.
+func (s *Scheduler) Reset() {
+	s.DropPending()
+	s.now, s.nextSeq, s.fired, s.scheduled, s.pooled = 0, 0, 0, 0, 0
+	s.stopped, s.deadline = false, maxTime
+}
+
 // Stop makes the current Run/RunUntil call return after the in-flight event
 // completes. Pending events remain queued.
 func (s *Scheduler) Stop() { s.stopped = true }

@@ -239,6 +239,10 @@ func NewBinarySink(w io.Writer) *BinarySink {
 	return s
 }
 
+// Reset makes the sink start a new stream: the next record is preceded
+// by a stream header again.
+func (s *BinarySink) Reset() { s.wroteHeader = false }
+
 // Record encodes e as one binary record.
 func (s *BinarySink) Record(e *Event) error {
 	s.buf = s.buf[:0]

@@ -109,7 +109,7 @@ func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Inj
 	}
 
 	cl.Bus.Observe(func(f *tt.Frame, _ []tt.FrameStatus) {
-		if !opts.AllFrames && !f.Status.Failed() {
+		if !r.opts.AllFrames && !f.Status.Failed() {
 			return
 		}
 		// One allocation backs all three pointer fields. They stay
@@ -147,8 +147,8 @@ func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Inj
 		if d == nil {
 			return
 		}
-		if opts.TrustEveryEpochs > 0 {
-			if e := d.Assessor.Epoch(); e >= r.lastTrustEpoch+opts.TrustEveryEpochs {
+		if every := r.opts.TrustEveryEpochs; every > 0 {
+			if e := d.Assessor.Epoch(); e >= r.lastTrustEpoch+every {
 				r.lastTrustEpoch = e
 				for i, subject := range subjects {
 					tv := float64(d.Assessor.Trust(diagnosis.FRUIndex(i)))
@@ -189,6 +189,15 @@ func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Inj
 		})
 	}
 	return r
+}
+
+// Reset re-points an attached recorder at sink and opts for a new run on
+// a reset cluster, with its counters and cursors back at the start. The
+// sink must not be a no-op one: a recorder attached with one installed no
+// instrumentation to re-point.
+func (r *Recorder) Reset(sink Sink, opts Options) {
+	r.sink, r.opts = sink, opts
+	r.Events, r.Err, r.ledgerSeen, r.lastTrustEpoch = 0, nil, 0, 0
 }
 
 func (r *Recorder) write(e Event) {

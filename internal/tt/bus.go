@@ -2,6 +2,7 @@ package tt
 
 import (
 	"fmt"
+	"slices"
 
 	"decos/internal/clock"
 	"decos/internal/sim"
@@ -77,6 +78,9 @@ type Bus struct {
 	observers  []SlotObserver
 	roundHooks []func(round int64)
 	nextHookID int
+	// startHookID is nextHookID at Start: fault hooks installed after
+	// Start have ids from it on, and Reset removes exactly those.
+	startHookID int
 
 	round int64
 
@@ -256,9 +260,30 @@ func (b *Bus) Start() {
 		}
 	}
 	b.running = true
+	b.startHookID = b.nextHookID
 	// A static event name: slot scheduling is the simulator's hottest
 	// path and the coordinates are recoverable from the time.
 	b.Sched.AtFunc(b.Cfg.SlotStart(0, 0), "tt.slot", b.slotFn, 0, 0)
+}
+
+// Reset returns a started bus to its state before Start, keeping its
+// wiring (controllers, reception, observers, round hooks): every node
+// powered, none babbling, membership views that have seen nothing, zeroed
+// tallies, and the fault hooks installed since Start removed. Reset the
+// scheduler with it; Start then schedules the first slot again.
+func (b *Bus) Reset() {
+	b.running = false
+	b.round = 0
+	b.txFaults = slices.DeleteFunc(b.txFaults, func(h txHook) bool { return h.id >= b.startHookID })
+	b.rxFaults = slices.DeleteFunc(b.rxFaults, func(h rxHook) bool { return h.id >= b.startHookID })
+	b.nextHookID = b.startHookID
+	for _, n := range b.nodeOrder {
+		b.alive[n], b.babbling[n] = true, false
+		b.membership[n].reset()
+	}
+	b.babblers = 0
+	b.GuardianBlocks = 0
+	b.statusCounts = [4]int64{}
 }
 
 // fireSlot runs the slot at (round, slot), then as many consecutive slots as

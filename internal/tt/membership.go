@@ -29,11 +29,17 @@ func NewMembership(nodes []NodeID) *Membership {
 		lastSeen:  make([]int64, size),
 		failCount: make([]int, size),
 	}
+	m.reset()
+	return m
+}
+
+// reset forgets every observation: no node seen yet.
+func (m *Membership) reset() {
 	for i := range m.lastOK {
 		m.lastOK[i] = -1
 		m.lastSeen[i] = -1
 	}
-	return m
+	clear(m.failCount)
 }
 
 // Record notes the observed status of sender's frame in the given round.

@@ -71,10 +71,9 @@ func (n *Network) Snapshot(e *ckpt.Encoder) {
 		// Published TT state in packing order; absent channels are marked.
 		e.Int(len(ep.ttOrder))
 		for _, cs := range ep.ttOrder {
-			m := cs.state
-			e.Bool(m != nil)
-			if m != nil {
-				encodeMessage(e, m)
+			e.Bool(cs.published)
+			if cs.published {
+				encodeMessage(e, &cs.state)
 			}
 		}
 	}
@@ -112,11 +111,11 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 		}
 		for j := 0; j < nt && d.Err() == nil; j++ {
 			cs := ep.ttOrder[j]
-			if d.Bool() {
-				m := ownedMessage(d)
-				cs.state = &m
-			} else {
-				cs.state = nil
+			cs.published = d.Bool()
+			if cs.published {
+				m := decodeMessage(d)
+				m.Payload = append(cs.state.Payload[:0], m.Payload...)
+				cs.state = m
 			}
 		}
 	}

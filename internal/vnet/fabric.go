@@ -19,6 +19,9 @@ type InPort struct {
 	// Capacity bounds the receive queue; incoming messages beyond it are
 	// dropped and counted as overflows. Capacity <= 0 means unbounded.
 	Capacity int
+	// sealedCap is Capacity as the fabric was sealed with; Reset
+	// restores it.
+	sealedCap int
 	// Overwrite makes the port keep only the newest message (state port).
 	Overwrite bool
 
@@ -150,6 +153,15 @@ func (p *InPort) own(payload []byte) []byte {
 	off := len(p.arena)
 	p.arena = append(p.arena, payload...)
 	return p.arena[off:len(p.arena):len(p.arena)]
+}
+
+// reset empties the port and zeroes its statistics, restoring its sealed
+// capacity; the queue and arena keep their storage.
+func (p *InPort) reset() {
+	clear(p.queue)
+	p.queue, p.arena, p.queued = p.queue[:0], p.arena[:0], 0
+	p.Capacity = p.sealedCap
+	p.Stats = PortStats{}
 }
 
 // subscription is one channel's subscribed ports, in subscription order.
@@ -300,8 +312,36 @@ func (f *Fabric) Seal() error {
 		}
 		f.senders[node].segs = segs
 	}
+	for _, n := range f.networks {
+		for _, ep := range n.endpoints {
+			ep.sealedCap = ep.QueueCap
+		}
+	}
+	for _, s := range f.subs {
+		for _, p := range s.ports {
+			p.sealedCap = p.Capacity
+		}
+	}
 	f.sealed = true
 	return nil
+}
+
+// Reset returns a sealed fabric to its just-sealed state for a new run,
+// keeping the layout, the subscriptions and all buffers: every network
+// and port is emptied (see Network and InPort), the capacities the
+// misconfiguration faults change are restored, and the corruption seed is
+// drawn from rng as NewFabric draws it.
+func (f *Fabric) Reset(rng *sim.RNG) {
+	f.corruptSeed = rng.Uint64()
+	f.DecodeErrors = 0
+	for _, n := range f.networks {
+		n.reset()
+	}
+	for _, s := range f.subs {
+		for _, p := range s.ports {
+			p.reset()
+		}
+	}
 }
 
 // layout returns node's frame segments; none for a node outside the

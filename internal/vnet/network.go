@@ -49,8 +49,10 @@ type channelState struct {
 	id      ChannelID
 	ep      *Endpoint // the producing node's endpoint
 	nextSeq uint32
-	// state is a TT channel's published value, nil until the first send.
-	state *Message
+	// state is a TT channel's published value, valid once published (the
+	// first send); its payload buffer is reused by every later send.
+	state     Message
+	published bool
 }
 
 // channelIndex returns the position of id in the sorted channels slice
@@ -99,6 +101,9 @@ type Endpoint struct {
 	// mis-dimensioned QueueCap relative to the traffic model is the
 	// paper's job-borderline configuration fault.
 	QueueCap int
+	// sealedCap is QueueCap as the fabric was sealed with; Reset
+	// restores it.
+	sealedCap int
 
 	outQueue []Message       // ET pending messages, FIFO
 	ttOrder  []*channelState // produced TT channels in packing order
@@ -187,13 +192,10 @@ func (n *Network) Send(ch ChannelID, payload []byte, now sim.Time) bool {
 	seq := cs.nextSeq
 	cs.nextSeq++
 	if n.Kind == TimeTriggered {
-		st := cs.state
-		if st == nil {
-			st = &Message{}
-			cs.state = st
-		}
+		st := &cs.state
 		st.Channel, st.Seq, st.SentAt = ch, seq, now
 		st.Payload = append(st.Payload[:0], payload...)
+		cs.published = true
 		ep.TxMessages++
 		return true
 	}
@@ -228,10 +230,10 @@ func (ep *Endpoint) packSegment(window []byte) {
 	seg := window[:0]
 	if ep.Net.Kind == TimeTriggered {
 		for _, cs := range ep.ttOrder {
-			m := cs.state
-			if m == nil {
+			if !cs.published {
 				continue
 			}
+			m := &cs.state
 			if WireSize(len(m.Payload)) > len(window)-len(seg) {
 				break
 			}
@@ -270,6 +272,26 @@ func (ep *Endpoint) packSegment(window []byte) {
 			tail[i] = Message{}
 		}
 		ep.outQueue = ep.outQueue[:rest]
+	}
+}
+
+// reset returns the network to its just-sealed state: no channel
+// published, sequence counters at zero, every outbound queue empty (its
+// payload buffers recycled) at its sealed capacity, tallies zeroed.
+func (n *Network) reset() {
+	for _, cs := range n.channels {
+		cs.nextSeq, cs.published = 0, false
+	}
+	for _, ep := range n.endpoints {
+		for i, m := range ep.outQueue {
+			if cap(m.Payload) > 0 {
+				ep.freeBufs = append(ep.freeBufs, m.Payload[:0])
+			}
+			ep.outQueue[i] = Message{}
+		}
+		ep.outQueue = ep.outQueue[:0]
+		ep.QueueCap = ep.sealedCap
+		ep.TxOverflows, ep.TxMessages = 0, 0
 	}
 }
 

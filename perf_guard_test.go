@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"decos/internal/baseline"
+	"decos/internal/bayes"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/scenario"
@@ -487,6 +488,39 @@ func TestAllocGuardBoundedStores(t *testing.T) {
 	}
 	if early > maxBytesPerRound || late > maxBytesPerRound {
 		t.Errorf("steady rounds allocate %.1f and %.1f B/round, want <= %d", early, late, maxBytesPerRound)
+	}
+}
+
+// TestAllocGuardWarmVehicle pins worker engine reuse: a campaign worker
+// builds its engine once and resets it in place for every later vehicle
+// (engine.Engine.Reset), so a warm worker's second 300-round Fig. 10
+// vehicle under the Bayesian stage — the Monte Carlo workload's shape —
+// may allocate at most maxWarmRatio of the bytes its first vehicle
+// (build plus run) allocated. The second vehicle runs another seed and
+// the same fault kind, activating at the same instant.
+func TestAllocGuardWarmVehicle(t *testing.T) {
+	const (
+		seed, rounds = 20050404, 300
+		maxWarmRatio = 0.2
+	)
+	round := scenario.Fig10(seed, diagnosis.Options{}).Cluster.Cfg.RoundDuration().Micros()
+	horizon := sim.Time(rounds * round)
+	plan := []scenario.InjectPlan{{Kind: scenario.KindIntermittent, At: horizon / 5, Horizon: horizon}}
+	var sys *scenario.System
+	first := allocatedBytes(func() {
+		sys = scenario.Fig10Faulted(seed, diagnosis.Options{}, plan, engine.WithClassifier(bayes.New()))
+		sys.Run(rounds)
+	})
+	second := allocatedBytes(func() {
+		if err := sys.Reset(seed+7919, plan); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(rounds)
+	})
+	ratio := float64(second) / float64(first)
+	t.Logf("first vehicle %d B, warm second vehicle %d B (%.3fx)", first, second, ratio)
+	if ratio > maxWarmRatio {
+		t.Errorf("a warm worker's second vehicle allocates %.3fx its first, want <= %.1fx", ratio, maxWarmRatio)
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repository check: formatting, vet, build, the full test suite, and a
 # race-detector leg over the packages that actually run goroutines (the
-# campaign workers, the warranty daemon, the engine's context lifecycle,
-# the telemetry registry's concurrent writers).
+# campaign workers, each resetting its own engine from vehicle to vehicle,
+# the warranty daemon, the engine's context lifecycle, the telemetry
+# registry's concurrent writers).
 # Fails (non-zero) on any violation, including unformatted files.
 #
 # The full suite under -race is `make race`; this gate keeps the race leg
