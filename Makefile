@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race bench benchfull benchall build fmt vet conform metrics-demo cluster-demo whatif-demo
+.PHONY: check test race bench benchfull benchall build fmt vet conform metrics-demo whatif-demo
 
 # Commit gate: gofmt (failing), vet, build, full tests, and a targeted
 # -race leg over the concurrent packages (scenario, warranty, engine).
@@ -18,10 +18,10 @@ race:
 
 # Fast perf gate: run every root benchmark once (a smoke run, not a
 # measurement), then the allocation guards and the within-run
-# throughput-ratio tests of perf_guard_test.go.
+# throughput-ratio test of perf_guard_test.go.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
-	$(GO) test -run 'TestAllocGuard|TestBinaryIngestRatio|TestClusterShardScaling' -v .
+	$(GO) test -run 'TestAllocGuard|TestBinaryIngestRatio' -v .
 
 # Performance measurement: the repo benchmark (BENCHMARK.json, bench/)
 # over 5 runs per seed, reporting medians and quartile spreads. To compare
@@ -39,13 +39,6 @@ benchall:
 # accounting line. ADDR/VEHICLES/ROUNDS overridable.
 metrics-demo:
 	./scripts/metrics-demo.sh
-
-# Multi-node demo: N decos-fleetd shard peers, a synthetic fleet uplinked
-# through the ring client, the coordinator's merged view curled and
-# cross-checked against a one-shot poll. PEERS/VEHICLES/EVENTS
-# overridable.
-cluster-demo:
-	./scripts/cluster-demo.sh
 
 # Scenario-pack conformance gate: every manifest under packs/ scored
 # against the DECOS, OBD and Bayesian classifiers (cmd/decos-conform).

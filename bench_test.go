@@ -6,16 +6,11 @@ package decos
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"decos/internal/bayes"
-	"decos/internal/cluster"
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
@@ -370,84 +365,6 @@ func BenchmarkAlphaCount(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterIngest measures delivered uplink throughput against a
-// sharded fleetd cluster whose peers sit behind a simulated WAN service
-// latency — the regime a real OEM backend runs in, where ingest is bound
-// by round-trip budget and per-peer admission (modelled as a capped
-// connection pool), not by local CPU. Sharding multiplies the in-flight
-// batch budget: 4 peers carry 4x the concurrent batches of 1, so
-// delivered events/sec scales with the shard count while each peer's CPU
-// stays far from saturated. One op is one vehicle trace uplinked through
-// the ring client (batch-per-trace).
-func BenchmarkClusterIngest(b *testing.B) {
-	traces := clusterCorpus(256)
-	for _, peers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", peers), func(b *testing.B) {
-			client := latencyBoundClient(b, peers)
-			var next atomic.Int64
-			b.SetParallelism(uplinkWorkers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					v := int(next.Add(1))
-					if err := client.AddTrace(context.Background(), v, traces[(v-1)%len(traces)]); err != nil {
-						b.Error(err)
-					}
-				}
-			})
-		})
-	}
-}
-
-// uplinkWorkers is enough concurrent uplinks to fill every peer's
-// connection pool in the cluster ingest measurements (the benchmark runs
-// this many per CPU).
-const uplinkWorkers = 16
-
-// clusterCorpus renders the loadgen traces of vehicles 1..n, 48 events
-// each.
-func clusterCorpus(n int) [][]byte {
-	gen := cluster.LoadGen{Seed: benchSeed, EventsPerVehicle: 48}
-	traces := make([][]byte, n)
-	for v := range traces {
-		traces[v] = gen.VehicleTrace(v + 1)
-	}
-	return traces
-}
-
-// latencyBoundClient starts peers fleetd shard servers, each answering
-// after a simulated 20 ms WAN service latency and admitting 2
-// connections, and returns a ring client over them that sends every
-// trace as its own batch. The servers close when tb completes.
-func latencyBoundClient(tb testing.TB, peers int) *cluster.Client {
-	const (
-		wanLatency   = 20 * time.Millisecond
-		connsPerPeer = 2
-	)
-	var urls []string
-	for i := 0; i < peers; i++ {
-		api := warranty.NewServer(warranty.NewCollector(0), warranty.ServerOptions{MaxInflight: 1024})
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(wanLatency)
-			api.ServeHTTP(w, r)
-		}))
-		tb.Cleanup(srv.Close)
-		urls = append(urls, srv.URL)
-	}
-	ring, err := cluster.NewRing(urls, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return cluster.NewClient(ring, cluster.ClientOptions{
-		HTTPClient: &http.Client{
-			Transport: &http.Transport{MaxConnsPerHost: connsPerPeer},
-		},
-		MaxBatchBytes: 1, // flush every trace: one batch per op
-		Seed:          benchSeed,
-	})
-}
-
 // encodeTraceBlob renders events as one complete stream in the format.
 func encodeTraceBlob(tb testing.TB, events []trace.Event, f trace.Format) []byte {
 	tb.Helper()
@@ -464,7 +381,7 @@ func encodeTraceBlob(tb testing.TB, events []trace.Event, f trace.Format) []byte
 	return buf.Bytes()
 }
 
-// BenchmarkTraceDecode is the single-peer decode cost per event — the
+// BenchmarkTraceDecode is the in-process decode cost per event — the
 // number the binary codec exists to shrink. One op decodes one event;
 // the ns/op ratio between the sub-benchmarks is the encoding speedup
 // (TestBinaryIngestRatio gates binary at ≥5x the NDJSON events/sec).
@@ -493,7 +410,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest is the full single-peer ingest path per event — stream
+// BenchmarkIngest is the full in-process ingest path per event — stream
 // decode plus collector fold — from either encoding. The warranty state
 // is identical afterwards whichever sub-benchmark built it.
 func BenchmarkIngest(b *testing.B) {

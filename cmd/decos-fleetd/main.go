@@ -6,18 +6,12 @@
 // concentration, per-FRU trust trajectories and Fig. 8 pattern
 // statistics.
 //
-//	POST /v1/ingest         trace events, binary or NDJSON by Content-Type (415 otherwise;
-//	                        429 + Retry-After when the queue is full)
-//	GET  /v1/fleet/summary  fleet aggregate (?threshold= optional)
-//	GET  /v1/fleet/snapshot canonical mergeable shard state (cluster coordination)
-//	GET  /v1/fru/{id}       per-FRU drill-down (id URL-escaped)
-//	GET  /v1/healthz        liveness + ingestion counters
-//	GET  /v1/metrics        telemetry snapshot (?format=expvar for flat JSON)
-//
-// As a cluster shard the daemon needs no extra configuration: ingest
-// routing is the clients' job (consistent-hash ring over the peer list)
-// and the merged view is the coordinator's (decos-fleetctl coordinate).
-// -peer-name labels this shard's snapshot exports for attribution.
+//	POST /v1/ingest        trace events, binary or NDJSON by Content-Type (415 otherwise;
+//	                       429 + Retry-After when the queue is full, 413 past -max-body-bytes)
+//	GET  /v1/fleet/summary fleet aggregate (?threshold= optional)
+//	GET  /v1/fru/{id}      per-FRU drill-down (id URL-escaped)
+//	GET  /v1/healthz       liveness + ingestion counters
+//	GET  /v1/metrics       telemetry snapshot (?format=expvar for flat JSON)
 //
 // With -demo-vehicles N the daemon pre-populates itself by running an
 // N-vehicle traced campaign on all CPUs and ingesting the streams — a
@@ -25,7 +19,7 @@
 //
 // With -state-dir DIR the daemon is a warm standby: on graceful shutdown
 // (SIGTERM/SIGINT) it persists the collector to DIR/warranty-state.json,
-// and on boot it reloads that file if present — a restarted shard serves
+// and on boot it reloads that file if present — a restarted daemon serves
 // its accumulated fleet view immediately instead of waiting for vehicles
 // to re-uplink.
 //
@@ -65,7 +59,6 @@ func main() {
 		maxBodyBytes = flag.Int64("max-body-bytes", 0, "ingest request body cap (0 = default 256 MiB)")
 		threshold    = flag.Float64("threshold", warranty.DefaultThreshold,
 			"systematic-fault vehicle share for summaries")
-		peerName     = flag.String("peer-name", "", "shard label stamped on /v1/fleet/snapshot exports")
 		stateDir     = flag.String("state-dir", "", "persist the collector across restarts (warm standby; empty = stateless)")
 		retryAfter   = flag.Int("retry-after", 0, "Retry-After seconds sent with 429 (0 = default 1, negative = 0)")
 		demoVehicles = flag.Int("demo-vehicles", 0, "pre-populate with an N-vehicle traced campaign")
@@ -83,7 +76,7 @@ func main() {
 	metrics := telemetry.New()
 
 	// Warm standby: reload the state a previous incarnation persisted on
-	// shutdown, so a restarted shard serves its fleet view immediately
+	// shutdown, so a restarted daemon serves its fleet view immediately
 	// instead of waiting for vehicles to re-uplink.
 	statePath := ""
 	if *stateDir != "" {
@@ -130,7 +123,6 @@ func main() {
 		MaxBodyBytes: *maxBodyBytes,
 		Threshold:    *threshold,
 		RetryAfter:   *retryAfter,
-		PeerName:     *peerName,
 		Telemetry:    metrics,
 	})
 	srv := &http.Server{
@@ -147,7 +139,7 @@ func main() {
 	// Graceful shutdown (SIGTERM/SIGINT, server drained): persist the
 	// collector so the next incarnation boots warm.
 	if statePath != "" {
-		if err := warranty.SaveState(statePath, col.Snapshot(*peerName)); err != nil {
+		if err := warranty.SaveState(statePath, col.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "decos-fleetd: persisting state: %v\n", err)
 			os.Exit(1)
 		}

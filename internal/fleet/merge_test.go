@@ -52,7 +52,7 @@ func analyze(t *Tally, fleetSize int) analysis {
 	}
 }
 
-// TestTallyMergeOrderInsensitive pins the invariant the coordinator's
+// TestTallyMergeOrderInsensitive pins the invariant warranty.MergeSnapshots'
 // bit-identical guarantee rests on: a random event stream split into K
 // shards and folded back in shuffled orders — and in arbitrary
 // associativity groupings — must produce Analyze/Pareto output identical

@@ -10,9 +10,9 @@ type TallyJob struct {
 	Vehicles  []int  `json:"vehicles"`
 }
 
-// TallySnapshot is the canonical wire form of a Tally, the unit a warranty
-// shard exports so a coordinator can fold per-shard fleet correlation with
-// Tally.Merge. Jobs are sorted by name and vehicle sets ascending, so two
+// TallySnapshot is the canonical wire form of a Tally, the part of a
+// warranty snapshot that warranty.MergeSnapshots folds with Tally.Merge.
+// Jobs are sorted by name and vehicle sets ascending, so two
 // tallies holding the same observations serialize to identical bytes
 // regardless of ingestion order.
 type TallySnapshot struct {

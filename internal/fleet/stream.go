@@ -45,8 +45,9 @@ func (t *Tally) Observe(vehicle int, job string) {
 	t.incidents++
 }
 
-// Merge folds another tally into this one. Merging shard tallies in a
-// fixed order yields results independent of ingestion concurrency.
+// Merge folds another tally into this one. The tally is pure integer
+// state, so folding the tallies of a fleet split by vehicle in any order
+// yields the tally of the whole fleet.
 func (t *Tally) Merge(o *Tally) {
 	for job, ojt := range o.byJob {
 		jt := t.byJob[job]

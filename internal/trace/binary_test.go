@@ -287,8 +287,7 @@ func TestBinaryReaderRecordBound(t *testing.T) {
 }
 
 // TestTranscodeBytes: NDJSON → binary → NDJSON preserves every event
-// value-for-value, and ScanBinary agrees with the full decode on the
-// record count.
+// value-for-value.
 func TestTranscodeBytes(t *testing.T) {
 	events := goldenEvents()
 	var nd bytes.Buffer
@@ -302,13 +301,6 @@ func TestTranscodeBytes(t *testing.T) {
 	bin, n, corrupt, err := TranscodeBytes(nd.Bytes(), FormatBinary)
 	if err != nil || corrupt != 0 || n != len(events) {
 		t.Fatalf("to binary: n=%d corrupt=%d err=%v", n, corrupt, err)
-	}
-	records, body, err := ScanBinary(bin)
-	if err != nil || records != len(events) {
-		t.Fatalf("ScanBinary: records=%d err=%v", records, err)
-	}
-	if len(body) != len(bin)-binaryHeaderLen {
-		t.Fatalf("ScanBinary body %d bytes of %d", len(body), len(bin))
 	}
 	decodeAndCompare(t, NewBinaryReader(bytes.NewReader(bin)), events)
 
@@ -324,9 +316,6 @@ func TestTranscodeBytes(t *testing.T) {
 
 	if _, _, _, err := TranscodeBytes([]byte("not json at all\n"), FormatBinary); err != nil {
 		t.Fatalf("corrupt-only input must transcode to an empty stream, got %v", err)
-	}
-	if _, _, err := ScanBinary([]byte("x")); err == nil {
-		t.Fatal("ScanBinary accepted a non-binary blob")
 	}
 }
 

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -94,36 +93,6 @@ func OpenReader(r io.Reader) (EventReader, Format) {
 		return newBinaryReader(br), FormatBinary
 	}
 	return newReader(br), FormatNDJSON
-}
-
-// ScanBinary validates the framing of a complete in-memory binary trace
-// blob — header present, every record length in bounds — and returns the
-// record count and the body (the framed records after the header). It
-// does not decode payloads; it is the cheap admission check for blobs
-// that are about to be spliced into a larger stream (the cluster uplink
-// batches this way).
-func ScanBinary(blob []byte) (records int, body []byte, err error) {
-	if !HasBinaryHeader(blob) || len(blob) < binaryHeaderLen {
-		return 0, nil, fmt.Errorf("trace: not a binary trace blob (bad magic)")
-	}
-	if v := blob[len(binaryMagic)]; v != BinaryVersion {
-		return 0, nil, fmt.Errorf("trace: binary trace version %d not supported", v)
-	}
-	body = blob[binaryHeaderLen:]
-	for off := 0; off < len(body); records++ {
-		length, n := binary.Uvarint(body[off:])
-		if n <= 0 || length > uint64(DefaultMaxLineBytes) {
-			return records, nil, fmt.Errorf("trace: record %d at offset %d: malformed record length",
-				records+1, binaryHeaderLen+off)
-		}
-		off += n
-		if uint64(len(body)-off) < length {
-			return records, nil, fmt.Errorf("trace: record %d at offset %d: truncated payload",
-				records+1, binaryHeaderLen+off-n)
-		}
-		off += int(length)
-	}
-	return records, body, nil
 }
 
 // TranscodeBytes re-encodes a complete trace blob into the given format

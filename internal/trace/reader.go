@@ -84,7 +84,8 @@ func (r *Reader) noteCorrupt(err error) {
 func (r *Reader) Next() (Event, error) {
 	for {
 		line, err := r.readLine()
-		if len(line) > 0 {
+		// A transport error cuts the line short: it is unread, not corrupt.
+		if len(line) > 0 && (err == nil || err == io.EOF) {
 			r.lines++
 			var e Event
 			switch uerr := json.Unmarshal(line, &e); {

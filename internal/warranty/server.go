@@ -2,6 +2,7 @@ package warranty
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -24,7 +25,10 @@ type ServerOptions struct {
 	// MaxLineBytes bounds one NDJSON line per connection
 	// (trace.DefaultMaxLineBytes when 0).
 	MaxLineBytes int
-	// MaxBodyBytes bounds one ingest request body (default 256 MiB).
+	// MaxBodyBytes bounds one ingest request body (default 256 MiB). A
+	// body declared longer is refused with 413 unread; a streamed body
+	// that runs past it gets 413 once the bound trips, reporting what was
+	// ingested before it.
 	MaxBodyBytes int64
 	// Threshold is the systematic-fault vehicle share for summaries
 	// (DefaultThreshold when 0); overridable per request with
@@ -35,9 +39,6 @@ type ServerOptions struct {
 	// schedule instead of guessing. 0 selects the 1 s default; negative
 	// sends an immediate-retry hint of 0 s (load tests).
 	RetryAfter int
-	// PeerName labels this shard in /v1/fleet/snapshot exports — how a
-	// cluster coordinator attributes a corrupt or duplicated snapshot.
-	PeerName string
 	// Telemetry is the metrics registry the server publishes into and
 	// serves on GET /v1/metrics. Nil creates a private registry: unlike
 	// the simulator hot path, the HTTP front end always observes itself.
@@ -46,13 +47,12 @@ type ServerOptions struct {
 
 // Server exposes a Collector over HTTP (stdlib only):
 //
-//	POST /v1/ingest         trace events, NDJSON or binary by Content-Type (415 otherwise);
-//	                        429 + Retry-After when the queue is full
-//	GET  /v1/fleet/summary  fleet aggregate (?threshold= optional)
-//	GET  /v1/fleet/snapshot canonical mergeable shard state (cluster coordination)
-//	GET  /v1/fru/{id}       per-FRU drill-down (id URL-escaped)
-//	GET  /v1/healthz        liveness + ingestion counters
-//	GET  /v1/metrics        telemetry snapshot (?format=expvar for the flat view)
+//	POST /v1/ingest        trace events, NDJSON or binary by Content-Type (415 otherwise);
+//	                       429 + Retry-After when the queue is full, 413 past MaxBodyBytes
+//	GET  /v1/fleet/summary fleet aggregate (?threshold= optional)
+//	GET  /v1/fru/{id}      per-FRU drill-down (id URL-escaped)
+//	GET  /v1/healthz       liveness + ingestion counters
+//	GET  /v1/metrics       telemetry snapshot (?format=expvar for the flat view)
 //
 // The healthz ingestion counters are read from the same telemetry
 // registry the metrics endpoint serves, so liveness and metrics can never
@@ -66,16 +66,14 @@ type Server struct {
 
 	retryAfter string
 
-	metrics          *telemetry.Registry
-	ingestRequests   *telemetry.Counter
-	ingestRejected   *telemetry.Counter
-	ingestEvents     *telemetry.Counter
-	ingestCorrupt    *telemetry.Counter
-	ingestBinary     *telemetry.Counter
-	ingestUnsupp     *telemetry.Counter
-	ingestNS         *telemetry.Histogram
-	snapshotRequests *telemetry.Counter
-	snapshotNS       *telemetry.Histogram
+	metrics        *telemetry.Registry
+	ingestRequests *telemetry.Counter
+	ingestRejected *telemetry.Counter
+	ingestEvents   *telemetry.Counter
+	ingestCorrupt  *telemetry.Counter
+	ingestBinary   *telemetry.Counter
+	ingestUnsupp   *telemetry.Counter
+	ingestNS       *telemetry.Histogram
 }
 
 // NewServer wraps a collector with the HTTP API.
@@ -105,16 +103,14 @@ func NewServer(c *Collector, opts ServerOptions) *Server {
 		mux:        http.NewServeMux(),
 		retryAfter: strconv.Itoa(opts.RetryAfter),
 
-		metrics:          opts.Telemetry,
-		ingestRequests:   opts.Telemetry.Counter("ingest.requests"),
-		ingestRejected:   opts.Telemetry.Counter("ingest.rejected"),
-		ingestEvents:     opts.Telemetry.Counter("ingest.events"),
-		ingestCorrupt:    opts.Telemetry.Counter("ingest.corrupt_lines"),
-		ingestBinary:     opts.Telemetry.Counter("ingest.binary_requests"),
-		ingestUnsupp:     opts.Telemetry.Counter("ingest.unsupported_media"),
-		ingestNS:         opts.Telemetry.Histogram("ingest.request_ns"),
-		snapshotRequests: opts.Telemetry.Counter("snapshot.requests"),
-		snapshotNS:       opts.Telemetry.Histogram("snapshot.request_ns"),
+		metrics:        opts.Telemetry,
+		ingestRequests: opts.Telemetry.Counter("ingest.requests"),
+		ingestRejected: opts.Telemetry.Counter("ingest.rejected"),
+		ingestEvents:   opts.Telemetry.Counter("ingest.events"),
+		ingestCorrupt:  opts.Telemetry.Counter("ingest.corrupt_lines"),
+		ingestBinary:   opts.Telemetry.Counter("ingest.binary_requests"),
+		ingestUnsupp:   opts.Telemetry.Counter("ingest.unsupported_media"),
+		ingestNS:       opts.Telemetry.Histogram("ingest.request_ns"),
 	}
 	// Store-derived values are computed at snapshot time: the collector's
 	// own atomics (and per-shard locks) are the one source of truth.
@@ -130,7 +126,6 @@ func NewServer(c *Collector, opts ServerOptions) *Server {
 
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /v1/fleet/summary", s.handleSummary)
-	s.mux.HandleFunc("GET /v1/fleet/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/fru/{id...}", s.handleFRU)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.Handle("GET /v1/metrics", opts.Telemetry.Handler())
@@ -185,6 +180,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if binary {
 		s.ingestBinary.Inc()
 	}
+	if r.ContentLength > s.opts.MaxBodyBytes {
+		writeJSON(w, http.StatusRequestEntityTooLarge, ingestResult{Error: tooLarge})
+		return
+	}
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -205,14 +204,26 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	events, corrupt, err := s.c.IngestStream(body, s.opts.MaxLineBytes)
 	s.ingestEvents.Add(int64(events))
 	s.ingestCorrupt.Add(int64(corrupt))
-	if err != nil {
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, ingestResult{Ingested: events, Corrupt: corrupt})
+	case errors.As(err, new(*http.MaxBytesError)):
+		// The events before the bound are already ingested: say how many,
+		// so a client does not resend them.
+		writeJSON(w, http.StatusRequestEntityTooLarge, ingestResult{tooLarge, events, corrupt})
+	default:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Ingested int `json:"ingested"`
-		Corrupt  int `json:"corrupt"`
-	}{events, corrupt})
+}
+
+const tooLarge = "request body too large"
+
+// ingestResult is the body of a 200 or 413 ingest answer: the events the
+// request added to the collector and the records it skipped as corrupt.
+type ingestResult struct {
+	Error    string `json:"error,omitempty"`
+	Ingested int    `json:"ingested"`
+	Corrupt  int    `json:"corrupt"`
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
@@ -226,16 +237,6 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		threshold = v
 	}
 	writeJSON(w, http.StatusOK, s.c.Summary(threshold))
-}
-
-// handleSnapshot serves the shard's complete mergeable state in the
-// canonical versioned encoding — the coordination interface of a sharded
-// fleetd cluster.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.snapshotRequests.Inc()
-	start := time.Now()
-	writeJSON(w, http.StatusOK, s.c.Snapshot(s.opts.PeerName))
-	s.snapshotNS.Observe(time.Since(start).Nanoseconds())
 }
 
 func (s *Server) handleFRU(w http.ResponseWriter, r *http.Request) {

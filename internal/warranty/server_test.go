@@ -214,3 +214,62 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("bad threshold status = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestIngestBodyTooLarge pins the MaxBodyBytes contract for both encodings.
+// A body declared longer than the bound is refused with 413 unread: the
+// collector and the ingest counters stay untouched. A streamed (chunked)
+// body that runs past the bound gets 413 too, and its answer reports
+// exactly the events ingested before the bound tripped; the record the
+// bound cut short is unread, not corrupt.
+func TestIngestBodyTooLarge(t *testing.T) {
+	bin := campaignTraces(t, 1, 300)[1]
+	nd, _, corrupt, err := trace.TranscodeBytes(bin, trace.FormatNDJSON)
+	if err != nil || corrupt != 0 {
+		t.Fatalf("transcode: corrupt=%d err=%v", corrupt, err)
+	}
+	for _, tc := range []struct {
+		name        string
+		contentType string
+		body        []byte
+		chunked     bool
+	}{
+		{"binary/declared", trace.ContentTypeBinary, bin, false},
+		{"binary/chunked", trace.ContentTypeBinary, bin, true},
+		{"ndjson/declared", trace.ContentTypeNDJSON, nd, false},
+		{"ndjson/chunked", trace.ContentTypeNDJSON, nd, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := NewCollector(0)
+			srv := NewServer(col, ServerOptions{MaxBodyBytes: int64(len(tc.body) / 2)})
+			req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(tc.body))
+			req.Header.Set("Content-Type", tc.contentType)
+			if tc.chunked {
+				req.ContentLength = -1 // no declared length, as a chunked body arrives
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d, want 413", rec.Code)
+			}
+			var res ingestResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Error == "" {
+				t.Error("413 answer carries no error message")
+			}
+			if int64(res.Ingested) != col.Events() || res.Corrupt != 0 || col.Corrupt() != 0 {
+				t.Fatalf("answer %+v, collector holds %d events, %d corrupt", res, col.Events(), col.Corrupt())
+			}
+			if tc.chunked && res.Ingested == 0 {
+				t.Fatal("nothing ingested before the bound tripped")
+			}
+			if !tc.chunked && res.Ingested != 0 {
+				t.Fatalf("declared-length body ingested %d events", res.Ingested)
+			}
+			if got := srv.Telemetry().Snapshot().Counters["ingest.events"]; got != col.Events() {
+				t.Fatalf("ingest.events = %d, collector holds %d", got, col.Events())
+			}
+		})
+	}
+}

@@ -8,15 +8,14 @@ import (
 	"decos/internal/fleet"
 )
 
-// SnapshotVersion is the wire version of the shard snapshot. A coordinator
-// refuses snapshots of any other version: mixing encodings across a
-// rolling upgrade would silently skew the merged fleet view.
+// SnapshotVersion is the wire version of the snapshot. Validate,
+// LoadSnapshot and MergeSnapshots refuse any other version: mixing
+// encodings would silently skew the merged fleet view.
 const SnapshotVersion = 1
 
 // Snapshot is the canonical, versioned export of one collector's complete
-// mergeable state — the unit a sharded fleetd peer serves on
-// GET /v1/fleet/snapshot and a coordinator folds into the cluster-wide
-// summary.
+// mergeable state — what decos-fleetd -state-dir saves and reloads, and
+// the unit MergeSnapshots folds into one fleet summary.
 //
 // The encoding is canonical: vehicles ascending, every map keyed
 // deterministically (encoding/json emits map keys sorted), tally jobs and
@@ -27,16 +26,15 @@ const SnapshotVersion = 1
 // summary computed from decoded snapshots is bit-identical to one computed
 // from the originating states.
 type Snapshot struct {
-	Version int    `json:"version"`
-	Peer    string `json:"peer,omitempty"`
+	Version int `json:"version"`
 
 	Events    int64 `json:"events"`
 	Corrupt   int64 `json:"corrupt_lines"`
 	Malformed int64 `json:"malformed_events"`
 	Frames    int64 `json:"frames"`
 
-	// Tally is the shard's Section V-C fleet-correlation state; the
-	// coordinator folds peers' tallies with fleet.Tally.Merge.
+	// Tally is the collector's Section V-C fleet-correlation state;
+	// MergeSnapshots folds the snapshots' tallies with fleet.Tally.Merge.
 	Tally fleet.TallySnapshot `json:"tally"`
 
 	Vehicles []VehicleSnapshot `json:"vehicles,omitempty"`
@@ -101,16 +99,15 @@ type PatternSnapshot struct {
 	Subjects []string `json:"subjects,omitempty"`
 }
 
-// Snapshot exports the collector's complete mergeable state. peer labels
-// the origin (may be empty). The export observes a consistent point in
-// time: all stripes are locked for its duration, like Summary.
-func (c *Collector) Snapshot(peer string) *Snapshot {
+// Snapshot exports the collector's complete mergeable state. The export
+// observes a consistent point in time: all stripes are locked for its
+// duration, like Summary.
+func (c *Collector) Snapshot() *Snapshot {
 	c.lockAll()
 	defer c.unlockAll()
 
 	s := &Snapshot{
 		Version:   SnapshotVersion,
-		Peer:      peer,
 		Events:    c.events.Load(),
 		Corrupt:   c.corrupt.Load(),
 		Malformed: c.malformed.Load(),
@@ -200,8 +197,7 @@ func exportVehicle(v vehicleEntry) VehicleSnapshot {
 
 // importVehicle rebuilds the in-memory state from the wire form. It is the
 // exact inverse of exportVehicle; any unparsable enum makes the whole
-// snapshot corrupt (a coordinator drops the peer rather than folding a
-// half-read state).
+// snapshot corrupt (it is refused rather than folded half-read).
 func importVehicle(vs VehicleSnapshot) (*vehicleState, error) {
 	st := newVehicleState()
 	st.events = vs.Events
@@ -297,9 +293,9 @@ func (c *Collector) LoadSnapshot(s *Snapshot) error {
 }
 
 // Validate checks a decoded snapshot without folding it anywhere: version
-// match, strictly ascending vehicle ids, parsable enums. Coordinators call
-// it per peer so a corrupt shard is attributed and dropped instead of
-// poisoning the merge.
+// match, strictly ascending vehicle ids, parsable enums — so a corrupt
+// snapshot read off the wire or a disk is refused before it reaches a
+// collector or a merge.
 func (s *Snapshot) Validate() error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("warranty: snapshot version %d, want %d", s.Version, SnapshotVersion)
@@ -317,28 +313,28 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// MergeSnapshots folds peer snapshots into the fleet Summary a single
-// collector holding every vehicle would produce. Vehicle sets must be
-// disjoint (the ring partitions vehicles across peers); a vehicle reported
-// by two peers is a routing fault and fails the merge rather than being
-// double-counted silently.
+// MergeSnapshots folds snapshots of collectors that split the fleet by
+// vehicle into the Summary a single collector holding every vehicle would
+// produce. Vehicle sets must be disjoint; a vehicle in two snapshots fails
+// the merge rather than being double-counted silently. Errors name a
+// snapshot by its index in snaps.
 //
 // Determinism argument: each vehicle's state was accumulated in stream
-// order on exactly one peer — the same per-vehicle fold a single node
-// runs. The cross-vehicle fold below sorts all vehicles ascending, the
-// identical order the single node uses, so every floating-point
-// accumulation happens in the same sequence. The fleet tally is folded
-// with fleet.Tally.Merge in the callers' snapshot order — pure integer
+// order in exactly one collector — the same per-vehicle fold a single
+// collector runs. The cross-vehicle fold below sorts all vehicles
+// ascending, the identical order the single collector uses, so every
+// floating-point accumulation happens in the same sequence. The fleet
+// tally is folded with fleet.Tally.Merge in slice order — pure integer
 // state, so any fold order yields the same analysis. The result is
-// bit-identical to the single-node Summary for any shard count.
+// bit-identical to the single-collector Summary for any split.
 func MergeSnapshots(snaps []*Snapshot, threshold float64) (*Summary, error) {
 	var totals storeTotals
 	tally := fleet.NewTally()
 	var entries []vehicleEntry
-	seen := make(map[int]string)
-	for _, s := range snaps {
+	seen := make(map[int]int)
+	for i, s := range snaps {
 		if s.Version != SnapshotVersion {
-			return nil, fmt.Errorf("warranty: snapshot version %d, want %d", s.Version, SnapshotVersion)
+			return nil, fmt.Errorf("warranty: snapshot %d: version %d, want %d", i, s.Version, SnapshotVersion)
 		}
 		totals.events += s.Events
 		totals.corrupt += s.Corrupt
@@ -346,13 +342,12 @@ func MergeSnapshots(snaps []*Snapshot, threshold float64) (*Summary, error) {
 		tally.Merge(fleet.TallyFromSnapshot(s.Tally))
 		for _, vs := range s.Vehicles {
 			if prev, dup := seen[vs.Vehicle]; dup {
-				return nil, fmt.Errorf("warranty: vehicle %d reported by %q and %q — ring routing violated",
-					vs.Vehicle, prev, s.Peer)
+				return nil, fmt.Errorf("warranty: vehicle %d in snapshots %d and %d", vs.Vehicle, prev, i)
 			}
-			seen[vs.Vehicle] = s.Peer
+			seen[vs.Vehicle] = i
 			st, err := importVehicle(vs)
 			if err != nil {
-				return nil, fmt.Errorf("warranty: corrupt snapshot from %q: %v", s.Peer, err)
+				return nil, fmt.Errorf("warranty: corrupt snapshot %d: %v", i, err)
 			}
 			entries = append(entries, vehicleEntry{id: vs.Vehicle, st: st})
 		}

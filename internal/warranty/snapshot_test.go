@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,8 +16,8 @@ import (
 )
 
 // campaignBlobs runs a small traced campaign once and returns every
-// vehicle's NDJSON blob, keyed 1-based — the shared corpus of the
-// snapshot/merge tests.
+// vehicle's binary trace blob, keyed 1-based — the shared corpus of the
+// snapshot and state-file tests.
 func campaignBlobs(t *testing.T, vehicles int, rounds int64) map[int][]byte {
 	t.Helper()
 	blobs := make(map[int][]byte)
@@ -54,7 +55,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	snap := col.Snapshot("peer-a")
+	snap := col.Snapshot()
 	wire, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -79,57 +80,109 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// The export is canonical: two exports of the same state are
 	// byte-identical.
-	wire2, _ := json.Marshal(col.Snapshot("peer-a"))
+	wire2, _ := json.Marshal(col.Snapshot())
 	if !bytes.Equal(wire, wire2) {
 		t.Fatal("snapshot encoding is not canonical across exports")
 	}
 }
 
-// TestMergeSnapshotsBitIdentical is the heart of the cluster guarantee:
-// the same vehicle blobs split across K shard collectors, snapshotted and
-// merged, must produce a Summary byte-identical to one collector ingesting
-// everything — for several shard counts and merge orders.
+// TestMergeSnapshotsBitIdentical is the warranty merge law: the same
+// vehicle traces split by vehicle across K collectors, each snapshot sent
+// over the JSON wire (marshal, unmarshal, Validate) and then merged, must
+// give a Summary byte-identical to one collector ingesting everything —
+// whether the shards ingested the binary traces or their NDJSON
+// transcodes, and in either merge order. The E13 input is that
+// experiment's full corpus (internal/experiments/e13_warranty.go) over 4
+// shards; the campaign runs once and its blobs feed every side.
 func TestMergeSnapshotsBitIdentical(t *testing.T) {
-	blobs := campaignBlobs(t, 16, 600)
-
-	single := NewCollector(0)
-	for _, b := range blobs {
-		if _, _, err := single.IngestStream(bytes.NewReader(b), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := summaryJSON(t, single.Summary(0))
-
-	for _, k := range []int{2, 3, 5} {
-		shards := make([]*Collector, k)
-		for i := range shards {
-			shards[i] = NewCollector(0)
-		}
-		for v, b := range blobs {
-			if _, _, err := shards[v%k].IngestStream(bytes.NewReader(b), 0); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		vehicles int
+		rounds   int64
+		shards   []int
+	}{
+		{"small", 16, 600, []int{2, 3, 5}},
+		{"E13", 150, 3000, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "E13" && testing.Short() {
+				t.Skip("E13-scale corpus (150 vehicles x 3000 rounds) skipped in -short")
 			}
-		}
-		snaps := make([]*Snapshot, k)
-		for i, c := range shards {
-			snaps[i] = c.Snapshot("peer-" + strconv.Itoa(i))
-		}
-		// Merge in forward and reverse order: the fold must not care.
-		for _, reverse := range []bool{false, true} {
-			ordered := append([]*Snapshot(nil), snaps...)
-			if reverse {
-				for i, j := 0, len(ordered)-1; i < j; i, j = i+1, j-1 {
-					ordered[i], ordered[j] = ordered[j], ordered[i]
+			// One split per shard count and trace encoding; vehicle v goes
+			// to cols[v%k].
+			type split struct {
+				k      int
+				ndjson bool
+				cols   []*Collector
+			}
+			var splits []split
+			for _, k := range tc.shards {
+				for _, nd := range []bool{false, true} {
+					sp := split{k: k, ndjson: nd}
+					for i := 0; i < k; i++ {
+						sp.cols = append(sp.cols, NewCollector(0))
+					}
+					splits = append(splits, sp)
 				}
 			}
-			merged, err := MergeSnapshots(ordered, 0)
-			if err != nil {
-				t.Fatal(err)
+			single := NewCollector(0)
+			ingest := func(c *Collector, body []byte) {
+				if _, corrupt, err := c.IngestStream(bytes.NewReader(body), 0); err != nil || corrupt != 0 {
+					t.Errorf("ingest: corrupt=%d err=%v", corrupt, err)
+				}
 			}
-			if got := summaryJSON(t, merged); !bytes.Equal(got, want) {
-				t.Fatalf("%d shards (reverse=%v): merged summary not byte-identical", k, reverse)
+			c := scenario.Campaign{
+				Vehicles:       tc.vehicles,
+				Rounds:         tc.rounds,
+				Seed:           20050404,
+				FaultFreeShare: 0.2,
 			}
-		}
+			c.RunTraced(func(v int, blob []byte) {
+				nd, _, corrupt, err := trace.TranscodeBytes(blob, trace.FormatNDJSON)
+				if err != nil || corrupt != 0 {
+					t.Errorf("vehicle %d transcode: corrupt=%d err=%v", v, corrupt, err)
+				}
+				ingest(single, blob)
+				for _, sp := range splits {
+					body := blob
+					if sp.ndjson {
+						body = nd
+					}
+					ingest(sp.cols[v%sp.k], body)
+				}
+			})
+			want := summaryJSON(t, single.Summary(0))
+
+			for _, sp := range splits {
+				snaps := make([]*Snapshot, sp.k)
+				for i, col := range sp.cols {
+					wire, err := json.Marshal(col.Snapshot())
+					if err != nil {
+						t.Fatal(err)
+					}
+					snaps[i] = new(Snapshot)
+					if err := json.Unmarshal(wire, snaps[i]); err != nil {
+						t.Fatal(err)
+					}
+					if err := snaps[i].Validate(); err != nil {
+						t.Fatalf("%d shards (ndjson=%v): snapshot %d invalid: %v", sp.k, sp.ndjson, i, err)
+					}
+				}
+				for _, reverse := range []bool{false, true} {
+					if reverse {
+						slices.Reverse(snaps)
+					}
+					merged, err := MergeSnapshots(snaps, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := summaryJSON(t, merged); !bytes.Equal(got, want) {
+						t.Errorf("%d shards (ndjson=%v, reverse=%v): merged summary not byte-identical to the single collector's",
+							sp.k, sp.ndjson, reverse)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -148,21 +201,21 @@ func TestMergeSnapshotsRejects(t *testing.T) {
 		}
 	}
 
-	skewed := a.Snapshot("a")
+	skewed := a.Snapshot()
 	skewed.Version = SnapshotVersion + 1
-	if _, err := MergeSnapshots([]*Snapshot{skewed, b.Snapshot("b")}, 0); err == nil {
+	if _, err := MergeSnapshots([]*Snapshot{skewed, b.Snapshot()}, 0); err == nil {
 		t.Fatal("version skew accepted")
 	}
 	if err := skewed.Validate(); err == nil {
 		t.Fatal("Validate accepted version skew")
 	}
 
-	// The same peer twice duplicates every vehicle.
-	if _, err := MergeSnapshots([]*Snapshot{a.Snapshot("a"), a.Snapshot("a2")}, 0); err == nil {
+	// The same collector twice duplicates every vehicle.
+	if _, err := MergeSnapshots([]*Snapshot{a.Snapshot(), a.Snapshot()}, 0); err == nil {
 		t.Fatal("duplicated vehicles accepted")
 	}
 
-	corrupt := a.Snapshot("a")
+	corrupt := a.Snapshot()
 	for i := range corrupt.Vehicles {
 		if len(corrupt.Vehicles[i].Truths) > 0 {
 			corrupt.Vehicles[i].Truths[0].Class = "definitely-not-a-class"
@@ -174,48 +227,6 @@ func TestMergeSnapshotsRejects(t *testing.T) {
 	}
 	if _, err := MergeSnapshots([]*Snapshot{corrupt}, 0); err == nil {
 		t.Fatal("corrupt enum accepted")
-	}
-}
-
-// TestSnapshotEndpoint: the HTTP export decodes, validates, carries the
-// peer label, and MergeSnapshots of it matches the summary endpoint.
-func TestSnapshotEndpoint(t *testing.T) {
-	blobs := campaignBlobs(t, 6, 300)
-	col := NewCollector(0)
-	srv := httptest.NewServer(NewServer(col, ServerOptions{PeerName: "shard-7"}))
-	defer srv.Close()
-	for _, b := range blobs {
-		resp, err := http.Post(srv.URL+"/v1/ingest", trace.ContentTypeBinary, bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-
-	var snap Snapshot
-	getJSON(t, srv.URL+"/v1/fleet/snapshot", &snap)
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Peer != "shard-7" {
-		t.Fatalf("peer label = %q, want shard-7", snap.Peer)
-	}
-	if len(snap.Vehicles) != 6 {
-		t.Fatalf("snapshot vehicles = %d, want 6", len(snap.Vehicles))
-	}
-
-	merged, err := MergeSnapshots([]*Snapshot{&snap}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(srv.URL + "/v1/fleet/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if got := strings.TrimRight(string(summaryJSON(t, merged)), "\n"); got != strings.TrimRight(string(served), "\n") {
-		t.Fatal("snapshot-derived summary diverged from the served summary")
 	}
 }
 

@@ -33,7 +33,7 @@ func TestWarmStandbyKillRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := SaveState(path, first.Snapshot("peer-a")); err != nil {
+	if err := SaveState(path, first.Snapshot()); err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
 
@@ -62,8 +62,8 @@ func TestWarmStandbyKillRestart(t *testing.T) {
 	if !bytes.Equal(gotSummary, wantSummary) {
 		t.Error("summary after kill-and-restart differs from uninterrupted collector")
 	}
-	want, _ := json.Marshal(ref.Snapshot("peer-a"))
-	got, _ := json.Marshal(second.Snapshot("peer-a"))
+	want, _ := json.Marshal(ref.Snapshot())
+	got, _ := json.Marshal(second.Snapshot())
 	if !bytes.Equal(got, want) {
 		t.Error("snapshot export after kill-and-restart differs from uninterrupted collector")
 	}
@@ -82,7 +82,7 @@ func TestLoadSnapshotRefuses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := col.Snapshot("p")
+	snap := col.Snapshot()
 
 	bad := *snap
 	bad.Version = SnapshotVersion + 1
@@ -125,7 +125,7 @@ func TestStateFileAtomicAndMissing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := SaveState(path, col.Snapshot("p")); err != nil {
+	if err := SaveState(path, col.Snapshot()); err != nil {
 		t.Fatalf("SaveState over corrupt file: %v", err)
 	}
 	if _, err := LoadState(path); err != nil {

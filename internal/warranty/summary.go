@@ -113,7 +113,7 @@ func (c *Collector) unlockAll() {
 
 // vehicleEntry pairs a vehicle id with its retained state — the unit the
 // summary fold consumes, whether the states live in this collector or were
-// reassembled from peer snapshots.
+// reassembled from snapshots by MergeSnapshots.
 type vehicleEntry struct {
 	id int
 	st *vehicleState
@@ -151,12 +151,12 @@ func (c *Collector) Summary(threshold float64) *Summary {
 
 // summarize is the one fold that turns per-vehicle states into the fleet
 // Summary. vehicles must be sorted ascending by id: the fixed order pins
-// every floating-point accumulation, which is what makes a coordinator's
-// merged summary bit-identical to a single collector's — both run exactly
-// this function over exactly this ordering.
+// every floating-point accumulation, which is what makes MergeSnapshots'
+// summary bit-identical to a single collector's — both run exactly this
+// function over exactly this ordering.
 //
-// pre, when non-nil, is a pre-merged fleet tally (coordinator path:
-// per-shard tallies folded with fleet.Tally.Merge); nil rebuilds the tally
+// pre, when non-nil, is a pre-merged fleet tally (MergeSnapshots path:
+// the snapshots' tallies folded with fleet.Tally.Merge); nil rebuilds the tally
 // from the vehicles' incident lists (single-collector path). The two are
 // interchangeable because the tally is pure integer state — the property
 // TestTallyMergeOrderInsensitive pins.

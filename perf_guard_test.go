@@ -9,12 +9,10 @@ package decos
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -34,9 +32,9 @@ import (
 // contract (scratch reuse, event pooling, dense bus state) is what the
 // hot-path rework (4x faster cluster rounds at 3 allocs/round) is built
 // on; these tests fail loudly when a change reintroduces per-slot or
-// per-epoch garbage. The ratio tests at the end pin two throughput
-// claims that compare two cases timed in the same process, so host speed
-// cancels out of them.
+// per-epoch garbage. The ratio test at the end pins a throughput
+// claim that compares two cases timed in the same process, so host speed
+// cancels out of it.
 
 // nullController is the cheapest possible TT controller: a fixed frame, no
 // reaction to traffic.
@@ -535,7 +533,7 @@ func fastest(timing func() time.Duration) time.Duration {
 }
 
 // TestBinaryIngestRatio pins the binary trace codec's reason to exist:
-// on one fleet corpus, single-peer trace decode and collector ingest
+// on one fleet corpus, in-process trace decode and collector ingest
 // (decode plus warranty fold) must each process at least 5x the events
 // per second from the binary encoding that they do from NDJSON.
 func TestBinaryIngestRatio(t *testing.T) {
@@ -574,47 +572,5 @@ func TestBinaryIngestRatio(t *testing.T) {
 		if ratio < 5 {
 			t.Errorf("binary %s runs %.1fx the NDJSON events/sec, want >= 5x", path.name, ratio)
 		}
-	}
-}
-
-// TestClusterShardScaling pins the sharding claim in the latency-bound
-// regime BenchmarkClusterIngest models: uplinking one fixed corpus to 4
-// shards must deliver at least 2x the events/sec of 1 shard. Every
-// timing runs against freshly started peers, so the ring's placement of
-// the corpus varies between the three samples of the 4-shard side.
-func TestClusterShardScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison in -short mode")
-	}
-	traces := clusterCorpus(32)
-	uplink := func(peers int) time.Duration {
-		client := latencyBoundClient(t, peers)
-		jobs := make(chan int, len(traces))
-		for v := range traces {
-			jobs <- v
-		}
-		close(jobs)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < uplinkWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for v := range jobs {
-					if err := client.AddTrace(context.Background(), v+1, traces[v]); err != nil {
-						t.Error(err)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	one := fastest(func() time.Duration { return uplink(1) })
-	four := fastest(func() time.Duration { return uplink(4) })
-	ratio := float64(one) / float64(four)
-	t.Logf("%d traces: 1 shard %v, 4 shards %v (%.1fx)", len(traces), one, four, ratio)
-	if ratio < 2 {
-		t.Errorf("4 shards deliver %.1fx the events/sec of 1, want >= 2x", ratio)
 	}
 }

@@ -39,12 +39,6 @@ echo "== go test -race (bayes classification stage) =="
 # ./internal/scenario/... leg above.
 go test -race ./internal/bayes/...
 
-echo "== go test -race (cluster integration) =="
-# -short skips only the E13-scale corpus test, which the plain `go test`
-# leg above already runs; the 3-peer client/coordinator integration path
-# stays race-checked here.
-go test -race -short ./internal/cluster/...
-
 echo "== fuzz smoke (binary trace decoder) =="
 # Ten seconds of coverage-guided input on the binary codec: the decoder
 # must never panic and must report corruption with byte offsets. The
@@ -54,16 +48,25 @@ go test -run='^$' -fuzz='^FuzzBinaryReader$' -fuzztime=10s ./internal/trace/
 
 echo "== fuzz smoke (warranty stream ingest) =="
 # Ten seconds of arbitrary NDJSON and binary bodies through the ingest
-# path every uplink and HTTP request uses: it must never panic, and its
-# pooled stream reader must leak nothing into the next call (a valid trace
-# ingested afterwards must summarize exactly as in a fresh collector).
+# path every HTTP request and in-process trace uses: it must never panic,
+# and its pooled stream reader must leak nothing into the next call (a
+# valid trace ingested afterwards must summarize exactly as in a fresh
+# collector).
 go test -run='^$' -fuzz='^FuzzIngestStream$' -fuzztime=10s ./internal/warranty/
 
-echo "== fuzz smoke (warranty shard snapshot) =="
-# Ten seconds of arbitrary bytes through the snapshot decode a coordinator
-# runs on every peer's snapshot and a restarted daemon on its state file:
-# JSON decode and Validate must never panic, and a snapshot Validate
-# accepts must load, merge and summarize without error.
+echo "== fuzz smoke (warranty HTTP ingest) =="
+# Ten seconds of arbitrary Content-Types, bodies and body bounds, declared
+# or streamed, through POST /v1/ingest: the handler must never panic and
+# must answer 200, 400, 413 or 415; a 415 ingests nothing, a 413 reports
+# exactly what the collector holds, and a 200 summarizes as a direct
+# ingest of the same body.
+go test -run='^$' -fuzz='^FuzzIngestHTTP$' -fuzztime=10s ./internal/warranty/
+
+echo "== fuzz smoke (warranty snapshot) =="
+# Ten seconds of arbitrary bytes through the snapshot decode a restarted
+# daemon runs on its state file: JSON decode and Validate must never
+# panic, and a snapshot Validate accepts must load, merge and summarize
+# without error.
 go test -run='^$' -fuzz='^FuzzSnapshot$' -fuzztime=10s ./internal/warranty/
 
 echo "== fuzz smoke (broadcast frame fan-out) =="
