@@ -2,6 +2,7 @@ package pack
 
 import (
 	"fmt"
+	"slices"
 
 	"decos/internal/bayes"
 	"decos/internal/component"
@@ -12,21 +13,21 @@ import (
 	"decos/internal/vnet"
 )
 
-// EngineOptions compiles the manifest into the engine option list:
-// topology, seed, clocks, build hook, diagnosis, OBD, the manifest's
-// classifier selection, and — when the pack declares faults or
-// environment profiles — a fault-manifest hook. Extra options
-// (classifier overrides, trace sinks, checkpoint sinks) compose on top.
-// The option sequence matches the hand-written scenario constructors
-// exactly, so a pack run is byte-identical to the equivalent Go-built
-// run under the same seed.
-func (m *Manifest) EngineOptions(extra ...engine.Option) []engine.Option {
+// Engine assembles and starts the pack's cluster: topology, seed,
+// clocks, the graph's build, diagnosis, OBD, the manifest's classifier
+// selection and — when the pack declares faults or environment profiles
+// — a fault-manifest hook, so checkpoint restores of pack runs
+// reconstruct every injection. Extra options (classifier overrides,
+// trace sinks, checkpoint sinks) compose on top. The option sequence is
+// the Go constructors' exactly, so a pack run is byte-identical to the
+// equivalent Go-built run under the same seed.
+func (m *Manifest) Engine(extra ...engine.Option) (*engine.Engine, error) {
 	opts := m.Topology.Options(m.Seed, m.Diagnosis.Options(), nil)
 	opts = append(opts, ClassifierOptions(m.Classifier)...)
 	if len(m.Faults) > 0 || len(m.Environment) > 0 {
 		opts = append(opts, engine.WithFaults(m.ApplyFaults))
 	}
-	return append(opts, extra...)
+	return engine.New(append(opts, extra...)...)
 }
 
 // ClassifierOptions maps a classifier name onto the engine options
@@ -45,22 +46,25 @@ func ClassifierOptions(name string) []engine.Option {
 }
 
 // Options compiles a resolved topology into the canonical engine option
-// prefix: schedule geometry, seed, clock ensemble, population hook,
-// diagnosis attachment and the OBD baseline. A nil hook uses the
-// topology's own BuildHook; callers that need job handles (the scenario
-// constructors) pass a wrapper that builds and then binds. This is the
-// single composition point both the manifest loader and the legacy Go
+// prefix: schedule geometry, seed, clock ensemble, the build of the
+// topology's graph (buildCustom over Graph), diagnosis attachment and
+// the OBD baseline. bind, when non-nil, runs on the built cluster; the
+// scenario constructors resolve their job handles there. This is the
+// single composition point both the manifest loader and the Go
 // constructors go through.
-func (t *Topology) Options(seed uint64, diagOpts diagnosis.Options, hook func(cl *component.Cluster)) []engine.Option {
-	if hook == nil {
-		hook = t.BuildHook()
-	}
+func (t *Topology) Options(seed uint64, diagOpts diagnosis.Options, bind func(cl *component.Cluster)) []engine.Option {
+	g := t.Graph()
 	c := t.Clocks
 	return []engine.Option{
 		engine.WithTopology(t.Nodes, t.SlotLen(), t.SlotBytes),
 		engine.WithSeed(seed),
 		engine.WithClocks(c.MaxDriftPPM, c.JitterUS, c.PrecisionUS, c.Tolerated),
-		engine.WithBuild(hook),
+		engine.WithBuild(func(cl *component.Cluster) {
+			buildCustom(cl, g)
+			if bind != nil {
+				bind(cl)
+			}
+		}),
 		engine.WithDiagnosis(tt.NodeID(t.DiagNode), diagOpts),
 		engine.WithOBD(),
 	}
@@ -77,13 +81,6 @@ func Fig10Topology() Topology {
 // manifest with kind "grid" resolves to after validation.
 func GridTopology(n int) Topology {
 	return Topology{Kind: "grid", Nodes: n, SlotLenUS: 250, SlotBytes: 160, DiagNode: n - 1, Clocks: DefaultClocks()}
-}
-
-// Engine assembles and starts the pack's cluster. Fault and environment
-// specs are routed through the engine's fault manifest, so checkpoint
-// restores of pack runs reconstruct every injection.
-func (m *Manifest) Engine(extra ...engine.Option) (*engine.Engine, error) {
-	return engine.New(m.EngineOptions(extra...)...)
 }
 
 // Options converts the manifest's diagnosis overrides into
@@ -108,159 +105,118 @@ func (s *DiagnosisSpec) Options() diagnosis.Options {
 	}
 }
 
-// BuildHook returns the topology-population hook for engine.WithBuild.
-// The built-in kinds are the single home of the Fig. 10 and grid
-// wiring — the scenario package's constructors call through here.
-func (t *Topology) BuildHook() func(cl *component.Cluster) {
+// Graph returns the topology's FRU graph as a custom topology: the
+// components, signals and DASs buildCustom wires and the validator
+// checks. Only those fields of the result are meaningful; the schedule
+// stays t's. For kind custom the graph is t itself, for grid it is
+// generated from Nodes, and for fig10 it is one shared value. Treat the
+// result as read-only.
+func (t *Topology) Graph() *Topology {
 	switch t.Kind {
 	case "fig10":
-		return Fig10Build
+		return fig10Graph
 	case "grid":
-		return GridBuild(t.Nodes)
-	case "custom":
-		spec := *t
-		return func(cl *component.Cluster) { buildCustom(cl, &spec) }
+		return gridGraph(t.Nodes)
 	}
-	panic(fmt.Sprintf("pack: no build hook for topology kind %q (validate first)", t.Kind))
+	return t
 }
 
-// Channel plan of the Fig. 10 system (mirrored by scenario's exported
-// constants; the contract test in scenario pins the two sets equal).
+// Channel plan of the Fig. 10 system (scenario re-exports it).
 const (
-	ChSpeed vnet.ChannelID = 1  // DAS A: wheel speed (A1 → A2)
-	ChCmd   vnet.ChannelID = 2  // DAS A: brake command (A2 → A3)
-	ChLoad  vnet.ChannelID = 10 // DAS C: event traffic (C1 → C2)
-	ChS1    vnet.ChannelID = 21 // DAS S: replica 1 pressure
-	ChS2    vnet.ChannelID = 22 // DAS S: replica 2 pressure
-	ChS3    vnet.ChannelID = 23 // DAS S: replica 3 pressure
-	ChVoted vnet.ChannelID = 24 // DAS S: voted pressure
+	ChSpeed = 1  // DAS A: wheel speed (A1 → A2)
+	ChCmd   = 2  // DAS A: brake command (A2 → A3)
+	ChLoad  = 10 // DAS C: event traffic (C1 → C2)
+	ChS1    = 21 // DAS S: replica 1 pressure
+	ChS2    = 22 // DAS S: replica 2 pressure
+	ChS3    = 23 // DAS S: replica 3 pressure
+	ChVoted = 24 // DAS S: voted pressure
 )
 
-// Fig10Build populates the paper's Fig. 10 topology: three application
-// DASs (two non-safety-critical, one safety-critical TMR triple) over
-// four components. This is the canonical wiring; the scenario package
-// resolves its job handles from the built cluster.
-func Fig10Build(cl *component.Cluster) {
-	c0 := cl.AddComponent(0, "front-left", 0, 0)
-	c1 := cl.AddComponent(1, "front-right", 1, 0)
-	c2 := cl.AddComponent(2, "rear-left", 5, 0)
-	c3 := cl.AddComponent(3, "rear-right", 6, 0)
-
-	cl.Env.DefineSine("wheel.speed", 30, 200*sim.Millisecond, 50)
-	cl.Env.DefineSine("brake.pressure", 20, 300*sim.Millisecond, 50)
-
-	// DAS A (non-safety-critical): wheel-speed pipeline A1 → A2 → A3.
-	dasA := cl.AddDAS("A", component.NonSafetyCritical)
-	nA := cl.AddNetwork(dasA, "A.tt", vnet.TimeTriggered)
-	nA.AddEndpoint(0, 40, 0)
-	nA.AddEndpoint(1, 40, 0)
-	a1 := cl.AddJob(dasA, c0, "A1", 0, &component.SensorJob{
-		Signal: "wheel.speed", Out: ChSpeed,
-		PhysMin: -10, PhysMax: 110, FrozenWindow: 20,
-	})
-	a2 := cl.AddJob(dasA, c1, "A2", 0,
-		&component.ControlJob{In: ChSpeed, Out: ChCmd, Gain: 2, InMin: 0, InMax: 100})
-	a3 := cl.AddJob(dasA, c2, "A3", 0, &component.ActuatorJob{In: ChCmd, Actuator: "brake"})
-	cl.Produce(a1, nA, component.ChannelSpec{
-		Channel: ChSpeed, Name: "wheel.speed", Min: 0, Max: 100,
-		MaxAgeRounds: 3, StuckRounds: 20, Sensor: true,
-	})
-	cl.Produce(a2, nA, component.ChannelSpec{Channel: ChCmd, Name: "brake.cmd", Min: 0, Max: 200, MaxAgeRounds: 3})
-	cl.Subscribe(a2, ChSpeed, 0, true)
-	cl.Subscribe(a3, ChCmd, 4, false)
-
-	// DAS C (non-safety-critical): event-triggered comfort traffic.
-	dasC := cl.AddDAS("C", component.NonSafetyCritical)
-	nC := cl.AddNetwork(dasC, "C.et", vnet.EventTriggered)
-	nC.AddEndpoint(1, 60, 16)
-	c1j := cl.AddJob(dasC, c1, "C1", 1, &component.BurstyJob{Out: ChLoad, MeanPerRound: 2})
-	c2j := cl.AddJob(dasC, c2, "C2", 1, &component.SinkJob{In: ChLoad})
-	cl.Produce(c1j, nC, component.ChannelSpec{Channel: ChLoad, Name: "load", Min: -1e12, Max: 1e12})
-	cl.Subscribe(c2j, ChLoad, 8, false)
-
-	// DAS S (safety-critical): TMR pressure sensing on three components,
-	// voted on a fourth (Fig. 10's S1, S2, S3).
-	dasS := cl.AddDAS("S", component.SafetyCritical)
-	nS := cl.AddNetwork(dasS, "S.tt", vnet.TimeTriggered)
-	nS.AddEndpoint(0, 20, 0)
-	nS.AddEndpoint(2, 20, 0)
-	nS.AddEndpoint(3, 20, 0)
-	nS.AddEndpoint(1, 20, 0)
-	var reps [3]*component.Instance
-	repChans := [3]vnet.ChannelID{ChS1, ChS2, ChS3}
-	repComps := [3]*component.Component{c0, c2, c3}
-	for i := 0; i < 3; i++ {
-		reps[i] = cl.AddJob(dasS, repComps[i], "S"+string(rune('1'+i)), 2,
-			&component.SensorJob{
-				Signal: "brake.pressure", Out: repChans[i],
-				PhysMin: -10, PhysMax: 110, FrozenWindow: 20,
-			})
-		cl.Produce(reps[i], nS, component.ChannelSpec{
-			Channel: repChans[i], Name: "pressure", Min: 0, Max: 100,
-			MaxAgeRounds: 3, StuckRounds: 20, Sensor: true,
-		})
-	}
-	voter := &component.VoterJob{Ins: repChans, Out: ChVoted, Tolerance: 1.0}
-	vj := cl.AddJob(dasS, c1, "V", 2, voter)
-	for _, ch := range repChans {
-		cl.Subscribe(vj, ch, 0, true)
-	}
-	cl.Produce(vj, nS, component.ChannelSpec{Channel: ChVoted, Name: "voted", Min: 0, Max: 100, MaxAgeRounds: 3})
+// fig10Graph is the paper's Fig. 10 system: three application DASs (two
+// non-safety-critical, one safety-critical TMR triple voted on a fourth
+// component) over four components.
+var fig10Graph = &Topology{
+	Kind: "custom",
+	Components: []ComponentSpec{
+		{0, "front-left", 0, 0}, {1, "front-right", 1, 0}, {2, "rear-left", 5, 0}, {3, "rear-right", 6, 0},
+	},
+	Signals: []SignalSpec{{"wheel.speed", 30, 200, 50}, {"brake.pressure", 20, 300, 50}},
+	DASs: []DASSpec{
+		// DAS A: wheel-speed pipeline A1 → A2 → A3.
+		{Name: "A", Networks: []NetworkSpec{{"A.tt", "tt", []EndpointSpec{{0, 40, 0}, {1, 40, 0}}}}, Jobs: []JobSpec{
+			{Name: "A1", Component: 0, Type: "sensor", Signal: "wheel.speed", PhysMin: -10, PhysMax: 110, FrozenWindow: 20, Out: ChSpeed,
+				Produce: []ProduceSpec{{"A.tt", ChSpeed, "wheel.speed", 0, 100, 3, 20, true}}},
+			{Name: "A2", Component: 1, Type: "control", In: ChSpeed, Gain: 2, InMax: 100, Out: ChCmd,
+				Produce:   []ProduceSpec{{"A.tt", ChCmd, "brake.cmd", 0, 200, 3, 0, false}},
+				Subscribe: []SubscribeSpec{{ChSpeed, 0, true}}},
+			{Name: "A3", Component: 2, Type: "actuator", In: ChCmd, Actuator: "brake",
+				Subscribe: []SubscribeSpec{{ChCmd, 4, false}}},
+		}},
+		// DAS C: event-triggered comfort traffic.
+		{Name: "C", Networks: []NetworkSpec{{"C.et", "et", []EndpointSpec{{1, 60, 16}}}}, Jobs: []JobSpec{
+			{Name: "C1", Component: 1, Partition: 1, Type: "bursty", Out: ChLoad, MeanPerRound: 2,
+				Produce: []ProduceSpec{{"C.et", ChLoad, "load", -1e12, 1e12, 0, 0, false}}},
+			{Name: "C2", Component: 2, Partition: 1, Type: "sink", In: ChLoad,
+				Subscribe: []SubscribeSpec{{ChLoad, 8, false}}},
+		}},
+		// DAS S: TMR pressure sensing on three components (Fig. 10's S1,
+		// S2, S3), voted on a fourth.
+		{Name: "S", Critical: true, Networks: []NetworkSpec{{"S.tt", "tt", []EndpointSpec{{0, 20, 0}, {2, 20, 0}, {3, 20, 0}, {1, 20, 0}}}}, Jobs: []JobSpec{
+			fig10Replica("S1", 0, ChS1), fig10Replica("S2", 2, ChS2), fig10Replica("S3", 3, ChS3),
+			{Name: "V", Component: 1, Partition: 2, Type: "voter", Ins: []int{ChS1, ChS2, ChS3}, Out: ChVoted, Tolerance: 1,
+				Produce:   []ProduceSpec{{"S.tt", ChVoted, "voted", 0, 100, 3, 0, false}},
+				Subscribe: []SubscribeSpec{{ChS1, 0, true}, {ChS2, 0, true}, {ChS3, 0, true}}},
+		}},
+	},
 }
 
-// GridBuild returns the chain-topology population hook for n components:
-// one sensor→consumer DAS per adjacent pair, channel i+1 carrying the
-// i-th sensor's signal.
-func GridBuild(n int) func(cl *component.Cluster) {
-	return func(cl *component.Cluster) {
-		comps := make([]*component.Component, n)
-		for i := 0; i < n; i++ {
-			comps[i] = cl.AddComponent(tt.NodeID(i), fmt.Sprintf("c%d", i), float64(i), 0)
-		}
-		cl.Env.DefineSine("signal", 30, 200*sim.Millisecond, 50)
-
-		for i := 0; i+1 < n; i++ {
-			das := cl.AddDAS(fmt.Sprintf("D%d", i), component.NonSafetyCritical)
-			net := cl.AddNetwork(das, fmt.Sprintf("D%d.tt", i), vnet.TimeTriggered)
-			net.AddEndpoint(tt.NodeID(i), 20, 0)
-			ch := vnet.ChannelID(i + 1)
-			sensor := cl.AddJob(das, comps[i], "sense", 0, &component.SensorJob{
-				Signal: "signal", Out: ch,
-				PhysMin: -10, PhysMax: 110, FrozenWindow: 20,
-			})
-			consumer := cl.AddJob(das, comps[i+1], "consume", 1, component.JobFunc(func(ctx *component.Context) {
-				ctx.Latest(ch)
-			}))
-			cl.Produce(sensor, net, component.ChannelSpec{
-				Channel: ch, Name: "signal", Min: 0, Max: 100,
-				MaxAgeRounds: 3, StuckRounds: 20, Sensor: true,
-			})
-			cl.Subscribe(consumer, ch, 0, true)
-		}
-	}
+// fig10Replica is one of DAS S's pressure-sensing replicas.
+func fig10Replica(name string, comp, ch int) JobSpec {
+	return JobSpec{Name: name, Component: comp, Partition: 2, Type: "sensor", Signal: "brake.pressure",
+		PhysMin: -10, PhysMax: 110, FrozenWindow: 20, Out: ch,
+		Produce: []ProduceSpec{{"S.tt", ch, "pressure", 0, 100, 3, 20, true}}}
 }
 
-// buildCustom populates a fully declarative FRU graph: components in
-// manifest order, then signals, then DASs — per DAS its networks with
-// endpoints, then per job AddJob followed by that job's produces and
-// subscribes. The per-job interleaving preserves the relative order of
-// channel declarations and subscriptions, which is what the virtual
-// network fabric's determinism depends on.
-func buildCustom(cl *component.Cluster, t *Topology) {
-	comps := make(map[int]*component.Component, len(t.Components))
-	for _, cs := range t.Components {
-		comps[cs.ID] = cl.AddComponent(tt.NodeID(cs.ID), cs.Name, cs.X, cs.Y)
+// gridGraph is the n-component chain: one sensor → observer DAS per
+// adjacent pair, channel i+1 carrying the i-th sensor's signal.
+func gridGraph(n int) *Topology {
+	g := &Topology{Kind: "custom", Components: make([]ComponentSpec, n),
+		Signals: []SignalSpec{{"signal", 30, 200, 50}}, DASs: make([]DASSpec, n-1)}
+	for i := range g.Components {
+		g.Components[i] = ComponentSpec{i, fmt.Sprintf("c%d", i), float64(i), 0}
 	}
-	for _, sg := range t.Signals {
+	for i := range g.DASs {
+		das, ch := fmt.Sprintf("D%d", i), i+1
+		g.DASs[i] = DASSpec{Name: das, Networks: []NetworkSpec{{das + ".tt", "tt", []EndpointSpec{{i, 20, 0}}}}, Jobs: []JobSpec{
+			{Name: "sense", Component: i, Type: "sensor", Signal: "signal", PhysMin: -10, PhysMax: 110, FrozenWindow: 20, Out: ch,
+				Produce: []ProduceSpec{{das + ".tt", ch, "signal", 0, 100, 3, 20, true}}},
+			{Name: "consume", Component: i + 1, Partition: 1, Type: "observer", Watch: ch,
+				Subscribe: []SubscribeSpec{{ch, 0, true}}},
+		}}
+	}
+	return g
+}
+
+// buildCustom populates a declarative FRU graph: components in order,
+// then signals, then DASs — per DAS its networks with endpoints, then per
+// job AddJob followed by that job's produces and subscribes. The order
+// of channel declarations and subscriptions is what the virtual network
+// fabric's determinism depends on; AddJob does not touch the fabric.
+// Validation guarantees dense component ids and known network names.
+func buildCustom(cl *component.Cluster, g *Topology) {
+	for _, cs := range g.Components {
+		cl.AddComponent(tt.NodeID(cs.ID), cs.Name, cs.X, cs.Y)
+	}
+	for _, sg := range g.Signals {
 		cl.Env.DefineSine(sg.Name, sg.Amplitude, sim.Duration(sg.PeriodMS*float64(sim.Millisecond)), sg.Offset)
 	}
-	for _, ds := range t.DASs {
+	for i := range g.DASs {
+		ds := &g.DASs[i]
 		crit := component.NonSafetyCritical
 		if ds.Critical {
 			crit = component.SafetyCritical
 		}
 		das := cl.AddDAS(ds.Name, crit)
-		nets := make(map[string]*vnet.Network, len(ds.Networks))
 		for _, ns := range ds.Networks {
 			kind := vnet.TimeTriggered
 			if ns.Kind == "et" {
@@ -270,12 +226,13 @@ func buildCustom(cl *component.Cluster, t *Topology) {
 			for _, ep := range ns.Endpoints {
 				net.AddEndpoint(tt.NodeID(ep.Node), ep.AllocBytes, ep.QueueCap)
 			}
-			nets[ns.Name] = net
 		}
-		for _, js := range ds.Jobs {
-			j := cl.AddJob(das, comps[js.Component], js.Name, js.Partition, buildJobImpl(&js))
+		for k := range ds.Jobs {
+			js := &ds.Jobs[k]
+			j := cl.AddJob(das, cl.Component(tt.NodeID(js.Component)), js.Name, js.Partition, buildJobImpl(js))
 			for _, ps := range js.Produce {
-				cl.Produce(j, nets[ps.Network], component.ChannelSpec{
+				net := das.Networks[slices.IndexFunc(ds.Networks, func(ns NetworkSpec) bool { return ns.Name == ps.Network })]
+				cl.Produce(j, net, component.ChannelSpec{
 					Channel:      vnet.ChannelID(ps.Channel),
 					Name:         ps.Name,
 					Min:          ps.Min,

@@ -10,10 +10,10 @@ import (
 // FuzzPackManifest throws arbitrary bytes at the manifest loader and
 // holds it to its contract: never panic, never accept a document that
 // fails validation, address every rejection as a *pack.Error carrying
-// the source name, and accept only single-vehicle packs the engine can
-// build and run. The corpus seeds with the shipped pack library plus
-// JSON boundary fragments so the fuzzer starts at the interesting shapes
-// instead of the empty string.
+// the source name, and accept only single-vehicle packs whose engine
+// starts without error and runs. The corpus seeds with the shipped pack
+// library plus JSON boundary fragments so the fuzzer starts at the
+// interesting shapes instead of the empty string.
 func FuzzPackManifest(f *testing.F) {
 	if dir, ok := FindPacksDir("."); ok {
 		files, err := Discover(dir)
@@ -39,6 +39,13 @@ func FuzzPackManifest(f *testing.F) {
 	f.Add([]byte(`{"faults": [{"kind": "quartz", "rate": 1e309}]}`))
 	f.Add([]byte(`{"pack": 1, "seed": 18446744073709551616}`))
 	f.Add([]byte(`{"environment": ` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`))
+	// Frame-budget and channel-range boundaries.
+	for _, doc := range []string{customDoc(200, 1), customDoc(192, 1), customDoc(40, 65536), customDoc(40, 60000),
+		`{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10", "slot_bytes": 100}}`,
+		`{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "bohrbug", "job": "A/A1", "channel": 65537, "threshold": 50, "value": 1}]}`} {
+		f.Add([]byte(doc))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const source = "fuzz.json"
@@ -63,14 +70,13 @@ func FuzzPackManifest(f *testing.F) {
 			t.Fatalf("accepted manifest has unresolved topology: %+v", m.Topology)
 		}
 		// Validation is the gate to the simulator: what it accepts must
-		// build and run without panicking. An engine error (a frame
-		// budget the schedule cannot hold) is a refusal, not a crash.
+		// build, start and run.
 		if m.Campaign != nil {
 			return
 		}
 		e, err := m.Engine()
 		if err != nil {
-			return
+			t.Fatalf("accepted manifest does not start an engine: %v", err)
 		}
 		e.RunRounds(min(m.Rounds, 3))
 	})

@@ -102,9 +102,11 @@ func DefaultClocks() ClockSpec {
 	return ClockSpec{MaxDriftPPM: 50, JitterUS: 0, PrecisionUS: 20, Tolerated: 1}
 }
 
-// Topology describes the cluster graph. Kind selects either a built-in
-// topology ("fig10", "grid") or a fully declarative custom FRU graph
-// ("custom") listing components, environment signals and DASs.
+// Topology describes the cluster: its TDMA schedule and its FRU graph.
+// Kind "custom" declares the graph here; "fig10" and "grid" name a
+// generated one (Graph). Every kind is built by the one custom build and
+// validated by the custom rules over its graph, which also bound each
+// node's frame segments by slot_bytes and every channel id to [1, 60000).
 type Topology struct {
 	Kind string `json:"kind"` // "fig10" | "grid" | "custom"
 	// Nodes is the component count (grid: required; fig10: fixed at 4;
@@ -117,7 +119,7 @@ type Topology struct {
 	DiagNode int       `json:"diag_node"`
 	Clocks   ClockSpec `json:"clocks"`
 
-	// Custom graph (Kind == "custom").
+	// FRU graph (Kind == "custom" only; see Graph).
 	Components []ComponentSpec `json:"components"`
 	Signals    []SignalSpec    `json:"signals"`
 	DASs       []DASSpec       `json:"dass"`

@@ -183,10 +183,37 @@ func TestParseErrors(t *testing.T) {
 		{"alpha decay not below 1", "ak.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
 			"diagnosis": {"alpha_k": 3.5}}`,
 			[]string{"diagnosis.alpha_k:", "must be < 1"}},
+		// The frame layout: each node's segments plus the 64-byte
+		// diagnostic segment must fit slot_bytes (256 unless set).
+		{"endpoint overflows the slot", "fo.json", customDoc(200, 1),
+			[]string{"topology.dass[0].networks[0].endpoints[0].alloc_bytes:", "node 0 needs 264 bytes", "slot_bytes is 256"}},
+		{"endpoint fills the slot", "ff.json", customDoc(192, 1), nil},
+		{"fig10 slot too small", "fs.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10", "slot_bytes": 100}}`,
+			[]string{"topology.slot_bytes:", "node 0 needs 124 bytes", "slot_bytes is 100"}},
+		// Channel ids are vnet.ChannelIDs below the diagnostic network's.
+		{"channel past uint16", "cw.json", customDoc(40, 65536),
+			[]string{"topology.dass[0].jobs[0].produce[0].channel:", "channel must be in [1, 60000), got 65536"}},
+		{"out channel past uint16", "co.json", strings.Replace(customDoc(40, 1), `"out": 1`, `"out": 65536`, 1),
+			[]string{"topology.dass[0].jobs[0].out:", "got 65536"}},
+		{"diagnostic channel", "cd60.json", customDoc(40, 60000),
+			[]string{"topology.dass[0].jobs[0].produce[0].channel:", "got 60000"}},
+		{"fault channel wraps", "fw.json", `{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
+			"faults": [{"kind": "bohrbug", "job": "A/A1", "channel": 65537, "threshold": 50, "value": 1}]}`,
+			[]string{"faults[0].channel:", "got 65537"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.doc), tc.src)
+			m, err := Parse([]byte(tc.doc), tc.src)
+			if tc.wants == nil {
+				// A boundary row: accepted, and the engine starts.
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Engine(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatal("parse accepted malformed manifest")
 			}
@@ -201,6 +228,16 @@ func TestParseErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// customDoc is a one-component custom pack whose sensor publishes
+// channel ch in a segment of alloc bytes.
+func customDoc(alloc, ch int) string {
+	return fmt.Sprintf(`{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "custom",
+  "components": [{"id": 0, "name": "ecu"}], "signals": [{"name": "s", "period_ms": 100}],
+  "dass": [{"name": "D", "networks": [{"name": "D.tt", "endpoints": [{"node": 0, "alloc_bytes": %d}]}],
+    "jobs": [{"name": "sense", "component": 0, "type": "sensor", "signal": "s", "out": %d,
+      "produce": [{"network": "D.tt", "channel": %[2]d, "name": "s"}]}]}]}}`, alloc, ch)
 }
 
 // TestErrorType pins that load failures surface as *pack.Error so
@@ -409,9 +446,10 @@ func TestCustomChannelWiring(t *testing.T) {
 
 func job(jobs []any, i int) map[string]any { return jobs[i].(map[string]any) }
 
-// TestMisconfigQueueTargets pins the validator's subscription tables
-// for the built-in topologies to their build hooks: a misdimensioned
-// queue on each listed channel is accepted and applies at engine start.
+// TestMisconfigQueueTargets pins that misconfig-queue targets on the
+// generated fig10 and grid graphs validate and build: a misdimensioned
+// queue on each listed subscription is accepted and applies at engine
+// start.
 func TestMisconfigQueueTargets(t *testing.T) {
 	for _, tc := range []struct {
 		topology, job string

@@ -2,12 +2,19 @@ package pack
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 
 	"decos/internal/core"
+	"decos/internal/diagnosis"
 )
+
+// diagDefaults dimension the diagnostic DAS the engine attaches to every
+// pack: its frame segment on each node and its channel ids, from
+// DiagChannelBase up. A manifest cannot override either.
+var diagDefaults = diagnosis.DefaultOptions()
 
 // Fault kinds a manifest may declare. Each maps onto one injector
 // primitive of internal/faults (applied in apply.go).
@@ -65,9 +72,9 @@ type topologyInfo struct {
 	jobs map[string][]int
 	// signals defined by the topology (sensor jobs must reference one).
 	signals map[string]bool
-	// produced holds the channels a custom topology's jobs declared so
-	// far: the build wires jobs in declaration order, and a subscription
-	// needs its channel already declared.
+	// produced holds the channels the graph's jobs declared so far: the
+	// build wires jobs in declaration order, and a subscription needs its
+	// channel already declared.
 	produced map[int]bool
 }
 
@@ -160,75 +167,58 @@ func (v *validator) topology() *topologyInfo {
 	if c.Tolerated < 0 {
 		v.failf("topology.clocks.tolerated", "must be ≥ 0, got %d", c.Tolerated)
 	}
-	var info *topologyInfo
+	slotBytes := 256
 	switch t.Kind {
 	case "fig10":
-		info = v.fig10Topology(t)
+		if t.Nodes != 0 && t.Nodes != 4 {
+			v.failf("topology.nodes", "fig10 is a 4-component system, got %d", t.Nodes)
+		}
+		t.Nodes = 4
 	case "grid":
-		info = v.gridTopology(t)
+		if t.Nodes < 3 {
+			v.failf("topology.nodes", "grid needs at least 3 components, got %d", t.Nodes)
+			return nil
+		}
+		if t.Nodes > MaxNodes {
+			v.failf("topology.nodes", "must be ≤ %d, got %d", MaxNodes, t.Nodes)
+			return nil
+		}
+		slotBytes = 160
 	case "custom":
-		return v.customTopology(t)
 	case "":
 		v.failf("topology.kind", "required (one of fig10, grid, custom)")
+		return nil
 	default:
 		v.failf("topology.kind", "unknown kind %q (one of fig10, grid, custom)", t.Kind)
+		return nil
 	}
-	if len(t.Components) > 0 || len(t.Signals) > 0 || len(t.DASs) > 0 {
+	if t.Kind != "custom" && (len(t.Components) > 0 || len(t.Signals) > 0 || len(t.DASs) > 0) {
 		v.failf("topology", "components/signals/dass are only valid for kind \"custom\"")
-	}
-	return info
-}
-
-func (v *validator) fig10Topology(t *Topology) *topologyInfo {
-	if t.Nodes != 0 && t.Nodes != 4 {
-		v.failf("topology.nodes", "fig10 is a 4-component system, got %d", t.Nodes)
-	}
-	t.Nodes = 4
-	v.schedule(t, 256)
-	return &topologyInfo{
-		nodes: 4,
-		jobs: map[string][]int{
-			"A/A1": nil, "A/A2": {1}, "A/A3": {2},
-			"C/C1": nil, "C/C2": {10},
-			"S/S1": nil, "S/S2": nil, "S/S3": nil, "S/V": {21, 22, 23},
-		},
-		signals: map[string]bool{"wheel.speed": true, "brake.pressure": true},
-	}
-}
-
-func (v *validator) gridTopology(t *Topology) *topologyInfo {
-	if t.Nodes < 3 {
-		v.failf("topology.nodes", "grid needs at least 3 components, got %d", t.Nodes)
 		return nil
 	}
-	if t.Nodes > MaxNodes {
-		v.failf("topology.nodes", "must be ≤ %d, got %d", MaxNodes, t.Nodes)
-		return nil
-	}
-	v.schedule(t, 160)
-	info := &topologyInfo{nodes: t.Nodes, jobs: map[string][]int{}, signals: map[string]bool{"signal": true}}
-	for i := 0; i+1 < t.Nodes; i++ {
-		info.jobs[fmt.Sprintf("D%d/sense", i)] = nil
-		info.jobs[fmt.Sprintf("D%d/consume", i)] = []int{i + 1}
-	}
-	return info
+	return v.customTopology(t, t.Graph(), slotBytes)
 }
 
-func (v *validator) customTopology(t *Topology) *topologyInfo {
-	if len(t.Components) == 0 {
+// customTopology validates the FRU graph g of topology t — t itself for
+// kind custom, the generated graph for fig10 and grid — fills t's
+// schedule defaults (slot_bytes defaulting to slotBytes) and returns the
+// resolved info for cross-reference checks.
+func (v *validator) customTopology(t, g *Topology, slotBytes int) *topologyInfo {
+	if len(g.Components) == 0 {
 		v.failf("topology.components", "custom topology requires at least one component")
 		return nil
 	}
-	if len(t.Components) > MaxNodes {
-		v.failf("topology.components", "must be ≤ %d components, got %d", MaxNodes, len(t.Components))
+	if len(g.Components) > MaxNodes {
+		v.failf("topology.components", "must be ≤ %d components, got %d", MaxNodes, len(g.Components))
 		return nil
 	}
-	maxID := 0
-	seen := map[int]bool{}
-	for i, c := range t.Components {
+	// Ids are dense, 0..n-1: the TDMA schedule assigns one slot per node.
+	n := len(g.Components)
+	seen := make([]bool, n)
+	for i, c := range g.Components {
 		field := fmt.Sprintf("topology.components[%d]", i)
-		if c.ID < 0 {
-			v.failf(field+".id", "required (non-negative component id)")
+		if c.ID < 0 || c.ID >= n {
+			v.failf(field+".id", "must be in [0, %d) (component ids are dense), got %d", n, c.ID)
 			return nil
 		}
 		if c.Name == "" {
@@ -238,26 +228,30 @@ func (v *validator) customTopology(t *Topology) *topologyInfo {
 			v.failf(field+".id", "duplicate component id %d", c.ID)
 		}
 		seen[c.ID] = true
-		if c.ID > maxID {
-			maxID = c.ID
-		}
 	}
 	if t.Nodes == 0 {
-		t.Nodes = maxID + 1
+		t.Nodes = n
 	}
-	if t.Nodes < maxID+1 {
-		v.failf("topology.nodes", "must cover component ids (max id %d, nodes %d)", maxID, t.Nodes)
+	if t.Nodes != n {
+		v.failf("topology.nodes", "must equal the component count %d, got %d", n, t.Nodes)
 	}
-	for id := 0; id < t.Nodes; id++ {
-		if !seen[id] {
-			v.failf("topology.components", "component ids must be dense 0..%d (missing %d: the TDMA schedule assigns one slot per node)", t.Nodes-1, id)
-			break
-		}
+	// The TDMA defaults: 250 µs slots of slotBytes, diagnosis on the
+	// last node (fig10: its node 3).
+	if t.SlotLenUS < 1 {
+		t.SlotLenUS = 250
 	}
-	v.schedule(t, 256)
+	if t.SlotBytes < 1 {
+		t.SlotBytes = slotBytes
+	}
+	if t.DiagNode < 0 {
+		t.DiagNode = t.Nodes - 1
+	}
+	if t.DiagNode >= t.Nodes {
+		v.failf("topology.diag_node", "must be < %d, got %d", t.Nodes, t.DiagNode)
+	}
 
 	info := &topologyInfo{nodes: t.Nodes, jobs: map[string][]int{}, signals: map[string]bool{}, produced: map[int]bool{}}
-	for i, s := range t.Signals {
+	for i, s := range g.Signals {
 		field := fmt.Sprintf("topology.signals[%d]", i)
 		if s.Name == "" {
 			v.failf(field+".name", "required")
@@ -267,15 +261,48 @@ func (v *validator) customTopology(t *Topology) *topologyInfo {
 		}
 		info.signals[s.Name] = true
 	}
-	if len(t.DASs) == 0 {
+	if len(g.DASs) == 0 {
 		v.failf("topology.dass", "custom topology requires at least one DAS")
 		return info
 	}
 	dasNames := map[string]bool{}
-	for di, das := range t.DASs {
+	for di, das := range g.DASs {
 		v.customDAS(di, das, info, dasNames)
 	}
+	if v.err == nil {
+		v.frameBudget(t, g)
+	}
 	return info
+}
+
+// frameBudget checks the frame layout the fabric seals: on every node
+// the endpoints' segments plus the diagnostic DAS's own (which a pack
+// cannot resize) must fit one slot's payload. A custom pack's error
+// names the node's last-declared endpoint; a fig10 or grid pack's names
+// slot_bytes, the only field of the layout its author wrote.
+func (v *validator) frameBudget(t, g *Topology) {
+	for node := 0; node < t.Nodes; node++ {
+		need, field := diagDefaults.DiagAllocBytes, "topology.slot_bytes"
+		for di, das := range g.DASs {
+			for ni, net := range das.Networks {
+				for ei, ep := range net.Endpoints {
+					if ep.Node != node {
+						continue
+					}
+					// Saturate: the sum must not wrap past the slot.
+					need = min(need, math.MaxInt-ep.AllocBytes) + ep.AllocBytes
+					if g == t {
+						field = fmt.Sprintf("topology.dass[%d].networks[%d].endpoints[%d].alloc_bytes", di, ni, ei)
+					}
+				}
+			}
+		}
+		if need > t.SlotBytes {
+			v.failf(field, "node %d needs %d bytes (its endpoints plus the %d-byte diagnostic segment), slot_bytes is %d",
+				node, need, diagDefaults.DiagAllocBytes, t.SlotBytes)
+			return
+		}
+	}
 }
 
 // customDAS validates one DAS of a custom topology and registers its
@@ -358,53 +385,6 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 	}
 	info.jobs[ref] = nil
 
-	switch job.Type {
-	case "sensor":
-		if !info.signals[job.Signal] {
-			v.failf(field+".signal", "unknown signal %q (declare it in topology.signals)", job.Signal)
-		}
-		if job.Out <= 0 {
-			v.failf(field+".out", "sensor needs an output channel > 0")
-		}
-	case "control":
-		if job.In <= 0 || job.Out <= 0 {
-			v.failf(field, "control needs in and out channels > 0")
-		}
-	case "actuator":
-		if job.In <= 0 {
-			v.failf(field+".in", "actuator needs an input channel > 0")
-		}
-		if job.Actuator == "" {
-			v.failf(field+".actuator", "required")
-		}
-	case "bursty":
-		if job.Out <= 0 {
-			v.failf(field+".out", "bursty needs an output channel > 0")
-		}
-		if job.MeanPerRound <= 0 {
-			v.failf(field+".mean_per_round", "must be > 0, got %g", job.MeanPerRound)
-		}
-	case "sink":
-		if job.In <= 0 {
-			v.failf(field+".in", "sink needs an input channel > 0")
-		}
-	case "voter":
-		if len(job.Ins) != 3 {
-			v.failf(field+".ins", "voter needs exactly 3 input channels, got %d", len(job.Ins))
-		}
-		if job.Out <= 0 {
-			v.failf(field+".out", "voter needs an output channel > 0")
-		}
-	case "observer":
-		if job.Watch <= 0 {
-			v.failf(field+".watch", "observer needs a channel > 0 to watch")
-		}
-	case "":
-		v.failf(field+".type", "required (sensor, control, actuator, bursty, sink, voter, observer)")
-	default:
-		v.failf(field+".type", "unknown type %q (sensor, control, actuator, bursty, sink, voter, observer)", job.Type)
-	}
-
 	var produces []int
 	for pi, p := range job.Produce {
 		pf := fmt.Sprintf("%s.produce[%d]", field, pi)
@@ -412,9 +392,7 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 		if !ok {
 			v.failf(pf+".network", "unknown network %q in DAS %q", p.Network, dasName)
 		}
-		if p.Channel <= 0 {
-			v.failf(pf+".channel", "must be > 0, got %d", p.Channel)
-		}
+		v.channel(pf+".channel", p.Channel)
 		if p.Name == "" {
 			v.failf(pf+".name", "required")
 		}
@@ -432,9 +410,7 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 	}
 	for si, s := range job.Subscribe {
 		sf := fmt.Sprintf("%s.subscribe[%d]", field, si)
-		if s.Channel <= 0 {
-			v.failf(sf+".channel", "must be > 0, got %d", s.Channel)
-		}
+		v.channel(sf+".channel", s.Channel)
 		if s.Capacity < 0 {
 			v.failf(sf+".capacity", "must be ≥ 0, got %d", s.Capacity)
 		}
@@ -444,45 +420,59 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 		info.jobs[ref] = append(info.jobs[ref], s.Channel)
 	}
 
-	// The job may send only on channels it produces and read only
-	// channels it subscribes.
-	subscribes := info.jobs[ref]
+	// The job reads only channels it subscribes and sends only on
+	// channels it produces.
 	port := func(key string, ch int, ports []int, list string) {
+		v.channel(field+"."+key, ch)
 		if !slices.Contains(ports, ch) {
 			v.failf(field+"."+key, "channel %d is not in this job's %s list", ch, list)
 		}
 	}
+	in := func(key string, ch int) { port(key, ch, info.jobs[ref], "subscribe") }
+	out := func() { port("out", job.Out, produces, "produce") }
 	switch job.Type {
-	case "control", "actuator", "sink":
-		port("in", job.In, subscribes, "subscribe")
-	case "voter":
-		for i, ch := range job.Ins {
-			port(fmt.Sprintf("ins[%d]", i), ch, subscribes, "subscribe")
+	case "sensor":
+		if !info.signals[job.Signal] {
+			v.failf(field+".signal", "unknown signal %q (declare it in topology.signals)", job.Signal)
 		}
+		out()
+	case "control":
+		in("in", job.In)
+		out()
+	case "actuator":
+		in("in", job.In)
+		if job.Actuator == "" {
+			v.failf(field+".actuator", "required")
+		}
+	case "bursty":
+		out()
+		if job.MeanPerRound <= 0 {
+			v.failf(field+".mean_per_round", "must be > 0, got %g", job.MeanPerRound)
+		}
+	case "sink":
+		in("in", job.In)
+	case "voter":
+		if len(job.Ins) != 3 {
+			v.failf(field+".ins", "voter needs exactly 3 input channels, got %d", len(job.Ins))
+		}
+		for i, ch := range job.Ins {
+			in(fmt.Sprintf("ins[%d]", i), ch)
+		}
+		out()
 	case "observer":
-		port("watch", job.Watch, subscribes, "subscribe")
-	}
-	switch job.Type {
-	case "sensor", "control", "bursty", "voter":
-		port("out", job.Out, produces, "produce")
+		in("watch", job.Watch)
+	case "":
+		v.failf(field+".type", "required (sensor, control, actuator, bursty, sink, voter, observer)")
+	default:
+		v.failf(field+".type", "unknown type %q (sensor, control, actuator, bursty, sink, voter, observer)", job.Type)
 	}
 }
 
-// schedule fills the TDMA defaults of a sized topology — 250 µs slots
-// of slotBytes, diagnosis on the last node (fig10: its node 3) — and
-// checks the diagnostic node.
-func (v *validator) schedule(t *Topology, slotBytes int) {
-	if t.SlotLenUS < 1 {
-		t.SlotLenUS = 250
-	}
-	if t.SlotBytes < 1 {
-		t.SlotBytes = slotBytes
-	}
-	if t.DiagNode < 0 {
-		t.DiagNode = t.Nodes - 1
-	}
-	if t.DiagNode >= t.Nodes {
-		v.failf("topology.diag_node", "must be < %d, got %d", t.Nodes, t.DiagNode)
+// channel checks a channel id field. Ids are vnet.ChannelIDs: 0 pads
+// frames, and the diagnostic DAS owns DiagChannelBase and up.
+func (v *validator) channel(field string, ch int) {
+	if ch < 1 || ch >= int(diagDefaults.DiagChannelBase) {
+		v.failf(field, "channel must be in [1, %d), got %d", diagDefaults.DiagChannelBase, ch)
 	}
 }
 
@@ -538,9 +528,7 @@ func (v *validator) faultKind(field string, f *FaultSpec, info *topologyInfo) {
 	}
 	needChannel := func() {
 		needJob()
-		if f.Channel <= 0 {
-			v.failf(field+".channel", "must be > 0, got %d", f.Channel)
-		}
+		v.channel(field+".channel", f.Channel)
 	}
 	switch f.Kind {
 	case "emi-burst":

@@ -19,9 +19,9 @@ import (
 	"decos/internal/tt"
 )
 
-// Channel plan of the Fig. 10 system. The wiring itself lives in the
-// pack package (the declarative manifest layer); these aliases keep the
-// scenario API stable.
+// Channel plan of the Fig. 10 system. The wiring itself is the pack
+// package's generated Fig. 10 graph (pack.Topology.Graph); these aliases
+// keep the scenario API stable.
 const (
 	ChSpeed = pack.ChSpeed // DAS A: wheel speed (A1 → A2)
 	ChCmd   = pack.ChCmd   // DAS A: brake command (A2 → A3)
@@ -128,9 +128,12 @@ func (sys *System) assemble(seed uint64, opts diagnosis.Options, extra []engine.
 	return s
 }
 
+// fig10Topology is the resolved Fig. 10 topology every system builds
+// from; it is read-only.
+var fig10Topology = pack.Fig10Topology()
+
 func (sys *System) assembleE(seed uint64, opts diagnosis.Options, extra []engine.Option) (*System, error) {
-	t := pack.Fig10Topology()
-	eopts := append(t.Options(seed, opts, sys.buildFig10), extra...)
+	eopts := append(fig10Topology.Options(seed, opts, sys.bind), extra...)
 	eng, err := engine.New(eopts...)
 	if err != nil {
 		return nil, err
@@ -143,12 +146,9 @@ func (sys *System) assembleE(seed uint64, opts diagnosis.Options, extra []engine
 	return sys, nil
 }
 
-// buildFig10 populates the Fig. 10 topology through the pack layer's
-// canonical wiring, then binds the System's job handles from the built
+// bind resolves the System's job handles from the built Fig. 10
 // cluster.
-func (s *System) buildFig10(cl *component.Cluster) {
-	pack.Fig10Build(cl)
-
+func (s *System) bind(cl *component.Cluster) {
 	dasA, dasC, dasS := cl.DAS("A"), cl.DAS("C"), cl.DAS("S")
 	s.Sensor = dasA.JobNamed("A1")
 	s.Control = dasA.JobNamed("A2")

@@ -7,7 +7,7 @@ import (
 )
 
 // Grid builds an n-component cluster (n ≥ 3) for scalability studies: a
-// chain of sensor→control DASs, one DAS per adjacent component pair, with
+// chain of sensor→observer DASs, one DAS per adjacent component pair, with
 // the diagnostic DAS's analysis stage on the last component. Channel i+1
 // carries the i-th sensor's signal.
 func Grid(n int, seed uint64, opts diagnosis.Options) *System {

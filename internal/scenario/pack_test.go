@@ -53,12 +53,71 @@ func traceOf(t *testing.T, n int64, build func(w *bytes.Buffer) *engine.Engine) 
 
 var traceOpts = trace.Options{AllFrames: true, TrustEveryEpochs: 2}
 
+// manifestEngine parses doc and builds its engine with a trace writer.
+func manifestEngine(t *testing.T, doc string) func(w *bytes.Buffer) *engine.Engine {
+	return func(w *bytes.Buffer) *engine.Engine {
+		m, err := pack.Parse([]byte(doc), "round-trip.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := m.Engine(engine.WithTraceWriter(w, traceOpts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+}
+
+// customTopologyJSON writes a resolved topology as the kind "custom"
+// manifest topology declaring its generated graph.
+func customTopologyJSON(t *testing.T, top pack.Topology) string {
+	t.Helper()
+	g := top.Graph()
+	top.Kind, top.Components, top.Signals, top.DASs = "custom", g.Components, g.Signals, g.DASs
+	data, err := json.Marshal(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nil slices marshal as null, which the manifest schema rejects where
+	// it wants an array: drop those keys.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(dropNulls(tree)); err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func dropNulls(v any) any {
+	switch n := v.(type) {
+	case map[string]any:
+		for k, x := range n {
+			if x == nil {
+				delete(n, k)
+			} else {
+				n[k] = dropNulls(x)
+			}
+		}
+	case []any:
+		for i, x := range n {
+			n[i] = dropNulls(x)
+		}
+	}
+	return v
+}
+
 // TestManifestFig10ByteIdentical is the refactor's core guarantee: a
 // manifest declaring the Fig. 10 topology drives the engine through the
 // exact option composition the Go constructor produces, so the two runs
 // emit byte-identical traces — RNG draws, frame payloads, verdict
 // timing and all. The fault list exercises the manifest's injector
-// mapping against hand-written injections of the same primitives.
+// mapping against hand-written injections of the same primitives. A
+// third leg declares Fig. 10's generated graph as a kind "custom"
+// topology: the custom kind covers Fig. 10 byte for byte.
 func TestManifestFig10ByteIdentical(t *testing.T) {
 	const (
 		seed   = 20050404
@@ -74,28 +133,21 @@ func TestManifestFig10ByteIdentical(t *testing.T) {
 			engine.WithTraceWriter(w, traceOpts))
 		return sys.Engine
 	})
-
-	manifest := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
-		m, err := pack.Parse([]byte(fmt.Sprintf(`{
+	doc := func(topology string) string {
+		return fmt.Sprintf(`{
   "pack": 1,
   "name": "round-trip",
   "seed": %d,
   "rounds": %d,
-  "topology": {"kind": "fig10"},
+  "topology": %s,
   "faults": [
     {"kind": "quartz", "component": 1, "at_ms": 200, "drift_ppm": 90000},
     {"kind": "sensor-stuck", "job": "A/A1", "at_ms": 300, "value": 42.5}
   ]
-}`, seed, rounds)), "round-trip.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := m.Engine(engine.WithTraceWriter(w, traceOpts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	})
+}`, seed, rounds, topology)
+	}
+	manifest := traceOf(t, rounds, manifestEngine(t, doc(`{"kind": "fig10"}`)))
+	custom := traceOf(t, rounds, manifestEngine(t, doc(customTopologyJSON(t, pack.Fig10Topology()))))
 
 	if len(goAPI) == 0 {
 		t.Fatal("Go API run produced no trace")
@@ -104,10 +156,14 @@ func TestManifestFig10ByteIdentical(t *testing.T) {
 		t.Fatalf("manifest run diverges from the Go constructor: %d vs %d trace bytes",
 			len(manifest), len(goAPI))
 	}
+	if !bytes.Equal(goAPI, custom) {
+		t.Fatalf("custom-graph run diverges from the Go constructor: %d vs %d trace bytes",
+			len(custom), len(goAPI))
+	}
 }
 
 // TestManifestGridByteIdentical is the same round-trip over the
-// scalability grid topology.
+// scalability grid topology, its generated graph included.
 func TestManifestGridByteIdentical(t *testing.T) {
 	const (
 		seed   = 1234
@@ -119,29 +175,22 @@ func TestManifestGridByteIdentical(t *testing.T) {
 			engine.WithTraceWriter(w, traceOpts))
 		return sys.Engine
 	})
-	manifest := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
-		m, err := pack.Parse([]byte(fmt.Sprintf(`{
-  "pack": 1,
-  "name": "grid-round-trip",
-  "seed": %d,
-  "rounds": %d,
-  "topology": {"kind": "grid", "nodes": %d}
-}`, seed, rounds, nodes)), "grid-round-trip.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := m.Engine(engine.WithTraceWriter(w, traceOpts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	})
+	doc := func(topology string) string {
+		return fmt.Sprintf(`{"pack": 1, "name": "grid-round-trip", "seed": %d, "rounds": %d, "topology": %s}`,
+			seed, rounds, topology)
+	}
+	manifest := traceOf(t, rounds, manifestEngine(t, doc(fmt.Sprintf(`{"kind": "grid", "nodes": %d}`, nodes))))
+	custom := traceOf(t, rounds, manifestEngine(t, doc(customTopologyJSON(t, pack.GridTopology(nodes)))))
 	if len(goAPI) == 0 {
 		t.Fatal("Go API run produced no trace")
 	}
 	if !bytes.Equal(goAPI, manifest) {
 		t.Fatalf("manifest run diverges from the Go constructor: %d vs %d trace bytes",
 			len(manifest), len(goAPI))
+	}
+	if !bytes.Equal(goAPI, custom) {
+		t.Fatalf("custom-graph run diverges from the Go constructor: %d vs %d trace bytes",
+			len(custom), len(goAPI))
 	}
 }
 

@@ -103,9 +103,10 @@ echo "== fuzz smoke (scenario-pack manifests) =="
 # Manifests are user-authored JSON files: malformed documents must be
 # rejected with source/line/field errors, never a panic, and anything
 # accepted must be fully validated and, for single-vehicle packs, must
-# build an engine and run three rounds without panicking. Seeds: the
-# shipped pack library plus JSON boundary fragments (duplicate keys,
-# trailing content, out-of-range numbers, deep nesting).
+# start an engine without error and run three rounds. Seeds: the shipped
+# pack library plus JSON boundary fragments (duplicate keys, trailing
+# content, out-of-range numbers, deep nesting) and the frame-budget and
+# channel-range boundaries.
 go test -run='^$' -fuzz='^FuzzPackManifest$' -fuzztime=10s ./internal/pack/
 
 echo "== bench module (vet + smoke tests) =="
