@@ -3,10 +3,8 @@ package baseline
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"decos/internal/ckpt"
-	"decos/internal/sim"
 	"decos/internal/tt"
 	"decos/internal/vnet"
 )
@@ -15,112 +13,55 @@ import (
 // crosses the wire is the failure-span tracking, the per-port receive
 // cursors and the stored trouble codes.
 
-// Snapshot serializes the diagnoser's mutable state in key order.
-func (o *OBD) Snapshot(e *ckpt.Encoder) {
-	snapshotSpans(e, o.comm, func(i int) int { return i })
-	snapshotSpans(e, o.value, func(i int) int { return int(o.valueChans[i]) })
-	e.Int(len(o.watched))
-	for i := range o.watched {
-		e.Int(o.watched[i].prev)
+// Code implements ckpt.Snapshotter: the diagnoser's mutable state in key
+// order.
+func (o *OBD) Code(c *ckpt.Coder) error {
+	if c.Decoding() {
+		clear(o.comm)
+		clear(o.value)
 	}
-	comps := make([]int, 0, len(o.dtcs))
-	for n := range o.dtcs {
-		comps = append(comps, int(n))
-	}
-	sort.Ints(comps)
-	e.Int(len(comps))
-	for _, n := range comps {
-		m := o.dtcs[tt.NodeID(n)]
-		codes := make([]string, 0, len(m))
-		for c := range m {
-			codes = append(codes, c)
+	ckpt.Sparse(c, len(o.comm), func(i int) bool { return o.comm[i].seen }, func(c *ckpt.Coder, i int) {
+		ckpt.Index(c, &i, len(o.comm), "node")
+		codeSpan(c, o.comm, i)
+	})
+	ckpt.Sparse(c, len(o.value), func(i int) bool { return o.value[i].seen }, func(c *ckpt.Coder, i int) {
+		var ch vnet.ChannelID
+		if !c.Decoding() {
+			ch = o.valueChans[i]
 		}
-		sort.Strings(codes)
-		e.Int(n)
-		e.Int(len(codes))
-		for _, c := range codes {
-			d := m[c]
-			e.String(c)
-			e.Varint(int64(d.First))
-			e.Int(d.Count)
-		}
-	}
-}
-
-// Restore replaces the diagnoser's state.
-func (o *OBD) Restore(d *ckpt.Decoder) error {
-	err := restoreSpans(d, o.comm, "node", func(n int) (int, bool) { return n, n >= 0 && n < len(o.comm) })
-	if err == nil {
-		err = restoreSpans(d, o.value, "channel", func(ch int) (int, bool) {
-			return slices.BinarySearch(o.valueChans, vnet.ChannelID(ch))
-		})
-	}
-	if err != nil {
-		return err
-	}
-	nw := d.Len(1 << 20)
-	if d.Err() == nil && nw != len(o.watched) {
-		return fmt.Errorf("baseline: checkpoint has %d watched ports, OBD has %d", nw, len(o.watched))
-	}
-	for i := 0; i < nw && d.Err() == nil; i++ {
-		o.watched[i].prev = d.Int()
-	}
-	clear(o.dtcs)
-	nd := d.Len(1 << 16)
-	for i := 0; i < nd && d.Err() == nil; i++ {
-		comp := tt.NodeID(d.Int())
-		ncodes := d.Len(1 << 8)
-		m := make(map[string]*DTC, ncodes)
-		for k := 0; k < ncodes && d.Err() == nil; k++ {
-			code := d.String()
-			m[code] = &DTC{
-				Component: comp,
-				Code:      code,
-				First:     sim.Time(d.Varint()),
-				Count:     d.Int(),
+		ckpt.Index(c, &ch, 1<<16, "channel")
+		if c.Decoding() && c.Err() == nil {
+			var ok bool
+			if i, ok = slices.BinarySearch(o.valueChans, ch); !ok {
+				c.Fail(fmt.Errorf("baseline: checkpoint tracks channel %d, which the diagnoser does not watch", ch))
 			}
 		}
-		if d.Err() == nil {
-			o.dtcs[comp] = m
-		}
+		codeSpan(c, o.value, i)
+	})
+	c.Count(len(o.watched), "watched ports")
+	for i := range o.watched {
+		c.Int(&o.watched[i].prev)
 	}
-	return d.Err()
+	ckpt.SortedMap(c, &o.dtcs, 1<<16,
+		func(c *ckpt.Coder, n *tt.NodeID) { ckpt.Index(c, n, len(o.comm), "node") },
+		func(c *ckpt.Coder, n tt.NodeID, m *map[string]*DTC) {
+			ckpt.SortedMap(c, m, 1<<8, (*ckpt.Coder).String, func(c *ckpt.Coder, code string, d **DTC) {
+				if c.Decoding() {
+					*d = &DTC{Component: n, Code: code}
+				}
+				ckpt.Varint(c, &(*d).First)
+				c.Int(&(*d).Count)
+			})
+		})
+	return c.Err()
 }
 
-// snapshotSpans writes the tracked spans, keyed by key(i), in slice order
-// (ascending key).
-func snapshotSpans(e *ckpt.Encoder, spans []span, key func(int) int) {
-	n := 0
-	for i := range spans {
-		if spans[i].seen {
-			n++
-		}
+// codeSpan codes the seen span spans[i], unless decoding has failed.
+func codeSpan(c *ckpt.Coder, spans []span, i int) {
+	if c.Err() == nil {
+		s := &spans[i]
+		s.seen = true
+		c.Bool(&s.failing)
+		ckpt.Varint(c, &s.since)
 	}
-	e.Int(n)
-	for i, s := range spans {
-		if s.seen {
-			e.Int(key(i))
-			e.Bool(s.failing)
-			e.Varint(int64(s.since))
-		}
-	}
-}
-
-// restoreSpans replaces spans with the checkpointed ones. index maps a
-// key to its span; a key the diagnoser does not track is an error.
-func restoreSpans(d *ckpt.Decoder, spans []span, what string, index func(int) (int, bool)) error {
-	clear(spans)
-	n := d.Len(1 << 16)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		key, failing, since := d.Int(), d.Bool(), sim.Time(d.Varint())
-		if d.Err() != nil {
-			break
-		}
-		j, ok := index(key)
-		if !ok {
-			return fmt.Errorf("baseline: checkpoint tracks %s %d, which the diagnoser does not watch", what, key)
-		}
-		spans[j] = span{seen: true, failing: failing, since: since}
-	}
-	return d.Err()
 }

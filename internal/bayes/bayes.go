@@ -26,10 +26,10 @@
 //
 // The classifier is a drop-in diagnosis.Classifier (selected with
 // engine.WithClassifier, a pack manifest's `classifier = "bayes"` or
-// the -classifier CLI flags) and a ckpt.Snapshotter: the posterior
-// state round-trips through DCS-C engine checkpoints bit-identically,
-// so a restored bayes run continues exactly where the checkpoint left
-// off.
+// the -classifier CLI flags) and a ckpt.Snapshotter: its one Code
+// method lists the posterior state for both directions, so the state
+// round-trips through DCS-C engine checkpoints bit-identically and a
+// restored bayes run continues exactly where the checkpoint left off.
 package bayes
 
 import (
@@ -348,6 +348,15 @@ func (c *Classifier) ensureInit(reg *diagnosis.Registry) {
 		return
 	}
 	c.nFRU = reg.Len()
+	c.size()
+	for i := 0; i < c.nFRU; i++ {
+		c.resetRow(diagnosis.FRUIndex(i), reg.IsHardware(diagnosis.FRUIndex(i)))
+	}
+}
+
+// size resizes the belief state and the per-epoch scratch to nFRU rows,
+// all zero.
+func (c *Classifier) size() {
 	c.logp = resize(c.logp, c.nFRU*int(numHyp))
 	c.hwActive = resize(c.hwActive, c.nFRU)
 	c.swSick = resize(c.swSick, c.nFRU)
@@ -355,9 +364,6 @@ func (c *Classifier) ensureInit(reg *diagnosis.Registry) {
 	c.accuses = resize(c.accuses, c.nFRU)
 	c.framed = resize(c.framed, c.nFRU)
 	c.accused = resize(c.accused, c.nFRU)
-	for i := 0; i < c.nFRU; i++ {
-		c.resetRow(diagnosis.FRUIndex(i), reg.IsHardware(diagnosis.FRUIndex(i)))
-	}
 }
 
 // resize returns s resized to n zero elements, reusing its storage when

@@ -254,9 +254,7 @@ func TestLyingObserverFramed(t *testing.T) {
 func snapshotBytes(t *testing.T, c *Classifier) []byte {
 	t.Helper()
 	e := ckpt.NewEncoder()
-	e.Begin("cls")
-	c.Snapshot(e)
-	e.End()
+	e.Put("cls", c)
 	return e.Bytes()
 }
 
@@ -266,17 +264,14 @@ func restoreFrom(t *testing.T, data []byte, opts Options) *Classifier {
 	if err != nil {
 		t.Fatalf("decoding snapshot: %v", err)
 	}
-	if !d.Section("cls") {
-		t.Fatal("snapshot has no cls section")
-	}
 	c := NewWithOptions(opts)
-	if err := c.Restore(d); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := d.Get("cls", c); err != nil {
+		t.Fatalf("restoring the cls section: %v", err)
 	}
 	return c
 }
 
-// TestCheckpointRoundTrip: Snapshot → Restore → Snapshot must be
+// TestCheckpointRoundTrip: encode → decode → encode must be
 // byte-identical, and a restored classifier fed the same evidence as
 // the uninterrupted one must produce the same findings and the same
 // next checkpoint — the bit-identity contract the engine's "cls"
@@ -320,24 +315,32 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// layout is the head of a cls section for one FRU and hyp hypotheses.
+type layout struct{ hyp int }
+
+func (l layout) Code(c *ckpt.Coder) error {
+	var epochs int64
+	var abstained uint64
+	c.Count(1, "FRUs")
+	c.Count(l.hyp, "hypotheses")
+	ckpt.Varint(c, &epochs)
+	ckpt.Uvarint(c, &abstained)
+	return c.Err()
+}
+
 // TestRestoreRejectsLayoutMismatch: a checkpoint written with a
 // different hypothesis count must be refused, not misinterpreted.
 func TestRestoreRejectsLayoutMismatch(t *testing.T) {
 	e := ckpt.NewEncoder()
-	e.Begin("cls")
-	e.Int(1)               // nFRU
-	e.Int(int(numHyp) + 1) // wrong hypothesis count
-	e.Varint(0)
-	e.Uvarint(0)
-	e.End()
+	e.Put("cls", layout{int(numHyp) + 1}) // wrong hypothesis count
 	d, err := ckpt.NewDecoder(e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Section("cls") {
+	if !d.Has("cls") {
 		t.Fatal("no cls section")
 	}
-	if err := New().Restore(d); err == nil {
+	if err := d.Get("cls", New()); err == nil {
 		t.Fatal("Restore accepted a checkpoint with a mismatched hypothesis count")
 	}
 }

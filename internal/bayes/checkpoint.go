@@ -1,10 +1,6 @@
 package bayes
 
-import (
-	"fmt"
-
-	"decos/internal/ckpt"
-)
+import "decos/internal/ckpt"
 
 // Checkpoint layout of the Bayesian classifier ("cls" section of the
 // engine stream, DESIGN §14): the posterior is plain numeric state —
@@ -12,59 +8,29 @@ import (
 // counters, then the centred log posterior rows as exact IEEE 754
 // bits, then the per-FRU accused flags (standing non-external verdicts
 // awaiting a possible recovery downgrade). Tuning is configuration, not
-// state: Restore runs on a freshly constructed classifier carrying the
+// state: decoding runs on a freshly constructed classifier carrying the
 // same Options.
 
-// Snapshot implements ckpt.Snapshotter.
-func (c *Classifier) Snapshot(e *ckpt.Encoder) {
-	e.Int(c.nFRU)
-	e.Int(int(numHyp))
-	e.Varint(c.epochs)
-	e.Uvarint(c.abstained)
-	for _, v := range c.logp {
-		e.Float64(v)
-	}
-	for _, a := range c.accused {
-		e.Bool(a)
-	}
-}
-
-// Restore implements ckpt.Snapshotter: it overwrites the belief state
-// with the checkpointed posterior. The restored floats are the exact
-// bits Snapshot wrote, so a restored run's posterior trajectory — and
+// Code implements ckpt.Snapshotter. The restored floats are the exact
+// bits encoding wrote, so a restored run's posterior trajectory — and
 // therefore its verdicts and its next checkpoint — is bit-identical to
 // the uninterrupted run.
-func (c *Classifier) Restore(d *ckpt.Decoder) error {
-	nFRU := d.Len(1 << 16)
-	nHyp := d.Int()
-	epochs := d.Varint()
-	abstained := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
+func (c *Classifier) Code(k *ckpt.Coder) error {
+	k.Len(&c.nFRU, 1<<16)
+	k.Count(int(numHyp), "hypotheses")
+	ckpt.Varint(k, &c.epochs)
+	ckpt.Uvarint(k, &c.abstained)
+	if k.Decoding() {
+		if err := k.Err(); err != nil {
+			return err
+		}
+		c.size()
 	}
-	if nHyp != int(numHyp) {
-		return fmt.Errorf("bayes: checkpoint has %d hypotheses, classifier knows %d", nHyp, numHyp)
+	for i := range c.logp {
+		k.Float64(&c.logp[i])
 	}
-	logp := make([]float64, nFRU*int(numHyp))
-	for i := range logp {
-		logp[i] = d.Float64()
+	for i := range c.accused {
+		k.Bool(&c.accused[i])
 	}
-	accused := make([]bool, nFRU)
-	for i := range accused {
-		accused[i] = d.Bool()
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.nFRU = nFRU
-	c.epochs = epochs
-	c.abstained = abstained
-	c.logp = logp
-	c.accused = accused
-	c.hwActive = make([]bool, nFRU)
-	c.swSick = make([]bool, nFRU)
-	c.soleObs = make([]int32, nFRU)
-	c.accuses = make([]int32, nFRU)
-	c.framed = make([]bool, nFRU)
-	return nil
+	return k.Err()
 }

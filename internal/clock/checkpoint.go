@@ -1,44 +1,22 @@
 package clock
 
-import (
-	"fmt"
+import "decos/internal/ckpt"
 
-	"decos/internal/ckpt"
-	"decos/internal/sim"
-)
-
-// Snapshot serializes the cluster's mutable synchronization state: per
-// oscillator the drift (mutable via the defective-quartz fault), jitter,
-// and the folded correction state, plus the in-sync flags. The resync
-// scratch buffers are derived state and excluded.
-func (c *Cluster) Snapshot(e *ckpt.Encoder) {
-	e.Int(len(c.Oscillators))
-	for i, o := range c.Oscillators {
-		e.Float64(o.DriftPPM)
-		e.Float64(o.JitterUS)
-		e.Float64(o.offsetUS)
-		e.Varint(int64(o.baseAt))
-		e.Float64(o.baseLocal)
-		e.Bool(c.inSync[i])
-	}
-}
-
-// Restore overwrites a freshly built cluster's oscillator and sync state.
-// The oscillators' jitter RNG is the shared "clocks" stream, restored
+// Code implements ckpt.Snapshotter: the cluster's mutable synchronization
+// state, per oscillator the drift (mutable via the defective-quartz
+// fault), jitter, and the folded correction state, plus the in-sync
+// flags. The resync scratch buffers are derived state and excluded. The
+// oscillators' jitter RNG is the shared "clocks" stream, restored
 // separately with the stream states.
-func (c *Cluster) Restore(d *ckpt.Decoder) error {
-	n := d.Len(1 << 16)
-	if d.Err() == nil && n != len(c.Oscillators) {
-		return fmt.Errorf("clock: checkpoint has %d oscillators, cluster has %d", n, len(c.Oscillators))
+func (c *Cluster) Code(k *ckpt.Coder) error {
+	k.Count(len(c.Oscillators), "oscillators")
+	for i, o := range c.Oscillators {
+		k.Float64(&o.DriftPPM)
+		k.Float64(&o.JitterUS)
+		k.Float64(&o.offsetUS)
+		ckpt.Varint(k, &o.baseAt)
+		k.Float64(&o.baseLocal)
+		k.Bool(&c.inSync[i])
 	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		o := c.Oscillators[i]
-		o.DriftPPM = d.Float64()
-		o.JitterUS = d.Float64()
-		o.offsetUS = d.Float64()
-		o.baseAt = sim.Time(d.Varint())
-		o.baseLocal = d.Float64()
-		c.inSync[i] = d.Bool()
-	}
-	return d.Err()
+	return k.Err()
 }

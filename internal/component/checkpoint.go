@@ -18,109 +18,77 @@ import (
 // The fault filters (OutFault/SensorFault) are closures owned by the
 // fault injector and restored by it.
 
-// SnapshotJobs serializes every job's instance state (component id order,
-// partition order within a component) plus any implementation state.
-func (cl *Cluster) SnapshotJobs(e *ckpt.Encoder) {
+// Code implements ckpt.Snapshotter for the engine's "jobs" section: every
+// job's instance state (component id order, partition order within a
+// component) plus any implementation state. The job topology is
+// structural, so any mismatch is corruption.
+func (cl *Cluster) Code(c *ckpt.Coder) error {
 	comps := cl.Components()
-	e.Int(len(comps))
-	for _, c := range comps {
-		e.Int(int(c.ID))
-		e.Int(len(c.Jobs))
-		for _, j := range c.Jobs {
-			e.Bool(j.Halted)
-			e.Int(j.Steps)
-			if s, ok := j.Impl.(ckpt.Snapshotter); ok {
-				e.Bool(true)
-				s.Snapshot(e)
-			} else {
-				e.Bool(false)
-			}
+	c.Count(len(comps), "components")
+	for i, comp := range comps {
+		id := comp.ID
+		ckpt.Index(c, &id, 1<<16, "node")
+		if c.Err() == nil && id != comp.ID {
+			return fmt.Errorf("component: checkpoint component %d is node %d, cluster has %d", i, id, comp.ID)
 		}
-	}
-}
-
-// RestoreJobs overwrites a freshly built cluster's job state. The job
-// topology is structural, so any mismatch is corruption.
-func (cl *Cluster) RestoreJobs(d *ckpt.Decoder) error {
-	comps := cl.Components()
-	n := d.Len(1 << 16)
-	if d.Err() == nil && n != len(comps) {
-		return fmt.Errorf("component: checkpoint has %d components, cluster has %d", n, len(comps))
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		c := comps[i]
-		if id := d.Int(); d.Err() == nil && id != int(c.ID) {
-			return fmt.Errorf("component: checkpoint component %d is node %d, cluster has %d", i, id, c.ID)
-		}
-		nj := d.Len(1 << 16)
-		if d.Err() == nil && nj != len(c.Jobs) {
-			return fmt.Errorf("component: checkpoint has %d jobs on %s, cluster has %d", nj, c.Name, len(c.Jobs))
-		}
-		for k := 0; k < nj && d.Err() == nil; k++ {
-			j := c.Jobs[k]
-			j.Halted = d.Bool()
-			j.Steps = d.Int()
-			hasState := d.Bool()
+		c.Count(len(comp.Jobs), "jobs")
+		for _, j := range comp.Jobs {
+			c.Bool(&j.Halted)
+			c.Int(&j.Steps)
 			s, ok := j.Impl.(ckpt.Snapshotter)
-			if d.Err() != nil {
-				break
+			hasState := ok
+			c.Bool(&hasState)
+			if err := c.Err(); err != nil {
+				return err
 			}
 			if hasState != ok {
 				return fmt.Errorf("component: checkpoint/implementation state mismatch for job %s", j)
 			}
-			if hasState {
-				if err := s.Restore(d); err != nil {
+			if ok {
+				if err := s.Code(c); err != nil {
 					return fmt.Errorf("component: job %s: %w", j, err)
 				}
 			}
 		}
 	}
-	return d.Err()
+	return c.Err()
 }
 
-// Snapshot serializes the environment's actuator history in name order:
-// every actuator that recorded a command. Signals are pure time functions
-// (configuration) and are excluded.
-func (e *Environment) Snapshot(enc *ckpt.Encoder) {
+func codeActuation(c *ckpt.Coder, a *Actuation) {
+	ckpt.Varint(c, &a.At)
+	c.Float64(&a.Value)
+}
+
+// Code implements ckpt.Snapshotter: the environment's actuator history in
+// name order, every actuator that recorded a command. Signals are pure
+// time functions (configuration) and are excluded.
+func (e *Environment) Code(c *ckpt.Coder) error {
 	var acts []*actuator
-	for _, a := range e.actuators {
-		if a.log.Len() > 0 {
-			acts = append(acts, a)
-		}
-	}
-	slices.SortFunc(acts, func(a, b *actuator) int { return strings.Compare(a.name, b.name) })
-	enc.Int(len(acts))
-	for _, a := range acts {
-		enc.String(a.name)
-		h := &a.log
-		enc.Int(h.Len())
-		for k := 0; k < h.NumSegs(); k++ {
-			for _, a := range h.Seg(k) {
-				enc.Varint(int64(a.At))
-				enc.Float64(a.Value)
+	if c.Decoding() {
+		e.reset()
+	} else {
+		for _, a := range e.actuators {
+			if a.log.Len() > 0 {
+				acts = append(acts, a)
 			}
 		}
+		slices.SortFunc(acts, func(a, b *actuator) int { return strings.Compare(a.name, b.name) })
 	}
-}
-
-// Restore replaces the environment's actuator history.
-func (e *Environment) Restore(d *ckpt.Decoder) error {
-	e.reset()
-	n := d.Len(1 << 16)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		name := d.String()
-		nh := d.Len(1 << 24)
-		if d.Err() != nil {
-			break
+	ckpt.Slice(c, &acts, 1<<16, func(c *ckpt.Coder, a **actuator) {
+		var name string
+		if *a != nil {
+			name = (*a).name
 		}
-		h := &e.actuators[e.actuatorID(name)].log
-		h.Reset()
-		h.Reserve(nh)
-		for k := 0; k < nh && d.Err() == nil; k++ {
-			h.Append(Actuation{At: sim.Time(d.Varint()), Value: d.Float64()})
+		c.String(&name)
+		if c.Err() != nil {
+			return
 		}
-	}
-	return d.Err()
+		if c.Decoding() {
+			*a = e.actuators[e.actuatorID(name)]
+		}
+		ckpt.Log(c, &(*a).log, 1<<24, codeActuation)
+	})
+	return c.Err()
 }
 
 // RunToRound advances the simulation to the end of round r-1, i.e. until
@@ -143,91 +111,46 @@ func (cl *Cluster) RunToRoundCtx(ctx context.Context, r int64) error {
 	return nil
 }
 
-// Snapshot/Restore for the stateful standard jobs. Every field that
+// The stateful standard jobs implement ckpt.Snapshotter. Every field that
 // influences a future round's output crosses the wire; configuration
 // fields do not.
 
-// Snapshot implements ckpt.Snapshotter.
-func (s *SensorJob) Snapshot(e *ckpt.Encoder) {
-	e.Float64(s.lastRaw)
-	e.Bool(s.haveRaw)
-	e.Int(s.frozenRuns)
-	e.Bool(s.report.TransducerSuspect)
-	e.String(s.report.Detail)
+func (s *SensorJob) Code(c *ckpt.Coder) error {
+	c.Float64(&s.lastRaw)
+	c.Bool(&s.haveRaw)
+	c.Int(&s.frozenRuns)
+	c.Bool(&s.report.TransducerSuspect)
+	c.String(&s.report.Detail)
+	return c.Err()
 }
 
-// Restore implements ckpt.Snapshotter.
-func (s *SensorJob) Restore(d *ckpt.Decoder) error {
-	s.lastRaw = d.Float64()
-	s.haveRaw = d.Bool()
-	s.frozenRuns = d.Int()
-	s.report.TransducerSuspect = d.Bool()
-	s.report.Detail = d.String()
-	return d.Err()
+func (j *ControlJob) Code(c *ckpt.Coder) error {
+	c.Int(&j.RejectedInputs)
+	c.Float64(&j.lastOut)
+	c.Bool(&j.hasOut)
+	return c.Err()
 }
 
-// Snapshot implements ckpt.Snapshotter.
-func (c *ControlJob) Snapshot(e *ckpt.Encoder) {
-	e.Int(c.RejectedInputs)
-	e.Float64(c.lastOut)
-	e.Bool(c.hasOut)
+func (b *BurstyJob) Code(c *ckpt.Coder) error {
+	c.Int(&b.Rejected)
+	c.Float64(&b.counter)
+	return c.Err()
 }
 
-// Restore implements ckpt.Snapshotter.
-func (c *ControlJob) Restore(d *ckpt.Decoder) error {
-	c.RejectedInputs = d.Int()
-	c.lastOut = d.Float64()
-	c.hasOut = d.Bool()
-	return d.Err()
+func (s *SinkJob) Code(c *ckpt.Coder) error {
+	c.Int(&s.Received)
+	return c.Err()
 }
 
-// Snapshot implements ckpt.Snapshotter.
-func (b *BurstyJob) Snapshot(e *ckpt.Encoder) {
-	e.Int(b.Rejected)
-	e.Float64(b.counter)
-}
-
-// Restore implements ckpt.Snapshotter.
-func (b *BurstyJob) Restore(d *ckpt.Decoder) error {
-	b.Rejected = d.Int()
-	b.counter = d.Float64()
-	return d.Err()
-}
-
-// Snapshot implements ckpt.Snapshotter.
-func (s *SinkJob) Snapshot(e *ckpt.Encoder) {
-	e.Int(s.Received)
-}
-
-// Restore implements ckpt.Snapshotter.
-func (s *SinkJob) Restore(d *ckpt.Decoder) error {
-	s.Received = d.Int()
-	return d.Err()
-}
-
-// Snapshot implements ckpt.Snapshotter.
-func (v *VoterJob) Snapshot(e *ckpt.Encoder) {
+func (v *VoterJob) Code(c *ckpt.Coder) error {
 	for i := 0; i < 3; i++ {
-		e.Int(v.Disagreements[i])
-		e.Int(v.Missing[i])
-		e.Uvarint(uint64(v.lastSeq[i]))
-		e.Bool(v.started[i])
+		c.Int(&v.Disagreements[i])
+		c.Int(&v.Missing[i])
+		ckpt.Uvarint(c, &v.lastSeq[i])
+		c.Bool(&v.started[i])
 	}
-	e.Int(v.Voted)
-	e.Int(v.NoMajority)
-	e.Int(v.Silent)
-}
-
-// Restore implements ckpt.Snapshotter.
-func (v *VoterJob) Restore(d *ckpt.Decoder) error {
-	for i := 0; i < 3; i++ {
-		v.Disagreements[i] = d.Int()
-		v.Missing[i] = d.Int()
-		v.lastSeq[i] = uint32(d.Uvarint())
-		v.started[i] = d.Bool()
-	}
-	v.Voted = d.Int()
-	v.NoMajority = d.Int()
-	v.Silent = d.Int()
-	return d.Err()
+	c.Int(&v.Voted)
+	c.Int(&v.NoMajority)
+	c.Int(&v.Silent)
+	return c.Err()
 }

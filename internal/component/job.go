@@ -91,7 +91,8 @@ type Instance struct {
 // Resetter is implemented by job implementations that hold run state
 // between rounds: Reset returns that state to what the job had when it
 // was deployed, keeping its configuration. Cluster.Reset calls it; every
-// stateful job that is a ckpt.Snapshotter must be a Resetter too.
+// stateful job whose Code method makes it a ckpt.Snapshotter must be a
+// Resetter too.
 type Resetter interface {
 	Reset()
 }

@@ -33,6 +33,8 @@ const (
 	// ActionInvestigate: the evidence supports no classification; manual
 	// troubleshooting is required (the costly path the model minimizes).
 	ActionInvestigate
+	// NumActions is the number of maintenance actions.
+	NumActions
 )
 
 func (a MaintenanceAction) String() string {

@@ -22,6 +22,8 @@ const (
 	StageError
 	// StageFailure is a LIF-visible service deviation.
 	StageFailure
+	// NumStageKinds is the number of stage kinds.
+	NumStageKinds
 )
 
 func (k StageKind) String() string {

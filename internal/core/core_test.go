@@ -66,7 +66,7 @@ func TestMatchesEquivalences(t *testing.T) {
 
 func TestMatchesReflexive(t *testing.T) {
 	f := func(n uint8) bool {
-		c := FaultClass(int(n) % int(numClasses))
+		c := FaultClass(int(n) % int(NumFaultClasses))
 		return c.Matches(c)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -58,7 +58,8 @@ const (
 	// state alone.
 	JobInherent
 
-	numClasses
+	// NumFaultClasses is the number of fault classes.
+	NumFaultClasses
 )
 
 // String returns the paper's name for the class.
@@ -137,6 +138,8 @@ const (
 	Intermittent
 	// Permanent faults persist until repair.
 	Permanent
+	// NumPersistences is the number of persistence values.
+	NumPersistences
 )
 
 func (p Persistence) String() string {

@@ -9,7 +9,7 @@ import (
 // ParseFaultClass is the inverse of FaultClass.String. It accepts every
 // name the model emits (including "unknown") so trace streams round-trip.
 func ParseFaultClass(s string) (FaultClass, error) {
-	for c := ClassUnknown; c < numClasses; c++ {
+	for c := ClassUnknown; c < NumFaultClasses; c++ {
 		if c.String() == s {
 			return c, nil
 		}

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 func TestParseFaultClassRoundTrip(t *testing.T) {
-	for c := ClassUnknown; c < numClasses; c++ {
+	for c := ClassUnknown; c < NumFaultClasses; c++ {
 		got, err := ParseFaultClass(c.String())
 		if err != nil || got != c {
 			t.Errorf("ParseFaultClass(%q) = %v, %v", c.String(), got, err)

@@ -7,9 +7,9 @@ import (
 	"sync"
 
 	"decos/internal/ckpt"
-	"decos/internal/component"
 	"decos/internal/diagnosis"
 	"decos/internal/sim"
+	"decos/internal/vnet"
 )
 
 // Engine checkpoints (DESIGN §12). A checkpoint captures the entire
@@ -24,10 +24,8 @@ import (
 // Restore works by reconstruction: the engine is rebuilt from the same
 // Options (the build pipeline re-executes deterministically at t=0,
 // recreating every closure — job implementations, fault role handlers,
-// trace hooks), then every subsystem's numeric state is overwritten from
-// the stream, pending fault timers are re-armed in original arm order,
-// and the TDMA slot chain is re-armed last so same-instant events keep
-// their original queue order.
+// trace hooks), then the section table (sections) overwrites every
+// subsystem's state from the stream and re-arms what it carries.
 
 // CheckpointSink receives encoded checkpoints at the configured round
 // cadence. The byte slice is freshly allocated per call; the sink owns
@@ -75,7 +73,13 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	enc := encoders.Get().(*ckpt.Encoder)
 	defer encoders.Put(enc)
 	enc.Reset()
-	e.encode(enc)
+	a := e.attachments()
+	e.meta = meta{e.rounds, e.cfg.Nodes, e.cfg.SlotBytes, e.cfg.SlotLen, e.cfg.Seed, a}
+	enc.Put("meta", &e.meta)
+	var buf [16]section
+	for _, s := range e.sections(buf[:0]) {
+		enc.Put(s.name, s.s)
+	}
 	_, err := w.Write(enc.Bytes())
 	return err
 }
@@ -99,84 +103,81 @@ func (e *Engine) installCheckpointHook() {
 	})
 }
 
-func (e *Engine) encode(enc *ckpt.Encoder) {
-	cl := e.Cluster
-	enc.Begin("meta")
-	enc.Varint(e.rounds)
-	enc.Int(e.cfg.Nodes)
-	enc.Varint(int64(e.cfg.SlotLen))
-	enc.Int(e.cfg.SlotBytes)
-	enc.Uint64(e.cfg.Seed)
-	enc.Bool(cl.Bus.Clocks != nil)
-	enc.Bool(e.Diag != nil)
-	enc.Bool(e.OBD != nil)
-	enc.Bool(e.Recorder != nil)
-	enc.End()
+// meta is the checkpoint's fingerprint section: the completed round
+// count and what a restore must match before it builds anything.
+type meta struct {
+	rounds           int64
+	nodes, slotBytes int
+	slotLen          sim.Duration
+	seed             uint64
+	att              [4]bool // attachments
+}
 
-	enc.Begin("sched")
-	cl.Sched.Snapshot(enc)
-	enc.End()
-	enc.Begin("streams")
-	cl.Streams.Snapshot(enc)
-	enc.End()
+func (m *meta) Code(c *ckpt.Coder) error {
+	ckpt.Varint(c, &m.rounds)
+	c.Int(&m.nodes)
+	ckpt.Varint(c, &m.slotLen)
+	c.Int(&m.slotBytes)
+	c.Uint64(&m.seed)
+	for i := range m.att {
+		c.Bool(&m.att[i])
+	}
+	return c.Err()
+}
+
+// attachments returns which optional subsystems the engine has: clocks,
+// diagnosis, OBD, trace.
+func (e *Engine) attachments() [4]bool {
+	return [4]bool{e.Cluster.Bus.Clocks != nil, e.Diag != nil, e.OBD != nil, e.Recorder != nil}
+}
+
+// section is one entry of the engine's section table.
+type section struct {
+	name string
+	s    ckpt.Snapshotter
+}
+
+// sections appends the engine's section table after meta to buf: every
+// attached subsystem, in stream order. Restore walks the same table, so
+// the order is the restore-order invariant: the scheduler first (drops
+// every event the reconstruction armed, including the initial slot
+// event, and sets the clock), plain state next, the injector last
+// (reinstalls bus hooks — needs the bus's restored hook-id horizon — and
+// re-arms pending timers in original arm order); the slot chain is
+// re-armed after the table, so the next slot event queues behind
+// same-instant fault timers, as it did in the uninterrupted run.
+func (e *Engine) sections(buf []section) []section {
+	cl := e.Cluster
+	buf = append(buf, section{"sched", cl.Sched}, section{"streams", cl.Streams})
 	if cl.Bus.Clocks != nil {
-		enc.Begin("clock")
-		cl.Bus.Clocks.Snapshot(enc)
-		enc.End()
+		buf = append(buf, section{"clock", cl.Bus.Clocks})
 	}
-	enc.Begin("tt")
-	cl.Bus.Snapshot(enc)
-	enc.End()
-	enc.Begin("vnet")
-	nets := cl.Fabric.Networks()
-	enc.Int(len(nets))
-	for _, n := range nets {
-		n.Snapshot(enc)
-	}
-	enc.End()
-	enc.Begin("fabric")
-	cl.Fabric.Snapshot(enc)
-	enc.End()
-	enc.Begin("jobs")
-	cl.SnapshotJobs(enc)
-	enc.End()
-	enc.Begin("env")
-	cl.Env.Snapshot(enc)
-	enc.End()
+	buf = append(buf, section{"tt", cl.Bus}, section{"vnet", networks{cl.Fabric}}, section{"fabric", cl.Fabric},
+		section{"jobs", cl}, section{"env", cl.Env})
 	if e.Diag != nil {
-		enc.Begin("diag")
-		e.Diag.Snapshot(enc)
-		enc.End()
+		buf = append(buf, section{"diag", e.Diag})
 	}
 	if e.OBD != nil {
-		enc.Begin("obd")
-		e.OBD.Snapshot(enc)
-		enc.End()
+		buf = append(buf, section{"obd", e.OBD})
 	}
 	if s := e.classifierSnapshotter(); s != nil {
-		enc.Begin("cls")
-		s.Snapshot(enc)
-		enc.End()
+		buf = append(buf, section{"cls", s})
 	}
 	if e.Recorder != nil {
-		enc.Begin("trace")
-		e.Recorder.Snapshot(enc)
-		enc.End()
+		buf = append(buf, section{"trace", e.Recorder})
 	}
-	enc.Begin("faults")
-	e.Injector.Snapshot(enc)
-	enc.End()
+	return append(buf, section{"faults", e.Injector})
 }
 
 // restoreEngine is the WithRestore build path: parse, validate the meta
 // fingerprint, reconstruct, overwrite state, re-arm.
 func restoreEngine(cfg Config) (e *Engine, err error) {
-	// Subsystem Restore methods validate lengths, ids and enum ranges,
-	// but a corrupted stream can still trip invariants that panic by
-	// design on programmer error (hook-id horizons, scheduling in the
-	// past). Arbitrary bytes reach this path — checkpoint files travel
-	// through disks and pipelines — so panics degrade to errors here: a
-	// corrupt checkpoint must never take the process down.
+	// Subsystem Code methods validate counts, keys, enums and what they
+	// re-arm, so input should never reach an invariant that panics by
+	// design on programmer error. Arbitrary bytes reach this path —
+	// checkpoint files travel through disks and pipelines — so a panic
+	// still degrades to an error here, as a backstop: a corrupt
+	// checkpoint must never take the process down.
 	defer func() {
 		if p := recover(); p != nil {
 			e, err = nil, fmt.Errorf("engine: restore: corrupt checkpoint: %v", p)
@@ -186,98 +187,36 @@ func restoreEngine(cfg Config) (e *Engine, err error) {
 	if d, err = ckpt.NewDecoder(*cfg.restore); err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
-	if err := d.Need("meta"); err != nil {
-		return nil, fmt.Errorf("engine: restore: %w", err)
-	}
-	rounds := d.Varint()
-	nodes, slotLen, slotBytes := d.Int(), sim.Duration(d.Varint()), d.Int()
-	seed := d.Uint64()
-	hasClocks, hasDiag, hasOBD, hasTrace := d.Bool(), d.Bool(), d.Bool(), d.Bool()
-	if err := d.Err(); err != nil {
+	var m meta
+	if err := d.Get("meta", &m); err != nil {
 		return nil, fmt.Errorf("engine: restore: meta: %w", err)
 	}
-	if nodes != cfg.Nodes || slotLen != cfg.SlotLen || slotBytes != cfg.SlotBytes {
+	if m.nodes != cfg.Nodes || m.slotLen != cfg.SlotLen || m.slotBytes != cfg.SlotBytes {
 		return nil, fmt.Errorf("engine: restore: checkpoint topology %d nodes %v/%dB, options say %d nodes %v/%dB",
-			nodes, slotLen, slotBytes, cfg.Nodes, cfg.SlotLen, cfg.SlotBytes)
+			m.nodes, m.slotLen, m.slotBytes, cfg.Nodes, cfg.SlotLen, cfg.SlotBytes)
 	}
-	if seed != cfg.Seed {
-		return nil, fmt.Errorf("engine: restore: checkpoint seed %d, options say %d — the manifest reconstruction would diverge", seed, cfg.Seed)
+	if m.seed != cfg.Seed {
+		return nil, fmt.Errorf("engine: restore: checkpoint seed %d, options say %d — the manifest reconstruction would diverge", m.seed, cfg.Seed)
 	}
 
 	if e, err = build(cfg, true); err != nil {
 		return nil, err
 	}
-	cl := e.Cluster
-	if hasClocks != (cl.Bus.Clocks != nil) || hasDiag != (e.Diag != nil) || hasOBD != (e.OBD != nil) || hasTrace != (e.Recorder != nil) {
+	if a := e.attachments(); a != m.att {
 		return nil, fmt.Errorf("engine: restore: checkpoint attachments (clocks=%v diag=%v obd=%v trace=%v) do not match options (clocks=%v diag=%v obd=%v trace=%v)",
-			hasClocks, hasDiag, hasOBD, hasTrace,
-			cl.Bus.Clocks != nil, e.Diag != nil, e.OBD != nil, e.Recorder != nil)
+			m.att[0], m.att[1], m.att[2], m.att[3], a[0], a[1], a[2], a[3])
 	}
-
-	// Restore-order invariant: the scheduler first (drops every event the
-	// reconstruction armed, including the initial slot event, and sets the
-	// clock), plain state next, the injector second-to-last (reinstalls
-	// bus hooks — needs the bus's restored hook-id horizon — and re-arms
-	// pending timers in original arm order), the slot chain last (so the
-	// next slot event queues behind same-instant fault timers, as it did
-	// in the uninterrupted run).
-	restore := func(name string, s ckpt.Snapshotter) {
-		if err != nil {
-			return
+	var buf [16]section
+	for _, s := range e.sections(buf[:0]) {
+		if s.name == "cls" && !d.Has("cls") {
+			continue
 		}
-		if err = d.Need(name); err != nil {
-			err = fmt.Errorf("engine: restore: %w", err)
-			return
-		}
-		if rerr := s.Restore(d); rerr != nil {
-			err = fmt.Errorf("engine: restore %s: %w", name, rerr)
+		if err := d.Get(s.name, s.s); err != nil {
+			return nil, fmt.Errorf("engine: restore %s: %w", s.name, err)
 		}
 	}
-	restore("sched", cl.Sched)
-	restore("streams", cl.Streams)
-	if hasClocks {
-		restore("clock", cl.Bus.Clocks)
-	}
-	restore("tt", cl.Bus)
-	if err == nil {
-		if err = d.Need("vnet"); err == nil {
-			nets := cl.Fabric.Networks()
-			if n := d.Len(1 << 16); n != len(nets) && d.Err() == nil {
-				err = fmt.Errorf("engine: restore vnet: checkpoint has %d networks, build made %d", n, len(nets))
-			}
-			for _, n := range nets {
-				if err != nil {
-					break
-				}
-				if rerr := n.Restore(d); rerr != nil {
-					err = fmt.Errorf("engine: restore vnet: %w", rerr)
-				}
-			}
-		} else {
-			err = fmt.Errorf("engine: restore: %w", err)
-		}
-	}
-	restore("fabric", cl.Fabric)
-	restore("jobs", clusterJobs{cl})
-	restore("env", cl.Env)
-	if hasDiag {
-		restore("diag", e.Diag)
-	}
-	if hasOBD {
-		restore("obd", e.OBD)
-	}
-	if s := e.classifierSnapshotter(); s != nil && d.Has("cls") {
-		restore("cls", s)
-	}
-	if hasTrace {
-		restore("trace", e.Recorder)
-	}
-	restore("faults", e.Injector)
-	if err != nil {
-		return nil, err
-	}
-	cl.Bus.Rearm()
-	e.rounds = rounds
+	e.Cluster.Bus.Rearm()
+	e.rounds = m.rounds
 	e.installCheckpointHook()
 	return e, nil
 }
@@ -299,9 +238,17 @@ func (e *Engine) classifierSnapshotter() ckpt.Snapshotter {
 	return s
 }
 
-// clusterJobs adapts the cluster's job-state snapshot methods to the
-// Snapshotter shape used by the section table.
-type clusterJobs struct{ cl *component.Cluster }
+// networks is the "vnet" section: every network of the fabric in build
+// order, behind their count.
+type networks struct{ f *vnet.Fabric }
 
-func (j clusterJobs) Snapshot(e *ckpt.Encoder)      { j.cl.SnapshotJobs(e) }
-func (j clusterJobs) Restore(d *ckpt.Decoder) error { return j.cl.RestoreJobs(d) }
+func (n networks) Code(c *ckpt.Coder) error {
+	nets := n.f.Networks()
+	c.Count(len(nets), "networks")
+	for _, net := range nets {
+		if c.Err() == nil {
+			net.Code(c)
+		}
+	}
+	return c.Err()
+}

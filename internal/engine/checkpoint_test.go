@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -219,19 +220,56 @@ func sectionStream(name string, body []byte) []byte {
 	return binary.AppendUvarint(s, 0)
 }
 
+// sectionBody returns the body of the named section of stream.
+func sectionBody(tb testing.TB, stream []byte, name string) []byte {
+	tb.Helper()
+	i, n, w := sectionAt(tb, stream, name)
+	return stream[i+w : i+w+n]
+}
+
+// sectionAt locates the named section of stream by walking its framing:
+// the offset of its body-length prefix, the body length and the prefix's
+// width.
+func sectionAt(tb testing.TB, stream []byte, name string) (i, n, w int) {
+	tb.Helper()
+	for i = len(ckpt.Magic) + 1; ; i += w + n {
+		l, lw := binary.Uvarint(stream[i:])
+		if l == 0 {
+			tb.Fatalf("stream has no section %q", name)
+		}
+		i += lw + int(l)
+		u, uw := binary.Uvarint(stream[i:])
+		if n, w = int(u), uw; string(stream[i-int(l):i]) == name {
+			return i, n, w
+		}
+	}
+}
+
 // spliceSection replaces the body of the named section of stream.
 func spliceSection(tb testing.TB, stream []byte, name string, body []byte) []byte {
 	tb.Helper()
-	tag := append([]byte{byte(len(name))}, name...)
-	i := bytes.Index(stream, tag)
-	if i < 0 {
-		tb.Fatalf("stream has no section %q", name)
-	}
-	i += len(tag)
-	n, w := binary.Uvarint(stream[i:])
+	i, n, w := sectionAt(tb, stream, name)
 	out := binary.AppendUvarint(append([]byte{}, stream[:i]...), uint64(len(body)))
 	out = append(out, body...)
-	return append(out, stream[i+w+int(n):]...)
+	return append(out, stream[i+w+n:]...)
+}
+
+// headOf returns the first n values of body, each a varint, a uvarint or
+// a bool byte.
+func headOf(body []byte, n int) []byte {
+	k := 0
+	for ; n > 0; n-- {
+		_, w := binary.Uvarint(body[k:])
+		k += w
+	}
+	return append([]byte(nil), body[:k]...)
+}
+
+// encodeSection returns the section body s encodes.
+func encodeSection(tb testing.TB, s ckpt.Snapshotter) []byte {
+	e := ckpt.NewEncoder()
+	e.Put("s", s)
+	return append([]byte(nil), sectionBody(tb, e.Bytes(), "s")...)
 }
 
 // allocated returns the bytes f allocates.
@@ -264,31 +302,28 @@ func TestRestoreCorruptLengthBounded(t *testing.T) {
 	var w bytes.Buffer
 	sys := fig10Ckpt(&w)
 	for _, c := range []struct {
-		site    string
-		body    []byte
-		restore func(d *ckpt.Decoder) error
+		site string
+		body []byte
+		s    ckpt.Snapshotter
 	}{
-		{"History", corruptHistory(), sys.Diag.Assessor.Hist.Restore},
+		{"History", corruptHistory(), sys.Diag.Assessor.Hist},
 		// epoch, FRU count, FRU 0's trust, then its trust-history length
 		{"Adviser", varints(binary.LittleEndian.AppendUint64(varints(nil, 0, int64(sys.Diag.Reg.Len())), 0), 1<<24),
-			sys.Diag.Assessor.Adviser.Restore},
+			sys.Diag.Assessor.Adviser},
 		// one actuator, its name, then its history length
 		{"Environment", varints(append(binary.AppendUvarint(varints(nil, 1), 5), "valve"...), 1<<24),
-			sys.Cluster.Env.Restore},
+			sys.Cluster.Env},
 	} {
 		d, err := ckpt.NewDecoder(sectionStream("s", c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Need("s"); err != nil {
-			t.Fatal(err)
-		}
 		var rerr error
-		if n := allocated(func() { rerr = c.restore(d) }); n >= 64<<10 {
-			t.Errorf("%s.Restore allocated %d bytes for a %d-byte section", c.site, n, len(c.body))
+		if n := allocated(func() { rerr = d.Get("s", c.s) }); n >= 64<<10 {
+			t.Errorf("%s: decoding allocated %d bytes for a %d-byte section", c.site, n, len(c.body))
 		}
 		if rerr == nil || !strings.Contains(rerr.Error(), `section "s"`) {
-			t.Errorf("%s.Restore error = %v, want one naming the section", c.site, rerr)
+			t.Errorf("%s: decoding error = %v, want one naming the section", c.site, rerr)
 		}
 	}
 
@@ -309,40 +344,109 @@ func TestRestoreCorruptLengthBounded(t *testing.T) {
 // since 0).
 func obdUnknownChannel(ch int64) []byte { return varints(nil, 0, 1, ch, 0, 0) }
 
-// TestRestoreRejectsUntrackedKeys: a checkpoint naming a span or subject
-// the rebuilt system has no slot for — a channel the OBD diagnoser does
-// not watch, a node id beyond the cluster, a history subject outside the
-// registry — fails with an error naming the key, and allocates nothing
-// proportional to it.
+// emptyHistory is a history section with no symptoms: latest granule,
+// total, no subject.
+func emptyHistory() []byte { return varints(binary.AppendUvarint(varints(nil, 0), 0), 0) }
+
+// assessorAlpha is an assessor section (of the "diag" section's head)
+// with no symptoms and one hardware α-count entry, for FRU fru.
+func assessorAlpha(fru int64) []byte {
+	b := append(varints(nil, 0, 0), emptyHistory()...)
+	return binary.LittleEndian.AppendUint64(varints(b, 1, fru), 0)
+}
+
+// adviserVerdict is an adviser section for nFRU FRUs with flat trust, no
+// standing verdict and one emitted verdict with the given subject, class,
+// persistence and action.
+func adviserVerdict(nFRU int, subject, class, persistence, action int64) []byte {
+	b := varints(nil, 0, int64(nFRU))
+	for i := 0; i < nFRU; i++ {
+		b = varints(binary.LittleEndian.AppendUint64(b, math.Float64bits(1)), 0)
+	}
+	b = binary.AppendUvarint(varints(b, 0, 1, 0, 0, subject, class, persistence), 0)
+	return varints(binary.LittleEndian.AppendUint64(b, 0), action)
+}
+
+// assessorVerdict is adviserVerdict inside an otherwise empty assessor
+// section.
+func assessorVerdict(nFRU int, subject, class, persistence, action int64) []byte {
+	b := append(varints(nil, 0, 0), emptyHistory()...)
+	return append(varints(b, 0, 0), adviserVerdict(nFRU, subject, class, persistence, action)...)
+}
+
+// historyKind is a history section holding one symptom of kind k for
+// FRU 0.
+func historyKind(k uint64) []byte {
+	b := varints(binary.AppendUvarint(varints(nil, 7), 1), 1, 0, 1)
+	b = binary.AppendUvarint(b, k)
+	return append(binary.AppendUvarint(varints(b, 0, 0, 0, 0, 0), 0), 0, 0, 0, 0)
+}
+
+// stageKind is the tail of an activation after its id and deactivation
+// latch: one chain stage of kind k.
+func stageKind(k int64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(varints(nil, 1, k, 0, 0), 0), 0)
+}
+
+// accumulator is a monitor section whose in-flight accumulator holds one
+// entry for the given subject and channel.
+func accumulator(subject, channel int64) []byte {
+	b := binary.AppendUvarint(varints(nil, 0, 1), 0)
+	return binary.LittleEndian.AppendUint64(varints(b, subject, channel, 1), 0)
+}
+
+// TestRestoreRejectsUntrackedKeys: a checkpoint naming a key the rebuilt
+// system has no slot for — a channel the OBD diagnoser does not watch, a
+// node id beyond the cluster, an FRU outside the registry, a channel id
+// beyond 16 bits, an enum value beyond its range — fails with an error
+// naming the key, and allocates nothing proportional to it. No key is
+// narrowed into another one.
 func TestRestoreRejectsUntrackedKeys(t *testing.T) {
 	var w bytes.Buffer
 	sys := fig10Ckpt(&w)
 	diagChan := int64(sys.Diag.Monitors[0].Chan) // on the fabric, unwatched by OBD
+	nFRU := sys.Diag.Reg.Len()
+	adviser, net := sys.Diag.Assessor.Adviser, sys.Cluster.Fabric.Networks()[0]
 	for _, c := range []struct {
 		site, want string
 		body       []byte
-		restore    func(d *ckpt.Decoder) error
+		s          ckpt.Snapshotter
 	}{
-		{"OBD channel", fmt.Sprintf("channel %d", diagChan), obdUnknownChannel(diagChan), sys.OBD.Restore},
+		{"OBD channel", fmt.Sprintf("channel %d", diagChan), obdUnknownChannel(diagChan), sys.OBD},
 		// one communication span, for node 1<<40
-		{"OBD node", "node 1099511627776", varints(nil, 1, 1<<40, 0, 0), sys.OBD.Restore},
+		{"OBD node", "node 1099511627776", varints(nil, 1, 1<<40, 0, 0), sys.OBD},
 		// latest granule, total, one subject (FRU 60000), then its empty list
 		{"History", "subject 60000", varints(binary.AppendUvarint(varints(nil, 7), 1), 1, 60000, 0),
-			sys.Diag.Assessor.Hist.Restore},
+			sys.Diag.Assessor.Hist},
+		// the channel count, then the first channel counter's channel
+		// 65537 (= 1 in 16 bits)
+		{"Network channel", "channel 65537", varints(headOf(encodeSection(t, net), 1), 65537, 0), net},
+		// the decode-error tally and port count, then the first port's channel
+		{"Fabric channel", "channel 65537",
+			varints(headOf(encodeSection(t, sys.Cluster.Fabric), 2), 65537, 0), sys.Cluster.Fabric},
+		{"α-count FRU 65539", "FRU 65539", assessorAlpha(65539), sys.Diag.Assessor},
+		{"α-count FRU 1<<40", "FRU 1099511627776", assessorAlpha(1 << 40), sys.Diag.Assessor},
+		{"emitted verdict subject", fmt.Sprintf("verdict subject %d", nFRU), adviserVerdict(nFRU, int64(nFRU), 0, 0, 0), adviser},
+		{"accumulator subject", "accumulator subject 60000", accumulator(60000, 0), sys.Diag.Monitors[0]},
+		{"accumulator channel", "accumulator channel 65537", accumulator(0, 65537), sys.Diag.Monitors[0]},
+		// arm counter, id horizon, activation count, then the first
+		// activation's id and latch
+		{"StageKind", "core.StageKind 9", append(headOf(encodeSection(t, sys.Injector), 5), stageKind(9)...), sys.Injector},
+		{"FaultClass", "core.FaultClass 99", adviserVerdict(nFRU, 0, 99, 0, 0), adviser},
+		{"Persistence", "core.Persistence 7", adviserVerdict(nFRU, 0, 0, 7, 0), adviser},
+		{"MaintenanceAction", "core.MaintenanceAction 42", adviserVerdict(nFRU, 0, 0, 0, 42), adviser},
+		{"symptom Kind", "diagnosis.Kind 200", historyKind(200), sys.Diag.Assessor.Hist},
 	} {
 		d, err := ckpt.NewDecoder(sectionStream("s", c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Need("s"); err != nil {
-			t.Fatal(err)
-		}
 		var rerr error
-		if n := allocated(func() { rerr = c.restore(d) }); n >= 64<<10 {
-			t.Errorf("%s: Restore allocated %d bytes for a %d-byte section", c.site, n, len(c.body))
+		if n := allocated(func() { rerr = d.Get("s", c.s) }); n >= 64<<10 {
+			t.Errorf("%s: decoding allocated %d bytes for a %d-byte section", c.site, n, len(c.body))
 		}
 		if rerr == nil || !strings.Contains(rerr.Error(), c.want) {
-			t.Errorf("%s: Restore error = %v, want one naming %q", c.site, rerr, c.want)
+			t.Errorf("%s: decoding error = %v, want one naming %q", c.site, rerr, c.want)
 		}
 	}
 
@@ -351,10 +455,73 @@ func TestRestoreRejectsUntrackedKeys(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "restore obd") {
 		t.Errorf("restoring a stream with an unwatched OBD channel: %v, want an obd section error", err)
 	}
+	for _, s := range untrackedKeyStreams(t) {
+		if _, err := restoreGolden(s.stream); err == nil || !strings.Contains(err.Error(), "restore "+s.section) {
+			t.Errorf("restoring the golden checkpoint with a bad %s key: %v, want a %s section error", s.section, err, s.section)
+		}
+	}
 }
 
 // obdUnknownChannelStream is the golden checkpoint with its obd section
 // replaced by one naming channel 0xffff, which no Fig. 10 port watches.
 func obdUnknownChannelStream(tb testing.TB) []byte {
 	return spliceSection(tb, generateGoldenCkpt(tb), "obd", obdUnknownChannel(0xffff))
+}
+
+// untrackedKeyStreams are the golden checkpoint with one section cut
+// short at a key that must be rejected, per section.
+func untrackedKeyStreams(tb testing.TB) []struct {
+	section string
+	stream  []byte
+} {
+	golden := generateGoldenCkpt(tb)
+	var w bytes.Buffer
+	nFRU := fig10Ckpt(&w).Diag.Reg.Len()
+	edit := func(name string, keep int, tail []byte) []byte {
+		return spliceSection(tb, golden, name, append(headOf(sectionBody(tb, golden, name), keep), tail...))
+	}
+	return []struct {
+		section string
+		stream  []byte
+	}{
+		{"vnet", edit("vnet", 2, varints(nil, 65537, 0))},
+		{"fabric", edit("fabric", 2, varints(nil, 65537, 0))},
+		{"diag", spliceSection(tb, golden, "diag", assessorAlpha(1<<40))},
+		{"diag", spliceSection(tb, golden, "diag", assessorVerdict(nFRU, int64(nFRU), 0, 0, 0))},
+		{"diag", spliceSection(tb, golden, "diag", assessorVerdict(nFRU, 0, 99, 0, 0))},
+		{"faults", edit("faults", 5, stageKind(9))},
+	}
+}
+
+// unarmableFaultStreams are the golden checkpoint (which holds installed
+// fault hooks and pending fault timers) with the bus hook-id horizon
+// reset to 0, or the clock moved past every pending timer.
+func unarmableFaultStreams(tb testing.TB) (hooks, timers []byte) {
+	golden := generateGoldenCkpt(tb)
+	tt := sectionBody(tb, golden, "tt")
+	round := headOf(tt, 1)
+	hooks = spliceSection(tb, golden, "tt", append(varints(round, 0), tt[len(headOf(tt, 2)):]...))
+	timers = spliceSection(tb, golden, "sched", varints(nil, 1<<40))
+	return hooks, timers
+}
+
+// TestRestoreFaultsValidatesBeforeRearm: a fault hook the restored bus
+// cannot hold (its id at or beyond the bus's hook-id horizon) or a timer
+// the restored clock has passed fails as a faults section error, before
+// anything is re-armed, and not through the restore's panic backstop.
+func TestRestoreFaultsValidatesBeforeRearm(t *testing.T) {
+	hooks, timers := unarmableFaultStreams(t)
+	for _, c := range []struct {
+		name, want string
+		stream     []byte
+	}{
+		{"hook id beyond the bus horizon", "hook id", hooks},
+		{"timer before the clock", "before the restored clock", timers},
+	} {
+		_, err := restoreGolden(c.stream)
+		if err == nil || !strings.Contains(err.Error(), "restore faults") || !strings.Contains(err.Error(), c.want) ||
+			strings.Contains(err.Error(), "corrupt checkpoint") {
+			t.Errorf("%s: %v, want a faults section error naming %q", c.name, err, c.want)
+		}
+	}
 }

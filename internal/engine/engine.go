@@ -189,6 +189,7 @@ type Engine struct {
 
 	cfg      Config
 	resetCfg *Config // Reset's option scratch
+	meta     meta    // Checkpoint's meta section scratch
 	rounds   int64
 }
 

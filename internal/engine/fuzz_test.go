@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"decos/internal/diagnosis"
@@ -92,8 +93,11 @@ func TestGoldenCheckpointV1(t *testing.T) {
 // own re-encoding succeeds. The corpus seeds at the interesting
 // boundaries: the golden fixture, its truncations, bit flips in the
 // header and body, plain garbage, the fixture with a list length
-// claiming far more elements than its section carries, and the fixture
-// with an OBD span for a channel the diagnoser does not watch.
+// claiming far more elements than its section carries, the fixture with
+// an OBD span for a channel the diagnoser does not watch, with keys and
+// enums out of range (TestRestoreRejectsUntrackedKeys), and with fault
+// hooks and timers the restored bus and clock cannot re-arm. A rejection
+// must come from a validation, never from the restore's panic backstop.
 func FuzzCheckpointReader(f *testing.F) {
 	golden := generateGoldenCkpt(f)
 	f.Add(golden)
@@ -110,10 +114,21 @@ func FuzzCheckpointReader(f *testing.F) {
 	f.Add([]byte("not a checkpoint"))
 	f.Add(corruptHistoryStream(f))
 	f.Add(obdUnknownChannelStream(f))
+	for _, s := range untrackedKeyStreams(f) {
+		f.Add(s.stream)
+	}
+	hooks, timers := unarmableFaultStreams(f)
+	f.Add(hooks)
+	f.Add(timers)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sys, err := restoreGolden(data)
 		if err != nil {
+			// Every validation rejects in its own section; the panic
+			// backstop is for defects, not for input it should check.
+			if strings.HasPrefix(err.Error(), "engine: restore: corrupt checkpoint:") {
+				t.Fatalf("rejected by the panic backstop, not a validation: %v", err)
+			}
 			return
 		}
 		// Every validation passed: the engine must be whole enough to

@@ -18,148 +18,83 @@ import (
 // their original bus handles, so the restored run perturbs frames
 // bit-identically to the uninterrupted one.
 
-func encodeFRU(e *ckpt.Encoder, f core.FRU) {
-	e.Int(f.Component)
-	e.String(f.Job)
+func codeStage(c *ckpt.Coder, st *core.Stage) {
+	ckpt.Enum(c, &st.Kind, core.NumStageKinds)
+	ckpt.Varint(c, &st.At)
+	c.Int(&st.FRU.Component)
+	c.String(&st.FRU.Job)
+	c.String(&st.Detail)
 }
 
-func decodeFRU(d *ckpt.Decoder) core.FRU {
-	return core.FRU{Component: d.Int(), Job: d.String()}
-}
-
-func (a *Activation) snapshot(e *ckpt.Encoder) {
-	e.Int(a.ID)
-	e.Bool(a.deactivated)
-	e.Int(len(a.Chain.Stages))
-	for _, st := range a.Chain.Stages {
-		e.Int(int(st.Kind))
-		e.Varint(int64(st.At))
-		encodeFRU(e, st.FRU)
-		e.String(st.Detail)
+// code codes one activation's phase. Decoding validates every timer and
+// hook against the reconstructed activation and the restored scheduler
+// clock and bus hook-id horizon, so re-arming them cannot fail.
+func (in *Injector) code(c *ckpt.Coder, a *Activation) {
+	id := a.ID
+	if c.Int(&id); c.Err() == nil && id != a.ID {
+		c.Fail(fmt.Errorf("faults: checkpoint activation id %d, manifest built %d", id, a.ID))
 	}
-	e.Int(len(a.Episodes))
-	for _, t := range a.Episodes {
-		e.Varint(int64(t))
-	}
-	names := make([]string, 0, len(a.flags))
-	for n := range a.flags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.Int(len(names))
-	for _, n := range names {
-		e.String(n)
-		e.Bool(a.flags[n])
-	}
-	e.Int(len(a.timers))
-	for _, t := range a.timers {
-		e.Uvarint(t.armSeq)
-		e.Varint(int64(t.at))
-		e.String(t.role)
-		e.Varint(t.arg)
-	}
-	e.Int(len(a.hooks))
-	for _, h := range a.hooks {
-		e.Int(h.id)
-		e.String(h.role)
-		e.Bool(h.rx)
-	}
-}
-
-func (a *Activation) restore(d *ckpt.Decoder) error {
-	if id := d.Int(); d.Err() == nil && id != a.ID {
-		return fmt.Errorf("faults: checkpoint activation id %d, manifest built %d", id, a.ID)
-	}
-	a.deactivated = d.Bool()
-	if a.deactivated {
+	c.Bool(&a.deactivated)
+	if c.Decoding() && a.deactivated {
 		// The system-side effects of the repair are part of the other
 		// subsystems' restored state; the undo closures must not run again.
 		a.undo = nil
 	}
-	ns := d.Len(1 << 16)
-	a.Chain.Stages = a.Chain.Stages[:0]
-	for i := 0; i < ns && d.Err() == nil; i++ {
-		a.Chain.Stages = append(a.Chain.Stages, core.Stage{
-			Kind:   core.StageKind(d.Int()),
-			At:     sim.Time(d.Varint()),
-			FRU:    decodeFRU(d),
-			Detail: d.String(),
-		})
-	}
-	ne := d.Len(maxEpisodeLog)
-	a.Episodes = a.Episodes[:0]
-	for i := 0; i < ne && d.Err() == nil; i++ {
-		a.Episodes = append(a.Episodes, sim.Time(d.Varint()))
-	}
-	nf := d.Len(1 << 8)
-	clear(a.flags)
-	for i := 0; i < nf && d.Err() == nil; i++ {
-		name := d.String()
-		a.setFlag(name, d.Bool())
-	}
-	nt := d.Len(1 << 16)
-	a.timers = a.timers[:0]
-	for i := 0; i < nt && d.Err() == nil; i++ {
-		rec := &timerRec{
-			armSeq: d.Uvarint(),
-			at:     sim.Time(d.Varint()),
-			role:   d.String(),
-			arg:    d.Varint(),
+	ckpt.Slice(c, &a.Chain.Stages, 1<<16, codeStage)
+	ckpt.Slice(c, &a.Episodes, maxEpisodeLog, ckpt.Varint[sim.Time])
+	ckpt.SortedMap(c, &a.flags, 1<<8, (*ckpt.Coder).String, func(c *ckpt.Coder, _ string, v *bool) { c.Bool(v) })
+	now := in.cl.Sched.Now()
+	ckpt.Slice(c, &a.timers, 1<<16, func(c *ckpt.Coder, t **timerRec) {
+		if *t == nil {
+			*t = new(timerRec)
 		}
-		if d.Err() == nil && a.onTimer[rec.role] == nil {
-			return fmt.Errorf("faults: checkpoint timer role %q unknown to activation #%d", rec.role, a.ID)
+		rec := *t
+		ckpt.Uvarint(c, &rec.armSeq)
+		ckpt.Varint(c, &rec.at)
+		c.String(&rec.role)
+		ckpt.Varint(c, &rec.arg)
+		switch {
+		case !c.Decoding() || c.Err() != nil:
+		case a.onTimer[rec.role] == nil:
+			c.Fail(fmt.Errorf("faults: checkpoint timer role %q unknown to activation #%d", rec.role, a.ID))
+		case rec.at < now:
+			c.Fail(fmt.Errorf("faults: checkpoint timer %q of activation #%d at %v, before the restored clock %v", rec.role, a.ID, rec.at, now))
 		}
-		a.timers = append(a.timers, rec)
+	})
+	ckpt.Slice(c, &a.hooks, 1<<16, func(c *ckpt.Coder, h *hookRec) {
+		ckpt.Index(c, &h.id, in.cl.Bus.HookHorizon(), "hook id")
+		c.String(&h.role)
+		c.Bool(&h.rx)
+		if c.Decoding() && c.Err() == nil && (h.rx && a.rxRoles[h.role] == nil || !h.rx && a.txRoles[h.role] == nil) {
+			c.Fail(fmt.Errorf("faults: checkpoint hook role %q unknown to activation #%d", h.role, a.ID))
+		}
+	})
+}
+
+// Code implements ckpt.Snapshotter: the injector's arm counter, id
+// horizon and every activation's runtime state in ledger order. Decoding
+// runs on a reconstructed injector (the manifest re-ran, rebuilding the
+// same ledger) whose scheduler and bus hold their restored clock and
+// hook-id horizon, and before Bus.Rearm, so the re-armed slot chain
+// queues behind the injector's same-instant timers, as it did originally.
+func (in *Injector) Code(c *ckpt.Coder) error {
+	if c.Decoding() {
+		in.restoring = false
 	}
-	nh := d.Len(1 << 16)
-	a.hooks = a.hooks[:0]
-	for i := 0; i < nh && d.Err() == nil; i++ {
-		h := hookRec{id: d.Int(), role: d.String(), rx: d.Bool()}
-		if d.Err() != nil {
+	ckpt.Uvarint(c, &in.armSeq)
+	id := in.nextID
+	if c.Int(&id); c.Err() == nil && id != in.nextID {
+		c.Fail(fmt.Errorf("faults: checkpoint id horizon %d, manifest built %d", id, in.nextID))
+	}
+	c.Count(len(in.ledger), "activations")
+	for _, a := range in.ledger {
+		if c.Err() != nil {
 			break
 		}
-		if h.rx && a.rxRoles[h.role] == nil || !h.rx && a.txRoles[h.role] == nil {
-			return fmt.Errorf("faults: checkpoint hook role %q unknown to activation #%d", h.role, a.ID)
-		}
-		a.hooks = append(a.hooks, h)
+		in.code(c, a)
 	}
-	return d.Err()
-}
-
-// Snapshot serializes the injector's phase: arm counter, id horizon and
-// every activation's runtime state in ledger order.
-func (in *Injector) Snapshot(e *ckpt.Encoder) {
-	e.Uvarint(in.armSeq)
-	e.Int(in.nextID)
-	e.Int(len(in.ledger))
-	for _, a := range in.ledger {
-		a.snapshot(e)
-	}
-}
-
-// Restore overwrites the phase of a reconstructed injector (the manifest
-// must have re-run, rebuilding the same ledger), reinstalls every bus
-// hook under its original handle and re-arms every pending timer in
-// original arm order. The bus must already hold its restored state (the
-// hook-id horizon); call before Bus.Rearm so the re-armed slot chain
-// queues behind the injector's same-instant timers, as it did originally.
-func (in *Injector) Restore(d *ckpt.Decoder) error {
-	in.restoring = false
-	in.armSeq = d.Uvarint()
-	if nextID := d.Int(); d.Err() == nil && nextID != in.nextID {
-		return fmt.Errorf("faults: checkpoint id horizon %d, manifest built %d", nextID, in.nextID)
-	}
-	n := d.Len(1 << 20)
-	if d.Err() == nil && n != len(in.ledger) {
-		return fmt.Errorf("faults: checkpoint has %d activations, manifest built %d", n, len(in.ledger))
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		if err := in.ledger[i].restore(d); err != nil {
-			return err
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
+	if !c.Decoding() || c.Err() != nil {
+		return c.Err()
 	}
 	type armEntry struct {
 		a   *Activation

@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"decos/internal/ckpt"
 )
@@ -16,25 +16,21 @@ import (
 // not semantics — the InlineTo fast path makes them depend on dispatch
 // history, so they are deliberately excluded from the wire format.
 
-// Snapshot serializes the scheduler's semantic state: the current time.
-func (s *Scheduler) Snapshot(e *ckpt.Encoder) {
-	e.Varint(int64(s.now))
-}
-
-// Restore positions a freshly built scheduler at the checkpointed time.
-// Every pending event is dropped — the subsystems that owned them re-arm
-// their own continuations after their state is restored.
-func (s *Scheduler) Restore(d *ckpt.Decoder) error {
-	t := Time(d.Varint())
-	if err := d.Err(); err != nil {
-		return err
+// Code implements ckpt.Snapshotter: the current time. Restoring positions
+// a freshly built scheduler at the checkpointed time and drops every
+// pending event — the subsystems that owned them re-arm their own
+// continuations after their state is restored.
+func (s *Scheduler) Code(c *ckpt.Coder) error {
+	t := s.now
+	ckpt.Varint(c, &t)
+	if c.Decoding() && c.Err() == nil {
+		if t < s.now {
+			return fmt.Errorf("sim: checkpoint time %v before current %v", t, s.now)
+		}
+		s.DropPending()
+		s.now = t
 	}
-	if t < s.now {
-		return fmt.Errorf("sim: checkpoint time %v before current %v", t, s.now)
-	}
-	s.DropPending()
-	s.now = t
-	return nil
+	return c.Err()
 }
 
 // DropPending cancels and discards every queued event. Pooled events are
@@ -51,51 +47,24 @@ func (s *Scheduler) DropPending() {
 	s.queue = s.queue[:0]
 }
 
-// State returns the raw xoshiro256** state, for checkpointing.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator state with a previously captured one.
-func (r *RNG) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		panic("sim: RNG state must not be all zero")
-	}
-	r.s = s
-}
-
-// Snapshot serializes every open named stream's generator state, sorted
-// by name so the encoding is canonical regardless of open order.
-func (st *Streams) Snapshot(e *ckpt.Encoder) {
-	names := make([]string, 0, len(st.open))
-	for name := range st.open {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	e.Int(len(names))
-	for _, name := range names {
-		e.String(name)
-		s := st.open[name].State()
-		for _, w := range s {
-			e.Uint64(w)
-		}
-	}
-}
-
-// Restore overwrites the states of the named streams. Streams not yet
-// open are opened first (Stream derives the seed, then the captured state
-// replaces it), so a stream that was first drawn from mid-run is restored
+// Code implements ckpt.Snapshotter: every open named stream's generator
+// state, sorted by name so the encoding is canonical regardless of open
+// order. Restoring overwrites the named streams in place; a stream not
+// yet open is opened first (Stream derives the seed, then the captured
+// state replaces it), so a stream first drawn from mid-run is restored
 // even if the reconstruction has not touched it yet.
-func (st *Streams) Restore(d *ckpt.Decoder) error {
-	n := d.Len(1 << 20)
-	for i := 0; i < n; i++ {
-		name := d.String()
-		var s [4]uint64
-		for j := range s {
-			s[j] = d.Uint64()
+func (st *Streams) Code(c *ckpt.Coder) error {
+	ckpt.SortedMap(c, &st.open, 1<<20, (*ckpt.Coder).String, func(c *ckpt.Coder, name string, s **stream) {
+		if c.Decoding() {
+			st.Stream(name)
+			*s = st.open[name]
 		}
-		if d.Err() != nil {
-			break
+		for i := range (*s).s {
+			c.Uint64(&(*s).s[i])
 		}
-		st.Stream(name).SetState(s)
-	}
-	return d.Err()
+		if (*s).s == [4]uint64{} {
+			c.Fail(errors.New("sim: checkpoint stream state is all zero"))
+		}
+	})
+	return c.Err()
 }

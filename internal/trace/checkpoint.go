@@ -2,21 +2,14 @@ package trace
 
 import "decos/internal/ckpt"
 
-// Snapshot serializes the recorder's cursors so a restored run resumes
-// the event stream exactly where the checkpointed one stood: no event is
-// re-emitted, none is skipped. The sink itself is external (the caller
-// re-opens the output and positions it); write errors do not cross the
-// wire.
-func (r *Recorder) Snapshot(e *ckpt.Encoder) {
-	e.Int(r.Events)
-	e.Int(r.ledgerSeen)
-	e.Varint(r.lastTrustEpoch)
-}
-
-// Restore replaces the recorder's cursors.
-func (r *Recorder) Restore(d *ckpt.Decoder) error {
-	r.Events = d.Int()
-	r.ledgerSeen = d.Int()
-	r.lastTrustEpoch = d.Varint()
-	return d.Err()
+// Code implements ckpt.Snapshotter: the recorder's cursors, so a restored
+// run resumes the event stream exactly where the checkpointed one stood:
+// no event is re-emitted, none is skipped. The sink itself is external
+// (the caller re-opens the output and positions it); write errors do not
+// cross the wire.
+func (r *Recorder) Code(c *ckpt.Coder) error {
+	c.Int(&r.Events)
+	c.Int(&r.ledgerSeen)
+	ckpt.Varint(c, &r.lastTrustEpoch)
+	return c.Err()
 }

@@ -17,68 +17,39 @@ import (
 // with their original ids — hook ids order the filter composition, so
 // preserving them preserves frame perturbation semantics exactly.
 
-// Snapshot serializes the bus's mutable state.
-func (b *Bus) Snapshot(e *ckpt.Encoder) {
-	e.Varint(b.round)
-	e.Int(b.nextHookID)
-	e.Bool(b.GuardianEnabled)
-	e.Int(b.GuardianBlocks)
-	for _, c := range b.statusCounts {
-		e.Varint(c)
-	}
-	e.Int(len(b.nodeOrder))
-	for _, n := range b.nodeOrder {
-		e.Int(int(n))
-		e.Bool(b.alive[n])
-		e.Bool(b.babbling[n])
-		m := b.membership[n]
-		e.Int(len(m.lastOK))
-		for i := range m.lastOK {
-			e.Varint(m.lastOK[i])
-			e.Varint(m.lastSeen[i])
-			e.Int(m.failCount[i])
-		}
-	}
-}
-
-// Restore overwrites a freshly built (attached and started) bus's state.
-// It does not schedule anything; call Rearm after every subsystem's state
-// — including the injector's hooks and timers — is back in place.
-func (b *Bus) Restore(d *ckpt.Decoder) error {
-	b.round = d.Varint()
-	b.nextHookID = d.Int()
-	b.GuardianEnabled = d.Bool()
-	b.GuardianBlocks = d.Int()
+// Code implements ckpt.Snapshotter: the bus's mutable state. Restoring
+// does not schedule anything; call Rearm after every subsystem's state —
+// including the injector's hooks and timers — is back in place.
+func (b *Bus) Code(c *ckpt.Coder) error {
+	ckpt.Varint(c, &b.round)
+	c.Int(&b.nextHookID)
+	c.Bool(&b.GuardianEnabled)
+	c.Int(&b.GuardianBlocks)
 	for i := range b.statusCounts {
-		b.statusCounts[i] = d.Varint()
+		ckpt.Varint(c, &b.statusCounts[i])
 	}
-	n := d.Len(1 << 16)
-	if d.Err() == nil && n != len(b.nodeOrder) {
-		return fmt.Errorf("tt: checkpoint has %d nodes, bus has %d", n, len(b.nodeOrder))
-	}
+	c.Count(len(b.nodeOrder), "nodes")
 	b.babblers = 0
-	for i := 0; i < n && d.Err() == nil; i++ {
-		id := NodeID(d.Int())
-		if !b.attached(id) {
-			return fmt.Errorf("tt: checkpoint names unattached node %d", id)
+	for _, n := range b.nodeOrder {
+		id := n
+		ckpt.Varint(c, &id)
+		if id != n {
+			c.Fail(fmt.Errorf("tt: checkpoint names node %d where the bus has node %d", id, n))
 		}
-		b.alive[id] = d.Bool()
-		b.babbling[id] = d.Bool()
-		if b.babbling[id] {
+		c.Bool(&b.alive[n])
+		c.Bool(&b.babbling[n])
+		if b.babbling[n] {
 			b.babblers++
 		}
-		m := b.membership[id]
-		sz := d.Len(1 << 16)
-		if d.Err() == nil && sz != len(m.lastOK) {
-			return fmt.Errorf("tt: checkpoint membership size %d, view has %d", sz, len(m.lastOK))
-		}
-		for j := 0; j < sz && d.Err() == nil; j++ {
-			m.lastOK[j] = d.Varint()
-			m.lastSeen[j] = d.Varint()
-			m.failCount[j] = d.Int()
+		m := b.membership[n]
+		c.Count(len(m.lastOK), "membership entries")
+		for i := range m.lastOK {
+			ckpt.Varint(c, &m.lastOK[i])
+			ckpt.Varint(c, &m.lastSeen[i])
+			c.Int(&m.failCount[i])
 		}
 	}
-	return d.Err()
+	return c.Err()
 }
 
 // Rearm schedules the slot chain continuation a checkpoint interrupted:
@@ -101,6 +72,10 @@ func (b *Bus) Rearm() {
 	}
 	b.Sched.AtFunc(b.Cfg.SlotStart(r, 0), "tt.slot", b.slotFn, r, 0)
 }
+
+// HookHorizon returns the id the next fault hook will get: every
+// installed hook's id is below it.
+func (b *Bus) HookHorizon() int { return b.nextHookID }
 
 // InstallTxFault reinstalls a sender-side fault hook under its original
 // id (restore path only — AddTxFault allocates fresh ids). The id must

@@ -87,16 +87,19 @@ go test -run='^$' -fuzz='^FuzzLog$' -fuzztime=10s ./internal/seglog/
 echo "== fuzz smoke (engine checkpoint restore) =="
 # Same contract for the restore path: checkpoint files travel through
 # disks and uplinks, so corrupt or truncated bytes must surface as
-# errors, never panics. Seeds: the committed v1 golden fixture plus
-# truncated and bit-flipped variants.
+# errors, never panics, and each rejection must come from a validation,
+# not from the restore's panic backstop. Seeds: the committed v1 golden
+# fixture plus truncated and bit-flipped variants and out-of-range keys.
 go test -run='^$' -fuzz='^FuzzCheckpointReader$' -fuzztime=10s ./internal/engine/
 
 echo "== fuzz smoke (checkpoint codec) =="
 # The codec under the restore path, on its own: arbitrary streams and
-# section bodies through the framing and every typed getter. Decoding
-# must never panic, and no checked count may exceed the bytes left in
-# its section (the bound that keeps corrupt input from driving huge
-# allocations).
+# section bodies through the framing, every Coder primitive and the
+# decoding side of every Coder helper (Count, Index, Enum, Slice, Log,
+# SortedMap, Sparse). Decoding must never panic, no checked count may
+# exceed the bytes left in its section (the bound that keeps corrupt
+# input from driving huge allocations), and no key or enum is admitted
+# out of its range.
 go test -run='^$' -fuzz='^FuzzDecoder$' -fuzztime=10s ./internal/ckpt/
 
 echo "== fuzz smoke (scenario-pack manifests) =="
