@@ -52,7 +52,7 @@ vet:
 	$(GO) vet ./...
 
 # Counterfactual replay demo: record a faulted Fig. 10 run with engine
-# checkpoints, then localize the fault with decos-whatif (remove and
-# wrong-fru hypotheses against the recorded trace).
+# checkpoints, then localize the fault with decos-whatif (remove,
+# wrong-fru and inject hypotheses against the recorded trace).
 whatif-demo:
 	./scripts/whatif-demo.sh

@@ -236,7 +236,7 @@ func fanoutSlot(f *vnet.Fabric, n *vnet.Network, i int64, per []tt.FrameStatus) 
 // BenchmarkClusterRound measures one full TDMA round of the Fig. 10 system
 // including jobs, virtual networks and diagnostics.
 func BenchmarkClusterRound(b *testing.B) {
-	sys := scenario.Fig10(benchSeed, diagnosis.Options{})
+	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sys.Run(int64(b.N))
@@ -245,7 +245,7 @@ func BenchmarkClusterRound(b *testing.B) {
 // BenchmarkClusterRoundUnderFault measures round cost with an active
 // connector fault (symptom traffic flowing).
 func BenchmarkClusterRoundUnderFault(b *testing.B) {
-	sys := scenario.Fig10(benchSeed, diagnosis.Options{})
+	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, nil)
 	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -257,7 +257,7 @@ func BenchmarkClusterRoundUnderFault(b *testing.B) {
 // interesting comparison is against BenchmarkClusterRound: the delta is
 // the per-round cost of maintaining per-FRU posteriors.
 func BenchmarkBayesRound(b *testing.B) {
-	sys := scenario.Fig10With(benchSeed, diagnosis.Options{},
+	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, nil,
 		engine.WithClassifier(bayes.New()))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -267,7 +267,7 @@ func BenchmarkBayesRound(b *testing.B) {
 // BenchmarkAssessorEpoch measures one ONA-suite evaluation over a loaded
 // history.
 func BenchmarkAssessorEpoch(b *testing.B) {
-	sys := scenario.Fig10(benchSeed, diagnosis.Options{})
+	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, nil)
 	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
 	sys.Run(2000)
 	a := sys.Diag.Assessor

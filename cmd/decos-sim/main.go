@@ -128,18 +128,17 @@ func main() {
 			kind, ok := scenario.ParseKind(*faultName)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown fault kind %q; known kinds:\n", *faultName)
-				for _, k := range scenario.AllKinds() {
+				for _, k := range pack.CampaignKinds {
 					fmt.Fprintf(os.Stderr, "  %s\n", k)
 				}
 				os.Exit(2)
 			}
 			plan = append(plan, scenario.InjectPlan{
-				Kind:    kind,
-				At:      sim.Time(*atMS) * sim.Time(sim.Millisecond),
-				Horizon: sim.Time(*rounds) * sim.Time(sim.Millisecond),
+				Kind: kind,
+				At:   sim.Time(*atMS) * sim.Time(sim.Millisecond),
 			})
 		}
-		eng = scenario.Fig10Faulted(*seed, diagnosis.Options{}, plan, eopts...).Engine
+		eng = scenario.Fig10(*seed, diagnosis.Options{}, plan, eopts...).Engine
 	}
 
 	for _, act := range eng.Injector.Ledger() {

@@ -101,9 +101,8 @@ func main() {
 	}
 	if kind >= 0 {
 		cfg.Plan = []scenario.InjectPlan{{
-			Kind:    kind,
-			At:      sim.Time(*atMS) * sim.Time(sim.Millisecond),
-			Horizon: sim.Time(*rounds) * sim.Time(sim.Millisecond),
+			Kind: kind,
+			At:   sim.Time(*atMS) * sim.Time(sim.Millisecond),
 		}}
 	}
 	switch hyp {
@@ -199,11 +198,7 @@ func parseKind(name string, fail func(string, ...any)) scenario.FaultKind {
 	if k, ok := scenario.ParseKind(name); ok {
 		return k
 	}
-	known := make([]string, 0, len(scenario.AllKinds()))
-	for _, k := range scenario.AllKinds() {
-		known = append(known, k.String())
-	}
-	fail("unknown fault kind %q; known kinds: %s", name, strings.Join(known, " "))
+	fail("unknown fault kind %q; known kinds: %s", name, strings.Join(pack.CampaignKinds, " "))
 	return -1
 }
 

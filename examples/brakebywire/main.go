@@ -24,7 +24,7 @@ import (
 
 func main() {
 	counts := trace.NewCountingSink()
-	sys := scenario.Fig10With(7, diagnosis.Options{},
+	sys := scenario.Fig10(7, diagnosis.Options{}, nil,
 		engine.WithSink(counts, trace.Options{}))
 	ctx := context.Background()
 

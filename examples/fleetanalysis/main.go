@@ -24,7 +24,7 @@ func main() {
 	agg := fleet.NewAggregator(fleetSize)
 
 	for v := 0; v < fleetSize; v++ {
-		sys := scenario.Fig10(uint64(1000+v*13), diagnosis.Options{})
+		sys := scenario.Fig10(uint64(1000+v*13), diagnosis.Options{}, nil)
 
 		// Every vehicle ships the same buggy A1 software: a Heisenbug
 		// that sporadically publishes a wild value. The fault targets the

@@ -28,7 +28,7 @@ func main() {
 	// time — compressed from years to seconds so the run stays short),
 	// plus a slow output drift toward the spec boundary. Component 2 is
 	// healthy but sits in an EMI-exposed location.
-	sys := scenario.Fig10With(11, diagnosis.Options{},
+	sys := scenario.Fig10(11, diagnosis.Options{}, nil,
 		engine.WithFaults(func(inj *faults.Injector) {
 			acc := faults.WearoutAcceleration{
 				Onset:           sim.Time(400 * sim.Millisecond),

@@ -12,7 +12,7 @@ import (
 )
 
 func TestOBDRecordsPermanentFailure(t *testing.T) {
-	sys := scenario.Fig10(1, diagnosis.Options{})
+	sys := scenario.Fig10(1, diagnosis.Options{}, nil)
 	sys.Injector.PermanentFailSilent(0, sim.Time(100*sim.Millisecond))
 	sys.Run(4000) // 4 s: well past the 500 ms threshold
 	if !sys.OBD.HasDTC(0) {
@@ -28,7 +28,7 @@ func TestOBDMissesShortTransients(t *testing.T) {
 	// The paper: failures significantly shorter than 500 ms cannot be
 	// detected by conventional OBD. A 10 ms EMI burst and a 50 ms outage
 	// must leave no DTC.
-	sys := scenario.Fig10(2, diagnosis.Options{})
+	sys := scenario.Fig10(2, diagnosis.Options{}, nil)
 	sys.Injector.EMIBurst(sim.Time(100*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
 	sys.Injector.SEU(sim.Time(300*sim.Millisecond), 2)
 	sys.Run(4000)
@@ -41,7 +41,7 @@ func TestOBDMissesIntermittentConnector(t *testing.T) {
 	// A fretting connector drops 30 % of frames — each gap lasts only a
 	// few slots, never 500 ms — so OBD stores nothing although the fault
 	// is real. This is exactly the paper's fault-not-found phenomenon.
-	sys := scenario.Fig10(3, diagnosis.Options{})
+	sys := scenario.Fig10(3, diagnosis.Options{}, nil)
 	sys.Injector.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
 	sys.Run(4000)
 	if sys.OBD.HasDTC(0) {
@@ -61,7 +61,7 @@ func TestOBDBlamesECUForSoftwareFault(t *testing.T) {
 	// A Bohrbug produces persistently implausible values → plausibility
 	// DTC against the hosting ECU → replacement of healthy hardware
 	// (no-fault-found at the bench).
-	sys := scenario.Fig10(4, diagnosis.Options{})
+	sys := scenario.Fig10(4, diagnosis.Options{}, nil)
 	sys.Injector.Bohrbug(sys.Sensor, scenario.ChSpeed,
 		func(v float64, now sim.Time) bool { return true }, 400)
 	sys.Run(4000)
@@ -75,7 +75,7 @@ func TestOBDBlamesECUForSoftwareFault(t *testing.T) {
 }
 
 func TestOBDCleanOnHealthyVehicle(t *testing.T) {
-	sys := scenario.Fig10(5, diagnosis.Options{})
+	sys := scenario.Fig10(5, diagnosis.Options{}, nil)
 	sys.Run(3000)
 	if got := sys.OBD.DTCs(); len(got) != 0 {
 		t.Errorf("healthy vehicle has DTCs: %v", got)

@@ -15,8 +15,8 @@ import (
 
 func TestVerdictInvariants(t *testing.T) {
 	for _, kind := range scenario.AllKinds() {
-		sys := scenario.Fig10(900+uint64(kind)*77, diagnosis.Options{})
-		sys.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
+		sys := scenario.Fig10(900+uint64(kind)*77, diagnosis.Options{},
+			[]scenario.InjectPlan{{Kind: kind, At: sim.Time(300 * sim.Millisecond)}})
 		sys.Run(3000)
 
 		for _, v := range sys.Diag.Assessor.Emitted() {
@@ -70,7 +70,7 @@ func TestVerdictInvariants(t *testing.T) {
 // candidate in these single-fault scenarios (faults target components
 // 0..2), and fault-free FRUs must keep full trust.
 func TestInnocentFRUsKeepTrust(t *testing.T) {
-	sys := scenario.Fig10(999, diagnosis.Options{})
+	sys := scenario.Fig10(999, diagnosis.Options{}, nil)
 	sys.Injector.PermanentFailSilent(0, sim.Time(200*sim.Millisecond))
 	sys.Run(2000)
 	for _, n := range []int{1, 2, 3} {

@@ -40,7 +40,7 @@ func fig10Ckpt(w *bytes.Buffer, extra ...engine.Option) *scenario.System {
 		engine.WithFaults(richManifest),
 		engine.WithTraceWriter(w, trace.Options{AllFrames: true, TrustEveryEpochs: 2}),
 	}, extra...)
-	return scenario.Fig10With(20050404, diagnosis.Options{}, opts...)
+	return scenario.Fig10(20050404, diagnosis.Options{}, nil, opts...)
 }
 
 func checkpointBytes(t *testing.T, e *engine.Engine) []byte {

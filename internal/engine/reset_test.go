@@ -24,7 +24,7 @@ func resetPlan(kind scenario.FaultKind, faulty bool) []scenario.InjectPlan {
 		return nil
 	}
 	horizon := sim.Time(resetRounds * 1000) // 4 slots of 250 µs per round
-	return []scenario.InjectPlan{{Kind: kind, At: horizon / 5, Horizon: horizon}}
+	return []scenario.InjectPlan{{Kind: kind, At: horizon / 5}}
 }
 
 // checkpointOf encodes the system's engine state.
@@ -67,7 +67,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 						workerOpts = append(workerOpts, engine.WithSink(trace.NewBinarySink(&workerBuf), trace.Options{TrustEveryEpochs: 5, Vehicle: 1}))
 						freshOpts = append(freshOpts, engine.WithSink(trace.NewBinarySink(&freshBuf), trace.Options{TrustEveryEpochs: 5, Vehicle: 2}))
 					}
-					worker := scenario.Fig10Faulted(seed^0xfeed, diagnosis.Options{}, prev, workerOpts...)
+					worker := scenario.Fig10(seed^0xfeed, diagnosis.Options{}, prev, workerOpts...)
 					worker.Run(resetRounds / 3)
 
 					plan := resetPlan(kind, faulty)
@@ -79,7 +79,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 					if err := worker.Reset(seed, plan, extra...); err != nil {
 						t.Fatal(err)
 					}
-					fresh := scenario.Fig10Faulted(seed, diagnosis.Options{}, plan, freshOpts...)
+					fresh := scenario.Fig10(seed, diagnosis.Options{}, plan, freshOpts...)
 					if w, f := checkpointOf(t, worker), checkpointOf(t, fresh); !bytes.Equal(w, f) {
 						t.Fatalf("reset engine checkpoints %d bytes, fresh engine %d: they differ", len(w), len(f))
 					}
@@ -101,7 +101,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 // a trust trajectory, the injector ledger, the emitted verdicts — reads
 // the same after the engine is reset and runs the next vehicle.
 func TestResetKeepsEarlierResults(t *testing.T) {
-	sys := scenario.Fig10Faulted(20050404, diagnosis.Options{}, resetPlan(scenario.KindPermanent, true))
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, resetPlan(scenario.KindPermanent, true))
 	sys.Run(resetRounds)
 	var trust [][]diagnosis.TrustPoint
 	for f := 0; f < sys.Diag.Reg.Len(); f++ {
@@ -131,8 +131,8 @@ func TestResetKeepsEarlierResults(t *testing.T) {
 // TestResetRejectsBuildOptions: Reset changes only what varies between
 // runs; topology, attachments and recording presence are the build's.
 func TestResetRejectsBuildOptions(t *testing.T) {
-	untraced := scenario.Fig10(1, diagnosis.Options{})
-	traced := scenario.Fig10With(1, diagnosis.Options{}, engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{}))
+	untraced := scenario.Fig10(1, diagnosis.Options{}, nil)
+	traced := scenario.Fig10(1, diagnosis.Options{}, nil, engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{}))
 	for name, c := range map[string]struct {
 		sys *scenario.System
 		opt engine.Option

@@ -31,11 +31,10 @@ func A1WindowSweep(seed uint64) *Result {
 		latencyN := 0
 		for i, kind := range kinds {
 			for rep := 0; rep < 2; rep++ {
-				sys := scenario.Fig10(seed+uint64(i)*17+uint64(rep)*71, diagnosis.Options{
+				sys, act := faultedFig10(seed+uint64(i)*17+uint64(rep)*71, diagnosis.Options{
 					WindowGranules: w,
 					RetainGranules: 3 * w,
-				})
-				act := sys.Inject(kind, sim.Time(injectAt), sim.Time(3*sim.Second))
+				}, kind)
 				sys.Run(3000)
 				subject := act.Culprit
 				if subject.Component < 0 && len(act.Affected) > 0 {
@@ -87,13 +86,13 @@ func A2AlphaSweep(seed uint64) *Result {
 		const reps = 3
 		for rep := 0; rep < reps; rep++ {
 			opts := diagnosis.Options{AlphaK: k}
-			sysA := scenario.Fig10(seed+uint64(rep)*31, opts)
+			sysA := scenario.Fig10(seed+uint64(rep)*31, opts, nil)
 			sysA.Injector.SEU(sim.Time(300*sim.Millisecond), 1)
 			sysA.Run(3000)
 			if v, ok := sysA.Diag.VerdictOf(core.HardwareFRU(1)); ok && v.Class == core.ComponentExternal {
 				seuOK++
 			}
-			sysB := scenario.Fig10(seed+uint64(rep)*37+1000, opts)
+			sysB := scenario.Fig10(seed+uint64(rep)*37+1000, opts, nil)
 			sysB.Injector.IntermittentInternal(1, sim.Time(300*sim.Millisecond), 3600*6, 0)
 			sysB.Run(3000)
 			if v, ok := sysB.Diag.VerdictOf(core.HardwareFRU(1)); ok && v.Class == core.ComponentInternal {
@@ -121,7 +120,7 @@ func A2AlphaSweep(seed uint64) *Result {
 // a prerequisite of maintenance-oriented classification.
 func A3Encapsulation(seed uint64) *Result {
 	run := func(guardian bool) (accused int, culpritFound bool, disturbed int) {
-		sys := scenario.Fig10(seed, diagnosis.Options{})
+		sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
 		sys.Cluster.Bus.GuardianEnabled = guardian
 		sys.Injector.PermanentBabbling(1, sim.Time(300*sim.Millisecond))
 		sys.Run(3000)
@@ -176,7 +175,7 @@ func A4QueueSweep(seed uint64) *Result {
 	t := newTable("queue capacity", "overflows", "configuration verdict")
 	metrics := map[string]float64{}
 	for _, capacity := range caps {
-		sys := scenario.Fig10(seed, diagnosis.Options{})
+		sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
 		sys.Injector.MisconfigureQueue(sys.Sink, scenario.ChLoad, capacity)
 		sys.Run(3000)
 		over := sys.Sink.InPort(scenario.ChLoad).Stats.Overflows
@@ -214,7 +213,7 @@ func A5DiagBandwidth(seed uint64) *Result {
 	t := newTable("diag bytes/frame", "symptoms received", "diag-VN drops", "connector verdict", "wearout-side verdict")
 	metrics := map[string]float64{}
 	for _, alloc := range []int{32, 64, 96, 128} {
-		sys := scenario.Fig10(seed, diagnosis.Options{DiagAllocBytes: alloc})
+		sys := scenario.Fig10(seed, diagnosis.Options{DiagAllocBytes: alloc}, nil)
 		acc := wearoutAccel()
 		sys.Injector.Wearout(0, acc, 3600*20)
 		sys.Injector.ConnectorTx(1, sim.Time(300*sim.Millisecond), 0, 0.3)

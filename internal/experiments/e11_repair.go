@@ -5,7 +5,6 @@ import (
 	"decos/internal/diagnosis"
 	"decos/internal/maintenance"
 	"decos/internal/scenario"
-	"decos/internal/sim"
 	"decos/internal/tt"
 )
 
@@ -41,8 +40,7 @@ func E11RepairLoop(seed uint64) *Result {
 		removals int
 	}
 	run := func(kind scenario.FaultKind, rep int, useOBD bool) (fixedAction core.MaintenanceAction, stillFailing bool, removal bool) {
-		sys := scenario.Fig10(seed+uint64(kind)*211+uint64(rep)*31, opts)
-		act := sys.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
+		sys, act := faultedFig10(seed+uint64(kind)*211+uint64(rep)*31, opts, kind)
 		sys.Run(3000)
 
 		subject := act.Culprit

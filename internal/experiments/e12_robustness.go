@@ -5,7 +5,6 @@ import (
 
 	"decos/internal/diagnosis"
 	"decos/internal/scenario"
-	"decos/internal/sim"
 )
 
 // E12Robustness measures classification stability across random seeds: the
@@ -23,8 +22,7 @@ func E12Robustness(seed uint64) *Result {
 	for _, kind := range kinds {
 		correct := 0
 		for s := 0; s < seeds; s++ {
-			sys := scenario.Fig10(seed+uint64(kind)*6151+uint64(s)*389, diagnosis.Options{})
-			act := sys.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
+			sys, act := faultedFig10(seed+uint64(kind)*6151+uint64(s)*389, diagnosis.Options{}, kind)
 			sys.Run(3000)
 			subject := act.Culprit
 			if subject.Component < 0 && len(act.Affected) > 0 {

@@ -50,9 +50,9 @@ func E14Whatif(seed uint64) *Result {
 		diverged, localized, lagMS, lagN := 0, 0, 0.0, 0
 		for s := 0; s < seeds; s++ {
 			sd := seed + uint64(kind)*7919 + uint64(s)*433
-			plan := []scenario.InjectPlan{{Kind: kind, At: faultAt, Horizon: sim.Time(3 * sim.Second)}}
+			plan := []scenario.InjectPlan{{Kind: kind, At: faultAt}}
 			var ckpt []byte
-			sys := scenario.Fig10Faulted(sd, diagnosis.Options{}, plan,
+			sys := scenario.Fig10(sd, diagnosis.Options{}, plan,
 				engine.WithCheckpointSink(func(round int64, data []byte) error {
 					if round+1 == ckptAt {
 						ckpt = append([]byte(nil), data...)

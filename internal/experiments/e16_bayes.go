@@ -9,7 +9,6 @@ import (
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/scenario"
-	"decos/internal/sim"
 )
 
 // e16Seeds mirrors the E12 robustness sweep; the seed arithmetic below
@@ -175,8 +174,7 @@ func E16BayesCalibration(seed uint64) *Result {
 		for s := 0; s < e16Seeds; s++ {
 			runSeed := seed + uint64(kind)*6151 + uint64(s)*389
 
-			sys := scenario.Fig10(runSeed, diagnosis.Options{})
-			act := sys.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
+			sys, act := faultedFig10(runSeed, diagnosis.Options{}, kind)
 			sys.Run(3000)
 
 			culprits := map[int]bool{}
@@ -204,9 +202,8 @@ func E16BayesCalibration(seed uint64) *Result {
 				return e16Verdict{class: class, conf: 1, found: ok}
 			}, nComp, culprits, subject.Component, act.Class)
 
-			sysB := scenario.Fig10With(runSeed, diagnosis.Options{},
+			sysB, actB := faultedFig10(runSeed, diagnosis.Options{}, kind,
 				engine.WithClassifier(bayes.New()))
-			actB := sysB.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
 			sysB.Run(3000)
 			if actB.Class != act.Class {
 				panic("E16: bayes pass drew a different realization")

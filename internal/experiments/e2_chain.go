@@ -6,7 +6,6 @@ import (
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/scenario"
-	"decos/internal/sim"
 )
 
 // E2Chain traces the fault-error-failure chain (paper Fig. 3) end to end
@@ -24,8 +23,7 @@ func E2Chain(seed uint64) *Result {
 	t := newTable("injected kind", "true class", "chain", "diagnosed", "pattern", "match")
 	matches := 0
 	for i, kind := range kinds {
-		sys := scenario.Fig10(seed+uint64(i)*131, diagnosis.Options{})
-		act := sys.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
+		sys, act := faultedFig10(seed+uint64(i)*131, diagnosis.Options{}, kind)
 		sys.Run(3000)
 
 		subject := act.Culprit

@@ -23,7 +23,7 @@ func E4Patterns(seed uint64) *Result {
 
 	// --- Wearout: increasing frequency, one component, rising deviation.
 	{
-		sys := scenario.Fig10(seed, opts)
+		sys := scenario.Fig10(seed, opts, nil)
 		acc := faults.WearoutAcceleration{
 			Onset: sim.Time(200 * sim.Millisecond), Tau: 500 * sim.Millisecond,
 			BaseRatePerHour: 3600 * 3, MaxFactor: 40,
@@ -50,7 +50,7 @@ func E4Patterns(seed uint64) *Result {
 
 	// --- Massive transient: simultaneous, spatially proximate, multi-bit.
 	{
-		sys := scenario.Fig10(seed+1, opts)
+		sys := scenario.Fig10(seed+1, opts, nil)
 		sys.Injector.EMIBurst(sim.Time(500*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
 		sys.Run(2000)
 		hist := sys.Diag.Assessor.Hist
@@ -86,7 +86,7 @@ func E4Patterns(seed uint64) *Result {
 
 	// --- Connector: arbitrary times, one component, omissions.
 	{
-		sys := scenario.Fig10(seed+2, opts)
+		sys := scenario.Fig10(seed+2, opts, nil)
 		sys.Injector.ConnectorTx(0, sim.Time(200*sim.Millisecond), 0, 0.25)
 		sys.Run(3000)
 		hist := sys.Diag.Assessor.Hist

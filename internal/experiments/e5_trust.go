@@ -15,7 +15,7 @@ import (
 // a healthy FRU that suffers a brief external disturbance, dips, and
 // recovers to conformance.
 func E5Trust(seed uint64) *Result {
-	sys := scenario.Fig10(seed, diagnosis.Options{})
+	sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
 	// Trajectory A: wearout on component 0.
 	acc := faults.WearoutAcceleration{
 		Onset: sim.Time(400 * sim.Millisecond), Tau: 500 * sim.Millisecond,

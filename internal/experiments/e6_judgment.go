@@ -22,7 +22,7 @@ func E6Judgment(seed uint64) *Result {
 
 	// (a) Job-inherent fault in DAS A's sensor job A1 on component 0.
 	{
-		sys := scenario.Fig10(seed, diagnosis.Options{})
+		sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
 		sys.Injector.Bohrbug(sys.Sensor, scenario.ChSpeed,
 			func(v float64, now sim.Time) bool { return v > 55 }, 400)
 		sys.Run(3000)
@@ -44,7 +44,7 @@ func E6Judgment(seed uint64) *Result {
 
 	// (b) Component-internal fault on component 2 (hosts A3, C2, S2).
 	{
-		sys := scenario.Fig10(seed+1, diagnosis.Options{})
+		sys := scenario.Fig10(seed+1, diagnosis.Options{}, nil)
 		sys.Run(500)
 		votedBefore := sys.Voter.Voted
 		sys.Injector.PermanentFailSilent(2, sys.Cluster.Sched.Now().Add(20*sim.Millisecond))

@@ -5,7 +5,6 @@ import (
 	"decos/internal/diagnosis"
 	"decos/internal/maintenance"
 	"decos/internal/scenario"
-	"decos/internal/sim"
 )
 
 // E7Actions regenerates the maintenance-action table of the paper's
@@ -24,8 +23,7 @@ func E7Actions(seed uint64) *Result {
 		var truth core.FaultClass
 		correct := 0
 		for rep := 0; rep < perKind; rep++ {
-			sys := scenario.Fig10(seed+uint64(kind)*1009+uint64(rep)*97, diagnosis.Options{})
-			act := sys.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
+			sys, act := faultedFig10(seed+uint64(kind)*1009+uint64(rep)*97, diagnosis.Options{}, kind)
 			truth = act.Class
 			sys.Run(3000)
 			r := maintenance.Evaluate(sys.Injector.Ledger(), sys.Diag)

@@ -9,6 +9,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"decos/internal/diagnosis"
+	"decos/internal/engine"
+	"decos/internal/faults"
+	"decos/internal/scenario"
+	"decos/internal/sim"
 )
 
 // Result is one experiment's output.
@@ -151,4 +157,11 @@ func (t *table) String() string {
 		writeRow(r)
 	}
 	return b.String()
+}
+
+// faultedFig10 builds a Fig. 10 system whose fault manifest injects one
+// fault of kind at 300 ms, and returns it with that fault's ledger entry.
+func faultedFig10(seed uint64, opts diagnosis.Options, kind scenario.FaultKind, extra ...engine.Option) (*scenario.System, *faults.Activation) {
+	sys := scenario.Fig10(seed, opts, []scenario.InjectPlan{{Kind: kind, At: sim.Time(300 * sim.Millisecond)}}, extra...)
+	return sys, sys.Injector.Ledger()[0]
 }

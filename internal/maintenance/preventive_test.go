@@ -12,7 +12,7 @@ import (
 )
 
 func TestPreventiveSchedulesWearingFRU(t *testing.T) {
-	sys := scenario.Fig10(61, diagnosis.Options{})
+	sys := scenario.Fig10(61, diagnosis.Options{}, nil)
 	acc := faults.WearoutAcceleration{
 		Onset: sim.Time(200 * sim.Millisecond), Tau: 500 * sim.Millisecond,
 		BaseRatePerHour: 3600 * 4, MaxFactor: 40,
@@ -33,7 +33,7 @@ func TestPreventiveSchedulesWearingFRU(t *testing.T) {
 }
 
 func TestPreventiveIgnoresExternalDisturbance(t *testing.T) {
-	sys := scenario.Fig10(62, diagnosis.Options{})
+	sys := scenario.Fig10(62, diagnosis.Options{}, nil)
 	sys.Injector.EMIBurst(sim.Time(400*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
 	sys.Run(3000)
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)
@@ -43,7 +43,7 @@ func TestPreventiveIgnoresExternalDisturbance(t *testing.T) {
 }
 
 func TestPreventiveHealthyClusterQuiet(t *testing.T) {
-	sys := scenario.Fig10(63, diagnosis.Options{})
+	sys := scenario.Fig10(63, diagnosis.Options{}, nil)
 	sys.Run(2000)
 	if recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag); len(recs) != 0 {
 		t.Errorf("healthy cluster scheduled: %v", recs)
@@ -51,7 +51,7 @@ func TestPreventiveHealthyClusterQuiet(t *testing.T) {
 }
 
 func TestPreventiveCorrectivePathForDeadComponent(t *testing.T) {
-	sys := scenario.Fig10(64, diagnosis.Options{})
+	sys := scenario.Fig10(64, diagnosis.Options{}, nil)
 	sys.Injector.PermanentFailSilent(1, sim.Time(200*sim.Millisecond))
 	sys.Run(1500)
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)

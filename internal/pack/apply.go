@@ -18,11 +18,12 @@ import (
 // them, so lookup failures here are programming errors and panic.
 func (m *Manifest) ApplyFaults(inj *faults.Injector) {
 	for i := range m.Faults {
-		applyFault(inj, &m.Faults[i])
+		f := &m.Faults[i]
+		f.Apply(inj, f.At())
 	}
 	for i := range m.Environment {
 		for _, f := range m.Environment[i].expand(&m.Topology) {
-			applyFault(inj, &f)
+			f.Apply(inj, f.At())
 		}
 	}
 }
@@ -44,11 +45,16 @@ func resolveJob(cl *component.Cluster, ref string) *component.Instance {
 	return j
 }
 
-// applyFault maps one validated FaultSpec onto its injector primitive.
-func applyFault(inj *faults.Injector, f *FaultSpec) {
+// Apply injects one validated FaultSpec through its injector primitive,
+// activating at at, and returns the ledger entry. It is the one injection
+// path: manifest faults, environment profiles and campaign draws
+// (scenario.FaultKind.Spec) all end here. The instant is passed rather
+// than read from AtMS because campaign instants are arbitrary
+// microseconds, which do not all survive the trip through at_ms (1001 µs
+// reads back as 1000 µs).
+func (f *FaultSpec) Apply(inj *faults.Injector, at sim.Time) *faults.Activation {
 	cl := inj.Cluster()
 	comp := tt.NodeID(f.Component)
-	at := f.At()
 	switch f.Kind {
 	case "emi-burst":
 		x, y := f.X, f.Y
@@ -57,47 +63,47 @@ func applyFault(inj *faults.Injector, f *FaultSpec) {
 			c := cl.Component(comp)
 			x, y = c.X, c.Y
 		}
-		inj.EMIBurst(at, x, y, f.Radius, f.Duration(), f.Bits)
+		return inj.EMIBurst(at, x, y, f.Radius, f.Duration(), f.Bits)
 	case "seu":
-		inj.SEU(at, comp)
+		return inj.SEU(at, comp)
 	case "power-dip":
-		inj.PowerDip(comp, at, f.Duration())
+		return inj.PowerDip(comp, at, f.Duration())
 	case "connector-tx":
-		inj.ConnectorTx(comp, at, f.End(), f.Rate)
+		return inj.ConnectorTx(comp, at, f.End(), f.Rate)
 	case "connector-rx":
-		inj.ConnectorRx(comp, at, f.End(), f.Rate)
+		return inj.ConnectorRx(comp, at, f.End(), f.Rate)
 	case "wearout":
-		inj.Wearout(comp, faults.WearoutAcceleration{
+		return inj.Wearout(comp, faults.WearoutAcceleration{
 			Onset:           at,
 			Tau:             sim.Duration(f.TauMS * float64(sim.Millisecond)),
 			BaseRatePerHour: f.BaseRatePerHour,
 			MaxFactor:       f.MaxFactor,
 		}, f.DriftPerHour)
 	case "intermittent":
-		inj.IntermittentInternal(comp, at, f.RatePerHour, f.End())
+		return inj.IntermittentInternal(comp, at, f.RatePerHour, f.End())
 	case "permanent-silent":
-		inj.PermanentFailSilent(comp, at)
+		return inj.PermanentFailSilent(comp, at)
 	case "permanent-babbling":
-		inj.PermanentBabbling(comp, at)
+		return inj.PermanentBabbling(comp, at)
 	case "quartz":
-		inj.DefectiveQuartz(comp, at, f.DriftPPM)
+		return inj.DefectiveQuartz(comp, at, f.DriftPPM)
 	case "transient-quartz":
-		inj.TransientQuartz(comp, at, f.Duration(), f.DriftPPM)
+		return inj.TransientQuartz(comp, at, f.Duration(), f.DriftPPM)
 	case "misconfig-queue":
-		inj.MisconfigureQueue(resolveJob(cl, f.Job), vnet.ChannelID(f.Channel), f.QueueCap)
+		return inj.MisconfigureQueue(resolveJob(cl, f.Job), vnet.ChannelID(f.Channel), f.QueueCap)
 	case "bohrbug":
 		threshold := f.Threshold
 		bad := f.Value
-		inj.Bohrbug(resolveJob(cl, f.Job), vnet.ChannelID(f.Channel),
+		return inj.Bohrbug(resolveJob(cl, f.Job), vnet.ChannelID(f.Channel),
 			func(v float64, now sim.Time) bool { return now >= at && v > threshold }, bad)
 	case "heisenbug":
-		inj.Heisenbug(resolveJob(cl, f.Job), vnet.ChannelID(f.Channel), f.Rate, f.Value, f.Omit)
+		return inj.Heisenbug(resolveJob(cl, f.Job), vnet.ChannelID(f.Channel), f.Rate, f.Value, f.Omit)
 	case "job-crash":
-		inj.JobCrash(resolveJob(cl, f.Job), at)
+		return inj.JobCrash(resolveJob(cl, f.Job), at)
 	case "sensor-stuck":
-		inj.SensorStuck(resolveJob(cl, f.Job), at, f.Value)
+		return inj.SensorStuck(resolveJob(cl, f.Job), at, f.Value)
 	case "sensor-drift":
-		inj.SensorDrift(resolveJob(cl, f.Job), at, f.DriftPerHour)
+		return inj.SensorDrift(resolveJob(cl, f.Job), at, f.DriftPerHour)
 	default:
 		panic(fmt.Sprintf("pack: no injector primitive for kind %q (validate first)", f.Kind))
 	}

@@ -47,22 +47,15 @@ var envProfiles = map[string]bool{
 	"power-sags":        true,
 }
 
-// CampaignKinds are the fault-kind names a campaign mix may weight —
-// the string forms of scenario.FaultKind. The scenario package asserts
-// this list matches its own (it imports pack; pack cannot import it).
+// CampaignKinds are the names of the campaign fault kinds, the ones a
+// campaign mix may weight, in scenario.FaultKind order. This is the only
+// list of them: FaultKind.String and scenario.ParseKind read it (pack
+// cannot import scenario, so the list lives here).
 var CampaignKinds = []string{
 	"emi", "seu", "connector-tx", "connector-rx", "wearout",
 	"intermittent", "permanent", "quartz", "config", "bohrbug",
 	"heisenbug", "job-crash", "sensor-stuck", "sensor-drift", "power-dip",
 }
-
-var campaignKinds = func() map[string]bool {
-	m := make(map[string]bool, len(CampaignKinds))
-	for _, k := range CampaignKinds {
-		m[k] = true
-	}
-	return m
-}()
 
 // topologyInfo is the validator's view of the resolved topology: which
 // components exist and which DAS/job pairs faults may target.
@@ -660,7 +653,7 @@ func (v *validator) campaign() {
 		v.failf("campaign.faults_per_vehicle", "must be ≥ 0, got %d", c.FaultsPerVehicle)
 	}
 	for kind, w := range c.Mix {
-		if !campaignKinds[kind] {
+		if !slices.Contains(CampaignKinds, kind) {
 			v.failf("campaign.mix."+kind, "unknown campaign fault kind (known: %s)", strings.Join(CampaignKinds, ", "))
 			return
 		}

@@ -15,12 +15,7 @@ import (
 // integrate over many epochs — the interesting case for checkpointing,
 // because the belief state mid-accumulation is not reconstructible from
 // the symptom history alone.
-func bayesPlan(rounds int64) []InjectPlan {
-	horizon := sim.Time(rounds) * sim.Time(sim.Millisecond)
-	return []InjectPlan{{
-		Kind: KindIntermittent, At: sim.Time(300 * sim.Millisecond), Horizon: horizon,
-	}}
-}
+var bayesPlan = []InjectPlan{{Kind: KindIntermittent, At: sim.Time(300 * sim.Millisecond)}}
 
 // TestBayesPosteriorDeterminism runs the same seeded system twice with
 // the Bayesian stage installed and requires bit-identical engine
@@ -32,7 +27,7 @@ func TestBayesPosteriorDeterminism(t *testing.T) {
 		rounds = 3000
 	)
 	run := func() []byte {
-		sys := Fig10Faulted(seed, diagnosis.Options{}, bayesPlan(rounds),
+		sys := Fig10(seed, diagnosis.Options{}, bayesPlan,
 			engine.WithClassifier(bayes.New()))
 		sys.Run(rounds)
 		var ck bytes.Buffer
@@ -62,9 +57,9 @@ func TestBayesCheckpointRestoreRerun(t *testing.T) {
 		rounds = 3000
 		cut    = 1400
 	)
-	plan := bayesPlan(rounds)
+	plan := bayesPlan
 	build := func(extra ...engine.Option) *System {
-		return Fig10Faulted(seed, diagnosis.Options{}, plan,
+		return Fig10(seed, diagnosis.Options{}, plan,
 			append([]engine.Option{engine.WithClassifier(bayes.New())}, extra...)...)
 	}
 

@@ -39,26 +39,18 @@ const (
 	KindSensorStuck
 	KindSensorDrift
 	KindPowerDip
-
-	numKinds
 )
 
 func (k FaultKind) String() string {
-	names := [...]string{
-		"emi", "seu", "connector-tx", "connector-rx", "wearout",
-		"intermittent", "permanent", "quartz", "config", "bohrbug",
-		"heisenbug", "job-crash", "sensor-stuck", "sensor-drift",
-		"power-dip",
-	}
-	if int(k) < len(names) {
-		return names[k]
+	if k >= 0 && int(k) < len(pack.CampaignKinds) {
+		return pack.CampaignKinds[k]
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
 // AllKinds returns every fault kind.
 func AllKinds() []FaultKind {
-	out := make([]FaultKind, numKinds)
+	out := make([]FaultKind, len(pack.CampaignKinds))
 	for i := range out {
 		out[i] = FaultKind(i)
 	}
@@ -90,104 +82,65 @@ func DefaultMix() map[FaultKind]float64 {
 	}
 }
 
-// Inject performs one randomized injection of the given kind on a Fig. 10
-// system. at is the activation instant; horizon the vehicle's total
-// simulated span (used to bound open windows). It returns the ledger entry.
-//
-// Hardware fault targets are restricted to components 0..2 so the analysis
-// stage of the diagnostic DAS (component 3) stays operational; in a
-// production deployment the diagnostic DAS is itself replicated.
-func (s *System) Inject(kind FaultKind, at sim.Time, horizon sim.Time) *faults.Activation {
-	return s.InjectWith(s.Injector, kind, at, horizon)
-}
-
-// InjectWith is Inject against an explicit injector. It exists for the
-// two call sites that cannot use the system's own injector field: fault
-// manifests (engine.WithFaults hooks run before the System struct is
-// wired, see Fig10Faulted) and counterfactual replay (decos-whatif
-// injects hypotheses into a restored engine).
-func (s *System) InjectWith(inj *faults.Injector, kind FaultKind, at sim.Time, horizon sim.Time) *faults.Activation {
-	rng := inj.Cluster().Streams.Stream("campaign")
-	comp := tt.NodeID(rng.Intn(3))
-	switch kind {
+// Spec draws one injection of the kind as a pack fault. The "campaign"
+// stream rng supplies the randomized targeting, in a fixed order: the
+// target component first, then the kind's own draw (EMI epicenter,
+// connector rate or quartz drift). Hardware targets are drawn from
+// components 0..2 so the analysis stage of the diagnostic DAS (component
+// 3) stays operational; in a production deployment the diagnostic DAS is
+// itself replicated. comp ≥ 0 pins a component-level kind's target
+// instead and skips that draw. Kinds without a component target draw it
+// all the same and carry Component -1. The spec has no instant:
+// pack.FaultSpec.Apply takes it.
+func (k FaultKind) Spec(rng *sim.RNG, comp int) pack.FaultSpec {
+	f := pack.FaultSpec{Component: -1}
+	switch k {
+	case KindSEU, KindConnectorTx, KindConnectorRx, KindWearout, KindIntermittent,
+		KindPermanent, KindQuartz, KindPowerDip:
+		if comp < 0 {
+			comp = rng.Intn(3)
+		}
+		f.Component = comp
+	default:
+		rng.Intn(3)
+	}
+	switch k {
 	case KindEMI:
 		// Epicenter near a random pair of proximate components.
-		x := []float64{0.5, 5.5}[rng.Intn(2)]
-		return inj.EMIBurst(at, x, 0, 2, faults.EMIBurstDuration, 4)
+		f.Kind, f.X, f.Radius, f.Bits = "emi-burst", []float64{0.5, 5.5}[rng.Intn(2)], 2, 4
+		f.DurationMS = float64(faults.EMIBurstDuration / sim.Millisecond)
 	case KindSEU:
-		return inj.SEU(at, comp)
+		f.Kind = "seu"
 	case KindConnectorTx:
-		return inj.ConnectorTx(comp, at, 0, 0.2+0.3*rng.Float64())
+		f.Kind, f.Rate = "connector-tx", 0.2+0.3*rng.Float64()
 	case KindConnectorRx:
-		return inj.ConnectorRx(comp, at, 0, 0.2+0.3*rng.Float64())
+		f.Kind, f.Rate = "connector-rx", 0.2+0.3*rng.Float64()
 	case KindWearout:
-		acc := faults.WearoutAcceleration{
-			Onset:           at,
-			Tau:             400 * sim.Millisecond,
-			BaseRatePerHour: 3600 * 4,
-			MaxFactor:       40,
-		}
-		return inj.Wearout(comp, acc, 3600*20)
+		f.Kind, f.TauMS, f.BaseRatePerHour, f.MaxFactor, f.DriftPerHour = "wearout", 400, 3600*4, 40, 3600*20
 	case KindIntermittent:
-		return inj.IntermittentInternal(comp, at, 3600*6, 0)
+		f.Kind, f.RatePerHour = "intermittent", 3600*6
 	case KindPermanent:
-		return inj.PermanentFailSilent(comp, at)
+		f.Kind = "permanent-silent"
 	case KindQuartz:
-		return inj.DefectiveQuartz(comp, at, 50_000+rng.Float64()*100_000)
+		f.Kind, f.DriftPPM = "quartz", 50_000+rng.Float64()*100_000
 	case KindConfig:
-		return inj.MisconfigureQueue(s.Sink, ChLoad, 1)
+		f.Kind, f.Job, f.Channel, f.QueueCap = "misconfig-queue", "C/C2", ChLoad, 1
 	case KindBohrbug:
-		return inj.Bohrbug(s.Sensor, ChSpeed,
-			func(v float64, now sim.Time) bool { return now >= at && v > 55 }, 400)
+		f.Kind, f.Job, f.Channel, f.Threshold, f.Value = "bohrbug", "A/A1", ChSpeed, 55, 400
 	case KindHeisenbug:
-		return inj.Heisenbug(s.Sensor, ChSpeed, 0.04, 500, false)
+		f.Kind, f.Job, f.Channel, f.Rate, f.Value = "heisenbug", "A/A1", ChSpeed, 0.04, 500
 	case KindJobCrash:
-		return inj.JobCrash(s.Sensor, at)
+		f.Kind, f.Job = "job-crash", "A/A1"
 	case KindSensorStuck:
-		return inj.SensorStuck(s.Sensor, at, 60)
+		f.Kind, f.Job, f.Value = "sensor-stuck", "A/A1", 60
 	case KindSensorDrift:
-		return inj.SensorDrift(s.Sensor, at, 3600*50)
+		f.Kind, f.Job, f.DriftPerHour = "sensor-drift", "A/A1", 3600*50
 	case KindPowerDip:
-		return inj.PowerDip(comp, at, faults.TransientOutage)
+		f.Kind, f.DurationMS = "power-dip", float64(faults.TransientOutage/sim.Millisecond)
 	default:
 		panic("scenario: unknown fault kind")
 	}
-}
-
-// InjectAt is InjectWith with the hardware target pinned to an explicit
-// component instead of drawn from the campaign stream. It exists for
-// counterfactual replay (decos-whatif's wrong-FRU hypothesis: the same
-// fault kind manifesting on a different component); kinds without a
-// component target — EMI, software and configuration faults — fall back
-// to InjectWith's randomized targeting.
-func (s *System) InjectAt(inj *faults.Injector, kind FaultKind, comp tt.NodeID, at sim.Time, horizon sim.Time) *faults.Activation {
-	rng := inj.Cluster().Streams.Stream("campaign")
-	switch kind {
-	case KindSEU:
-		return inj.SEU(at, comp)
-	case KindConnectorTx:
-		return inj.ConnectorTx(comp, at, 0, 0.2+0.3*rng.Float64())
-	case KindConnectorRx:
-		return inj.ConnectorRx(comp, at, 0, 0.2+0.3*rng.Float64())
-	case KindWearout:
-		acc := faults.WearoutAcceleration{
-			Onset:           at,
-			Tau:             400 * sim.Millisecond,
-			BaseRatePerHour: 3600 * 4,
-			MaxFactor:       40,
-		}
-		return inj.Wearout(comp, acc, 3600*20)
-	case KindIntermittent:
-		return inj.IntermittentInternal(comp, at, 3600*6, 0)
-	case KindPermanent:
-		return inj.PermanentFailSilent(comp, at)
-	case KindQuartz:
-		return inj.DefectiveQuartz(comp, at, 50_000+rng.Float64()*100_000)
-	case KindPowerDip:
-		return inj.PowerDip(comp, at, faults.TransientOutage)
-	default:
-		return s.InjectWith(inj, kind, at, horizon)
-	}
+	return f
 }
 
 // Campaign describes a fleet-scale fault-injection experiment: Vehicles
@@ -549,15 +502,15 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 		extra = append(extra, engine.WithSink(rec,
 			trace.Options{TrustEveryEpochs: 5, Vehicle: v + 1}))
 	}
-	// The injections ride in the fault manifest (Fig10Faulted), not as
-	// post-build calls: a manifest is what a checkpoint restore can
-	// reconstruct, so chunked execution replays it per chunk, and what
-	// a reset re-runs on the worker's engine.
+	// The injections ride in the fault manifest (Fig10's plan): a
+	// manifest is what a checkpoint restore can reconstruct, so chunked
+	// execution replays it per chunk, and what a reset re-runs on the
+	// worker's engine.
 	horizon := sim.Time(c.Rounds * tt.UniformSchedule(4, 250*sim.Microsecond, 256).RoundDuration().Micros())
 	plan := make([]InjectPlan, 0, len(p.kinds))
 	for i, kind := range p.kinds {
 		plan = append(plan, InjectPlan{
-			Kind: kind, At: sim.Time(float64(horizon) * p.atFrac[i]), Horizon: horizon,
+			Kind: kind, At: sim.Time(float64(horizon) * p.atFrac[i]),
 		})
 	}
 	if sys != nil {
@@ -568,7 +521,7 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 		// Each vehicle's engine gets its own classifier instance (the
 		// Bayesian stage is stateful; a reset clears it).
 		extra = append(pack.ClassifierOptions(c.Classifier), extra...)
-		sys = Fig10Faulted(p.seed, c.Opts, plan, extra...)
+		sys = Fig10(p.seed, c.Opts, plan, extra...)
 	}
 	if c.ChunkRounds > 0 {
 		// Chunked resume: run, checkpoint, rebuild restored, repeat. Every
@@ -593,7 +546,7 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 			if err := sys.Engine.Checkpoint(ck); err != nil {
 				panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
 			}
-			sys = Fig10Faulted(p.seed, c.Opts, plan,
+			sys = Fig10(p.seed, c.Opts, plan,
 				append(append([]engine.Option{}, extra...),
 					engine.WithRestore(ck.Bytes()))...)
 		}

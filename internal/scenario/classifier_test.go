@@ -34,7 +34,7 @@ var (
 func TestClassifiersInterchangeable(t *testing.T) {
 	const seed = 20050404
 	run := func(extra ...engine.Option) *System {
-		sys := Fig10With(seed, diagnosis.Options{}, extra...)
+		sys := Fig10(seed, diagnosis.Options{}, nil, extra...)
 		// Kill component 2 early so the failure persists far beyond the
 		// OBD recording threshold.
 		sys.Injector.PermanentFailSilent(2, sim.Time(50*sim.Millisecond))

@@ -3,20 +3,17 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"decos/internal/pack"
 )
 
 // ParseKind maps a campaign-mix kind name from a scenario pack onto the
-// FaultKind enum. The name set is pinned to pack.CampaignKinds by a
-// contract test (pack cannot import scenario, so it carries its own
-// copy of the list for validation).
+// FaultKind enum, by its position in pack.CampaignKinds.
 func ParseKind(name string) (FaultKind, bool) {
-	for _, k := range AllKinds() {
-		if k.String() == name {
-			return k, true
-		}
+	if i := slices.Index(pack.CampaignKinds, name); i >= 0 {
+		return FaultKind(i), true
 	}
 	return 0, false
 }

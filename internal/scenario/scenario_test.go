@@ -9,11 +9,12 @@ import (
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
+	"decos/internal/pack"
 	"decos/internal/sim"
 )
 
 func TestFig10HealthyOperation(t *testing.T) {
-	sys := Fig10(1, diagnosis.Options{})
+	sys := Fig10(1, diagnosis.Options{}, nil)
 	sys.Run(2000)
 	// The pipeline actuates.
 	if _, ok := sys.Cluster.Env.LastActuation("brake"); !ok {
@@ -36,8 +37,8 @@ func TestFig10HealthyOperation(t *testing.T) {
 }
 
 func TestFig10Determinism(t *testing.T) {
-	a := Fig10(42, diagnosis.Options{})
-	b := Fig10(42, diagnosis.Options{})
+	a := Fig10(42, diagnosis.Options{}, nil)
+	b := Fig10(42, diagnosis.Options{}, nil)
 	a.Injector.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
 	b.Injector.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
 	a.Run(1500)
@@ -56,7 +57,7 @@ func TestFig10ContainmentMatrix(t *testing.T) {
 	// Fig. 10's core claim: a job-inherent fault stays inside its DAS; a
 	// component-internal fault hits jobs of multiple DASs on that
 	// component; TMR masks the single-component fault.
-	sys := Fig10(7, diagnosis.Options{})
+	sys := Fig10(7, diagnosis.Options{}, nil)
 	sys.Run(500)
 	// Kill component 2 — it hosts A3 (DAS A), C2 (DAS C) and S2 (DAS S).
 	sys.Injector.PermanentFailSilent(2, sys.Cluster.Sched.Now().Add(50*sim.Millisecond))
@@ -88,7 +89,7 @@ func TestFig10ContainmentMatrix(t *testing.T) {
 }
 
 func TestFig10JobFaultContained(t *testing.T) {
-	sys := Fig10(8, diagnosis.Options{})
+	sys := Fig10(8, diagnosis.Options{}, nil)
 	sys.Injector.Bohrbug(sys.Sensor, ChSpeed,
 		func(v float64, now sim.Time) bool { return v > 55 }, 400)
 	sys.Run(2500)
@@ -105,18 +106,35 @@ func TestFig10JobFaultContained(t *testing.T) {
 	}
 }
 
+// TestInjectCoversAllKinds draws every campaign kind unpinned and pinned
+// to components 0, 1 and 2. Each draw must be a valid pack fault: as the
+// only fault of a fig10 pack it passes Manifest.Validate, the campaign's
+// well-formedness oracle, and applying it leaves exactly one ledger
+// entry. Each kind then runs once from Fig10's plan.
 func TestInjectCoversAllKinds(t *testing.T) {
+	at := sim.Time(100 * sim.Millisecond)
 	for _, kind := range AllKinds() {
-		sys := Fig10(100+uint64(kind), diagnosis.Options{})
-		a := sys.Inject(kind, sim.Time(100*sim.Millisecond), sim.Time(sim.Second))
-		if a == nil {
-			t.Fatalf("kind %v returned nil activation", kind)
+		for _, comp := range []int{-1, 0, 1, 2} {
+			sys := Fig10(100+uint64(kind), diagnosis.Options{}, nil)
+			f := kind.Spec(sys.Cluster.Streams.Stream("campaign"), comp)
+			if comp >= 0 && f.Component >= 0 && f.Component != comp {
+				t.Errorf("%v pinned to %d: spec targets component %d", kind, comp, f.Component)
+			}
+			m := pack.Manifest{Pack: pack.Version, Name: "campaign-draw", Rounds: 1000,
+				Topology: pack.Topology{Kind: "fig10"}, Faults: []pack.FaultSpec{f}}
+			if err := m.Validate(); err != nil {
+				t.Errorf("%v pinned to %d: spec %+v is not a valid pack fault: %v", kind, comp, f, err)
+			}
+			if a := f.Apply(sys.Injector, at); a == nil {
+				t.Fatalf("%v pinned to %d: Apply returned nil activation", kind, comp)
+			}
+			if n := len(sys.Injector.Ledger()); n != 1 {
+				t.Errorf("%v pinned to %d: ledger has %d entries", kind, comp, n)
+			}
 		}
-		if len(sys.Injector.Ledger()) != 1 {
-			t.Errorf("kind %v: ledger has %d entries", kind, len(sys.Injector.Ledger()))
-		}
-		if kind.String() == "" {
-			t.Errorf("kind %d has empty name", kind)
+		sys := Fig10(100+uint64(kind), diagnosis.Options{}, []InjectPlan{{Kind: kind, At: at}})
+		if n := len(sys.Injector.Ledger()); n != 1 {
+			t.Errorf("%v: plan left %d ledger entries", kind, n)
 		}
 		sys.Run(200) // smoke: nothing panics
 	}
@@ -205,8 +223,8 @@ func TestNormalizeMixDegenerate(t *testing.T) {
 
 func TestDefaultMixNormalizes(t *testing.T) {
 	kinds, weights := normalizeMix(DefaultMix())
-	if len(kinds) != int(numKinds) {
-		t.Errorf("mix covers %d kinds, want %d", len(kinds), numKinds)
+	if len(kinds) != len(AllKinds()) {
+		t.Errorf("mix covers %d kinds, want %d", len(kinds), len(AllKinds()))
 	}
 	sum := 0.0
 	for _, w := range weights {

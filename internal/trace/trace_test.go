@@ -21,7 +21,7 @@ import (
 func traceRun(t *testing.T, opts trace.Options) (*scenario.System, *trace.Recorder, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
-	sys := scenario.Fig10(31, diagnosis.Options{})
+	sys := scenario.Fig10(31, diagnosis.Options{}, nil)
 	rec := trace.Attach(sys.Cluster, sys.Diag, sys.Injector, &buf, opts)
 	return sys, rec, &buf
 }
@@ -80,7 +80,7 @@ func TestRecorderAllFrames(t *testing.T) {
 }
 
 func TestRecorderStopsOnWriteError(t *testing.T) {
-	sys := scenario.Fig10(32, diagnosis.Options{})
+	sys := scenario.Fig10(32, diagnosis.Options{}, nil)
 	rec := trace.Attach(sys.Cluster, sys.Diag, sys.Injector, failWriter{}, trace.Options{AllFrames: true})
 	sys.Run(20)
 	if rec.Err == nil {

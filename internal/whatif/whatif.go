@@ -83,8 +83,9 @@ type Hypothesis struct {
 	// At is the injection instant (Inject); clamped to the restore point
 	// when the checkpoint is later.
 	At sim.Time
-	// Comp pins the WrongFRU target component; -1 picks the factual
-	// culprit's neighbour ((culprit+1) mod 3).
+	// Comp pins the WrongFRU target component, which must be in the
+	// cluster; -1 picks the factual culprit's neighbour ((culprit+1) mod
+	// 3). Run refuses any other value.
 	Comp int
 }
 
@@ -203,12 +204,7 @@ func (cfg *Config) replica() (*scenario.System, *capture, error) {
 // a description of what was done.
 func (cfg *Config) apply(sys *scenario.System) (string, error) {
 	h := cfg.Hyp
-	now := sys.Cluster.Sched.Now()
-	horizon := sim.Time(cfg.Rounds * sys.Cluster.Cfg.RoundDuration().Micros())
-	at := h.At
-	if at < now {
-		at = now
-	}
+	at := max(h.At, sys.Cluster.Sched.Now())
 	find := func(id int) (*faults.Activation, error) {
 		for _, a := range sys.Injector.Ledger() {
 			if a.ID == id {
@@ -227,9 +223,13 @@ func (cfg *Config) apply(sys *scenario.System) (string, error) {
 		a.Deactivate()
 		return fmt.Sprintf("removed activation #%d (%s: %s)", a.ID, a.Class, a.Detail), nil
 	case Inject:
-		a := sys.InjectWith(sys.Injector, h.Fault, at, horizon)
+		f := h.Fault.Spec(sys.Cluster.Streams.Stream("campaign"), -1)
+		a := f.Apply(sys.Injector, at)
 		return fmt.Sprintf("injected %s at %v: %s", h.Fault, at, a.Detail), nil
 	case WrongFRU:
+		if n := len(sys.Cluster.Components()); h.Comp < -1 || h.Comp >= n {
+			return "", fmt.Errorf("whatif: wrong-fru component %d outside [0, %d) (-1 picks the culprit's neighbour)", h.Comp, n)
+		}
 		a, err := find(h.Target)
 		if err != nil {
 			return "", err
@@ -243,7 +243,8 @@ func (cfg *Config) apply(sys *scenario.System) (string, error) {
 			comp = (a.Culprit.Component + 1) % 3
 		}
 		a.Deactivate()
-		b := sys.InjectAt(sys.Injector, h.Fault, tt.NodeID(comp), at, horizon)
+		f := h.Fault.Spec(sys.Cluster.Streams.Stream("campaign"), comp)
+		b := f.Apply(sys.Injector, at)
 		return fmt.Sprintf("moved activation #%d (%s) from %s to %s: %s",
 			a.ID, h.Fault, a.Culprit, core.HardwareFRU(comp), b.Detail), nil
 	}

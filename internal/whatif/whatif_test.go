@@ -3,6 +3,7 @@ package whatif
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func record(t *testing.T, plan []scenario.InjectPlan, extra ...engine.Option) *r
 	t.Helper()
 	rec := &recording{ckpts: map[int64][]byte{}}
 	var buf bytes.Buffer
-	sys := scenario.Fig10Faulted(testSeed, diagnosis.Options{}, plan,
+	sys := scenario.Fig10(testSeed, diagnosis.Options{}, plan,
 		append([]engine.Option{engineCheckpointEvery(rec, 50)}, extra...)...)
 	// decos-sim attaches the trace outside the engine; mirror that so the
 	// checkpoints carry no trace attachment.
@@ -80,9 +81,8 @@ func TestWhatifHypotheses(t *testing.T) {
 		t.Skip("six 400-round replays in -short mode")
 	}
 	faultPlan := []scenario.InjectPlan{{
-		Kind:    scenario.KindConnectorTx,
-		At:      100 * sim.Time(sim.Millisecond),
-		Horizon: testRounds * sim.Time(sim.Millisecond),
+		Kind: scenario.KindConnectorTx,
+		At:   100 * sim.Time(sim.Millisecond),
 	}}
 	faulty := record(t, faultPlan)
 	healthy := record(t, nil)
@@ -222,7 +222,8 @@ func TestWhatifHypotheses(t *testing.T) {
 }
 
 // TestWhatifErrors covers refusals: unknown activation targets,
-// non-hardware culprits for wrong-fru, checkpoints past the horizon.
+// checkpoints past the horizon, garbage checkpoints and wrong-fru
+// components outside the cluster.
 func TestWhatifErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-round recording in -short mode")
@@ -246,6 +247,19 @@ func TestWhatifErrors(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("garbage checkpoint should fail")
 	}
+
+	// A wrong-fru component outside the cluster is refused with an
+	// addressed error; -1 alone means "the culprit's neighbour".
+	plan := []scenario.InjectPlan{{Kind: scenario.KindConnectorTx, At: 100 * sim.Time(sim.Millisecond)}}
+	faulty := record(t, plan)
+	cfg = Config{Seed: testSeed, Opts: diagnosis.Options{}, Plan: plan, Rounds: testRounds, Checkpoint: faulty.ckpts[50]}
+	for _, comp := range []int{4, -5} {
+		cfg.Hyp = Hypothesis{Kind: WrongFRU, Target: 0, Fault: scenario.KindConnectorTx, Comp: comp}
+		_, err := Run(cfg)
+		if want := fmt.Sprintf("whatif: wrong-fru component %d outside [0, 4)", comp); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("wrong-fru to component %d: error %v, want %q", comp, err, want)
+		}
+	}
 }
 
 // TestWhatifBayesPosteriorDiff replays a recording made under the
@@ -258,9 +272,8 @@ func TestWhatifBayesPosteriorDiff(t *testing.T) {
 		t.Skip("400-round bayes replays in -short mode")
 	}
 	faultPlan := []scenario.InjectPlan{{
-		Kind:    scenario.KindConnectorTx,
-		At:      100 * sim.Time(sim.Millisecond),
-		Horizon: testRounds * sim.Time(sim.Millisecond),
+		Kind: scenario.KindConnectorTx,
+		At:   100 * sim.Time(sim.Millisecond),
 	}}
 	rec := record(t, faultPlan, engine.WithClassifier(bayes.New()))
 

@@ -111,7 +111,7 @@ func TestAllocGuardAssessorEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster warm-up in -short mode")
 	}
-	sys := scenario.Fig10(20050404, diagnosis.Options{})
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
 	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
 	sys.Run(2000)
 	a := sys.Diag.Assessor
@@ -142,7 +142,7 @@ func TestAllocGuardTelemetryRound(t *testing.T) {
 		t.Skip("cluster warm-up in -short mode")
 	}
 	perRound := func(extra ...engine.Option) float64 {
-		sys := scenario.Fig10With(20050404, diagnosis.Options{}, extra...)
+		sys := scenario.Fig10(20050404, diagnosis.Options{}, nil, extra...)
 		sys.Run(200) // warm pools, scratch and trust histories
 		const roundsPerRun = 64
 		allocs := testing.AllocsPerRun(5, func() { sys.Run(roundsPerRun) })
@@ -171,7 +171,7 @@ func TestAllocGuardBayesOffRound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster warm-up in -short mode")
 	}
-	sys := scenario.Fig10(20050404, diagnosis.Options{})
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
 	sys.Run(200) // warm pools, scratch and trust histories
 	const roundsPerRun = 64
 	allocs := testing.AllocsPerRun(5, func() { sys.Run(roundsPerRun) })
@@ -194,7 +194,7 @@ func TestAllocGuardOBDHooks(t *testing.T) {
 		t.Skip("cluster warm-up in -short mode")
 	}
 	faulty := func() *scenario.System {
-		sys := scenario.Fig10(20050404, diagnosis.Options{})
+		sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
 		sys.Injector.PermanentFailSilent(3, sim.Time(100*sim.Millisecond))
 		sys.Injector.Bohrbug(sys.Sensor, scenario.ChSpeed,
 			func(v float64, now sim.Time) bool { return true }, 400)
@@ -292,7 +292,7 @@ func TestAllocGuardTraceRecord(t *testing.T) {
 		if traced {
 			opts = append(opts, engine.WithSink(sink, trace.Options{TrustEveryEpochs: 5, Vehicle: 1}))
 		}
-		sys := scenario.Fig10With(20050404, diagnosis.Options{}, opts...)
+		sys := scenario.Fig10(20050404, diagnosis.Options{}, nil, opts...)
 		sys.Injector.ConnectorTx(0, 0, 0, 0.3)
 		sys.Run(2000) // warm pools, scratch and histories; verdicts settle
 		const runs = 5
@@ -358,7 +358,7 @@ func TestAllocGuardCheckpointEncode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster warm-up in -short mode")
 	}
-	sys := scenario.Fig10(20050404, diagnosis.Options{})
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
 	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
 	sys.Run(2000)
 	var buf bytes.Buffer
@@ -415,14 +415,14 @@ func TestAllocGuardChunkedResume(t *testing.T) {
 		// amd64 (6.24 MB measured since).
 		maxChunkedBytes = 6_840_000
 	)
-	round := scenario.Fig10(seed, diagnosis.Options{}).Cluster.Cfg.RoundDuration().Micros()
-	plan := []scenario.InjectPlan{{Kind: scenario.KindPermanent, At: sim.Time(chunk / 2 * round), Horizon: sim.Time(rounds * round)}}
+	round := scenario.Fig10(seed, diagnosis.Options{}, nil).Cluster.Cfg.RoundDuration().Micros()
+	plan := []scenario.InjectPlan{{Kind: scenario.KindPermanent, At: sim.Time(chunk / 2 * round)}}
 	var ck bytes.Buffer
 	var perTrip []float64 // bytes per stream byte, one per round trip
 	run := func() uint64 {
 		perTrip = perTrip[:0]
 		return allocatedBytes(func() {
-			sys := scenario.Fig10Faulted(seed, diagnosis.Options{}, plan)
+			sys := scenario.Fig10(seed, diagnosis.Options{}, plan)
 			for ran := int64(chunk); ran < rounds; ran += chunk {
 				sys.Cluster.RunToRound(ran)
 				trip := allocatedBytes(func() {
@@ -430,7 +430,7 @@ func TestAllocGuardChunkedResume(t *testing.T) {
 					if err := sys.Engine.Checkpoint(&ck); err != nil {
 						t.Fatal(err)
 					}
-					sys = scenario.Fig10Faulted(seed, diagnosis.Options{}, plan, engine.WithRestore(ck.Bytes()))
+					sys = scenario.Fig10(seed, diagnosis.Options{}, plan, engine.WithRestore(ck.Bytes()))
 				})
 				perTrip = append(perTrip, float64(trip)/float64(ck.Len()))
 			}
@@ -470,7 +470,7 @@ func TestAllocGuardBoundedStores(t *testing.T) {
 		// reverted to a plain slice it was 86 to 484.
 		maxBytesPerRound = 80
 	)
-	sys := scenario.Fig10(20050404, diagnosis.Options{})
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
 	// Component 0 hosts the speed sensor: once it is silent, the control
 	// job keeps commanding the brake from the last speed it received.
 	sys.Injector.PermanentFailSilent(0, sim.Time(10*sys.Cluster.Cfg.RoundDuration().Micros()))
@@ -501,12 +501,12 @@ func TestAllocGuardWarmVehicle(t *testing.T) {
 		seed, rounds = 20050404, 300
 		maxWarmRatio = 0.2
 	)
-	round := scenario.Fig10(seed, diagnosis.Options{}).Cluster.Cfg.RoundDuration().Micros()
+	round := scenario.Fig10(seed, diagnosis.Options{}, nil).Cluster.Cfg.RoundDuration().Micros()
 	horizon := sim.Time(rounds * round)
-	plan := []scenario.InjectPlan{{Kind: scenario.KindIntermittent, At: horizon / 5, Horizon: horizon}}
+	plan := []scenario.InjectPlan{{Kind: scenario.KindIntermittent, At: horizon / 5}}
 	var sys *scenario.System
 	first := allocatedBytes(func() {
-		sys = scenario.Fig10Faulted(seed, diagnosis.Options{}, plan, engine.WithClassifier(bayes.New()))
+		sys = scenario.Fig10(seed, diagnosis.Options{}, plan, engine.WithClassifier(bayes.New()))
 		sys.Run(rounds)
 	})
 	second := allocatedBytes(func() {
