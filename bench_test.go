@@ -16,6 +16,7 @@ import (
 	"decos/internal/engine"
 	"decos/internal/experiments"
 	"decos/internal/faults"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 	"decos/internal/trace"
@@ -242,11 +243,15 @@ func BenchmarkClusterRound(b *testing.B) {
 	sys.Run(int64(b.N))
 }
 
+// frettingConnector is the fault plan of the loaded-history benchmarks
+// and guards: component 0's connector drops 30 % of its frames from t=0,
+// so symptom traffic flows.
+var frettingConnector = []scenario.InjectPlan{{Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3}}}
+
 // BenchmarkClusterRoundUnderFault measures round cost with an active
 // connector fault (symptom traffic flowing).
 func BenchmarkClusterRoundUnderFault(b *testing.B) {
-	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, nil)
-	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, frettingConnector)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sys.Run(int64(b.N))
@@ -267,8 +272,7 @@ func BenchmarkBayesRound(b *testing.B) {
 // BenchmarkAssessorEpoch measures one ONA-suite evaluation over a loaded
 // history.
 func BenchmarkAssessorEpoch(b *testing.B) {
-	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, nil)
-	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, frettingConnector)
 	sys.Run(2000)
 	a := sys.Diag.Assessor
 	b.ReportAllocs()
@@ -440,7 +444,7 @@ func BenchmarkIngest(b *testing.B) {
 // cluster the checkpoint benchmarks measure, advanced far enough that
 // histories, trust records and port statistics are populated.
 func checkpointGrid(extra ...engine.Option) *scenario.System {
-	sys := scenario.GridWith(100, benchSeed, diagnosis.Options{}, extra...)
+	sys := scenario.Grid(100, benchSeed, diagnosis.Options{}, nil, extra...)
 	if len(extra) == 0 {
 		sys.Run(500)
 	}

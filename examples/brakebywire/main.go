@@ -17,23 +17,28 @@ import (
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 	"decos/internal/trace"
 )
 
+// healthyRounds is phase 1's length; component 2 dies 20 ms after it.
+const healthyRounds = 1000
+
 func main() {
 	counts := trace.NewCountingSink()
-	sys := scenario.Fig10(7, diagnosis.Options{}, nil,
+	dies := scenario.RoundsAt(healthyRounds).Add(20 * sim.Millisecond)
+	plan := []scenario.InjectPlan{{At: dies, Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 2}}}
+	sys := scenario.Fig10(7, diagnosis.Options{}, plan,
 		engine.WithSink(counts, trace.Options{}))
 	ctx := context.Background()
 
 	fmt.Println("— phase 1: healthy operation —")
-	mustRun(sys.Engine.Run(ctx, 1000))
+	mustRun(sys.Engine.Run(ctx, healthyRounds))
 	report(sys)
 
 	fmt.Println("\n— phase 2: component 2 (hosting replica S2, actuator A3, sink C2) dies —")
-	sys.Injector.PermanentFailSilent(2, sys.Engine.Now().Add(20*sim.Millisecond))
 	mustRun(sys.Engine.Run(ctx, 2500))
 	report(sys)
 

@@ -15,49 +15,53 @@ import (
 
 	"decos/internal/diagnosis"
 	"decos/internal/fleet"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 )
 
 func main() {
 	const fleetSize = 30
-	agg := fleet.NewAggregator(fleetSize)
+	tally := fleet.NewTally()
 
 	for v := 0; v < fleetSize; v++ {
-		sys := scenario.Fig10(uint64(1000+v*13), diagnosis.Options{}, nil)
-
 		// Every vehicle ships the same buggy A1 software: a Heisenbug
-		// that sporadically publishes a wild value. The fault targets the
-		// A1 job handle, so it is injected on the built system rather
-		// than through an engine manifest.
-		sys.Injector.Heisenbug(sys.Sensor, scenario.ChSpeed, 0.03, 500, false)
-
-		// Three unlucky vehicles also have a worn S2 pressure sensor
-		// (replica on component 2 — a different component than the buggy
-		// A1, so the two findings stay separable at the interface).
+		// that sporadically publishes a wild value. Three unlucky
+		// vehicles also have a worn S2 pressure sensor (replica on
+		// component 2 — a different component than the buggy A1, so the
+		// two findings stay separable at the interface).
+		plan := []scenario.InjectPlan{{Fault: &pack.FaultSpec{
+			Kind: "heisenbug", Job: "A/A1", Channel: scenario.ChSpeed, Rate: 0.03, Value: 500,
+		}}}
 		if v%10 == 3 {
-			sys.Injector.SensorStuck(sys.Replicas[1], sim.Time(400*sim.Millisecond), 55)
+			plan = append(plan, scenario.InjectPlan{
+				At:    sim.Time(400 * sim.Millisecond),
+				Fault: &pack.FaultSpec{Kind: "sensor-stuck", Job: "S/S2", Value: 55},
+			})
 		}
-
+		sys := scenario.Fig10(uint64(1000+v*13), diagnosis.Options{}, plan)
 		sys.Engine.RunRounds(3000)
 
 		// The vehicle uploads its job-inherent verdicts as field data.
 		for _, verdict := range sys.Diag.Assessor.CurrentAll() {
-			if verdict.FRU.IsHardware() {
-				continue
+			if !verdict.FRU.IsHardware() && fleet.Relevant(verdict.Class) {
+				tally.Observe(v, verdict.FRU.Job)
 			}
-			agg.Add(fleet.Incident{
-				Vehicle: v,
-				Job:     verdict.FRU.Job,
-				Class:   verdict.Class,
-				Pattern: verdict.Pattern,
-			})
 		}
 	}
 
-	fmt.Print(agg.Report(0.3))
+	stats := tally.Analyze(fleetSize, 0.3)
+	fmt.Printf("fleet of %d vehicles, %d job-inherent incidents\n", fleetSize, tally.Incidents())
+	for _, s := range stats {
+		kind := "vehicle-local (transducer/hardware)"
+		if s.Systematic {
+			kind = "SYSTEMATIC software design fault → OEM"
+		}
+		fmt.Printf("  %-16s %3d vehicles (%.0f%%)  %s\n", s.Job, s.Vehicles, 100*s.Share, kind)
+	}
+	fmt.Printf("Pareto: top 20%% of modules cause %.0f%% of incidents\n", 100*tally.Pareto(0.2))
 	fmt.Println()
-	for _, s := range agg.Analyze(0.3) {
+	for _, s := range stats {
 		if s.Systematic {
 			fmt.Printf("→ %s is flagged on %.0f%% of the fleet: the OEM correlates the\n", s.Job, 100*s.Share)
 			fmt.Println("  field data, confirms the software design fault, and distributes a")

@@ -15,9 +15,9 @@ import (
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
-	"decos/internal/engine"
 	"decos/internal/faults"
 	"decos/internal/maintenance"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 )
@@ -30,14 +30,13 @@ func main() {
 }
 
 // faultyCar builds the Fig. 10 vehicle with its fretting connector
-// declared in the engine's fault manifest.
+// declared in the fault plan.
 func faultyCar() (*scenario.System, *faults.Activation) {
-	var act *faults.Activation
-	sys := scenario.Fig10(101, diagnosis.Options{}, nil,
-		engine.WithFaults(func(inj *faults.Injector) {
-			act = inj.ConnectorTx(0, sim.Time(100*sim.Millisecond), 0, 0.3)
-		}))
-	return sys, act
+	sys := scenario.Fig10(101, diagnosis.Options{}, []scenario.InjectPlan{{
+		At:    sim.Time(100 * sim.Millisecond),
+		Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3},
+	}})
+	return sys, sys.Ledger()[0]
 }
 
 func drive(sys *scenario.System, rounds int64) int {

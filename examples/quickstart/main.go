@@ -15,11 +15,16 @@ import (
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/faults"
+	"decos/internal/pack"
 	"decos/internal/sim"
 	"decos/internal/vnet"
 )
 
 const chTemp vnet.ChannelID = 1
+
+// fretting is the fault both engines run: a connector on the sensor node
+// losing 30 % of its frames at arbitrary instants from 100 ms on.
+var fretting = pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3, AtMS: 100}
 
 // buildClimate populates the topology: a temperature sensor publishing
 // on a time-triggered virtual network, a consumer displaying it.
@@ -52,8 +57,7 @@ func main() {
 	// 1. One engine configuration replaces the hand-rolled wiring: the
 	//    time-triggered core (three components, 250 µs slots, 128-byte
 	//    frames), the topology hook, the diagnostic DAS on component 2,
-	//    and a fault manifest — a fretting connector on the sensor node
-	//    losing 30 % of its frames at arbitrary instants.
+	//    and a fault manifest that injects the fretting connector.
 	var act *faults.Activation
 	eng := engine.MustNew(
 		engine.WithTopology(3, 250*sim.Microsecond, 128),
@@ -61,7 +65,7 @@ func main() {
 		engine.WithBuild(buildClimate),
 		engine.WithDiagnosis(2, diagnosis.Options{}),
 		engine.WithFaults(func(inj *faults.Injector) {
-			act = inj.ConnectorTx(0, sim.Time(100*sim.Millisecond), 0, 0.3)
+			act = fretting.Apply(inj, fretting.At())
 		}),
 	)
 	fmt.Println("injected:", act)
@@ -90,7 +94,7 @@ func main() {
 		engine.WithDiagnosis(2, diagnosis.Options{}),
 		engine.WithOBDClassifier(),
 		engine.WithFaults(func(inj *faults.Injector) {
-			inj.ConnectorTx(0, sim.Time(100*sim.Millisecond), 0, 0.3)
+			fretting.Apply(inj, fretting.At())
 		}),
 	)
 	obdEng.RunRounds(4000)

@@ -14,31 +14,25 @@ import (
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
-	"decos/internal/engine"
-	"decos/internal/faults"
 	"decos/internal/maintenance"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 )
 
 func main() {
-	// Both ageing processes are declared up front in the engine's fault
-	// manifest. Component 0 wears out: transient episodes whose rate
-	// grows exponentially (doubling roughly every 350 ms of simulated
-	// time — compressed from years to seconds so the run stays short),
-	// plus a slow output drift toward the spec boundary. Component 2 is
-	// healthy but sits in an EMI-exposed location.
-	sys := scenario.Fig10(11, diagnosis.Options{}, nil,
-		engine.WithFaults(func(inj *faults.Injector) {
-			acc := faults.WearoutAcceleration{
-				Onset:           sim.Time(400 * sim.Millisecond),
-				Tau:             500 * sim.Millisecond,
-				BaseRatePerHour: 3600 * 4,
-				MaxFactor:       40,
-			}
-			inj.Wearout(0, acc, 3600*20)
-			inj.EMIBurst(sim.Time(800*sim.Millisecond), 5.5, 0, 1.2, 10*sim.Millisecond, 4)
-		}))
+	// Both ageing processes are declared up front in the fault plan.
+	// Component 0 wears out: transient episodes whose rate grows
+	// exponentially (doubling roughly every 350 ms of simulated time —
+	// compressed from years to seconds so the run stays short), plus a
+	// slow output drift toward the spec boundary. Component 2 is healthy
+	// but sits in an EMI-exposed location.
+	sys := scenario.Fig10(11, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(400 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "wearout", Component: 0,
+			TauMS: 500, BaseRatePerHour: 3600 * 4, MaxFactor: 40, DriftPerHour: 3600 * 20}},
+		{At: sim.Time(800 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "emi-burst", Component: -1,
+			X: 5.5, Radius: 1.2, DurationMS: 10, Bits: 4}},
+	})
 
 	sys.Engine.RunRounds(4000)
 

@@ -1,19 +1,22 @@
 package baseline_test
 
 import (
-	"decos/internal/baseline"
+	"math"
 	"testing"
 
+	"decos/internal/baseline"
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/faults"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 )
 
 func TestOBDRecordsPermanentFailure(t *testing.T) {
-	sys := scenario.Fig10(1, diagnosis.Options{}, nil)
-	sys.Injector.PermanentFailSilent(0, sim.Time(100*sim.Millisecond))
+	sys := scenario.Fig10(1, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 0}},
+	})
 	sys.Run(4000) // 4 s: well past the 500 ms threshold
 	if !sys.OBD.HasDTC(0) {
 		t.Fatalf("no DTC for dead component; codes: %v", sys.OBD.DTCs())
@@ -28,9 +31,10 @@ func TestOBDMissesShortTransients(t *testing.T) {
 	// The paper: failures significantly shorter than 500 ms cannot be
 	// detected by conventional OBD. A 10 ms EMI burst and a 50 ms outage
 	// must leave no DTC.
-	sys := scenario.Fig10(2, diagnosis.Options{}, nil)
-	sys.Injector.EMIBurst(sim.Time(100*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
-	sys.Injector.SEU(sim.Time(300*sim.Millisecond), 2)
+	sys := scenario.Fig10(2, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "emi-burst", Component: -1, X: 0.5, Radius: 2, DurationMS: 10, Bits: 4}},
+		{At: sim.Time(300 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "seu", Component: 2}},
+	})
 	sys.Run(4000)
 	if len(sys.OBD.DTCs()) != 0 {
 		t.Errorf("OBD recorded DTCs for sub-threshold transients: %v", sys.OBD.DTCs())
@@ -41,8 +45,9 @@ func TestOBDMissesIntermittentConnector(t *testing.T) {
 	// A fretting connector drops 30 % of frames — each gap lasts only a
 	// few slots, never 500 ms — so OBD stores nothing although the fault
 	// is real. This is exactly the paper's fault-not-found phenomenon.
-	sys := scenario.Fig10(3, diagnosis.Options{}, nil)
-	sys.Injector.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
+	sys := scenario.Fig10(3, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3}},
+	})
 	sys.Run(4000)
 	if sys.OBD.HasDTC(0) {
 		t.Error("OBD recorded the sub-threshold intermittent connector")
@@ -61,9 +66,9 @@ func TestOBDBlamesECUForSoftwareFault(t *testing.T) {
 	// A Bohrbug produces persistently implausible values → plausibility
 	// DTC against the hosting ECU → replacement of healthy hardware
 	// (no-fault-found at the bench).
-	sys := scenario.Fig10(4, diagnosis.Options{}, nil)
-	sys.Injector.Bohrbug(sys.Sensor, scenario.ChSpeed,
-		func(v float64, now sim.Time) bool { return true }, 400)
+	sys := scenario.Fig10(4, diagnosis.Options{}, []scenario.InjectPlan{
+		{Fault: &pack.FaultSpec{Kind: "bohrbug", Job: "A/A1", Channel: scenario.ChSpeed, Threshold: math.Inf(-1), Value: 400}},
+	})
 	sys.Run(4000)
 	if !sys.OBD.HasDTC(0) {
 		t.Fatalf("no plausibility DTC; codes: %v", sys.OBD.DTCs())

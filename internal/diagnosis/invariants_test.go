@@ -5,6 +5,7 @@ import (
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 	"decos/internal/tt"
@@ -70,8 +71,9 @@ func TestVerdictInvariants(t *testing.T) {
 // candidate in these single-fault scenarios (faults target components
 // 0..2), and fault-free FRUs must keep full trust.
 func TestInnocentFRUsKeepTrust(t *testing.T) {
-	sys := scenario.Fig10(999, diagnosis.Options{}, nil)
-	sys.Injector.PermanentFailSilent(0, sim.Time(200*sim.Millisecond))
+	sys := scenario.Fig10(999, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(200 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 0}},
+	})
 	sys.Run(2000)
 	for _, n := range []int{1, 2, 3} {
 		hw, _ := sys.Diag.Reg.HardwareIndex(tt.NodeID(n))

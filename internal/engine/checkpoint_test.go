@@ -431,7 +431,7 @@ func TestRestoreRejectsUntrackedKeys(t *testing.T) {
 		{"accumulator channel", "accumulator channel 65537", accumulator(0, 65537), sys.Diag.Monitors[0]},
 		// arm counter, id horizon, activation count, then the first
 		// activation's id and latch
-		{"StageKind", "core.StageKind 9", append(headOf(encodeSection(t, sys.Injector), 5), stageKind(9)...), sys.Injector},
+		{"StageKind", "core.StageKind 9", append(headOf(encodeSection(t, sys.Engine.Injector), 5), stageKind(9)...), sys.Engine.Injector},
 		{"FaultClass", "core.FaultClass 99", adviserVerdict(nFRU, 0, 99, 0, 0), adviser},
 		{"Persistence", "core.Persistence 7", adviserVerdict(nFRU, 0, 0, 7, 0), adviser},
 		{"MaintenanceAction", "core.MaintenanceAction 42", adviserVerdict(nFRU, 0, 0, 0, 42), adviser},

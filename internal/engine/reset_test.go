@@ -107,7 +107,7 @@ func TestResetKeepsEarlierResults(t *testing.T) {
 	for f := 0; f < sys.Diag.Reg.Len(); f++ {
 		trust = append(trust, sys.Diag.Assessor.TrustHistory(diagnosis.FRUIndex(f)))
 	}
-	ledger := sys.Injector.Ledger()
+	ledger := sys.Ledger()
 	emitted := sys.Diag.Assessor.Emitted()
 	if len(trust[0]) == 0 || len(ledger) == 0 || len(emitted) == 0 {
 		t.Fatalf("first vehicle left %d trust points, %d activations, %d verdicts; want some of each",
@@ -123,7 +123,7 @@ func TestResetKeepsEarlierResults(t *testing.T) {
 	if after := render(); after != before {
 		t.Errorf("results of the first vehicle changed while the next one ran:\nbefore: %s\nafter:  %s", before, after)
 	}
-	if len(sys.Injector.Ledger()) == 0 || len(sys.Diag.Assessor.TrustHistory(0)) == 0 {
+	if len(sys.Ledger()) == 0 || len(sys.Diag.Assessor.TrustHistory(0)) == 0 {
 		t.Error("the second vehicle recorded no activation or trust point")
 	}
 }

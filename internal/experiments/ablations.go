@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"decos/internal/component"
 	"decos/internal/core"
 	"decos/internal/diagnosis"
-	"decos/internal/faults"
+	"decos/internal/engine"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 	"decos/internal/tt"
@@ -78,30 +80,26 @@ func A1WindowSweep(seed uint64) *Result {
 // be flagged internal. Small K forgets recurrences; K near 1 works until
 // it starts accumulating isolated transients.
 func A2AlphaSweep(seed uint64) *Result {
-	ks := []float64{0.3, 0.6, 0.9, 0.97}
 	t := newTable("alpha K", "SEU → external", "intermittent → internal", "both correct")
 	metrics := map[string]float64{}
-	for _, k := range ks {
+	for _, k := range a2Ks {
 		seuOK, intOK := 0, 0
-		const reps = 3
-		for rep := 0; rep < reps; rep++ {
-			opts := diagnosis.Options{AlphaK: k}
-			sysA := scenario.Fig10(seed+uint64(rep)*31, opts, nil)
-			sysA.Injector.SEU(sim.Time(300*sim.Millisecond), 1)
-			sysA.Run(3000)
+		for rep := 0; rep < a2Reps; rep++ {
+			seu, intermittent := a2Runs(seed, k, rep)
+			sysA := seu.build()
+			sysA.Run(seu.rounds)
 			if v, ok := sysA.Diag.VerdictOf(core.HardwareFRU(1)); ok && v.Class == core.ComponentExternal {
 				seuOK++
 			}
-			sysB := scenario.Fig10(seed+uint64(rep)*37+1000, opts, nil)
-			sysB.Injector.IntermittentInternal(1, sim.Time(300*sim.Millisecond), 3600*6, 0)
-			sysB.Run(3000)
+			sysB := intermittent.build()
+			sysB.Run(intermittent.rounds)
 			if v, ok := sysB.Diag.VerdictOf(core.HardwareFRU(1)); ok && v.Class == core.ComponentInternal {
 				intOK++
 			}
 		}
-		t.row(k, frac(seuOK, reps), frac(intOK, reps), frac(min(seuOK, intOK), reps))
-		metrics[fmt.Sprintf("seu_ok_k%.2f", k)] = float64(seuOK) / reps
-		metrics[fmt.Sprintf("int_ok_k%.2f", k)] = float64(intOK) / reps
+		t.row(k, frac(seuOK, a2Reps), frac(intOK, a2Reps), frac(min(seuOK, intOK), a2Reps))
+		metrics[fmt.Sprintf("seu_ok_k%.2f", k)] = float64(seuOK) / a2Reps
+		metrics[fmt.Sprintf("int_ok_k%.2f", k)] = float64(intOK) / a2Reps
 	}
 	return &Result{
 		ID:      "A2",
@@ -109,6 +107,22 @@ func A2AlphaSweep(seed uint64) *Result {
 		Table:   t.String(),
 		Metrics: metrics,
 	}
+}
+
+// A2's sweep: the α-count decays it tries, and the replicates per decay.
+var a2Ks = []float64{0.3, 0.6, 0.9, 0.97}
+
+const a2Reps = 3
+
+// a2Runs returns A2's rep-th pair of runs at decay k, both faulting
+// component 1 at 300 ms: an isolated SEU and a recurring internal
+// transient.
+func a2Runs(seed uint64, k float64, rep int) (seu, intermittent run) {
+	opts := diagnosis.Options{AlphaK: k}
+	return run{seed: seed + uint64(rep)*31, opts: opts, rounds: 3000,
+			plan: plan(ms(300), pack.FaultSpec{Kind: "seu", Component: 1})},
+		run{seed: seed + uint64(rep)*37 + 1000, opts: opts, rounds: 3000,
+			plan: plan(ms(300), pack.FaultSpec{Kind: "intermittent", Component: 1, RatePerHour: 3600 * 6})}
 }
 
 // A3Encapsulation removes the slot-guardian (strong fault isolation, core
@@ -119,11 +133,10 @@ func A2AlphaSweep(seed uint64) *Result {
 // disturbance) — the architectural justification for error containment as
 // a prerequisite of maintenance-oriented classification.
 func A3Encapsulation(seed uint64) *Result {
-	run := func(guardian bool) (accused int, culpritFound bool, disturbed int) {
-		sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
-		sys.Cluster.Bus.GuardianEnabled = guardian
-		sys.Injector.PermanentBabbling(1, sim.Time(300*sim.Millisecond))
-		sys.Run(3000)
+	measure := func(guardian bool) (accused int, culpritFound bool, disturbed int) {
+		r := a3Run(seed, guardian)
+		sys := r.build()
+		sys.Run(r.rounds)
 		for _, c := range sys.Cluster.Components() {
 			v, ok := sys.Diag.VerdictOf(core.HardwareFRU(int(c.ID)))
 			if !ok {
@@ -139,8 +152,8 @@ func A3Encapsulation(seed uint64) *Result {
 		}
 		return accused, culpritFound, disturbed
 	}
-	onAccused, onFound, onDisturbed := run(true)
-	offAccused, offFound, offDisturbed := run(false)
+	onAccused, onFound, onDisturbed := measure(true)
+	offAccused, offFound, offDisturbed := measure(false)
 
 	t := newTable("configuration", "FRUs with verdicts", "removal verdicts", "culprit identified")
 	t.row("guardian enabled", onDisturbed, onAccused, onFound)
@@ -159,11 +172,13 @@ func A3Encapsulation(seed uint64) *Result {
 	}
 }
 
-func btoi(b bool) int {
-	if b {
-		return 1
+// a3Run is A3's run with the slot guardian on or off: component 1
+// babbles from 300 ms on.
+func a3Run(seed uint64, guardian bool) run {
+	return run{seed: seed, rounds: 3000,
+		plan:  plan(ms(300), pack.FaultSpec{Kind: "permanent-babbling", Component: 1}),
+		extra: []engine.Option{engine.WithBuild(func(cl *component.Cluster) { cl.Bus.GuardianEnabled = guardian })},
 	}
-	return 0
 }
 
 // A4QueueSweep varies the receive-queue capacity of the event-triggered
@@ -171,13 +186,12 @@ func btoi(b bool) int {
 // whether the configuration ONA fires — the dimensioning question behind
 // the job-borderline fault class.
 func A4QueueSweep(seed uint64) *Result {
-	caps := []int{1, 2, 4, 8, 16}
 	t := newTable("queue capacity", "overflows", "configuration verdict")
 	metrics := map[string]float64{}
-	for _, capacity := range caps {
-		sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
-		sys.Injector.MisconfigureQueue(sys.Sink, scenario.ChLoad, capacity)
-		sys.Run(3000)
+	for _, capacity := range a4Caps {
+		r := a4Run(seed, capacity)
+		sys := r.build()
+		sys.Run(r.rounds)
 		over := sys.Sink.InPort(scenario.ChLoad).Stats.Overflows
 		v, ok := sys.Diag.VerdictOf(core.SoftwareFRU(2, "C/C2"))
 		verdict := "-"
@@ -196,11 +210,15 @@ func A4QueueSweep(seed uint64) *Result {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// a4Caps are the receive-queue capacities A4 sweeps.
+var a4Caps = []int{1, 2, 4, 8, 16}
+
+// a4Run is A4's run with C2's event queue on ChLoad dimensioned to
+// capacity.
+func a4Run(seed uint64, capacity int) run {
+	return run{seed: seed, rounds: 3000, plan: plan(0, pack.FaultSpec{
+		Kind: "misconfig-queue", Job: "C/C2", Channel: scenario.ChLoad, QueueCap: capacity,
+	})}
 }
 
 // A5DiagBandwidth sweeps the virtual diagnostic network's per-component
@@ -212,12 +230,10 @@ func min(a, b int) int {
 func A5DiagBandwidth(seed uint64) *Result {
 	t := newTable("diag bytes/frame", "symptoms received", "diag-VN drops", "connector verdict", "wearout-side verdict")
 	metrics := map[string]float64{}
-	for _, alloc := range []int{32, 64, 96, 128} {
-		sys := scenario.Fig10(seed, diagnosis.Options{DiagAllocBytes: alloc}, nil)
-		acc := wearoutAccel()
-		sys.Injector.Wearout(0, acc, 3600*20)
-		sys.Injector.ConnectorTx(1, sim.Time(300*sim.Millisecond), 0, 0.3)
-		sys.Run(3000)
+	for _, alloc := range a5Allocs {
+		r := a5Run(seed, alloc)
+		sys := r.build()
+		sys.Run(r.rounds)
 
 		drops := 0
 		for n := 0; n < 4; n++ {
@@ -247,9 +263,13 @@ func A5DiagBandwidth(seed uint64) *Result {
 	}
 }
 
-func wearoutAccel() faults.WearoutAcceleration {
-	return faults.WearoutAcceleration{
-		Onset: sim.Time(300 * sim.Millisecond), Tau: 400 * sim.Millisecond,
-		BaseRatePerHour: 3600 * 4, MaxFactor: 40,
-	}
+// a5Allocs are the diagnostic-network frame allocations A5 sweeps.
+var a5Allocs = []int{32, 64, 96, 128}
+
+// a5Run is A5's run at one diagnostic allocation: component 0 wears out
+// and component 1's connector frets, both from 300 ms on.
+func a5Run(seed uint64, alloc int) run {
+	return run{seed: seed, opts: diagnosis.Options{DiagAllocBytes: alloc}, rounds: 3000, plan: plan(ms(300),
+		pack.FaultSpec{Kind: "wearout", Component: 0, TauMS: 400, BaseRatePerHour: 3600 * 4, MaxFactor: 40, DriftPerHour: 3600 * 20},
+		pack.FaultSpec{Kind: "connector-tx", Component: 1, Rate: 0.3})}
 }

@@ -60,7 +60,7 @@ func E14Whatif(seed uint64) *Result {
 					return nil
 				}, ckptAt))
 			sys.Run(rounds)
-			act := sys.Injector.Ledger()[0]
+			act := sys.Ledger()[0]
 			comp := act.Culprit.Component
 			if comp < 0 && len(act.Affected) > 0 {
 				comp = act.Affected[0].Component

@@ -4,32 +4,24 @@ import (
 	"fmt"
 
 	"decos/internal/diagnosis"
-	"decos/internal/faults"
+	"decos/internal/pack"
 	"decos/internal/scenario"
-	"decos/internal/sim"
 	"decos/internal/tt"
 )
-
-type ttNodeID = tt.NodeID
 
 // E4Patterns measures the fault-pattern table of the paper's Fig. 8 from
 // simulation: for wearout, massive transient and connector faults, the
 // characteristic manifestation in the time, space and value dimensions of
 // the distributed state.
 func E4Patterns(seed uint64) *Result {
-	opts := diagnosis.Options{RetainGranules: 10_000, WindowGranules: 3000}
 	metrics := map[string]float64{}
 	t := newTable("fault", "time dimension", "space dimension", "value dimension")
+	wearout, emi, connector := e4Runs(seed)
 
 	// --- Wearout: increasing frequency, one component, rising deviation.
 	{
-		sys := scenario.Fig10(seed, opts, nil)
-		acc := faults.WearoutAcceleration{
-			Onset: sim.Time(200 * sim.Millisecond), Tau: 500 * sim.Millisecond,
-			BaseRatePerHour: 3600 * 3, MaxFactor: 40,
-		}
-		sys.Injector.Wearout(0, acc, 3600*20)
-		sys.Run(3000)
+		sys := wearout.build()
+		sys.Run(wearout.rounds)
 		hist := sys.Diag.Assessor.Hist
 		hw0, _ := sys.Diag.Reg.HardwareIndex(0)
 		g := hist.Latest()
@@ -50,9 +42,8 @@ func E4Patterns(seed uint64) *Result {
 
 	// --- Massive transient: simultaneous, spatially proximate, multi-bit.
 	{
-		sys := scenario.Fig10(seed+1, opts, nil)
-		sys.Injector.EMIBurst(sim.Time(500*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
-		sys.Run(2000)
+		sys := emi.build()
+		sys.Run(emi.rounds)
 		hist := sys.Diag.Assessor.Hist
 		g := hist.Latest()
 		var spanMin, spanMax int64 = 1 << 62, -1
@@ -86,9 +77,8 @@ func E4Patterns(seed uint64) *Result {
 
 	// --- Connector: arbitrary times, one component, omissions.
 	{
-		sys := scenario.Fig10(seed+2, opts, nil)
-		sys.Injector.ConnectorTx(0, sim.Time(200*sim.Millisecond), 0, 0.25)
-		sys.Run(3000)
+		sys := connector.build()
+		sys.Run(connector.rounds)
 		hist := sys.Diag.Assessor.Hist
 		g := hist.Latest()
 		hw0, _ := sys.Diag.Reg.HardwareIndex(0)
@@ -118,6 +108,19 @@ func E4Patterns(seed uint64) *Result {
 	}
 }
 
+// e4Runs returns E4's three runs, one per Fig. 8 pattern: a wearout of
+// component 0, an EMI burst around (0.5, 0), and a fretting connector on
+// component 0.
+func e4Runs(seed uint64) (wearout, emi, connector run) {
+	opts := diagnosis.Options{RetainGranules: 10_000, WindowGranules: 3000}
+	return run{seed: seed, opts: opts, rounds: 3000, plan: plan(ms(200), pack.FaultSpec{Kind: "wearout", Component: 0,
+			TauMS: 500, BaseRatePerHour: 3600 * 3, MaxFactor: 40, DriftPerHour: 3600 * 20})},
+		run{seed: seed + 1, opts: opts, rounds: 2000, plan: plan(ms(500),
+			pack.FaultSpec{Kind: "emi-burst", Component: -1, X: 0.5, Radius: 2, DurationMS: 10, Bits: 4})},
+		run{seed: seed + 2, opts: opts, rounds: 3000, plan: plan(ms(200),
+			pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.25})}
+}
+
 func corruptedComponents(sys *scenario.System, g int64) int {
 	n := 0
 	for _, hw := range sys.Diag.Reg.HardwareFRUs() {
@@ -130,7 +133,7 @@ func corruptedComponents(sys *scenario.System, g int64) int {
 
 func maxJobDeviation(sys *scenario.System, node int, from, to int64) float64 {
 	max := 0.0
-	hw, _ := sys.Diag.Reg.HardwareIndex(ttNode(node))
+	hw, _ := sys.Diag.Reg.HardwareIndex(tt.NodeID(node))
 	for _, sw := range sys.Diag.Reg.JobsOn(hw) {
 		d := sys.Diag.Assessor.Hist.MaxDeviation(sw, from, to,
 			diagnosis.KindIn(diagnosis.SymDeviation, diagnosis.SymValue))
@@ -140,8 +143,6 @@ func maxJobDeviation(sys *scenario.System, node int, from, to int64) float64 {
 	}
 	return max
 }
-
-func ttNode(n int) ttNodeID { return ttNodeID(n) }
 
 func ratio(a, b int) float64 {
 	if b == 0 {

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"decos/internal/diagnosis"
-	"decos/internal/faults"
-	"decos/internal/scenario"
-	"decos/internal/sim"
+	"decos/internal/pack"
 )
 
 // E5Trust regenerates the LRU assessment trajectories of the paper's
@@ -15,16 +12,9 @@ import (
 // a healthy FRU that suffers a brief external disturbance, dips, and
 // recovers to conformance.
 func E5Trust(seed uint64) *Result {
-	sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
-	// Trajectory A: wearout on component 0.
-	acc := faults.WearoutAcceleration{
-		Onset: sim.Time(400 * sim.Millisecond), Tau: 500 * sim.Millisecond,
-		BaseRatePerHour: 3600 * 4, MaxFactor: 40,
-	}
-	sys.Injector.Wearout(0, acc, 3600*20)
-	// Trajectory B: EMI burst over components 2 and 3 early in the run.
-	sys.Injector.EMIBurst(sim.Time(600*sim.Millisecond), 5.5, 0, 1.2, 10*sim.Millisecond, 4)
-	sys.Run(4000)
+	r := e5Run(seed)
+	sys := r.build()
+	sys.Run(r.rounds)
 
 	hwA, _ := sys.Diag.Reg.HardwareIndex(0)
 	hwB, _ := sys.Diag.Reg.HardwareIndex(2)
@@ -61,4 +51,12 @@ func E5Trust(seed uint64) *Result {
 			"fig9_shape_ok": b2f(finalA < 0.4 && finalB > 0.9 && minB < 1),
 		},
 	}
+}
+
+// e5Run is E5's run. Trajectory A: wearout on component 0. Trajectory B:
+// an EMI burst over components 2 and 3 early in the run.
+func e5Run(seed uint64) run {
+	return run{seed: seed, rounds: 4000, plan: append(
+		plan(ms(400), pack.FaultSpec{Kind: "wearout", Component: 0, TauMS: 500, BaseRatePerHour: 3600 * 4, MaxFactor: 40, DriftPerHour: 3600 * 20}),
+		plan(ms(600), pack.FaultSpec{Kind: "emi-burst", Component: -1, X: 5.5, Radius: 1.2, DurationMS: 10, Bits: 4})...)}
 }

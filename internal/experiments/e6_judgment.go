@@ -5,7 +5,7 @@ import (
 
 	"decos/internal/component"
 	"decos/internal/core"
-	"decos/internal/diagnosis"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 )
@@ -19,13 +19,12 @@ import (
 func E6Judgment(seed uint64) *Result {
 	t := newTable("scenario", "DAS A impact", "DAS C impact", "DAS S impact (TMR)", "localized FRU", "verdict")
 	metrics := map[string]float64{}
+	jobFault, compFault := e6Runs(seed)
 
 	// (a) Job-inherent fault in DAS A's sensor job A1 on component 0.
 	{
-		sys := scenario.Fig10(seed, diagnosis.Options{}, nil)
-		sys.Injector.Bohrbug(sys.Sensor, scenario.ChSpeed,
-			func(v float64, now sim.Time) bool { return v > 55 }, 400)
-		sys.Run(3000)
+		sys := jobFault.build()
+		sys.Run(jobFault.rounds)
 		rejected := sys.Control.Impl.(*component.ControlJob).RejectedInputs
 		voterOK := sys.Voter.NoMajority == 0
 		v, ok := sys.Diag.VerdictOf(core.SoftwareFRU(0, "A/A1"))
@@ -44,11 +43,10 @@ func E6Judgment(seed uint64) *Result {
 
 	// (b) Component-internal fault on component 2 (hosts A3, C2, S2).
 	{
-		sys := scenario.Fig10(seed+1, diagnosis.Options{}, nil)
-		sys.Run(500)
+		sys := compFault.build()
+		sys.Run(e6Healthy)
 		votedBefore := sys.Voter.Voted
-		sys.Injector.PermanentFailSilent(2, sys.Cluster.Sched.Now().Add(20*sim.Millisecond))
-		sys.Run(2500)
+		sys.Run(compFault.rounds - e6Healthy)
 		votes := sys.Voter.Voted - votedBefore
 		v, ok := sys.Diag.VerdictOf(core.HardwareFRU(2))
 		verdict := "-"
@@ -63,7 +61,7 @@ func E6Judgment(seed uint64) *Result {
 		}
 		t.row("component-internal (c2)",
 			"actuator A3 lost", "sink C2 lost",
-			fmt.Sprintf("S2 lost, TMR masked (%d/%d votes)", votes, int64(2500)),
+			fmt.Sprintf("S2 lost, TMR masked (%d/%d votes)", votes, compFault.rounds-e6Healthy),
 			"component[2]", verdict)
 		metrics["tmr_masked"] = b2f(votes >= 2400)
 		metrics["hw_fault_localized"] = b2f(ok && v.Class == core.ComponentInternal)
@@ -76,4 +74,17 @@ func E6Judgment(seed uint64) *Result {
 		Table:   t.String(),
 		Metrics: metrics,
 	}
+}
+
+// e6Healthy is the rounds E6(b) runs before component 2 dies, 20 ms
+// later.
+const e6Healthy = 500
+
+// e6Runs returns E6's runs: (a) a Bohrbug in A1 publishing 400 whenever
+// the wheel speed exceeds 55, and (b) component 2 failing silent.
+func e6Runs(seed uint64) (jobFault, compFault run) {
+	return run{seed: seed, rounds: 3000, plan: plan(0,
+			pack.FaultSpec{Kind: "bohrbug", Job: "A/A1", Channel: scenario.ChSpeed, Threshold: 55, Value: 400})},
+		run{seed: seed + 1, rounds: 3000, plan: plan(scenario.RoundsAt(e6Healthy).Add(20*sim.Millisecond),
+			pack.FaultSpec{Kind: "permanent-silent", Component: 2})}
 }

@@ -26,7 +26,7 @@ func E7Actions(seed uint64) *Result {
 			sys, act := faultedFig10(seed+uint64(kind)*1009+uint64(rep)*97, diagnosis.Options{}, kind)
 			truth = act.Class
 			sys.Run(3000)
-			r := maintenance.Evaluate(sys.Injector.Ledger(), sys.Diag)
+			r := maintenance.Evaluate(sys.Ledger(), sys.Diag)
 			out := r.Outcomes[0]
 			actions[out.Action]++
 			if out.CorrectAction {

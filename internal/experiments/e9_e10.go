@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"decos/internal/core"
-	"decos/internal/diagnosis"
+	"decos/internal/pack"
 	"decos/internal/scenario"
-	"decos/internal/sim"
 )
 
 // E9MultiFault stresses the classification with simultaneous faults per
@@ -52,16 +51,14 @@ func E9MultiFault(seed uint64) *Result {
 func E10Scale(seed uint64) *Result {
 	t := newTable("components", "rounds/s", "symptoms", "verdict on culprit", "correct")
 	metrics := map[string]float64{}
-	for _, n := range []int{4, 8, 16, 32} {
-		sys := scenario.Grid(n, seed+uint64(n), diagnosis.Options{})
-		culprit := n / 2
-		sys.Injector.ConnectorTx(ttNodeID(culprit), sim.Time(100*sim.Millisecond), 0, 0.3)
-		const rounds = 2000
+	for _, n := range e10Sizes {
+		r := e10Run(seed, n)
+		sys := r.build()
 		start := time.Now()
-		sys.Run(rounds)
+		sys.Run(r.rounds)
 		elapsed := time.Since(start).Seconds()
-		rps := float64(rounds) / elapsed
-		v, ok := sys.Diag.VerdictOf(core.HardwareFRU(culprit))
+		rps := float64(r.rounds) / elapsed
+		v, ok := sys.Diag.VerdictOf(core.HardwareFRU(r.plan[0].Fault.Component))
 		verdict := "-"
 		correct := false
 		if ok {
@@ -78,4 +75,14 @@ func E10Scale(seed uint64) *Result {
 		Table:   t.String(),
 		Metrics: metrics,
 	}
+}
+
+// e10Sizes are the grid sizes E10 measures.
+var e10Sizes = []int{4, 8, 16, 32}
+
+// e10Run is E10's run on the n-component grid: the connector of the
+// mid-chain component frets.
+func e10Run(seed uint64, n int) run {
+	return run{seed: seed + uint64(n), grid: n, rounds: 2000,
+		plan: plan(ms(100), pack.FaultSpec{Kind: "connector-tx", Component: n / 2, Rate: 0.3})}
 }

@@ -13,6 +13,7 @@ import (
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/faults"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 )
@@ -162,6 +163,38 @@ func (t *table) String() string {
 // faultedFig10 builds a Fig. 10 system whose fault manifest injects one
 // fault of kind at 300 ms, and returns it with that fault's ledger entry.
 func faultedFig10(seed uint64, opts diagnosis.Options, kind scenario.FaultKind, extra ...engine.Option) (*scenario.System, *faults.Activation) {
-	sys := scenario.Fig10(seed, opts, []scenario.InjectPlan{{Kind: kind, At: sim.Time(300 * sim.Millisecond)}}, extra...)
-	return sys, sys.Injector.Ledger()[0]
+	sys := scenario.Fig10(seed, opts, []scenario.InjectPlan{{Kind: kind, At: ms(300)}}, extra...)
+	return sys, sys.Ledger()[0]
 }
+
+// run is one system an experiment builds with explicit faults, and the
+// rounds it runs. Its faults are plan entries, so it restores from a
+// checkpoint taken anywhere.
+type run struct {
+	seed   uint64
+	opts   diagnosis.Options
+	plan   []scenario.InjectPlan
+	rounds int64
+	grid   int // components of a scenario.Grid run; 0 builds Fig10
+	extra  []engine.Option
+}
+
+func (r *run) build(extra ...engine.Option) *scenario.System {
+	extra = append(r.extra[:len(r.extra):len(r.extra)], extra...)
+	if r.grid > 0 {
+		return scenario.Grid(r.grid, r.seed, r.opts, r.plan, extra...)
+	}
+	return scenario.Fig10(r.seed, r.opts, r.plan, extra...)
+}
+
+// plan injects every fault of fs at the instant at.
+func plan(at sim.Time, fs ...pack.FaultSpec) []scenario.InjectPlan {
+	out := make([]scenario.InjectPlan, len(fs))
+	for i := range fs {
+		out[i] = scenario.InjectPlan{At: at, Fault: &fs[i]}
+	}
+	return out
+}
+
+// ms is the instant n milliseconds into a run.
+func ms(n int64) sim.Time { return sim.Time(n * int64(sim.Millisecond)) }

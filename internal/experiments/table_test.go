@@ -49,10 +49,4 @@ func TestHelpers(t *testing.T) {
 	if b2f(true) != 1 || b2f(false) != 0 {
 		t.Error("b2f wrong")
 	}
-	if btoi(true) != 1 || btoi(false) != 0 {
-		t.Error("btoi wrong")
-	}
-	if min(2, 3) != 2 || min(3, 2) != 2 {
-		t.Error("min wrong")
-	}
 }

@@ -510,30 +510,6 @@ func (in *Injector) MisconfigureQueue(j *component.Instance, ch vnet.ChannelID, 
 	return a
 }
 
-// MisconfigureSendQueue shrinks the outbound queue of an ET network
-// endpoint — the sender-side variant of the configuration fault.
-func (in *Injector) MisconfigureSendQueue(n *vnet.Network, node tt.NodeID, j *component.Instance, cap int) *Activation {
-	fru := core.SoftwareFRU(int(j.Comp.ID), j.DAS.Name+"/"+j.Name)
-	a := in.record(&Activation{
-		Class:       core.JobBorderline,
-		Persistence: core.Permanent,
-		Culprit:     fru,
-		Affected:    []core.FRU{fru},
-		Start:       0,
-		Detail:      fmt.Sprintf("send queue of %s on %s misdimensioned to %d", j, n.Name, cap),
-	})
-	a.Chain.Append(core.Stage{Kind: core.StageFault, At: 0, FRU: fru,
-		Detail: "virtual-network configuration fault (send queue)"})
-	ep := n.Endpoint(node)
-	if ep == nil {
-		panic("faults: no endpoint for node")
-	}
-	oldCap := ep.QueueCap
-	ep.QueueCap = cap
-	a.OnDeactivate(func() { ep.QueueCap = oldCap })
-	return a
-}
-
 // Bohrbug injects a deterministic software design fault: whenever the
 // input-dependent trigger holds, the job publishes badValue instead of the
 // correct value on channel ch. Bohrbugs are repeatable and identifiable

@@ -10,12 +10,7 @@
 // field failures.
 package fleet
 
-import (
-	"fmt"
-	"strings"
-
-	"decos/internal/core"
-)
+import "decos/internal/core"
 
 // Incident is one job-inherent finding reported by one vehicle's
 // diagnostic DAS.
@@ -29,35 +24,6 @@ type Incident struct {
 	Pattern string
 }
 
-// Aggregator accumulates incidents across a fleet: a recording layer over
-// the incremental Tally that additionally retains the incident records for
-// engineering review.
-type Aggregator struct {
-	fleetSize int
-	tally     *Tally
-	incidents []Incident
-}
-
-// NewAggregator creates an aggregator for a fleet of the given size.
-func NewAggregator(fleetSize int) *Aggregator {
-	if fleetSize <= 0 {
-		panic("fleet: fleet size must be positive")
-	}
-	return &Aggregator{fleetSize: fleetSize, tally: NewTally()}
-}
-
-// Add records one incident.
-func (a *Aggregator) Add(inc Incident) {
-	if !Relevant(inc.Class) {
-		return // only job-inherent findings participate in fleet analysis
-	}
-	a.tally.Observe(inc.Vehicle, inc.Job)
-	a.incidents = append(a.incidents, inc)
-}
-
-// Incidents returns all recorded incidents.
-func (a *Aggregator) Incidents() []Incident { return a.incidents }
-
 // JobStat is the fleet statistic of one software module.
 type JobStat struct {
 	Job string `json:"job"`
@@ -68,34 +34,4 @@ type JobStat struct {
 	// Systematic classifies the fault as a software design fault (true)
 	// or a vehicle-local transducer/hardware issue (false).
 	Systematic bool `json:"systematic"`
-}
-
-// Analyze classifies each reported job: systematic when its share of the
-// fleet exceeds threshold (software is identical on every vehicle, so a
-// design fault reproduces across the population; a transducer fault does
-// not). Results are ordered by descending share.
-func (a *Aggregator) Analyze(threshold float64) []JobStat {
-	return a.tally.Analyze(a.fleetSize, threshold)
-}
-
-// Pareto returns the fraction of all incidents caused by the top topShare
-// fraction of reported jobs — the paper's 20-80 observation evaluates to
-// Pareto(0.2) ≈ 0.8 when the rule holds.
-func (a *Aggregator) Pareto(topShare float64) float64 {
-	return a.tally.Pareto(topShare)
-}
-
-// Report renders the analysis as a table.
-func (a *Aggregator) Report(threshold float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet of %d vehicles, %d job-inherent incidents\n", a.fleetSize, len(a.incidents))
-	for _, s := range a.Analyze(threshold) {
-		kind := "vehicle-local (transducer/hardware)"
-		if s.Systematic {
-			kind = "SYSTEMATIC software design fault → OEM"
-		}
-		fmt.Fprintf(&b, "  %-16s %3d vehicles (%.0f%%)  %s\n", s.Job, s.Vehicles, 100*s.Share, kind)
-	}
-	fmt.Fprintf(&b, "Pareto: top 20%% of modules cause %.0f%% of incidents\n", 100*a.Pareto(0.2))
-	return b.String()
 }

@@ -15,8 +15,7 @@ func Relevant(c core.FaultClass) bool {
 
 // Tally is the incremental form of the fleet-correlation math: per-job
 // incident counts and distinct-vehicle sets that can be fed one observation
-// at a time (streaming trace ingestion) and merged across shards. The
-// classic Aggregator is a thin recording layer over it.
+// at a time (streaming trace ingestion) and merged across shards.
 type Tally struct {
 	incidents int
 	byJob     map[string]*jobTally
@@ -33,7 +32,7 @@ func NewTally() *Tally {
 }
 
 // Observe records one job-inherent incident of a vehicle. Callers filter
-// with Relevant first (or use Aggregator.Add, which does).
+// with Relevant first.
 func (t *Tally) Observe(vehicle int, job string) {
 	jt := t.byJob[job]
 	if jt == nil {

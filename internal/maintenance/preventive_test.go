@@ -5,19 +5,17 @@ import (
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
-	"decos/internal/faults"
 	"decos/internal/maintenance"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 )
 
 func TestPreventiveSchedulesWearingFRU(t *testing.T) {
-	sys := scenario.Fig10(61, diagnosis.Options{}, nil)
-	acc := faults.WearoutAcceleration{
-		Onset: sim.Time(200 * sim.Millisecond), Tau: 500 * sim.Millisecond,
-		BaseRatePerHour: 3600 * 4, MaxFactor: 40,
-	}
-	sys.Injector.Wearout(0, acc, 3600*20)
+	sys := scenario.Fig10(61, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(200 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "wearout", Component: 0,
+			TauMS: 500, BaseRatePerHour: 3600 * 4, MaxFactor: 40, DriftPerHour: 3600 * 20}},
+	})
 	sys.Run(3000)
 
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)
@@ -33,8 +31,9 @@ func TestPreventiveSchedulesWearingFRU(t *testing.T) {
 }
 
 func TestPreventiveIgnoresExternalDisturbance(t *testing.T) {
-	sys := scenario.Fig10(62, diagnosis.Options{}, nil)
-	sys.Injector.EMIBurst(sim.Time(400*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
+	sys := scenario.Fig10(62, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(400 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "emi-burst", Component: -1, X: 0.5, Radius: 2, DurationMS: 10, Bits: 4}},
+	})
 	sys.Run(3000)
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)
 	if len(recs) != 0 {
@@ -51,8 +50,9 @@ func TestPreventiveHealthyClusterQuiet(t *testing.T) {
 }
 
 func TestPreventiveCorrectivePathForDeadComponent(t *testing.T) {
-	sys := scenario.Fig10(64, diagnosis.Options{}, nil)
-	sys.Injector.PermanentFailSilent(1, sim.Time(200*sim.Millisecond))
+	sys := scenario.Fig10(64, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: sim.Time(200 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 1}},
+	})
 	sys.Run(1500)
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)
 	if len(recs) != 1 || recs[0].FRU != core.HardwareFRU(1) {

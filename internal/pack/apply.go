@@ -47,11 +47,11 @@ func resolveJob(cl *component.Cluster, ref string) *component.Instance {
 
 // Apply injects one validated FaultSpec through its injector primitive,
 // activating at at, and returns the ledger entry. It is the one injection
-// path: manifest faults, environment profiles and campaign draws
-// (scenario.FaultKind.Spec) all end here. The instant is passed rather
-// than read from AtMS because campaign instants are arbitrary
-// microseconds, which do not all survive the trip through at_ms (1001 µs
-// reads back as 1000 µs).
+// path: manifest faults, environment profiles, scenario plan entries and
+// campaign draws (scenario.FaultKind.Spec) all end here. The instant is
+// passed rather than read from AtMS because a plan's instants are
+// arbitrary microseconds, and a float millisecond count is not an exact
+// carrier for every one of them.
 func (f *FaultSpec) Apply(inj *faults.Injector, at sim.Time) *faults.Activation {
 	cl := inj.Cluster()
 	comp := tt.NodeID(f.Component)
@@ -75,7 +75,7 @@ func (f *FaultSpec) Apply(inj *faults.Injector, at sim.Time) *faults.Activation 
 	case "wearout":
 		return inj.Wearout(comp, faults.WearoutAcceleration{
 			Onset:           at,
-			Tau:             sim.Duration(f.TauMS * float64(sim.Millisecond)),
+			Tau:             sim.Duration(msToTime(f.TauMS)),
 			BaseRatePerHour: f.BaseRatePerHour,
 			MaxFactor:       f.MaxFactor,
 		}, f.DriftPerHour)

@@ -32,13 +32,18 @@
 // expectations.
 //
 // FaultSpec.Apply is the one applier for declared faults, expanded
-// environment profiles and the campaign kinds' draws (FaultKind.Spec in
-// scenario), so each is a FaultSpec the validator can judge; a direct
-// injector call after build bypasses it. CampaignKinds is the only list
-// of the campaign kinds' names.
+// environment profiles, scenario plan entries and the campaign kinds'
+// draws (FaultKind.Spec in scenario), so every fault is a FaultSpec the
+// validator can judge. No code outside this package and internal/faults
+// calls an injector primitive (TestFaultsOnlyAsData). CampaignKinds is
+// the only list of the campaign kinds' names.
 package pack
 
-import "decos/internal/sim"
+import (
+	"math"
+
+	"decos/internal/sim"
+)
 
 // Version is the manifest schema version this package reads and writes.
 const Version = 1
@@ -308,8 +313,10 @@ func (f *FaultSpec) End() sim.Time { return msToTime(f.EndMS) }
 // Duration returns the configured duration (0 = kind default).
 func (f *FaultSpec) Duration() sim.Duration { return sim.Duration(msToTime(f.DurationMS)) }
 
+// msToTime converts a manifest millisecond value to the nearest µs
+// (1.001 ms is 1001 µs, which truncation would read as 1000 µs).
 func msToTime(ms float64) sim.Time {
-	return sim.Time(ms * float64(sim.Millisecond))
+	return sim.Time(math.Round(ms * float64(sim.Millisecond)))
 }
 
 // EnvProfile is one environment stressor: a named physical process

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"decos/internal/sim"
 )
 
 const minimalJSON = `{
@@ -542,5 +544,32 @@ func swap(v any, set func(any), field string, check func(string, func())) {
 			set(other)
 			check(field, func() { set(v) })
 		}
+	}
+}
+
+// TestMSToTimeRoundsToMicrosecond pins the manifest's millisecond fields
+// to the nearest µs: a decimal millisecond count is not exact in binary,
+// and truncation would drop a µs from values like 1.001.
+func TestMSToTimeRoundsToMicrosecond(t *testing.T) {
+	for _, c := range []struct {
+		ms   float64
+		want sim.Time
+	}{
+		{0, 0},
+		{1.001, 1001},
+		{0.0005, 1},
+		{0.0004, 0},
+		{2.3, 2300},
+		{0.29, 290},
+		{400, 400_000},
+		{123456.789, 123_456_789},
+	} {
+		if got := msToTime(c.ms); got != c.want {
+			t.Errorf("msToTime(%v) = %d µs, want %d", c.ms, got, c.want)
+		}
+	}
+	f := FaultSpec{AtMS: 1.001, EndMS: 2.3, DurationMS: 0.29}
+	if f.At() != 1001 || f.End() != 2300 || f.Duration() != 290 {
+		t.Errorf("FaultSpec instants = %d/%d/%d µs, want 1001/2300/290", f.At(), f.End(), f.Duration())
 	}
 }

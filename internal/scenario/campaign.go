@@ -16,7 +16,6 @@ import (
 	"decos/internal/pack"
 	"decos/internal/sim"
 	"decos/internal/trace"
-	"decos/internal/tt"
 )
 
 // FaultKind enumerates the injectable fault types of a campaign, covering
@@ -382,7 +381,7 @@ func outcomeOf(sys *System, v int, p vehiclePlan) vehicleOutcome {
 		out.decosFalseAlarms = countRemovalAdvice(sys, sys.Diag)
 		out.obdFalseAlarms = countRemovalAdvice(sys, sys.OBD)
 	} else {
-		for _, act := range sys.Injector.Ledger() {
+		for _, act := range sys.Ledger() {
 			out.decos = append(out.decos, maintenance.Audit(act, sys.Diag))
 			out.obd = append(out.obd, maintenance.Audit(act, sys.OBD))
 		}
@@ -506,7 +505,7 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 	// manifest is what a checkpoint restore can reconstruct, so chunked
 	// execution replays it per chunk, and what a reset re-runs on the
 	// worker's engine.
-	horizon := sim.Time(c.Rounds * tt.UniformSchedule(4, 250*sim.Microsecond, 256).RoundDuration().Micros())
+	horizon := RoundsAt(c.Rounds)
 	plan := make([]InjectPlan, 0, len(p.kinds))
 	for i, kind := range p.kinds {
 		plan = append(plan, InjectPlan{
@@ -554,7 +553,7 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 		return sys, err
 	}
 	if r := sys.Engine.Recorder; r != nil {
-		r.WriteAudit(horizon, p.faultFree, sys.Injector.Ledger(),
+		r.WriteAudit(horizon, p.faultFree, sys.Ledger(),
 			[]trace.Advisor{{Name: "decos", Adv: sys.Diag}, {Name: "obd", Adv: sys.OBD}},
 			hardwareFRUs(sys))
 	}

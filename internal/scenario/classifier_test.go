@@ -9,6 +9,7 @@ import (
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
+	"decos/internal/pack"
 	"decos/internal/sim"
 )
 
@@ -34,10 +35,11 @@ var (
 func TestClassifiersInterchangeable(t *testing.T) {
 	const seed = 20050404
 	run := func(extra ...engine.Option) *System {
-		sys := Fig10(seed, diagnosis.Options{}, nil, extra...)
 		// Kill component 2 early so the failure persists far beyond the
 		// OBD recording threshold.
-		sys.Injector.PermanentFailSilent(2, sim.Time(50*sim.Millisecond))
+		sys := Fig10(seed, diagnosis.Options{}, []InjectPlan{
+			{At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 2}},
+		}, extra...)
 		sys.Run(4000)
 		return sys
 	}

@@ -5,12 +5,14 @@
 // with both the DECOS diagnostic architecture and the OBD baseline
 // attached.
 //
-// Fig10 is the one constructor of that system. A campaign FaultKind in
-// its plan draws a pack.FaultSpec (FaultKind.Spec) that the pack applier
-// injects (pack.FaultSpec.Apply) from the engine's fault manifest; this
-// package calls no injector primitive itself. System.Injector stays
-// exported, but a checkpointed run must put its faults in the plan or an
-// engine.WithFaults hook: a post-build injection is lost on restore.
+// Fig10 is the one constructor of that system, and Grid the one
+// constructor of the scalability grid. Every fault of either is a plan
+// entry: an explicit pack.FaultSpec, or a campaign FaultKind that draws
+// one (FaultKind.Spec). The engine's fault manifest injects each through
+// the pack applier (pack.FaultSpec.Apply), so a checkpoint restore
+// re-executes every fault of the run. This package calls no injector
+// primitive itself, and a built System exposes the injector's ledger
+// only.
 package scenario
 
 import (
@@ -42,12 +44,11 @@ const (
 // System is one fully assembled Fig. 10 cluster with diagnostics, the OBD
 // baseline and a fault injector, built on the shared run engine.
 type System struct {
-	Engine   *engine.Engine
-	Cluster  *component.Cluster
-	Diag     *diagnosis.Diagnostics
-	OBD      *baseline.OBD
-	Injector *faults.Injector
-	Voter    *component.VoterJob
+	Engine  *engine.Engine
+	Cluster *component.Cluster
+	Diag    *diagnosis.Diagnostics
+	OBD     *baseline.OBD
+	Voter   *component.VoterJob
 
 	// Handy job handles.
 	Sensor, Control, Actuator, Bursty, Sink *component.Instance
@@ -58,22 +59,29 @@ type System struct {
 // DiagNode hosts the diagnostic DAS's analysis stage.
 const DiagNode tt.NodeID = 3
 
-// InjectPlan is one planned campaign injection: the randomized targeting
-// happens at manifest time (FaultKind.Spec, drawing from the "campaign"
-// stream), so the same plan on the same seed always hits the same FRU.
+// InjectPlan is one planned injection, activating at At. Fault, when
+// set, is injected as given; its AtMS is not read, so µs instants
+// survive. Otherwise Kind draws the fault at manifest time
+// (FaultKind.Spec, from the "campaign" stream), so the same plan on the
+// same seed always hits the same FRU.
 type InjectPlan struct {
-	Kind FaultKind
-	At   sim.Time
+	Kind  FaultKind
+	At    sim.Time
+	Fault *pack.FaultSpec
 }
+
+// Ledger returns the run's injected faults in plan order: the ground
+// truth the maintenance audit scores verdicts against.
+func (s *System) Ledger() []*faults.Activation { return s.Engine.Injector.Ledger() }
 
 // Fig10 builds the canonical system with the given seed, diagnostic
 // options and fault plan. The cluster is started and ready to run. The
-// plan's injections ride the engine's fault manifest: engine.WithRestore
-// reconstructs a run by re-executing the manifest, so an injection
-// applied after build would be invisible to a restore. The activations land in the injector's ledger
-// in plan order; an empty plan is a fault-free run. extra composes engine
-// options onto the canonical configuration — trace sinks, checkpoint
-// sinks, classifier selection (engine.WithOBDClassifier and friends).
+// plan's injections ride the engine's fault manifest, which
+// engine.WithRestore re-executes to reconstruct a run. The activations
+// land in the ledger (System.Ledger) in plan order; an empty plan is a
+// fault-free run. extra composes engine options onto the canonical
+// configuration — trace sinks, checkpoint sinks, classifier selection
+// (engine.WithOBDClassifier and friends).
 func Fig10(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *System {
 	sys, err := fig10(seed, opts, append([]engine.Option{planFaults(plan)}, extra...))
 	if err != nil {
@@ -82,11 +90,16 @@ func Fig10(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engi
 	return sys
 }
 
-// planFaults is the fault manifest injecting plan: each entry draws its
-// pack fault from the "campaign" stream, and the pack applier injects it.
+// planFaults is the fault manifest injecting plan: the pack applier
+// injects each entry's explicit fault, or the one its kind draws from
+// the "campaign" stream.
 func planFaults(plan []InjectPlan) engine.Option {
 	return engine.WithFaults(func(inj *faults.Injector) {
 		for _, p := range plan {
+			if p.Fault != nil {
+				p.Fault.Apply(inj, p.At)
+				continue
+			}
 			f := p.Kind.Spec(inj.Cluster().Streams.Stream("campaign"), -1)
 			f.Apply(inj, p.At)
 		}
@@ -115,6 +128,12 @@ func Fig10Restored(data []byte, seed uint64, opts diagnosis.Options, plan []Inje
 // from; it is read-only.
 var fig10Topology = pack.Fig10Topology()
 
+// RoundsAt returns the instant n TDMA rounds into a Fig. 10 run: where a
+// plan entry goes that should strike a run n rounds in.
+func RoundsAt(n int64) sim.Time {
+	return sim.Time(n * fig10Topology.RoundDuration().Micros())
+}
+
 // fig10 assembles the Fig. 10 system through the run engine.
 func fig10(seed uint64, opts diagnosis.Options, extra []engine.Option) (*System, error) {
 	sys := &System{}
@@ -123,12 +142,13 @@ func fig10(seed uint64, opts diagnosis.Options, extra []engine.Option) (*System,
 	if err != nil {
 		return nil, err
 	}
-	sys.Engine = eng
-	sys.Cluster = eng.Cluster
-	sys.Diag = eng.Diag
-	sys.OBD = eng.OBD
-	sys.Injector = eng.Injector
+	sys.adopt(eng)
 	return sys, nil
+}
+
+// adopt points the System's handles at the built engine.
+func (s *System) adopt(eng *engine.Engine) {
+	s.Engine, s.Cluster, s.Diag, s.OBD = eng, eng.Cluster, eng.Diag, eng.OBD
 }
 
 // bind resolves the System's job handles from the built Fig. 10

@@ -161,7 +161,7 @@ func TestManifestGridByteIdentical(t *testing.T) {
 		rounds = 400
 	)
 	goAPI := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
-		sys := GridWith(nodes, seed, diagnosis.Options{},
+		sys := Grid(nodes, seed, diagnosis.Options{}, nil,
 			engine.WithTraceWriter(w, traceOpts))
 		return sys.Engine
 	})

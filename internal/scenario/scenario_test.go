@@ -37,10 +37,9 @@ func TestFig10HealthyOperation(t *testing.T) {
 }
 
 func TestFig10Determinism(t *testing.T) {
-	a := Fig10(42, diagnosis.Options{}, nil)
-	b := Fig10(42, diagnosis.Options{}, nil)
-	a.Injector.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
-	b.Injector.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
+	plan := []InjectPlan{{At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3}}}
+	a := Fig10(42, diagnosis.Options{}, plan)
+	b := Fig10(42, diagnosis.Options{}, plan)
 	a.Run(1500)
 	b.Run(1500)
 	if a.Diag.Assessor.SymptomsReceived != b.Diag.Assessor.SymptomsReceived {
@@ -57,10 +56,12 @@ func TestFig10ContainmentMatrix(t *testing.T) {
 	// Fig. 10's core claim: a job-inherent fault stays inside its DAS; a
 	// component-internal fault hits jobs of multiple DASs on that
 	// component; TMR masks the single-component fault.
-	sys := Fig10(7, diagnosis.Options{}, nil)
+	// Kill component 2 — it hosts A3 (DAS A), C2 (DAS C) and S2 (DAS S) —
+	// 50 ms after round 500.
+	sys := Fig10(7, diagnosis.Options{}, []InjectPlan{
+		{At: RoundsAt(500).Add(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 2}},
+	})
 	sys.Run(500)
-	// Kill component 2 — it hosts A3 (DAS A), C2 (DAS C) and S2 (DAS S).
-	sys.Injector.PermanentFailSilent(2, sys.Cluster.Sched.Now().Add(50*sim.Millisecond))
 	votedBefore := sys.Voter.Voted
 	sys.Run(2000)
 	// TMR masked the loss of S2: voting continued.
@@ -89,9 +90,9 @@ func TestFig10ContainmentMatrix(t *testing.T) {
 }
 
 func TestFig10JobFaultContained(t *testing.T) {
-	sys := Fig10(8, diagnosis.Options{}, nil)
-	sys.Injector.Bohrbug(sys.Sensor, ChSpeed,
-		func(v float64, now sim.Time) bool { return v > 55 }, 400)
+	sys := Fig10(8, diagnosis.Options{}, []InjectPlan{
+		{Fault: &pack.FaultSpec{Kind: "bohrbug", Job: "A/A1", Channel: ChSpeed, Threshold: 55, Value: 400}},
+	})
 	sys.Run(2500)
 	// Only the faulty job is accused; the TMR set and DAS C are untouched.
 	if sys.Voter.NoMajority != 0 {
@@ -109,8 +110,8 @@ func TestFig10JobFaultContained(t *testing.T) {
 // TestInjectCoversAllKinds draws every campaign kind unpinned and pinned
 // to components 0, 1 and 2. Each draw must be a valid pack fault: as the
 // only fault of a fig10 pack it passes Manifest.Validate, the campaign's
-// well-formedness oracle, and applying it leaves exactly one ledger
-// entry. Each kind then runs once from Fig10's plan.
+// well-formedness oracle, and as an explicit plan entry it leaves exactly
+// one ledger entry. Each kind then runs once from Fig10's plan.
 func TestInjectCoversAllKinds(t *testing.T) {
 	at := sim.Time(100 * sim.Millisecond)
 	for _, kind := range AllKinds() {
@@ -125,15 +126,13 @@ func TestInjectCoversAllKinds(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Errorf("%v pinned to %d: spec %+v is not a valid pack fault: %v", kind, comp, f, err)
 			}
-			if a := f.Apply(sys.Injector, at); a == nil {
-				t.Fatalf("%v pinned to %d: Apply returned nil activation", kind, comp)
-			}
-			if n := len(sys.Injector.Ledger()); n != 1 {
+			planned := Fig10(100+uint64(kind), diagnosis.Options{}, []InjectPlan{{At: at, Fault: &f}})
+			if n := len(planned.Ledger()); n != 1 {
 				t.Errorf("%v pinned to %d: ledger has %d entries", kind, comp, n)
 			}
 		}
 		sys := Fig10(100+uint64(kind), diagnosis.Options{}, []InjectPlan{{Kind: kind, At: at}})
-		if n := len(sys.Injector.Ledger()); n != 1 {
+		if n := len(sys.Ledger()); n != 1 {
 			t.Errorf("%v: plan left %d ledger entries", kind, n)
 		}
 		sys.Run(200) // smoke: nothing panics

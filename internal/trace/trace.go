@@ -12,7 +12,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"decos/internal/component"
 	"decos/internal/diagnosis"
@@ -92,14 +91,9 @@ type Recorder struct {
 	lastTrustEpoch int64
 }
 
-// Attach wires an NDJSON recorder onto a cluster (and, optionally, its
-// diagnostics and injector — pass nil to skip either). It must be called
-// before the first round runs.
-func Attach(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Injector, w io.Writer, opts Options) *Recorder {
-	return AttachSink(cl, d, inj, NewNDJSONSink(w), opts)
-}
-
-// AttachSink is Attach with a caller-chosen back end. A nil or no-op sink
+// AttachSink wires a recorder writing to sink onto a cluster (and,
+// optionally, its diagnostics and injector — pass nil to skip either). It
+// must be called before the first round runs. A nil or no-op sink
 // installs no instrumentation at all: the returned recorder is inert and
 // the simulator hot path keeps its zero-allocation contract.
 func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Injector, sink Sink, opts Options) *Recorder {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"decos/internal/diagnosis"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 	"decos/internal/trace"
@@ -18,17 +19,18 @@ import (
 // a fresh one through the scenario helper and accept frame/symptom capture
 // only from hooks that tolerate late attachment (bus observers and round
 // hooks can be added at any time before the relevant events).
-func traceRun(t *testing.T, opts trace.Options) (*scenario.System, *trace.Recorder, *bytes.Buffer) {
+func traceRun(t *testing.T, opts trace.Options, plan ...scenario.InjectPlan) (*scenario.System, *trace.Recorder, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
-	sys := scenario.Fig10(31, diagnosis.Options{}, nil)
-	rec := trace.Attach(sys.Cluster, sys.Diag, sys.Injector, &buf, opts)
+	sys := scenario.Fig10(31, diagnosis.Options{}, plan)
+	rec := trace.AttachSink(sys.Cluster, sys.Diag, sys.Engine.Injector, trace.NewNDJSONSink(&buf), opts)
 	return sys, rec, &buf
 }
 
 func TestRecorderCapturesIncident(t *testing.T) {
-	sys, rec, buf := traceRun(t, trace.Options{TrustEveryEpochs: 10})
-	sys.Injector.ConnectorTx(0, sim.Time(100*sim.Millisecond), 0, 0.3)
+	sys, rec, buf := traceRun(t, trace.Options{TrustEveryEpochs: 10}, scenario.InjectPlan{
+		At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3},
+	})
 	sys.Run(2000)
 
 	if rec.Err != nil {
@@ -81,7 +83,7 @@ func TestRecorderAllFrames(t *testing.T) {
 
 func TestRecorderStopsOnWriteError(t *testing.T) {
 	sys := scenario.Fig10(32, diagnosis.Options{}, nil)
-	rec := trace.Attach(sys.Cluster, sys.Diag, sys.Injector, failWriter{}, trace.Options{AllFrames: true})
+	rec := trace.AttachSink(sys.Cluster, sys.Diag, sys.Engine.Injector, trace.NewNDJSONSink(failWriter{}), trace.Options{AllFrames: true})
 	sys.Run(20)
 	if rec.Err == nil {
 		t.Fatal("write error not surfaced")
@@ -104,8 +106,9 @@ type writeErr struct{}
 func (*writeErr) Error() string { return "synthetic write failure" }
 
 func TestEventJSONShape(t *testing.T) {
-	sys, _, buf := traceRun(t, trace.Options{})
-	sys.Injector.SEU(sim.Time(50*sim.Millisecond), 1)
+	sys, _, buf := traceRun(t, trace.Options{}, scenario.InjectPlan{
+		At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "seu", Component: 1},
+	})
 	sys.Run(500)
 	first := strings.SplitN(buf.String(), "\n", 2)[0]
 	if !strings.Contains(first, `"kind"`) || !strings.Contains(first, `"t_us"`) {

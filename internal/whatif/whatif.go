@@ -206,13 +206,13 @@ func (cfg *Config) apply(sys *scenario.System) (string, error) {
 	h := cfg.Hyp
 	at := max(h.At, sys.Cluster.Sched.Now())
 	find := func(id int) (*faults.Activation, error) {
-		for _, a := range sys.Injector.Ledger() {
+		for _, a := range sys.Ledger() {
 			if a.ID == id {
 				return a, nil
 			}
 		}
 		return nil, fmt.Errorf("whatif: no activation #%d in the restored ledger (%d entries)",
-			id, len(sys.Injector.Ledger()))
+			id, len(sys.Ledger()))
 	}
 	switch h.Kind {
 	case Remove:
@@ -224,7 +224,7 @@ func (cfg *Config) apply(sys *scenario.System) (string, error) {
 		return fmt.Sprintf("removed activation #%d (%s: %s)", a.ID, a.Class, a.Detail), nil
 	case Inject:
 		f := h.Fault.Spec(sys.Cluster.Streams.Stream("campaign"), -1)
-		a := f.Apply(sys.Injector, at)
+		a := f.Apply(sys.Engine.Injector, at)
 		return fmt.Sprintf("injected %s at %v: %s", h.Fault, at, a.Detail), nil
 	case WrongFRU:
 		if n := len(sys.Cluster.Components()); h.Comp < -1 || h.Comp >= n {
@@ -244,7 +244,7 @@ func (cfg *Config) apply(sys *scenario.System) (string, error) {
 		}
 		a.Deactivate()
 		f := h.Fault.Spec(sys.Cluster.Streams.Stream("campaign"), comp)
-		b := f.Apply(sys.Injector, at)
+		b := f.Apply(sys.Engine.Injector, at)
 		return fmt.Sprintf("moved activation #%d (%s) from %s to %s: %s",
 			a.ID, h.Fault, a.Culprit, core.HardwareFRU(comp), b.Detail), nil
 	}

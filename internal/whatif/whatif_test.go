@@ -46,9 +46,9 @@ func record(t *testing.T, plan []scenario.InjectPlan, extra ...engine.Option) *r
 		append([]engine.Option{engineCheckpointEvery(rec, 50)}, extra...)...)
 	// decos-sim attaches the trace outside the engine; mirror that so the
 	// checkpoints carry no trace attachment.
-	trace.AttachSink(sys.Cluster, sys.Diag, sys.Injector,
+	trace.AttachSink(sys.Cluster, sys.Diag, sys.Engine.Injector,
 		trace.NewNDJSONSink(&buf), trace.Options{TrustEveryEpochs: 5})
-	for _, a := range sys.Injector.Ledger() {
+	for _, a := range sys.Ledger() {
 		rec.ledger = append(rec.ledger, a.Culprit.String())
 	}
 	sys.Cluster.RunToRound(testRounds)

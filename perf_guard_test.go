@@ -10,6 +10,7 @@ package decos
 import (
 	"bytes"
 	"io"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -20,6 +21,7 @@ import (
 	"decos/internal/bayes"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
+	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 	"decos/internal/telemetry"
@@ -111,8 +113,7 @@ func TestAllocGuardAssessorEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster warm-up in -short mode")
 	}
-	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
-	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, frettingConnector)
 	sys.Run(2000)
 	a := sys.Diag.Assessor
 
@@ -194,11 +195,11 @@ func TestAllocGuardOBDHooks(t *testing.T) {
 		t.Skip("cluster warm-up in -short mode")
 	}
 	faulty := func() *scenario.System {
-		sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
-		sys.Injector.PermanentFailSilent(3, sim.Time(100*sim.Millisecond))
-		sys.Injector.Bohrbug(sys.Sensor, scenario.ChSpeed,
-			func(v float64, now sim.Time) bool { return true }, 400)
-		return sys
+		return scenario.Fig10(20050404, diagnosis.Options{}, []scenario.InjectPlan{
+			{At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 3}},
+			// Every speed value exceeds the threshold: A1 always publishes 400.
+			{Fault: &pack.FaultSpec{Kind: "bohrbug", Job: "A/A1", Channel: scenario.ChSpeed, Threshold: math.Inf(-1), Value: 400}},
+		})
 	}
 	plain, extra := faulty(), faulty()
 	obd := baseline.Attach(extra.Cluster)
@@ -292,8 +293,7 @@ func TestAllocGuardTraceRecord(t *testing.T) {
 		if traced {
 			opts = append(opts, engine.WithSink(sink, trace.Options{TrustEveryEpochs: 5, Vehicle: 1}))
 		}
-		sys := scenario.Fig10(20050404, diagnosis.Options{}, nil, opts...)
-		sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+		sys := scenario.Fig10(20050404, diagnosis.Options{}, frettingConnector, opts...)
 		sys.Run(2000) // warm pools, scratch and histories; verdicts settle
 		const runs = 5
 		counts := make([]int, 0, runs+1) // AllocsPerRun adds a warm-up call
@@ -358,8 +358,7 @@ func TestAllocGuardCheckpointEncode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster warm-up in -short mode")
 	}
-	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
-	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, frettingConnector)
 	sys.Run(2000)
 	var buf bytes.Buffer
 	encode := func() {
@@ -470,10 +469,11 @@ func TestAllocGuardBoundedStores(t *testing.T) {
 		// reverted to a plain slice it was 86 to 484.
 		maxBytesPerRound = 80
 	)
-	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
 	// Component 0 hosts the speed sensor: once it is silent, the control
 	// job keeps commanding the brake from the last speed it received.
-	sys.Injector.PermanentFailSilent(0, sim.Time(10*sys.Cluster.Cfg.RoundDuration().Micros()))
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, []scenario.InjectPlan{
+		{At: scenario.RoundsAt(10), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 0}},
+	})
 	sys.Run(4500) // past 1200 granules and 4096 actuations
 	if n := len(sys.Cluster.Env.Actuations("brake")); n != 4096 {
 		t.Fatalf("brake history holds %d commands after 4500 rounds, want the 4096 cap", n)
