@@ -53,6 +53,7 @@ vet:
 
 # Counterfactual replay demo: record a faulted Fig. 10 run with engine
 # checkpoints, then localize the fault with decos-whatif (remove,
-# wrong-fru and inject hypotheses against the recorded trace).
+# wrong-fru and inject hypotheses against the recorded trace); a last leg
+# fails unless removing a recorded SEU makes the replay diverge.
 whatif-demo:
 	./scripts/whatif-demo.sh

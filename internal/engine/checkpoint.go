@@ -51,15 +51,6 @@ func WithRestore(data []byte) Option {
 	return func(c *Config) { c.restore = &data }
 }
 
-// Restore rebuilds an engine from a checkpoint stream:
-// engine.Restore(data, opts...) is New(append(opts, WithRestore(data))...).
-// The restored run continues bit-identically to the uninterrupted run the
-// checkpoint was taken from. As with WithRestore, data is read in place
-// and may be reused once Restore returns.
-func Restore(data []byte, opts ...Option) (*Engine, error) {
-	return New(append(append([]Option{}, opts...), WithRestore(data))...)
-}
-
 // encoders recycles checkpoint encoders: a warm encoder keeps its buffers'
 // capacity, so a chunked campaign's per-chunk checkpoint stops regrowing
 // them from empty.

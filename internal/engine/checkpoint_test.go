@@ -38,7 +38,7 @@ func richManifest(inj *faults.Injector) {
 func fig10Ckpt(w *bytes.Buffer, extra ...engine.Option) *scenario.System {
 	opts := append([]engine.Option{
 		engine.WithFaults(richManifest),
-		engine.WithTraceWriter(w, trace.Options{AllFrames: true, TrustEveryEpochs: 2}),
+		engine.WithSink(trace.NewNDJSONSink(w), trace.Options{AllFrames: true, TrustEveryEpochs: 2}),
 	}, extra...)
 	return scenario.Fig10(20050404, diagnosis.Options{}, nil, opts...)
 }
@@ -156,18 +156,19 @@ func TestRestoreValidatesOptions(t *testing.T) {
 	sys := fig10Ckpt(&w)
 	data := checkpointBytes(t, sys.Engine)
 
-	if _, err := engine.Restore(data,
+	if _, err := engine.New(
 		engine.WithTopology(5, 250*sim.Microsecond, 256),
-		engine.WithSeed(20050404)); err == nil {
+		engine.WithSeed(20050404), engine.WithRestore(data)); err == nil {
 		t.Error("restore with mismatched topology should fail")
 	}
-	if _, err := engine.Restore(data,
+	if _, err := engine.New(
 		engine.WithTopology(4, 250*sim.Microsecond, 256),
-		engine.WithSeed(99)); err == nil {
+		engine.WithSeed(99), engine.WithRestore(data)); err == nil {
 		t.Error("restore with mismatched seed should fail")
 	}
-	if _, err := engine.Restore([]byte("not a checkpoint"),
-		engine.WithTopology(4, 250*sim.Microsecond, 256)); err == nil {
+	if _, err := engine.New(
+		engine.WithTopology(4, 250*sim.Microsecond, 256),
+		engine.WithRestore([]byte("not a checkpoint"))); err == nil {
 		t.Error("restore from garbage should fail")
 	}
 }

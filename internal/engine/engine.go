@@ -27,7 +27,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"decos/internal/baseline"
 	"decos/internal/clock"
@@ -151,11 +150,6 @@ func WithSink(sink trace.Sink, opts trace.Options) Option {
 	return func(c *Config) { c.sink, c.traceOpts = sink, opts }
 }
 
-// WithTraceWriter is WithSink over an NDJSON sink on w.
-func WithTraceWriter(w io.Writer, opts trace.Options) Option {
-	return WithSink(trace.NewNDJSONSink(w), opts)
-}
-
 // WithTelemetry publishes the run's health metrics into the given
 // registry: round throughput, per-stage assessment latencies (collect /
 // classify / advise, via the pipeline's attach points), and the simulator
@@ -217,7 +211,7 @@ func New(opts ...Option) (*Engine, error) {
 // build runs the assembly pipeline. In restoring mode the injector
 // suppresses manifest-time timer arming: the manifest re-registers every
 // fault's role handlers and filter closures, while the checkpoint's
-// pending-timer list is the authoritative phase (see engine.Restore).
+// pending-timer list is the authoritative phase (see WithRestore).
 func build(cfg Config, restoring bool) (*Engine, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("engine: topology with %d nodes (use WithTopology)", cfg.Nodes)

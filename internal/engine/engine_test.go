@@ -108,7 +108,7 @@ func TestSinkReceivesEvents(t *testing.T) {
 func TestTraceWriterMatchesDirectAttach(t *testing.T) {
 	var viaEngine bytes.Buffer
 	eng := engine.MustNew(append(smallOptions(7),
-		engine.WithTraceWriter(&viaEngine, trace.Options{AllFrames: true}))...)
+		engine.WithSink(trace.NewNDJSONSink(&viaEngine), trace.Options{AllFrames: true}))...)
 	eng.RunRounds(30)
 
 	var direct bytes.Buffer

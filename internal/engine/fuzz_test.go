@@ -33,7 +33,7 @@ func restoreGolden(data []byte) (*scenario.System, error) {
 	var tr bytes.Buffer
 	return scenario.Fig10Restored(data, 20050404, diagnosis.Options{}, nil,
 		engine.WithFaults(richManifest),
-		engine.WithTraceWriter(&tr, trace.Options{AllFrames: true, TrustEveryEpochs: 2}))
+		engine.WithSink(trace.NewNDJSONSink(&tr), trace.Options{AllFrames: true, TrustEveryEpochs: 2}))
 }
 
 func generateGoldenCkpt(tb testing.TB) []byte {

@@ -25,10 +25,11 @@ import (
 // structural (see localizes): tx-side faults diverge in a frame the
 // culprit sends, internal faults in a symptom about a job the culprit
 // hosts, rx-side faults in an accusation the culprit is the lone
-// observer of. A run with no divergence at all is the masked case — the
-// fault was never observable, the counterfactual face of the paper's
-// no-fault-found problem (SEUs land here when the flipped value is
-// voted out or never transmitted).
+// observer of. A run with no divergence at all would be the masked case —
+// the fault never observable, the counterfactual face of the paper's
+// no-fault-found problem. A removed fault does nothing (the injector
+// makes a deactivated activation inert), so even a one-shot SEU diverges
+// in the one frame it would have corrupted.
 func E14Whatif(seed uint64) *Result {
 	kinds := []scenario.FaultKind{
 		scenario.KindSEU, scenario.KindConnectorTx, scenario.KindConnectorRx,

@@ -251,15 +251,15 @@ func TestE14DivergenceLocalizes(t *testing.T) {
 		t.Errorf("divergence localization %.2f among diverged runs\n%s",
 			r.Metrics["localization"], r.Table)
 	}
-	// SEUs may mask entirely (the counterfactual NFF case), but the
-	// persistent kinds must be observable.
-	if r.Metrics["diverged"] < 0.7 {
+	// Removing a fault before it strikes must be observable for every
+	// kind, the one-shot SEU included: a repaired fault does nothing.
+	if r.Metrics["diverged"] != 1 {
 		t.Errorf("only %.0f%% of faulted runs diverged at all\n%s",
 			100*r.Metrics["diverged"], r.Table)
 	}
-	for _, k := range []string{"connector-tx", "connector-rx", "permanent", "quartz", "power-dip"} {
-		if r.Metrics["div_"+k] < 1 {
-			t.Errorf("%s: persistent fault produced no divergence in some seeds\n%s", k, r.Table)
+	for _, k := range []string{"connector-tx", "connector-rx", "wearout", "intermittent", "permanent", "quartz", "seu", "power-dip"} {
+		if r.Metrics["div_"+k] != 1 {
+			t.Errorf("%s: removing the fault produced no divergence in some seeds\n%s", k, r.Table)
 		}
 	}
 }

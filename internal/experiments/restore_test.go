@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"decos/internal/core"
 	"decos/internal/engine"
 	"decos/internal/scenario"
 	"decos/internal/trace"
@@ -100,9 +99,7 @@ func TestExplicitFaultRunsRestore(t *testing.T) {
 // does (periodic checkpoints, a trace attached outside the engine) and
 // replays each with its fault removed at round 100: the factual replica
 // cross-checks clean against the recording, and the counterfactual
-// diverges. The EMI burst is the exception to the second claim: its
-// primitive ignores Activation.Deactivate, so removing it before it
-// strikes changes nothing (a known defect, logged rather than failed).
+// diverges.
 func TestWhatifReplaysE4AndE6(t *testing.T) {
 	const ckptRound = 100
 	for _, c := range explicitRuns(restoreSeed) {
@@ -139,12 +136,8 @@ func TestWhatifReplaysE4AndE6(t *testing.T) {
 			if rep.TraceMatch == nil || rep.TraceMatch.Err != nil || rep.TraceMatch.Compared == 0 {
 				t.Fatalf("factual replica does not reproduce the recording: %+v", rep.TraceMatch)
 			}
-			if act := sys.Ledger()[0]; rep.Div == nil {
-				if act.Class == core.ComponentExternal {
-					t.Logf("removing %s changed nothing: the EMI primitive ignores Deactivate", act)
-				} else {
-					t.Errorf("removing %s changed nothing", act)
-				}
+			if rep.Div == nil {
+				t.Errorf("removing %s changed nothing", sys.Ledger()[0])
 			}
 		})
 	}

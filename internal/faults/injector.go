@@ -36,6 +36,9 @@ type Activation struct {
 
 	deactivated bool
 	undo        []func()
+	// in is the injector that recorded the activation; Deactivate
+	// removes the activation's hooks from its bus.
+	in *Injector
 
 	// Phase tracking. Every fault primitive expresses its temporal
 	// behaviour as named roles: timer roles (what to do when a scheduled
@@ -116,8 +119,10 @@ func (a *Activation) dropTimer(rec *timerRec) {
 }
 
 // Active reports whether the fault is still present in the system (i.e.
-// not repaired). Manifestation hooks check this, so a Deactivate models
-// the physical effect of the correct repair.
+// not repaired). The injector, not the primitive, makes an inactive
+// activation inert: its timers fire without running their handler, its
+// bus hooks are removed by Deactivate, and its job filters pass values
+// through unchanged.
 func (a *Activation) Active() bool { return !a.deactivated }
 
 // OnDeactivate registers cleanup run when the fault is repaired.
@@ -132,6 +137,10 @@ func (a *Activation) Deactivate() {
 		return
 	}
 	a.deactivated = true
+	for _, h := range a.hooks {
+		a.in.cl.Bus.RemoveFault(h.id)
+	}
+	a.hooks = nil
 	for _, f := range a.undo {
 		f()
 	}
@@ -140,14 +149,6 @@ func (a *Activation) Deactivate() {
 
 // NoCulprit marks activations without a replaceable culprit.
 var NoCulprit = core.FRU{Component: -1}
-
-// ActiveAt reports whether the activation window covers time t.
-func (a *Activation) ActiveAt(t sim.Time) bool {
-	if t < a.Start {
-		return false
-	}
-	return a.End == 0 || t <= a.End
-}
 
 func (a *Activation) String() string {
 	return fmt.Sprintf("#%d %s/%s %s [%v..%v] %s",
@@ -213,13 +214,34 @@ func (in *Injector) timer(a *Activation, role string, at sim.Time, arg int64) {
 	in.arm(a, rec)
 }
 
+// arm schedules a pending timer. When it fires it leaves the activation's
+// phase either way, but its handler runs only while the activation is
+// active: a repaired fault starts, ends and reschedules nothing.
 func (in *Injector) arm(a *Activation, rec *timerRec) {
 	in.cl.Sched.At(rec.at, "fault."+rec.role, func() {
 		a.dropTimer(rec)
-		if fn := a.onTimer[rec.role]; fn != nil {
+		if fn := a.onTimer[rec.role]; fn != nil && a.Active() {
 			fn(rec.arg)
 		}
 	})
+}
+
+// window installs the activation's hook for role (tx or rx, whichever
+// the role registered) from from on and removes it at to; to = 0 leaves
+// the removal to a "role.off" timer the hook arms itself, or to repair.
+func (in *Injector) window(a *Activation, role string, from, to sim.Time) {
+	a.handle(role+".on", func(int64) {
+		if _, rx := a.rxRoles[role]; rx {
+			in.installRx(a, role)
+		} else {
+			in.installTx(a, role)
+		}
+	})
+	a.handle(role+".off", func(int64) { in.removeRole(a, role) })
+	in.timer(a, role+".on", from, 0)
+	if to > 0 {
+		in.timer(a, role+".off", to, 0)
+	}
 }
 
 // installTx installs the activation's tx hook for a role on the bus and
@@ -271,7 +293,7 @@ func (in *Injector) Ledger() []*Activation { return in.ledger }
 func (in *Injector) Cluster() *component.Cluster { return in.cl }
 
 func (in *Injector) record(a *Activation) *Activation {
-	a.ID = in.nextID
+	a.ID, a.in = in.nextID, in
 	in.nextID++
 	in.ledger = append(in.ledger, a)
 	return a
@@ -290,8 +312,9 @@ func (in *Injector) hardwareFRUsWithin(x, y, radius float64) []core.FRU {
 	return out
 }
 
-// chainOutFault composes a new output filter after the job's existing one.
-func chainOutFault(j *component.Instance, f component.OutFilter) {
+// chainOutFault composes the activation's output filter after the job's
+// existing one; the filter is skipped once the activation is inactive.
+func chainOutFault(a *Activation, j *component.Instance, f component.OutFilter) {
 	prev := j.OutFault
 	j.OutFault = func(ch vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
 		if prev != nil {
@@ -301,16 +324,23 @@ func chainOutFault(j *component.Instance, f component.OutFilter) {
 				return nil, false
 			}
 		}
+		if !a.Active() {
+			return payload, true
+		}
 		return f(ch, payload, now)
 	}
 }
 
-// chainSensorFault composes a new sensor filter after the existing one.
-func chainSensorFault(j *component.Instance, f component.SensorFilter) {
+// chainSensorFault composes the activation's sensor filter after the
+// existing one; the filter is skipped once the activation is inactive.
+func chainSensorFault(a *Activation, j *component.Instance, f component.SensorFilter) {
 	prev := j.SensorFault
 	j.SensorFault = func(name string, v float64, now sim.Time) float64 {
 		if prev != nil {
 			v = prev(name, v, now)
+		}
+		if !a.Active() {
+			return v
 		}
 		return f(name, v, now)
 	}

@@ -339,12 +339,6 @@ func TestLedgerBookkeeping(t *testing.T) {
 	if a1.ID == a2.ID {
 		t.Error("duplicate activation ids")
 	}
-	if !a2.ActiveAt(sim.Time(sim.Second)) {
-		t.Error("open-ended activation not active")
-	}
-	if a1.ActiveAt(sim.Time(sim.Second)) {
-		t.Error("closed activation active after end")
-	}
 	if a1.String() == "" || a2.String() == "" {
 		t.Error("empty String()")
 	}

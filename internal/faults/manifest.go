@@ -54,10 +54,7 @@ func (in *Injector) EMIBurst(at sim.Time, x, y, radius float64, dur sim.Duration
 		f.CorruptBits += bits
 		a.logEpisode(now)
 	})
-	a.handle("emi.on", func(int64) { in.installTx(a, "emi") })
-	a.handle("emi.off", func(int64) { in.removeRole(a, "emi") })
-	in.timer(a, "emi.on", at, 0)
-	in.timer(a, "emi.off", at.Add(dur), 0)
+	in.window(a, "emi", at, at.Add(dur))
 	return a
 }
 
@@ -89,9 +86,7 @@ func (in *Injector) SEU(at sim.Time, comp tt.NodeID) *Activation {
 		a.logEpisode(now)
 		in.timer(a, "seu.off", now, 0)
 	})
-	a.handle("seu.on", func(int64) { in.installTx(a, "seu") })
-	a.handle("seu.off", func(int64) { in.removeRole(a, "seu") })
-	in.timer(a, "seu.on", at, 0)
+	in.window(a, "seu", at, 0)
 	return a
 }
 
@@ -119,9 +114,6 @@ func (in *Injector) PowerDip(comp tt.NodeID, at sim.Time, dur sim.Duration) *Act
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: at, FRU: NoCulprit,
 		Detail: "external supply disturbance"})
 	a.handle("powerdip.on", func(int64) {
-		if !a.Active() {
-			return
-		}
 		in.cl.Bus.SetAlive(comp, false)
 		appendFailure(&a.Chain, at, fru, "transient outage (silence)")
 		a.logEpisode(at)
@@ -156,7 +148,7 @@ func (in *Injector) ConnectorTx(comp tt.NodeID, start, end sim.Time, dropProb fl
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: start, FRU: fru,
 		Detail: "connector fretting/corrosion (borderline)"})
 	a.txRole("connector", func(f *tt.Frame) {
-		if !a.Active() || f.Sender != comp || f.Status != tt.FrameOK {
+		if f.Sender != comp || f.Status != tt.FrameOK {
 			return
 		}
 		if in.rng.Bool(dropProb) {
@@ -167,13 +159,7 @@ func (in *Injector) ConnectorTx(comp tt.NodeID, start, end sim.Time, dropProb fl
 			a.logEpisode(now)
 		}
 	})
-	a.handle("connector.on", func(int64) { in.installTx(a, "connector") })
-	a.handle("connector.off", func(int64) { in.removeRole(a, "connector") })
-	in.timer(a, "connector.on", start, 0)
-	a.OnDeactivate(func() { in.removeRole(a, "connector") })
-	if end > 0 {
-		in.timer(a, "connector.off", end, 0)
-	}
+	in.window(a, "connector", start, end)
 	return a
 }
 
@@ -194,7 +180,7 @@ func (in *Injector) ConnectorRx(comp tt.NodeID, start, end sim.Time, dropProb fl
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: start, FRU: fru,
 		Detail: "inbound connector fault (borderline)"})
 	a.rxRole("connector.rx", func(rcv tt.NodeID, f *tt.Frame, st tt.FrameStatus) tt.FrameStatus {
-		if !a.Active() || rcv != comp || st != tt.FrameOK || f.Sender == comp {
+		if rcv != comp || st != tt.FrameOK || f.Sender == comp {
 			return st
 		}
 		if in.rng.Bool(dropProb) {
@@ -203,13 +189,7 @@ func (in *Injector) ConnectorRx(comp tt.NodeID, start, end sim.Time, dropProb fl
 		}
 		return st
 	})
-	a.handle("connector.rx.on", func(int64) { in.installRx(a, "connector.rx") })
-	a.handle("connector.rx.off", func(int64) { in.removeRole(a, "connector.rx") })
-	in.timer(a, "connector.rx.on", start, 0)
-	a.OnDeactivate(func() { in.removeRole(a, "connector.rx") })
-	if end > 0 {
-		in.timer(a, "connector.rx.off", end, 0)
-	}
+	in.window(a, "connector.rx", start, end)
 	return a
 }
 
@@ -243,8 +223,8 @@ func (in *Injector) Wearout(comp tt.NodeID, acc WearoutAcceleration, driftPerHou
 	if driftPerHour != 0 {
 		c := in.cl.Component(comp)
 		for _, j := range c.Jobs {
-			chainOutFault(j, func(ch vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
-				if !a.Active() || now <= acc.Onset || len(payload) != 8 {
+			chainOutFault(a, j, func(ch vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
+				if now <= acc.Onset || len(payload) != 8 {
 					return payload, true
 				}
 				dev := driftPerHour * now.Sub(acc.Onset).Hours()
@@ -290,7 +270,7 @@ func (in *Injector) IntermittentInternal(comp tt.NodeID, start sim.Time, ratePer
 // its episode's bus handle as the timer argument.
 func (in *Injector) scheduleEpisodes(a *Activation, comp tt.NodeID, acc WearoutAcceleration, outage sim.Duration) {
 	a.txRole("episode", func(f *tt.Frame) {
-		if !a.Active() || f.Sender != comp || f.Status != tt.FrameOK {
+		if f.Sender != comp || f.Status != tt.FrameOK {
 			return
 		}
 		f.Status = tt.FrameCorrupted
@@ -306,7 +286,7 @@ func (in *Injector) scheduleEpisodes(a *Activation, comp tt.NodeID, acc WearoutA
 	}
 	a.handle("episode", func(int64) {
 		now := in.cl.Sched.Now()
-		if !a.Active() || (a.End != 0 && now > a.End) {
+		if a.End != 0 && now > a.End {
 			return
 		}
 		a.logEpisode(now)
@@ -337,9 +317,6 @@ func (in *Injector) PermanentFailSilent(comp tt.NodeID, at sim.Time) *Activation
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: at, FRU: fru,
 		Detail: "permanent hardware defect (e.g. PCB crack)"})
 	a.handle("permanent", func(int64) {
-		if !a.Active() {
-			return
-		}
 		in.cl.Bus.SetAlive(comp, false)
 		appendFailure(&a.Chain, at, fru, "continuous frame omission")
 	})
@@ -366,25 +343,19 @@ func (in *Injector) PermanentBabbling(comp tt.NodeID, at sim.Time) *Activation {
 		Detail: "permanent controller defect (babbling idiot)"})
 	bus := in.cl.Bus
 	a.txRole("babble", func(f *tt.Frame) {
-		if !a.Active() || f.Sender != comp || f.Status != tt.FrameOK {
+		if f.Sender != comp || f.Status != tt.FrameOK {
 			return
 		}
 		f.Status = tt.FrameCorrupted
 		f.CorruptBits += 16
 	})
 	a.handle("babbling", func(int64) {
-		if !a.Active() {
-			return
-		}
 		bus.SetBabbling(comp, true)
 		in.installTx(a, "babble")
 		appendFailure(&a.Chain, at, fru, "garbage transmission in own slot")
 	})
 	in.timer(a, "babbling", at, 0)
-	a.OnDeactivate(func() {
-		bus.SetBabbling(comp, false)
-		in.removeRole(a, "babble")
-	})
+	a.OnDeactivate(func() { bus.SetBabbling(comp, false) })
 	return a
 }
 
@@ -410,9 +381,6 @@ func (in *Injector) DefectiveQuartz(comp tt.NodeID, at sim.Time, driftPPM float6
 	osc := in.cl.Bus.Clocks.Oscillators[int(comp)]
 	oldDrift := osc.DriftPPM
 	a.handle("quartz", func(int64) {
-		if !a.Active() {
-			return
-		}
 		osc.DriftPPM = driftPPM
 		appendFailure(&a.Chain, at, fru, "loss of clock synchronization")
 	})
@@ -455,16 +423,10 @@ func (in *Injector) TransientQuartz(comp tt.NodeID, at sim.Time, dur sim.Duratio
 	osc := in.cl.Bus.Clocks.Oscillators[int(comp)]
 	oldDrift := osc.DriftPPM
 	a.handle("quartz-on", func(int64) {
-		if !a.Active() {
-			return
-		}
 		osc.DriftPPM = driftPPM
 		appendFailure(&a.Chain, at, fru, "loss of clock synchronization")
 	})
 	a.handle("quartz-off", func(int64) {
-		if !a.Active() {
-			return
-		}
 		osc.DriftPPM = oldDrift
 		in.cl.Bus.Clocks.Readmit(in.cl.Sched.Now(), int(comp))
 	})
@@ -526,8 +488,8 @@ func (in *Injector) Bohrbug(j *component.Instance, ch vnet.ChannelID, trigger fu
 	})
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: 0, FRU: fru,
 		Detail: "deterministic software design fault (Bohrbug)"})
-	chainOutFault(j, func(c vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
-		if !a.Active() || c != ch || len(payload) != 8 {
+	chainOutFault(a, j, func(c vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
+		if c != ch || len(payload) != 8 {
 			return payload, true
 		}
 		v := vnet.Message{Payload: payload}.Float()
@@ -557,8 +519,8 @@ func (in *Injector) Heisenbug(j *component.Instance, ch vnet.ChannelID, prob flo
 	})
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: 0, FRU: fru,
 		Detail: "non-deterministic software design fault (Heisenbug)"})
-	chainOutFault(j, func(c vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
-		if !a.Active() || c != ch || !in.rng.Bool(prob) {
+	chainOutFault(a, j, func(c vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
+		if c != ch || !in.rng.Bool(prob) {
 			return payload, true
 		}
 		a.logEpisode(now)
@@ -586,9 +548,6 @@ func (in *Injector) JobCrash(j *component.Instance, at sim.Time) *Activation {
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: at, FRU: fru,
 		Detail: "software design fault causing partition halt"})
 	a.handle("jobcrash", func(int64) {
-		if !a.Active() {
-			return
-		}
 		j.Halted = true
 		appendFailure(&a.Chain, at, fru, "job silent (stale port state)")
 	})
@@ -612,8 +571,8 @@ func (in *Injector) SensorStuck(j *component.Instance, at sim.Time, stuck float6
 	})
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: at, FRU: fru,
 		Detail: "transducer defect (stuck-at)"})
-	chainSensorFault(j, func(name string, v float64, now sim.Time) float64 {
-		if !a.Active() || now < at {
+	chainSensorFault(a, j, func(name string, v float64, now sim.Time) float64 {
+		if now < at {
 			return v
 		}
 		return stuck
@@ -635,8 +594,8 @@ func (in *Injector) SensorDrift(j *component.Instance, at sim.Time, driftPerHour
 	})
 	a.Chain.Append(core.Stage{Kind: core.StageFault, At: at, FRU: fru,
 		Detail: "transducer degradation (drift)"})
-	chainSensorFault(j, func(name string, v float64, now sim.Time) float64 {
-		if !a.Active() || now < at {
+	chainSensorFault(a, j, func(name string, v float64, now sim.Time) float64 {
+		if now < at {
 			return v
 		}
 		return v + driftPerHour*now.Sub(at).Hours()

@@ -208,7 +208,7 @@ func buildCustom(cl *component.Cluster, g *Topology) {
 		cl.AddComponent(tt.NodeID(cs.ID), cs.Name, cs.X, cs.Y)
 	}
 	for _, sg := range g.Signals {
-		cl.Env.DefineSine(sg.Name, sg.Amplitude, sim.Duration(sg.PeriodMS*float64(sim.Millisecond)), sg.Offset)
+		cl.Env.DefineSine(sg.Name, sg.Amplitude, sim.Duration(msToTime(sg.PeriodMS)), sg.Offset)
 	}
 	for i := range g.DASs {
 		ds := &g.DASs[i]

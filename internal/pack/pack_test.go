@@ -573,3 +573,30 @@ func TestMSToTimeRoundsToMicrosecond(t *testing.T) {
 		t.Errorf("FaultSpec instants = %d/%d/%d µs, want 1001/2300/290", f.At(), f.End(), f.Duration())
 	}
 }
+
+// TestSignalPeriodRoundsToMicrosecond pins a signal's period_ms to the
+// nearest µs like every other millisecond field: a 1.001 ms period is
+// 1001 µs, so the sine reads sin(2π·t/1001 µs) at each sample instant t.
+func TestSignalPeriodRoundsToMicrosecond(t *testing.T) {
+	doc := strings.Replace(customDoc(8, 1), `"period_ms": 100`, `"period_ms": 1.001, "amplitude": 1`, 1)
+	m, err := Parse([]byte(doc), "period.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := m.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	e.Cluster.Components()[0].Jobs[0].SensorFault = func(_ string, v float64, now sim.Time) float64 {
+		if want := math.Sin(2 * math.Pi * float64(now) / 1001); v != want {
+			t.Errorf("sample at %v = %v, want %v", now, v, want)
+		}
+		samples++
+		return v
+	}
+	e.RunRounds(10)
+	if samples == 0 {
+		t.Fatal("the sensor never sampled its signal")
+	}
+}

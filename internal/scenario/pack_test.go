@@ -50,7 +50,7 @@ func manifestEngine(t *testing.T, doc string) func(w *bytes.Buffer) *engine.Engi
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := m.Engine(engine.WithTraceWriter(w, traceOpts))
+		eng, err := m.Engine(engine.WithSink(trace.NewNDJSONSink(w), traceOpts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestManifestFig10ByteIdentical(t *testing.T) {
 				cl := inj.Cluster()
 				inj.SensorStuck(cl.DAS("A").JobNamed("A1"), sim.Time(300*sim.Millisecond), 42.5)
 			}),
-			engine.WithTraceWriter(w, traceOpts))
+			engine.WithSink(trace.NewNDJSONSink(w), traceOpts))
 		return sys.Engine
 	})
 	doc := func(topology string) string {
@@ -162,7 +162,7 @@ func TestManifestGridByteIdentical(t *testing.T) {
 	)
 	goAPI := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
 		sys := Grid(nodes, seed, diagnosis.Options{}, nil,
-			engine.WithTraceWriter(w, traceOpts))
+			engine.WithSink(trace.NewNDJSONSink(w), traceOpts))
 		return sys.Engine
 	})
 	doc := func(topology string) string {

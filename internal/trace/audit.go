@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"io"
-
 	"decos/internal/core"
 	"decos/internal/faults"
 	"decos/internal/maintenance"
@@ -15,18 +13,6 @@ import (
 type Advisor struct {
 	Name string
 	Adv  maintenance.Advisor
-}
-
-// NewRecorder returns an NDJSON recorder writing to w without attaching to
-// any cluster — for synthesizing streams (tests, replays) and for
-// audit-only traces.
-func NewRecorder(w io.Writer, opts Options) *Recorder {
-	return NewSinkRecorder(NewNDJSONSink(w), opts)
-}
-
-// NewSinkRecorder returns an unattached recorder over an arbitrary sink.
-func NewSinkRecorder(sink Sink, opts Options) *Recorder {
-	return &Recorder{sink: sink, opts: opts}
 }
 
 // WriteAudit appends the end-of-run audit block that makes a vehicle trace

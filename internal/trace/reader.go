@@ -33,7 +33,7 @@ type Reader struct {
 const maxCorruptErrors = 16
 
 // NewReader wraps r. The decode buffer is bounded by DefaultMaxLineBytes;
-// use SetMaxLineBytes to tighten or widen the bound before reading.
+// use SetMaxRecordBytes to tighten or widen the bound before reading.
 func NewReader(r io.Reader) *Reader {
 	return newReader(bufio.NewReaderSize(r, 64<<10))
 }
@@ -42,21 +42,15 @@ func newReader(br *bufio.Reader) *Reader {
 	return &Reader{br: br, max: DefaultMaxLineBytes}
 }
 
-// SetMaxLineBytes bounds the size of a single line; longer lines are
-// skipped and counted as corrupt. Values < 1 restore the default.
-func (r *Reader) SetMaxLineBytes(n int) {
+// SetMaxRecordBytes bounds the size of a single line (a record of the
+// NDJSON encoding); longer lines are skipped and counted as corrupt.
+// Values < 1 restore the default.
+func (r *Reader) SetMaxRecordBytes(n int) {
 	if n < 1 {
 		n = DefaultMaxLineBytes
 	}
 	r.max = n
 }
-
-// SetMaxRecordBytes is SetMaxLineBytes under the EventReader interface: a
-// record of the NDJSON encoding is one line.
-func (r *Reader) SetMaxRecordBytes(n int) { r.SetMaxLineBytes(n) }
-
-// Lines returns the number of non-empty lines consumed so far.
-func (r *Reader) Lines() int { return r.lines }
 
 // Records returns the number of records (non-empty lines) consumed so
 // far, under the EventReader interface.

@@ -23,7 +23,7 @@ func sampleEvents() []Event {
 // TestReaderRoundTrip writes events with the Recorder and reads them back.
 func TestReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf, Options{Vehicle: 7})
+	rec := &Recorder{sink: NewNDJSONSink(&buf), opts: Options{Vehicle: 7}}
 	for _, e := range sampleEvents() {
 		rec.write(e)
 	}
@@ -51,8 +51,8 @@ func TestReaderRoundTrip(t *testing.T) {
 	if e := sampleEvents()[3]; got[3].Trust == nil || *got[3].Trust != *e.Trust {
 		t.Error("trust value lost in round trip")
 	}
-	if r.Corrupt() != 0 || r.Lines() != len(want) {
-		t.Errorf("lines=%d corrupt=%d, want %d/0", r.Lines(), r.Corrupt(), len(want))
+	if r.Corrupt() != 0 || r.Records() != len(want) {
+		t.Errorf("lines=%d corrupt=%d, want %d/0", r.Records(), r.Corrupt(), len(want))
 	}
 }
 
@@ -77,8 +77,8 @@ this is not json
 	if r.Corrupt() != 3 {
 		t.Errorf("corrupt = %d, want 3", r.Corrupt())
 	}
-	if r.Lines() != 6 {
-		t.Errorf("lines = %d, want 6 (empty line not counted)", r.Lines())
+	if r.Records() != 6 {
+		t.Errorf("lines = %d, want 6 (empty line not counted)", r.Records())
 	}
 }
 
@@ -91,7 +91,7 @@ func TestReaderBoundedLine(t *testing.T) {
 	buf.WriteString(`{"t_us":3,"kind":"trust"}` + "\n")
 
 	r := NewReader(&buf)
-	r.SetMaxLineBytes(64 << 10)
+	r.SetMaxRecordBytes(64 << 10)
 	var kinds []string
 	if err := r.ReadAll(func(e Event) { kinds = append(kinds, e.Kind) }); err != nil {
 		t.Fatal(err)

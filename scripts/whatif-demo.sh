@@ -16,6 +16,10 @@
 #                  in the wheel-speed sensor job at 150 ms) and show
 #                  where its symptoms first appear.
 #
+# A fourth leg records a second run with a single-event upset at the same
+# instant and replays it with the upset removed: a repaired fault must do
+# nothing, so the script fails unless the counterfactual diverges.
+#
 # Every leg cross-checks the factual replica against the recorded trace:
 # decos-whatif exits 2 on a mismatch, which fails the script, so CI runs
 # it as an end-to-end check of decos-sim -fault → checkpoint → replay.
@@ -57,3 +61,17 @@ echo "== hypothesis: inject (add a Bohrbug the run did not have, at 150ms) =="
 "$DIR/decos-whatif" -ckpt-dir "$DIR" -seed "$SEED" -rounds "$ROUNDS" \
     -fault permanent -at "$AT" -trace "$DIR/trace.ndjson" \
     -hypothesis inject -h-fault bohrbug -h-at 150
+
+echo
+echo "== repair check: record an SEU at ${AT}ms, then remove it =="
+mkdir "$DIR/seu"
+"$DIR/decos-sim" -seed "$SEED" -rounds "$ROUNDS" -fault seu -at "$AT" \
+    -checkpoint-every "$EVERY" -checkpoint-dir "$DIR/seu" -trace "$DIR/seu/trace.ndjson"
+"$DIR/decos-whatif" -ckpt-dir "$DIR/seu" -seed "$SEED" -rounds "$ROUNDS" \
+    -fault seu -at "$AT" -trace "$DIR/seu/trace.ndjson" \
+    -hypothesis remove -target 0 > "$DIR/seu/whatif.txt"
+cat "$DIR/seu/whatif.txt"
+if ! grep -q "first divergence" "$DIR/seu/whatif.txt"; then
+    echo "whatif-demo: removing the SEU changed nothing; a repaired fault must be inert" >&2
+    exit 1
+fi
