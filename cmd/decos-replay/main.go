@@ -173,21 +173,10 @@ func runTranscode(in *os.File, out, format string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	sink := trace.NewSink(of, target)
-	events, unencodable := 0, 0
-	err = rd.ReadAll(func(e trace.Event) {
-		if serr := sink.Record(&e); serr != nil {
-			unencodable++
-			return
-		}
-		events++
-	})
-	// Closing the sink closes the file: both encodings' sinks own their
-	// writer, and the binary one still has a header to write for an
-	// event-free stream.
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
+	// Transcode closes the sink, and that closes the file: both encodings'
+	// sinks own their writer, and the binary one still has a header to
+	// write for an event-free stream.
+	events, unencodable, err := trace.Transcode(rd, trace.NewSink(of, target))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "transcoding to %s: %v\n", out, err)
 		return 1

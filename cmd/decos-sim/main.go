@@ -317,21 +317,15 @@ func runCampaign(ctx context.Context, c scenario.Campaign, csv bool) int {
 }
 
 // runWithMetrics advances the engine by rounds TDMA rounds. With a
-// metrics interval it runs in round-aligned chunks against the same
-// absolute deadlines a single run would pass through, dumping a snapshot
-// after each chunk — deterministic and bit-identical to the unchunked run.
+// metrics interval it runs in chunks of that many rounds, dumping a
+// snapshot after each chunk; chained runs land on the instants of one
+// unchunked run, so the result is bit-identical to it.
 func runWithMetrics(ctx context.Context, eng *engine.Engine, rounds, every int64, metrics *telemetry.Registry) error {
 	if every <= 0 || metrics == nil {
 		return eng.Run(ctx, rounds)
 	}
-	roundUS := eng.Cluster.Cfg.RoundDuration().Micros()
-	for done := int64(0); done < rounds; {
-		n := every
-		if rem := rounds - done; n > rem {
-			n = rem
-		}
-		done += n
-		if err := eng.Cluster.Sched.RunUntilCtx(ctx, sim.Time(done*roundUS)-1); err != nil {
+	for done := int64(0); done < rounds; done += every {
+		if err := eng.Run(ctx, min(every, rounds-done)); err != nil {
 			return err
 		}
 		_ = metrics.WriteJSON(os.Stderr)

@@ -15,11 +15,11 @@
 // finding's Confidence is the posterior mass of the winning fault
 // class (hypotheses mapping to the same maintenance class pool their
 // mass), an explicit abstention withholds any verdict while the
-// evidence is insufficient (posterior below MinConfidence or within
-// MinMargin of the runner-up), and two mechanisms bound the damage a
+// evidence is insufficient (posterior below minConfidence or within
+// minMargin of the runner-up), and two mechanisms bound the damage a
 // lying sensor can do to the belief state: every epoch's log-likelihood
 // steps are measured relative to the epoch's best-explaining hypothesis
-// and clamped so no hypothesis falls more than StepClamp nats behind
+// and clamped so no hypothesis falls more than stepClamp nats behind
 // the leader in a single epoch, and the log posterior is geometrically
 // forgotten toward the prior so corrupted evidence decays instead of
 // accumulating without bound.
@@ -125,69 +125,37 @@ func (h Hypothesis) persistence() core.Persistence {
 	}
 }
 
-// Options tunes the belief stage. Zero values take the defaults of
-// DefaultOptions.
-type Options struct {
-	// PriorHealthy is the prior probability mass of the healthy
+// The belief stage's tuning, used throughout the experiments. The
+// constants are typed so expressions such as 1-forget round exactly as
+// they would on float64 variables.
+const (
+	// priorHealthy is the prior probability mass of the healthy
 	// hypothesis; the remainder is split uniformly over the fault
 	// hypotheses of the FRU's kind.
-	PriorHealthy float64
-	// Forget is the per-epoch retention factor of the (centred) log
+	priorHealthy float64 = 0.85
+	// forget is the per-epoch retention factor of the (centred) log
 	// posterior: 1 never forgets, smaller values decay old evidence
 	// toward the prior — the graceful-degradation backstop against a
 	// corrupted evidence stream.
-	Forget float64
-	// StepClamp bounds one epoch's relative log-likelihood demotion per
+	forget float64 = 0.94
+	// stepClamp bounds one epoch's relative log-likelihood demotion per
 	// hypothesis (in nats): steps are measured against the epoch's
 	// best-explaining hypothesis, so no single epoch — however loud a
-	// stuck sensor screams — can drop any hypothesis more than StepClamp
+	// stuck sensor screams — can drop any hypothesis more than stepClamp
 	// nats behind the leader.
-	StepClamp float64
-	// MinConfidence is the posterior class mass below which the stage
+	stepClamp float64 = 6.0
+	// minConfidence is the posterior class mass below which the stage
 	// abstains ("insufficient evidence": no finding at all).
-	MinConfidence float64
-	// MinMargin is the minimum lead over the runner-up fault class;
+	minConfidence float64 = 0.5
+	// minMargin is the minimum lead over the runner-up fault class;
 	// closer races abstain too.
-	MinMargin float64
-}
-
-// DefaultOptions returns the tuning used throughout the experiments.
-func DefaultOptions() Options {
-	return Options{
-		PriorHealthy:  0.85,
-		Forget:        0.94,
-		StepClamp:     6.0,
-		MinConfidence: 0.5,
-		MinMargin:     0.08,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.PriorHealthy <= 0 || o.PriorHealthy >= 1 {
-		o.PriorHealthy = d.PriorHealthy
-	}
-	if o.Forget <= 0 || o.Forget > 1 {
-		o.Forget = d.Forget
-	}
-	if o.StepClamp <= 0 {
-		o.StepClamp = d.StepClamp
-	}
-	if o.MinConfidence <= 0 {
-		o.MinConfidence = d.MinConfidence
-	}
-	if o.MinMargin <= 0 {
-		o.MinMargin = d.MinMargin
-	}
-	return o
-}
+	minMargin float64 = 0.08
+)
 
 // Classifier is the Bayesian classification stage. Construct with New;
 // the zero value is not usable. The classifier is stateful (one belief
 // state per engine) — every engine needs its own instance.
 type Classifier struct {
-	opts Options
-
 	// logp is the centred log posterior, nFRU rows × numHyp columns.
 	// Centred means max-subtracted after every update: the stored
 	// numbers are scale-free, which keeps the float trajectory (and
@@ -219,7 +187,7 @@ type Classifier struct {
 	framed []bool
 	// accused marks hardware FRUs carrying a standing verdict with a
 	// non-external class. When the posterior later decays back to a
-	// healthy MAP (evidence stopped and Forget drained the lead), the
+	// healthy MAP (evidence stopped and forget drained the lead), the
 	// stage downgrades the verdict to an external transient — the
 	// Bayesian analogue of the rule engine's isolated-transient
 	// residual, so environmental stress that subsides does not leave a
@@ -230,12 +198,7 @@ type Classifier struct {
 // New returns a Bayesian classifier with default tuning. The belief
 // state sizes itself to the registry on the first Classify (or on
 // Restore).
-func New() *Classifier { return NewWithOptions(Options{}) }
-
-// NewWithOptions returns a classifier with the given tuning.
-func NewWithOptions(opts Options) *Classifier {
-	return &Classifier{opts: opts.withDefaults()}
-}
+func New() *Classifier { return &Classifier{} }
 
 // Reset returns the classifier to its just-constructed state — no belief
 // state, no epoch — keeping its storage: the next Classify sizes the
@@ -247,9 +210,6 @@ func (c *Classifier) Reset() {
 
 // Name identifies the stage in verdict provenance and CLI selection.
 func (c *Classifier) Name() string { return "bayes" }
-
-// Options returns the effective (defaulted) tuning.
-func (c *Classifier) Options() Options { return c.opts }
 
 // Epochs returns the number of assessment epochs folded into the
 // posterior.
@@ -384,11 +344,11 @@ func (c *Classifier) resetRow(f diagnosis.FRUIndex, hardware bool) {
 		row[i] = negInf
 	}
 	hyps := hypRange(hardware)
-	faulty := (1 - c.opts.PriorHealthy) / float64(len(hyps)-1)
+	faulty := (1 - priorHealthy) / float64(len(hyps)-1)
 	for _, h := range hyps {
 		p := faulty
 		if h == hypHealthy {
-			p = c.opts.PriorHealthy
+			p = priorHealthy
 		}
 		row[h] = ln(p)
 	}
@@ -635,7 +595,7 @@ func (c *Classifier) updateSoftware(ctx *diagnosis.EvalContext, f diagnosis.FRUI
 
 // applyStep folds one epoch's log-likelihoods into the FRU's posterior.
 // Steps are taken relative to the epoch's best-explaining hypothesis
-// and clamped below at −StepClamp: the stored row is centred anyway, so
+// and clamped below at −stepClamp: the stored row is centred anyway, so
 // only differences matter, and the relative clamp bounds how far any
 // hypothesis can fall behind the leader per epoch without flattening
 // the ordering of the plausible ones (an absolute clamp would floor
@@ -652,8 +612,8 @@ func (c *Classifier) applyStep(f diagnosis.FRUIndex, hyps []Hypothesis, ll func(
 	row := c.row(f)
 	for _, h := range hyps {
 		s := step[h] - best
-		if s < -c.opts.StepClamp {
-			s = -c.opts.StepClamp
+		if s < -stepClamp {
+			s = -stepClamp
 		}
 		row[h] += s
 	}
@@ -696,13 +656,13 @@ func logLikSW(h Hypothesis, feat *[numSWFeat]bool) float64 {
 func (c *Classifier) forgetRow(f diagnosis.FRUIndex, hardware bool) {
 	row := c.row(f)
 	hyps := hypRange(hardware)
-	faulty := (1 - c.opts.PriorHealthy) / float64(len(hyps)-1)
+	faulty := (1 - priorHealthy) / float64(len(hyps)-1)
 	for _, h := range hyps {
 		prior := faulty
 		if h == hypHealthy {
-			prior = c.opts.PriorHealthy
+			prior = priorHealthy
 		}
-		row[h] = c.opts.Forget*row[h] + (1-c.opts.Forget)*ln(prior)
+		row[h] = forget*row[h] + (1-forget)*ln(prior)
 	}
 	c.centre(row, hyps)
 }
@@ -747,7 +707,7 @@ func (c *Classifier) emit(ctx *diagnosis.EvalContext, f diagnosis.FRUIndex, hard
 	if bestClass <= healthy {
 		// Healthy is the MAP class. If this FRU still carries an
 		// actionable verdict from an earlier accusation, the evidence
-		// behind it has stopped recurring and Forget has drained the
+		// behind it has stopped recurring and forget has drained the
 		// posterior lead — downgrade to an external transient (no
 		// maintenance action), exactly as the rule engine's
 		// isolated-transient residual reclassifies a subsided stress.
@@ -764,7 +724,7 @@ func (c *Classifier) emit(ctx *diagnosis.EvalContext, f diagnosis.FRUIndex, hard
 		}
 		return
 	}
-	if bestClass < c.opts.MinConfidence || bestClass-maxf(runnerUp, healthy) < c.opts.MinMargin {
+	if bestClass < minConfidence || bestClass-maxf(runnerUp, healthy) < minMargin {
 		if symptomatic {
 			c.abstained++ // insufficient evidence: explicit abstention
 		}

@@ -148,8 +148,8 @@ func TestPermanentLossIndictment(t *testing.T) {
 	if v.Persistence != core.Permanent {
 		t.Errorf("persistence %v, want permanent", v.Persistence)
 	}
-	if v.Confidence < r.c.Options().MinConfidence || v.Confidence > 1 {
-		t.Errorf("confidence %.3f outside [%.2f, 1]", v.Confidence, r.c.Options().MinConfidence)
+	if v.Confidence < minConfidence || v.Confidence > 1 {
+		t.Errorf("confidence %.3f outside [%.2f, 1]", v.Confidence, minConfidence)
 	}
 	if cl := r.ctx.Decided[0]; cl != core.ComponentInternal {
 		t.Errorf("Decided[0] = %v, want component-internal", cl)
@@ -258,13 +258,13 @@ func snapshotBytes(t *testing.T, c *Classifier) []byte {
 	return e.Bytes()
 }
 
-func restoreFrom(t *testing.T, data []byte, opts Options) *Classifier {
+func restoreFrom(t *testing.T, data []byte) *Classifier {
 	t.Helper()
 	d, err := ckpt.NewDecoder(data)
 	if err != nil {
 		t.Fatalf("decoding snapshot: %v", err)
 	}
-	c := NewWithOptions(opts)
+	c := New()
 	if err := d.Get("cls", c); err != nil {
 		t.Fatalf("restoring the cls section: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		full.epoch(evidence(full))
 	}
 	mid := snapshotBytes(t, full.c)
-	if got := snapshotBytes(t, restoreFrom(t, mid, Options{})); !bytes.Equal(mid, got) {
+	if got := snapshotBytes(t, restoreFrom(t, mid)); !bytes.Equal(mid, got) {
 		t.Fatalf("restore→snapshot not byte-identical: %d vs %d bytes", len(mid), len(got))
 	}
 
@@ -301,7 +301,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		resumed.epoch(evidence(resumed))
 	}
-	resumed.c = restoreFrom(t, mid, Options{})
+	resumed.c = restoreFrom(t, mid)
 
 	for i := 0; i < 4; i++ {
 		a := full.epoch(evidence(full))

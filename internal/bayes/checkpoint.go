@@ -7,9 +7,8 @@ import "decos/internal/ckpt"
 // FRU count, hypothesis count (layout guard), epoch and abstention
 // counters, then the centred log posterior rows as exact IEEE 754
 // bits, then the per-FRU accused flags (standing non-external verdicts
-// awaiting a possible recovery downgrade). Tuning is configuration, not
-// state: decoding runs on a freshly constructed classifier carrying the
-// same Options.
+// awaiting a possible recovery downgrade). Tuning is package constants,
+// not state: decoding runs on a freshly constructed classifier.
 
 // Code implements ckpt.Snapshotter. The restored floats are the exact
 // bits encoding wrote, so a restored run's posterior trajectory — and

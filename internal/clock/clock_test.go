@@ -171,59 +171,3 @@ func TestPrecisionFewNodes(t *testing.T) {
 		t.Error("precision with one node should be 0")
 	}
 }
-
-func TestSparseBaseGranules(t *testing.T) {
-	b := NewSparseBase(100, 900) // 1 ms lattice period
-	cases := []struct {
-		t sim.Time
-		g int64
-	}{
-		{0, 0}, {99, 0}, {100, 0}, {999, 0}, {1000, 1}, {1500, 1}, {2000, 2},
-	}
-	for _, c := range cases {
-		if got := b.Granule(c.t); got != c.g {
-			t.Errorf("Granule(%d) = %d, want %d", c.t, got, c.g)
-		}
-	}
-	if b.GranuleStart(2) != 2000 {
-		t.Errorf("GranuleStart(2) = %v", b.GranuleStart(2))
-	}
-}
-
-func TestSparseBaseActivity(t *testing.T) {
-	b := NewSparseBase(100, 900)
-	if !b.InActivity(50) {
-		t.Error("t=50 should be in activity granule")
-	}
-	if b.InActivity(500) {
-		t.Error("t=500 should be in silence")
-	}
-}
-
-func TestSparseBaseSimultaneity(t *testing.T) {
-	b := NewSparseBase(100, 900)
-	if !b.Simultaneous(10, 90) {
-		t.Error("events in same granule not simultaneous")
-	}
-	if b.Simultaneous(10, 1010) {
-		t.Error("events in different granules reported simultaneous")
-	}
-	if !b.Within(10, 3010, 3) {
-		t.Error("Within(delta=3) failed for 3-granule gap")
-	}
-	if b.Within(10, 4010, 3) {
-		t.Error("Within(delta=3) passed for 4-granule gap")
-	}
-	if !b.Within(3010, 10, 3) {
-		t.Error("Within not symmetric")
-	}
-}
-
-func TestSparseBasePanicsOnDense(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dense base did not panic")
-		}
-	}()
-	NewSparseBase(100, 0)
-}

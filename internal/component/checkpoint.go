@@ -92,9 +92,9 @@ func (e *Environment) Code(c *ckpt.Coder) error {
 }
 
 // RunToRound advances the simulation to the end of round r-1, i.e. until
-// r full TDMA rounds have completed since t=0. Unlike RunRounds, the
-// deadline is absolute, so chained calls (checkpoint cadences, chunked
-// campaigns) land on exactly the same instants as one uninterrupted run.
+// r full TDMA rounds have completed since t=0. The deadline is absolute,
+// so chained calls (checkpoint cadences, chunked campaigns) land on
+// exactly the same instants as one uninterrupted run.
 func (cl *Cluster) RunToRound(r int64) {
 	target := sim.Time(r*cl.Cfg.RoundDuration().Micros()) - 1
 	if target > cl.Sched.Now() {

@@ -312,19 +312,25 @@ func (cl *Cluster) Reset(seed uint64) {
 	cl.Env.reset()
 }
 
-// RunRounds advances the simulation by n full TDMA rounds.
-func (cl *Cluster) RunRounds(n int64) {
-	target := cl.Sched.Now().Add(sim.Duration(n * cl.Cfg.RoundDuration().Micros()))
-	cl.Sched.RunUntil(target - 1)
-}
+// RunRounds advances the simulation by n full TDMA rounds, counted from
+// the first round boundary at or after Now. Runs stop 1 µs before a
+// boundary, so a chained call resumes on the round grid and lands on the
+// same instant as one uninterrupted run (RunToRound is the absolute form).
+func (cl *Cluster) RunRounds(n int64) { cl.RunToRound(cl.nextBoundary() + n) }
 
 // RunRoundsCtx is RunRounds with cooperative cancellation: it returns
 // ctx.Err() when the context is cancelled mid-run (the cluster is then
 // stopped partway through a round) and nil on completion. A nil or
 // never-cancelled context is free and byte-identical to RunRounds.
 func (cl *Cluster) RunRoundsCtx(ctx context.Context, n int64) error {
-	target := cl.Sched.Now().Add(sim.Duration(n * cl.Cfg.RoundDuration().Micros()))
-	return cl.Sched.RunUntilCtx(ctx, target-1)
+	return cl.RunToRoundCtx(ctx, cl.nextBoundary()+n)
+}
+
+// nextBoundary returns the index of the first round boundary at or after
+// Now.
+func (cl *Cluster) nextBoundary() int64 {
+	d := cl.Cfg.RoundDuration().Micros()
+	return (cl.Sched.Now().Micros() + d - 1) / d
 }
 
 // Round returns the current TDMA round.

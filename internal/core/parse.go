@@ -51,3 +51,32 @@ func ParseFRU(s string) (FRU, error) {
 	}
 	return FRU{}, fmt.Errorf("core: bad FRU %q", s)
 }
+
+// MarshalText encodes the class by its String name, so a class crosses
+// JSON (the warranty state file) in the same spelling traces use.
+func (c FaultClass) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText; an unknown name is an
+// error.
+func (c *FaultClass) UnmarshalText(b []byte) error {
+	v, err := ParseFaultClass(string(b))
+	if err != nil {
+		return err
+	}
+	*c = v
+	return nil
+}
+
+// MarshalText encodes the action by its String name.
+func (a MaintenanceAction) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText; an unknown name is an
+// error.
+func (a *MaintenanceAction) UnmarshalText(b []byte) error {
+	v, err := ParseMaintenanceAction(string(b))
+	if err != nil {
+		return err
+	}
+	*a = v
+	return nil
+}

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 func TestParseFaultClassRoundTrip(t *testing.T) {
 	for c := ClassUnknown; c < NumFaultClasses; c++ {
@@ -42,6 +45,35 @@ func TestParseFRURoundTrip(t *testing.T) {
 	for _, bad := range []string{"", "component[x]", "job[noat]", "widget[1]"} {
 		if _, err := ParseFRU(bad); err == nil {
 			t.Errorf("ParseFRU(%q) accepted", bad)
+		}
+	}
+}
+
+// TestEnumJSONNames: both enums cross JSON by their String names, as
+// object values and as map keys, and an unknown name fails the decode.
+func TestEnumJSONNames(t *testing.T) {
+	type rec struct {
+		Class  FaultClass                       `json:"class"`
+		Action MaintenanceAction                `json:"action"`
+		ByKind map[FaultClass]MaintenanceAction `json:"by_kind"`
+	}
+	in := rec{JobInherentSoftware, ActionForwardToOEM, map[FaultClass]MaintenanceAction{ComponentInternal: ActionReplaceComponent}}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"class":"job-inherent-software","action":"forward-to-oem","by_kind":{"component-internal":"replace-component"}}`
+	if string(b) != want {
+		t.Fatalf("encoded %s, want %s", b, want)
+	}
+	var back rec
+	if err := json.Unmarshal(b, &back); err != nil || back.Class != in.Class || back.Action != in.Action ||
+		back.ByKind[ComponentInternal] != ActionReplaceComponent {
+		t.Fatalf("decoded %+v, %v", back, err)
+	}
+	for _, doc := range []string{`{"class":"nonsense"}`, `{"action":"nonsense"}`, `{"class":3}`} {
+		if err := json.Unmarshal([]byte(doc), new(rec)); err == nil {
+			t.Errorf("decoded %s", doc)
 		}
 	}
 }

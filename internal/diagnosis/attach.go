@@ -179,16 +179,6 @@ func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 	return m
 }
 
-// MonitorAt returns the monitor of the given component, or nil.
-func (d *Diagnostics) MonitorAt(n tt.NodeID) *Monitor {
-	for _, m := range d.Monitors {
-		if m.Node == n {
-			return m
-		}
-	}
-	return nil
-}
-
 // TrustOf returns the current trust level of a FRU by value.
 func (d *Diagnostics) TrustOf(f core.FRU) core.TrustLevel {
 	idx, ok := d.Reg.Index(f)

@@ -126,6 +126,43 @@ func TestRestoreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestChainedRunsMatchOneRun: a relative run counts its rounds from the
+// round grid, so 600 chained one-round runs end where one 600-round run
+// does — same instant, same events fired, same checkpoint bytes — and a
+// run resumed from a restored checkpoint stays on the grid as well.
+func TestChainedRunsMatchOneRun(t *testing.T) {
+	const total = 600
+	var oneTrace, chainedTrace bytes.Buffer
+	one := fig10Ckpt(&oneTrace)
+	one.Run(total)
+	chained := fig10Ckpt(&chainedTrace)
+	for i := 0; i < total; i++ {
+		chained.Run(1)
+	}
+	if got, want := chained.Engine.Now(), one.Engine.Now(); got != want {
+		t.Errorf("chained runs end at %v, one run at %v", got, want)
+	}
+	if got, want := chained.Cluster.Sched.Fired(), one.Cluster.Sched.Fired(); got != want {
+		t.Errorf("chained runs fired %d events, one run %d", got, want)
+	}
+	want := checkpointBytes(t, one.Engine)
+	if !bytes.Equal(checkpointBytes(t, chained.Engine), want) {
+		t.Error("chained runs' checkpoint differs from one run's")
+	}
+
+	var headTrace, tailTrace bytes.Buffer
+	head := fig10Ckpt(&headTrace)
+	head.Run(total / 2)
+	tail := fig10Ckpt(&tailTrace, engine.WithRestore(checkpointBytes(t, head.Engine)))
+	tail.Run(total / 2)
+	if got, want := tail.Engine.Now(), one.Engine.Now(); got != want {
+		t.Errorf("restored run ends at %v, one run at %v", got, want)
+	}
+	if !bytes.Equal(checkpointBytes(t, tail.Engine), want) {
+		t.Error("restored run's checkpoint differs from one run's")
+	}
+}
+
 // TestRestoreAtBoot: a checkpoint taken before any round ran (pending
 // manifest timers only) restores and replays the full run identically.
 func TestRestoreAtBoot(t *testing.T) {

@@ -10,11 +10,10 @@ type TallyJob struct {
 	Vehicles  []int  `json:"vehicles"`
 }
 
-// TallySnapshot is the canonical wire form of a Tally, the part of a
-// warranty snapshot that warranty.MergeSnapshots folds with Tally.Merge.
-// Jobs are sorted by name and vehicle sets ascending, so two
-// tallies holding the same observations serialize to identical bytes
-// regardless of ingestion order.
+// TallySnapshot is the canonical export of a Tally, a comparable digest
+// of a campaign's fleet correlation. Jobs are sorted by name and vehicle
+// sets ascending, so two tallies holding the same observations export
+// identical values regardless of ingestion order.
 type TallySnapshot struct {
 	Jobs []TallyJob `json:"jobs,omitempty"`
 }
@@ -32,20 +31,4 @@ func (t *Tally) Snapshot() TallySnapshot {
 	}
 	sort.Slice(s.Jobs, func(i, j int) bool { return s.Jobs[i].Job < s.Jobs[j].Job })
 	return s
-}
-
-// TallyFromSnapshot rebuilds a Tally from its wire form. The total
-// incident count is recomputed from the per-job counts, so a snapshot
-// cannot smuggle in an inconsistent total.
-func TallyFromSnapshot(s TallySnapshot) *Tally {
-	t := NewTally()
-	for _, j := range s.Jobs {
-		jt := &jobTally{incidents: j.Incidents, vehicles: make(map[int]bool, len(j.Vehicles))}
-		for _, v := range j.Vehicles {
-			jt.vehicles[v] = true
-		}
-		t.byJob[j.Job] = jt
-		t.incidents += j.Incidents
-	}
-	return t
 }

@@ -15,7 +15,7 @@ func Relevant(c core.FaultClass) bool {
 
 // Tally is the incremental form of the fleet-correlation math: per-job
 // incident counts and distinct-vehicle sets that can be fed one observation
-// at a time (streaming trace ingestion) and merged across shards.
+// at a time (streaming trace ingestion).
 type Tally struct {
 	incidents int
 	byJob     map[string]*jobTally
@@ -42,24 +42,6 @@ func (t *Tally) Observe(vehicle int, job string) {
 	jt.incidents++
 	jt.vehicles[vehicle] = true
 	t.incidents++
-}
-
-// Merge folds another tally into this one. The tally is pure integer
-// state, so folding the tallies of a fleet split by vehicle in any order
-// yields the tally of the whole fleet.
-func (t *Tally) Merge(o *Tally) {
-	for job, ojt := range o.byJob {
-		jt := t.byJob[job]
-		if jt == nil {
-			jt = &jobTally{vehicles: make(map[int]bool)}
-			t.byJob[job] = jt
-		}
-		jt.incidents += ojt.incidents
-		for v := range ojt.vehicles {
-			jt.vehicles[v] = true
-		}
-	}
-	t.incidents += o.incidents
 }
 
 // Incidents returns the total number of observations.

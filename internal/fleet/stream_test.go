@@ -40,35 +40,6 @@ func TestTallyObserve(t *testing.T) {
 	}
 }
 
-func TestTallyMerge(t *testing.T) {
-	shard1 := NewTally()
-	shard1.Observe(1, "A/A1")
-	shard1.Observe(2, "A/A1")
-	shard2 := NewTally()
-	shard2.Observe(2, "A/A1") // vehicle 2 also seen on shard 1
-	shard2.Observe(3, "S/S2")
-
-	merged := NewTally()
-	merged.Merge(shard1)
-	merged.Merge(shard2)
-
-	if got := merged.Incidents(); got != 4 {
-		t.Errorf("merged Incidents = %d, want 4", got)
-	}
-	stats := merged.Analyze(10, 0.25)
-	if len(stats) != 2 {
-		t.Fatalf("Analyze returned %d jobs, want 2", len(stats))
-	}
-	// A/A1: vehicles {1,2} — the distinct-vehicle set deduplicates across
-	// shards. S/S2: vehicle {3}.
-	if stats[0].Job != "A/A1" || stats[0].Vehicles != 2 {
-		t.Errorf("top job = %+v, want A/A1 with 2 vehicles", stats[0])
-	}
-	if stats[1].Job != "S/S2" || stats[1].Vehicles != 1 {
-		t.Errorf("second job = %+v, want S/S2 with 1 vehicle", stats[1])
-	}
-}
-
 func TestTallyAnalyzeThreshold(t *testing.T) {
 	ta := NewTally()
 	for v := 0; v < 8; v++ {

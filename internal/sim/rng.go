@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**, seeded via splitmix64). The simulator does not use
@@ -251,10 +248,4 @@ func (st *Streams) Reset(master uint64) {
 		st.closed[name] = s
 		delete(st.open, name)
 	}
-}
-
-// Substream returns a stream named by formatting args, convenient for
-// per-entity streams such as Substream("component", 3).
-func (st *Streams) Substream(parts ...any) *RNG {
-	return st.Stream(fmt.Sprint(parts...))
 }

@@ -236,10 +236,3 @@ func TestStreamsIndependentAndStable(t *testing.T) {
 		t.Error("streams suspiciously equal across seeds")
 	}
 }
-
-func TestSubstreamNaming(t *testing.T) {
-	st := NewStreams(1)
-	if st.Substream("component", 3) != st.Stream("component3") {
-		t.Error("Substream naming mismatch")
-	}
-}

@@ -95,6 +95,24 @@ func OpenReader(r io.Reader) (EventReader, Format) {
 	return newReader(br), FormatNDJSON
 }
 
+// Transcode streams every event rd decodes into sink, then closes the
+// sink. Events the sink cannot encode (e.g. a kind v1 has no layout for)
+// are skipped and counted in unencodable; undecodable input records are
+// rd's Corrupt count. err is the first read or close error.
+func Transcode(rd EventReader, sink Sink) (events, unencodable int, err error) {
+	err = rd.ReadAll(func(e Event) {
+		if serr := sink.Record(&e); serr != nil {
+			unencodable++
+			return
+		}
+		events++
+	})
+	if cerr := sink.Close(); err == nil {
+		err = cerr
+	}
+	return events, unencodable, err
+}
+
 // TranscodeBytes re-encodes a complete trace blob into the given format
 // (sniffing the input's). Undecodable input records are skipped and
 // counted, per the readers' recovery semantics; err is reserved for an
@@ -105,18 +123,7 @@ func TranscodeBytes(blob []byte, to Format) (out []byte, events, corrupt int, er
 	rd, _ := OpenReader(bytes.NewReader(blob))
 	var buf bytes.Buffer
 	buf.Grow(len(blob))
-	sink := NewSink(&buf, to)
-	unencodable := 0
-	err = rd.ReadAll(func(e Event) {
-		if serr := sink.Record(&e); serr != nil {
-			unencodable++ // e.g. an event kind v1 has no layout for
-			return
-		}
-		events++
-	})
-	if cerr := sink.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
+	events, unencodable, err := Transcode(rd, NewSink(&buf, to))
 	corrupt = rd.Corrupt() + unencodable
 	if err != nil {
 		return nil, events, corrupt, err

@@ -7,8 +7,8 @@ import (
 )
 
 // Sink consumes trace events. It is the pluggable back end of a Recorder:
-// the same cluster instrumentation can stream NDJSON to a file or an
-// uplink, feed in-process metrics, fan out to both, or be discarded —
+// the same cluster instrumentation can stream NDJSON or binary records to
+// a file or an uplink, feed in-process metrics, or be discarded —
 // without the recording call sites knowing which. Implementations are used
 // from the single-threaded simulator loop and need not be safe for
 // concurrent use unless documented otherwise.
@@ -99,52 +99,6 @@ func (s *CountingSink) Kinds() []string {
 
 // LastT returns the largest event timestamp seen, in microseconds.
 func (s *CountingSink) LastT() int64 { return s.lastT }
-
-// teeSink fans every event out to all children.
-type teeSink struct{ sinks []Sink }
-
-// Tee returns a sink duplicating every event to all the given sinks, in
-// order. Record stops at — and returns — the first child error; Close
-// closes every child and returns the first error.
-func Tee(sinks ...Sink) Sink {
-	// Flatten nested tees and drop no-ops so hot Record loops stay short.
-	flat := make([]Sink, 0, len(sinks))
-	for _, s := range sinks {
-		switch v := s.(type) {
-		case nil, nopSink:
-		case *teeSink:
-			flat = append(flat, v.sinks...)
-		default:
-			flat = append(flat, s)
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return Nop()
-	case 1:
-		return flat[0]
-	}
-	return &teeSink{sinks: flat}
-}
-
-func (t *teeSink) Record(e *Event) error {
-	for _, s := range t.sinks {
-		if err := s.Record(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *teeSink) Close() error {
-	var first error
-	for _, s := range t.sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
 
 // nopSink discards everything. It is a sentinel: attach points recognize
 // it (IsNop) and skip instrumentation entirely, so a run configured with

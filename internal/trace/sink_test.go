@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -87,50 +86,5 @@ func TestNopSink(t *testing.T) {
 	}
 	if err := Nop().Record(&Event{Kind: "injection"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTeeComposition(t *testing.T) {
-	if !IsNop(Tee()) {
-		t.Fatal("empty Tee should be no-op")
-	}
-	c := NewCountingSink()
-	if got := Tee(c); got != c {
-		t.Fatal("single-sink Tee should return the sink itself")
-	}
-	if got := Tee(nil, Nop(), c); got != c {
-		t.Fatal("Tee should drop nil and no-op sinks")
-	}
-	c2 := NewCountingSink()
-	tee := Tee(c, Tee(c2, Nop()))
-	if err := tee.Record(&Event{Kind: "injection", T: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Total() != 1 || c2.Total() != 1 {
-		t.Fatalf("tee fan-out: counts %d/%d, want 1/1", c.Total(), c2.Total())
-	}
-	if err := tee.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type failingSink struct{ err error }
-
-func (f *failingSink) Record(*Event) error { return f.err }
-func (f *failingSink) Close() error        { return f.err }
-
-func TestTeePropagatesFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	c := NewCountingSink()
-	tee := Tee(c, &failingSink{err: boom})
-	if err := tee.Record(&Event{Kind: "injection"}); !errors.Is(err, boom) {
-		t.Fatalf("Record err = %v, want boom", err)
-	}
-	// Record stops at the first error; earlier branches saw the event.
-	if c.Total() != 1 {
-		t.Fatalf("earlier branch count = %d, want 1", c.Total())
-	}
-	if err := tee.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close err = %v, want boom", err)
 	}
 }

@@ -68,15 +68,6 @@ func (m *Membership) Member(n NodeID, round int64) bool {
 	return m.lastOK[n] == seen
 }
 
-// LastOK returns the last round in which node n's frame was received
-// correctly, or -1.
-func (m *Membership) LastOK(n NodeID) int64 {
-	if n < 0 || int(n) >= len(m.lastOK) {
-		return -1
-	}
-	return m.lastOK[n]
-}
-
 // Failures returns the cumulative count of failed frames observed from n.
 func (m *Membership) Failures(n NodeID) int {
 	if n < 0 || int(n) >= len(m.failCount) {

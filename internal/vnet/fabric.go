@@ -353,20 +353,6 @@ func (f *Fabric) layout(node tt.NodeID) []segment {
 	return f.senders[node].segs
 }
 
-// PortsAt returns all in-ports subscribed at the given node, in channel
-// order (stable across runs). The diagnostic monitors scan these.
-func (f *Fabric) PortsAt(node tt.NodeID) []*InPort {
-	var out []*InPort
-	for _, s := range f.subs {
-		for _, p := range s.ports {
-			if p.Node == node {
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
 // PortTotals are the fabric-wide sums of every subscribed port's
 // observation statistics — the virtual-network layer's telemetry view
 // (CRC drops, misses, queue overflows, detected losses).

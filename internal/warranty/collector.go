@@ -18,6 +18,8 @@ package warranty
 import (
 	"bufio"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,109 +59,149 @@ func NewCollector(shards int) *Collector {
 	return c
 }
 
+// The per-vehicle state below is also the snapshot's wire form (Snapshot,
+// SnapshotVersion 1): each field carries its JSON name, and a state file
+// decodes straight back into these types.
+
 // truthRec is one ground-truth fault of a vehicle (from a "truth" event).
 type truthRec struct {
-	class   core.FaultClass
-	subject string
-	detail  string
+	Class   core.FaultClass `json:"class"`
+	Subject string          `json:"subject"`
+	Detail  string          `json:"detail,omitempty"`
 }
 
 // adviceRec is one advisor's standing advice for a FRU.
 type adviceRec struct {
-	action core.MaintenanceAction
-	class  core.FaultClass
+	Action core.MaintenanceAction `json:"action"`
+	Class  core.FaultClass        `json:"class"`
 }
 
 // trustAcc accumulates one FRU's trust trajectory on one vehicle:
 // order-independent regression sums over (t seconds, trust) plus the
-// endpoints in stream order.
+// endpoints in stream order, bit-exact on the wire.
 type trustAcc struct {
-	n                        int
-	sumT, sumY, sumTY, sumTT float64
-	min                      float64
-	first, last              float64
-	firstT, lastT            int64
+	N      int     `json:"n"`
+	SumT   float64 `json:"sum_t"`
+	SumY   float64 `json:"sum_y"`
+	SumTY  float64 `json:"sum_ty"`
+	SumTT  float64 `json:"sum_tt"`
+	Min    float64 `json:"min"`
+	First  float64 `json:"first"`
+	Last   float64 `json:"last"`
+	FirstT int64   `json:"first_t_us"`
+	LastT  int64   `json:"last_t_us"`
 }
 
 func (a *trustAcc) add(tUS int64, y float64) {
 	t := float64(tUS) / 1e6
-	if a.n == 0 || y < a.min {
-		a.min = y
+	if a.N == 0 || y < a.Min {
+		a.Min = y
 	}
-	if a.n == 0 || tUS < a.firstT {
-		a.first, a.firstT = y, tUS
+	if a.N == 0 || tUS < a.FirstT {
+		a.First, a.FirstT = y, tUS
 	}
-	if a.n == 0 || tUS >= a.lastT {
-		a.last, a.lastT = y, tUS
+	if a.N == 0 || tUS >= a.LastT {
+		a.Last, a.LastT = y, tUS
 	}
-	a.n++
-	a.sumT += t
-	a.sumY += y
-	a.sumTY += t * y
-	a.sumTT += t * t
+	a.N++
+	a.SumT += t
+	a.SumY += y
+	a.SumTY += t * y
+	a.SumTT += t * t
 }
 
 // slope returns the least-squares trust slope in 1/s (0 with < 2 samples
 // or a degenerate time base).
 func (a *trustAcc) slope() float64 {
-	if a.n < 2 {
+	if a.N < 2 {
 		return 0
 	}
-	n := float64(a.n)
-	den := n*a.sumTT - a.sumT*a.sumT
+	n := float64(a.N)
+	den := n*a.SumTT - a.SumT*a.SumT
 	if den == 0 {
 		return 0
 	}
-	return (n*a.sumTY - a.sumT*a.sumY) / den
+	return (n*a.SumTY - a.SumT*a.SumY) / den
 }
 
 // patternAcc accumulates one ONA pattern's signature statistics on one
 // vehicle (Fig. 8: which patterns fire, how often, with what confidence).
 type patternAcc struct {
-	count    int
-	sumConf  float64
-	subjects map[string]bool
+	Count   int     `json:"count"`
+	SumConf float64 `json:"sum_conf"`
+	// Subjects is the distinct FRUs the pattern blamed, sorted.
+	Subjects []string `json:"subjects,omitempty"`
 }
 
 // vehicleState is everything retained per vehicle. It is only ever
 // mutated under its shard's mutex, in stream order.
 type vehicleState struct {
-	events    int
-	sawHeader bool
-	faultFree bool
+	Vehicle   int  `json:"vehicle"`
+	Events    int  `json:"events"`
+	SawHeader bool `json:"saw_header,omitempty"`
+	FaultFree bool `json:"fault_free,omitempty"`
+	Frames    int  `json:"frames,omitempty"`
+	Verdicts  int  `json:"verdicts,omitempty"`
 
-	truths []truthRec
-	advice map[string]map[string]adviceRec // source -> FRU -> advice
-
-	frames    int
-	symptoms  map[string]int // symptom kind -> count
-	verdicts  int
-	bySubject map[string]*subjectState // FRU string -> per-FRU state
-	patterns  map[string]*patternAcc   // pattern -> stats
-	incidents []string                 // job names of job-inherent verdicts
+	Truths    []truthRec                      `json:"truths,omitempty"`
+	Advice    map[string]map[string]adviceRec `json:"advice,omitempty"`    // source -> FRU -> advice
+	Symptoms  map[string]int                  `json:"symptoms,omitempty"`  // symptom kind -> count
+	Subjects  map[string]*subjectState        `json:"subjects,omitempty"`  // FRU string -> per-FRU state
+	Patterns  map[string]*patternAcc          `json:"patterns,omitempty"`  // pattern -> stats
+	Incidents []string                        `json:"incidents,omitempty"` // job names of job-inherent verdicts
 }
 
 // subjectState is the per-FRU slice of a vehicle's state.
 type subjectState struct {
-	trust    trustAcc
-	verdicts int
-	patterns map[string]int
+	Trust    trustAcc       `json:"trust"`
+	Verdicts int            `json:"verdicts"`
+	Patterns map[string]int `json:"patterns,omitempty"`
 }
 
-func newVehicleState() *vehicleState {
+func newVehicleState(id int) *vehicleState {
 	return &vehicleState{
-		advice:    make(map[string]map[string]adviceRec),
-		symptoms:  make(map[string]int),
-		bySubject: make(map[string]*subjectState),
-		patterns:  make(map[string]*patternAcc),
+		Vehicle:  id,
+		Advice:   make(map[string]map[string]adviceRec),
+		Symptoms: make(map[string]int),
+		Subjects: make(map[string]*subjectState),
+		Patterns: make(map[string]*patternAcc),
 	}
 }
 
+// clone deep-copies the state with every map allocated, so a state
+// decoded from a snapshot (where an empty map arrives as nil) can keep
+// ingesting. Pattern subject lists are re-sorted and deduplicated, the
+// order Ingest's binary-search insert relies on.
+func (v *vehicleState) clone() *vehicleState {
+	c := newVehicleState(v.Vehicle)
+	c.Events, c.SawHeader, c.FaultFree = v.Events, v.SawHeader, v.FaultFree
+	c.Frames, c.Verdicts = v.Frames, v.Verdicts
+	c.Truths = slices.Clone(v.Truths)
+	c.Incidents = slices.Clone(v.Incidents)
+	for src, m := range v.Advice {
+		am := make(map[string]adviceRec, len(m))
+		maps.Copy(am, m)
+		c.Advice[src] = am
+	}
+	maps.Copy(c.Symptoms, v.Symptoms)
+	for name, sub := range v.Subjects {
+		s := c.subject(name)
+		s.Trust, s.Verdicts = sub.Trust, sub.Verdicts
+		maps.Copy(s.Patterns, sub.Patterns)
+	}
+	for name, p := range v.Patterns {
+		subjects := slices.Clone(p.Subjects)
+		slices.Sort(subjects)
+		c.Patterns[name] = &patternAcc{Count: p.Count, SumConf: p.SumConf, Subjects: slices.Compact(subjects)}
+	}
+	return c
+}
+
 func (v *vehicleState) subject(name string) *subjectState {
-	s := v.bySubject[name]
+	s := v.Subjects[name]
 	if s == nil {
-		s = &subjectState{patterns: make(map[string]int)}
-		v.bySubject[name] = s
+		s = &subjectState{Patterns: make(map[string]int)}
+		v.Subjects[name] = s
 	}
 	return s
 }
@@ -179,61 +221,63 @@ func (c *Collector) Ingest(e trace.Event) {
 
 	v := sh.vehicles[e.Vehicle]
 	if v == nil {
-		v = newVehicleState()
+		v = newVehicleState(e.Vehicle)
 		sh.vehicles[e.Vehicle] = v
 	}
-	v.events++
+	v.Events++
 	c.events.Add(1)
 
 	switch e.Kind {
 	case "frame":
-		v.frames++
+		v.Frames++
 		// Counted per shard under the lock already held — an atomic here
 		// would be a measurable tax on the per-event ingest path.
 		sh.frames++
 	case "symptom":
-		v.symptoms[e.Symptom] += e.Count
+		v.Symptoms[e.Symptom] += e.Count
 	case "verdict":
 		class, err := core.ParseFaultClass(e.Class)
 		if err != nil {
 			c.malformed.Add(1)
 			return
 		}
-		v.verdicts++
+		v.Verdicts++
 		s := v.subject(e.Subject)
-		s.verdicts++
+		s.Verdicts++
 		if e.Pattern != "" {
-			s.patterns[e.Pattern]++
-			p := v.patterns[e.Pattern]
+			s.Patterns[e.Pattern]++
+			p := v.Patterns[e.Pattern]
 			if p == nil {
-				p = &patternAcc{subjects: make(map[string]bool)}
-				v.patterns[e.Pattern] = p
+				p = &patternAcc{}
+				v.Patterns[e.Pattern] = p
 			}
-			p.count++
-			p.sumConf += e.Conf
-			p.subjects[e.Subject] = true
+			p.Count++
+			p.SumConf += e.Conf
+			if i, found := slices.BinarySearch(p.Subjects, e.Subject); !found {
+				p.Subjects = slices.Insert(p.Subjects, i, e.Subject)
+			}
 		}
 		if fleet.Relevant(class) {
 			if f, err := core.ParseFRU(e.Subject); err == nil && !f.IsHardware() {
-				v.incidents = append(v.incidents, f.Job)
+				v.Incidents = append(v.Incidents, f.Job)
 			} else {
 				c.malformed.Add(1)
 			}
 		}
 	case "trust":
 		if e.Trust != nil {
-			v.subject(e.Subject).trust.add(e.T, *e.Trust)
+			v.subject(e.Subject).Trust.add(e.T, *e.Trust)
 		}
 	case "vehicle":
-		v.sawHeader = true
-		v.faultFree = e.Detail == "fault-free"
+		v.SawHeader = true
+		v.FaultFree = e.Detail == "fault-free"
 	case "truth":
 		class, err := core.ParseFaultClass(e.Class)
 		if err != nil {
 			c.malformed.Add(1)
 			return
 		}
-		v.truths = append(v.truths, truthRec{class: class, subject: e.Subject, detail: e.Detail})
+		v.Truths = append(v.Truths, truthRec{Class: class, Subject: e.Subject, Detail: e.Detail})
 	case "advice":
 		action, aerr := core.ParseMaintenanceAction(e.Action)
 		class, cerr := core.ParseFaultClass(e.Class)
@@ -241,12 +285,12 @@ func (c *Collector) Ingest(e trace.Event) {
 			c.malformed.Add(1)
 			return
 		}
-		m := v.advice[e.Source]
+		m := v.Advice[e.Source]
 		if m == nil {
 			m = make(map[string]adviceRec)
-			v.advice[e.Source] = m
+			v.Advice[e.Source] = m
 		}
-		m[e.Subject] = adviceRec{action: action, class: class}
+		m[e.Subject] = adviceRec{Action: action, Class: class}
 	case "injection":
 		// Ground truth for the audit arrives via "truth" events; the
 		// activation timeline itself is not aggregated.

@@ -129,11 +129,14 @@ func FuzzIngestHTTP(f *testing.F) {
 // daemon runs on its state file: JSON decode, then Validate.
 // Decoding must never panic, and a snapshot Validate accepts must load
 // into a fresh collector and merge without error or panic, and
-// summarize. The corpus is seeded with a real two-vehicle snapshot, its
+// summarize. The loaded collector then ingests a short trace and
+// summarizes again: a decoded state missing any of its maps must keep
+// ingesting. The corpus is seeded with a real two-vehicle snapshot, its
 // truncations and JSON fragments at the validation boundaries.
 func FuzzSnapshot(f *testing.F) {
+	traces := campaignTraces(f, 2, 60)
 	col := NewCollector(0)
-	for _, tr := range campaignTraces(f, 2, 60) {
+	for _, tr := range traces {
 		if _, _, err := col.IngestStream(bytes.NewReader(tr), 0); err != nil {
 			f.Fatal(err)
 		}
@@ -150,7 +153,10 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":1,"vehicles":[{"vehicle":2},{"vehicle":1}]}`))
 	f.Add([]byte(`{"version":1,"vehicles":[{"vehicle":1,"truths":[{"class":"no such class"}]}]}`))
 	f.Add([]byte(`{"version":1,"tally":{"jobs":[{"job":"A/A1","incidents":-3,"vehicles":[1,1]}]},"vehicles":[{"vehicle":1,"subjects":{"x":{"trust":{"n":-1}}}}]}`))
+	f.Add([]byte(`{"version":1,"vehicles":[null]}`))
+	f.Add([]byte(`{"version":1,"vehicles":[{"vehicle":1,"advice":{"decos":null},"subjects":{"x":{}},"patterns":{"p":{"subjects":["b","a","b"]}}}]}`))
 
+	short := traces[1]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Snapshot
 		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
@@ -164,5 +170,9 @@ func FuzzSnapshot(f *testing.F) {
 		if _, err := MergeSnapshots([]*Snapshot{&s}, 0); err != nil {
 			t.Fatalf("MergeSnapshots rejects a snapshot Validate accepts: %v", err)
 		}
+		if _, _, err := loaded.IngestStream(bytes.NewReader(short), 0); err != nil {
+			t.Fatalf("ingest after load: %v", err)
+		}
+		loaded.Summary(0)
 	})
 }

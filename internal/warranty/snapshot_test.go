@@ -186,8 +186,8 @@ func TestMergeSnapshotsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsRejects: version skew and duplicated vehicles are
-// merge failures, not silent skew.
+// TestMergeSnapshotsRejects: version skew, duplicated vehicles, unknown
+// enum names and null entries are merge failures, not silent skew.
 func TestMergeSnapshotsRejects(t *testing.T) {
 	blobs := campaignBlobs(t, 4, 300)
 	a, b := NewCollector(0), NewCollector(0)
@@ -215,18 +215,39 @@ func TestMergeSnapshotsRejects(t *testing.T) {
 		t.Fatal("duplicated vehicles accepted")
 	}
 
-	corrupt := a.Snapshot()
-	for i := range corrupt.Vehicles {
-		if len(corrupt.Vehicles[i].Truths) > 0 {
-			corrupt.Vehicles[i].Truths[0].Class = "definitely-not-a-class"
-			break
-		}
+	// An unknown enum name is refused by the decode itself: a state the
+	// collector holds can only carry parsed classes, so the corruption is
+	// made in the JSON bytes.
+	wire, err := json.Marshal(a.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := corrupt.Validate(); err == nil {
-		t.Skip("corpus produced no truths to corrupt")
+	const class = `"class":"job-inherent-software"`
+	if !bytes.Contains(wire, []byte(class)) {
+		t.Fatal("corpus produced no job-inherent-software class to corrupt")
 	}
-	if _, err := MergeSnapshots([]*Snapshot{corrupt}, 0); err == nil {
+	bad := bytes.Replace(wire, []byte(class), []byte(`"class":"definitely-not-a-class"`), 1)
+	if err := json.Unmarshal(bad, new(Snapshot)); err == nil {
 		t.Fatal("corrupt enum accepted")
+	}
+
+	// A null vehicle, subject or pattern entry decodes into a nil pointer;
+	// Validate and the merge refuse it.
+	for _, doc := range []string{
+		`{"version":1,"vehicles":[null]}`,
+		`{"version":1,"vehicles":[{"vehicle":1,"subjects":{"component[0]":null}}]}`,
+		`{"version":1,"vehicles":[{"vehicle":1,"patterns":{"p":null}}]}`,
+	} {
+		var s Snapshot
+		if err := json.Unmarshal([]byte(doc), &s); err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		if s.Validate() == nil {
+			t.Errorf("Validate accepted %s", doc)
+		}
+		if _, err := MergeSnapshots([]*Snapshot{&s}, 0); err == nil {
+			t.Errorf("MergeSnapshots accepted %s", doc)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -94,7 +95,7 @@ func TestLoadSnapshotRefuses(t *testing.T) {
 	}
 	if len(snap.Vehicles) >= 2 {
 		disordered := *snap
-		disordered.Vehicles = append([]VehicleSnapshot(nil), snap.Vehicles...)
+		disordered.Vehicles = slices.Clone(snap.Vehicles)
 		disordered.Vehicles[0], disordered.Vehicles[1] = disordered.Vehicles[1], disordered.Vehicles[0]
 		if err := NewCollector(0).LoadSnapshot(&disordered); err == nil {
 			t.Error("unordered vehicles accepted")
@@ -137,5 +138,53 @@ func TestStateFileAtomicAndMissing(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("state dir has %d entries after save, want just the state file", len(entries))
+	}
+}
+
+// TestStateFileFixtureLoads boots a state file written before snapshots
+// dropped their "tally" member (testdata/state_v1_tally.json: the
+// campaignBlobs(8, 600) corpus, saved by SaveState). A running daemon's
+// file must still load: its Summary equals a collector ingesting the same
+// traces today, and its re-export is the file minus the "tally" member,
+// byte for byte.
+func TestStateFileFixtureLoads(t *testing.T) {
+	const path = "testdata/state_v1_tally.json"
+	fixture, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadState(path)
+	if err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	loaded := NewCollector(0)
+	if err := loaded.LoadSnapshot(snap); err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+
+	blobs := campaignBlobs(t, 8, 600)
+	fresh := NewCollector(0)
+	for v := 1; v <= len(blobs); v++ {
+		if _, _, err := fresh.IngestStream(bytes.NewReader(blobs[v]), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := summaryJSON(t, loaded.Summary(0)), summaryJSON(t, fresh.Summary(0)); !bytes.Equal(got, want) {
+		t.Errorf("fixture summary differs from a fresh ingest:\ngot  %s\nwant %s", got, want)
+	}
+
+	var old struct {
+		Tally json.RawMessage `json:"tally"`
+	}
+	if err := json.Unmarshal(fixture, &old); err != nil || len(old.Tally) == 0 {
+		t.Fatalf("fixture has no tally member (err %v)", err)
+	}
+	want := bytes.Replace(fixture, []byte(`"tally":`+string(old.Tally)+`,`), nil, 1)
+	got, err := json.Marshal(loaded.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-exported snapshot is not the fixture minus its tally:\ngot  %s\nwant %s", got, want)
 	}
 }

@@ -111,32 +111,28 @@ func (c *Collector) unlockAll() {
 	}
 }
 
-// vehicleEntry pairs a vehicle id with its retained state — the unit the
-// summary fold consumes, whether the states live in this collector or were
-// reassembled from snapshots by MergeSnapshots.
-type vehicleEntry struct {
-	id int
-	st *vehicleState
-}
-
 // storeTotals carries the collector-level ingestion counters into a
 // summary fold.
 type storeTotals struct {
 	events, corrupt, malformed int64
 }
 
-// sortedVehicles returns (id, state) pairs in ascending vehicle order.
+// sortedVehicles returns the vehicle states in ascending vehicle order.
 // Callers hold all stripe locks. The fixed order makes every floating-
 // point accumulation of the fold independent of ingestion concurrency.
-func (c *Collector) sortedVehicles() []vehicleEntry {
-	var out []vehicleEntry
+func (c *Collector) sortedVehicles() []*vehicleState {
+	var out []*vehicleState
 	for _, sh := range c.shards {
-		for id, st := range sh.vehicles {
-			out = append(out, vehicleEntry{id, st})
+		for _, st := range sh.vehicles {
+			out = append(out, st)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	sortByVehicle(out)
 	return out
+}
+
+func sortByVehicle(vs []*vehicleState) {
+	sort.Slice(vs, func(i, j int) bool { return vs[i].Vehicle < vs[j].Vehicle })
 }
 
 // Summary computes the fleet aggregate. threshold is the systematic-fault
@@ -146,7 +142,7 @@ func (c *Collector) Summary(threshold float64) *Summary {
 	defer c.unlockAll()
 	return summarize(c.sortedVehicles(),
 		storeTotals{c.events.Load(), c.corrupt.Load(), c.malformed.Load()},
-		threshold, nil)
+		threshold)
 }
 
 // summarize is the one fold that turns per-vehicle states into the fleet
@@ -154,13 +150,7 @@ func (c *Collector) Summary(threshold float64) *Summary {
 // every floating-point accumulation, which is what makes MergeSnapshots'
 // summary bit-identical to a single collector's — both run exactly this
 // function over exactly this ordering.
-//
-// pre, when non-nil, is a pre-merged fleet tally (MergeSnapshots path:
-// the snapshots' tallies folded with fleet.Tally.Merge); nil rebuilds the tally
-// from the vehicles' incident lists (single-collector path). The two are
-// interchangeable because the tally is pure integer state — the property
-// TestTallyMergeOrderInsensitive pins.
-func summarize(vehicles []vehicleEntry, totals storeTotals, threshold float64, pre *fleet.Tally) *Summary {
+func summarize(vehicles []*vehicleState, totals storeTotals, threshold float64) *Summary {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
@@ -177,16 +167,13 @@ func summarize(vehicles []vehicleEntry, totals storeTotals, threshold float64, p
 	// one arm's advice still counts against that arm — as missed faults).
 	audits := make(map[string]*maintenance.ArmAudit)
 	for _, v := range vehicles {
-		for src := range v.st.advice {
+		for src := range v.Advice {
 			if audits[src] == nil {
 				audits[src] = &maintenance.ArmAudit{}
 			}
 		}
 	}
-	tally := pre
-	if tally == nil {
-		tally = fleet.NewTally()
-	}
+	tally := fleet.NewTally()
 	type patAgg struct {
 		count    int
 		sumConf  float64
@@ -208,72 +195,68 @@ func summarize(vehicles []vehicleEntry, totals storeTotals, threshold float64, p
 	}
 	frus := make(map[string]*fruAgg)
 
-	for _, v := range vehicles {
-		st := v.st
-		if st.faultFree {
+	for _, st := range vehicles {
+		if st.FaultFree {
 			s.FaultFree++
 		}
-		s.Truths += len(st.truths)
+		s.Truths += len(st.Truths)
 
 		// E8 audit: judge every ground-truth fault against each arm's
 		// embedded advice — the identical accumulation the in-process
 		// campaign audit runs (maintenance.ArmAudit over maintenance.Judge).
-		for _, tr := range st.truths {
+		for _, tr := range st.Truths {
 			for _, src := range sortedKeys(audits) {
-				adv, found := st.advice[src][tr.subject]
-				audits[src].Judged(tr.class, adv.class, adv.action, found)
+				adv, found := st.Advice[src][tr.Subject]
+				audits[src].Judged(tr.Class, adv.Class, adv.Action, found)
 			}
 		}
-		if st.faultFree {
+		if st.FaultFree {
 			for _, src := range sortedKeys(audits) {
-				for _, adv := range st.advice[src] {
-					audits[src].HealthyAdvice(adv.action)
+				for _, adv := range st.Advice[src] {
+					audits[src].HealthyAdvice(adv.Action)
 				}
 			}
 		}
 
-		// Section V-C fleet correlation (already folded when a pre-merged
-		// tally was handed in).
-		if pre == nil {
-			for _, job := range st.incidents {
-				tally.Observe(v.id, job)
-			}
+		// Section V-C fleet correlation.
+		for _, job := range st.Incidents {
+			tally.Observe(st.Vehicle, job)
 		}
 
 		// Fig. 8 pattern signatures.
-		for name, p := range st.patterns {
+		for name, p := range st.Patterns {
 			a := pats[name]
 			if a == nil {
 				a = &patAgg{frus: make(map[string]bool)}
 				pats[name] = a
 			}
-			a.count += p.count
-			a.sumConf += p.sumConf
+			a.count += p.Count
+			a.sumConf += p.SumConf
 			a.vehicles++
-			for f := range p.subjects {
+			for _, f := range p.Subjects {
 				a.frus[f] = true
 			}
 		}
 
 		// Trust trajectories and wearout trends.
-		for name, sub := range st.bySubject {
+		for name, sub := range st.Subjects {
 			a := frus[name]
 			if a == nil {
 				a = &fruAgg{}
 				frus[name] = a
 			}
 			a.vehicles++
-			a.verdicts += sub.verdicts
-			a.trustSamples += sub.trust.n
-			if sub.trust.n > 0 {
-				a.sumFinal += sub.trust.last
+			a.verdicts += sub.Verdicts
+			a.trustSamples += sub.Trust.N
+			if sub.Trust.N > 0 {
+				a.sumFinal += sub.Trust.Last
 				a.finalN++
-				if !a.minSet || sub.trust.min < a.min {
-					a.min, a.minSet = sub.trust.min, true
+				if !a.minSet || sub.Trust.Min < a.min {
+					a.min, a.minSet = sub.Trust.Min, true
 				}
 			}
-			if sub.trust.n >= 2 {
-				sl := sub.trust.slope()
+			if sub.Trust.N >= 2 {
+				sl := sub.Trust.slope()
 				a.sumSlope += sl
 				a.slopeN++
 				if sl < DecliningSlope {
@@ -349,26 +332,26 @@ func (c *Collector) FRU(name string) (*FRUDetail, bool) {
 	d.FRUStat.FRU = name
 	found := false
 	for _, v := range c.sortedVehicles() {
-		sub := v.st.bySubject[name]
+		sub := v.Subjects[name]
 		if sub == nil {
 			continue
 		}
 		found = true
 		d.Vehicles++
-		d.Verdicts += sub.verdicts
-		d.TrustSamples += sub.trust.n
-		for p, n := range sub.patterns {
+		d.Verdicts += sub.Verdicts
+		d.TrustSamples += sub.Trust.N
+		for p, n := range sub.Patterns {
 			d.Patterns[p] += n
 		}
-		vt := VehicleTrust{Vehicle: v.id, Samples: sub.trust.n, Verdicts: sub.verdicts}
-		if sub.trust.n > 0 {
-			vt.First, vt.Last, vt.Min = sub.trust.first, sub.trust.last, sub.trust.min
-			vt.Slope = sub.trust.slope()
-			d.MeanFinalTrust += sub.trust.last
-			if d.TrustSamples == sub.trust.n || sub.trust.min < d.MinTrust {
-				d.MinTrust = sub.trust.min
+		vt := VehicleTrust{Vehicle: v.Vehicle, Samples: sub.Trust.N, Verdicts: sub.Verdicts}
+		if sub.Trust.N > 0 {
+			vt.First, vt.Last, vt.Min = sub.Trust.First, sub.Trust.Last, sub.Trust.Min
+			vt.Slope = sub.Trust.slope()
+			d.MeanFinalTrust += sub.Trust.Last
+			if d.TrustSamples == sub.Trust.N || sub.Trust.Min < d.MinTrust {
+				d.MinTrust = sub.Trust.Min
 			}
-			if sub.trust.n >= 2 {
+			if sub.Trust.N >= 2 {
 				d.MeanSlope += vt.Slope
 				if vt.Slope < DecliningSlope {
 					d.Declining++

@@ -66,7 +66,7 @@ echo "== fuzz smoke (warranty snapshot) =="
 # Ten seconds of arbitrary bytes through the snapshot decode a restarted
 # daemon runs on its state file: JSON decode and Validate must never
 # panic, and a snapshot Validate accepts must load, merge and summarize
-# without error.
+# without error, then keep ingesting a short trace and summarize again.
 go test -run='^$' -fuzz='^FuzzSnapshot$' -fuzztime=10s ./internal/warranty/
 
 echo "== fuzz smoke (broadcast frame fan-out) =="
