@@ -317,7 +317,7 @@ func BenchmarkWarrantyIngest(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					c.Ingest(events[int(next.Add(1))%len(events)])
+					c.Ingest(&events[int(next.Add(1))%len(events)])
 				}
 			})
 		})

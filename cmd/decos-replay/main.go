@@ -68,7 +68,7 @@ func main() {
 	// The readers skip undecodable records instead of aborting the whole
 	// replay — a truncated or partly garbled field trace still analyses.
 	rd, _ := trace.OpenReader(f)
-	err = rd.ReadAll(func(e trace.Event) {
+	err = rd.Each(func(e *trace.Event) {
 		total++
 		kinds[e.Kind]++
 		if e.Vehicle != 0 {
@@ -85,9 +85,9 @@ func main() {
 			symptoms[e.Subject] += e.Count
 			sympKinds[e.Symptom] += e.Count
 		case "verdict":
-			verdicts = append(verdicts, e)
+			verdicts = append(verdicts, *e)
 		case "injection":
-			injections = append(injections, e)
+			injections = append(injections, *e)
 		case "trust":
 			if e.Trust != nil {
 				lastTrust[e.Subject] = *e.Trust

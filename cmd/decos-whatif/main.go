@@ -150,8 +150,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		rd, _ := trace.OpenReader(f)
-		err = rd.ReadAll(func(e trace.Event) { cfg.Recorded = append(cfg.Recorded, e) })
+		cfg.Recorded, err = whatif.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reading %s: %v\n", *tracePath, err)

@@ -290,11 +290,12 @@ const maxInterned = 4096
 // the remainder of the stream, which is reported once and abandoned.
 //
 // Decoding is allocation-free in steady state: record payloads land in a
-// reused scratch buffer, strings are interned per reader, and the
+// reused scratch buffer, each record decodes in place into one
+// reader-owned Event, strings are interned per reader, and the
 // pointer-typed event fields (Sender/Slot/Round/Observer/Trust) point
-// into reader-owned scratch. Those pointers are valid until the next call
-// to Next — a consumer retaining frame, symptom or trust events across
-// calls must copy the pointed-to values (string fields are stable).
+// into reader-owned scratch. Those pointers are valid until the next
+// call — a consumer retaining frame, symptom or trust events across
+// calls must keep Event.Detached copies (string fields are stable).
 type BinaryReader struct {
 	br  *bufio.Reader
 	max int
@@ -310,8 +311,12 @@ type BinaryReader struct {
 
 	buf      []byte
 	interned map[string]string
+	// last holds each string field's previous value: consecutive records
+	// mostly repeat them, and a compare is cheaper than a hash.
+	last Event
 
-	// Pointer-field scratch the returned events point into.
+	// The decoded event and the pointer-field scratch it points into.
+	ev                     Event
 	sender, slot, observer int
 	round                  int64
 	trust                  float64
@@ -432,27 +437,44 @@ func (r *BinaryReader) readFrameLen() (int, error) {
 	}
 }
 
-// Next returns the next decodable event. It returns io.EOF at the end of
-// the readable stream (a poisoned tail included — the corruption is
-// reported through Corrupt/CorruptErrors, as with the NDJSON reader); a
-// non-EOF error is a transport error or an unusable stream (bad magic,
-// unsupported version).
+// Next returns a copy of the next decodable event. It returns io.EOF at
+// the end of the readable stream (a poisoned tail included — the
+// corruption is reported through Corrupt/CorruptErrors, as with the
+// NDJSON reader); a non-EOF error is a transport error or an unusable
+// stream (bad magic, unsupported version).
 func (r *BinaryReader) Next() (Event, error) {
+	e, err := r.next()
+	if err != nil {
+		return Event{}, err
+	}
+	return *e, nil
+}
+
+// Each decodes the remaining stream, handing fn the reader-owned event
+// of every record; it and its pointer fields are overwritten by the next
+// record. It returns the first error other than io.EOF.
+func (r *BinaryReader) Each(fn func(*Event)) error { return each(r.next, fn) }
+
+// ReadAll is Each with a copy of every event handed to fn.
+func (r *BinaryReader) ReadAll(fn func(Event)) error { return r.Each(func(e *Event) { fn(*e) }) }
+
+// next decodes the next record into r.ev.
+func (r *BinaryReader) next() (*Event, error) {
 	if r.err != nil {
-		return Event{}, r.err
+		return nil, r.err
 	}
 	if !r.headerDone {
 		if err := r.readHeader(); err != nil {
-			return Event{}, err
+			return nil, err
 		}
 	}
 	for {
 		if r.dead {
-			return Event{}, io.EOF
+			return nil, io.EOF
 		}
 		length, err := r.readFrameLen()
 		if err != nil {
-			return Event{}, err
+			return nil, err
 		}
 		if cap(r.buf) < length {
 			r.buf = make([]byte, length, length+length/2)
@@ -466,44 +488,28 @@ func (r *BinaryReader) Next() (Event, error) {
 			r.dead = true
 			r.noteCorrupt(fmt.Errorf("trace: record %d at offset %d: truncated payload (%d of %d bytes)",
 				r.records, recOff, n, length))
-			return Event{}, io.EOF
+			return nil, io.EOF
 		}
 		if err != nil {
-			return Event{}, err
+			return nil, err
 		}
-		e, derr := r.decodePayload(payload)
-		if derr != nil {
+		if derr := r.decodePayload(payload, &r.ev); derr != nil {
 			r.noteCorrupt(fmt.Errorf("trace: record %d at offset %d: %v", r.records, recOff, derr))
 			continue
 		}
-		return e, nil
-	}
-}
-
-// ReadAll decodes the whole stream, invoking fn per event. It returns the
-// first error other than io.EOF.
-func (r *BinaryReader) ReadAll(fn func(Event)) error {
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		fn(e)
+		return &r.ev, nil
 	}
 }
 
 // decodePayload is appendPayload's mirror. It must consume the payload
 // exactly: trailing bytes mean the layouts disagree and the record is
 // corrupt, not silently truncated.
-func (r *BinaryReader) decodePayload(p []byte) (Event, error) {
+func (r *BinaryReader) decodePayload(p []byte, e *Event) error {
 	d := payloadDecoder{p: p}
 	tag := d.byte()
-	var e Event
+	*e = Event{}
 	if tag == 0 || int(tag) >= len(kindNames) || d.err != nil {
-		return e, fmt.Errorf("unknown kind tag 0x%02x", tag)
+		return fmt.Errorf("unknown kind tag 0x%02x", tag)
 	}
 	e.Kind = kindNames[tag]
 	e.T = d.varint()
@@ -522,10 +528,10 @@ func (r *BinaryReader) decodePayload(p []byte) (Event, error) {
 			r.round = d.varint()
 			e.Round = &r.round
 		}
-		e.Status = r.intern(d.bytes())
+		e.Status = r.intern(&r.last.Status, d.bytes())
 	case tagSymptom:
-		e.Symptom = r.intern(d.bytes())
-		e.Subject = r.intern(d.bytes())
+		e.Symptom = r.intern(&r.last.Symptom, d.bytes())
+		e.Subject = r.intern(&r.last.Subject, d.bytes())
 		if d.opt() {
 			r.observer = int(d.varint())
 			e.Observer = &r.observer
@@ -533,56 +539,61 @@ func (r *BinaryReader) decodePayload(p []byte) (Event, error) {
 		e.Count = int(d.varint())
 		e.Dev = d.float()
 	case tagVerdict:
-		e.Subject = r.intern(d.bytes())
-		e.Class = r.intern(d.bytes())
-		e.Pattern = r.intern(d.bytes())
-		e.Action = r.intern(d.bytes())
+		e.Subject = r.intern(&r.last.Subject, d.bytes())
+		e.Class = r.intern(&r.last.Class, d.bytes())
+		e.Pattern = r.intern(&r.last.Pattern, d.bytes())
+		e.Action = r.intern(&r.last.Action, d.bytes())
 		e.Conf = d.float()
 	case tagTrust:
-		e.Subject = r.intern(d.bytes())
+		e.Subject = r.intern(&r.last.Subject, d.bytes())
 		if d.opt() {
 			r.trust = d.float()
 			e.Trust = &r.trust
 		}
 	case tagInjection:
-		e.Class = r.intern(d.bytes())
-		e.Subject = r.intern(d.bytes())
-		e.Detail = r.intern(d.bytes())
+		e.Class = r.intern(&r.last.Class, d.bytes())
+		e.Subject = r.intern(&r.last.Subject, d.bytes())
+		e.Detail = r.intern(&r.last.Detail, d.bytes())
 	case tagVehicle:
-		e.Detail = r.intern(d.bytes())
+		e.Detail = r.intern(&r.last.Detail, d.bytes())
 	case tagTruth:
-		e.Subject = r.intern(d.bytes())
-		e.Class = r.intern(d.bytes())
-		e.Detail = r.intern(d.bytes())
+		e.Subject = r.intern(&r.last.Subject, d.bytes())
+		e.Class = r.intern(&r.last.Class, d.bytes())
+		e.Detail = r.intern(&r.last.Detail, d.bytes())
 	case tagAdvice:
-		e.Source = r.intern(d.bytes())
-		e.Subject = r.intern(d.bytes())
-		e.Class = r.intern(d.bytes())
-		e.Action = r.intern(d.bytes())
+		e.Source = r.intern(&r.last.Source, d.bytes())
+		e.Subject = r.intern(&r.last.Subject, d.bytes())
+		e.Class = r.intern(&r.last.Class, d.bytes())
+		e.Action = r.intern(&r.last.Action, d.bytes())
 	}
 	if d.err != nil {
-		return Event{}, d.err
+		return d.err
 	}
 	if d.off != len(p) {
-		return Event{}, fmt.Errorf("%d trailing payload bytes", len(p)-d.off)
+		return fmt.Errorf("%d trailing payload bytes", len(p)-d.off)
 	}
-	return e, nil
+	return nil
 }
 
-// intern returns a stable string for b, reusing prior decodes. Event
-// vocabularies (kinds, FRU names, statuses, patterns) are small, so in
-// steady state this is a hash lookup and no allocation.
-func (r *BinaryReader) intern(b []byte) string {
+// intern returns a stable string for b, reusing prior decodes; last is
+// the field's previous value. Event vocabularies (kinds, FRU names,
+// statuses, patterns) are small, so in steady state this is a compare or
+// a hash lookup, and no allocation.
+func (r *BinaryReader) intern(last *string, b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := r.interned[string(b)]; ok {
-		return s
+	if *last == string(b) {
+		return *last
 	}
-	s := string(b)
-	if len(r.interned) < maxInterned {
-		r.interned[s] = s
+	s, ok := r.interned[string(b)]
+	if !ok {
+		s = string(b)
+		if len(r.interned) < maxInterned {
+			r.interned[s] = s
+		}
 	}
+	*last = s
 	return s
 }
 

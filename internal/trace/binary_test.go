@@ -53,40 +53,56 @@ func encodeBinary(t *testing.T, events []Event) []byte {
 	return buf.Bytes()
 }
 
-// decodeAndCompare decodes the stream and compares each event against
-// want as it arrives — pointer fields of a BinaryReader event are only
-// valid until the next Next call, so comparison must be in-stream.
-func decodeAndCompare(t *testing.T, rd EventReader, want []Event) {
+// decodeAndCompare decodes blob twice, through ReadAll and through Each,
+// and compares each event against want as it arrives — pointer fields of
+// a BinaryReader event are only valid until the next record, so
+// comparison must be in-stream. It returns the ReadAll reader and its
+// sniffed format.
+func decodeAndCompare(t *testing.T, blob []byte, want []Event) (EventReader, Format) {
 	t.Helper()
-	i := 0
-	err := rd.ReadAll(func(e Event) {
-		if i >= len(want) {
-			t.Fatalf("decoded %d+ events, want %d", i+1, len(want))
+	var first EventReader
+	var format Format
+	for _, each := range []bool{false, true} {
+		rd, f := OpenReader(bytes.NewReader(blob))
+		if first == nil {
+			first, format = rd, f
 		}
-		if !reflect.DeepEqual(e, want[i]) {
-			t.Errorf("event %d:\ngot  %+v\nwant %+v", i, e, want[i])
+		i := 0
+		check := func(e *Event) {
+			if i >= len(want) {
+				t.Fatalf("each=%v: decoded %d+ events, want %d", each, i+1, len(want))
+			}
+			if !reflect.DeepEqual(*e, want[i]) {
+				t.Errorf("each=%v: event %d:\ngot  %+v\nwant %+v", each, i, *e, want[i])
+			}
+			i++
 		}
-		i++
-	})
-	if err != nil {
-		t.Fatal(err)
+		var err error
+		if each {
+			err = rd.Each(check)
+		} else {
+			err = rd.ReadAll(func(e Event) { check(&e) })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i != len(want) {
+			t.Fatalf("each=%v: decoded %d events, want %d", each, i, len(want))
+		}
+		if rd.Corrupt() != 0 {
+			t.Fatalf("clean stream reported %d corrupt records: %v", rd.Corrupt(), rd.CorruptErrors())
+		}
 	}
-	if i != len(want) {
-		t.Fatalf("decoded %d events, want %d", i, len(want))
-	}
-	if rd.Corrupt() != 0 {
-		t.Fatalf("clean stream reported %d corrupt records: %v", rd.Corrupt(), rd.CorruptErrors())
-	}
+	return first, format
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
 	events := goldenEvents()
 	blob := encodeBinary(t, events)
-	rd, f := OpenReader(bytes.NewReader(blob))
+	rd, f := decodeAndCompare(t, blob, events)
 	if f != FormatBinary {
 		t.Fatalf("sniffed %v, want binary", f)
 	}
-	decodeAndCompare(t, rd, events)
 	if rd.Records() != len(events) {
 		t.Fatalf("Records() = %d, want %d", rd.Records(), len(events))
 	}
@@ -111,7 +127,9 @@ func TestGoldenFixture(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("committed fixture (%d bytes) != current encoder output (%d bytes): the v1 wire layout changed — bump BinaryVersion instead", len(got), len(want))
 	}
-	decodeAndCompare(t, NewBinaryReader(bytes.NewReader(got)), goldenEvents())
+	if _, f := decodeAndCompare(t, got, goldenEvents()); f != FormatBinary {
+		t.Fatalf("fixture sniffs as %v", f)
+	}
 }
 
 func TestOpenReaderSniffs(t *testing.T) {
@@ -123,16 +141,14 @@ func TestOpenReaderSniffs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rd, f := OpenReader(bytes.NewReader(nd.Bytes()))
-	if f != FormatNDJSON {
+	if _, f := decodeAndCompare(t, nd.Bytes(), events); f != FormatNDJSON {
 		t.Fatalf("NDJSON sniffed as %v", f)
 	}
-	decodeAndCompare(t, rd, events)
 
 	if _, f := OpenReader(strings.NewReader("")); f != FormatNDJSON {
 		t.Fatalf("empty stream sniffed as %v, want ndjson", f)
 	}
-	rd, f = OpenReader(bytes.NewReader(AppendHeader(nil)))
+	rd, f := OpenReader(bytes.NewReader(AppendHeader(nil)))
 	if f != FormatBinary {
 		t.Fatalf("header-only stream sniffed as %v, want binary", f)
 	}
@@ -302,17 +318,17 @@ func TestTranscodeBytes(t *testing.T) {
 	if err != nil || corrupt != 0 || n != len(events) {
 		t.Fatalf("to binary: n=%d corrupt=%d err=%v", n, corrupt, err)
 	}
-	decodeAndCompare(t, NewBinaryReader(bytes.NewReader(bin)), events)
+	if _, f := decodeAndCompare(t, bin, events); f != FormatBinary {
+		t.Fatalf("transcoded stream sniffs as %v", f)
+	}
 
 	back, n, corrupt, err := TranscodeBytes(bin, FormatNDJSON)
 	if err != nil || corrupt != 0 || n != len(events) {
 		t.Fatalf("back to ndjson: n=%d corrupt=%d err=%v", n, corrupt, err)
 	}
-	rd, f := OpenReader(bytes.NewReader(back))
-	if f != FormatNDJSON {
+	if _, f := decodeAndCompare(t, back, events); f != FormatNDJSON {
 		t.Fatalf("transcoded-back stream sniffs as %v", f)
 	}
-	decodeAndCompare(t, rd, events)
 
 	if _, _, _, err := TranscodeBytes([]byte("not json at all\n"), FormatBinary); err != nil {
 		t.Fatalf("corrupt-only input must transcode to an empty stream, got %v", err)

@@ -58,9 +58,14 @@ func NewSink(w io.Writer, f Format) Sink {
 // implement: sequential event access with corruption counted and skipped
 // rather than fatal, and record-numbered recovery detail.
 type EventReader interface {
-	// Next returns the next decodable event, io.EOF at end of stream.
+	// Next returns a copy of the next decodable event, io.EOF at end of
+	// stream.
 	Next() (Event, error)
-	// ReadAll decodes the remaining stream, invoking fn per event.
+	// Each decodes the remaining stream, handing fn a reader-owned event
+	// that the next record overwrites: fn keeps Event.Detached copies.
+	Each(fn func(*Event)) error
+	// ReadAll is Each with one copy of every event handed to fn. Pointer
+	// fields of a binary reader's copies still point into its scratch.
 	ReadAll(fn func(Event)) error
 	// Records returns the number of records (NDJSON lines) consumed.
 	Records() int
@@ -100,8 +105,8 @@ func OpenReader(r io.Reader) (EventReader, Format) {
 // are skipped and counted in unencodable; undecodable input records are
 // rd's Corrupt count. err is the first read or close error.
 func Transcode(rd EventReader, sink Sink) (events, unencodable int, err error) {
-	err = rd.ReadAll(func(e Event) {
-		if serr := sink.Record(&e); serr != nil {
+	err = rd.Each(func(e *Event) {
+		if serr := sink.Record(e); serr != nil {
 			unencodable++
 			return
 		}

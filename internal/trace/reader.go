@@ -25,6 +25,8 @@ type Reader struct {
 	lines   int
 	corrupt int
 	errs    []error
+
+	ev Event // the decoded event Each hands out
 }
 
 // maxCorruptErrors bounds the recovery-error detail a Reader retains: a
@@ -72,19 +74,37 @@ func (r *Reader) noteCorrupt(err error) {
 	}
 }
 
-// Next returns the next decodable event. It returns io.EOF at the end of
-// the stream; any other error is a transport error from the underlying
-// reader. Corrupt lines never surface as errors.
+// Next returns a copy of the next decodable event. It returns io.EOF at
+// the end of the stream; any other error is a transport error from the
+// underlying reader. Corrupt lines never surface as errors.
 func (r *Reader) Next() (Event, error) {
+	e, err := r.next()
+	if err != nil {
+		return Event{}, err
+	}
+	return *e, nil
+}
+
+// Each decodes the remaining stream, handing fn the reader-owned event
+// of every line; it is overwritten by the next line. It returns the
+// first transport error other than io.EOF.
+func (r *Reader) Each(fn func(*Event)) error { return each(r.next, fn) }
+
+// ReadAll is Each with a copy of every event handed to fn.
+func (r *Reader) ReadAll(fn func(Event)) error { return r.Each(func(e *Event) { fn(*e) }) }
+
+// next decodes the next line into r.ev.
+func (r *Reader) next() (*Event, error) {
 	for {
 		line, err := r.readLine()
 		// A transport error cuts the line short: it is unread, not corrupt.
 		if len(line) > 0 && (err == nil || err == io.EOF) {
 			r.lines++
-			var e Event
-			switch uerr := json.Unmarshal(line, &e); {
-			case uerr == nil && e.Kind != "":
-				return e, nil
+			// Unmarshal keeps what the line does not set: start empty.
+			r.ev = Event{}
+			switch uerr := json.Unmarshal(line, &r.ev); {
+			case uerr == nil && r.ev.Kind != "":
+				return &r.ev, nil
 			case uerr != nil:
 				detail := uerr.Error()
 				if errors.Is(err, io.EOF) {
@@ -96,7 +116,7 @@ func (r *Reader) Next() (Event, error) {
 			}
 		}
 		if err != nil {
-			return Event{}, err
+			return nil, err
 		}
 	}
 }
@@ -131,11 +151,11 @@ func (r *Reader) readLine() ([]byte, error) {
 	}
 }
 
-// ReadAll decodes the whole stream, invoking fn per event. It returns the
-// first transport error other than io.EOF.
-func (r *Reader) ReadAll(fn func(Event)) error {
+// each drives a reader's next to the end of its stream, handing fn every
+// event; io.EOF ends it cleanly.
+func each(next func() (*Event, error), fn func(*Event)) error {
 	for {
-		e, err := r.Next()
+		e, err := next()
 		if err == io.EOF {
 			return nil
 		}

@@ -59,6 +59,25 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// Detached returns a copy of e whose pointer fields point to values of
+// its own, so it stays valid after the reader that decoded e moves on.
+func (e *Event) Detached() Event {
+	c := *e
+	detach(&c.Sender)
+	detach(&c.Slot)
+	detach(&c.Round)
+	detach(&c.Observer)
+	detach(&c.Trust)
+	return c
+}
+
+func detach[T any](p **T) {
+	if *p != nil {
+		v := **p
+		*p = &v
+	}
+}
+
 // Options selects what the recorder captures.
 type Options struct {
 	// AllFrames records every slot; default records only failed frames.

@@ -35,15 +35,19 @@ const DefaultShards = 16
 type Collector struct {
 	shards []*shard
 
-	events    atomic.Int64 // events ingested
 	malformed atomic.Int64 // events dropped for unparsable fields
 	corrupt   atomic.Int64 // undecodable trace lines skipped by readers
 }
 
+// shard is one stripe. Its counters are written under the lock Ingest
+// already holds: an atomic shared by every stripe would be a measurable
+// tax on the per-event ingest path.
 type shard struct {
 	mu       sync.Mutex
 	vehicles map[int]*vehicleState
-	frames   int64 // frame events ingested into this shard
+	last     *vehicleState // the state the previous event folded into
+	events   int64         // events ingested into this shard
+	frames   int64         // frame events ingested into this shard
 }
 
 // NewCollector creates a collector with the given number of shards
@@ -207,31 +211,32 @@ func (v *vehicleState) subject(name string) *subjectState {
 }
 
 func (c *Collector) shardFor(vehicle int) *shard {
-	n := len(c.shards)
-	return c.shards[((vehicle%n)+n)%n]
+	return c.shards[uint(vehicle)%uint(len(c.shards))]
 }
 
-// Ingest folds one trace event into the store. Events of one vehicle must
-// arrive in stream order (one uplink per vehicle); different vehicles may
-// ingest concurrently.
-func (c *Collector) Ingest(e trace.Event) {
+// Ingest folds one trace event into the store; it does not retain e.
+// Events of one vehicle must arrive in stream order (one uplink per
+// vehicle); different vehicles may ingest concurrently.
+func (c *Collector) Ingest(e *trace.Event) {
 	sh := c.shardFor(e.Vehicle)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	v := sh.vehicles[e.Vehicle]
-	if v == nil {
-		v = newVehicleState(e.Vehicle)
-		sh.vehicles[e.Vehicle] = v
+	// A trace is one vehicle's run of events: most skip the map.
+	v := sh.last
+	if v == nil || v.Vehicle != e.Vehicle {
+		if v = sh.vehicles[e.Vehicle]; v == nil {
+			v = newVehicleState(e.Vehicle)
+			sh.vehicles[e.Vehicle] = v
+		}
+		sh.last = v
 	}
 	v.Events++
-	c.events.Add(1)
+	sh.events++
 
 	switch e.Kind {
 	case "frame":
 		v.Frames++
-		// Counted per shard under the lock already held — an atomic here
-		// would be a measurable tax on the per-event ingest path.
 		sh.frames++
 	case "symptom":
 		v.Symptoms[e.Symptom] += e.Count
@@ -316,7 +321,7 @@ func (c *Collector) IngestStream(r io.Reader, maxLineBytes int) (events, corrupt
 	}()
 	rd, _ := trace.OpenReader(br)
 	rd.SetMaxRecordBytes(maxLineBytes)
-	err = rd.ReadAll(func(e trace.Event) {
+	err = rd.Each(func(e *trace.Event) {
 		c.Ingest(e)
 		events++
 	})
@@ -326,17 +331,29 @@ func (c *Collector) IngestStream(r io.Reader, maxLineBytes int) (events, corrupt
 }
 
 // Events returns the number of events ingested so far.
-func (c *Collector) Events() int64 { return c.events.Load() }
+func (c *Collector) Events() int64 {
+	c.lockAll()
+	defer c.unlockAll()
+	events, _ := c.counts()
+	return events
+}
 
 // Frames returns the number of frame events ingested so far.
 func (c *Collector) Frames() int64 {
-	var n int64
+	c.lockAll()
+	defer c.unlockAll()
+	_, frames := c.counts()
+	return frames
+}
+
+// counts sums the stripes' event and frame counters. Callers hold all
+// stripe locks.
+func (c *Collector) counts() (events, frames int64) {
 	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.frames
-		sh.mu.Unlock()
+		events += sh.events
+		frames += sh.frames
 	}
-	return n
+	return events, frames
 }
 
 // Corrupt returns the number of undecodable trace lines skipped.

@@ -82,9 +82,20 @@ func TestConcurrentIngestDeterminism(t *testing.T) {
 		b, _ := json.MarshalIndent(sumConc, "", " ")
 		t.Fatalf("concurrent summary differs from sequential:\nsequential:\n%s\nconcurrent:\n%s", a, b)
 	}
-	if seq.Events() != conc.Events() || seq.Vehicles() != conc.Vehicles() {
-		t.Fatalf("counters differ: events %d/%d vehicles %d/%d",
-			seq.Events(), conc.Events(), seq.Vehicles(), conc.Vehicles())
+	if seq.Events() != conc.Events() || seq.Frames() != conc.Frames() || seq.Vehicles() != conc.Vehicles() {
+		t.Fatalf("counters differ: events %d/%d frames %d/%d vehicles %d/%d",
+			seq.Events(), conc.Events(), seq.Frames(), conc.Frames(), seq.Vehicles(), conc.Vehicles())
+	}
+	a, err := json.Marshal(seq.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(conc.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("concurrent snapshot differs from sequential:\nsequential: %s\nconcurrent: %s", a, b)
 	}
 }
 

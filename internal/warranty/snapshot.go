@@ -42,13 +42,10 @@ func (c *Collector) Snapshot() *Snapshot {
 
 	s := &Snapshot{
 		Version:   SnapshotVersion,
-		Events:    c.events.Load(),
 		Corrupt:   c.corrupt.Load(),
 		Malformed: c.malformed.Load(),
 	}
-	for _, sh := range c.shards {
-		s.Frames += sh.frames
-	}
+	s.Events, s.Frames = c.counts()
 	for _, v := range c.sortedVehicles() {
 		s.Vehicles = append(s.Vehicles, v.clone())
 	}
@@ -76,25 +73,27 @@ func (c *Collector) LoadSnapshot(s *Snapshot) error {
 	for _, v := range s.Vehicles {
 		sh := c.shardFor(v.Vehicle)
 		sh.vehicles[v.Vehicle] = v.clone()
-		// Per-shard frame counters re-derive from the vehicles now homed
-		// here; the export's total was the sum over its own sharding.
+		// Per-shard counters re-derive from the vehicles now homed here;
+		// Validate checked that they sum to the export's totals.
+		sh.events += int64(v.Events)
 		sh.frames += int64(v.Frames)
 	}
-	c.events.Store(s.Events)
 	c.corrupt.Store(s.Corrupt)
 	c.malformed.Store(s.Malformed)
 	return nil
 }
 
 // Validate checks a decoded snapshot without folding it anywhere: version
-// match, strictly ascending vehicle ids and no null vehicle, subject or
-// pattern entry — so a corrupt snapshot read off the wire or a disk is
-// refused before it reaches a collector or a merge. Unknown enum names
-// already fail the JSON decode.
+// match, strictly ascending vehicle ids, no null vehicle, subject or
+// pattern entry, and event and frame totals equal to the vehicles' sums —
+// so a corrupt snapshot read off the wire or a disk is refused before it
+// reaches a collector or a merge. Unknown enum names already fail the
+// JSON decode.
 func (s *Snapshot) Validate() error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("warranty: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
+	var events, frames int64
 	prev := -1 << 62
 	for i, v := range s.Vehicles {
 		if v == nil {
@@ -104,6 +103,8 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("warranty: snapshot vehicles out of order at %d", v.Vehicle)
 		}
 		prev = v.Vehicle
+		events += int64(v.Events)
+		frames += int64(v.Frames)
 		for name, sub := range v.Subjects {
 			if sub == nil {
 				return fmt.Errorf("warranty: corrupt snapshot: vehicle %d subject %q is null", v.Vehicle, name)
@@ -114,6 +115,10 @@ func (s *Snapshot) Validate() error {
 				return fmt.Errorf("warranty: corrupt snapshot: vehicle %d pattern %q is null", v.Vehicle, name)
 			}
 		}
+	}
+	if s.Events != events || s.Frames != frames {
+		return fmt.Errorf("warranty: corrupt snapshot: totals of %d events, %d frames, but its vehicles hold %d, %d",
+			s.Events, s.Frames, events, frames)
 	}
 	return nil
 }

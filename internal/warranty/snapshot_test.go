@@ -186,8 +186,9 @@ func TestMergeSnapshotsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsRejects: version skew, duplicated vehicles, unknown
-// enum names and null entries are merge failures, not silent skew.
+// TestMergeSnapshotsRejects: version skew, totals that disagree with the
+// vehicles, duplicated vehicles, unknown enum names and null entries are
+// merge failures, not silent skew.
 func TestMergeSnapshotsRejects(t *testing.T) {
 	blobs := campaignBlobs(t, 4, 300)
 	a, b := NewCollector(0), NewCollector(0)
@@ -208,6 +209,25 @@ func TestMergeSnapshotsRejects(t *testing.T) {
 	}
 	if err := skewed.Validate(); err == nil {
 		t.Fatal("Validate accepted version skew")
+	}
+
+	// Totals that disagree with the vehicles' sums would be re-derived,
+	// and so changed, on load.
+	for _, bump := range []func(*Snapshot){
+		func(s *Snapshot) { s.Events++ },
+		func(s *Snapshot) { s.Frames-- },
+	} {
+		skewed := a.Snapshot()
+		bump(skewed)
+		if err := skewed.Validate(); err == nil || !strings.Contains(err.Error(), "vehicles hold") {
+			t.Errorf("Validate accepted skewed totals: %v", err)
+		}
+		if err := NewCollector(0).LoadSnapshot(skewed); err == nil {
+			t.Error("LoadSnapshot accepted skewed totals")
+		}
+		if _, err := MergeSnapshots([]*Snapshot{skewed, b.Snapshot()}, 0); err == nil {
+			t.Error("MergeSnapshots accepted skewed totals")
+		}
 	}
 
 	// The same collector twice duplicates every vehicle.

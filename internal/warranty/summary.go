@@ -140,8 +140,9 @@ func sortByVehicle(vs []*vehicleState) {
 func (c *Collector) Summary(threshold float64) *Summary {
 	c.lockAll()
 	defer c.unlockAll()
+	events, _ := c.counts()
 	return summarize(c.sortedVehicles(),
-		storeTotals{c.events.Load(), c.corrupt.Load(), c.malformed.Load()},
+		storeTotals{events, c.corrupt.Load(), c.malformed.Load()},
 		threshold)
 }
 

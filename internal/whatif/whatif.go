@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"decos/internal/core"
@@ -113,6 +114,16 @@ type Config struct {
 	// present the factual replica is cross-checked against them (failed
 	// frames, symptoms and verdicts after the restore point must match).
 	Recorded []trace.Event
+}
+
+// ReadTrace reads a recorded trace, NDJSON or binary, into the form
+// Config.Recorded takes: every decodable event, detached from the reader
+// that decoded it.
+func ReadTrace(r io.Reader) ([]trace.Event, error) {
+	var events []trace.Event
+	rd, _ := trace.OpenReader(r)
+	err := rd.Each(func(e *trace.Event) { events = append(events, e.Detached()) })
+	return events, err
 }
 
 // Divergence locates the first observable difference between the

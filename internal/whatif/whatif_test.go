@@ -35,7 +35,8 @@ const (
 type recording struct {
 	ckpts  map[int64][]byte // completed rounds -> encoded checkpoint
 	events []trace.Event
-	ledger []string // activation culprits, for expectations
+	binary []trace.Event // the same trace, read from its binary encoding
+	ledger []string      // activation culprits, for expectations
 }
 
 func record(t *testing.T, plan []scenario.InjectPlan, extra ...engine.Option) *recording {
@@ -55,9 +56,15 @@ func record(t *testing.T, plan []scenario.InjectPlan, extra ...engine.Option) *r
 	if sys.Engine.CkptErr != nil {
 		t.Fatalf("checkpoint sink: %v", sys.Engine.CkptErr)
 	}
-	rd, _ := trace.OpenReader(bytes.NewReader(buf.Bytes()))
-	if err := rd.ReadAll(func(e trace.Event) { rec.events = append(rec.events, e) }); err != nil {
+	bin, _, corrupt, err := trace.TranscodeBytes(buf.Bytes(), trace.FormatBinary)
+	if err != nil || corrupt != 0 {
+		t.Fatalf("binary transcode: corrupt=%d err=%v", corrupt, err)
+	}
+	if rec.events, err = ReadTrace(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("reading recorded trace: %v", err)
+	}
+	if rec.binary, err = ReadTrace(bytes.NewReader(bin)); err != nil {
+		t.Fatalf("reading binary trace: %v", err)
 	}
 	return rec
 }
@@ -153,6 +160,16 @@ func TestWhatifHypotheses(t *testing.T) {
 		if verdictJSON(t, rep.FactualVerdicts) == verdictJSON(t, rep.CounterVerdicts) {
 			t.Error("final verdicts identical despite removing an active fault")
 		}
+	})
+
+	t.Run("binary-recording", func(t *testing.T) {
+		// decos-sim -trace-format binary records the same events; every
+		// frame and symptom must keep its own round, slot and observer.
+		cfg := base(faultPlan, faulty, 50)
+		cfg.Recorded = faulty.binary
+		cfg.Hyp = Hypothesis{Kind: Remove, Target: 0}
+		rep, err := Run(cfg)
+		check(t, rep, err, 50)
 	})
 
 	t.Run("inject", func(t *testing.T) {

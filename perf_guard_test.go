@@ -256,6 +256,24 @@ func TestAllocGuardTraceCodec(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, decodeRun); allocs != 0 {
 		t.Errorf("binary decode allocates %.0f times per %d events, want 0", allocs, perRun)
 	}
+
+	// Each decodes in place: past a warm-up through Next, the rest of a
+	// fresh stream decodes with no allocation. AllocsPerRun's own warm-up
+	// call would drain the stream, so the one pass is measured directly.
+	rd = trace.NewBinaryReader(bytes.NewReader(blob))
+	decodeRun()
+	var before, after runtime.MemStats
+	n := 0
+	count := func(*trace.Event) { n++ }
+	runtime.ReadMemStats(&before)
+	err := rd.Each(count)
+	runtime.ReadMemStats(&after)
+	if err != nil || n != len(events)-perRun {
+		t.Fatalf("Each: %d of %d events, err %v", n, len(events)-perRun, err)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("binary decode through Each allocates %d times per %d events, want 0", allocs, n)
+	}
 }
 
 // pointerEvents counts the recorded events that set a pointer field

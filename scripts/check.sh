@@ -51,16 +51,19 @@ echo "== fuzz smoke (warranty stream ingest) =="
 # path every HTTP request and in-process trace uses: it must never panic,
 # and its pooled stream reader must leak nothing into the next call (a
 # valid trace ingested afterwards must summarize exactly as in a fresh
-# collector).
-go test -run='^$' -fuzz='^FuzzIngestStream$' -fuzztime=10s ./internal/warranty/
+# collector). The seeds are whole campaign traces, and minimizing the first
+# new-coverage input under the default 60 s budget would take the whole
+# window: a 100-execution minimization budget leaves it for fuzzing.
+go test -run='^$' -fuzz='^FuzzIngestStream$' -fuzztime=10s -fuzzminimizetime=100x ./internal/warranty/
 
 echo "== fuzz smoke (warranty HTTP ingest) =="
 # Ten seconds of arbitrary Content-Types, bodies and body bounds, declared
 # or streamed, through POST /v1/ingest: the handler must never panic and
 # must answer 200, 400, 413 or 415; a 415 ingests nothing, a 413 reports
 # exactly what the collector holds, and a 200 summarizes as a direct
-# ingest of the same body.
-go test -run='^$' -fuzz='^FuzzIngestHTTP$' -fuzztime=10s ./internal/warranty/
+# ingest of the same body. Minimization is bounded as for FuzzIngestStream:
+# the seed bodies are whole traces.
+go test -run='^$' -fuzz='^FuzzIngestHTTP$' -fuzztime=10s -fuzzminimizetime=100x ./internal/warranty/
 
 echo "== fuzz smoke (warranty snapshot) =="
 # Ten seconds of arbitrary bytes through the snapshot decode a restarted

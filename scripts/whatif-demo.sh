@@ -18,7 +18,9 @@
 #
 # A fourth leg records a second run with a single-event upset at the same
 # instant and replays it with the upset removed: a repaired fault must do
-# nothing, so the script fails unless the counterfactual diverges.
+# nothing, so the script fails unless the counterfactual diverges. A fifth
+# records the first run again with -trace-format binary and repeats the
+# remove leg against it: both encodings must cross-check alike.
 #
 # Every leg cross-checks the factual replica against the recorded trace:
 # decos-whatif exits 2 on a mismatch, which fails the script, so CI runs
@@ -75,3 +77,13 @@ if ! grep -q "first divergence" "$DIR/seu/whatif.txt"; then
     echo "whatif-demo: removing the SEU changed nothing; a repaired fault must be inert" >&2
     exit 1
 fi
+
+echo
+echo "== binary recording: the permanent-fault run traced as DCS-B, then remove =="
+mkdir "$DIR/bin"
+"$DIR/decos-sim" -seed "$SEED" -rounds "$ROUNDS" -fault permanent -at "$AT" \
+    -checkpoint-every "$EVERY" -checkpoint-dir "$DIR/bin" -trace "$DIR/bin/trace.bin" \
+    -trace-format binary >/dev/null
+"$DIR/decos-whatif" -ckpt-dir "$DIR/bin" -seed "$SEED" -rounds "$ROUNDS" \
+    -fault permanent -at "$AT" -trace "$DIR/bin/trace.bin" \
+    -hypothesis remove -target 0
