@@ -40,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -102,7 +101,6 @@ func main() {
 			Vehicles: *demoVehicles,
 			Rounds:   *demoRounds,
 			Seed:     *demoSeed,
-			Workers:  runtime.GOMAXPROCS(0),
 		}
 		res := c.RunTracedContext(ctx, func(v int, blob []byte) {
 			if _, _, err := col.IngestStream(bytes.NewReader(blob), *maxLineBytes); err != nil {

@@ -52,8 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"slices"
-	"strings"
 	"syscall"
 
 	"decos/internal/diagnosis"
@@ -81,8 +79,8 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", ".", "directory for ckpt_<rounds>.bin files")
 	flag.Parse()
 
-	if *classifier != "" && !slices.Contains(pack.Classifiers, *classifier) {
-		fmt.Fprintf(os.Stderr, "unknown classifier %q; pick one of: %s\n", *classifier, strings.Join(pack.Classifiers, " "))
+	if err := pack.CheckClassifier(*classifier); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

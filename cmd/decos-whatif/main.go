@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,8 +76,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *classifier != "" && !slices.Contains(pack.Classifiers, *classifier) {
-		fail2("unknown classifier %q; known: %s", *classifier, strings.Join(pack.Classifiers, " "))
+	if err := pack.CheckClassifier(*classifier); err != nil {
+		fail2("%v", err)
 	}
 
 	kind := parseKind(*faultName, fail2)

@@ -423,7 +423,7 @@ func (c *Classifier) Classify(ctx *diagnosis.EvalContext) []diagnosis.Finding {
 	c.ensureInit(ctx.Reg)
 	c.epochs++
 	g := ctx.Granule
-	epochFrom := g - ctx.Opts.EpochRounds + 1
+	epochFrom := g - diagnosis.EpochRounds + 1
 	if epochFrom < 0 {
 		epochFrom = 0
 	}
@@ -498,14 +498,14 @@ func (c *Classifier) updateHardware(ctx *diagnosis.EvalContext, f diagnosis.FRUI
 	feat[fhOm] = om > 0
 	feat[fhTim] = tim > 0
 	feat[fhCor] = cor > 0
-	feat[fhMulti] = ctx.Hist.MaxDeviation(f, epochFrom, g, fltCorrupt) >= ctx.Opts.MultiBitThreshold
+	feat[fhMulti] = ctx.Hist.MaxDeviation(f, epochFrom, g, fltCorrupt) >= diagnosis.MultiBitThreshold
 	feat[fhAlpha] = ctx.Alpha.Exceeded(f)
 
 	if feat[fhAny] {
 		// Spatial correlation: another component within the proximity
 		// radius is symptomatic in the same epoch.
 		for _, o := range ctx.Reg.HardwareFRUs() {
-			if o != f && c.hwActive[o] && ctx.Reg.Distance(f, o) <= ctx.Opts.ProximityRadius {
+			if o != f && c.hwActive[o] && ctx.Reg.Distance(f, o) <= diagnosis.ProximityRadius {
 				feat[fhBurst] = true
 				break
 			}
@@ -515,21 +515,21 @@ func (c *Classifier) updateHardware(ctx *diagnosis.EvalContext, f diagnosis.FRUI
 
 	// Window-scale features: duty cycle over the permanent window and
 	// the episode-rate trend over the full lookback.
-	permFrom := g - ctx.Opts.PermanentWindow + 1
+	permFrom := g - diagnosis.PermanentWindow + 1
 	if permFrom < 0 {
 		permFrom = 0
 	}
 	span := g - permFrom + 1
 	loss := ctx.Hist.ActiveGranuleCount(f, permFrom, g, fltOmOrTim)
-	feat[fhDuty] = float64(loss) >= ctx.Opts.PermanentDuty*float64(span)
+	feat[fhDuty] = float64(loss) >= diagnosis.PermanentDuty*float64(span)
 
 	// Episodes: distinct symptomatic granules over the window, counted
 	// per half (a granule falls in exactly one half).
 	mid := winFrom + (g-winFrom)/2
 	early := ctx.Hist.ActiveGranuleCount(f, winFrom, mid, fltFrame)
 	late := ctx.Hist.ActiveGranuleCount(f, mid+1, g, fltFrame)
-	feat[fhRecur] = early+late >= ctx.Opts.MinRecurrentGranules
-	feat[fhRise] = late >= 4 && early >= 1 && float64(late) >= ctx.Opts.RiseFactor*float64(early)
+	feat[fhRecur] = early+late >= diagnosis.MinRecurrentGranules
+	feat[fhRise] = late >= 4 && early >= 1 && float64(late) >= diagnosis.RiseFactor*float64(early)
 
 	// Accusation-graph explain-away: when every window omission about
 	// this subject comes from one observer who sole-accuses several
@@ -568,7 +568,7 @@ func (c *Classifier) updateSoftware(ctx *diagnosis.EvalContext, f diagnosis.FRUI
 	feat[fsVal] = c.swSick[f]
 	feat[fsStuck] = ctx.Hist.Count(f, epochFrom, g, fltStuck) > 0
 	feat[fsDrift] = ctx.Hist.Count(f, epochFrom, g, fltDrift) > 0
-	feat[fsOver] = ctx.Hist.Count(f, winFrom, g, fltOverflow) >= ctx.Opts.OverflowMin
+	feat[fsOver] = ctx.Hist.Count(f, winFrom, g, fltOverflow) >= diagnosis.OverflowMin
 	feat[fsAlpha] = ctx.SW.Exceeded(f)
 
 	host := ctx.Reg.HostOf(f)

@@ -31,7 +31,7 @@ type rig struct {
 func newRig(c *Classifier) *rig {
 	cl := component.NewCluster(tt.UniformSchedule(4, 250*sim.Microsecond, 32), 1)
 	for i := 0; i < 4; i++ {
-		// 10 apart: well beyond the default ProximityRadius of 3.
+		// 10 apart: well beyond diagnosis.ProximityRadius (3).
 		cl.AddComponent(tt.NodeID(i), fmt.Sprintf("c%d", i), float64(10*i), 0)
 	}
 	opts := diagnosis.DefaultOptions()
@@ -63,7 +63,7 @@ func (r *rig) omit(subject, observer diagnosis.FRUIndex, g int64) {
 // granule of the epoch, and returns the epoch's findings.
 func (r *rig) epoch(evidence func(g int64)) []diagnosis.Finding {
 	from := r.g + 1
-	r.g += r.ctx.Opts.EpochRounds
+	r.g += diagnosis.EpochRounds
 	if evidence != nil {
 		for g := from; g <= r.g; g++ {
 			evidence(g)

@@ -111,7 +111,7 @@ func (ad *Adviser) Advance(ctx *EvalContext, findings []Finding, now sim.Time) {
 
 func (ad *Adviser) updateTrust(ctx *EvalContext, now sim.Time) {
 	granule := ctx.Granule
-	epochFrom := granule - ad.opts.EpochRounds + 1
+	epochFrom := granule - EpochRounds + 1
 	if epochFrom < 0 {
 		epochFrom = 0
 	}

@@ -8,45 +8,55 @@ import (
 	"decos/internal/vnet"
 )
 
+// Fault-model thresholds of the diagnostic DAS: the Fig. 8 pattern table
+// and the Section III-E fault hypothesis, one fixed design.
+const (
+	// EpochRounds is the assessment period: ONAs are evaluated and trust
+	// levels updated every EpochRounds TDMA rounds.
+	EpochRounds int64 = 50
+	// ProximityRadius is the spatial-correlation radius of the
+	// massive-transient pattern.
+	ProximityRadius float64 = 3
+	// BurstGranules is the temporal delta of the massive-transient
+	// pattern ("approximately at the same time").
+	BurstGranules int64 = 15
+	// MultiBitThreshold is the flipped-bit count separating multi-bit
+	// (EMI) from single-bit (SEU) corruption.
+	MultiBitThreshold float64 = 2
+	// PermanentWindow and PermanentDuty define continuous service loss.
+	// The fault hypothesis bounds transient outages at 50 ms (50
+	// granules); continuous loss must persist well beyond that before it
+	// counts as permanent.
+	PermanentWindow int64   = 80
+	PermanentDuty   float64 = 0.9
+	// RiseFactor is the episode-rate growth identifying wearout.
+	RiseFactor float64 = 2
+	// MinRecurrentGranules is the minimum distinct symptomatic granules
+	// for recurrence-based patterns.
+	MinRecurrentGranules int = 3
+	// OverflowMin is the minimum overflow count for a configuration
+	// verdict.
+	OverflowMin int = 3
+	// DiagQueueCap is the send-queue capacity of the virtual diagnostic
+	// network per component.
+	DiagQueueCap int = 512
+	// DiagChannelBase is the first channel id of the diagnostic network.
+	DiagChannelBase vnet.ChannelID = 60000
+)
+
 // Options tunes the diagnostic subsystem. Zero values are replaced by the
 // defaults of DefaultOptions.
 type Options struct {
-	// EpochRounds is the assessment period: ONAs are evaluated and trust
-	// levels updated every EpochRounds TDMA rounds.
-	EpochRounds int64
 	// WindowGranules is the ONA lookback horizon.
 	WindowGranules int64
 	// RetainGranules bounds the distributed-state history.
 	RetainGranules int64
-	// ProximityRadius is the spatial-correlation radius of the
-	// massive-transient pattern.
-	ProximityRadius float64
-	// BurstGranules is the temporal delta of the massive-transient
-	// pattern ("approximately at the same time").
-	BurstGranules int64
-	// MultiBitThreshold is the flipped-bit count separating multi-bit
-	// (EMI) from single-bit (SEU) corruption.
-	MultiBitThreshold float64
-	// PermanentWindow and PermanentDuty define continuous service loss.
-	PermanentWindow int64
-	PermanentDuty   float64
-	// RiseFactor is the episode-rate growth identifying wearout.
-	RiseFactor float64
 	// AlphaK and AlphaThreshold parameterize the α-count mechanism.
 	AlphaK         float64
 	AlphaThreshold float64
-	// MinRecurrentGranules is the minimum distinct symptomatic granules
-	// for recurrence-based patterns.
-	MinRecurrentGranules int
-	// OverflowMin is the minimum overflow count for a configuration
-	// verdict.
-	OverflowMin int
-	// DiagAllocBytes and DiagQueueCap dimension the virtual diagnostic
-	// network per component.
+	// DiagAllocBytes dimensions the virtual diagnostic network's frame
+	// segment per component.
 	DiagAllocBytes int
-	DiagQueueCap   int
-	// DiagChannelBase is the first channel id of the diagnostic network.
-	DiagChannelBase vnet.ChannelID
 	// UpdateAvailable reports whether the OEM has released a corrected
 	// version of a software FRU (drives update-software vs
 	// forward-to-OEM). Nil means no updates available.
@@ -62,56 +72,21 @@ type Options struct {
 // DefaultOptions returns the tuning used throughout the experiments.
 func DefaultOptions() Options {
 	return Options{
-		EpochRounds:       50,
-		WindowGranules:    400,
-		RetainGranules:    1200,
-		ProximityRadius:   3.0,
-		BurstGranules:     15,
-		MultiBitThreshold: 2,
-		// The fault hypothesis bounds transient outages at 50 ms (50
-		// granules); continuous loss must persist well beyond that before
-		// it counts as permanent.
-		PermanentWindow:      80,
-		PermanentDuty:        0.9,
-		RiseFactor:           2,
-		AlphaK:               0.9,
-		AlphaThreshold:       2.5,
-		MinRecurrentGranules: 3,
-		OverflowMin:          3,
-		DiagAllocBytes:       64,
-		DiagQueueCap:         512,
-		DiagChannelBase:      60000,
+		WindowGranules: 400,
+		RetainGranules: 1200,
+		AlphaK:         0.9,
+		AlphaThreshold: 2.5,
+		DiagAllocBytes: 64,
 	}
 }
 
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
-	if o.EpochRounds <= 0 {
-		o.EpochRounds = d.EpochRounds
-	}
 	if o.WindowGranules <= 0 {
 		o.WindowGranules = d.WindowGranules
 	}
 	if o.RetainGranules <= 0 {
 		o.RetainGranules = d.RetainGranules
-	}
-	if o.ProximityRadius <= 0 {
-		o.ProximityRadius = d.ProximityRadius
-	}
-	if o.BurstGranules <= 0 {
-		o.BurstGranules = d.BurstGranules
-	}
-	if o.MultiBitThreshold <= 0 {
-		o.MultiBitThreshold = d.MultiBitThreshold
-	}
-	if o.PermanentWindow <= 0 {
-		o.PermanentWindow = d.PermanentWindow
-	}
-	if o.PermanentDuty <= 0 {
-		o.PermanentDuty = d.PermanentDuty
-	}
-	if o.RiseFactor <= 0 {
-		o.RiseFactor = d.RiseFactor
 	}
 	if o.AlphaK <= 0 {
 		o.AlphaK = d.AlphaK
@@ -119,20 +94,8 @@ func (o Options) withDefaults() Options {
 	if o.AlphaThreshold <= 0 {
 		o.AlphaThreshold = d.AlphaThreshold
 	}
-	if o.MinRecurrentGranules <= 0 {
-		o.MinRecurrentGranules = d.MinRecurrentGranules
-	}
-	if o.OverflowMin <= 0 {
-		o.OverflowMin = d.OverflowMin
-	}
 	if o.DiagAllocBytes <= 0 {
 		o.DiagAllocBytes = d.DiagAllocBytes
-	}
-	if o.DiagQueueCap <= 0 {
-		o.DiagQueueCap = d.DiagQueueCap
-	}
-	if o.DiagChannelBase == 0 {
-		o.DiagChannelBase = d.DiagChannelBase
 	}
 	return o
 }
@@ -257,7 +220,7 @@ func (a *Assessor) onRound(round int64, now sim.Time) {
 	} else {
 		a.Drain()
 	}
-	if (round+1)%a.opts.EpochRounds == 0 {
+	if (round+1)%EpochRounds == 0 {
 		a.evaluateEpoch(round, now)
 	}
 }

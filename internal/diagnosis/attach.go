@@ -37,13 +37,13 @@ func Attach(cl *component.Cluster, diagNode tt.NodeID, opts Options) *Diagnostic
 	cl.Fabric.AddNetwork(net)
 	comps := cl.Components()
 	for _, c := range comps {
-		net.AddEndpoint(c.ID, opts.DiagAllocBytes, opts.DiagQueueCap)
-		net.DeclareChannel(opts.DiagChannelBase+vnet.ChannelID(c.ID), c.ID)
+		net.AddEndpoint(c.ID, opts.DiagAllocBytes, DiagQueueCap)
+		net.DeclareChannel(DiagChannelBase+vnet.ChannelID(c.ID), c.ID)
 	}
 
 	assessor := NewAssessor(reg, opts)
 	for _, c := range comps {
-		ch := opts.DiagChannelBase + vnet.ChannelID(c.ID)
+		ch := DiagChannelBase + vnet.ChannelID(c.ID)
 		assessor.Subscribe(cl.Fabric.Subscribe(diagNode, ch, 0, false))
 	}
 
@@ -101,7 +101,7 @@ func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 	self, _ := d.Reg.HardwareIndex(c.ID)
 	m := &Monitor{
 		Node:    c.ID,
-		Chan:    d.opts.DiagChannelBase + vnet.ChannelID(c.ID),
+		Chan:    DiagChannelBase + vnet.ChannelID(c.ID),
 		reg:     d.Reg,
 		cl:      d.cl,
 		net:     d.Net,
@@ -117,7 +117,7 @@ func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 			continue
 		}
 		for _, ch := range j.InChannels() {
-			if ch >= d.opts.DiagChannelBase {
+			if ch >= DiagChannelBase {
 				continue
 			}
 			meta, ok := d.Reg.Channel(ch)

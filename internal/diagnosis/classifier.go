@@ -69,7 +69,7 @@ func (c *FaultModelClassifier) Classify(ctx *EvalContext) []Finding {
 	}
 
 	// α-count step over this epoch's evidence.
-	epochFrom := ctx.Granule - ctx.Opts.EpochRounds + 1
+	epochFrom := ctx.Granule - EpochRounds + 1
 	if epochFrom < 0 {
 		epochFrom = 0
 	}

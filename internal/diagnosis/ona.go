@@ -140,7 +140,7 @@ func (MassiveTransientONA) Name() string { return "massive-transient" }
 func (o MassiveTransientONA) Evaluate(ctx *EvalContext) []Finding {
 	from := ctx.windowStart()
 	multiBit := func(s Symptom) bool {
-		return s.Kind == SymCorruption && float64(s.Deviation) >= ctx.Opts.MultiBitThreshold
+		return s.Kind == SymCorruption && float64(s.Deviation) >= MultiBitThreshold
 	}
 	// Per-FRU granule lists live in one shared arena addressed by offsets
 	// (the arena may reallocate while growing; subslices would go stale).
@@ -163,12 +163,12 @@ func (o MassiveTransientONA) Evaluate(ctx *EvalContext) []Finding {
 	affected := map[FRUIndex]bool{}
 	for i := 0; i < len(frus); i++ {
 		for j := i + 1; j < len(frus); j++ {
-			if ctx.Reg.Distance(frus[i], frus[j]) > ctx.Opts.ProximityRadius {
+			if ctx.Reg.Distance(frus[i], frus[j]) > ProximityRadius {
 				continue
 			}
 			gi := arena[offs[i][0]:offs[i][1]]
 			gj := arena[offs[j][0]:offs[j][1]]
-			if granulesOverlap(gi, gj, ctx.Opts.BurstGranules) {
+			if granulesOverlap(gi, gj, BurstGranules) {
 				affected[frus[i]] = true
 				affected[frus[j]] = true
 			}
@@ -225,7 +225,7 @@ func (PermanentONA) Name() string { return "permanent" }
 // Evaluate implements ONA.
 func (o PermanentONA) Evaluate(ctx *EvalContext) []Finding {
 	var out []Finding
-	p := ctx.Opts.PermanentWindow
+	p := PermanentWindow
 	from := ctx.Granule - p + 1
 	if from < 0 {
 		from = 0
@@ -243,7 +243,7 @@ func (o PermanentONA) Evaluate(ctx *EvalContext) []Finding {
 			n = timing
 			pattern = "sync-loss"
 		}
-		if float64(n) < ctx.Opts.PermanentDuty*float64(span) {
+		if float64(n) < PermanentDuty*float64(span) {
 			continue
 		}
 		if obs, _ := ctx.observerStats(hw, from, ctx.Granule, omissionOrTiming); obs < 2 {
@@ -284,7 +284,7 @@ func (o WearoutONA) Evaluate(ctx *EvalContext) []Finding {
 		}
 		early := ctx.Hist.ActiveGranuleCount(hw, from, mid, corruptionOnly)
 		late := ctx.Hist.ActiveGranuleCount(hw, mid+1, ctx.Granule, corruptionOnly)
-		if early < 1 || late < 4 || float64(late) < ctx.Opts.RiseFactor*float64(early) {
+		if early < 1 || late < 4 || float64(late) < RiseFactor*float64(early) {
 			continue
 		}
 		conf := 0.8
@@ -329,7 +329,7 @@ func (o RecurrentInternalONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] || !ctx.Alpha.Exceeded(hw) {
 			continue
 		}
-		if ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, corruptionOnly) < ctx.Opts.MinRecurrentGranules {
+		if ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, corruptionOnly) < MinRecurrentGranules {
 			continue
 		}
 		out = append(out, Finding{
@@ -423,10 +423,10 @@ func (o ConnectorTxONA) Evaluate(ctx *EvalContext) []Finding {
 			continue
 		}
 		gs := ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, omissionOnly)
-		if gs < ctx.Opts.MinRecurrentGranules {
+		if gs < MinRecurrentGranules {
 			continue
 		}
-		if float64(gs) >= ctx.Opts.PermanentDuty*float64(span) {
+		if float64(gs) >= PermanentDuty*float64(span) {
 			continue // continuous loss is the permanent pattern
 		}
 		if obs, _ := ctx.observerStats(hw, from, ctx.Granule, omissionOnly); obs < 2 {
@@ -563,7 +563,7 @@ func (o ConfigurationONA) Evaluate(ctx *EvalContext) []Finding {
 				}
 			}
 		}
-		if total < ctx.Opts.OverflowMin || !producersClean {
+		if total < OverflowMin || !producersClean {
 			continue
 		}
 		out = append(out, Finding{

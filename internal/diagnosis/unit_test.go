@@ -185,12 +185,12 @@ func TestGranulesOverlap(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	d := DefaultOptions()
-	if o.EpochRounds != d.EpochRounds || o.AlphaK != d.AlphaK || o.DiagChannelBase != d.DiagChannelBase {
+	if o.WindowGranules != d.WindowGranules || o.AlphaK != d.AlphaK || o.DiagAllocBytes != d.DiagAllocBytes {
 		t.Error("zero options not defaulted")
 	}
 	// Explicit values survive.
-	o2 := Options{EpochRounds: 7, AlphaThreshold: 9}.withDefaults()
-	if o2.EpochRounds != 7 || o2.AlphaThreshold != 9 {
+	o2 := Options{WindowGranules: 7, AlphaThreshold: 9}.withDefaults()
+	if o2.WindowGranules != 7 || o2.AlphaThreshold != 9 {
 		t.Error("explicit options overwritten")
 	}
 }

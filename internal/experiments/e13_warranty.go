@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 
 	"decos/internal/scenario"
 	"decos/internal/warranty"
@@ -24,7 +23,6 @@ func E13FleetWarranty(seed uint64) *Result {
 		Rounds:         3000,
 		Seed:           seed,
 		FaultFreeShare: 0.2,
-		Workers:        runtime.GOMAXPROCS(0),
 	}
 	col := warranty.NewCollector(0)
 	res := c.RunTraced(func(v int, blob []byte) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"decos/internal/maintenance"
 	"decos/internal/scenario"
@@ -21,7 +20,6 @@ func E8NFF(seed uint64) *Result {
 		Rounds:         3000,
 		Seed:           seed,
 		FaultFreeShare: 0.2,
-		Workers:        runtime.GOMAXPROCS(0),
 	}
 	res := c.Run()
 

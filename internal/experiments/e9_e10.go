@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"decos/internal/core"
@@ -26,7 +25,6 @@ func E9MultiFault(seed uint64) *Result {
 			Seed:             seed + uint64(k)*53,
 			FaultFreeShare:   0,
 			FaultsPerVehicle: k,
-			Workers:          runtime.GOMAXPROCS(0),
 		}
 		res := c.Run()
 		t.row(k, res.DECOS.Total,

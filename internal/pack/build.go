@@ -3,6 +3,7 @@ package pack
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"decos/internal/bayes"
 	"decos/internal/component"
@@ -22,7 +23,7 @@ import (
 // the Go constructors' exactly, so a pack run is byte-identical to the
 // equivalent Go-built run under the same seed.
 func (m *Manifest) Engine(extra ...engine.Option) (*engine.Engine, error) {
-	opts := m.Topology.Options(m.Seed, m.Diagnosis.Options(), nil)
+	opts := m.Topology.Options(m.Seed, diagnosis.Options{}, nil)
 	opts = append(opts, ClassifierOptions(m.Classifier)...)
 	if len(m.Faults) > 0 || len(m.Environment) > 0 {
 		opts = append(opts, engine.WithFaults(m.ApplyFaults))
@@ -30,19 +31,31 @@ func (m *Manifest) Engine(extra ...engine.Option) (*engine.Engine, error) {
 	return engine.New(append(opts, extra...)...)
 }
 
+// CheckClassifier refuses a classifier name that selects no stage: the
+// valid names are "" (the DECOS default) and Classifiers.
+func CheckClassifier(name string) error {
+	if name != "" && !slices.Contains(Classifiers, name) {
+		return fmt.Errorf("unknown classifier %q (known: %s)", name, strings.Join(Classifiers, ", "))
+	}
+	return nil
+}
+
 // ClassifierOptions maps a classifier name onto the engine options
 // selecting that classification stage. The empty name and "decos" are
 // the default pipeline (no option at all — the engine wiring stays
 // byte-identical to pre-selector builds); "bayes" instances a fresh
-// Bayesian stage, so every engine gets its own belief state.
+// Bayesian stage, so every engine gets its own belief state. Any other
+// name panics: callers check it with CheckClassifier where it enters.
 func ClassifierOptions(name string) []engine.Option {
 	switch name {
+	case "", ClassifierDECOS:
+		return nil
 	case ClassifierOBD:
 		return []engine.Option{engine.WithOBDClassifier()}
 	case ClassifierBayes:
 		return []engine.Option{engine.WithClassifier(bayes.New())}
 	}
-	return nil
+	panic(fmt.Sprintf("pack: %v", CheckClassifier(name)))
 }
 
 // Options compiles a resolved topology into the canonical engine option
@@ -54,11 +67,11 @@ func ClassifierOptions(name string) []engine.Option {
 // constructors go through.
 func (t *Topology) Options(seed uint64, diagOpts diagnosis.Options, bind func(cl *component.Cluster)) []engine.Option {
 	g := t.Graph()
-	c := t.Clocks
 	return []engine.Option{
 		engine.WithTopology(t.Nodes, t.SlotLen(), t.SlotBytes),
 		engine.WithSeed(seed),
-		engine.WithClocks(c.MaxDriftPPM, c.JitterUS, c.PrecisionUS, c.Tolerated),
+		// ±50 ppm drift, no jitter, Π = 20 µs, one faulty clock tolerated.
+		engine.WithClocks(50, 0, 20, 1),
 		engine.WithBuild(func(cl *component.Cluster) {
 			buildCustom(cl, g)
 			if bind != nil {
@@ -74,35 +87,13 @@ func (t *Topology) Options(seed uint64, diagOpts diagnosis.Options, bind func(cl
 // system — what a manifest with kind "fig10" resolves to after
 // validation.
 func Fig10Topology() Topology {
-	return Topology{Kind: "fig10", Nodes: 4, SlotLenUS: 250, SlotBytes: 256, DiagNode: 3, Clocks: DefaultClocks()}
+	return Topology{Kind: "fig10", Nodes: 4, SlotLenUS: 250, SlotBytes: 256, DiagNode: 3}
 }
 
 // GridTopology returns the resolved n-component chain topology — what a
 // manifest with kind "grid" resolves to after validation.
 func GridTopology(n int) Topology {
-	return Topology{Kind: "grid", Nodes: n, SlotLenUS: 250, SlotBytes: 160, DiagNode: n - 1, Clocks: DefaultClocks()}
-}
-
-// Options converts the manifest's diagnosis overrides into
-// diagnosis.Options. Zero-valued fields keep the attachment defaults,
-// exactly like a zero diagnosis.Options in Go.
-func (s *DiagnosisSpec) Options() diagnosis.Options {
-	return diagnosis.Options{
-		EpochRounds:           s.EpochRounds,
-		WindowGranules:        s.WindowGranules,
-		RetainGranules:        s.RetainGranules,
-		ProximityRadius:       s.ProximityRadius,
-		BurstGranules:         s.BurstGranules,
-		MultiBitThreshold:     s.MultiBitThreshold,
-		PermanentWindow:       s.PermanentWindow,
-		PermanentDuty:         s.PermanentDuty,
-		RiseFactor:            s.RiseFactor,
-		AlphaK:                s.AlphaK,
-		AlphaThreshold:        s.AlphaThreshold,
-		MinRecurrentGranules:  s.MinRecurrentGranules,
-		OverflowMin:           s.OverflowMin,
-		JobInternalAssertions: s.JobInternalAssertions,
-	}
+	return Topology{Kind: "grid", Nodes: n, SlotLenUS: 250, SlotBytes: 160, DiagNode: n - 1}
 }
 
 // Graph returns the topology's FRU graph as a custom topology: the

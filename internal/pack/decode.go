@@ -18,8 +18,7 @@ import (
 var defaults = map[reflect.Type]any{
 	reflect.TypeFor[Manifest]():      Manifest{Expect: defaultExpect},
 	reflect.TypeFor[Expect]():        defaultExpect,
-	reflect.TypeFor[Topology]():      Topology{DiagNode: -1, Clocks: DefaultClocks()},
-	reflect.TypeFor[ClockSpec]():     DefaultClocks(),
+	reflect.TypeFor[Topology]():      Topology{DiagNode: -1},
 	reflect.TypeFor[ComponentSpec](): ComponentSpec{ID: -1},
 	reflect.TypeFor[NetworkSpec]():   NetworkSpec{Kind: "tt"},
 	reflect.TypeFor[EndpointSpec]():  EndpointSpec{Node: -1},

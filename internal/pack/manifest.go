@@ -1,7 +1,7 @@
 // Package pack is the declarative scenario layer of the reproduction:
 // a versioned JSON manifest describing a complete operating scenario —
-// topology, fault mix, environment profiles, diagnosis tuning, seeds,
-// duration and expected verdicts — compiled into the same engine.Option
+// topology, fault mix, environment profiles, seeds, duration and
+// expected verdicts — compiled into the same engine.Option
 // composition the hand-written scenario constructors produce.
 //
 // Before this layer existed every workload was Go code: the Fig. 10
@@ -81,10 +81,9 @@ type Manifest struct {
 	// classifiers side by side.
 	Classifier string `json:"classifier"`
 
-	Topology    Topology      `json:"topology"`
-	Diagnosis   DiagnosisSpec `json:"diagnosis"`
-	Faults      []FaultSpec   `json:"faults"`
-	Environment []EnvProfile  `json:"environment"`
+	Topology    Topology     `json:"topology"`
+	Faults      []FaultSpec  `json:"faults"`
+	Environment []EnvProfile `json:"environment"`
 	// Campaign, when present, turns the pack into a fleet campaign over
 	// the topology (fig10 only) instead of a single-vehicle run.
 	Campaign *CampaignSpec `json:"campaign"`
@@ -98,19 +97,6 @@ type Manifest struct {
 // Horizon returns the simulated span of the run.
 func (m *Manifest) Horizon() sim.Time {
 	return sim.Time(m.Rounds * m.Topology.RoundDuration().Micros())
-}
-
-// ClockSpec mirrors engine.ClockSpec in manifest form.
-type ClockSpec struct {
-	MaxDriftPPM float64 `json:"max_drift_ppm"`
-	JitterUS    float64 `json:"jitter_us"`
-	PrecisionUS float64 `json:"precision_us"`
-	Tolerated   int     `json:"tolerated"`
-}
-
-// DefaultClocks is the clock ensemble every current scenario uses.
-func DefaultClocks() ClockSpec {
-	return ClockSpec{MaxDriftPPM: 50, JitterUS: 0, PrecisionUS: 20, Tolerated: 1}
 }
 
 // Topology describes the cluster: its TDMA schedule and its FRU graph.
@@ -127,8 +113,7 @@ type Topology struct {
 	SlotLenUS int64 `json:"slot_len_us"`
 	SlotBytes int   `json:"slot_bytes"`
 	// DiagNode hosts the diagnostic DAS's analysis stage.
-	DiagNode int       `json:"diag_node"`
-	Clocks   ClockSpec `json:"clocks"`
+	DiagNode int `json:"diag_node"`
 
 	// FRU graph (Kind == "custom" only; see Graph).
 	Components []ComponentSpec `json:"components"`
@@ -241,25 +226,6 @@ type SubscribeSpec struct {
 	Channel   int  `json:"channel"`
 	Capacity  int  `json:"capacity"`
 	Overwrite bool `json:"overwrite"`
-}
-
-// DiagnosisSpec overrides a subset of diagnosis.Options. Zero values
-// keep the defaults (diagnosis.DefaultOptions), exactly like the Go API.
-type DiagnosisSpec struct {
-	EpochRounds           int64   `json:"epoch_rounds"`
-	WindowGranules        int64   `json:"window_granules"`
-	RetainGranules        int64   `json:"retain_granules"`
-	ProximityRadius       float64 `json:"proximity_radius"`
-	BurstGranules         int64   `json:"burst_granules"`
-	MultiBitThreshold     float64 `json:"multi_bit_threshold"`
-	PermanentWindow       int64   `json:"permanent_window"`
-	PermanentDuty         float64 `json:"permanent_duty"`
-	RiseFactor            float64 `json:"rise_factor"`
-	AlphaK                float64 `json:"alpha_k"`
-	AlphaThreshold        float64 `json:"alpha_threshold"`
-	MinRecurrentGranules  int     `json:"min_recurrent_granules"`
-	OverflowMin           int     `json:"overflow_min"`
-	JobInternalAssertions bool    `json:"job_internal_assertions"`
 }
 
 // FaultSpec is one declarative injection, routed through the engine's

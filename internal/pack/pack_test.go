@@ -32,7 +32,6 @@ const richJSON = `{
   "seed": 20050404,
   "rounds": 2000,
   "topology": {"kind": "fig10"},
-  "diagnosis": {"epoch_rounds": 16, "alpha_k": 0.85},
   "faults": [
     {"kind": "quartz", "component": 1, "at_ms": 200, "drift_ppm": 90000},
     {"kind": "sensor-stuck", "job": "A/A1", "at_ms": 300, "value": 42.5}
@@ -63,9 +62,6 @@ func TestParseMinimal(t *testing.T) {
 	if top.Nodes != 4 || top.SlotLenUS != 250 || top.SlotBytes != 256 || top.DiagNode != 3 {
 		t.Fatalf("fig10 defaults not resolved: %+v", top)
 	}
-	if top.Clocks != DefaultClocks() {
-		t.Fatalf("clock defaults not resolved: %+v", top.Clocks)
-	}
 	// Expectation defaults: unchecked bounds, DECOS gated at 1.0.
 	e := m.Expect
 	if e.MaxFalseAlarms != -1 || e.MaxNFFRatio != -1 || e.MinScore != 1 || e.MinScoreOBD != 0 {
@@ -75,7 +71,7 @@ func TestParseMinimal(t *testing.T) {
 
 // TestGoConstructedManifestValidates pins that a manifest built in Go
 // (no decoder pass) resolves the same defaults validation gives decoded
-// ones — in particular the clock ensemble.
+// ones — in particular the grid's diagnostic node.
 func TestGoConstructedManifestValidates(t *testing.T) {
 	// DiagNode -1 means "default" — the decoder's sentinel for an unset
 	// field, resolved by validation to the last grid node.
@@ -83,9 +79,6 @@ func TestGoConstructedManifestValidates(t *testing.T) {
 		Topology: Topology{Kind: "grid", Nodes: 6, DiagNode: -1}}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if m.Topology.Clocks != DefaultClocks() {
-		t.Fatalf("clocks not defaulted: %+v", m.Topology.Clocks)
 	}
 	if m.Topology.DiagNode != 5 {
 		t.Fatalf("grid diag node = %d, want 5", m.Topology.DiagNode)
@@ -136,6 +129,11 @@ func TestParseErrors(t *testing.T) {
 		{"verdict FRU out of range", "vf.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
 			"expect": {"verdicts": [{"fru": "component[9]", "class": "component-internal"}]}}`,
 			[]string{"expect.verdicts[0].fru", "out of range"}},
+		{"unknown classifier", "cl.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"}, "classifier": "Bayes"}`,
+			[]string{"classifier:", `unknown classifier "Bayes" (known: decos, obd, bayes)`}},
+		{"verdict classifier unknown", "vcl.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"expect": {"verdicts": [{"fru": "component[1]", "class": "component-internal", "classifier": "bogus"}]}}`,
+			[]string{"expect.verdicts[0].classifier:", `unknown classifier "bogus"`}},
 		{"verdict class unknown", "vc.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
 			"expect": {"verdicts": [{"fru": "component[1]", "class": "phase-of-moon"}]}}`,
 			[]string{"expect.verdicts[0].class"}},
@@ -154,19 +152,14 @@ func TestParseErrors(t *testing.T) {
 		{"invalid number", "n.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
 			"faults": [{"kind": "quartz", "drift_ppm": 1e309}]}`,
 			[]string{"n.json:2:", `faults[0].drift_ppm: invalid number "1e309"`}},
-		// Clock and α-count parameters the engine cannot run with.
-		{"negative tolerated clocks", "ct.json", `{"pack": 1, "name": "x", "rounds": 1,
+		// The fault-model thresholds and the clock ensemble are fixed: a
+		// pack that tries to set them names the member it cannot have.
+		{"diagnosis section", "ak.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
+			"diagnosis": {"alpha_k": 3.5}}`,
+			[]string{"ak.json:2:", "diagnosis: unknown field"}},
+		{"clock ensemble", "ct.json", `{"pack": 1, "name": "x", "rounds": 1,
 			"topology": {"kind": "fig10", "clocks": {"tolerated": -4}}}`,
-			[]string{"topology.clocks.tolerated:", "must be ≥ 0, got -4"}},
-		{"zero precision", "cp.json", `{"pack": 1, "name": "x", "rounds": 1,
-			"topology": {"kind": "fig10", "clocks": {"precision_us": 0}}}`,
-			[]string{"topology.clocks.precision_us:", "must be > 0"}},
-		{"negative drift", "cd.json", `{"pack": 1, "name": "x", "rounds": 1,
-			"topology": {"kind": "grid", "nodes": 4, "clocks": {"max_drift_ppm": -1}}}`,
-			[]string{"topology.clocks.max_drift_ppm:", "must be ≥ 0"}},
-		{"negative jitter", "cj.json", `{"pack": 1, "name": "x", "rounds": 1,
-			"topology": {"kind": "fig10", "clocks": {"jitter_us": -0.5}}}`,
-			[]string{"topology.clocks.jitter_us:", "must be ≥ 0"}},
+			[]string{"ct.json:2:", "topology.clocks: unknown field"}},
 		// Episode rates so high that episodes never leave the current
 		// instant would stall the run.
 		{"intermittent rate too high", "ir.json", `{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
@@ -182,9 +175,6 @@ func TestParseErrors(t *testing.T) {
 		{"queue on unsubscribed channel", "mq.json", `{"pack": 1, "name": "x", "rounds": 10, "topology": {"kind": "fig10"},
 			"faults": [{"kind": "misconfig-queue", "job": "A/A1", "channel": 1, "queue_cap": 2}]}`,
 			[]string{"faults[0].channel:", "does not subscribe channel 1"}},
-		{"alpha decay not below 1", "ak.json", `{"pack": 1, "name": "x", "rounds": 1, "topology": {"kind": "fig10"},
-			"diagnosis": {"alpha_k": 3.5}}`,
-			[]string{"diagnosis.alpha_k:", "must be < 1"}},
 		// The frame layout: each node's segments plus the 64-byte
 		// diagnostic segment must fit slot_bytes (256 unless set).
 		{"endpoint overflows the slot", "fo.json", customDoc(200, 1),

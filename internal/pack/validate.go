@@ -11,11 +11,6 @@ import (
 	"decos/internal/diagnosis"
 )
 
-// diagDefaults dimension the diagnostic DAS the engine attaches to every
-// pack: its frame segment on each node and its channel ids, from
-// DiagChannelBase up. A manifest cannot override either.
-var diagDefaults = diagnosis.DefaultOptions()
-
 // Fault kinds a manifest may declare. Each maps onto one injector
 // primitive of internal/faults (applied in apply.go).
 var faultKinds = map[string]bool{
@@ -106,17 +101,12 @@ func (v *validator) run() {
 	if m.Rounds < 1 || m.Rounds > MaxRounds {
 		v.failf("rounds", "must be in [1, %d], got %d", MaxRounds, m.Rounds)
 	}
-	switch m.Classifier {
-	case "", ClassifierDECOS, ClassifierOBD, ClassifierBayes:
-	default:
-		v.failf("classifier", "must be %q, %q or %q, got %q", ClassifierDECOS, ClassifierOBD, ClassifierBayes, m.Classifier)
+	if err := CheckClassifier(m.Classifier); err != nil {
+		v.failf("classifier", "%v", err)
 	}
 	info := v.topology()
 	if v.err != nil {
 		return
-	}
-	if d := m.Diagnosis; d.AlphaK >= 1 {
-		v.failf("diagnosis.alpha_k", "must be < 1 (≤ 0 keeps the default), got %g", d.AlphaK)
 	}
 	v.faults(info)
 	v.environment(info)
@@ -139,27 +129,6 @@ func isSlug(s string) bool {
 // returns the resolved info for cross-reference checks.
 func (v *validator) topology() *topologyInfo {
 	t := &v.m.Topology
-	if t.Clocks == (ClockSpec{}) {
-		// Go-constructed manifests leave the ensemble zeroed; the decoder
-		// fills it, but validation must too so both paths resolve alike.
-		t.Clocks = DefaultClocks()
-	}
-	// FTA discards `tolerated` readings at each end of the sorted
-	// ensemble, and a node whose deviation exceeds the precision window
-	// drops out of sync.
-	c := t.Clocks
-	if c.MaxDriftPPM < 0 {
-		v.failf("topology.clocks.max_drift_ppm", "must be ≥ 0, got %g", c.MaxDriftPPM)
-	}
-	if c.JitterUS < 0 {
-		v.failf("topology.clocks.jitter_us", "must be ≥ 0, got %g", c.JitterUS)
-	}
-	if c.PrecisionUS <= 0 {
-		v.failf("topology.clocks.precision_us", "must be > 0, got %g", c.PrecisionUS)
-	}
-	if c.Tolerated < 0 {
-		v.failf("topology.clocks.tolerated", "must be ≥ 0, got %d", c.Tolerated)
-	}
 	slotBytes := 256
 	switch t.Kind {
 	case "fig10":
@@ -269,13 +238,15 @@ func (v *validator) customTopology(t, g *Topology, slotBytes int) *topologyInfo 
 }
 
 // frameBudget checks the frame layout the fabric seals: on every node
-// the endpoints' segments plus the diagnostic DAS's own (which a pack
-// cannot resize) must fit one slot's payload. A custom pack's error
-// names the node's last-declared endpoint; a fig10 or grid pack's names
-// slot_bytes, the only field of the layout its author wrote.
+// the endpoints' segments plus the diagnostic DAS's own (the default
+// DiagAllocBytes, which a pack cannot resize) must fit one slot's
+// payload. A custom pack's error names the node's last-declared
+// endpoint; a fig10 or grid pack's names slot_bytes, the only field of
+// the layout its author wrote.
 func (v *validator) frameBudget(t, g *Topology) {
+	diagBytes := diagnosis.DefaultOptions().DiagAllocBytes
 	for node := 0; node < t.Nodes; node++ {
-		need, field := diagDefaults.DiagAllocBytes, "topology.slot_bytes"
+		need, field := diagBytes, "topology.slot_bytes"
 		for di, das := range g.DASs {
 			for ni, net := range das.Networks {
 				for ei, ep := range net.Endpoints {
@@ -292,7 +263,7 @@ func (v *validator) frameBudget(t, g *Topology) {
 		}
 		if need > t.SlotBytes {
 			v.failf(field, "node %d needs %d bytes (its endpoints plus the %d-byte diagnostic segment), slot_bytes is %d",
-				node, need, diagDefaults.DiagAllocBytes, t.SlotBytes)
+				node, need, diagBytes, t.SlotBytes)
 			return
 		}
 	}
@@ -464,8 +435,8 @@ func (v *validator) customJob(dasField, dasName string, ji int, job JobSpec, inf
 // channel checks a channel id field. Ids are vnet.ChannelIDs: 0 pads
 // frames, and the diagnostic DAS owns DiagChannelBase and up.
 func (v *validator) channel(field string, ch int) {
-	if ch < 1 || ch >= int(diagDefaults.DiagChannelBase) {
-		v.failf(field, "channel must be in [1, %d), got %d", diagDefaults.DiagChannelBase, ch)
+	if ch < 1 || ch >= int(diagnosis.DiagChannelBase) {
+		v.failf(field, "channel must be in [1, %d), got %d", diagnosis.DiagChannelBase, ch)
 	}
 }
 
@@ -707,10 +678,8 @@ func (v *validator) expect(info *topologyInfo) {
 				v.failf(field+".action", "%v", err)
 			}
 		}
-		switch ve.Classifier {
-		case "", "decos", "obd", "bayes":
-		default:
-			v.failf(field+".classifier", "must be \"decos\", \"obd\", \"bayes\" or empty (all), got %q", ve.Classifier)
+		if err := CheckClassifier(ve.Classifier); err != nil {
+			v.failf(field+".classifier", "%v (empty scopes all)", err)
 		}
 	}
 }

@@ -162,10 +162,11 @@ type Campaign struct {
 	// Workers bounds the number of vehicles simulated concurrently.
 	// Vehicles are fully independent simulations, so the campaign is
 	// embarrassingly parallel; results are identical for any worker
-	// count (all randomness is pre-drawn sequentially). 0 or 1 runs
-	// sequentially. Each worker builds one engine on its first vehicle
-	// and resets it in place for every later one (engine.Engine.Reset),
-	// across the replicates of a Monte Carlo run too.
+	// count (all randomness is pre-drawn sequentially). ≤ 0 uses
+	// runtime.GOMAXPROCS(0) workers; 1 runs sequentially. Each worker
+	// builds one engine on its first vehicle and resets it in place for
+	// every later one (engine.Engine.Reset), across the replicates of a
+	// Monte Carlo run too.
 	Workers int
 	// Classifier selects the diagnostic pipeline's classification stage
 	// for every vehicle: "" or "decos" keeps the DECOS rule engine, "obd"
@@ -174,7 +175,7 @@ type Campaign struct {
 	// vehicles are independent realizations). The OBD baseline advisor
 	// stays attached alongside regardless, so CampaignResult.OBD always
 	// reports the baseline while CampaignResult.DECOS reports whatever
-	// stage runs in the pipeline.
+	// stage runs in the pipeline. Any other name panics.
 	Classifier string
 	// ChunkRounds > 0 runs every vehicle in chunks of that many rounds,
 	// checkpointing the engine between chunks and restoring each
@@ -239,8 +240,8 @@ type vehicleOutcome struct {
 // use.
 type TraceSink func(vehicle int, blob []byte)
 
-// Run executes the campaign — in parallel when Workers > 1 — and audits
-// both diagnosers against the shared ground truth.
+// Run executes the campaign on its Workers and audits both diagnosers
+// against the shared ground truth.
 func (c Campaign) Run() *CampaignResult { return c.run(context.Background(), nil) }
 
 // RunContext is Run under a context: cancellation stops feeding vehicles,
@@ -255,7 +256,7 @@ func (c Campaign) RunContext(ctx context.Context) *CampaignResult { return c.run
 // off-line warranty-analysis interface of Section V-B at fleet scale. The
 // blob is valid only for the duration of the sink call (see TraceSink).
 // Recording only observes, so the returned result is bit-identical to
-// Run's for the same seeds. Workers ≤ 0 uses runtime.NumCPU().
+// Run's for the same seeds.
 func (c Campaign) RunTraced(sink TraceSink) *CampaignResult {
 	return c.RunTracedContext(context.Background(), sink)
 }
@@ -263,9 +264,6 @@ func (c Campaign) RunTraced(sink TraceSink) *CampaignResult {
 // RunTracedContext is RunTraced under a context, with RunContext's
 // partial-result semantics; cancelled vehicles hand nothing to sink.
 func (c Campaign) RunTracedContext(ctx context.Context, sink TraceSink) *CampaignResult {
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
 	return c.run(ctx, sink)
 }
 
@@ -293,8 +291,16 @@ func (c Campaign) replicateSeed(r int) uint64 { return c.Seed + uint64(r)*0x9e37
 // (replicate, vehicle) jobs, fed in that order. Each worker keeps one
 // engine from vehicle to vehicle and replicate to replicate. A vehicle
 // cancelled by ctx is discarded whole (no outcome, no trace handed to
-// sink), so merged numbers stay exact.
+// sink), so merged numbers stay exact. An unknown Classifier panics
+// before any vehicle runs.
 func (c Campaign) runReplicates(ctx context.Context, n int, sink TraceSink) []*replicate {
+	if err := pack.CheckClassifier(c.Classifier); err != nil {
+		panic(fmt.Sprintf("scenario: campaign: %v", err))
+	}
+	workers := c.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	reps := make([]*replicate, n)
 	for r := range reps {
 		rc := c
@@ -335,11 +341,11 @@ func (c Campaign) runReplicates(ctx context.Context, n int, sink TraceSink) []*r
 		rep.done[v] = true
 	}
 
-	if c.Workers > 1 {
+	if workers > 1 {
 		type job struct{ r, v int }
 		var wg sync.WaitGroup
 		work := make(chan job)
-		for k := 0; k < c.Workers; k++ {
+		for k := 0; k < workers; k++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -19,8 +19,7 @@ func ParseKind(name string) (FaultKind, bool) {
 }
 
 // CampaignFromManifest maps a validated campaign pack onto the fleet
-// campaign driver. The pack's seed, rounds and diagnosis overrides
-// carry over; an empty mix falls back to the paper's default field
+// campaign driver. The pack's seed, rounds and classifier carry over; an empty mix falls back to the paper's default field
 // distribution, exactly like a nil Campaign.Mix.
 func CampaignFromManifest(m *pack.Manifest) Campaign {
 	cs := m.Campaign
@@ -34,7 +33,6 @@ func CampaignFromManifest(m *pack.Manifest) Campaign {
 		FaultFreeShare:   cs.FaultFreeShare,
 		FaultsPerVehicle: cs.FaultsPerVehicle,
 		Classifier:       m.Classifier,
-		Opts:             m.Diagnosis.Options(),
 	}
 	if len(cs.Mix) > 0 {
 		mix := make(map[FaultKind]float64, len(cs.Mix))

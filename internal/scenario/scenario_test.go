@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -307,5 +309,22 @@ func TestCampaignContextComplete(t *testing.T) {
 	if a.DECOS.Total != b.DECOS.Total || a.DECOS.CorrectClass != b.DECOS.CorrectClass ||
 		a.FaultFreeCount != b.FaultFreeCount {
 		t.Errorf("context run diverged from plain run:\na: %+v\nb: %+v", a.DECOS, b.DECOS)
+	}
+
+	// A classifier name that selects no stage fails before any vehicle
+	// runs, instead of running the DECOS stage under that name.
+	bad := base
+	bad.Classifier, bad.Workers = "Bayes", 1
+	ran := 0
+	func() {
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), `unknown classifier "Bayes"`) {
+				t.Errorf("classifier %q: recovered %v, want an unknown-classifier panic", bad.Classifier, r)
+			}
+		}()
+		bad.RunTracedContext(context.Background(), func(int, []byte) { ran++ })
+	}()
+	if ran != 0 {
+		t.Errorf("classifier %q: %d vehicles ran before the campaign failed", bad.Classifier, ran)
 	}
 }

@@ -358,6 +358,9 @@ func crossCheck(recorded, replay []trace.Event, after sim.Time) *TraceCheck {
 
 // Run executes the counterfactual replay described by cfg.
 func Run(cfg Config) (*Report, error) {
+	if err := pack.CheckClassifier(cfg.Classifier); err != nil {
+		return nil, fmt.Errorf("whatif: %w", err)
+	}
 	fact, factCap, err := cfg.replica()
 	if err != nil {
 		return nil, err

@@ -239,8 +239,8 @@ func TestWhatifHypotheses(t *testing.T) {
 }
 
 // TestWhatifErrors covers refusals: unknown activation targets,
-// checkpoints past the horizon, garbage checkpoints and wrong-fru
-// components outside the cluster.
+// checkpoints past the horizon, garbage checkpoints, wrong-fru
+// components outside the cluster and unknown classifiers.
 func TestWhatifErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-round recording in -short mode")
@@ -276,6 +276,14 @@ func TestWhatifErrors(t *testing.T) {
 		if want := fmt.Sprintf("whatif: wrong-fru component %d outside [0, 4)", comp); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("wrong-fru to component %d: error %v, want %q", comp, err, want)
 		}
+	}
+
+	// A classifier name that selects no stage is refused, not replayed
+	// under the DECOS stage.
+	cfg.Hyp = Hypothesis{Kind: Remove, Target: 0}
+	cfg.Classifier = "bogus"
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), `whatif: unknown classifier "bogus"`) {
+		t.Errorf("classifier %q: error %v", cfg.Classifier, err)
 	}
 }
 

@@ -93,7 +93,10 @@ echo "== fuzz smoke (engine checkpoint restore) =="
 # errors, never panics, and each rejection must come from a validation,
 # not from the restore's panic backstop. Seeds: the committed v1 golden
 # fixture plus truncated and bit-flipped variants and out-of-range keys.
-go test -run='^$' -fuzz='^FuzzCheckpointReader$' -fuzztime=10s ./internal/engine/
+# Minimizing the first new-coverage input under the default 60 s budget
+# would take the whole window: a 100-execution minimization budget leaves
+# it for fuzzing.
+go test -run='^$' -fuzz='^FuzzCheckpointReader$' -fuzztime=10s -fuzzminimizetime=100x ./internal/engine/
 
 echo "== fuzz smoke (checkpoint codec) =="
 # The codec under the restore path, on its own: arbitrary streams and
@@ -112,8 +115,9 @@ echo "== fuzz smoke (scenario-pack manifests) =="
 # start an engine without error and run three rounds. Seeds: the shipped
 # pack library plus JSON boundary fragments (duplicate keys, trailing
 # content, out-of-range numbers, deep nesting) and the frame-budget and
-# channel-range boundaries.
-go test -run='^$' -fuzz='^FuzzPackManifest$' -fuzztime=10s ./internal/pack/
+# channel-range boundaries. Minimization is bounded as for
+# FuzzCheckpointReader.
+go test -run='^$' -fuzz='^FuzzPackManifest$' -fuzztime=10s -fuzzminimizetime=100x ./internal/pack/
 
 echo "== bench module (vet + smoke tests) =="
 # bench/ is its own Go module, so ./... above skips it. Its tests run
