@@ -159,7 +159,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	s := sim.NewScheduler()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.After(1, "e", func() {})
+		s.At(s.Now()+1, "e", func() {})
 		s.Step()
 	}
 }
@@ -397,17 +397,11 @@ func BenchmarkTraceDecode(b *testing.B) {
 			b.SetBytes(int64(len(blob) / len(events)))
 			b.ReportAllocs()
 			b.ResetTimer()
-			var rd trace.EventReader
-			decoded := 0
-			for i := 0; i < b.N; i++ {
-				if rd == nil {
-					rd, _ = trace.OpenReader(bytes.NewReader(blob))
-				}
-				if _, err := rd.Next(); err != nil {
+			// Whole streams, at least b.N events in all.
+			for decoded := 0; decoded < b.N; decoded += len(events) {
+				rd, _ := trace.OpenReader(bytes.NewReader(blob))
+				if err := rd.Each(func(*trace.Event) {}); err != nil {
 					b.Fatal(err)
-				}
-				if decoded++; decoded == len(events) {
-					rd, decoded = nil, 0 // stream drained: start over
 				}
 			}
 		})

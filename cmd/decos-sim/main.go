@@ -131,6 +131,12 @@ func main() {
 				}
 				os.Exit(2)
 			}
+			// The pack validator's at_ms rule: an injection before the
+			// start cannot be scheduled, one past the horizon never strikes.
+			if horizon := scenario.RoundsAt(*rounds).Micros() / 1000; *atMS < 0 || *atMS > horizon {
+				fmt.Fprintf(os.Stderr, "-at %d: the injection must fall in the run, 0 to %d ms (-rounds %d)\n", *atMS, horizon, *rounds)
+				os.Exit(2)
+			}
 			plan = append(plan, scenario.InjectPlan{
 				Kind: kind,
 				At:   sim.Time(*atMS) * sim.Time(sim.Millisecond),

@@ -211,14 +211,6 @@ func (c *Classifier) Reset() {
 // Name identifies the stage in verdict provenance and CLI selection.
 func (c *Classifier) Name() string { return "bayes" }
 
-// Epochs returns the number of assessment epochs folded into the
-// posterior.
-func (c *Classifier) Epochs() int64 { return c.epochs }
-
-// Abstentions returns how many FRU-epochs had symptomatic evidence but
-// withheld a verdict as insufficient.
-func (c *Classifier) Abstentions() uint64 { return c.abstained }
-
 // hypRange returns the hypothesis set of a FRU kind: hardware FRUs
 // range over the component hypotheses, software FRUs over the job
 // hypotheses. hypHealthy belongs to both.
@@ -395,22 +387,6 @@ func (c *Classifier) posterior(f diagnosis.FRUIndex, hardware bool, out []float6
 	for _, h := range hyps {
 		out[h] /= sum
 	}
-}
-
-// Posterior returns the FRU's current posterior over its hypothesis
-// set as (hypothesis name, probability) pairs in fixed hypothesis
-// order. For inspection and tests; allocates.
-func (c *Classifier) Posterior(f diagnosis.FRUIndex, hardware bool) map[string]float64 {
-	if int(f) >= c.nFRU {
-		return nil
-	}
-	var post [numHyp]float64
-	c.posterior(f, hardware, post[:])
-	out := make(map[string]float64, len(hypRange(hardware)))
-	for _, h := range hypRange(hardware) {
-		out[h.String()] = post[h]
-	}
-	return out
 }
 
 // Classify implements diagnosis.Classifier: one belief update per

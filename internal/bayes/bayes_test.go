@@ -86,11 +86,11 @@ func TestQuietClusterEmitsNothing(t *testing.T) {
 			t.Fatalf("epoch %d: findings on a quiet cluster: %+v", i, f)
 		}
 	}
-	if n := r.c.Epochs(); n != 12 {
-		t.Errorf("Epochs() = %d, want 12", n)
+	if n := r.c.epochs; n != 12 {
+		t.Errorf("epochs = %d, want 12", n)
 	}
-	if n := r.c.Abstentions(); n != 0 {
-		t.Errorf("Abstentions() = %d on a quiet cluster, want 0", n)
+	if n := r.c.abstained; n != 0 {
+		t.Errorf("abstentions = %d on a quiet cluster, want 0", n)
 	}
 	ranked := r.c.Ranked(0)
 	if len(ranked) == 0 || ranked[0].Class != core.ClassUnknown {
@@ -120,7 +120,7 @@ func TestOneShotGlitchAbstains(t *testing.T) {
 		}
 	}
 	// Forgetting converges on the prior, where healthy holds 0.85.
-	if h := r.c.Posterior(0, true)["healthy"]; h < 0.8 {
+	if h := healthy(r.c, 0); h < 0.8 {
 		t.Errorf("healthy posterior %.3f after the glitch decayed, want >= 0.8", h)
 	}
 }
@@ -241,14 +241,21 @@ func TestLyingObserverFramed(t *testing.T) {
 		}
 	}
 	if !accuserIndicted {
-		t.Fatalf("accuser never indicted; posterior(3) = %v", r.c.Posterior(3, true))
+		t.Fatalf("accuser never indicted; Ranked(3) = %+v", r.c.Ranked(3))
 	}
 	// The framed subjects' beliefs never moved off healthy.
 	for f := diagnosis.FRUIndex(0); f < 3; f++ {
-		if h := r.c.Posterior(f, true)["healthy"]; h < 0.8 {
+		if h := healthy(r.c, f); h < 0.8 {
 			t.Errorf("framed FRU %d healthy posterior %.3f, want >= 0.8", f, h)
 		}
 	}
+}
+
+// healthy returns hardware FRU f's posterior probability of being healthy.
+func healthy(c *Classifier, f diagnosis.FRUIndex) float64 {
+	var post [numHyp]float64
+	c.posterior(f, true, post[:])
+	return post[hypHealthy]
 }
 
 func snapshotBytes(t *testing.T, c *Classifier) []byte {

@@ -245,9 +245,6 @@ func (d *Decoder) Get(name string, s Snapshotter) error {
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the unread byte count of the current section.
-func (d *Decoder) Remaining() int { return len(d.body) }
-
 func (d *Decoder) fail(what string) {
 	d.failf("truncated or corrupt %s", what)
 }

@@ -69,22 +69,11 @@ func (o *Oscillator) Deviation(now sim.Time) float64 {
 	return o.Read(now) - float64(now)
 }
 
-// FTA computes the fault-tolerant average of the given deviation
-// measurements, discarding the k smallest and k largest values. It returns
-// the average of the remainder. If 2k >= len(devs) it returns 0 (no
-// correction possible with so few readings).
-func FTA(devs []float64, k int) float64 {
-	n := len(devs)
-	if n == 0 || 2*k >= n {
-		return 0
-	}
-	sorted := make([]float64, n)
-	copy(sorted, devs)
-	return ftaSorted(sorted, k)
-}
-
-// ftaSorted is FTA's core on a caller-owned scratch copy of the
-// measurements; it sorts in place.
+// ftaSorted computes the fault-tolerant average (FTA) of the deviation
+// measurements in scratch, a caller-owned copy it sorts in place: it
+// discards the k smallest and k largest values and returns the average of
+// the remainder. If 2k >= len(scratch) it returns 0 (no correction
+// possible with so few readings).
 func ftaSorted(scratch []float64, k int) float64 {
 	n := len(scratch)
 	if n == 0 || 2*k >= n {

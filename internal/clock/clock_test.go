@@ -47,16 +47,16 @@ func TestOscillatorAdjustStepsAndDriftContinues(t *testing.T) {
 
 func TestFTADiscardsExtremes(t *testing.T) {
 	devs := []float64{-1000, 1, 2, 3, 1000}
-	if got := FTA(devs, 1); math.Abs(got-2) > 1e-9 {
+	if got := ftaSorted(devs, 1); math.Abs(got-2) > 1e-9 {
 		t.Errorf("FTA = %v, want 2", got)
 	}
 }
 
 func TestFTADegenerate(t *testing.T) {
-	if FTA(nil, 1) != 0 {
+	if ftaSorted(nil, 1) != 0 {
 		t.Error("FTA(nil) != 0")
 	}
-	if FTA([]float64{5, 6}, 1) != 0 {
+	if ftaSorted([]float64{5, 6}, 1) != 0 {
 		t.Error("FTA with 2k >= n should return 0")
 	}
 }
@@ -78,7 +78,7 @@ func TestFTABoundedByCorrectClocks(t *testing.T) {
 			return true
 		}
 		all := append(append([]float64{}, correct...), faulty)
-		got := FTA(all, 1)
+		got := ftaSorted(all, 1)
 		sorted := append([]float64{}, correct...)
 		sort.Float64s(sorted)
 		// The FTA average discards one extreme on each side, so with one

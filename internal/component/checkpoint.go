@@ -95,18 +95,15 @@ func (e *Environment) Code(c *ckpt.Coder) error {
 // r full TDMA rounds have completed since t=0. The deadline is absolute,
 // so chained calls (checkpoint cadences, chunked campaigns) land on
 // exactly the same instants as one uninterrupted run.
-func (cl *Cluster) RunToRound(r int64) {
-	target := sim.Time(r*cl.Cfg.RoundDuration().Micros()) - 1
-	if target > cl.Sched.Now() {
-		cl.Sched.RunUntil(target)
-	}
-}
+func (cl *Cluster) RunToRound(r int64) { _ = cl.RunToRoundCtx(context.Background(), r) }
 
-// RunToRoundCtx is RunToRound with cooperative cancellation.
+// RunToRoundCtx is RunToRound with cooperative cancellation: it returns
+// ctx.Err() when the context is cancelled mid-run (the cluster is then
+// stopped partway through a round) and nil on completion.
 func (cl *Cluster) RunToRoundCtx(ctx context.Context, r int64) error {
 	target := sim.Time(r*cl.Cfg.RoundDuration().Micros()) - 1
 	if target > cl.Sched.Now() {
-		return cl.Sched.RunUntilCtx(ctx, target)
+		return cl.Sched.RunUntil(ctx, target)
 	}
 	return nil
 }

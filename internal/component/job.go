@@ -158,15 +158,6 @@ func (j *Instance) InChannels() []vnet.ChannelID {
 	return out
 }
 
-// OutChannels returns the channels the job produces, in ascending order.
-func (j *Instance) OutChannels() []vnet.ChannelID {
-	out := make([]vnet.ChannelID, len(j.out))
-	for i, o := range j.out {
-		out[i] = o.ch
-	}
-	return out
-}
-
 // Context is the execution environment handed to a job on every Step.
 type Context struct {
 	Now   sim.Time
@@ -221,13 +212,8 @@ func (c *Context) Latest(ch vnet.ChannelID) (vnet.Message, bool) {
 	return p.Peek()
 }
 
-// Sensor samples the named environment signal through the job's exclusive
-// transducer, applying any installed sensor fault.
-func (c *Context) Sensor(name string) float64 {
-	return c.sensor(c.env.signalID(name), name)
-}
-
-// sensor is Sensor for a resolved signal id.
+// sensor samples environment signal id (named name) through the job's
+// exclusive transducer, applying any installed sensor fault.
 func (c *Context) sensor(id int, name string) float64 {
 	v := c.env.sampleID(id, c.Now)
 	if f := c.Job.SensorFault; f != nil {

@@ -186,20 +186,3 @@ func (s *SinkJob) Step(ctx *Context) {
 		s.Received++
 	}
 }
-
-// EchoJob republishes every message from In on Out, for multi-hop
-// propagation topologies.
-type EchoJob struct {
-	In, Out vnet.ChannelID
-}
-
-// Step implements Job.
-func (e *EchoJob) Step(ctx *Context) {
-	for {
-		m, ok := ctx.Receive(e.In)
-		if !ok {
-			return
-		}
-		ctx.Send(e.Out, m.Payload)
-	}
-}

@@ -91,29 +91,3 @@ func TestControlJobHoldsLastGoodValue(t *testing.T) {
 		t.Error("no inputs rejected")
 	}
 }
-
-func TestEchoJobForwards(t *testing.T) {
-	cl := NewCluster(tt.UniformSchedule(2, 250*sim.Microsecond, 128), 4)
-	c0 := cl.AddComponent(0, "a", 0, 0)
-	c1 := cl.AddComponent(1, "b", 1, 0)
-	das := cl.AddDAS("D", NonSafetyCritical)
-	n := cl.AddNetwork(das, "D.et", vnet.EventTriggered)
-	n.AddEndpoint(0, 50, 8)
-	n.AddEndpoint(1, 50, 8)
-	bursty := &BurstyJob{Out: 1, MeanPerRound: 1}
-	bj := cl.AddJob(das, c0, "src", 0, bursty)
-	echo := cl.AddJob(das, c1, "echo", 0, &EchoJob{In: 1, Out: 2})
-	sink := &SinkJob{In: 2}
-	sj := cl.AddJob(das, c0, "sink", 1, sink)
-	cl.Produce(bj, n, ChannelSpec{Channel: 1, Min: 0, Max: 1e9})
-	cl.Produce(echo, n, ChannelSpec{Channel: 2, Min: 0, Max: 1e9})
-	cl.Subscribe(echo, 1, 16, false)
-	cl.Subscribe(sj, 2, 16, false)
-	if err := cl.Start(); err != nil {
-		t.Fatal(err)
-	}
-	cl.RunRounds(200)
-	if sink.Received == 0 {
-		t.Error("echo forwarded nothing")
-	}
-}

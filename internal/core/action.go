@@ -114,7 +114,3 @@ func (t TrustLevel) Clamp() TrustLevel {
 	}
 	return t
 }
-
-// Suspect reports whether the trust level indicates a likely specification
-// violation (below the given threshold).
-func (t TrustLevel) Suspect(threshold float64) bool { return float64(t) < threshold }

@@ -9,7 +9,9 @@ import (
 // The Fig. 11 mapping: every fault class resolves to exactly one
 // maintenance action.
 func ExampleActionFor() {
-	for _, class := range core.Classes() {
+	for _, class := range []core.FaultClass{core.ComponentExternal, core.ComponentBorderline,
+		core.ComponentInternal, core.JobExternal, core.JobBorderline,
+		core.JobInherentSoftware, core.JobInherentSensor} {
 		fmt.Printf("%-24s → %s\n", class, core.ActionFor(class, false))
 	}
 	// Output:

@@ -88,25 +88,6 @@ func (c FaultClass) String() string {
 	}
 }
 
-// Classes lists all concrete fault classes of the model (excluding
-// ClassUnknown and the merged JobInherent verdict).
-func Classes() []FaultClass {
-	return []FaultClass{
-		ComponentExternal, ComponentBorderline, ComponentInternal,
-		JobExternal, JobBorderline, JobInherentSoftware, JobInherentSensor,
-	}
-}
-
-// IsHardware reports whether the class concerns the hardware FRU (the
-// component).
-func (c FaultClass) IsHardware() bool {
-	switch c {
-	case ComponentExternal, ComponentBorderline, ComponentInternal, JobExternal:
-		return true
-	}
-	return false
-}
-
 // Matches reports whether a diagnosed class d is a correct verdict for
 // ground truth c, honouring the model's equivalences: a job-external fault
 // IS the manifestation of a component-internal fault (Section IV-B.3), and

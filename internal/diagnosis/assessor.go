@@ -187,9 +187,6 @@ func NewAssessor(reg *Registry, opts Options) *Assessor {
 	return a
 }
 
-// Options returns the effective (defaulted) options.
-func (a *Assessor) Options() Options { return a.opts }
-
 // SetClassifier swaps the pipeline's classification stage (nil restores
 // the DECOS fault-model classifier). Call it before the first assessment
 // epoch runs.
@@ -225,8 +222,9 @@ func (a *Assessor) onRound(round int64, now sim.Time) {
 	}
 }
 
-// EvaluateNow forces an epoch evaluation at the given granule/time (used by
-// the fast-path campaign driver).
+// EvaluateNow forces an epoch evaluation at the given granule/time. The
+// assessor-epoch benchmark and allocation guard call it to measure one
+// epoch alone.
 func (a *Assessor) EvaluateNow(granule int64, now sim.Time) {
 	a.evaluateEpoch(granule, now)
 }

@@ -18,7 +18,7 @@ type History struct {
 	// subjects are carried by a checkpoint.
 	present []bool
 	latest  int64
-	total   uint64
+	total   uint64 // symptoms ever added; checkpointed
 }
 
 // NewHistory returns a store for the given number of subject FRUs (the
@@ -92,9 +92,6 @@ func (h *History) reset() {
 // Latest returns the newest granule seen.
 func (h *History) Latest() int64 { return h.latest }
 
-// Total returns the number of symptoms ever added.
-func (h *History) Total() uint64 { return h.total }
-
 // Filter is a symptom predicate used in window queries; nil matches all.
 type Filter func(Symptom) bool
 
@@ -120,25 +117,6 @@ func (h *History) list(subject FRUIndex) *seglog.Log[Symptom] {
 		return &noSymptoms
 	}
 	return &h.bySubject[subject]
-}
-
-// Window returns the subject's symptoms with granule in [from, to]
-// (inclusive) that pass the filter.
-func (h *History) Window(subject FRUIndex, from, to int64, f Filter) []Symptom {
-	var out []Symptom
-	l := h.list(subject)
-scan:
-	for k := 0; k < l.NumSegs(); k++ {
-		for _, s := range l.Seg(k) {
-			if s.Granule > to {
-				break scan
-			}
-			if s.Granule >= from && (f == nil || f(s)) {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
 }
 
 // Count sums the Count fields of matching symptoms in the window. The

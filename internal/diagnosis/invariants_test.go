@@ -49,7 +49,7 @@ func TestVerdictInvariants(t *testing.T) {
 			//    epoch still lies inside the retention horizon (verdicts
 			//    are sticky; their evidence may age out afterwards).
 			hist := sys.Diag.Assessor.Hist
-			retainedFrom := hist.Latest() - sys.Diag.Assessor.Options().RetainGranules
+			retainedFrom := hist.Latest() - hist.RetainGranules
 			if v.At.Micros()/1000 > retainedFrom { // 1 ms rounds → granule ≈ ms
 				if hist.Count(v.Subject, 0, hist.Latest(), nil) == 0 {
 					t.Errorf("%v: verdict for %v without any retained symptoms", kind, v.FRU)

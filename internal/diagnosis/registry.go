@@ -134,14 +134,6 @@ func (r *Registry) HardwareIndex(n tt.NodeID) (FRUIndex, bool) {
 	return FRUIndex(i), ok
 }
 
-// Node returns the node id of a hardware FRU.
-func (r *Registry) Node(i FRUIndex) (tt.NodeID, bool) {
-	if !r.IsHardware(i) {
-		return 0, false
-	}
-	return tt.NodeID(r.frus[i].Component), true
-}
-
 // HostOf returns the hardware FRU hosting a software FRU (or the argument
 // itself if it already is hardware).
 func (r *Registry) HostOf(i FRUIndex) FRUIndex { return r.hostOf[i] }

@@ -77,16 +77,6 @@ func (k Kind) String() string {
 	}
 }
 
-// TimeDomain reports whether the kind is a time-domain violation.
-func (k Kind) TimeDomain() bool {
-	return k == SymOmission || k == SymTiming || k == SymStale
-}
-
-// ValueDomain reports whether the kind is a value-domain violation.
-func (k Kind) ValueDomain() bool {
-	return k == SymCorruption || k == SymValue || k == SymDeviation || k == SymStuck
-}
-
 // Symptom is one aggregated observation disseminated on the virtual
 // diagnostic network: per detection round, per (kind, subject, channel),
 // the observing component sends one record with a count.
@@ -120,13 +110,8 @@ func (s Symptom) String() string {
 // symptomWireBytes is the encoded size of one symptom record.
 const symptomWireBytes = 1 + 2 + 2 + 2 + 8 + 2 + 4
 
-// Encode serializes the symptom for transmission on the diagnostic
-// network.
-func (s Symptom) Encode() []byte {
-	return s.appendWire(nil)
-}
-
-// appendWire appends the wire encoding to dst and returns the extended
+// appendWire appends the symptom's wire encoding (its form on the
+// diagnostic network) to dst and returns the extended
 // slice. Monitors pass a per-monitor scratch buffer: the network copies the
 // payload on Send, so the buffer is immediately reusable.
 func (s Symptom) appendWire(dst []byte) []byte {

@@ -30,7 +30,7 @@ func richManifest(inj *faults.Injector) {
 	inj.SEU(sim.Time(30000), 2)
 	inj.IntermittentInternal(2, sim.Time(5000), 2e7, sim.Time(110000))
 	inj.PermanentBabbling(3, sim.Time(55000))
-	inj.SensorStuck(cl.Component(0).JobNamed("A1"), sim.Time(20000), 42)
+	inj.SensorStuck(cl.DAS("A").JobNamed("A1"), sim.Time(20000), 42)
 }
 
 // fig10Ckpt assembles the Fig. 10 system with the rich manifest, tracing
@@ -139,7 +139,7 @@ func TestChainedRunsMatchOneRun(t *testing.T) {
 	for i := 0; i < total; i++ {
 		chained.Run(1)
 	}
-	if got, want := chained.Engine.Now(), one.Engine.Now(); got != want {
+	if got, want := chained.Cluster.Sched.Now(), one.Cluster.Sched.Now(); got != want {
 		t.Errorf("chained runs end at %v, one run at %v", got, want)
 	}
 	if got, want := chained.Cluster.Sched.Fired(), one.Cluster.Sched.Fired(); got != want {
@@ -155,7 +155,7 @@ func TestChainedRunsMatchOneRun(t *testing.T) {
 	head.Run(total / 2)
 	tail := fig10Ckpt(&tailTrace, engine.WithRestore(checkpointBytes(t, head.Engine)))
 	tail.Run(total / 2)
-	if got, want := tail.Engine.Now(), one.Engine.Now(); got != want {
+	if got, want := tail.Cluster.Sched.Now(), one.Cluster.Sched.Now(); got != want {
 		t.Errorf("restored run ends at %v, one run at %v", got, want)
 	}
 	if !bytes.Equal(checkpointBytes(t, tail.Engine), want) {

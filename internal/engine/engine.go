@@ -142,8 +142,8 @@ func WithFaults(apply func(inj *faults.Injector)) Option {
 	return func(c *Config) { c.manifest = append(c.manifest, apply) }
 }
 
-// WithSink routes trace recording into the given sink. A nil or no-op
-// sink installs no instrumentation (the hot path keeps its
+// WithSink routes trace recording into the given sink. A nil sink
+// installs no instrumentation (the hot path keeps its
 // zero-allocation contract); any other sink receives the event stream
 // selected by opts.
 func WithSink(sink trace.Sink, opts trace.Options) Option {
@@ -154,8 +154,7 @@ func WithSink(sink trace.Sink, opts trace.Options) Option {
 // registry: round throughput, per-stage assessment latencies (collect /
 // classify / advise, via the pipeline's attach points), and the simulator
 // layer counters (scheduled and pooled events, frame statuses, guardian
-// blocks, CRC drops). A nil registry — like the no-op trace sink —
-// installs no instrumentation at all, preserving the zero-allocation hot
+// blocks, CRC drops). A nil registry — like a nil trace sink — installs no instrumentation at all, preserving the zero-allocation hot
 // path and bit-identical outputs.
 //
 // Counters and histograms are mirrored into plain atomic metrics once per
@@ -255,7 +254,7 @@ func build(cfg Config, restoring bool) (*Engine, error) {
 	if restoring {
 		e.Injector.SetReconstructing(true)
 	}
-	if !trace.IsNop(cfg.sink) {
+	if cfg.sink != nil {
 		e.Recorder = trace.AttachSink(cl, e.Diag, e.Injector, cfg.sink, cfg.traceOpts)
 	}
 	if cfg.metrics.Enabled() {
@@ -307,7 +306,7 @@ func (e *Engine) Reset(opts ...Option) error {
 	if !run.perRun() {
 		return fmt.Errorf("engine: reset: only WithSeed, WithFaults and WithSink may change between runs")
 	}
-	if trace.IsNop(run.sink) != (e.Recorder == nil) {
+	if (run.sink == nil) != (e.Recorder == nil) {
 		return fmt.Errorf("engine: reset: cannot attach or detach trace recording")
 	}
 	cfg := &e.cfg
@@ -361,21 +360,13 @@ func MustNew(opts ...Option) *Engine {
 
 // Run advances the cluster by n TDMA rounds under the context: it returns
 // ctx.Err() when cancelled mid-run (the cluster halts partway, observable
-// state intact) and nil on completion. context.Background() — or any
-// context that cannot be cancelled — is free and keeps runs bit-identical
-// to the ctx-free path.
+// state intact) and nil on completion.
 func (e *Engine) Run(ctx context.Context, n int64) error {
 	return e.Cluster.RunRoundsCtx(ctx, n)
 }
 
 // RunRounds advances the cluster by n TDMA rounds without a context.
 func (e *Engine) RunRounds(n int64) { e.Cluster.RunRounds(n) }
-
-// Now returns the cluster's current simulated time.
-func (e *Engine) Now() sim.Time { return e.Cluster.Sched.Now() }
-
-// Round returns the cluster's current TDMA round.
-func (e *Engine) Round() int64 { return e.Cluster.Round() }
 
 // StateVersion returns the monotonic version of the checkpointable
 // cluster state: the number of completed TDMA rounds. It is carried

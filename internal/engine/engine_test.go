@@ -52,7 +52,7 @@ func TestRunCompletesRounds(t *testing.T) {
 	}
 	// The bus counter names the round in progress: after 50 full rounds it
 	// sits on index 49, same as Cluster.RunRounds.
-	if got := eng.Round(); got != 49 {
+	if got := eng.Cluster.Round(); got != 49 {
 		t.Fatalf("Round = %d, want 49", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestRunCancellation(t *testing.T) {
 	if err := eng.Run(ctx, 1000); err != context.Canceled {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
-	if got := eng.Round(); got >= 1000 {
+	if got := eng.Cluster.Round(); got >= 1000 {
 		t.Fatalf("Round = %d after immediate cancel, want < 1000", got)
 	}
 	// The engine stays usable: a fresh context resumes the run.
@@ -75,13 +75,14 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestNopSinkInstallsNoRecorder: the no-op sink must skip instrumentation
-// entirely (the zero-allocation hot-path contract).
+// TestNopSinkInstallsNoRecorder: a nil sink, the one that records nothing,
+// must skip instrumentation entirely (the zero-allocation hot-path
+// contract).
 func TestNopSinkInstallsNoRecorder(t *testing.T) {
 	eng := engine.MustNew(append(smallOptions(1),
-		engine.WithSink(trace.Nop(), trace.Options{}))...)
+		engine.WithSink(nil, trace.Options{}))...)
 	if eng.Recorder != nil {
-		t.Fatal("no-op sink must not attach a recorder")
+		t.Fatal("nil sink must not attach a recorder")
 	}
 }
 
@@ -95,11 +96,8 @@ func TestSinkReceivesEvents(t *testing.T) {
 		t.Fatal("sink configured but no recorder attached")
 	}
 	eng.RunRounds(20)
-	if counting.Total() == 0 {
-		t.Fatal("counting sink observed no events over 20 rounds with AllFrames")
-	}
 	if counting.Count("frame") == 0 {
-		t.Fatalf("no frame events; kinds seen: %v", counting.Kinds())
+		t.Fatal("counting sink observed no frame events over 20 rounds with AllFrames")
 	}
 }
 

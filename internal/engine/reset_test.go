@@ -141,7 +141,7 @@ func TestResetRejectsBuildOptions(t *testing.T) {
 		"obd":            {untraced, engine.WithOBD()},
 		"classifier":     {untraced, engine.WithOBDClassifier()},
 		"attach sink":    {untraced, engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{})},
-		"detach sink":    {traced, engine.WithSink(trace.Nop(), trace.Options{})},
+		"detach sink":    {traced, engine.WithSink(nil, trace.Options{})},
 		"checkpointing":  {untraced, engine.WithCheckpointSink(func(int64, []byte) error { return nil }, 10)},
 		"restore stream": {untraced, engine.WithRestore(nil)},
 	} {

@@ -78,15 +78,6 @@ var registry = []struct {
 	{"A5", A5DiagBandwidth},
 }
 
-// All runs every experiment with the given base seed, in order.
-func All(seed uint64) []*Result {
-	out := make([]*Result, len(registry))
-	for i, e := range registry {
-		out[i] = e.Run(seed)
-	}
-	return out
-}
-
 // ByID runs the experiment with the given identifier (case-insensitive).
 func ByID(id string, seed uint64) (*Result, bool) {
 	want := strings.ToUpper(id)

@@ -53,18 +53,6 @@ func FITToRate(fit float64) float64 { return fit / 1e9 }
 // RateToFIT converts a per-hour rate to FIT.
 func RateToFIT(ratePerHour float64) float64 { return ratePerHour * 1e9 }
 
-// MTTFHours returns the mean time to failure in hours for a constant FIT
-// rate.
-func MTTFHours(fit float64) float64 {
-	if fit <= 0 {
-		return math.Inf(1)
-	}
-	return 1e9 / fit
-}
-
-// MTTFYears returns the mean time to failure in years.
-func MTTFYears(fit float64) float64 { return MTTFHours(fit) / HoursPerYear }
-
 // Bathtub is the three-phase lifetime model of the paper's Fig. 7. A unit's
 // lifetime is the minimum of three competing failure processes:
 //

@@ -184,8 +184,6 @@ type Campaign struct {
 	// scale exercise of the checkpoint determinism contract, and the
 	// execution shape of resumable long-horizon campaigns.
 	ChunkRounds int64
-	// Opts tunes the diagnostic subsystem.
-	Opts diagnosis.Options
 }
 
 // CampaignResult carries the audited comparison of both diagnosers plus
@@ -232,8 +230,8 @@ type vehicleOutcome struct {
 
 // TraceSink receives one vehicle's complete trace, audit block included,
 // as a binary (DCS-B) blob: one stream header, then the records (read it
-// with trace.OpenReader or any warranty ingest path; trace.TranscodeBytes
-// renders it as NDJSON). Vehicles are 1-based. The blob is valid only for
+// with trace.OpenReader or any warranty ingest path; trace.Transcode into
+// an NDJSON sink renders it readable). Vehicles are 1-based. The blob is valid only for
 // the duration of the call — the worker records its next vehicle into
 // the same buffer — so a sink that keeps it must copy it. It is invoked
 // from worker goroutines: implementations must be safe for concurrent
@@ -498,9 +496,9 @@ func (w *worker) release() {
 // from its previous vehicle, reset in place for this one; a nil sys
 // builds a fresh one. A chunked campaign runs in ChunkRounds
 // checkpoint/restore chunks through ck, each restored into a freshly
-// built engine, so its workers keep no system and always pass nil. With a non-nil rec, the vehicle records into it
-// and ends its trace with the audit block. It fails only when ctx is
-// cancelled mid-run.
+// built engine, so its workers keep no system and always pass nil. With
+// a non-nil rec, the vehicle records into it and ends its trace with the
+// audit block. It fails only when ctx is cancelled mid-run.
 func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehiclePlan, rec trace.Sink, ck *bytes.Buffer) (*System, error) {
 	var extra []engine.Option
 	if rec != nil {
@@ -526,7 +524,7 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 		// Each vehicle's engine gets its own classifier instance (the
 		// Bayesian stage is stateful; a reset clears it).
 		extra = append(pack.ClassifierOptions(c.Classifier), extra...)
-		sys = Fig10(p.seed, c.Opts, plan, extra...)
+		sys = Fig10(p.seed, diagnosis.Options{}, plan, extra...)
 	}
 	if c.ChunkRounds > 0 {
 		// Chunked resume: run, checkpoint, rebuild restored, repeat. Every
@@ -551,7 +549,7 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 			if err := sys.Engine.Checkpoint(ck); err != nil {
 				panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
 			}
-			sys = Fig10(p.seed, c.Opts, plan,
+			sys = Fig10(p.seed, diagnosis.Options{}, plan,
 				append(append([]engine.Option{}, extra...),
 					engine.WithRestore(ck.Bytes()))...)
 		}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"decos/internal/diagnosis"
 	"decos/internal/trace"
 )
 
@@ -44,7 +43,6 @@ func TestCampaignChunkedBitIdentical(t *testing.T) {
 		FaultFreeShare:   0.3,
 		FaultsPerVehicle: 2,
 		Workers:          2,
-		Opts:             diagnosis.Options{},
 	}
 
 	plain := &collectTraces{by: map[int][]byte{}}
@@ -117,14 +115,16 @@ func TestRunTracedBinaryMatchesNDJSON(t *testing.T) {
 				t.Fatalf("%s chunk=%d: %d traces, want %d", name, chunk, len(got.by), c.Vehicles)
 			}
 			for v, blob := range got.by {
-				nd, _, corrupt, err := trace.TranscodeBytes(blob, trace.FormatNDJSON)
-				if err != nil || corrupt != 0 {
+				rd, _ := trace.OpenReader(bytes.NewReader(blob))
+				var nd bytes.Buffer
+				_, unencodable, err := trace.Transcode(rd, trace.NewNDJSONSink(&nd))
+				if corrupt := rd.Corrupt() + unencodable; err != nil || corrupt != 0 {
 					t.Fatalf("%s chunk=%d vehicle %d: transcode corrupt %d, err %v",
 						name, chunk, v, corrupt, err)
 				}
-				if !bytes.Equal(nd, want[v]) {
+				if !bytes.Equal(nd.Bytes(), want[v]) {
 					t.Errorf("%s chunk=%d vehicle %d: binary trace transcodes to %d NDJSON bytes, the NDJSON sink wrote %d",
-						name, chunk, v, len(nd), len(want[v]))
+						name, chunk, v, nd.Len(), len(want[v]))
 				}
 			}
 		}

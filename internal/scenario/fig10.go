@@ -51,9 +51,7 @@ type System struct {
 	Voter   *component.VoterJob
 
 	// Handy job handles.
-	Sensor, Control, Actuator, Bursty, Sink *component.Instance
-	Replicas                                [3]*component.Instance
-	VoterJob                                *component.Instance
+	Control, Sink *component.Instance
 }
 
 // DiagNode hosts the diagnostic DAS's analysis stage.
@@ -154,17 +152,9 @@ func (s *System) adopt(eng *engine.Engine) {
 // bind resolves the System's job handles from the built Fig. 10
 // cluster.
 func (s *System) bind(cl *component.Cluster) {
-	dasA, dasC, dasS := cl.DAS("A"), cl.DAS("C"), cl.DAS("S")
-	s.Sensor = dasA.JobNamed("A1")
-	s.Control = dasA.JobNamed("A2")
-	s.Actuator = dasA.JobNamed("A3")
-	s.Bursty = dasC.JobNamed("C1")
-	s.Sink = dasC.JobNamed("C2")
-	for i := 0; i < 3; i++ {
-		s.Replicas[i] = dasS.JobNamed("S" + string(rune('1'+i)))
-	}
-	s.VoterJob = dasS.JobNamed("V")
-	s.Voter = s.VoterJob.Impl.(*component.VoterJob)
+	s.Control = cl.DAS("A").JobNamed("A2")
+	s.Sink = cl.DAS("C").JobNamed("C2")
+	s.Voter = cl.DAS("S").JobNamed("V").Impl.(*component.VoterJob)
 }
 
 // Run advances the system by n TDMA rounds.

@@ -165,12 +165,3 @@ func (l *Log[T]) Reserve(n int) {
 	}
 	l.segs = append(l.segs, make([]T, 0, n))
 }
-
-// AppendTo appends the log's elements, in order, to dst and returns the
-// extended slice.
-func (l *Log[T]) AppendTo(dst []T) []T {
-	for k := range l.segs {
-		dst = append(dst, l.Seg(k)...)
-	}
-	return dst
-}

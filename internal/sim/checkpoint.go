@@ -33,12 +33,10 @@ func (s *Scheduler) Code(c *ckpt.Coder) error {
 	return c.Err()
 }
 
-// DropPending cancels and discards every queued event. Pooled events are
-// returned to the free list so a restored scheduler keeps the pool warm.
+// DropPending discards every queued event. Pooled events are returned to
+// the free list so a restored scheduler keeps the pool warm.
 func (s *Scheduler) DropPending() {
 	for _, e := range s.queue {
-		e.index = -1
-		e.canceled = true
 		if e.pooled {
 			e.Fire, e.fn, e.Name = nil, nil, ""
 			s.free = append(s.free, e)

@@ -161,19 +161,6 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Streams hands out named, independent RNG streams derived from one master
 // seed. Requesting the same name twice returns the same stream instance.
 type Streams struct {

@@ -188,28 +188,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(12)
-	f := func(n uint8) bool {
-		m := int(n % 50)
-		p := r.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestStreamsIndependentAndStable(t *testing.T) {
 	st := NewStreams(99)
 	a1 := st.Stream("alpha")

@@ -1,9 +1,17 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
+
+// runAll fires every event scheduled before t=1<<20 µs.
+func runAll(s *Scheduler) {
+	if err := s.RunUntil(context.Background(), 1<<20); err != nil {
+		panic(err)
+	}
+}
 
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	s := NewScheduler()
@@ -12,7 +20,7 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 		at := at
 		s.At(at, "e", func() { got = append(got, at) })
 	}
-	s.Run()
+	runAll(s)
 	want := []Time{10, 20, 30, 40, 50}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
@@ -31,7 +39,7 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 		i := i
 		s.At(100, "tie", func() { got = append(got, i) })
 	}
-	s.Run()
+	runAll(s)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events fired out of scheduling order: %v", got)
@@ -46,16 +54,16 @@ func TestSchedulerNowAdvances(t *testing.T) {
 			t.Errorf("Now() = %v inside event at 25", s.Now())
 		}
 	})
-	s.Run()
-	if s.Now() != 25 {
-		t.Errorf("final Now() = %v, want 25", s.Now())
+	runAll(s)
+	if s.Now() != 1<<20 {
+		t.Errorf("final Now() = %v, want the deadline", s.Now())
 	}
 }
 
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(100, "advance", func() {})
-	s.Run()
+	runAll(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -64,53 +72,23 @@ func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s.At(50, "past", func() {})
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e := s.At(10, "victim", func() { fired = true })
-	s.Cancel(e)
-	s.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-	if !e.Canceled() {
-		t.Error("Canceled() = false after Cancel")
-	}
-	// Double cancel is a no-op.
-	s.Cancel(e)
-	s.Cancel(nil)
-}
-
-func TestSchedulerCancelOneOfMany(t *testing.T) {
-	s := NewScheduler()
-	var got []string
-	a := s.At(10, "a", func() { got = append(got, "a") })
-	s.At(20, "b", func() { got = append(got, "b") })
-	s.At(30, "c", func() { got = append(got, "c") })
-	s.Cancel(a)
-	s.Run()
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Errorf("got %v, want [b c]", got)
-	}
-}
-
 func TestSchedulerRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var fired int
 	for _, at := range []Time{10, 20, 30, 40} {
 		s.At(at, "e", func() { fired++ })
 	}
-	s.RunUntil(25)
+	s.RunUntil(context.Background(), 25)
 	if fired != 2 {
 		t.Errorf("fired %d events by t=25, want 2", fired)
 	}
 	if s.Now() != 25 {
 		t.Errorf("Now() = %v after RunUntil(25)", s.Now())
 	}
-	if s.Pending() != 2 {
-		t.Errorf("Pending() = %d, want 2", s.Pending())
+	if n := s.Stats().Pending; n != 2 {
+		t.Errorf("Pending = %d, want 2", n)
 	}
-	s.RunUntil(100)
+	s.RunUntil(context.Background(), 100)
 	if fired != 4 {
 		t.Errorf("fired %d events total, want 4", fired)
 	}
@@ -119,17 +97,28 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
+// A cancelled context stops the run after the in-flight event, within
+// ctxPollEvents events, and leaves the clock where the run stopped.
+func TestSchedulerRunUntilCancel(t *testing.T) {
 	s := NewScheduler()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var fired int
-	s.At(10, "a", func() { fired++; s.Stop() })
-	s.At(20, "b", func() { fired++ })
-	s.Run()
-	if fired != 1 {
-		t.Errorf("fired %d, want 1 (stopped after first)", fired)
+	for i := 1; i <= 3*ctxPollEvents; i++ {
+		s.At(Time(i), "e", func() {
+			if fired++; fired == 10 {
+				cancel()
+			}
+		})
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending() = %d after Stop, want 1", s.Pending())
+	if err := s.RunUntil(ctx, Time(4*ctxPollEvents)); err != context.Canceled {
+		t.Fatalf("RunUntil = %v, want context.Canceled", err)
+	}
+	if fired != ctxPollEvents || s.Now() != Time(ctxPollEvents) {
+		t.Errorf("stopped after %d events at %v, want %d at the last fired", fired, s.Now(), ctxPollEvents)
+	}
+	if err := s.RunUntil(ctx, Time(4*ctxPollEvents)); err != context.Canceled || fired != ctxPollEvents {
+		t.Errorf("RunUntil on a cancelled context = %v after %d events, want context.Canceled and none fired", err, fired)
 	}
 }
 
@@ -138,9 +127,9 @@ func TestSchedulerEventsScheduledDuringRun(t *testing.T) {
 	var got []Time
 	s.At(10, "outer", func() {
 		got = append(got, s.Now())
-		s.After(5, "inner", func() { got = append(got, s.Now()) })
+		s.At(s.Now()+5, "inner", func() { got = append(got, s.Now()) })
 	})
-	s.Run()
+	runAll(s)
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
 		t.Errorf("got %v, want [10 15]", got)
 	}
@@ -151,7 +140,7 @@ func TestSchedulerFiredCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.At(Time(i), "e", func() {})
 	}
-	s.Run()
+	runAll(s)
 	if s.Fired() != 7 {
 		t.Errorf("Fired() = %d, want 7", s.Fired())
 	}
@@ -167,7 +156,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 			at := Time(u)
 			s.At(at, "p", func() { fired = append(fired, at) })
 		}
-		s.Run()
+		runAll(s)
 		if len(fired) != len(times) {
 			return false
 		}
@@ -190,9 +179,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if base.Sub(Time(1000)) != 2*Millisecond {
 		t.Errorf("Sub wrong: %v", base.Sub(Time(1000)))
-	}
-	if !Time(5).Before(Time(6)) || !Time(6).After(Time(5)) {
-		t.Error("Before/After wrong")
 	}
 	if Time(2*Hour).Hours() != 2 {
 		t.Errorf("Hours() = %v, want 2", Time(2*Hour).Hours())

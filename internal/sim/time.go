@@ -36,12 +36,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Micros returns the time as an integer microsecond count.
 func (t Time) Micros() int64 { return int64(t) }
 
@@ -66,9 +60,6 @@ func (t Time) String() string {
 
 // Micros returns the duration as an integer microsecond count.
 func (d Duration) Micros() int64 { return int64(d) }
-
-// Seconds returns the duration in seconds.
-func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // Hours returns the duration in hours.
 func (d Duration) Hours() float64 { return float64(d) / float64(Hour) }

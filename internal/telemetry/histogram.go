@@ -62,14 +62,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[i].Add(1)
 }
 
-// Count returns the number of observations (zero for the nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Bucket is one non-empty histogram bucket: Count observations at most Le.
 type Bucket struct {
 	Le    int64 `json:"le"`

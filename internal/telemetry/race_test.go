@@ -44,7 +44,6 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 					return
 				default:
 					_ = r.Snapshot()
-					_ = r.Names()
 				}
 			}
 		}()

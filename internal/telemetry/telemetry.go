@@ -21,7 +21,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -56,13 +55,6 @@ type Gauge struct{ v atomic.Int64 }
 func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
 	}
 }
 
@@ -220,29 +212,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns the names of all registered metrics, sorted, with computed
-// gauges included — the registry's table of contents.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.funcs))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.histograms {
-		out = append(out, n)
-	}
-	for n := range r.funcs {
-		out = append(out, n)
-	}
-	r.mu.Unlock()
-	sort.Strings(out)
-	return out
 }

@@ -322,12 +322,6 @@ type BinaryReader struct {
 	trust                  float64
 }
 
-// NewBinaryReader wraps r. The per-record payload bound defaults to
-// DefaultMaxLineBytes; use SetMaxRecordBytes to change it before reading.
-func NewBinaryReader(r io.Reader) *BinaryReader {
-	return newBinaryReader(bufio.NewReaderSize(r, 64<<10))
-}
-
 func newBinaryReader(br *bufio.Reader) *BinaryReader {
 	return &BinaryReader{
 		br:       br,
@@ -345,10 +339,6 @@ func (r *BinaryReader) SetMaxRecordBytes(n int) {
 	}
 	r.max = n
 }
-
-// Records returns the number of records consumed so far (corrupt ones
-// included), mirroring Reader.Lines.
-func (r *BinaryReader) Records() int { return r.records }
 
 // Corrupt returns the number of records skipped as undecodable, plus one
 // for a poisoned stream tail.
@@ -435,19 +425,6 @@ func (r *BinaryReader) readFrameLen() (int, error) {
 		}
 		shift += 7
 	}
-}
-
-// Next returns a copy of the next decodable event. It returns io.EOF at
-// the end of the readable stream (a poisoned tail included — the
-// corruption is reported through Corrupt/CorruptErrors, as with the
-// NDJSON reader); a non-EOF error is a transport error or an unusable
-// stream (bad magic, unsupported version).
-func (r *BinaryReader) Next() (Event, error) {
-	e, err := r.next()
-	if err != nil {
-		return Event{}, err
-	}
-	return *e, nil
 }
 
 // Each decodes the remaining stream, handing fn the reader-owned event

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"io"
@@ -103,8 +104,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if f != FormatBinary {
 		t.Fatalf("sniffed %v, want binary", f)
 	}
-	if rd.Records() != len(events) {
-		t.Fatalf("Records() = %d, want %d", rd.Records(), len(events))
+	if n := rd.(*BinaryReader).records; n != len(events) {
+		t.Fatalf("records = %d, want %d", n, len(events))
 	}
 }
 
@@ -152,8 +153,8 @@ func TestOpenReaderSniffs(t *testing.T) {
 	if f != FormatBinary {
 		t.Fatalf("header-only stream sniffed as %v, want binary", f)
 	}
-	if _, err := rd.Next(); err != io.EOF {
-		t.Fatalf("header-only stream Next = %v, want io.EOF", err)
+	if err := rd.Each(func(*Event) { t.Fatal("header-only stream decoded an event") }); err != nil {
+		t.Fatalf("header-only stream = %v, want the end of the stream", err)
 	}
 }
 
@@ -196,7 +197,7 @@ func TestBinaryReaderSkipsCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd := NewBinaryReader(bytes.NewReader(blob))
+	rd := newBinaryReader(bufio.NewReader(bytes.NewReader(blob)))
 	var got []string
 	if err := rd.ReadAll(func(e Event) { got = append(got, e.Kind) }); err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestBinaryReaderTruncated(t *testing.T) {
 	events := goldenEvents()
 	blob := encodeBinary(t, events)
 	for _, cut := range []int{len(blob) - 1, len(blob) - 9, binaryHeaderLen + 1} {
-		rd := NewBinaryReader(bytes.NewReader(blob[:cut]))
+		rd := newBinaryReader(bufio.NewReader(bytes.NewReader(blob[:cut])))
 		n := 0
 		if err := rd.ReadAll(func(Event) { n++ }); err != nil {
 			t.Fatalf("cut=%d: transport error %v", cut, err)
@@ -253,7 +254,7 @@ func TestBinaryReaderFramingPoison(t *testing.T) {
 	poisoned = append(poisoned, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // ~2^41-byte record
 	poisoned = append(poisoned, blob[binaryHeaderLen:]...)          // unreachable tail
 
-	rd := NewBinaryReader(bytes.NewReader(poisoned))
+	rd := newBinaryReader(bufio.NewReader(bytes.NewReader(poisoned)))
 	n := 0
 	if err := rd.ReadAll(func(Event) { n++ }); err != nil {
 		t.Fatal(err)
@@ -264,32 +265,32 @@ func TestBinaryReaderFramingPoison(t *testing.T) {
 	if rd.Corrupt() != 1 {
 		t.Fatalf("corrupt = %d, want 1 (the poisoned tail, reported once)", rd.Corrupt())
 	}
-	if _, err := rd.Next(); err != io.EOF {
-		t.Fatalf("poisoned reader Next = %v, want io.EOF", err)
+	if err := rd.Each(func(*Event) { t.Fatal("poisoned reader decoded another event") }); err != nil {
+		t.Fatalf("poisoned reader read again = %v, want the end of the stream", err)
 	}
 }
 
 func TestBinaryReaderBadMagicAndVersion(t *testing.T) {
-	rd := NewBinaryReader(strings.NewReader(`{"t_us":1,"kind":"frame"}` + "\n"))
-	if _, err := rd.Next(); err == nil || err == io.EOF {
+	rd := newBinaryReader(bufio.NewReader(strings.NewReader(`{"t_us":1,"kind":"frame"}` + "\n")))
+	if err := rd.Each(func(*Event) {}); err == nil {
 		t.Fatalf("NDJSON through the binary decoder = %v, want a bad-magic error", err)
 	}
 
 	skew := AppendHeader(nil)
 	skew[len(skew)-1] = BinaryVersion + 1
-	rd = NewBinaryReader(bytes.NewReader(skew))
-	_, err := rd.Next()
-	if err == nil || err == io.EOF || !strings.Contains(err.Error(), "version") {
+	rd = newBinaryReader(bufio.NewReader(bytes.NewReader(skew)))
+	err := rd.Each(func(*Event) {})
+	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future-version stream = %v, want a version error", err)
 	}
-	if _, err2 := rd.Next(); err2 != err {
+	if err2 := rd.Each(func(*Event) {}); err2 != err {
 		t.Fatalf("fatal error is not sticky: %v then %v", err, err2)
 	}
 }
 
 func TestBinaryReaderRecordBound(t *testing.T) {
 	blob := encodeBinary(t, goldenEvents())
-	rd := NewBinaryReader(bytes.NewReader(blob))
+	rd := newBinaryReader(bufio.NewReader(bytes.NewReader(blob)))
 	rd.SetMaxRecordBytes(4) // every record is larger than this
 	if err := rd.ReadAll(func(Event) { t.Fatal("event decoded past the bound") }); err != nil {
 		t.Fatal(err)
@@ -302,8 +303,17 @@ func TestBinaryReaderRecordBound(t *testing.T) {
 	}
 }
 
-// TestTranscodeBytes: NDJSON → binary → NDJSON preserves every event
-// value-for-value.
+// transcodeBytes re-encodes a complete trace blob into the given format;
+// corrupt counts the undecodable and the unencodable records.
+func transcodeBytes(blob []byte, to Format) (out []byte, events, corrupt int, err error) {
+	rd, _ := OpenReader(bytes.NewReader(blob))
+	var buf bytes.Buffer
+	events, unencodable, err := Transcode(rd, NewSink(&buf, to))
+	return buf.Bytes(), events, rd.Corrupt() + unencodable, err
+}
+
+// TestTranscodeBytes: NDJSON → binary → NDJSON through Transcode preserves
+// every event value-for-value.
 func TestTranscodeBytes(t *testing.T) {
 	events := goldenEvents()
 	var nd bytes.Buffer
@@ -314,7 +324,7 @@ func TestTranscodeBytes(t *testing.T) {
 		}
 	}
 
-	bin, n, corrupt, err := TranscodeBytes(nd.Bytes(), FormatBinary)
+	bin, n, corrupt, err := transcodeBytes(nd.Bytes(), FormatBinary)
 	if err != nil || corrupt != 0 || n != len(events) {
 		t.Fatalf("to binary: n=%d corrupt=%d err=%v", n, corrupt, err)
 	}
@@ -322,7 +332,7 @@ func TestTranscodeBytes(t *testing.T) {
 		t.Fatalf("transcoded stream sniffs as %v", f)
 	}
 
-	back, n, corrupt, err := TranscodeBytes(bin, FormatNDJSON)
+	back, n, corrupt, err := transcodeBytes(bin, FormatNDJSON)
 	if err != nil || corrupt != 0 || n != len(events) {
 		t.Fatalf("back to ndjson: n=%d corrupt=%d err=%v", n, corrupt, err)
 	}
@@ -330,7 +340,7 @@ func TestTranscodeBytes(t *testing.T) {
 		t.Fatalf("transcoded-back stream sniffs as %v", f)
 	}
 
-	if _, _, _, err := TranscodeBytes([]byte("not json at all\n"), FormatBinary); err != nil {
+	if _, _, _, err := transcodeBytes([]byte("not json at all\n"), FormatBinary); err != nil {
 		t.Fatalf("corrupt-only input must transcode to an empty stream, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"strings"
@@ -30,26 +31,18 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add([]byte(`{"t_us":1,"kind":"frame","vehicle":3}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rd := NewBinaryReader(bytes.NewReader(data))
+		rd := newBinaryReader(bufio.NewReader(bytes.NewReader(data)))
 		events := 0
-		for {
-			_, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// Only stream-level faults may surface: bad magic or an
-				// unsupported version — and only on streams that carry them.
-				if len(data) >= len(binaryMagic) && HasBinaryHeader(data) &&
-					!strings.Contains(err.Error(), "version") {
-					t.Fatalf("well-headed stream failed fatally: %v", err)
-				}
-				break
-			}
-			events++
-			if events > len(data) {
+		err := rd.Each(func(*Event) {
+			if events++; events > len(data) {
 				t.Fatalf("decoded %d events from %d bytes", events, len(data))
 			}
+		})
+		// Only stream-level faults may surface: bad magic or an
+		// unsupported version — and only on streams that carry them.
+		if err != nil && len(data) >= len(binaryMagic) && HasBinaryHeader(data) &&
+			!strings.Contains(err.Error(), "version") {
+			t.Fatalf("well-headed stream failed fatally: %v", err)
 		}
 		for _, cerr := range rd.CorruptErrors() {
 			if !strings.Contains(cerr.Error(), "offset") {

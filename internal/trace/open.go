@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 )
@@ -25,14 +24,6 @@ func (f Format) String() string {
 		return "binary"
 	}
 	return "ndjson"
-}
-
-// ContentType returns the HTTP media type for the format.
-func (f Format) ContentType() string {
-	if f == FormatBinary {
-		return ContentTypeBinary
-	}
-	return ContentTypeNDJSON
 }
 
 // ParseFormat resolves a format name ("ndjson" or "binary").
@@ -58,17 +49,12 @@ func NewSink(w io.Writer, f Format) Sink {
 // implement: sequential event access with corruption counted and skipped
 // rather than fatal, and record-numbered recovery detail.
 type EventReader interface {
-	// Next returns a copy of the next decodable event, io.EOF at end of
-	// stream.
-	Next() (Event, error)
 	// Each decodes the remaining stream, handing fn a reader-owned event
 	// that the next record overwrites: fn keeps Event.Detached copies.
 	Each(fn func(*Event)) error
 	// ReadAll is Each with one copy of every event handed to fn. Pointer
 	// fields of a binary reader's copies still point into its scratch.
 	ReadAll(fn func(Event)) error
-	// Records returns the number of records (NDJSON lines) consumed.
-	Records() int
 	// Corrupt returns the number of records skipped as undecodable.
 	Corrupt() int
 	// CorruptErrors returns capped record-numbered recovery detail.
@@ -103,7 +89,10 @@ func OpenReader(r io.Reader) (EventReader, Format) {
 // Transcode streams every event rd decodes into sink, then closes the
 // sink. Events the sink cannot encode (e.g. a kind v1 has no layout for)
 // are skipped and counted in unencodable; undecodable input records are
-// rd's Corrupt count. err is the first read or close error.
+// rd's Corrupt count. err is the first read or close error. Transcoding
+// NDJSON→binary→NDJSON is value-preserving for every field the kind's
+// layout carries: the warranty summaries from either stream are
+// byte-identical.
 func Transcode(rd EventReader, sink Sink) (events, unencodable int, err error) {
 	err = rd.Each(func(e *Event) {
 		if serr := sink.Record(e); serr != nil {
@@ -116,22 +105,4 @@ func Transcode(rd EventReader, sink Sink) (events, unencodable int, err error) {
 		err = cerr
 	}
 	return events, unencodable, err
-}
-
-// TranscodeBytes re-encodes a complete trace blob into the given format
-// (sniffing the input's). Undecodable input records are skipped and
-// counted, per the readers' recovery semantics; err is reserved for an
-// unusable stream or an encoding failure. Transcoding NDJSON→binary→
-// NDJSON is value-preserving for every field the kind's layout carries —
-// the warranty summaries from either blob are byte-identical.
-func TranscodeBytes(blob []byte, to Format) (out []byte, events, corrupt int, err error) {
-	rd, _ := OpenReader(bytes.NewReader(blob))
-	var buf bytes.Buffer
-	buf.Grow(len(blob))
-	events, unencodable, err := Transcode(rd, NewSink(&buf, to))
-	corrupt = rd.Corrupt() + unencodable
-	if err != nil {
-		return nil, events, corrupt, err
-	}
-	return buf.Bytes(), events, corrupt, nil
 }

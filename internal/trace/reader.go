@@ -34,12 +34,6 @@ type Reader struct {
 // with its corruption count.
 const maxCorruptErrors = 16
 
-// NewReader wraps r. The decode buffer is bounded by DefaultMaxLineBytes;
-// use SetMaxRecordBytes to tighten or widen the bound before reading.
-func NewReader(r io.Reader) *Reader {
-	return newReader(bufio.NewReaderSize(r, 64<<10))
-}
-
 func newReader(br *bufio.Reader) *Reader {
 	return &Reader{br: br, max: DefaultMaxLineBytes}
 }
@@ -53,10 +47,6 @@ func (r *Reader) SetMaxRecordBytes(n int) {
 	}
 	r.max = n
 }
-
-// Records returns the number of records (non-empty lines) consumed so
-// far, under the EventReader interface.
-func (r *Reader) Records() int { return r.lines }
 
 // Corrupt returns the number of lines skipped as undecodable or over-long.
 func (r *Reader) Corrupt() int { return r.corrupt }
@@ -72,17 +62,6 @@ func (r *Reader) noteCorrupt(err error) {
 	if len(r.errs) < maxCorruptErrors {
 		r.errs = append(r.errs, err)
 	}
-}
-
-// Next returns a copy of the next decodable event. It returns io.EOF at
-// the end of the stream; any other error is a transport error from the
-// underlying reader. Corrupt lines never surface as errors.
-func (r *Reader) Next() (Event, error) {
-	e, err := r.next()
-	if err != nil {
-		return Event{}, err
-	}
-	return *e, nil
 }
 
 // Each decodes the remaining stream, handing fn the reader-owned event

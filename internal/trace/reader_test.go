@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
@@ -31,7 +30,7 @@ func TestReaderRoundTrip(t *testing.T) {
 		t.Fatal(rec.Err)
 	}
 
-	r := NewReader(&buf)
+	r, _ := OpenReader(&buf)
 	var got []Event
 	if err := r.ReadAll(func(e Event) { got = append(got, e) }); err != nil {
 		t.Fatal(err)
@@ -51,8 +50,8 @@ func TestReaderRoundTrip(t *testing.T) {
 	if e := sampleEvents()[3]; got[3].Trust == nil || *got[3].Trust != *e.Trust {
 		t.Error("trust value lost in round trip")
 	}
-	if r.Corrupt() != 0 || r.Records() != len(want) {
-		t.Errorf("lines=%d corrupt=%d, want %d/0", r.Records(), r.Corrupt(), len(want))
+	if r.Corrupt() != 0 {
+		t.Errorf("corrupt = %d, want 0", r.Corrupt())
 	}
 }
 
@@ -66,7 +65,7 @@ this is not json
 
 {"t_us":4,"kind":"trust","subject":"component[2]"}
 `
-	r := NewReader(strings.NewReader(stream))
+	r, _ := OpenReader(strings.NewReader(stream))
 	var kinds []string
 	if err := r.ReadAll(func(e Event) { kinds = append(kinds, e.Kind) }); err != nil {
 		t.Fatal(err)
@@ -77,8 +76,8 @@ this is not json
 	if r.Corrupt() != 3 {
 		t.Errorf("corrupt = %d, want 3", r.Corrupt())
 	}
-	if r.Records() != 6 {
-		t.Errorf("lines = %d, want 6 (empty line not counted)", r.Records())
+	if n := r.(*Reader).lines; n != 6 {
+		t.Errorf("lines = %d, want 6 (empty line not counted)", n)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestReaderBoundedLine(t *testing.T) {
 	buf.WriteString(`{"t_us":2,"kind":"symptom","detail":"` + strings.Repeat("x", 1<<21) + `"}` + "\n")
 	buf.WriteString(`{"t_us":3,"kind":"trust"}` + "\n")
 
-	r := NewReader(&buf)
+	r, _ := OpenReader(&buf)
 	r.SetMaxRecordBytes(64 << 10)
 	var kinds []string
 	if err := r.ReadAll(func(e Event) { kinds = append(kinds, e.Kind) }); err != nil {
@@ -106,16 +105,13 @@ func TestReaderBoundedLine(t *testing.T) {
 
 // TestReaderNoTrailingNewline: the final unterminated line still decodes.
 func TestReaderNoTrailingNewline(t *testing.T) {
-	r := NewReader(strings.NewReader(`{"t_us":9,"kind":"frame"}`))
-	e, err := r.Next()
-	if err != nil {
+	r, _ := OpenReader(strings.NewReader(`{"t_us":9,"kind":"frame"}`))
+	var got []Event
+	if err := r.ReadAll(func(e Event) { got = append(got, e) }); err != nil {
 		t.Fatal(err)
 	}
-	if e.T != 9 || e.Kind != "frame" {
-		t.Errorf("got %+v", e)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("want io.EOF, got %v", err)
+	if len(got) != 1 || got[0].T != 9 || got[0].Kind != "frame" {
+		t.Errorf("got %+v", got)
 	}
 }
 
@@ -127,7 +123,7 @@ garbage
 {"t_us":2,"kind":"trust"}
 {"no_kind_field":true}
 `
-	r := NewReader(strings.NewReader(stream))
+	r, _ := OpenReader(strings.NewReader(stream))
 	if err := r.ReadAll(func(Event) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +146,7 @@ func TestReaderTruncatedFinalLine(t *testing.T) {
 	stream := `{"t_us":1,"kind":"frame"}
 {"t_us":2,"kind":"symptom"}
 {"t_us":3,"kind":"ver`
-	r := NewReader(strings.NewReader(stream))
+	r, _ := OpenReader(strings.NewReader(stream))
 	var kinds []string
 	if err := r.ReadAll(func(e Event) { kinds = append(kinds, e.Kind) }); err != nil {
 		t.Fatal(err)
@@ -177,7 +173,7 @@ func TestReaderCorruptErrorsBounded(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		b.WriteString("not json\n")
 	}
-	r := NewReader(strings.NewReader(b.String()))
+	r, _ := OpenReader(strings.NewReader(b.String()))
 	if err := r.ReadAll(func(Event) {}); err != nil {
 		t.Fatal(err)
 	}

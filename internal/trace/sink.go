@@ -3,15 +3,14 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // Sink consumes trace events. It is the pluggable back end of a Recorder:
 // the same cluster instrumentation can stream NDJSON or binary records to
-// a file or an uplink, feed in-process metrics, or be discarded —
-// without the recording call sites knowing which. Implementations are used
-// from the single-threaded simulator loop and need not be safe for
-// concurrent use unless documented otherwise.
+// a file or an uplink, or feed in-process metrics, without the recording
+// call sites knowing which. A nil sink records nothing. Implementations
+// are used from the single-threaded simulator loop and need not be safe
+// for concurrent use unless documented otherwise.
 type Sink interface {
 	// Record consumes one event. The *Event is valid only for the call:
 	// the recorder reuses it for the next event, so a sink that keeps the
@@ -58,9 +57,7 @@ func (s *NDJSONSink) Close() error {
 // metrics back end for long soak runs where a full NDJSON stream would be
 // gigabytes.
 type CountingSink struct {
-	total  int
 	byKind map[string]int
-	lastT  int64
 }
 
 // NewCountingSink returns an empty counting sink.
@@ -70,54 +67,12 @@ func NewCountingSink() *CountingSink {
 
 // Record counts e.
 func (s *CountingSink) Record(e *Event) error {
-	s.total++
 	s.byKind[e.Kind]++
-	if e.T > s.lastT {
-		s.lastT = e.T
-	}
 	return nil
 }
 
 // Close is a no-op.
 func (s *CountingSink) Close() error { return nil }
 
-// Total returns the number of events recorded.
-func (s *CountingSink) Total() int { return s.total }
-
 // Count returns the number of events of the given kind.
 func (s *CountingSink) Count(kind string) int { return s.byKind[kind] }
-
-// Kinds returns the observed event kinds in sorted order.
-func (s *CountingSink) Kinds() []string {
-	out := make([]string, 0, len(s.byKind))
-	for k := range s.byKind {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LastT returns the largest event timestamp seen, in microseconds.
-func (s *CountingSink) LastT() int64 { return s.lastT }
-
-// nopSink discards everything. It is a sentinel: attach points recognize
-// it (IsNop) and skip instrumentation entirely, so a run configured with
-// the no-op sink pays nothing on the simulator hot path.
-type nopSink struct{}
-
-func (nopSink) Record(*Event) error { return nil }
-func (nopSink) Close() error        { return nil }
-
-// Nop returns the no-op sink.
-func Nop() Sink { return nopSink{} }
-
-// IsNop reports whether s is nil or the no-op sink — i.e. recording
-// through it could never observe anything, and instrumentation may be
-// skipped altogether.
-func IsNop(s Sink) bool {
-	if s == nil {
-		return true
-	}
-	_, ok := s.(nopSink)
-	return ok
-}

@@ -112,12 +112,12 @@ type Recorder struct {
 
 // AttachSink wires a recorder writing to sink onto a cluster (and,
 // optionally, its diagnostics and injector — pass nil to skip either). It
-// must be called before the first round runs. A nil or no-op sink
-// installs no instrumentation at all: the returned recorder is inert and
+// must be called before the first round runs. A nil sink installs no
+// instrumentation at all: the returned recorder is inert and
 // the simulator hot path keeps its zero-allocation contract.
 func AttachSink(cl *component.Cluster, d *diagnosis.Diagnostics, inj *faults.Injector, sink Sink, opts Options) *Recorder {
 	r := &Recorder{sink: sink, opts: opts}
-	if IsNop(sink) {
+	if sink == nil {
 		return r
 	}
 

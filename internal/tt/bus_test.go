@@ -1,6 +1,7 @@
 package tt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -57,7 +58,7 @@ func newCluster(t *testing.T, n int) (*sim.Scheduler, *Bus, []*recController) {
 
 func runRounds(sched *sim.Scheduler, cfg Config, rounds int64) {
 	// Stop just before the first slot of the next round.
-	sched.RunUntil(sim.Time(rounds*cfg.RoundDuration().Micros() - 1))
+	sched.RunUntil(context.Background(), sim.Time(rounds*cfg.RoundDuration().Micros()-1))
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -86,9 +87,6 @@ func TestConfigGeometry(t *testing.T) {
 	}
 	if got := cfg.SlotStart(2, 1); got != sim.Time(2*1000+250) {
 		t.Errorf("SlotStart(2,1) = %v", got)
-	}
-	if got := cfg.SlotsOf(2); len(got) != 1 || got[0] != 2 {
-		t.Errorf("SlotsOf(2) = %v", got)
 	}
 	nodes := cfg.Nodes()
 	if len(nodes) != 4 || nodes[0] != 0 || nodes[3] != 3 {
@@ -155,7 +153,7 @@ func TestFailSilentNodeOmitsAndLeavesMembership(t *testing.T) {
 			t.Errorf("membership views disagree (node %d vs 0)", obs)
 		}
 	}
-	if bus.Membership(0).Failures(2) == 0 {
+	if bus.Membership(0).failCount[2] == 0 {
 		t.Error("no failures recorded for dead node")
 	}
 }

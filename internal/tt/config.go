@@ -77,17 +77,6 @@ func (c Config) SlotStart(round int64, slot int) sim.Time {
 	return sim.Time((round*int64(len(c.Slots)) + int64(slot)) * c.SlotDuration.Micros())
 }
 
-// SlotsOf returns the slot indices owned by node n.
-func (c Config) SlotsOf(n NodeID) []int {
-	var out []int
-	for i, owner := range c.Slots {
-		if owner == n {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Nodes returns the sorted set of node ids that own at least one slot.
 func (c Config) Nodes() []NodeID {
 	seen := map[NodeID]bool{}

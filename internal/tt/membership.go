@@ -68,14 +68,6 @@ func (m *Membership) Member(n NodeID, round int64) bool {
 	return m.lastOK[n] == seen
 }
 
-// Failures returns the cumulative count of failed frames observed from n.
-func (m *Membership) Failures(n NodeID) int {
-	if n < 0 || int(n) >= len(m.failCount) {
-		return 0
-	}
-	return m.failCount[n]
-}
-
 // Vector returns the membership bit per node (in the node order supplied at
 // construction) as of the given round.
 func (m *Membership) Vector(round int64) []bool {

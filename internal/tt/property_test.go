@@ -1,6 +1,7 @@
 package tt
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -45,7 +46,7 @@ func TestMembershipConsistencyProperty(t *testing.T) {
 		sched.At(cfg.SlotStart(killAt, 0), "kill", func() { bus.SetAlive(victim, false) })
 		sched.At(cfg.SlotStart(reviveAt, 0), "revive", func() { bus.SetAlive(victim, true) })
 
-		sched.RunUntil(sim.Time(40*cfg.RoundDuration().Micros() - 1))
+		sched.RunUntil(context.Background(), sim.Time(40*cfg.RoundDuration().Micros()-1))
 		return consistent
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -79,7 +80,7 @@ func TestGuardianIsolationProperty(t *testing.T) {
 			}
 		})
 		bus.Start()
-		sched.RunUntil(sim.Time(10*cfg.RoundDuration().Micros() - 1))
+		sched.RunUntil(context.Background(), sim.Time(10*cfg.RoundDuration().Micros()-1))
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -79,9 +79,6 @@ func (p *InPort) Peek() (Message, bool) {
 	return p.queue[len(p.queue)-1], true
 }
 
-// QueueLen returns the number of queued messages.
-func (p *InPort) QueueLen() int { return len(p.queue) }
-
 func (p *InPort) deliver(m Message, crcValid bool, now sim.Time) {
 	if !crcValid {
 		p.Stats.CRCFailures++
@@ -384,16 +381,6 @@ func (f *Fabric) Totals() PortTotals {
 
 // Networks returns the registered networks in registration order.
 func (f *Fabric) Networks() []*Network { return f.networks }
-
-// Network returns the registered network with the given name, or nil.
-func (f *Fabric) Network(name string) *Network {
-	for _, n := range f.networks {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
 
 // BuildPayload assembles node's frame payload for one round: each attached
 // network packs its segment in place, at its fixed offset. The returned

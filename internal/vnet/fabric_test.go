@@ -94,8 +94,8 @@ func TestTTStateDelivery(t *testing.T) {
 	ttn.Send(1, FloatPayload(43), 200)
 	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 300, 2)
 	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 400, 2)
-	if in.QueueLen() != 1 {
-		t.Errorf("overwrite port queue = %d, want 1", in.QueueLen())
+	if len(in.queue) != 1 {
+		t.Errorf("overwrite port queue = %d, want 1", len(in.queue))
 	}
 	m, _ = in.Peek()
 	if m.Float() != 43 {
@@ -121,12 +121,12 @@ func TestETQueueFIFOAndAllocationLimit(t *testing.T) {
 	}
 	ep := etn.Endpoint(0)
 	payload := f.BuildPayload(0)
-	if ep.QueueLen() != 3 {
-		t.Errorf("queue after first round = %d, want 3", ep.QueueLen())
+	if len(ep.outQueue) != 3 {
+		t.Errorf("queue after first round = %d, want 3", len(ep.outQueue))
 	}
 	consume(f, tt.Frame{Sender: 0, Payload: payload}, tt.FrameOK, 100, 1)
-	if in.QueueLen() != 2 {
-		t.Errorf("delivered %d messages, want 2", in.QueueLen())
+	if len(in.queue) != 2 {
+		t.Errorf("delivered %d messages, want 2", len(in.queue))
 	}
 	m, _ := in.Receive()
 	if m.Float() != 0 {
@@ -135,7 +135,7 @@ func TestETQueueFIFOAndAllocationLimit(t *testing.T) {
 	// Next round drains the remainder.
 	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 200, 1)
 	consume(f, tt.Frame{Sender: 0, Payload: f.BuildPayload(0)}, tt.FrameOK, 300, 1)
-	total := in.QueueLen()
+	total := len(in.queue)
 	for _, want := range []float64{1, 2, 3, 4} {
 		m, ok := in.Receive()
 		if !ok || m.Float() != want {
@@ -177,8 +177,8 @@ func TestReceiveQueueOverflow(t *testing.T) {
 	if in.Stats.Overflows != 1 {
 		t.Errorf("Overflows = %d, want 1", in.Stats.Overflows)
 	}
-	if in.QueueLen() != 1 {
-		t.Errorf("queue = %d, want 1", in.QueueLen())
+	if len(in.queue) != 1 {
+		t.Errorf("queue = %d, want 1", len(in.queue))
 	}
 }
 
@@ -394,8 +394,8 @@ func TestNetworkDeclarationPanics(t *testing.T) {
 
 func TestNetworkAccessors(t *testing.T) {
 	f, ttn, _ := buildFabric(t)
-	if f.Network("dasA.tt") != ttn || f.Network("nope") != nil {
-		t.Error("Network lookup wrong")
+	if nets := f.Networks(); len(nets) == 0 || nets[0] != ttn {
+		t.Error("Networks does not lead with the first registered network")
 	}
 	chs := ttn.Channels()
 	if len(chs) != 2 || chs[0] != 1 || chs[1] != 2 {

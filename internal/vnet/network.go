@@ -294,6 +294,3 @@ func (n *Network) reset() {
 		ep.TxOverflows, ep.TxMessages = 0, 0
 	}
 }
-
-// QueueLen returns the number of messages waiting in the outbound queue.
-func (ep *Endpoint) QueueLen() int { return len(ep.outQueue) }

@@ -39,7 +39,7 @@ func TestETConservationProperty(t *testing.T) {
 			consume(fab, tt.Frame{Sender: 0, Round: int64(r), Payload: payload}, tt.FrameOK, sim.Time(r), 0)
 		}
 		// Conservation: accepted = delivered + still queued at sender.
-		return ep.TxMessages == in.Stats.Received+ep.QueueLen()
+		return ep.TxMessages == in.Stats.Received+len(ep.outQueue)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

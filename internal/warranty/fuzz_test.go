@@ -23,10 +23,7 @@ import (
 func FuzzIngestStream(f *testing.F) {
 	traces := campaignTraces(f, 2, 60)
 	bin := traces[1]
-	nd, _, corrupt, err := trace.TranscodeBytes(bin, trace.FormatNDJSON)
-	if err != nil || corrupt != 0 {
-		f.Fatalf("transcode: corrupt=%d err=%v", corrupt, err)
-	}
+	nd := transcode(f, bin, trace.FormatNDJSON)
 	f.Add(bin)
 	f.Add(nd)
 	f.Add(bin[:len(bin)/2])
@@ -65,10 +62,7 @@ func FuzzIngestHTTP(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	nd, _, corrupt, err := trace.TranscodeBytes(bin, trace.FormatNDJSON)
-	if err != nil || corrupt != 0 {
-		f.Fatalf("transcode: corrupt=%d err=%v", corrupt, err)
-	}
+	nd := transcode(f, bin, trace.FormatNDJSON)
 	for _, body := range [][]byte{bin, nd} {
 		ct := trace.ContentTypeNDJSON
 		if trace.HasBinaryHeader(body) {

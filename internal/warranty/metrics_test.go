@@ -24,7 +24,7 @@ func TestMetricsEndpointLive(t *testing.T) {
 	col := NewCollector(0)
 	reg := telemetry.New()
 	srv := NewServer(col, ServerOptions{Telemetry: reg})
-	if srv.Telemetry() != reg {
+	if srv.metrics != reg {
 		t.Fatal("server did not adopt the supplied registry")
 	}
 	ts := httptest.NewServer(srv)

@@ -43,10 +43,7 @@ func TestIngestContentNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bin, n, corrupt, err := trace.TranscodeBytes(nd.Bytes(), trace.FormatBinary)
-	if err != nil || corrupt != 0 || n != 2 {
-		t.Fatalf("transcode: n=%d corrupt=%d err=%v", n, corrupt, err)
-	}
+	bin := transcode(t, nd.Bytes(), trace.FormatBinary)
 
 	for _, ct := range []string{"application/x-protobuf", "text/csv; charset=utf-8", "multipart/form-data"} {
 		resp := post(t, ts.URL+"/v1/ingest", ct, nd.Bytes())
@@ -85,7 +82,7 @@ func TestIngestContentNegotiation(t *testing.T) {
 		t.Fatalf("ingested %d events, want %d", got, want)
 	}
 
-	reg := srv.Telemetry()
+	reg := srv.metrics
 	if got := reg.Counter("ingest.unsupported_media").Value(); got != 3 {
 		t.Errorf("ingest.unsupported_media = %d, want 3", got)
 	}
@@ -119,10 +116,7 @@ func TestIngestMixedEncodingsAgree(t *testing.T) {
 
 	// The campaign records binary; the NDJSON bodies are its transcodes.
 	for i, blob := range blobs {
-		nd, _, corrupt, err := trace.TranscodeBytes(blob, trace.FormatNDJSON)
-		if err != nil || corrupt != 0 {
-			t.Fatalf("vehicle %d transcode: corrupt=%d err=%v", i, corrupt, err)
-		}
+		nd := transcode(t, blob, trace.FormatNDJSON)
 		if resp := post(t, tsPure.URL+"/v1/ingest", trace.ContentTypeNDJSON, nd); resp.StatusCode != http.StatusOK {
 			t.Fatalf("pure vehicle %d: status %d", i, resp.StatusCode)
 		}
@@ -136,7 +130,7 @@ func TestIngestMixedEncodingsAgree(t *testing.T) {
 	}
 
 	for _, name := range []string{"ingest.requests", "ingest.events", "ingest.corrupt_lines"} {
-		p, m := srvPure.Telemetry().Counter(name).Value(), srvMixed.Telemetry().Counter(name).Value()
+		p, m := srvPure.metrics.Counter(name).Value(), srvMixed.metrics.Counter(name).Value()
 		if p != m {
 			t.Errorf("%s: pure %d, mixed %d", name, p, m)
 		}

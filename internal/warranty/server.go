@@ -132,9 +132,6 @@ func NewServer(c *Collector, opts ServerOptions) *Server {
 	return s
 }
 
-// Telemetry returns the registry the server publishes into (never nil).
-func (s *Server) Telemetry() *telemetry.Registry { return s.metrics }
-
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -223,10 +223,7 @@ func TestHTTPErrors(t *testing.T) {
 // bound cut short is unread, not corrupt.
 func TestIngestBodyTooLarge(t *testing.T) {
 	bin := campaignTraces(t, 1, 300)[1]
-	nd, _, corrupt, err := trace.TranscodeBytes(bin, trace.FormatNDJSON)
-	if err != nil || corrupt != 0 {
-		t.Fatalf("transcode: corrupt=%d err=%v", corrupt, err)
-	}
+	nd := transcode(t, bin, trace.FormatNDJSON)
 	for _, tc := range []struct {
 		name        string
 		contentType string
@@ -267,9 +264,22 @@ func TestIngestBodyTooLarge(t *testing.T) {
 			if !tc.chunked && res.Ingested != 0 {
 				t.Fatalf("declared-length body ingested %d events", res.Ingested)
 			}
-			if got := srv.Telemetry().Snapshot().Counters["ingest.events"]; got != col.Events() {
+			if got := srv.metrics.Snapshot().Counters["ingest.events"]; got != col.Events() {
 				t.Fatalf("ingest.events = %d, collector holds %d", got, col.Events())
 			}
 		})
 	}
+}
+
+// transcode re-encodes a clean trace blob into the given format. It
+// reports a failure with Errorf, so campaign sink goroutines may call it.
+func transcode(tb testing.TB, blob []byte, to trace.Format) []byte {
+	tb.Helper()
+	rd, _ := trace.OpenReader(bytes.NewReader(blob))
+	var buf bytes.Buffer
+	_, unencodable, err := trace.Transcode(rd, trace.NewSink(&buf, to))
+	if corrupt := rd.Corrupt() + unencodable; err != nil || corrupt != 0 {
+		tb.Errorf("transcode: corrupt=%d err=%v", corrupt, err)
+	}
+	return buf.Bytes()
 }

@@ -138,10 +138,7 @@ func TestMergeSnapshotsBitIdentical(t *testing.T) {
 				FaultFreeShare: 0.2,
 			}
 			c.RunTraced(func(v int, blob []byte) {
-				nd, _, corrupt, err := trace.TranscodeBytes(blob, trace.FormatNDJSON)
-				if err != nil || corrupt != 0 {
-					t.Errorf("vehicle %d transcode: corrupt=%d err=%v", v, corrupt, err)
-				}
+				nd := transcode(t, blob, trace.FormatNDJSON)
 				ingest(single, blob)
 				for _, sp := range splits {
 					body := blob

@@ -56,14 +56,16 @@ func record(t *testing.T, plan []scenario.InjectPlan, extra ...engine.Option) *r
 	if sys.Engine.CkptErr != nil {
 		t.Fatalf("checkpoint sink: %v", sys.Engine.CkptErr)
 	}
-	bin, _, corrupt, err := trace.TranscodeBytes(buf.Bytes(), trace.FormatBinary)
-	if err != nil || corrupt != 0 {
+	rd, _ := trace.OpenReader(bytes.NewReader(buf.Bytes()))
+	var bin bytes.Buffer
+	_, unencodable, err := trace.Transcode(rd, trace.NewBinarySink(&bin))
+	if corrupt := rd.Corrupt() + unencodable; err != nil || corrupt != 0 {
 		t.Fatalf("binary transcode: corrupt=%d err=%v", corrupt, err)
 	}
 	if rec.events, err = ReadTrace(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("reading recorded trace: %v", err)
 	}
-	if rec.binary, err = ReadTrace(bytes.NewReader(bin)); err != nil {
+	if rec.binary, err = ReadTrace(bytes.NewReader(bin.Bytes())); err != nil {
 		t.Fatalf("reading binary trace: %v", err)
 	}
 	return rec

@@ -9,6 +9,7 @@ package decos
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"runtime"
@@ -64,7 +65,7 @@ func TestAllocGuardBusSlot(t *testing.T) {
 	var until sim.Time
 	run := func() {
 		until += sim.Time(roundsPerRun * roundUS)
-		sched.RunUntil(until)
+		sched.RunUntil(context.Background(), until)
 	}
 	run() // warm the event pool and bus scratch
 
@@ -241,38 +242,28 @@ func TestAllocGuardTraceCodec(t *testing.T) {
 		t.Errorf("binary encode allocates %.0f times per %d events, want 0", allocs, len(events))
 	}
 
+	// Each decodes in place: past a warm-up of `warm` events (the intern
+	// table and payload scratch), the rest of the stream decodes with no
+	// allocation. Each drains the stream in one call, so the counters are
+	// read from inside it once the warm-up is done; as in AllocsPerRun, one
+	// P keeps other goroutines' allocations out of the count.
 	blob := encodeTraceBlob(t, events, trace.FormatBinary)
-	rd := trace.NewBinaryReader(bytes.NewReader(blob))
-	const perRun = 1024
-	decodeRun := func() {
-		for i := 0; i < perRun; i++ {
-			if _, err := rd.Next(); err != nil {
-				t.Fatalf("event %d: %v", rd.Records(), err)
-			}
-		}
-	}
-	decodeRun()                    // warm the intern table and payload scratch
-	runs := len(events)/perRun - 2 // stay clear of EOF
-	if allocs := testing.AllocsPerRun(runs, decodeRun); allocs != 0 {
-		t.Errorf("binary decode allocates %.0f times per %d events, want 0", allocs, perRun)
-	}
-
-	// Each decodes in place: past a warm-up through Next, the rest of a
-	// fresh stream decodes with no allocation. AllocsPerRun's own warm-up
-	// call would drain the stream, so the one pass is measured directly.
-	rd = trace.NewBinaryReader(bytes.NewReader(blob))
-	decodeRun()
+	rd, _ := trace.OpenReader(bytes.NewReader(blob))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const warm = 1024
 	var before, after runtime.MemStats
 	n := 0
-	count := func(*trace.Event) { n++ }
-	runtime.ReadMemStats(&before)
-	err := rd.Each(count)
+	err := rd.Each(func(*trace.Event) {
+		if n++; n == warm {
+			runtime.ReadMemStats(&before)
+		}
+	})
 	runtime.ReadMemStats(&after)
-	if err != nil || n != len(events)-perRun {
-		t.Fatalf("Each: %d of %d events, err %v", n, len(events)-perRun, err)
+	if err != nil || n != len(events) {
+		t.Fatalf("Each: %d of %d events, err %v", n, len(events), err)
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-		t.Errorf("binary decode through Each allocates %d times per %d events, want 0", allocs, n)
+		t.Errorf("binary decode through Each allocates %d times per %d events, want 0", allocs, n-warm)
 	}
 }
 

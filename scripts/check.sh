@@ -29,6 +29,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== unreached functions =="
+# Every program (cmd/, examples/, tools/, bench/) built and its symbols
+# diffed against the functions declared under internal/: a function no
+# program links must be on the script's keep list with its reason.
+./scripts/unreached.sh
+
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/scenario/... ./internal/warranty/... ./internal/engine/... ./internal/telemetry/...
 
