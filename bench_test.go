@@ -6,6 +6,7 @@ package decos
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -240,7 +241,7 @@ func BenchmarkClusterRound(b *testing.B) {
 	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
-	sys.Run(int64(b.N))
+	sys.Cluster.RunRounds(context.Background(), int64(b.N))
 }
 
 // frettingConnector is the fault plan of the loaded-history benchmarks
@@ -254,7 +255,7 @@ func BenchmarkClusterRoundUnderFault(b *testing.B) {
 	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, frettingConnector)
 	b.ReportAllocs()
 	b.ResetTimer()
-	sys.Run(int64(b.N))
+	sys.Cluster.RunRounds(context.Background(), int64(b.N))
 }
 
 // BenchmarkBayesRound measures one full TDMA round with the Bayesian
@@ -266,14 +267,14 @@ func BenchmarkBayesRound(b *testing.B) {
 		engine.WithClassifier(bayes.New()))
 	b.ReportAllocs()
 	b.ResetTimer()
-	sys.Run(int64(b.N))
+	sys.Cluster.RunRounds(context.Background(), int64(b.N))
 }
 
 // BenchmarkAssessorEpoch measures one ONA-suite evaluation over a loaded
 // history.
 func BenchmarkAssessorEpoch(b *testing.B) {
 	sys := scenario.Fig10(benchSeed, diagnosis.Options{}, frettingConnector)
-	sys.Run(2000)
+	sys.Cluster.RunRounds(context.Background(), 2000)
 	a := sys.Diag.Assessor
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -437,10 +438,10 @@ func BenchmarkIngest(b *testing.B) {
 // checkpointGrid builds the 100-component (one hardware FRU each) grid
 // cluster the checkpoint benchmarks measure, advanced far enough that
 // histories, trust records and port statistics are populated.
-func checkpointGrid(extra ...engine.Option) *scenario.System {
+func checkpointGrid(extra ...engine.Option) *engine.Engine {
 	sys := scenario.Grid(100, benchSeed, diagnosis.Options{}, nil, extra...)
 	if len(extra) == 0 {
-		sys.Run(500)
+		sys.Cluster.RunRounds(context.Background(), 500)
 	}
 	return sys
 }
@@ -450,14 +451,14 @@ func checkpointGrid(extra ...engine.Option) *scenario.System {
 func BenchmarkCheckpoint(b *testing.B) {
 	sys := checkpointGrid()
 	var buf bytes.Buffer
-	if err := sys.Engine.Checkpoint(&buf); err != nil {
+	if err := sys.Checkpoint(&buf); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := sys.Engine.Checkpoint(&buf); err != nil {
+		if err := sys.Checkpoint(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -469,7 +470,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 // overwrite and re-arm.
 func BenchmarkRestore(b *testing.B) {
 	var buf bytes.Buffer
-	if err := checkpointGrid().Engine.Checkpoint(&buf); err != nil {
+	if err := checkpointGrid().Checkpoint(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -477,7 +478,7 @@ func BenchmarkRestore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := checkpointGrid(engine.WithRestore(data))
-		if v := sys.Engine.StateVersion(); v != 500 {
+		if v := sys.StateVersion(); v != 500 {
 			b.Fatalf("restored StateVersion = %d, want 500", v)
 		}
 	}

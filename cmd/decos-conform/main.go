@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,41 +38,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *dir == "" {
-		wd, err := os.Getwd()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		d, ok := pack.FindPacksDir(wd)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "decos-conform: no packs/ directory found; pass -dir")
-			os.Exit(2)
-		}
-		*dir = d
-	}
-
-	files, err := pack.Discover(*dir)
-	if err != nil {
+	d, all, err := pack.LoadDir(*dir)
+	switch {
+	case errors.Is(err, pack.ErrNoPacksDir):
+		fmt.Fprintln(os.Stderr, "decos-conform: no packs/ directory found; pass -dir")
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if len(files) == 0 {
-		fmt.Fprintf(os.Stderr, "decos-conform: no packs in %s\n", *dir)
+	case len(all) == 0:
+		fmt.Fprintf(os.Stderr, "decos-conform: no packs in %s\n", d)
 		os.Exit(2)
 	}
+	*dir = d
 
 	var manifests []*pack.Manifest
-	for _, f := range files {
-		m, err := pack.Load(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	for _, m := range all {
+		if *only == "" || m.Name == *only {
+			manifests = append(manifests, m)
 		}
-		if *only != "" && m.Name != *only {
-			continue
-		}
-		manifests = append(manifests, m)
 	}
 	if len(manifests) == 0 {
 		fmt.Fprintf(os.Stderr, "decos-conform: no pack named %q in %s\n", *only, *dir)

@@ -142,7 +142,7 @@ func main() {
 				At:   sim.Time(*atMS) * sim.Time(sim.Millisecond),
 			})
 		}
-		eng = scenario.Fig10(*seed, diagnosis.Options{}, plan, eopts...).Engine
+		eng = scenario.Fig10(*seed, diagnosis.Options{}, plan, eopts...)
 	}
 
 	for _, act := range eng.Injector.Ledger() {
@@ -326,10 +326,10 @@ func runCampaign(ctx context.Context, c scenario.Campaign, csv bool) int {
 // unchunked run, so the result is bit-identical to it.
 func runWithMetrics(ctx context.Context, eng *engine.Engine, rounds, every int64, metrics *telemetry.Registry) error {
 	if every <= 0 || metrics == nil {
-		return eng.Run(ctx, rounds)
+		return eng.Cluster.RunRounds(ctx, rounds)
 	}
 	for done := int64(0); done < rounds; done += every {
-		if err := eng.Run(ctx, min(every, rounds-done)); err != nil {
+		if err := eng.Cluster.RunRounds(ctx, min(every, rounds-done)); err != nil {
 			return err
 		}
 		_ = metrics.WriteJSON(os.Stderr)

@@ -85,6 +85,21 @@ func main() {
 	if err != nil {
 		fail2("%v", err)
 	}
+	// decos-sim's -at rule, from the pack validator's at_ms: an injection
+	// before the start cannot be scheduled, one past the horizon never
+	// strikes. -h-at 0 still means "at the restore point".
+	horizon := scenario.RoundsAt(*rounds).Micros() / 1000
+	inRun := func(name string, ms int64) {
+		if ms < 0 || ms > horizon {
+			fail2("%s %d: the injection must fall in the run, 0 to %d ms (-rounds %d)", name, ms, horizon, *rounds)
+		}
+	}
+	if kind >= 0 {
+		inRun("-at", *atMS)
+	}
+	if hyp == whatif.Inject {
+		inRun("-h-at", *hAtMS)
+	}
 
 	cfg := whatif.Config{
 		Seed:       *seed,

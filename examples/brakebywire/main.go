@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 
+	"decos/internal/component"
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
@@ -35,11 +36,11 @@ func main() {
 	ctx := context.Background()
 
 	fmt.Println("— phase 1: healthy operation —")
-	mustRun(sys.Engine.Run(ctx, healthyRounds))
+	mustRun(sys.Cluster.RunRounds(ctx, healthyRounds))
 	report(sys)
 
 	fmt.Println("\n— phase 2: component 2 (hosting replica S2, actuator A3, sink C2) dies —")
-	mustRun(sys.Engine.Run(ctx, 2500))
+	mustRun(sys.Cluster.RunRounds(ctx, 2500))
 	report(sys)
 
 	fmt.Println("\n— diagnosis —")
@@ -70,8 +71,8 @@ func mustRun(err error) {
 	}
 }
 
-func report(sys *scenario.System) {
-	v := sys.Voter
+func report(sys *engine.Engine) {
+	v := sys.Cluster.DAS("S").JobNamed("V").Impl.(*component.VoterJob)
 	fmt.Printf("votes=%d  no-majority=%d  silent=%d  replica-missing=%v\n",
 		v.Voted, v.NoMajority, v.Silent, v.Missing)
 	if last, ok := sys.Cluster.Env.LastActuation("brake"); ok {

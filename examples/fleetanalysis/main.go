@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/diagnosis"
@@ -40,7 +41,7 @@ func main() {
 			})
 		}
 		sys := scenario.Fig10(uint64(1000+v*13), diagnosis.Options{}, plan)
-		sys.Engine.RunRounds(3000)
+		sys.Cluster.RunRounds(context.Background(), 3000)
 
 		// The vehicle uploads its job-inherent verdicts as field data.
 		for _, verdict := range sys.Diag.Assessor.CurrentAll() {

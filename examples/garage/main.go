@@ -11,10 +11,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
+	"decos/internal/engine"
 	"decos/internal/faults"
 	"decos/internal/maintenance"
 	"decos/internal/pack"
@@ -31,17 +33,17 @@ func main() {
 
 // faultyCar builds the Fig. 10 vehicle with its fretting connector
 // declared in the fault plan.
-func faultyCar() (*scenario.System, *faults.Activation) {
+func faultyCar() (*engine.Engine, *faults.Activation) {
 	sys := scenario.Fig10(101, diagnosis.Options{}, []scenario.InjectPlan{{
 		At:    sim.Time(100 * sim.Millisecond),
 		Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3},
 	}})
-	return sys, sys.Ledger()[0]
+	return sys, sys.Injector.Ledger()[0]
 }
 
-func drive(sys *scenario.System, rounds int64) int {
+func drive(sys *engine.Engine, rounds int64) int {
 	before := sys.Diag.Assessor.SymptomsReceived
-	sys.Engine.RunRounds(rounds)
+	sys.Cluster.RunRounds(context.Background(), rounds)
 	return sys.Diag.Assessor.SymptomsReceived - before
 }
 

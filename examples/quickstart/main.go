@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/component"
@@ -71,7 +72,7 @@ func main() {
 	fmt.Println("injected:", act)
 
 	// 2. Run three simulated seconds and read the verdict.
-	eng.RunRounds(4000)
+	eng.Cluster.RunRounds(context.Background(), 4000)
 
 	v, ok := eng.Diag.VerdictOf(core.HardwareFRU(0))
 	if !ok {
@@ -97,7 +98,7 @@ func main() {
 			fretting.Apply(inj, fretting.At())
 		}),
 	)
-	obdEng.RunRounds(4000)
+	obdEng.Cluster.RunRounds(context.Background(), 4000)
 	fmt.Printf("\nsame fault through the %s classifier: ", obdEng.Diag.Assessor.Classifier().Name())
 	if ov, ok := obdEng.Diag.VerdictOf(core.HardwareFRU(0)); ok {
 		fmt.Printf("%s → %s\n", ov.Class, ov.Action)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/core"
@@ -34,7 +35,7 @@ func main() {
 			X: 5.5, Radius: 1.2, DurationMS: 10, Bits: 4}},
 	})
 
-	sys.Engine.RunRounds(4000)
+	sys.Cluster.RunRounds(context.Background(), 4000)
 
 	hwA, _ := sys.Diag.Reg.HardwareIndex(0)
 	hwB, _ := sys.Diag.Reg.HardwareIndex(2)

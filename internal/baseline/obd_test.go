@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestOBDRecordsPermanentFailure(t *testing.T) {
 	sys := scenario.Fig10(1, diagnosis.Options{}, []scenario.InjectPlan{
 		{At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 0}},
 	})
-	sys.Run(4000) // 4 s: well past the 500 ms threshold
+	sys.Cluster.RunRounds(context.Background(), 4000) // 4 s: well past the 500 ms threshold
 	if !sys.OBD.HasDTC(0) {
 		t.Fatalf("no DTC for dead component; codes: %v", sys.OBD.DTCs())
 	}
@@ -35,7 +36,7 @@ func TestOBDMissesShortTransients(t *testing.T) {
 		{At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "emi-burst", Component: -1, X: 0.5, Radius: 2, DurationMS: 10, Bits: 4}},
 		{At: sim.Time(300 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "seu", Component: 2}},
 	})
-	sys.Run(4000)
+	sys.Cluster.RunRounds(context.Background(), 4000)
 	if len(sys.OBD.DTCs()) != 0 {
 		t.Errorf("OBD recorded DTCs for sub-threshold transients: %v", sys.OBD.DTCs())
 	}
@@ -48,7 +49,7 @@ func TestOBDMissesIntermittentConnector(t *testing.T) {
 	sys := scenario.Fig10(3, diagnosis.Options{}, []scenario.InjectPlan{
 		{At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3}},
 	})
-	sys.Run(4000)
+	sys.Cluster.RunRounds(context.Background(), 4000)
 	if sys.OBD.HasDTC(0) {
 		t.Error("OBD recorded the sub-threshold intermittent connector")
 	}
@@ -69,7 +70,7 @@ func TestOBDBlamesECUForSoftwareFault(t *testing.T) {
 	sys := scenario.Fig10(4, diagnosis.Options{}, []scenario.InjectPlan{
 		{Fault: &pack.FaultSpec{Kind: "bohrbug", Job: "A/A1", Channel: scenario.ChSpeed, Threshold: math.Inf(-1), Value: 400}},
 	})
-	sys.Run(4000)
+	sys.Cluster.RunRounds(context.Background(), 4000)
 	if !sys.OBD.HasDTC(0) {
 		t.Fatalf("no plausibility DTC; codes: %v", sys.OBD.DTCs())
 	}
@@ -81,7 +82,7 @@ func TestOBDBlamesECUForSoftwareFault(t *testing.T) {
 
 func TestOBDCleanOnHealthyVehicle(t *testing.T) {
 	sys := scenario.Fig10(5, diagnosis.Options{}, nil)
-	sys.Run(3000)
+	sys.Cluster.RunRounds(context.Background(), 3000)
 	if got := sys.OBD.DTCs(); len(got) != 0 {
 		t.Errorf("healthy vehicle has DTCs: %v", got)
 	}

@@ -700,7 +700,7 @@ func (c *Classifier) emit(ctx *diagnosis.EvalContext, f diagnosis.FRUIndex, hard
 		}
 		return
 	}
-	if bestClass < minConfidence || bestClass-maxf(runnerUp, healthy) < minMargin {
+	if bestClass < minConfidence || bestClass-max(runnerUp, healthy) < minMargin {
 		if symptomatic {
 			c.abstained++ // insufficient evidence: explicit abstention
 		}
@@ -775,11 +775,4 @@ func (c *Classifier) Ranked(subject diagnosis.FRUIndex) []diagnosis.RankedVerdic
 		}
 	}
 	return c.ranked
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

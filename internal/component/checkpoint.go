@@ -1,13 +1,11 @@
 package component
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
 
 	"decos/internal/ckpt"
-	"decos/internal/sim"
 )
 
 // Checkpointing of the application layer. The deployment (components,
@@ -89,23 +87,6 @@ func (e *Environment) Code(c *ckpt.Coder) error {
 		ckpt.Log(c, &(*a).log, 1<<24, codeActuation)
 	})
 	return c.Err()
-}
-
-// RunToRound advances the simulation to the end of round r-1, i.e. until
-// r full TDMA rounds have completed since t=0. The deadline is absolute,
-// so chained calls (checkpoint cadences, chunked campaigns) land on
-// exactly the same instants as one uninterrupted run.
-func (cl *Cluster) RunToRound(r int64) { _ = cl.RunToRoundCtx(context.Background(), r) }
-
-// RunToRoundCtx is RunToRound with cooperative cancellation: it returns
-// ctx.Err() when the context is cancelled mid-run (the cluster is then
-// stopped partway through a round) and nil on completion.
-func (cl *Cluster) RunToRoundCtx(ctx context.Context, r int64) error {
-	target := sim.Time(r*cl.Cfg.RoundDuration().Micros()) - 1
-	if target > cl.Sched.Now() {
-		return cl.Sched.RunUntil(ctx, target)
-	}
-	return nil
 }
 
 // The stateful standard jobs implement ckpt.Snapshotter. Every field that

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -31,20 +32,7 @@ type Component struct {
 // DistanceTo returns the Euclidean distance to another component.
 func (c *Component) DistanceTo(o *Component) float64 {
 	dx, dy := c.X-o.X, c.Y-o.Y
-	return sqrt(dx*dx + dy*dy)
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	// Newton iterations are plenty for coordinates; avoids importing math
-	// here — kept trivial and exact enough for distance thresholds.
-	x := v
-	for i := 0; i < 32; i++ {
-		x = 0.5 * (x + v/x)
-	}
-	return x
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // controller adapts a Component to the tt.Controller interface. It is a
@@ -303,21 +291,21 @@ func (cl *Cluster) Reset(seed uint64) {
 }
 
 // RunRounds advances the simulation by n full TDMA rounds, counted from
-// the first round boundary at or after Now. Runs stop 1 µs before a
-// boundary, so a chained call resumes on the round grid and lands on the
-// same instant as one uninterrupted run (RunToRound is the absolute form).
-func (cl *Cluster) RunRounds(n int64) { _ = cl.RunRoundsCtx(context.Background(), n) }
-
-// RunRoundsCtx is RunRounds with cooperative cancellation, as RunToRoundCtx.
-func (cl *Cluster) RunRoundsCtx(ctx context.Context, n int64) error {
-	return cl.RunToRoundCtx(ctx, cl.nextBoundary()+n)
-}
-
-// nextBoundary returns the index of the first round boundary at or after
-// Now.
-func (cl *Cluster) nextBoundary() int64 {
+// the first round boundary at or after Now. It is the one call that runs
+// a cluster. It returns ctx.Err() when the context is cancelled mid-run
+// (the cluster then stops partway through a round, observable state
+// intact) and nil on completion. Runs stop 1 µs before a boundary, so a
+// chained call — a checkpoint cadence, a chunked campaign, a run resumed
+// from a restored checkpoint — resumes on the round grid and lands on the
+// same instant as one uninterrupted run.
+func (cl *Cluster) RunRounds(ctx context.Context, n int64) error {
 	d := cl.Cfg.RoundDuration().Micros()
-	return (cl.Sched.Now().Micros() + d - 1) / d
+	next := (cl.Sched.Now().Micros() + d - 1) / d
+	target := sim.Time((next+n)*d) - 1
+	if target > cl.Sched.Now() {
+		return cl.Sched.RunUntil(ctx, target)
+	}
+	return nil
 }
 
 // Round returns the current TDMA round.

@@ -1,6 +1,7 @@
 package component
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -58,7 +59,7 @@ func buildPipeline(t *testing.T, seed uint64) (*Cluster, *BurstyJob, *SinkJob) {
 
 func TestPipelineEndToEnd(t *testing.T) {
 	cl, _, _ := buildPipeline(t, 1)
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	last, ok := cl.Env.LastActuation("brake")
 	if !ok {
 		t.Fatal("no actuation recorded")
@@ -79,8 +80,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineDeterminism(t *testing.T) {
 	cl1, b1, s1 := buildPipeline(t, 99)
 	cl2, b2, s2 := buildPipeline(t, 99)
-	cl1.RunRounds(50)
-	cl2.RunRounds(50)
+	cl1.RunRounds(context.Background(), 50)
+	cl2.RunRounds(context.Background(), 50)
 	if s1.Received != s2.Received || b1.Rejected != b2.Rejected {
 		t.Errorf("same seed diverged: recv %d vs %d, rej %d vs %d",
 			s1.Received, s2.Received, b1.Rejected, b2.Rejected)
@@ -99,7 +100,7 @@ func TestPipelineDeterminism(t *testing.T) {
 
 func TestBurstyTrafficFlows(t *testing.T) {
 	cl, bursty, sink := buildPipeline(t, 2)
-	cl.RunRounds(200)
+	cl.RunRounds(context.Background(), 200)
 	if sink.Received == 0 {
 		t.Fatal("sink received nothing")
 	}
@@ -116,11 +117,11 @@ func TestBurstyTrafficFlows(t *testing.T) {
 
 func TestHaltedJobStopsPublishing(t *testing.T) {
 	cl, _, _ := buildPipeline(t, 3)
-	cl.RunRounds(5)
+	cl.RunRounds(context.Background(), 5)
 	sensor := cl.DAS("A").JobNamed("sensor")
 	sensor.Halted = true
 	stepsAtHalt := sensor.Steps
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	if sensor.Steps != stepsAtHalt {
 		t.Errorf("halted job kept running: %d > %d", sensor.Steps, stepsAtHalt)
 	}
@@ -130,7 +131,7 @@ func TestHaltedJobStopsPublishing(t *testing.T) {
 	control := cl.DAS("A").JobNamed("control")
 	in := control.InPort(chSpeed)
 	seqAtHalt := in.Stats.LastSeq
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	if in.Stats.LastSeq != seqAtHalt {
 		t.Errorf("sequence advanced after producer halt: %d -> %d", seqAtHalt, in.Stats.LastSeq)
 	}
@@ -145,7 +146,7 @@ func TestOutFaultPerturbsValues(t *testing.T) {
 	sensor.OutFault = func(ch vnet.ChannelID, payload []byte, now sim.Time) ([]byte, bool) {
 		return vnet.FloatPayload(999), true // out-of-spec value
 	}
-	cl.RunRounds(5)
+	cl.RunRounds(context.Background(), 5)
 	last, ok := cl.Env.LastActuation("brake")
 	if !ok {
 		t.Fatal("no actuation")
@@ -165,7 +166,7 @@ func TestSensorFault(t *testing.T) {
 	sensor.SensorFault = func(name string, v float64, now sim.Time) float64 {
 		return v + 50 // drift
 	}
-	cl.RunRounds(5)
+	cl.RunRounds(context.Background(), 5)
 	last, _ := cl.Env.LastActuation("brake")
 	if last.Value != 160 { // (30+50) × 2
 		t.Errorf("sensor drift not applied: %v", last.Value)
@@ -197,12 +198,12 @@ func TestTMRVoterMasksSingleFault(t *testing.T) {
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	// Replica 1 develops an arbitrary value failure.
 	reps[1].OutFault = func(ch vnet.ChannelID, p []byte, now sim.Time) ([]byte, bool) {
 		return vnet.FloatPayload(-40), true
 	}
-	cl.RunRounds(20)
+	cl.RunRounds(context.Background(), 20)
 	if voter.Voted < 25 {
 		t.Errorf("voter succeeded only %d rounds", voter.Voted)
 	}
@@ -242,9 +243,9 @@ func TestTMRVoterDetectsSilentReplica(t *testing.T) {
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	cl.Bus.SetAlive(2, false) // component hosting replica 2 dies
-	cl.RunRounds(20)
+	cl.RunRounds(context.Background(), 20)
 	if voter.Missing[2] < 15 {
 		t.Errorf("silent replica missing-count = %d", voter.Missing[2])
 	}
@@ -297,7 +298,7 @@ func TestOnRoundFiresWithDeadComponents(t *testing.T) {
 	cl.Bus.SetAlive(0, false)
 	cl.Bus.SetAlive(1, false)
 	cl.Bus.SetAlive(2, false)
-	cl.RunRounds(5)
+	cl.RunRounds(context.Background(), 5)
 	if rounds != 5 {
 		t.Errorf("OnRound fired %d times with dead cluster, want 5", rounds)
 	}

@@ -1,6 +1,7 @@
 package component
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/sim"
@@ -47,7 +48,7 @@ func buildGateway(t *testing.T, meanPerRound float64, maxPerRound int) (*Cluster
 
 func TestGatewayForwardsAcrossDASs(t *testing.T) {
 	cl, gw, sink := buildGateway(t, 1, 4)
-	cl.RunRounds(300)
+	cl.RunRounds(context.Background(), 300)
 	if sink.Received == 0 {
 		t.Fatal("nothing crossed the gateway")
 	}
@@ -64,7 +65,7 @@ func TestGatewayRateBoundsSourceDAS(t *testing.T) {
 	// A flooding source DAS cannot push more than MaxPerRound into the
 	// destination DAS.
 	cl, gw, sink := buildGateway(t, 8, 1)
-	cl.RunRounds(400)
+	cl.RunRounds(context.Background(), 400)
 	if gw.RateLimited[0] == 0 {
 		t.Error("flood was not rate-limited")
 	}
@@ -110,7 +111,7 @@ func TestGatewayTransform(t *testing.T) {
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cl.RunRounds(20)
+	cl.RunRounds(context.Background(), 20)
 	last, ok := cl.Env.LastActuation("out")
 	if !ok || last.Value != 20 {
 		t.Errorf("transformed value = %v ok=%v, want 20", last.Value, ok)

@@ -1,6 +1,7 @@
 package component
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/sim"
@@ -75,7 +76,7 @@ func TestControlJobHoldsLastGoodValue(t *testing.T) {
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	if last, _ := cl.Env.LastActuation("out"); last.Value != 30 {
 		t.Fatalf("healthy output = %v, want 30", last.Value)
 	}
@@ -83,7 +84,7 @@ func TestControlJobHoldsLastGoodValue(t *testing.T) {
 	src.OutFault = func(ch vnet.ChannelID, p []byte, now sim.Time) ([]byte, bool) {
 		return vnet.FloatPayload(999), true
 	}
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	if last, _ := cl.Env.LastActuation("out"); last.Value != 30 {
 		t.Errorf("held output = %v, want 30", last.Value)
 	}

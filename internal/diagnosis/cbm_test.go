@@ -1,6 +1,7 @@
 package diagnosis
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/core"
@@ -17,7 +18,7 @@ func TestTrendDetectsWearout(t *testing.T) {
 		BaseRatePerHour: 3600 * 4, MaxFactor: 10,
 	}
 	r.inj.Wearout(0, acc, 3600*10)
-	r.cl.RunRounds(5000)
+	r.cl.RunRounds(context.Background(), 5000)
 	hw0, _ := r.diag.Reg.HardwareIndex(0)
 	trend := r.diag.Assessor.Trend(hw0)
 	if !trend.Wearing(1.5) {
@@ -40,7 +41,7 @@ func TestRULForecastsDegradingFRU(t *testing.T) {
 		BaseRatePerHour: 3600 * 2, MaxFactor: 30,
 	}
 	r.inj.Wearout(0, acc, 0)
-	r.cl.RunRounds(1200) // early phase: trust starting to decline
+	r.cl.RunRounds(context.Background(), 1200) // early phase: trust starting to decline
 	hw0, _ := r.diag.Reg.HardwareIndex(0)
 	trust := float64(r.diag.Assessor.Trust(hw0))
 	if trust >= 0.999 {
@@ -55,7 +56,7 @@ func TestRULForecastsDegradingFRU(t *testing.T) {
 	}
 	// The forecast must come due: run on and verify trust actually
 	// crossed the threshold within a generous multiple of the estimate.
-	r.cl.RunRounds(2500)
+	r.cl.RunRounds(context.Background(), 2500)
 	if got := float64(r.diag.Assessor.Trust(hw0)); got > 0.2 {
 		t.Errorf("trust %.3f never crossed threshold despite forecast %v", got, rul)
 	}
@@ -63,7 +64,7 @@ func TestRULForecastsDegradingFRU(t *testing.T) {
 
 func TestRULHealthyFRUHasNoForecast(t *testing.T) {
 	r := newRig(t, 43)
-	r.cl.RunRounds(1000)
+	r.cl.RunRounds(context.Background(), 1000)
 	hw1, _ := r.diag.Reg.HardwareIndex(1)
 	if _, ok := r.diag.Assessor.RUL(hw1, 0.2, 8); ok {
 		t.Error("healthy FRU received a replacement forecast")
@@ -73,7 +74,7 @@ func TestRULHealthyFRUHasNoForecast(t *testing.T) {
 func TestRULAlreadyBelowThreshold(t *testing.T) {
 	r := newRig(t, 44)
 	r.inj.PermanentFailSilent(0, sim.Time(100*sim.Millisecond))
-	r.cl.RunRounds(1500)
+	r.cl.RunRounds(context.Background(), 1500)
 	hw0, _ := r.diag.Reg.HardwareIndex(0)
 	rul, ok := r.diag.Assessor.RUL(hw0, 0.5, 8)
 	if !ok || rul != 0 {

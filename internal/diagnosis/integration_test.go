@@ -1,6 +1,7 @@
 package diagnosis
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/clock"
@@ -94,7 +95,7 @@ func (r *rig) jobFRU(das, name string) core.FRU {
 
 func TestHealthyClusterStaysClean(t *testing.T) {
 	r := newRig(t, 1)
-	r.cl.RunRounds(1000)
+	r.cl.RunRounds(context.Background(), 1000)
 	if n := len(r.diag.Assessor.Emitted()); n != 0 {
 		t.Fatalf("healthy cluster produced %d verdicts: %v", n, r.diag.Assessor.Emitted())
 	}
@@ -111,7 +112,7 @@ func TestHealthyClusterStaysClean(t *testing.T) {
 func TestPermanentFailSilentClassified(t *testing.T) {
 	r := newRig(t, 2)
 	r.inj.PermanentFailSilent(0, sim.Time(100*sim.Millisecond))
-	r.cl.RunRounds(1000)
+	r.cl.RunRounds(context.Background(), 1000)
 	v := r.verdict(t, core.HardwareFRU(0))
 	if v.Class != core.ComponentInternal || v.Persistence != core.Permanent {
 		t.Errorf("verdict = %v/%v (%s)", v.Class, v.Persistence, v.Pattern)
@@ -130,7 +131,7 @@ func TestPermanentFailSilentClassified(t *testing.T) {
 func TestDefectiveQuartzClassifiedAsSyncLoss(t *testing.T) {
 	r := newRig(t, 3)
 	r.inj.DefectiveQuartz(1, sim.Time(100*sim.Millisecond), 100_000)
-	r.cl.RunRounds(1000)
+	r.cl.RunRounds(context.Background(), 1000)
 	v := r.verdict(t, core.HardwareFRU(1))
 	if v.Class != core.ComponentInternal || v.Pattern != "sync-loss" {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -140,7 +141,7 @@ func TestDefectiveQuartzClassifiedAsSyncLoss(t *testing.T) {
 func TestConnectorTxClassifiedBorderline(t *testing.T) {
 	r := newRig(t, 4)
 	r.inj.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
-	r.cl.RunRounds(2000)
+	r.cl.RunRounds(context.Background(), 2000)
 	v := r.verdict(t, core.HardwareFRU(0))
 	if v.Class != core.ComponentBorderline || v.Pattern != "connector-tx" {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -153,7 +154,7 @@ func TestConnectorTxClassifiedBorderline(t *testing.T) {
 func TestConnectorRxClassifiedBorderlineAtReceiver(t *testing.T) {
 	r := newRig(t, 5)
 	r.inj.ConnectorRx(1, sim.Time(50*sim.Millisecond), 0, 0.4)
-	r.cl.RunRounds(2000)
+	r.cl.RunRounds(context.Background(), 2000)
 	v := r.verdict(t, core.HardwareFRU(1))
 	if v.Class != core.ComponentBorderline || v.Pattern != "connector-rx" {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -169,7 +170,7 @@ func TestConnectorRxClassifiedBorderlineAtReceiver(t *testing.T) {
 func TestEMIBurstClassifiedExternal(t *testing.T) {
 	r := newRig(t, 6)
 	r.inj.EMIBurst(sim.Time(150*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
-	r.cl.RunRounds(1200)
+	r.cl.RunRounds(context.Background(), 1200)
 	for _, n := range []int{0, 1} {
 		v := r.verdict(t, core.HardwareFRU(n))
 		if v.Class != core.ComponentExternal || v.Pattern != "massive-transient" {
@@ -193,7 +194,7 @@ func TestEMIBurstClassifiedExternal(t *testing.T) {
 func TestPowerDipClassifiedExternal(t *testing.T) {
 	r := newRig(t, 26)
 	r.inj.PowerDip(1, sim.Time(200*sim.Millisecond), 50*sim.Millisecond)
-	r.cl.RunRounds(1500)
+	r.cl.RunRounds(context.Background(), 1500)
 	v := r.verdict(t, core.HardwareFRU(1))
 	if v.Class != core.ComponentExternal {
 		t.Errorf("verdict = %v (%s), want external (transient outage ≤ hypothesis bound)", v.Class, v.Pattern)
@@ -211,7 +212,7 @@ func TestPowerDipClassifiedExternal(t *testing.T) {
 func TestSEUClassifiedIsolatedTransient(t *testing.T) {
 	r := newRig(t, 7)
 	r.inj.SEU(sim.Time(100*sim.Millisecond), 2)
-	r.cl.RunRounds(1000)
+	r.cl.RunRounds(context.Background(), 1000)
 	v := r.verdict(t, core.HardwareFRU(2))
 	if v.Class != core.ComponentExternal || v.Pattern != "isolated-transient" {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -229,8 +230,8 @@ func TestWearoutClassifiedInternal(t *testing.T) {
 		BaseRatePerHour: 3600 * 4, // 4 episodes/s initially
 		MaxFactor:       40,
 	}
-	r.inj.Wearout(0, acc, 3600*30) // sensor values drift upward
-	r.cl.RunRounds(3000)           // 3 s
+	r.inj.Wearout(0, acc, 3600*30)             // sensor values drift upward
+	r.cl.RunRounds(context.Background(), 3000) // 3 s
 	v := r.verdict(t, core.HardwareFRU(0))
 	if v.Class != core.ComponentInternal {
 		t.Fatalf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -251,7 +252,7 @@ func TestWearoutClassifiedInternal(t *testing.T) {
 func TestIntermittentInternalClassified(t *testing.T) {
 	r := newRig(t, 9)
 	r.inj.IntermittentInternal(2, sim.Time(100*sim.Millisecond), 3600*6, 0)
-	r.cl.RunRounds(2500)
+	r.cl.RunRounds(context.Background(), 2500)
 	v := r.verdict(t, core.HardwareFRU(2))
 	if v.Class != core.ComponentInternal {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -262,7 +263,7 @@ func TestMisconfiguredQueueClassifiedJobBorderline(t *testing.T) {
 	r := newRig(t, 10)
 	sink := r.cl.DAS("B").JobNamed("sink")
 	r.inj.MisconfigureQueue(sink, chBurst, 1)
-	r.cl.RunRounds(1500)
+	r.cl.RunRounds(context.Background(), 1500)
 	v := r.verdict(t, r.jobFRU("B", "sink"))
 	if v.Class != core.JobBorderline || v.Pattern != "configuration" {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -280,7 +281,7 @@ func TestBohrbugClassifiedJobInherent(t *testing.T) {
 	r := newRig(t, 11)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.Bohrbug(sensor, chSpeed, func(v float64, now sim.Time) bool { return v > 60 }, 400)
-	r.cl.RunRounds(2000)
+	r.cl.RunRounds(context.Background(), 2000)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherent && v.Class != core.JobInherentSensor {
 		t.Fatalf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -299,7 +300,7 @@ func TestHeisenbugClassifiedJobInherent(t *testing.T) {
 	r := newRig(t, 12)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.Heisenbug(sensor, chSpeed, 0.05, 500, false)
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherent && v.Class != core.JobInherentSensor {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -310,7 +311,7 @@ func TestJobCrashClassifiedJobInherent(t *testing.T) {
 	r := newRig(t, 13)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.JobCrash(sensor, sim.Time(200*sim.Millisecond))
-	r.cl.RunRounds(1500)
+	r.cl.RunRounds(context.Background(), 1500)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherent && v.Class != core.JobInherentSensor {
 		t.Errorf("verdict = %v (%s)", v.Class, v.Pattern)
@@ -321,7 +322,7 @@ func TestSensorStuckClassifiedSensor(t *testing.T) {
 	r := newRig(t, 14)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.SensorStuck(sensor, sim.Time(200*sim.Millisecond), 77)
-	r.cl.RunRounds(2500)
+	r.cl.RunRounds(context.Background(), 2500)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherentSensor {
 		t.Errorf("verdict = %v (%s), want sensor subclass", v.Class, v.Pattern)
@@ -335,7 +336,7 @@ func TestSensorDriftClassifiedInherent(t *testing.T) {
 	r := newRig(t, 15)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.SensorDrift(sensor, sim.Time(100*sim.Millisecond), 3600*60) // +60/s
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	// Drift exits the spec range → value violations confined to one job.
 	if v.Class != core.JobInherent && v.Class != core.JobInherentSensor {
@@ -350,7 +351,7 @@ func TestSensorDriftClassifiedInherent(t *testing.T) {
 func TestVerdictClearedAfterRepair(t *testing.T) {
 	r := newRig(t, 16)
 	r.inj.PermanentFailSilent(0, sim.Time(50*sim.Millisecond))
-	r.cl.RunRounds(600)
+	r.cl.RunRounds(context.Background(), 600)
 	hw0, _ := r.diag.Reg.HardwareIndex(0)
 	if _, ok := r.diag.Assessor.Current(hw0); !ok {
 		t.Fatal("no verdict before repair")
@@ -364,7 +365,7 @@ func TestVerdictClearedAfterRepair(t *testing.T) {
 	if r.diag.Assessor.Trust(hw0) != 1 {
 		t.Error("trust not restored")
 	}
-	r.cl.RunRounds(600)
+	r.cl.RunRounds(context.Background(), 600)
 	if v, ok := r.diag.Assessor.Current(hw0); ok && v.Class != core.ComponentExternal {
 		t.Errorf("repaired component re-accused: %v (%s)", v.Class, v.Pattern)
 	}
@@ -373,7 +374,7 @@ func TestVerdictClearedAfterRepair(t *testing.T) {
 func TestDiagnosticTrafficFlows(t *testing.T) {
 	r := newRig(t, 17)
 	r.inj.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
-	r.cl.RunRounds(500)
+	r.cl.RunRounds(context.Background(), 500)
 	if r.diag.Assessor.SymptomsReceived == 0 {
 		t.Fatal("no symptoms reached the assessor")
 	}
@@ -437,7 +438,7 @@ func TestTrustTrajectoriesFig9(t *testing.T) {
 	r.inj.Wearout(0, acc, 0)
 	r.inj.EMIBurst(sim.Time(300*sim.Millisecond), 5.5, 0, 1.2, 10*sim.Millisecond, 4)
 	// (burst hits components 2 and 3 at x=5,6)
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 
 	hw0, _ := r.diag.Reg.HardwareIndex(0)
 	hw2, _ := r.diag.Reg.HardwareIndex(2)

@@ -1,6 +1,7 @@
 package diagnosis
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/component"
@@ -22,7 +23,7 @@ func TestInternalAssertionsSplitSensorStuck(t *testing.T) {
 	r := newAssertedRig(t, 21)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.SensorStuck(sensor, sim.Time(200*sim.Millisecond), 77)
-	r.cl.RunRounds(2500)
+	r.cl.RunRounds(context.Background(), 2500)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherentSensor {
 		t.Errorf("verdict = %v (%s), want exact sensor subclass", v.Class, v.Pattern)
@@ -36,7 +37,7 @@ func TestInternalAssertionsSplitSensorDrift(t *testing.T) {
 	r := newAssertedRig(t, 22)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.SensorDrift(sensor, sim.Time(100*sim.Millisecond), 3600*60)
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherentSensor {
 		t.Errorf("verdict = %v (%s), want exact sensor subclass", v.Class, v.Pattern)
@@ -50,7 +51,7 @@ func TestInternalAssertionsSplitBohrbug(t *testing.T) {
 	// indistinguishable from a stuck sensor, but the job's internal
 	// transducer checks pass, so the verdict must be software.
 	r.inj.Bohrbug(sensor, chSpeed, func(v float64, now sim.Time) bool { return true }, 60)
-	r.cl.RunRounds(2500)
+	r.cl.RunRounds(context.Background(), 2500)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherentSoftware {
 		t.Errorf("verdict = %v (%s), want exact software subclass", v.Class, v.Pattern)
@@ -64,7 +65,7 @@ func TestInternalAssertionsSplitHeisenbug(t *testing.T) {
 	r := newAssertedRig(t, 24)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.Heisenbug(sensor, chSpeed, 0.05, 500, false)
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class != core.JobInherentSoftware {
 		t.Errorf("verdict = %v (%s), want exact software subclass", v.Class, v.Pattern)
@@ -77,7 +78,7 @@ func TestWithoutExtensionStaysMerged(t *testing.T) {
 	r := newRig(t, 25)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.Bohrbug(sensor, chSpeed, func(v float64, now sim.Time) bool { return true }, 60)
-	r.cl.RunRounds(2500)
+	r.cl.RunRounds(context.Background(), 2500)
 	v := r.verdict(t, r.jobFRU("A", "sensor"))
 	if v.Class == core.JobInherentSoftware {
 		t.Errorf("exact software verdict without job-internal information: %s", v.Pattern)

@@ -1,6 +1,7 @@
 package diagnosis_test
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/core"
@@ -18,7 +19,7 @@ func TestVerdictInvariants(t *testing.T) {
 	for _, kind := range scenario.AllKinds() {
 		sys := scenario.Fig10(900+uint64(kind)*77, diagnosis.Options{},
 			[]scenario.InjectPlan{{Kind: kind, At: sim.Time(300 * sim.Millisecond)}})
-		sys.Run(3000)
+		sys.Cluster.RunRounds(context.Background(), 3000)
 
 		for _, v := range sys.Diag.Assessor.Emitted() {
 			// 1. The action always follows the Fig. 11 mapping for the
@@ -74,7 +75,7 @@ func TestInnocentFRUsKeepTrust(t *testing.T) {
 	sys := scenario.Fig10(999, diagnosis.Options{}, []scenario.InjectPlan{
 		{At: sim.Time(200 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 0}},
 	})
-	sys.Run(2000)
+	sys.Cluster.RunRounds(context.Background(), 2000)
 	for _, n := range []int{1, 2, 3} {
 		hw, _ := sys.Diag.Reg.HardwareIndex(tt.NodeID(n))
 		if tr := float64(sys.Diag.Assessor.Trust(hw)); tr < 0.99 {

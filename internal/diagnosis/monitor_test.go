@@ -1,6 +1,7 @@
 package diagnosis
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/sim"
@@ -21,7 +22,7 @@ func TestDeviationWarningEmitted(t *testing.T) {
 	sensor.SensorFault = func(name string, v float64, now sim.Time) float64 {
 		return v + 13 // peaks at 93: inside spec, beyond warn fraction
 	}
-	r.cl.RunRounds(1000)
+	r.cl.RunRounds(context.Background(), 1000)
 	sw, _ := r.diag.Reg.Index(r.jobFRU("A", "sensor"))
 	h := r.diag.Assessor.Hist
 	dev := h.Count(sw, 0, h.Latest(), KindIn(SymDeviation))
@@ -56,7 +57,7 @@ func TestOnSymptomHook(t *testing.T) {
 	var seen []Symptom
 	r.diag.Assessor.OnSymptom(func(s Symptom) { seen = append(seen, s) })
 	r.inj.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
-	r.cl.RunRounds(500)
+	r.cl.RunRounds(context.Background(), 500)
 	if len(seen) == 0 {
 		t.Fatal("hook never fired")
 	}
@@ -68,7 +69,7 @@ func TestOnSymptomHook(t *testing.T) {
 func TestMonitorKeepLog(t *testing.T) {
 	r := newRigWithOptions(t, 84, Options{KeepMonitorLogs: true})
 	r.inj.ConnectorTx(0, sim.Time(50*sim.Millisecond), 0, 0.3)
-	r.cl.RunRounds(500)
+	r.cl.RunRounds(context.Background(), 500)
 	logged := 0
 	for _, m := range r.diag.Monitors {
 		logged += len(m.LocalLog)
@@ -86,7 +87,7 @@ func TestCRCFailuresMergeIntoFrameKey(t *testing.T) {
 	// (channel 0) to conserve diagnostic bandwidth.
 	r := newRigWithOptions(t, 85, Options{KeepMonitorLogs: true})
 	r.inj.IntermittentInternal(0, sim.Time(50*sim.Millisecond), 3600*20, 0)
-	r.cl.RunRounds(1000)
+	r.cl.RunRounds(context.Background(), 1000)
 	for _, m := range r.diag.Monitors {
 		for _, s := range m.LocalLog {
 			if s.Kind == SymCorruption && s.Channel != 0 {

@@ -1,6 +1,7 @@
 package diagnosis
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/core"
@@ -17,7 +18,7 @@ func TestConcurrentConnectorAndSoftwareFault(t *testing.T) {
 	r.inj.ConnectorTx(2, sim.Time(100*sim.Millisecond), 0, 0.3)
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.Bohrbug(sensor, chSpeed, func(v float64, now sim.Time) bool { return v > 60 }, 400)
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 
 	v1 := r.verdict(t, core.HardwareFRU(2))
 	if v1.Class != core.ComponentBorderline {
@@ -34,7 +35,7 @@ func TestConcurrentPermanentAndConfigFault(t *testing.T) {
 	r.inj.PermanentFailSilent(0, sim.Time(200*sim.Millisecond))
 	sink := r.cl.DAS("B").JobNamed("sink")
 	r.inj.MisconfigureQueue(sink, chBurst, 1)
-	r.cl.RunRounds(2500)
+	r.cl.RunRounds(context.Background(), 2500)
 
 	v1 := r.verdict(t, core.HardwareFRU(0))
 	if v1.Class != core.ComponentInternal || v1.Persistence != core.Permanent {
@@ -53,7 +54,7 @@ func TestConcurrentEMIAndConnector(t *testing.T) {
 	r := newRig(t, 73)
 	r.inj.EMIBurst(sim.Time(400*sim.Millisecond), 0.5, 0, 2, 10*sim.Millisecond, 4)
 	r.inj.ConnectorTx(2, sim.Time(100*sim.Millisecond), 0, 0.3)
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 
 	for _, n := range []int{0, 1} {
 		v := r.verdict(t, core.HardwareFRU(n))
@@ -72,7 +73,7 @@ func TestConcurrentSensorFaultsOnDistinctComponents(t *testing.T) {
 	sensor := r.cl.DAS("A").JobNamed("sensor")
 	r.inj.SensorStuck(sensor, sim.Time(200*sim.Millisecond), 77)
 	r.inj.ConnectorRx(1, sim.Time(150*sim.Millisecond), 0, 0.4)
-	r.cl.RunRounds(3000)
+	r.cl.RunRounds(context.Background(), 3000)
 
 	v1 := r.verdict(t, core.HardwareFRU(1))
 	if v1.Class != core.ComponentBorderline || v1.Pattern != "connector-rx" {

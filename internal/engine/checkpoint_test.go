@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -35,7 +36,7 @@ func richManifest(inj *faults.Injector) {
 
 // fig10Ckpt assembles the Fig. 10 system with the rich manifest, tracing
 // into w, plus any extra options (a checkpoint sink or a restore source).
-func fig10Ckpt(w *bytes.Buffer, extra ...engine.Option) *scenario.System {
+func fig10Ckpt(w *bytes.Buffer, extra ...engine.Option) *engine.Engine {
 	opts := append([]engine.Option{
 		engine.WithFaults(richManifest),
 		engine.WithSink(trace.NewNDJSONSink(w), trace.Options{AllFrames: true, TrustEveryEpochs: 2}),
@@ -62,8 +63,8 @@ func TestRestoreByteIdentical(t *testing.T) {
 	// Golden: uninterrupted run, no checkpointing at all.
 	var goldTrace bytes.Buffer
 	gold := fig10Ckpt(&goldTrace)
-	gold.Cluster.RunToRound(total)
-	goldFinal := checkpointBytes(t, gold.Engine)
+	gold.Cluster.RunRounds(context.Background(), total)
+	goldFinal := checkpointBytes(t, gold)
 
 	// Checkpointing run: same seed, sink every 40 rounds.
 	type point struct {
@@ -78,9 +79,9 @@ func TestRestoreByteIdentical(t *testing.T) {
 		return nil
 	}
 	run2 := fig10Ckpt(&ckptTrace, engine.WithCheckpointSink(sink, 40))
-	run2.Cluster.RunToRound(total)
-	if run2.Engine.CkptErr != nil {
-		t.Fatalf("checkpoint sink error: %v", run2.Engine.CkptErr)
+	run2.Cluster.RunRounds(context.Background(), total)
+	if run2.CkptErr != nil {
+		t.Fatalf("checkpoint sink error: %v", run2.CkptErr)
 	}
 	if len(points) != 3 {
 		t.Fatalf("sink fired %d times over %d rounds at cadence 40, want 3", len(points), total)
@@ -90,7 +91,7 @@ func TestRestoreByteIdentical(t *testing.T) {
 			t.Errorf("checkpoint %d taken at round %d, want %d", i, p.round, want)
 		}
 	}
-	if v := run2.Engine.StateVersion(); v != total {
+	if v := run2.StateVersion(); v != total {
 		t.Errorf("StateVersion = %d after %d rounds, want %d", v, total, total)
 	}
 
@@ -98,7 +99,7 @@ func TestRestoreByteIdentical(t *testing.T) {
 	if !bytes.Equal(ckptTrace.Bytes(), goldTrace.Bytes()) {
 		t.Fatal("trace of checkpointing run differs from uninterrupted run")
 	}
-	if got := checkpointBytes(t, run2.Engine); !bytes.Equal(got, goldFinal) {
+	if got := checkpointBytes(t, run2); !bytes.Equal(got, goldFinal) {
 		t.Fatal("final state of checkpointing run differs from uninterrupted run")
 	}
 
@@ -108,11 +109,11 @@ func TestRestoreByteIdentical(t *testing.T) {
 		res := fig10Ckpt(&resTrace,
 			engine.WithRestore(p.data),
 			engine.WithCheckpointSink(func(int64, []byte) error { return nil }, 40))
-		if v, want := res.Engine.StateVersion(), p.round+1; v != want {
+		if v, want := res.StateVersion(), p.round+1; v != want {
 			t.Errorf("restored StateVersion = %d, want %d", v, want)
 		}
-		res.Cluster.RunToRound(total)
-		if got := checkpointBytes(t, res.Engine); !bytes.Equal(got, goldFinal) {
+		res.Cluster.RunRounds(context.Background(), total-res.StateVersion())
+		if got := checkpointBytes(t, res); !bytes.Equal(got, goldFinal) {
 			t.Errorf("run restored from round %d: final state differs from uninterrupted run", p.round)
 			continue
 		}
@@ -120,7 +121,7 @@ func TestRestoreByteIdentical(t *testing.T) {
 			t.Errorf("run restored from round %d: trace suffix differs (%d vs %d bytes)",
 				p.round, resTrace.Len(), len(want))
 		}
-		if v := res.Engine.StateVersion(); v != total {
+		if v := res.StateVersion(); v != total {
 			t.Errorf("restored StateVersion = %d after finish, want %d", v, total)
 		}
 	}
@@ -134,10 +135,10 @@ func TestChainedRunsMatchOneRun(t *testing.T) {
 	const total = 600
 	var oneTrace, chainedTrace bytes.Buffer
 	one := fig10Ckpt(&oneTrace)
-	one.Run(total)
+	one.Cluster.RunRounds(context.Background(), total)
 	chained := fig10Ckpt(&chainedTrace)
 	for i := 0; i < total; i++ {
-		chained.Run(1)
+		chained.Cluster.RunRounds(context.Background(), 1)
 	}
 	if got, want := chained.Cluster.Sched.Now(), one.Cluster.Sched.Now(); got != want {
 		t.Errorf("chained runs end at %v, one run at %v", got, want)
@@ -145,20 +146,20 @@ func TestChainedRunsMatchOneRun(t *testing.T) {
 	if got, want := chained.Cluster.Sched.Fired(), one.Cluster.Sched.Fired(); got != want {
 		t.Errorf("chained runs fired %d events, one run %d", got, want)
 	}
-	want := checkpointBytes(t, one.Engine)
-	if !bytes.Equal(checkpointBytes(t, chained.Engine), want) {
+	want := checkpointBytes(t, one)
+	if !bytes.Equal(checkpointBytes(t, chained), want) {
 		t.Error("chained runs' checkpoint differs from one run's")
 	}
 
 	var headTrace, tailTrace bytes.Buffer
 	head := fig10Ckpt(&headTrace)
-	head.Run(total / 2)
-	tail := fig10Ckpt(&tailTrace, engine.WithRestore(checkpointBytes(t, head.Engine)))
-	tail.Run(total / 2)
+	head.Cluster.RunRounds(context.Background(), total/2)
+	tail := fig10Ckpt(&tailTrace, engine.WithRestore(checkpointBytes(t, head)))
+	tail.Cluster.RunRounds(context.Background(), total/2)
 	if got, want := tail.Cluster.Sched.Now(), one.Cluster.Sched.Now(); got != want {
 		t.Errorf("restored run ends at %v, one run at %v", got, want)
 	}
-	if !bytes.Equal(checkpointBytes(t, tail.Engine), want) {
+	if !bytes.Equal(checkpointBytes(t, tail), want) {
 		t.Error("restored run's checkpoint differs from one run's")
 	}
 }
@@ -168,17 +169,17 @@ func TestChainedRunsMatchOneRun(t *testing.T) {
 func TestRestoreAtBoot(t *testing.T) {
 	var goldTrace bytes.Buffer
 	gold := fig10Ckpt(&goldTrace)
-	boot := checkpointBytes(t, gold.Engine)
-	gold.Cluster.RunToRound(60)
-	goldFinal := checkpointBytes(t, gold.Engine)
+	boot := checkpointBytes(t, gold)
+	gold.Cluster.RunRounds(context.Background(), 60)
+	goldFinal := checkpointBytes(t, gold)
 
 	var resTrace bytes.Buffer
 	res := fig10Ckpt(&resTrace, engine.WithRestore(boot))
-	if v := res.Engine.StateVersion(); v != 0 {
+	if v := res.StateVersion(); v != 0 {
 		t.Errorf("StateVersion = %d at boot restore, want 0", v)
 	}
-	res.Cluster.RunToRound(60)
-	if got := checkpointBytes(t, res.Engine); !bytes.Equal(got, goldFinal) {
+	res.Cluster.RunRounds(context.Background(), 60)
+	if got := checkpointBytes(t, res); !bytes.Equal(got, goldFinal) {
 		t.Fatal("run restored from boot checkpoint differs from direct run")
 	}
 	if !bytes.Equal(resTrace.Bytes(), goldTrace.Bytes()) {
@@ -191,7 +192,7 @@ func TestRestoreAtBoot(t *testing.T) {
 func TestRestoreValidatesOptions(t *testing.T) {
 	var w bytes.Buffer
 	sys := fig10Ckpt(&w)
-	data := checkpointBytes(t, sys.Engine)
+	data := checkpointBytes(t, sys)
 
 	if _, err := engine.New(
 		engine.WithTopology(5, 250*sim.Microsecond, 256),
@@ -218,19 +219,19 @@ func TestRestoreCopiesOutOfStream(t *testing.T) {
 	const mid, total = 60, 120
 	var goldTrace bytes.Buffer
 	gold := fig10Ckpt(&goldTrace)
-	gold.Cluster.RunToRound(mid)
-	data := checkpointBytes(t, gold.Engine)
+	gold.Cluster.RunRounds(context.Background(), mid)
+	data := checkpointBytes(t, gold)
 	traceLen := goldTrace.Len()
-	gold.Cluster.RunToRound(total)
-	goldFinal := checkpointBytes(t, gold.Engine)
+	gold.Cluster.RunRounds(context.Background(), total-mid)
+	goldFinal := checkpointBytes(t, gold)
 
 	var resTrace bytes.Buffer
 	res := fig10Ckpt(&resTrace, engine.WithRestore(data))
 	for i := range data {
 		data[i] = 0xFF
 	}
-	res.Cluster.RunToRound(total)
-	if got := checkpointBytes(t, res.Engine); !bytes.Equal(got, goldFinal) {
+	res.Cluster.RunRounds(context.Background(), total-mid)
+	if got := checkpointBytes(t, res); !bytes.Equal(got, goldFinal) {
 		t.Error("overwriting the restored stream changed the run's final state")
 	}
 	if !bytes.Equal(resTrace.Bytes(), goldTrace.Bytes()[traceLen:]) {
@@ -469,7 +470,7 @@ func TestRestoreRejectsUntrackedKeys(t *testing.T) {
 		{"accumulator channel", "accumulator channel 65537", accumulator(0, 65537), sys.Diag.Monitors[0]},
 		// arm counter, id horizon, activation count, then the first
 		// activation's id and latch
-		{"StageKind", "core.StageKind 9", append(headOf(encodeSection(t, sys.Engine.Injector), 5), stageKind(9)...), sys.Engine.Injector},
+		{"StageKind", "core.StageKind 9", append(headOf(encodeSection(t, sys.Injector), 5), stageKind(9)...), sys.Injector},
 		{"FaultClass", "core.FaultClass 99", adviserVerdict(nFRU, 0, 99, 0, 0), adviser},
 		{"Persistence", "core.Persistence 7", adviserVerdict(nFRU, 0, 0, 7, 0), adviser},
 		{"MaintenanceAction", "core.MaintenanceAction 42", adviserVerdict(nFRU, 0, 0, 0, 42), adviser},

@@ -1,9 +1,10 @@
 // Package engine is the single cluster-run harness of the reproduction:
-// every consumer — the E1–E13 experiments, the scenario systems
+// every consumer — the E1–E13 experiments, the scenario constructors
 // (Fig. 10, the scalability grid), the fault-injection campaign and the
 // command-line tools — assembles its cluster through the same
-// functional-options builder and drives it through the same
-// context-aware Run lifecycle.
+// functional-options builder, holds the built Engine as its one handle,
+// and advances it through the one run call,
+// Engine.Cluster.RunRounds(ctx, n).
 //
 // Before the engine existed each of those call sites hand-rolled the
 // identical wiring: TDMA schedule, cluster construction, clock-ensemble
@@ -25,7 +26,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"decos/internal/baseline"
@@ -357,16 +357,6 @@ func MustNew(opts ...Option) *Engine {
 	}
 	return e
 }
-
-// Run advances the cluster by n TDMA rounds under the context: it returns
-// ctx.Err() when cancelled mid-run (the cluster halts partway, observable
-// state intact) and nil on completion.
-func (e *Engine) Run(ctx context.Context, n int64) error {
-	return e.Cluster.RunRoundsCtx(ctx, n)
-}
-
-// RunRounds advances the cluster by n TDMA rounds without a context.
-func (e *Engine) RunRounds(n int64) { e.Cluster.RunRounds(n) }
 
 // StateVersion returns the monotonic version of the checkpointable
 // cluster state: the number of completed TDMA rounds. It is carried

@@ -47,11 +47,11 @@ func TestNewValidatesTopology(t *testing.T) {
 
 func TestRunCompletesRounds(t *testing.T) {
 	eng := engine.MustNew(smallOptions(1)...)
-	if err := eng.Run(context.Background(), 50); err != nil {
+	if err := eng.Cluster.RunRounds(context.Background(), 50); err != nil {
 		t.Fatal(err)
 	}
 	// The bus counter names the round in progress: after 50 full rounds it
-	// sits on index 49, same as Cluster.RunRounds.
+	// sits on index 49.
 	if got := eng.Cluster.Round(); got != 49 {
 		t.Fatalf("Round = %d, want 49", got)
 	}
@@ -63,14 +63,14 @@ func TestRunCancellation(t *testing.T) {
 	eng := engine.MustNew(smallOptions(1)...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := eng.Run(ctx, 1000); err != context.Canceled {
-		t.Fatalf("Run err = %v, want context.Canceled", err)
+	if err := eng.Cluster.RunRounds(ctx, 1000); err != context.Canceled {
+		t.Fatalf("RunRounds err = %v, want context.Canceled", err)
 	}
 	if got := eng.Cluster.Round(); got >= 1000 {
 		t.Fatalf("Round = %d after immediate cancel, want < 1000", got)
 	}
 	// The engine stays usable: a fresh context resumes the run.
-	if err := eng.Run(context.Background(), 10); err != nil {
+	if err := eng.Cluster.RunRounds(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -95,7 +95,7 @@ func TestSinkReceivesEvents(t *testing.T) {
 	if eng.Recorder == nil {
 		t.Fatal("sink configured but no recorder attached")
 	}
-	eng.RunRounds(20)
+	eng.Cluster.RunRounds(context.Background(), 20)
 	if counting.Count("frame") == 0 {
 		t.Fatal("counting sink observed no frame events over 20 rounds with AllFrames")
 	}
@@ -107,13 +107,13 @@ func TestTraceWriterMatchesDirectAttach(t *testing.T) {
 	var viaEngine bytes.Buffer
 	eng := engine.MustNew(append(smallOptions(7),
 		engine.WithSink(trace.NewNDJSONSink(&viaEngine), trace.Options{AllFrames: true}))...)
-	eng.RunRounds(30)
+	eng.Cluster.RunRounds(context.Background(), 30)
 
 	var direct bytes.Buffer
 	eng2 := engine.MustNew(smallOptions(7)...)
 	trace.AttachSink(eng2.Cluster, eng2.Diag, eng2.Injector,
 		trace.NewNDJSONSink(&direct), trace.Options{AllFrames: true})
-	eng2.RunRounds(30)
+	eng2.Cluster.RunRounds(context.Background(), 30)
 
 	if viaEngine.String() != direct.String() {
 		t.Fatalf("engine-attached trace differs from direct attach:\n%d vs %d bytes",

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"io"
 	"os"
@@ -29,7 +30,7 @@ const (
 // restoreGolden rebuilds the golden run's system from checkpoint bytes
 // through the error-returning constructor — the exact path external
 // checkpoint files (decos-sim -checkpoint-dir, decos-whatif -ckpt) take.
-func restoreGolden(data []byte) (*scenario.System, error) {
+func restoreGolden(data []byte) (*engine.Engine, error) {
 	var tr bytes.Buffer
 	return scenario.Fig10Restored(data, 20050404, diagnosis.Options{}, nil,
 		engine.WithFaults(richManifest),
@@ -39,9 +40,9 @@ func restoreGolden(data []byte) (*scenario.System, error) {
 func generateGoldenCkpt(tb testing.TB) []byte {
 	var tr bytes.Buffer
 	sys := fig10Ckpt(&tr)
-	sys.Cluster.RunToRound(goldenCkptRounds)
+	sys.Cluster.RunRounds(context.Background(), goldenCkptRounds)
 	var buf bytes.Buffer
-	if err := sys.Engine.Checkpoint(&buf); err != nil {
+	if err := sys.Checkpoint(&buf); err != nil {
 		tb.Fatalf("Checkpoint: %v", err)
 	}
 	return buf.Bytes()
@@ -74,11 +75,11 @@ func TestGoldenCheckpointV1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restoring the v1 fixture: %v", err)
 	}
-	if v := sys.Engine.StateVersion(); v != goldenCkptRounds {
+	if v := sys.StateVersion(); v != goldenCkptRounds {
 		t.Fatalf("restored StateVersion = %d, want %d", v, goldenCkptRounds)
 	}
 	var re bytes.Buffer
-	if err := sys.Engine.Checkpoint(&re); err != nil {
+	if err := sys.Checkpoint(&re); err != nil {
 		t.Fatalf("re-encoding restored engine: %v", err)
 	}
 	if !bytes.Equal(re.Bytes(), want) {
@@ -133,7 +134,7 @@ func FuzzCheckpointReader(f *testing.F) {
 		}
 		// Every validation passed: the engine must be whole enough to
 		// checkpoint itself again.
-		if err := sys.Engine.Checkpoint(io.Discard); err != nil {
+		if err := sys.Checkpoint(io.Discard); err != nil {
 			t.Fatalf("restored engine cannot re-checkpoint: %v", err)
 		}
 	})

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,10 +29,10 @@ func resetPlan(kind scenario.FaultKind, faulty bool) []scenario.InjectPlan {
 }
 
 // checkpointOf encodes the system's engine state.
-func checkpointOf(t *testing.T, sys *scenario.System) []byte {
+func checkpointOf(t *testing.T, sys *engine.Engine) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := sys.Engine.Checkpoint(&b); err != nil {
+	if err := sys.Checkpoint(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -68,7 +69,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 						freshOpts = append(freshOpts, engine.WithSink(trace.NewBinarySink(&freshBuf), trace.Options{TrustEveryEpochs: 5, Vehicle: 2}))
 					}
 					worker := scenario.Fig10(seed^0xfeed, diagnosis.Options{}, prev, workerOpts...)
-					worker.Run(resetRounds / 3)
+					worker.Cluster.RunRounds(context.Background(), resetRounds/3)
 
 					plan := resetPlan(kind, faulty)
 					var extra []engine.Option
@@ -76,15 +77,15 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 						workerBuf.Reset()
 						extra = append(extra, engine.WithSink(trace.NewBinarySink(&workerBuf), trace.Options{TrustEveryEpochs: 5, Vehicle: 2}))
 					}
-					if err := worker.Reset(seed, plan, extra...); err != nil {
+					if err := worker.Reset(append([]engine.Option{engine.WithSeed(seed), scenario.PlanFaults(plan)}, extra...)...); err != nil {
 						t.Fatal(err)
 					}
 					fresh := scenario.Fig10(seed, diagnosis.Options{}, plan, freshOpts...)
 					if w, f := checkpointOf(t, worker), checkpointOf(t, fresh); !bytes.Equal(w, f) {
 						t.Fatalf("reset engine checkpoints %d bytes, fresh engine %d: they differ", len(w), len(f))
 					}
-					worker.Run(resetRounds)
-					fresh.Run(resetRounds)
+					worker.Cluster.RunRounds(context.Background(), resetRounds)
+					fresh.Cluster.RunRounds(context.Background(), resetRounds)
 					if !bytes.Equal(workerBuf.Bytes(), freshBuf.Bytes()) {
 						t.Errorf("reset engine traced %d bytes, fresh engine %d: they differ", workerBuf.Len(), freshBuf.Len())
 					}
@@ -102,12 +103,12 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 // the same after the engine is reset and runs the next vehicle.
 func TestResetKeepsEarlierResults(t *testing.T) {
 	sys := scenario.Fig10(20050404, diagnosis.Options{}, resetPlan(scenario.KindPermanent, true))
-	sys.Run(resetRounds)
+	sys.Cluster.RunRounds(context.Background(), resetRounds)
 	var trust [][]diagnosis.TrustPoint
 	for f := 0; f < sys.Diag.Reg.Len(); f++ {
 		trust = append(trust, sys.Diag.Assessor.TrustHistory(diagnosis.FRUIndex(f)))
 	}
-	ledger := sys.Ledger()
+	ledger := sys.Injector.Ledger()
 	emitted := sys.Diag.Assessor.Emitted()
 	if len(trust[0]) == 0 || len(ledger) == 0 || len(emitted) == 0 {
 		t.Fatalf("first vehicle left %d trust points, %d activations, %d verdicts; want some of each",
@@ -116,14 +117,14 @@ func TestResetKeepsEarlierResults(t *testing.T) {
 	render := func() string { return fmt.Sprint(trust, ledger, emitted) }
 	before := render()
 
-	if err := sys.Reset(7, resetPlan(scenario.KindEMI, true)); err != nil {
+	if err := sys.Reset(engine.WithSeed(7), scenario.PlanFaults(resetPlan(scenario.KindEMI, true))); err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(resetRounds)
+	sys.Cluster.RunRounds(context.Background(), resetRounds)
 	if after := render(); after != before {
 		t.Errorf("results of the first vehicle changed while the next one ran:\nbefore: %s\nafter:  %s", before, after)
 	}
-	if len(sys.Ledger()) == 0 || len(sys.Diag.Assessor.TrustHistory(0)) == 0 {
+	if len(sys.Injector.Ledger()) == 0 || len(sys.Diag.Assessor.TrustHistory(0)) == 0 {
 		t.Error("the second vehicle recorded no activation or trust point")
 	}
 }
@@ -134,7 +135,7 @@ func TestResetRejectsBuildOptions(t *testing.T) {
 	untraced := scenario.Fig10(1, diagnosis.Options{}, nil)
 	traced := scenario.Fig10(1, diagnosis.Options{}, nil, engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{}))
 	for name, c := range map[string]struct {
-		sys *scenario.System
+		sys *engine.Engine
 		opt engine.Option
 	}{
 		"topology":       {untraced, engine.WithTopology(4, 250, 256)},
@@ -145,11 +146,11 @@ func TestResetRejectsBuildOptions(t *testing.T) {
 		"checkpointing":  {untraced, engine.WithCheckpointSink(func(int64, []byte) error { return nil }, 10)},
 		"restore stream": {untraced, engine.WithRestore(nil)},
 	} {
-		if err := c.sys.Engine.Reset(c.opt); err == nil {
+		if err := c.sys.Reset(c.opt); err == nil {
 			t.Errorf("%s: Reset accepted the option", name)
 		}
 	}
-	if err := traced.Engine.Reset(engine.WithSeed(2), engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{Vehicle: 3})); err != nil {
+	if err := traced.Reset(engine.WithSeed(2), engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{Vehicle: 3})); err != nil {
 		t.Errorf("seed and sink: %v", err)
 	}
 }

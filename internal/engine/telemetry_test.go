@@ -21,7 +21,7 @@ func TestWithTelemetryPopulatesRegistry(t *testing.T) {
 	if eng.Telemetry != reg {
 		t.Fatal("engine did not adopt the registry")
 	}
-	if err := eng.Run(context.Background(), 50); err != nil {
+	if err := eng.Cluster.RunRounds(context.Background(), 50); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +70,7 @@ func TestTelemetrySimCountersDeterministic(t *testing.T) {
 	run := func() telemetry.Snapshot {
 		reg := telemetry.New()
 		eng := engine.MustNew(append(diagOptions(7), engine.WithTelemetry(reg))...)
-		if err := eng.Run(context.Background(), 40); err != nil {
+		if err := eng.Cluster.RunRounds(context.Background(), 40); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Snapshot()
@@ -95,7 +95,7 @@ func TestWithTelemetryNilIsDisabled(t *testing.T) {
 	if eng.Telemetry != nil {
 		t.Fatal("nil registry should leave Engine.Telemetry nil")
 	}
-	if err := eng.Run(context.Background(), 10); err != nil {
+	if err := eng.Cluster.RunRounds(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/component"
@@ -37,7 +38,7 @@ func A1WindowSweep(seed uint64) *Result {
 					WindowGranules: w,
 					RetainGranules: 3 * w,
 				}, kind)
-				sys.Run(3000)
+				sys.Cluster.RunRounds(context.Background(), 3000)
 				subject := act.Culprit
 				if subject.Component < 0 && len(act.Affected) > 0 {
 					subject = act.Affected[0]
@@ -87,12 +88,12 @@ func A2AlphaSweep(seed uint64) *Result {
 		for rep := 0; rep < a2Reps; rep++ {
 			seu, intermittent := a2Runs(seed, k, rep)
 			sysA := seu.build()
-			sysA.Run(seu.rounds)
+			sysA.Cluster.RunRounds(context.Background(), seu.rounds)
 			if v, ok := sysA.Diag.VerdictOf(core.HardwareFRU(1)); ok && v.Class == core.ComponentExternal {
 				seuOK++
 			}
 			sysB := intermittent.build()
-			sysB.Run(intermittent.rounds)
+			sysB.Cluster.RunRounds(context.Background(), intermittent.rounds)
 			if v, ok := sysB.Diag.VerdictOf(core.HardwareFRU(1)); ok && v.Class == core.ComponentInternal {
 				intOK++
 			}
@@ -136,7 +137,7 @@ func A3Encapsulation(seed uint64) *Result {
 	measure := func(guardian bool) (accused int, culpritFound bool, disturbed int) {
 		r := a3Run(seed, guardian)
 		sys := r.build()
-		sys.Run(r.rounds)
+		sys.Cluster.RunRounds(context.Background(), r.rounds)
 		for _, c := range sys.Cluster.Components() {
 			v, ok := sys.Diag.VerdictOf(core.HardwareFRU(int(c.ID)))
 			if !ok {
@@ -191,8 +192,8 @@ func A4QueueSweep(seed uint64) *Result {
 	for _, capacity := range a4Caps {
 		r := a4Run(seed, capacity)
 		sys := r.build()
-		sys.Run(r.rounds)
-		over := sys.Sink.InPort(scenario.ChLoad).Stats.Overflows
+		sys.Cluster.RunRounds(context.Background(), r.rounds)
+		over := sys.Cluster.DAS("C").JobNamed("C2").InPort(scenario.ChLoad).Stats.Overflows
 		v, ok := sys.Diag.VerdictOf(core.SoftwareFRU(2, "C/C2"))
 		verdict := "-"
 		if ok {
@@ -233,7 +234,7 @@ func A5DiagBandwidth(seed uint64) *Result {
 	for _, alloc := range a5Allocs {
 		r := a5Run(seed, alloc)
 		sys := r.build()
-		sys.Run(r.rounds)
+		sys.Cluster.RunRounds(context.Background(), r.rounds)
 
 		drops := 0
 		for n := 0; n < 4; n++ {

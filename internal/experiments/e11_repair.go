@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/maintenance"
@@ -41,7 +43,7 @@ func E11RepairLoop(seed uint64) *Result {
 	}
 	run := func(kind scenario.FaultKind, rep int, useOBD bool) (fixedAction core.MaintenanceAction, stillFailing bool, removal bool) {
 		sys, act := faultedFig10(seed+uint64(kind)*211+uint64(rep)*31, opts, kind)
-		sys.Run(3000)
+		sys.Cluster.RunRounds(context.Background(), 3000)
 
 		subject := act.Culprit
 		if subject.Component < 0 && len(act.Affected) > 0 {
@@ -68,10 +70,10 @@ func E11RepairLoop(seed uint64) *Result {
 
 		// Settling window: drain diagnostic-network backlog and let stale
 		// port state refresh before judging the repair.
-		sys.Run(500)
+		sys.Cluster.RunRounds(context.Background(), 500)
 		// Post-repair observation window: objective LIF-level evidence.
 		before := sys.Diag.Assessor.SymptomsReceived
-		sys.Run(2000)
+		sys.Cluster.RunRounds(context.Background(), 2000)
 		residual := sys.Diag.Assessor.SymptomsReceived - before
 		return action, residual > residualBudget, action.Removal()
 	}

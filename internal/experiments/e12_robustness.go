@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/diagnosis"
@@ -23,7 +24,7 @@ func E12Robustness(seed uint64) *Result {
 		correct := 0
 		for s := 0; s < seeds; s++ {
 			sys, act := faultedFig10(seed+uint64(kind)*6151+uint64(s)*389, diagnosis.Options{}, kind)
-			sys.Run(3000)
+			sys.Cluster.RunRounds(context.Background(), 3000)
 			subject := act.Culprit
 			if subject.Component < 0 && len(act.Affected) > 0 {
 				subject = act.Affected[0]

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -60,8 +61,8 @@ func E14Whatif(seed uint64) *Result {
 					}
 					return nil
 				}, ckptAt))
-			sys.Run(rounds)
-			act := sys.Ledger()[0]
+			sys.Cluster.RunRounds(context.Background(), rounds)
+			act := sys.Injector.Ledger()[0]
 			comp := act.Culprit.Component
 			if comp < 0 && len(act.Affected) > 0 {
 				comp = act.Affected[0].Component

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"decos/internal/pack"
 	"decos/internal/scenario"
@@ -56,29 +55,13 @@ func E15PackConformance(seed uint64) *Result {
 	return res
 }
 
-// RunPackConformance discovers the repository's packs/ directory, loads
-// every manifest and scores it through the scenario conformance runner.
-// Shared by E15 and the conformance contract test.
+// RunPackConformance loads every manifest of the repository's packs/
+// directory (pack.LoadDir) and scores it through the scenario
+// conformance runner. Shared by E15 and the conformance contract test.
 func RunPackConformance(ctx context.Context) (*pack.Report, error) {
-	wd, err := os.Getwd()
+	_, ms, err := pack.LoadDir("")
 	if err != nil {
 		return nil, err
-	}
-	dir, ok := pack.FindPacksDir(wd)
-	if !ok {
-		return nil, fmt.Errorf("no packs/ directory above %s", wd)
-	}
-	files, err := pack.Discover(dir)
-	if err != nil {
-		return nil, err
-	}
-	var ms []*pack.Manifest
-	for _, f := range files {
-		m, err := pack.Load(f)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
 	}
 	return scenario.ConformAll(ctx, ms), nil
 }

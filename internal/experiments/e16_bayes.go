@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -175,7 +176,7 @@ func E16BayesCalibration(seed uint64) *Result {
 			runSeed := seed + uint64(kind)*6151 + uint64(s)*389
 
 			sys, act := faultedFig10(runSeed, diagnosis.Options{}, kind)
-			sys.Run(3000)
+			sys.Cluster.RunRounds(context.Background(), 3000)
 
 			culprits := map[int]bool{}
 			if act.Culprit.Component >= 0 && act.Culprit.IsHardware() {
@@ -204,7 +205,7 @@ func E16BayesCalibration(seed uint64) *Result {
 
 			sysB, actB := faultedFig10(runSeed, diagnosis.Options{}, kind,
 				engine.WithClassifier(bayes.New()))
-			sysB.Run(3000)
+			sysB.Cluster.RunRounds(context.Background(), 3000)
 			if actB.Class != act.Class {
 				panic("E16: bayes pass drew a different realization")
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/component"
@@ -60,7 +61,7 @@ func E1CoreServices(seed uint64) *Result {
 			worstPrecision = p
 		}
 	})
-	cl.RunRounds(2000)
+	cl.RunRounds(context.Background(), 2000)
 
 	// Phase 2: babbling idiot on node 3 (C3).
 	cl.Bus.SetBabbling(3, true)
@@ -71,7 +72,7 @@ func E1CoreServices(seed uint64) *Result {
 			corrupted++
 		}
 	})
-	cl.RunRounds(1000)
+	cl.RunRounds(context.Background(), 1000)
 	blocks := cl.Bus.GuardianBlocks
 	cl.Bus.SetBabbling(3, false)
 	phase2 = false
@@ -79,7 +80,7 @@ func E1CoreServices(seed uint64) *Result {
 	// Phase 3: fail-silent node 2 (C4): detection latency + consistency.
 	killRound := cl.Round()
 	cl.Bus.SetAlive(2, false)
-	cl.RunRounds(10)
+	cl.RunRounds(context.Background(), 10)
 	round := cl.Round()
 	detected := int64(-1)
 	for r := killRound; r <= round; r++ {

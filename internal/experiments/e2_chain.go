@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/core"
@@ -24,7 +25,7 @@ func E2Chain(seed uint64) *Result {
 	matches := 0
 	for i, kind := range kinds {
 		sys, act := faultedFig10(seed+uint64(i)*131, diagnosis.Options{}, kind)
-		sys.Run(3000)
+		sys.Cluster.RunRounds(context.Background(), 3000)
 
 		subject := act.Culprit
 		if subject == core.FRU(noCulprit()) && len(act.Affected) > 0 {

@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/diagnosis"
+	"decos/internal/engine"
 	"decos/internal/pack"
-	"decos/internal/scenario"
 	"decos/internal/tt"
 )
 
@@ -21,7 +22,7 @@ func E4Patterns(seed uint64) *Result {
 	// --- Wearout: increasing frequency, one component, rising deviation.
 	{
 		sys := wearout.build()
-		sys.Run(wearout.rounds)
+		sys.Cluster.RunRounds(context.Background(), wearout.rounds)
 		hist := sys.Diag.Assessor.Hist
 		hw0, _ := sys.Diag.Reg.HardwareIndex(0)
 		g := hist.Latest()
@@ -43,7 +44,7 @@ func E4Patterns(seed uint64) *Result {
 	// --- Massive transient: simultaneous, spatially proximate, multi-bit.
 	{
 		sys := emi.build()
-		sys.Run(emi.rounds)
+		sys.Cluster.RunRounds(context.Background(), emi.rounds)
 		hist := sys.Diag.Assessor.Hist
 		g := hist.Latest()
 		var spanMin, spanMax int64 = 1 << 62, -1
@@ -78,7 +79,7 @@ func E4Patterns(seed uint64) *Result {
 	// --- Connector: arbitrary times, one component, omissions.
 	{
 		sys := connector.build()
-		sys.Run(connector.rounds)
+		sys.Cluster.RunRounds(context.Background(), connector.rounds)
 		hist := sys.Diag.Assessor.Hist
 		g := hist.Latest()
 		hw0, _ := sys.Diag.Reg.HardwareIndex(0)
@@ -121,7 +122,7 @@ func e4Runs(seed uint64) (wearout, emi, connector run) {
 			pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.25})}
 }
 
-func corruptedComponents(sys *scenario.System, g int64) int {
+func corruptedComponents(sys *engine.Engine, g int64) int {
 	n := 0
 	for _, hw := range sys.Diag.Reg.HardwareFRUs() {
 		if len(sys.Diag.Assessor.Hist.ActiveGranules(hw, 0, g, diagnosis.KindIn(diagnosis.SymCorruption))) > 0 {
@@ -131,7 +132,7 @@ func corruptedComponents(sys *scenario.System, g int64) int {
 	return n
 }
 
-func maxJobDeviation(sys *scenario.System, node int, from, to int64) float64 {
+func maxJobDeviation(sys *engine.Engine, node int, from, to int64) float64 {
 	max := 0.0
 	hw, _ := sys.Diag.Reg.HardwareIndex(tt.NodeID(node))
 	for _, sw := range sys.Diag.Reg.JobsOn(hw) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/pack"
@@ -14,7 +15,7 @@ import (
 func E5Trust(seed uint64) *Result {
 	r := e5Run(seed)
 	sys := r.build()
-	sys.Run(r.rounds)
+	sys.Cluster.RunRounds(context.Background(), r.rounds)
 
 	hwA, _ := sys.Diag.Reg.HardwareIndex(0)
 	hwB, _ := sys.Diag.Reg.HardwareIndex(2)

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/component"
 	"decos/internal/core"
+	"decos/internal/engine"
 	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
@@ -24,15 +26,15 @@ func E6Judgment(seed uint64) *Result {
 	// (a) Job-inherent fault in DAS A's sensor job A1 on component 0.
 	{
 		sys := jobFault.build()
-		sys.Run(jobFault.rounds)
-		rejected := sys.Control.Impl.(*component.ControlJob).RejectedInputs
-		voterOK := sys.Voter.NoMajority == 0
+		sys.Cluster.RunRounds(context.Background(), jobFault.rounds)
+		rejected := sys.Cluster.DAS("A").JobNamed("A2").Impl.(*component.ControlJob).RejectedInputs
+		voterOK := tmrVoter(sys).NoMajority == 0
 		v, ok := sys.Diag.VerdictOf(core.SoftwareFRU(0, "A/A1"))
 		verdict := "-"
 		if ok {
 			verdict = v.Class.String()
 		}
-		contained := voterOK && sys.Sink.Impl.(*component.SinkJob).Received > 0
+		contained := voterOK && sys.Cluster.DAS("C").JobNamed("C2").Impl.(*component.SinkJob).Received > 0
 		t.row("job-inherent (A1)",
 			fmt.Sprintf("%d implausible inputs rejected", rejected),
 			"none", "none (no vote lost)",
@@ -44,10 +46,11 @@ func E6Judgment(seed uint64) *Result {
 	// (b) Component-internal fault on component 2 (hosts A3, C2, S2).
 	{
 		sys := compFault.build()
-		sys.Run(e6Healthy)
-		votedBefore := sys.Voter.Voted
-		sys.Run(compFault.rounds - e6Healthy)
-		votes := sys.Voter.Voted - votedBefore
+		tmr := tmrVoter(sys)
+		sys.Cluster.RunRounds(context.Background(), e6Healthy)
+		votedBefore := tmr.Voted
+		sys.Cluster.RunRounds(context.Background(), compFault.rounds-e6Healthy)
+		votes := tmr.Voted - votedBefore
 		v, ok := sys.Diag.VerdictOf(core.HardwareFRU(2))
 		verdict := "-"
 		if ok {
@@ -87,4 +90,9 @@ func e6Runs(seed uint64) (jobFault, compFault run) {
 			pack.FaultSpec{Kind: "bohrbug", Job: "A/A1", Channel: scenario.ChSpeed, Threshold: 55, Value: 400})},
 		run{seed: seed + 1, rounds: 3000, plan: plan(scenario.RoundsAt(e6Healthy).Add(20*sim.Millisecond),
 			pack.FaultSpec{Kind: "permanent-silent", Component: 2})}
+}
+
+// tmrVoter returns the voter job of a Fig. 10 system's TMR DAS S.
+func tmrVoter(sys *engine.Engine) *component.VoterJob {
+	return sys.Cluster.DAS("S").JobNamed("V").Impl.(*component.VoterJob)
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/maintenance"
@@ -25,8 +27,8 @@ func E7Actions(seed uint64) *Result {
 		for rep := 0; rep < perKind; rep++ {
 			sys, act := faultedFig10(seed+uint64(kind)*1009+uint64(rep)*97, diagnosis.Options{}, kind)
 			truth = act.Class
-			sys.Run(3000)
-			r := maintenance.Evaluate(sys.Ledger(), sys.Diag)
+			sys.Cluster.RunRounds(context.Background(), 3000)
+			r := maintenance.Evaluate(sys.Injector.Ledger(), sys.Diag)
 			out := r.Outcomes[0]
 			actions[out.Action]++
 			if out.CorrectAction {

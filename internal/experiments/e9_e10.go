@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -53,7 +54,7 @@ func E10Scale(seed uint64) *Result {
 		r := e10Run(seed, n)
 		sys := r.build()
 		start := time.Now()
-		sys.Run(r.rounds)
+		sys.Cluster.RunRounds(context.Background(), r.rounds)
 		elapsed := time.Since(start).Seconds()
 		rps := float64(r.rounds) / elapsed
 		v, ok := sys.Diag.VerdictOf(core.HardwareFRU(r.plan[0].Fault.Component))

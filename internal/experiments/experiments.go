@@ -153,9 +153,9 @@ func (t *table) String() string {
 
 // faultedFig10 builds a Fig. 10 system whose fault manifest injects one
 // fault of kind at 300 ms, and returns it with that fault's ledger entry.
-func faultedFig10(seed uint64, opts diagnosis.Options, kind scenario.FaultKind, extra ...engine.Option) (*scenario.System, *faults.Activation) {
+func faultedFig10(seed uint64, opts diagnosis.Options, kind scenario.FaultKind, extra ...engine.Option) (*engine.Engine, *faults.Activation) {
 	sys := scenario.Fig10(seed, opts, []scenario.InjectPlan{{Kind: kind, At: ms(300)}}, extra...)
-	return sys, sys.Ledger()[0]
+	return sys, sys.Injector.Ledger()[0]
 }
 
 // run is one system an experiment builds with explicit faults, and the
@@ -170,7 +170,7 @@ type run struct {
 	extra  []engine.Option
 }
 
-func (r *run) build(extra ...engine.Option) *scenario.System {
+func (r *run) build(extra ...engine.Option) *engine.Engine {
 	extra = append(r.extra[:len(r.extra):len(r.extra)], extra...)
 	if r.grid > 0 {
 		return scenario.Grid(r.grid, r.seed, r.opts, r.plan, extra...)

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"decos/internal/engine"
-	"decos/internal/scenario"
 	"decos/internal/trace"
 	"decos/internal/whatif"
 )
@@ -54,10 +54,10 @@ func explicitRuns(seed uint64) []namedRun {
 	return out
 }
 
-func checkpointOf(t *testing.T, sys *scenario.System) []byte {
+func checkpointOf(t *testing.T, sys *engine.Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sys.Engine.Checkpoint(&buf); err != nil {
+	if err := sys.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -79,14 +79,14 @@ func TestExplicitFaultRunsRestore(t *testing.T) {
 				}
 				return nil
 			}, r.rounds/2))
-			whole.Cluster.RunToRound(r.rounds)
+			whole.Cluster.RunRounds(context.Background(), r.rounds)
 			if mid == nil {
 				t.Fatalf("no checkpoint at round %d", r.rounds/2)
 			}
 			want := checkpointOf(t, whole)
 
 			restored := r.build(engine.WithRestore(mid))
-			restored.Cluster.RunToRound(r.rounds)
+			restored.Cluster.RunRounds(context.Background(), r.rounds-restored.StateVersion())
 			if got := checkpointOf(t, restored); !bytes.Equal(got, want) {
 				t.Fatalf("restored run ends in a %d-byte checkpoint, the uninterrupted run in %d bytes; they differ",
 					len(got), len(want))
@@ -116,9 +116,9 @@ func TestWhatifReplaysE4AndE6(t *testing.T) {
 				return nil
 			}, ckptRound))
 			var buf bytes.Buffer
-			trace.AttachSink(sys.Cluster, sys.Diag, sys.Engine.Injector,
+			trace.AttachSink(sys.Cluster, sys.Diag, sys.Injector,
 				trace.NewNDJSONSink(&buf), trace.Options{TrustEveryEpochs: 5})
-			sys.Run(r.rounds)
+			sys.Cluster.RunRounds(context.Background(), r.rounds)
 			var recorded []trace.Event
 			rd, _ := trace.OpenReader(bytes.NewReader(buf.Bytes()))
 			if err := rd.ReadAll(func(e trace.Event) { recorded = append(recorded, e) }); err != nil {
@@ -128,7 +128,7 @@ func TestWhatifReplaysE4AndE6(t *testing.T) {
 			rep, err := whatif.Run(whatif.Config{
 				Seed: r.seed, Opts: r.opts, Plan: r.plan, Rounds: r.rounds,
 				Checkpoint: ckpt, Recorded: recorded,
-				Hyp: whatif.Hypothesis{Kind: whatif.Remove, Target: sys.Ledger()[0].ID},
+				Hyp: whatif.Hypothesis{Kind: whatif.Remove, Target: sys.Injector.Ledger()[0].ID},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func TestWhatifReplaysE4AndE6(t *testing.T) {
 				t.Fatalf("factual replica does not reproduce the recording: %+v", rep.TraceMatch)
 			}
 			if rep.Div == nil {
-				t.Errorf("removing %s changed nothing", sys.Ledger()[0])
+				t.Errorf("removing %s changed nothing", sys.Injector.Ledger()[0])
 			}
 		})
 	}

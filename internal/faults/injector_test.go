@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -80,7 +81,7 @@ func observe(f *fixture) statusCounter {
 	return sc
 }
 
-func (f *fixture) runRounds(n int64) { f.cl.RunRounds(n) }
+func (f *fixture) runRounds(n int64) { f.cl.RunRounds(context.Background(), n) }
 
 func TestEMIBurstAffectsProximateComponentsSimultaneously(t *testing.T) {
 	f := build(t, 1)

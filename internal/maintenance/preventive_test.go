@@ -1,6 +1,7 @@
 package maintenance_test
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/core"
@@ -16,7 +17,7 @@ func TestPreventiveSchedulesWearingFRU(t *testing.T) {
 		{At: sim.Time(200 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "wearout", Component: 0,
 			TauMS: 500, BaseRatePerHour: 3600 * 4, MaxFactor: 40, DriftPerHour: 3600 * 20}},
 	})
-	sys.Run(3000)
+	sys.Cluster.RunRounds(context.Background(), 3000)
 
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)
 	if len(recs) != 1 {
@@ -34,7 +35,7 @@ func TestPreventiveIgnoresExternalDisturbance(t *testing.T) {
 	sys := scenario.Fig10(62, diagnosis.Options{}, []scenario.InjectPlan{
 		{At: sim.Time(400 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "emi-burst", Component: -1, X: 0.5, Radius: 2, DurationMS: 10, Bits: 4}},
 	})
-	sys.Run(3000)
+	sys.Cluster.RunRounds(context.Background(), 3000)
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)
 	if len(recs) != 0 {
 		t.Errorf("EMI-disturbed components scheduled for replacement: %v", recs)
@@ -43,7 +44,7 @@ func TestPreventiveIgnoresExternalDisturbance(t *testing.T) {
 
 func TestPreventiveHealthyClusterQuiet(t *testing.T) {
 	sys := scenario.Fig10(63, diagnosis.Options{}, nil)
-	sys.Run(2000)
+	sys.Cluster.RunRounds(context.Background(), 2000)
 	if recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag); len(recs) != 0 {
 		t.Errorf("healthy cluster scheduled: %v", recs)
 	}
@@ -53,7 +54,7 @@ func TestPreventiveCorrectivePathForDeadComponent(t *testing.T) {
 	sys := scenario.Fig10(64, diagnosis.Options{}, []scenario.InjectPlan{
 		{At: sim.Time(200 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 1}},
 	})
-	sys.Run(1500)
+	sys.Cluster.RunRounds(context.Background(), 1500)
 	recs := maintenance.DefaultPreventivePolicy().Evaluate(sys.Diag)
 	if len(recs) != 1 || recs[0].FRU != core.HardwareFRU(1) {
 		t.Fatalf("recommendations = %v, want component[1]", recs)

@@ -23,7 +23,7 @@ import (
 // the Go constructors' exactly, so a pack run is byte-identical to the
 // equivalent Go-built run under the same seed.
 func (m *Manifest) Engine(extra ...engine.Option) (*engine.Engine, error) {
-	opts := m.Topology.Options(m.Seed, diagnosis.Options{}, nil)
+	opts := m.Topology.Options(m.Seed, diagnosis.Options{})
 	opts = append(opts, ClassifierOptions(m.Classifier)...)
 	if len(m.Faults) > 0 || len(m.Environment) > 0 {
 		opts = append(opts, engine.WithFaults(m.ApplyFaults))
@@ -61,23 +61,16 @@ func ClassifierOptions(name string) []engine.Option {
 // Options compiles a resolved topology into the canonical engine option
 // prefix: schedule geometry, seed, clock ensemble, the build of the
 // topology's graph (buildCustom over Graph), diagnosis attachment and
-// the OBD baseline. bind, when non-nil, runs on the built cluster; the
-// scenario constructors resolve their job handles there. This is the
-// single composition point both the manifest loader and the Go
-// constructors go through.
-func (t *Topology) Options(seed uint64, diagOpts diagnosis.Options, bind func(cl *component.Cluster)) []engine.Option {
+// the OBD baseline. This is the single composition point both the
+// manifest loader and the Go constructors go through.
+func (t *Topology) Options(seed uint64, diagOpts diagnosis.Options) []engine.Option {
 	g := t.Graph()
 	return []engine.Option{
 		engine.WithTopology(t.Nodes, t.SlotLen(), t.SlotBytes),
 		engine.WithSeed(seed),
 		// ±50 ppm drift, no jitter, Π = 20 µs, one faulty clock tolerated.
 		engine.WithClocks(50, 0, 20, 1),
-		engine.WithBuild(func(cl *component.Cluster) {
-			buildCustom(cl, g)
-			if bind != nil {
-				bind(cl)
-			}
-		}),
+		engine.WithBuild(func(cl *component.Cluster) { buildCustom(cl, g) }),
 		engine.WithDiagnosis(tt.NodeID(t.DiagNode), diagOpts),
 		engine.WithOBD(),
 	}

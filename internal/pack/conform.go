@@ -147,7 +147,7 @@ func conformClassifier(ctx context.Context, m *Manifest, cls string) (*Classifie
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cls, err)
 	}
-	if err := eng.Run(ctx, m.Rounds); err != nil {
+	if err := eng.Cluster.RunRounds(ctx, m.Rounds); err != nil {
 		return nil, fmt.Errorf("%s: run: %w", cls, err)
 	}
 	cs := &ClassifierScore{Classifier: cls, MinScore: m.minScoreFor(cls)}

@@ -32,7 +32,7 @@ func (e *EnvProfile) expand(t *Topology) []FaultSpec {
 			out = append(out, FaultSpec{
 				Kind:        "intermittent",
 				AtMS:        at,
-				EndMS:       minf(at+e.PeriodMS, e.ToMS),
+				EndMS:       min(at+e.PeriodMS, e.ToMS),
 				Component:   comp,
 				RatePerHour: 3600 * (2 + 6*e.Intensity),
 			})
@@ -67,7 +67,7 @@ func (e *EnvProfile) expand(t *Topology) []FaultSpec {
 			out = append(out, FaultSpec{
 				Kind:      kind,
 				AtMS:      at,
-				EndMS:     minf(at+0.4*e.PeriodMS, e.ToMS),
+				EndMS:     min(at+0.4*e.PeriodMS, e.ToMS),
 				Component: comp,
 				Rate:      0.15 + 0.4*e.Intensity,
 			})
@@ -84,11 +84,4 @@ func (e *EnvProfile) expand(t *Topology) []FaultSpec {
 		k++
 	}
 	return out
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package pack
 
 import (
+	"context"
 	"errors"
 	"os"
 	"strings"
@@ -78,6 +79,6 @@ func FuzzPackManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted manifest does not start an engine: %v", err)
 		}
-		e.RunRounds(min(m.Rounds, 3))
+		e.Cluster.RunRounds(context.Background(), min(m.Rounds, 3))
 	})
 }

@@ -2,6 +2,7 @@ package pack
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"slices"
 	"strings"
@@ -72,7 +73,7 @@ func inertTrace(t *testing.T, m *Manifest, remove bool) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunRounds(m.Rounds)
+	e.Cluster.RunRounds(context.Background(), m.Rounds)
 	return slices.DeleteFunc(strings.Split(buf.String(), "\n"), func(line string) bool {
 		return strings.Contains(line, `"kind":"injection"`)
 	})
@@ -126,7 +127,7 @@ func TestDeactivatedFaultIsInert(t *testing.T) {
 					hookKinds = append(hookKinds, kind)
 				}
 			})
-			e.RunRounds(m.Rounds)
+			e.Cluster.RunRounds(context.Background(), m.Rounds)
 			if perturbed > 0 {
 				t.Errorf("%d frames and receptions perturbed after the fault was removed with its hooks installed", perturbed)
 			}

@@ -1,6 +1,7 @@
 package pack
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -87,6 +88,41 @@ func Discover(dir string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// ErrNoPacksDir is LoadDir's error when no packs/ directory lies above
+// the working directory.
+var ErrNoPacksDir = errors.New("no packs/ directory found")
+
+// LoadDir loads every manifest under dir (Discover, then Load each, in
+// name order) and returns them with the directory it read. An empty dir
+// means the nearest packs/ directory upward from the working directory
+// (FindPacksDir). It stops at the first manifest that fails to load.
+func LoadDir(dir string) (string, []*Manifest, error) {
+	if dir == "" {
+		wd, err := os.Getwd()
+		if err != nil {
+			return "", nil, err
+		}
+		d, ok := FindPacksDir(wd)
+		if !ok {
+			return "", nil, fmt.Errorf("%w above %s", ErrNoPacksDir, wd)
+		}
+		dir = d
+	}
+	files, err := Discover(dir)
+	if err != nil {
+		return dir, nil, err
+	}
+	ms := make([]*Manifest, 0, len(files))
+	for _, f := range files {
+		m, err := Load(f)
+		if err != nil {
+			return dir, nil, err
+		}
+		ms = append(ms, m)
+	}
+	return dir, ms, nil
 }
 
 // FindPacksDir locates the repository's packs/ directory by walking up

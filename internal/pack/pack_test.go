@@ -2,6 +2,7 @@ package pack
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -585,7 +586,7 @@ func TestSignalPeriodRoundsToMicrosecond(t *testing.T) {
 		samples++
 		return v
 	}
-	e.RunRounds(10)
+	e.Cluster.RunRounds(context.Background(), 10)
 	if samples == 0 {
 		t.Fatal("the sensor never sampled its signal")
 	}

@@ -29,9 +29,9 @@ func TestBayesPosteriorDeterminism(t *testing.T) {
 	run := func() []byte {
 		sys := Fig10(seed, diagnosis.Options{}, bayesPlan,
 			engine.WithClassifier(bayes.New()))
-		sys.Run(rounds)
+		sys.Cluster.RunRounds(context.Background(), rounds)
 		var ck bytes.Buffer
-		if err := sys.Engine.Checkpoint(&ck); err != nil {
+		if err := sys.Checkpoint(&ck); err != nil {
 			t.Fatal(err)
 		}
 		return ck.Bytes()
@@ -58,15 +58,15 @@ func TestBayesCheckpointRestoreRerun(t *testing.T) {
 		cut    = 1400
 	)
 	plan := bayesPlan
-	build := func(extra ...engine.Option) *System {
+	build := func(extra ...engine.Option) *engine.Engine {
 		return Fig10(seed, diagnosis.Options{}, plan,
 			append([]engine.Option{engine.WithClassifier(bayes.New())}, extra...)...)
 	}
 
 	full := build()
-	full.Run(rounds)
+	full.Cluster.RunRounds(context.Background(), rounds)
 	var want bytes.Buffer
-	if err := full.Engine.Checkpoint(&want); err != nil {
+	if err := full.Checkpoint(&want); err != nil {
 		t.Fatal(err)
 	}
 	if len(full.Diag.Assessor.CurrentAll()) == 0 {
@@ -74,18 +74,18 @@ func TestBayesCheckpointRestoreRerun(t *testing.T) {
 	}
 
 	half := build()
-	half.Run(cut)
+	half.Cluster.RunRounds(context.Background(), cut)
 	var ck bytes.Buffer
-	if err := half.Engine.Checkpoint(&ck); err != nil {
+	if err := half.Checkpoint(&ck); err != nil {
 		t.Fatal(err)
 	}
 
 	resumed := build(engine.WithRestore(ck.Bytes()))
-	if err := resumed.Cluster.RunToRoundCtx(context.Background(), rounds); err != nil {
+	if err := resumed.Cluster.RunRounds(context.Background(), rounds-resumed.StateVersion()); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := resumed.Engine.Checkpoint(&got); err != nil {
+	if err := resumed.Checkpoint(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {

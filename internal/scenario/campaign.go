@@ -163,10 +163,10 @@ type Campaign struct {
 	// Vehicles are fully independent simulations, so the campaign is
 	// embarrassingly parallel; results are identical for any worker
 	// count (all randomness is pre-drawn sequentially). ≤ 0 uses
-	// runtime.GOMAXPROCS(0) workers; 1 runs sequentially. Each worker
-	// builds one engine on its first vehicle and resets it in place for
-	// every later one (engine.Engine.Reset), across the replicates of a
-	// Monte Carlo run too.
+	// runtime.GOMAXPROCS(0) workers; 1 runs the vehicles one at a time,
+	// in order. Each worker builds one engine on its first vehicle and
+	// resets it in place for every later one (engine.Engine.Reset),
+	// across the replicates of a Monte Carlo run too.
 	Workers int
 	// Classifier selects the diagnostic pipeline's classification stage
 	// for every vehicle: "" or "decos" keeps the DECOS rule engine, "obd"
@@ -309,88 +309,74 @@ func (c Campaign) runReplicates(ctx context.Context, n int, sink TraceSink) []*r
 			done:     make([]bool, c.Vehicles),
 		}
 	}
-	runOne := func(w *worker, r, v int) {
-		if ctx.Err() != nil {
-			return
-		}
-		rep := reps[r]
-		p := rep.plans[v]
-		var rec trace.Sink
-		if sink != nil {
-			if w.sink == nil {
-				w.trace = traceBuffers.Get().(*bytes.Buffer)
-				w.sink = trace.NewBinarySink(w.trace)
-			}
-			w.trace.Reset()
-			w.sink.Reset()
-			rec = w.sink
-		}
-		sys, err := c.runVehicle(ctx, w.sys, v, p, rec, &w.ckpt)
-		if c.ChunkRounds == 0 {
-			w.sys = sys
-		}
-		if err != nil {
-			return
-		}
-		rep.outcomes[v] = outcomeOf(sys, v, p)
-		if sink != nil {
-			sink(v+1, w.trace.Bytes())
-		}
-		rep.done[v] = true
-	}
-
-	if workers > 1 {
-		type job struct{ r, v int }
-		var wg sync.WaitGroup
-		work := make(chan job)
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var w worker
-				defer w.release()
-				for j := range work {
-					runOne(&w, j.r, j.v)
+	type job struct{ r, v int }
+	var wg sync.WaitGroup
+	work := make(chan job)
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var w worker
+			defer w.release()
+			for j := range work {
+				if ctx.Err() != nil {
+					continue
 				}
-			}()
-		}
-	feed:
-		for r := range reps {
-			for v := 0; v < c.Vehicles; v++ {
-				select {
-				case work <- job{r, v}:
-				case <-ctx.Done():
-					break feed
+				rep, v := reps[j.r], j.v
+				p := rep.plans[v]
+				var rec trace.Sink
+				if sink != nil {
+					if w.sink == nil {
+						w.trace = traceBuffers.Get().(*bytes.Buffer)
+						w.sink = trace.NewBinarySink(w.trace)
+					}
+					w.trace.Reset()
+					w.sink.Reset()
+					rec = w.sink
 				}
+				eng, err := c.runVehicle(ctx, w.eng, v, p, rec, &w.ckpt)
+				if c.ChunkRounds == 0 {
+					w.eng = eng
+				}
+				if err != nil {
+					continue
+				}
+				rep.outcomes[v] = outcomeOf(eng, v, p)
+				if sink != nil {
+					sink(v+1, w.trace.Bytes())
+				}
+				rep.done[v] = true
 			}
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		var w worker
-		for r := 0; r < n && ctx.Err() == nil; r++ {
-			for v := 0; v < c.Vehicles && ctx.Err() == nil; v++ {
-				runOne(&w, r, v)
-			}
-		}
-		w.release()
+		}()
 	}
+feed:
+	for r := range reps {
+		for v := 0; v < c.Vehicles; v++ {
+			select {
+			case work <- job{r, v}:
+			case <-ctx.Done():
+				break feed
+			}
+		}
+	}
+	close(work)
+	wg.Wait()
 	return reps
 }
 
-// outcomeOf takes vehicle v's audit material out of its system.
-func outcomeOf(sys *System, v int, p vehiclePlan) vehicleOutcome {
+// outcomeOf takes vehicle v's audit material out of its engine.
+func outcomeOf(eng *engine.Engine, v int, p vehiclePlan) vehicleOutcome {
 	out := vehicleOutcome{faultFree: p.faultFree}
 	if p.faultFree {
-		out.decosFalseAlarms = countRemovalAdvice(sys, sys.Diag)
-		out.obdFalseAlarms = countRemovalAdvice(sys, sys.OBD)
+		out.decosFalseAlarms = countRemovalAdvice(eng, eng.Diag)
+		out.obdFalseAlarms = countRemovalAdvice(eng, eng.OBD)
 	} else {
-		for _, act := range sys.Ledger() {
-			out.decos = append(out.decos, maintenance.Audit(act, sys.Diag))
-			out.obd = append(out.obd, maintenance.Audit(act, sys.OBD))
+		for _, act := range eng.Injector.Ledger() {
+			out.decos = append(out.decos, maintenance.Audit(act, eng.Diag))
+			out.obd = append(out.obd, maintenance.Audit(act, eng.OBD))
 		}
 	}
-	for _, vd := range sys.Diag.Assessor.Emitted() {
+	for _, vd := range eng.Diag.Assessor.Emitted() {
 		if fleet.Relevant(vd.Class) {
 			out.incidents = append(out.incidents, fleet.Incident{
 				Vehicle: v + 1, Job: vd.FRU.Job, Class: vd.Class, Pattern: vd.Pattern,
@@ -467,11 +453,11 @@ func (c Campaign) plans() []vehiclePlan {
 }
 
 // worker is one campaign worker's state, kept from vehicle to vehicle:
-// its system (nil until its first vehicle, and for chunked campaigns),
+// its engine (nil until its first vehicle, and for chunked campaigns),
 // the vehicle's binary trace buffer and sink (traced runs only), and the
 // chunk checkpoint.
 type worker struct {
-	sys   *System
+	eng   *engine.Engine
 	trace *bytes.Buffer
 	sink  *trace.BinarySink
 	ckpt  bytes.Buffer
@@ -491,15 +477,16 @@ func (w *worker) release() {
 	}
 }
 
-// runVehicle readies a system for vehicle v (0-based) of the campaign
-// from its plan and runs it to the horizon. sys is the worker's system
-// from its previous vehicle, reset in place for this one; a nil sys
-// builds a fresh one. A chunked campaign runs in ChunkRounds
-// checkpoint/restore chunks through ck, each restored into a freshly
-// built engine, so its workers keep no system and always pass nil. With
-// a non-nil rec, the vehicle records into it and ends its trace with the
-// audit block. It fails only when ctx is cancelled mid-run.
-func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehiclePlan, rec trace.Sink, ck *bytes.Buffer) (*System, error) {
+// runVehicle readies an engine for vehicle v (0-based) of the campaign
+// from its plan and runs it to the horizon. eng is the worker's engine
+// from its previous vehicle, reset in place for this one
+// (engine.Engine.Reset); a nil eng builds a fresh one. A chunked
+// campaign runs in ChunkRounds checkpoint/restore chunks through ck,
+// each restored into a freshly built engine, so its workers keep no
+// engine and always pass nil. With a non-nil rec, the vehicle records
+// into it and ends its trace with the audit block. It fails only when
+// ctx is cancelled mid-run.
+func (c Campaign) runVehicle(ctx context.Context, eng *engine.Engine, v int, p vehiclePlan, rec trace.Sink, ck *bytes.Buffer) (*engine.Engine, error) {
 	var extra []engine.Option
 	if rec != nil {
 		extra = append(extra, engine.WithSink(rec,
@@ -516,15 +503,15 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 			Kind: kind, At: sim.Time(float64(horizon) * p.atFrac[i]),
 		})
 	}
-	if sys != nil {
-		if err := sys.Reset(p.seed, plan, extra...); err != nil {
+	if eng != nil {
+		if err := eng.Reset(append([]engine.Option{engine.WithSeed(p.seed), PlanFaults(plan)}, extra...)...); err != nil {
 			panic(fmt.Sprintf("scenario: vehicle reset: %v", err))
 		}
 	} else {
 		// Each vehicle's engine gets its own classifier instance (the
 		// Bayesian stage is stateful; a reset clears it).
 		extra = append(pack.ClassifierOptions(c.Classifier), extra...)
-		sys = Fig10(p.seed, diagnosis.Options{}, plan, extra...)
+		eng = Fig10(p.seed, diagnosis.Options{}, plan, extra...)
 	}
 	if c.ChunkRounds > 0 {
 		// Chunked resume: run, checkpoint, rebuild restored, repeat. Every
@@ -532,12 +519,9 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 		// recorder's cursors continue the stream seamlessly, and a second
 		// binary sink would open a second stream header mid-stream.
 		for ran := int64(0); ran < c.Rounds; {
-			step := c.ChunkRounds
-			if ran+step > c.Rounds {
-				step = c.Rounds - ran
-			}
+			step := min(c.ChunkRounds, c.Rounds-ran)
 			ran += step
-			if err := sys.Cluster.RunToRoundCtx(ctx, ran); err != nil {
+			if err := eng.Cluster.RunRounds(ctx, step); err != nil {
 				return nil, err
 			}
 			if ran >= c.Rounds {
@@ -546,29 +530,29 @@ func (c Campaign) runVehicle(ctx context.Context, sys *System, v int, p vehicleP
 			// The restore copies everything it keeps out of ck, so the
 			// next chunk's checkpoint may overwrite it.
 			ck.Reset()
-			if err := sys.Engine.Checkpoint(ck); err != nil {
+			if err := eng.Checkpoint(ck); err != nil {
 				panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
 			}
-			sys = Fig10(p.seed, diagnosis.Options{}, plan,
+			eng = Fig10(p.seed, diagnosis.Options{}, plan,
 				append(append([]engine.Option{}, extra...),
 					engine.WithRestore(ck.Bytes()))...)
 		}
-	} else if err := sys.RunCtx(ctx, c.Rounds); err != nil {
-		return sys, err
+	} else if err := eng.Cluster.RunRounds(ctx, c.Rounds); err != nil {
+		return eng, err
 	}
-	if r := sys.Engine.Recorder; r != nil {
-		r.WriteAudit(horizon, p.faultFree, sys.Ledger(),
-			[]trace.Advisor{{Name: "decos", Adv: sys.Diag}, {Name: "obd", Adv: sys.OBD}},
-			hardwareFRUs(sys))
+	if r := eng.Recorder; r != nil {
+		r.WriteAudit(horizon, p.faultFree, eng.Injector.Ledger(),
+			[]trace.Advisor{{Name: "decos", Adv: eng.Diag}, {Name: "obd", Adv: eng.OBD}},
+			hardwareFRUs(eng))
 	}
-	return sys, nil
+	return eng, nil
 }
 
 // hardwareFRUs lists the hardware FRUs of a system (the audit block
 // interrogates advisors about each so false alarms are trace-visible).
-func hardwareFRUs(sys *System) []core.FRU {
+func hardwareFRUs(eng *engine.Engine) []core.FRU {
 	var out []core.FRU
-	for _, c := range sys.Cluster.Components() {
+	for _, c := range eng.Cluster.Components() {
 		out = append(out, core.HardwareFRU(int(c.ID)))
 	}
 	return out
@@ -577,9 +561,9 @@ func hardwareFRUs(sys *System) []core.FRU {
 // countRemovalAdvice counts hardware FRUs the advisor would remove on a
 // fault-free vehicle, folding each recommendation through the shared
 // arm audit (every removal there is a false alarm).
-func countRemovalAdvice(sys *System, adv maintenance.Advisor) int {
+func countRemovalAdvice(eng *engine.Engine, adv maintenance.Advisor) int {
 	var audit maintenance.ArmAudit
-	for _, c := range sys.Cluster.Components() {
+	for _, c := range eng.Cluster.Components() {
 		if action, _, ok := adv.Advise(core.HardwareFRU(int(c.ID))); ok {
 			audit.HealthyAdvice(action)
 		}

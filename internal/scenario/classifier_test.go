@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/baseline"
@@ -34,13 +35,13 @@ var (
 // shared adviser rule.
 func TestClassifiersInterchangeable(t *testing.T) {
 	const seed = 20050404
-	run := func(extra ...engine.Option) *System {
+	run := func(extra ...engine.Option) *engine.Engine {
 		// Kill component 2 early so the failure persists far beyond the
 		// OBD recording threshold.
 		sys := Fig10(seed, diagnosis.Options{}, []InjectPlan{
 			{At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 2}},
 		}, extra...)
-		sys.Run(4000)
+		sys.Cluster.RunRounds(context.Background(), 4000)
 		return sys
 	}
 
@@ -59,7 +60,7 @@ func TestClassifiersInterchangeable(t *testing.T) {
 	}
 
 	fru := core.HardwareFRU(2)
-	for _, sys := range []*System{decos, obd, bayesian} {
+	for _, sys := range []*engine.Engine{decos, obd, bayesian} {
 		name := sys.Diag.Assessor.Classifier().Name()
 
 		v, ok := sys.Diag.VerdictOf(fru)

@@ -6,20 +6,18 @@
 // attached.
 //
 // Fig10 is the one constructor of that system, and Grid the one
-// constructor of the scalability grid. Every fault of either is a plan
-// entry: an explicit pack.FaultSpec, or a campaign FaultKind that draws
-// one (FaultKind.Spec). The engine's fault manifest injects each through
-// the pack applier (pack.FaultSpec.Apply), so a checkpoint restore
-// re-executes every fault of the run. This package calls no injector
-// primitive itself, and a built System exposes the injector's ledger
-// only.
+// constructor of the scalability grid. Both return the built
+// *engine.Engine, which is the run's one handle: its Cluster runs it
+// (component.Cluster.RunRounds), its Diag and OBD are the two
+// diagnosers, and its Injector's ledger is the ground truth. Every fault
+// of either is a plan entry: an explicit pack.FaultSpec, or a campaign
+// FaultKind that draws one (FaultKind.Spec). The engine's fault manifest
+// injects each through the pack applier (pack.FaultSpec.Apply), so a
+// checkpoint restore re-executes every fault of the run. This package
+// calls no injector primitive itself.
 package scenario
 
 import (
-	"context"
-
-	"decos/internal/baseline"
-	"decos/internal/component"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/faults"
@@ -41,19 +39,6 @@ const (
 	ChVoted = pack.ChVoted // DAS S: voted pressure
 )
 
-// System is one fully assembled Fig. 10 cluster with diagnostics, the OBD
-// baseline and a fault injector, built on the shared run engine.
-type System struct {
-	Engine  *engine.Engine
-	Cluster *component.Cluster
-	Diag    *diagnosis.Diagnostics
-	OBD     *baseline.OBD
-	Voter   *component.VoterJob
-
-	// Handy job handles.
-	Control, Sink *component.Instance
-}
-
 // DiagNode hosts the diagnostic DAS's analysis stage.
 const DiagNode tt.NodeID = 3
 
@@ -68,30 +53,24 @@ type InjectPlan struct {
 	Fault *pack.FaultSpec
 }
 
-// Ledger returns the run's injected faults in plan order: the ground
-// truth the maintenance audit scores verdicts against.
-func (s *System) Ledger() []*faults.Activation { return s.Engine.Injector.Ledger() }
-
 // Fig10 builds the canonical system with the given seed, diagnostic
 // options and fault plan. The cluster is started and ready to run. The
 // plan's injections ride the engine's fault manifest, which
 // engine.WithRestore re-executes to reconstruct a run. The activations
-// land in the ledger (System.Ledger) in plan order; an empty plan is a
-// fault-free run. extra composes engine options onto the canonical
-// configuration — trace sinks, checkpoint sinks, classifier selection
-// (engine.WithOBDClassifier and friends).
-func Fig10(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *System {
-	sys, err := fig10(seed, opts, append([]engine.Option{planFaults(plan)}, extra...))
-	if err != nil {
-		panic(err)
-	}
-	return sys
+// land in the injector's ledger (Injector.Ledger) in plan order; an
+// empty plan is a fault-free run. extra composes engine options onto the
+// canonical configuration — trace sinks, checkpoint sinks, classifier
+// selection (engine.WithOBDClassifier and friends).
+func Fig10(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *engine.Engine {
+	return engine.MustNew(fig10Options(seed, opts, plan, extra)...)
 }
 
-// planFaults is the fault manifest injecting plan: the pack applier
+// PlanFaults is the fault manifest injecting plan: the pack applier
 // injects each entry's explicit fault, or the one its kind draws from
-// the "campaign" stream.
-func planFaults(plan []InjectPlan) engine.Option {
+// the "campaign" stream. Fig10 and Grid build with it; with
+// engine.WithSeed it readies a built system for another vehicle
+// (engine.Engine.Reset).
+func PlanFaults(plan []InjectPlan) engine.Option {
 	return engine.WithFaults(func(inj *faults.Injector) {
 		for _, p := range plan {
 			if p.Fault != nil {
@@ -104,22 +83,14 @@ func planFaults(plan []InjectPlan) engine.Option {
 	})
 }
 
-// Reset readies the system for another vehicle without rebuilding it
-// (engine.Engine.Reset): afterwards it is what Fig10 builds for seed and
-// plan, with the same diagnostic options and classifier. extra may
-// re-point the trace sink (engine.WithSink).
-func (sys *System) Reset(seed uint64, plan []InjectPlan, extra ...engine.Option) error {
-	return sys.Engine.Reset(append([]engine.Option{engine.WithSeed(seed), planFaults(plan)}, extra...)...)
-}
-
 // Fig10Restored rebuilds a Fig. 10 system from an engine checkpoint:
 // Fig10's configuration plus engine.WithRestore, through the
 // error-returning constructor. Checkpoint bytes are external input
 // (files, uplinks), so a corrupt or mismatched stream must surface as an
 // error, not a panic. The bytes are read in place and may be reused once
 // Fig10Restored returns.
-func Fig10Restored(data []byte, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) (*System, error) {
-	return fig10(seed, opts, append([]engine.Option{planFaults(plan), engine.WithRestore(data)}, extra...))
+func Fig10Restored(data []byte, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) (*engine.Engine, error) {
+	return engine.New(fig10Options(seed, opts, plan, append([]engine.Option{engine.WithRestore(data)}, extra...))...)
 }
 
 // fig10Topology is the resolved Fig. 10 topology every system builds
@@ -132,36 +103,8 @@ func RoundsAt(n int64) sim.Time {
 	return sim.Time(n * fig10Topology.RoundDuration().Micros())
 }
 
-// fig10 assembles the Fig. 10 system through the run engine.
-func fig10(seed uint64, opts diagnosis.Options, extra []engine.Option) (*System, error) {
-	sys := &System{}
-	eopts := append(fig10Topology.Options(seed, opts, sys.bind), extra...)
-	eng, err := engine.New(eopts...)
-	if err != nil {
-		return nil, err
-	}
-	sys.adopt(eng)
-	return sys, nil
-}
-
-// adopt points the System's handles at the built engine.
-func (s *System) adopt(eng *engine.Engine) {
-	s.Engine, s.Cluster, s.Diag, s.OBD = eng, eng.Cluster, eng.Diag, eng.OBD
-}
-
-// bind resolves the System's job handles from the built Fig. 10
-// cluster.
-func (s *System) bind(cl *component.Cluster) {
-	s.Control = cl.DAS("A").JobNamed("A2")
-	s.Sink = cl.DAS("C").JobNamed("C2")
-	s.Voter = cl.DAS("S").JobNamed("V").Impl.(*component.VoterJob)
-}
-
-// Run advances the system by n TDMA rounds.
-func (s *System) Run(n int64) { s.Cluster.RunRounds(n) }
-
-// RunCtx advances the system by n TDMA rounds under the context; it
-// returns ctx.Err() when cancelled mid-run, nil on completion.
-func (s *System) RunCtx(ctx context.Context, n int64) error {
-	return s.Cluster.RunRoundsCtx(ctx, n)
+// fig10Options is the Fig. 10 system's engine configuration: the
+// topology's canonical prefix, the plan's fault manifest, then extra.
+func fig10Options(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra []engine.Option) []engine.Option {
+	return append(append(fig10Topology.Options(seed, opts), PlanFaults(plan)), extra...)
 }

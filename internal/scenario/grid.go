@@ -13,12 +13,10 @@ import (
 // fault manifest, as in Fig10; extra composes engine options onto the
 // canonical configuration — checkpoint sinks, restore sources, trace
 // writers.
-func Grid(n int, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *System {
+func Grid(n int, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *engine.Engine {
 	if n < 3 {
 		panic("scenario: grid needs at least 3 components")
 	}
-	sys := &System{}
 	t := pack.GridTopology(n)
-	sys.adopt(engine.MustNew(append(append(t.Options(seed, opts, nil), planFaults(plan)), extra...)...))
-	return sys
+	return engine.MustNew(append(append(t.Options(seed, opts), PlanFaults(plan)), extra...)...)
 }

@@ -37,7 +37,7 @@ func traceOf(t *testing.T, n int64, build func(w *bytes.Buffer) *engine.Engine) 
 	t.Helper()
 	var buf bytes.Buffer
 	eng := build(&buf)
-	eng.RunRounds(n)
+	eng.Cluster.RunRounds(context.Background(), n)
 	return buf.Bytes()
 }
 
@@ -121,7 +121,7 @@ func TestManifestFig10ByteIdentical(t *testing.T) {
 				inj.SensorStuck(cl.DAS("A").JobNamed("A1"), sim.Time(300*sim.Millisecond), 42.5)
 			}),
 			engine.WithSink(trace.NewNDJSONSink(w), traceOpts))
-		return sys.Engine
+		return sys
 	})
 	doc := func(topology string) string {
 		return fmt.Sprintf(`{
@@ -163,7 +163,7 @@ func TestManifestGridByteIdentical(t *testing.T) {
 	goAPI := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
 		sys := Grid(nodes, seed, diagnosis.Options{}, nil,
 			engine.WithSink(trace.NewNDJSONSink(w), traceOpts))
-		return sys.Engine
+		return sys
 	})
 	doc := func(topology string) string {
 		return fmt.Sprintf(`{"pack": 1, "name": "grid-round-trip", "seed": %d, "rounds": %d, "topology": %s}`,

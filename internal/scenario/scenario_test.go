@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"decos/internal/component"
 	"decos/internal/core"
 	"decos/internal/diagnosis"
 	"decos/internal/pack"
@@ -17,17 +18,18 @@ import (
 
 func TestFig10HealthyOperation(t *testing.T) {
 	sys := Fig10(1, diagnosis.Options{}, nil)
-	sys.Run(2000)
+	tmr := sys.Cluster.DAS("S").JobNamed("V").Impl.(*component.VoterJob)
+	sys.Cluster.RunRounds(context.Background(), 2000)
 	// The pipeline actuates.
 	if _, ok := sys.Cluster.Env.LastActuation("brake"); !ok {
 		t.Error("DAS A pipeline produced no actuation")
 	}
 	// The TMR set votes continuously.
-	if sys.Voter.Voted < 1900 {
-		t.Errorf("voter succeeded only %d/2000 rounds", sys.Voter.Voted)
+	if tmr.Voted < 1900 {
+		t.Errorf("voter succeeded only %d/2000 rounds", tmr.Voted)
 	}
-	if sys.Voter.NoMajority != 0 {
-		t.Errorf("healthy TMR lost majority %d times", sys.Voter.NoMajority)
+	if tmr.NoMajority != 0 {
+		t.Errorf("healthy TMR lost majority %d times", tmr.NoMajority)
 	}
 	// No diagnostic verdicts.
 	if n := len(sys.Diag.Assessor.Emitted()); n != 0 {
@@ -42,8 +44,8 @@ func TestFig10Determinism(t *testing.T) {
 	plan := []InjectPlan{{At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3}}}
 	a := Fig10(42, diagnosis.Options{}, plan)
 	b := Fig10(42, diagnosis.Options{}, plan)
-	a.Run(1500)
-	b.Run(1500)
+	a.Cluster.RunRounds(context.Background(), 1500)
+	b.Cluster.RunRounds(context.Background(), 1500)
 	if a.Diag.Assessor.SymptomsReceived != b.Diag.Assessor.SymptomsReceived {
 		t.Error("symptom streams diverged for identical seeds")
 	}
@@ -63,21 +65,22 @@ func TestFig10ContainmentMatrix(t *testing.T) {
 	sys := Fig10(7, diagnosis.Options{}, []InjectPlan{
 		{At: RoundsAt(500).Add(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 2}},
 	})
-	sys.Run(500)
-	votedBefore := sys.Voter.Voted
-	sys.Run(2000)
+	tmr := sys.Cluster.DAS("S").JobNamed("V").Impl.(*component.VoterJob)
+	sys.Cluster.RunRounds(context.Background(), 500)
+	votedBefore := tmr.Voted
+	sys.Cluster.RunRounds(context.Background(), 2000)
 	// TMR masked the loss of S2: voting continued.
-	if sys.Voter.Voted-votedBefore < 1900 {
+	if tmr.Voted-votedBefore < 1900 {
 		t.Errorf("TMR did not mask component loss: %d votes in 2000 rounds",
-			sys.Voter.Voted-votedBefore)
+			tmr.Voted-votedBefore)
 	}
-	if sys.Voter.Missing[1] < 1900 { // S2 is replica index 1
-		t.Errorf("replica S2 not reported missing: %v", sys.Voter.Missing)
+	if tmr.Missing[1] < 1900 { // S2 is replica index 1
+		t.Errorf("replica S2 not reported missing: %v", tmr.Missing)
 	}
 	// DAS A (sensor on c0, control on c1) keeps running: the sensor chain
 	// up to the control command is unaffected.
-	if sys.Control.Steps < 2400 {
-		t.Errorf("control job starved: %d steps", sys.Control.Steps)
+	if control := sys.Cluster.DAS("A").JobNamed("A2"); control.Steps < 2400 {
+		t.Errorf("control job starved: %d steps", control.Steps)
 	}
 	// Diagnosis blames the component, not the jobs.
 	v, ok := sys.Diag.VerdictOf(core.HardwareFRU(2))
@@ -95,9 +98,9 @@ func TestFig10JobFaultContained(t *testing.T) {
 	sys := Fig10(8, diagnosis.Options{}, []InjectPlan{
 		{Fault: &pack.FaultSpec{Kind: "bohrbug", Job: "A/A1", Channel: ChSpeed, Threshold: 55, Value: 400}},
 	})
-	sys.Run(2500)
+	sys.Cluster.RunRounds(context.Background(), 2500)
 	// Only the faulty job is accused; the TMR set and DAS C are untouched.
-	if sys.Voter.NoMajority != 0 {
+	if sys.Cluster.DAS("S").JobNamed("V").Impl.(*component.VoterJob).NoMajority != 0 {
 		t.Error("job fault in DAS A disturbed DAS S voting")
 	}
 	v, ok := sys.Diag.VerdictOf(core.SoftwareFRU(0, "A/A1"))
@@ -129,15 +132,15 @@ func TestInjectCoversAllKinds(t *testing.T) {
 				t.Errorf("%v pinned to %d: spec %+v is not a valid pack fault: %v", kind, comp, f, err)
 			}
 			planned := Fig10(100+uint64(kind), diagnosis.Options{}, []InjectPlan{{At: at, Fault: &f}})
-			if n := len(planned.Ledger()); n != 1 {
+			if n := len(planned.Injector.Ledger()); n != 1 {
 				t.Errorf("%v pinned to %d: ledger has %d entries", kind, comp, n)
 			}
 		}
 		sys := Fig10(100+uint64(kind), diagnosis.Options{}, []InjectPlan{{Kind: kind, At: at}})
-		if n := len(sys.Ledger()); n != 1 {
+		if n := len(sys.Injector.Ledger()); n != 1 {
 			t.Errorf("%v: plan left %d ledger entries", kind, n)
 		}
-		sys.Run(200) // smoke: nothing panics
+		sys.Cluster.RunRounds(context.Background(), 200) // smoke: nothing panics
 	}
 }
 

@@ -2,11 +2,13 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"decos/internal/diagnosis"
+	"decos/internal/engine"
 	"decos/internal/pack"
 	"decos/internal/scenario"
 	"decos/internal/sim"
@@ -19,11 +21,11 @@ import (
 // a fresh one through the scenario helper and accept frame/symptom capture
 // only from hooks that tolerate late attachment (bus observers and round
 // hooks can be added at any time before the relevant events).
-func traceRun(t *testing.T, opts trace.Options, plan ...scenario.InjectPlan) (*scenario.System, *trace.Recorder, *bytes.Buffer) {
+func traceRun(t *testing.T, opts trace.Options, plan ...scenario.InjectPlan) (*engine.Engine, *trace.Recorder, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
 	sys := scenario.Fig10(31, diagnosis.Options{}, plan)
-	rec := trace.AttachSink(sys.Cluster, sys.Diag, sys.Engine.Injector, trace.NewNDJSONSink(&buf), opts)
+	rec := trace.AttachSink(sys.Cluster, sys.Diag, sys.Injector, trace.NewNDJSONSink(&buf), opts)
 	return sys, rec, &buf
 }
 
@@ -31,7 +33,7 @@ func TestRecorderCapturesIncident(t *testing.T) {
 	sys, rec, buf := traceRun(t, trace.Options{TrustEveryEpochs: 10}, scenario.InjectPlan{
 		At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "connector-tx", Component: 0, Rate: 0.3},
 	})
-	sys.Run(2000)
+	sys.Cluster.RunRounds(context.Background(), 2000)
 
 	if rec.Err != nil {
 		t.Fatalf("recorder error: %v", rec.Err)
@@ -64,7 +66,7 @@ func TestRecorderCapturesIncident(t *testing.T) {
 
 func TestRecorderHealthyRunIsQuiet(t *testing.T) {
 	sys, rec, buf := traceRun(t, trace.Options{})
-	sys.Run(1000)
+	sys.Cluster.RunRounds(context.Background(), 1000)
 	if rec.Err != nil {
 		t.Fatal(rec.Err)
 	}
@@ -75,7 +77,7 @@ func TestRecorderHealthyRunIsQuiet(t *testing.T) {
 
 func TestRecorderAllFrames(t *testing.T) {
 	sys, rec, _ := traceRun(t, trace.Options{AllFrames: true})
-	sys.Run(50)
+	sys.Cluster.RunRounds(context.Background(), 50)
 	if rec.Events < 190 { // 4 slots × 50 rounds, minus startup jitter
 		t.Errorf("AllFrames recorded only %d events", rec.Events)
 	}
@@ -83,8 +85,8 @@ func TestRecorderAllFrames(t *testing.T) {
 
 func TestRecorderStopsOnWriteError(t *testing.T) {
 	sys := scenario.Fig10(32, diagnosis.Options{}, nil)
-	rec := trace.AttachSink(sys.Cluster, sys.Diag, sys.Engine.Injector, trace.NewNDJSONSink(failWriter{}), trace.Options{AllFrames: true})
-	sys.Run(20)
+	rec := trace.AttachSink(sys.Cluster, sys.Diag, sys.Injector, trace.NewNDJSONSink(failWriter{}), trace.Options{AllFrames: true})
+	sys.Cluster.RunRounds(context.Background(), 20)
 	if rec.Err == nil {
 		t.Fatal("write error not surfaced")
 	}
@@ -109,7 +111,7 @@ func TestEventJSONShape(t *testing.T) {
 	sys, _, buf := traceRun(t, trace.Options{}, scenario.InjectPlan{
 		At: sim.Time(50 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "seu", Component: 1},
 	})
-	sys.Run(500)
+	sys.Cluster.RunRounds(context.Background(), 500)
 	first := strings.SplitN(buf.String(), "\n", 2)[0]
 	if !strings.Contains(first, `"kind"`) || !strings.Contains(first, `"t_us"`) {
 		t.Errorf("unexpected JSON shape: %s", first)

@@ -16,6 +16,7 @@ package whatif
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,6 +24,7 @@ import (
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
+	"decos/internal/engine"
 	"decos/internal/faults"
 	"decos/internal/pack"
 	"decos/internal/scenario"
@@ -200,30 +202,30 @@ func (c *capture) Close() error                { return nil }
 // with a full-fidelity capture (every frame, every symptom, every
 // verdict — trust sampling and ledger echo off, so the stream is a pure
 // function of cluster behaviour).
-func (cfg *Config) replica() (*scenario.System, *capture, error) {
-	sys, err := scenario.Fig10Restored(cfg.Checkpoint, cfg.Seed, cfg.Opts, cfg.Plan,
+func (cfg *Config) replica() (*engine.Engine, *capture, error) {
+	eng, err := scenario.Fig10Restored(cfg.Checkpoint, cfg.Seed, cfg.Opts, cfg.Plan,
 		pack.ClassifierOptions(cfg.Classifier)...)
 	if err != nil {
 		return nil, nil, err
 	}
 	cap := &capture{}
-	trace.AttachSink(sys.Cluster, sys.Diag, nil, cap, trace.Options{AllFrames: true})
-	return sys, cap, nil
+	trace.AttachSink(eng.Cluster, eng.Diag, nil, cap, trace.Options{AllFrames: true})
+	return eng, cap, nil
 }
 
 // apply edits the counterfactual replica per the hypothesis and returns
 // a description of what was done.
-func (cfg *Config) apply(sys *scenario.System) (string, error) {
+func (cfg *Config) apply(eng *engine.Engine) (string, error) {
 	h := cfg.Hyp
-	at := max(h.At, sys.Cluster.Sched.Now())
+	at := max(h.At, eng.Cluster.Sched.Now())
 	find := func(id int) (*faults.Activation, error) {
-		for _, a := range sys.Ledger() {
+		for _, a := range eng.Injector.Ledger() {
 			if a.ID == id {
 				return a, nil
 			}
 		}
 		return nil, fmt.Errorf("whatif: no activation #%d in the restored ledger (%d entries)",
-			id, len(sys.Ledger()))
+			id, len(eng.Injector.Ledger()))
 	}
 	switch h.Kind {
 	case Remove:
@@ -234,11 +236,11 @@ func (cfg *Config) apply(sys *scenario.System) (string, error) {
 		a.Deactivate()
 		return fmt.Sprintf("removed activation #%d (%s: %s)", a.ID, a.Class, a.Detail), nil
 	case Inject:
-		f := h.Fault.Spec(sys.Cluster.Streams.Stream("campaign"), -1)
-		a := f.Apply(sys.Engine.Injector, at)
+		f := h.Fault.Spec(eng.Cluster.Streams.Stream("campaign"), -1)
+		a := f.Apply(eng.Injector, at)
 		return fmt.Sprintf("injected %s at %v: %s", h.Fault, at, a.Detail), nil
 	case WrongFRU:
-		if n := len(sys.Cluster.Components()); h.Comp < -1 || h.Comp >= n {
+		if n := len(eng.Cluster.Components()); h.Comp < -1 || h.Comp >= n {
 			return "", fmt.Errorf("whatif: wrong-fru component %d outside [0, %d) (-1 picks the culprit's neighbour)", h.Comp, n)
 		}
 		a, err := find(h.Target)
@@ -254,8 +256,8 @@ func (cfg *Config) apply(sys *scenario.System) (string, error) {
 			comp = (a.Culprit.Component + 1) % 3
 		}
 		a.Deactivate()
-		f := h.Fault.Spec(sys.Cluster.Streams.Stream("campaign"), comp)
-		b := f.Apply(sys.Engine.Injector, at)
+		f := h.Fault.Spec(eng.Cluster.Streams.Stream("campaign"), comp)
+		b := f.Apply(eng.Injector, at)
 		return fmt.Sprintf("moved activation #%d (%s) from %s to %s: %s",
 			a.ID, h.Fault, a.Culprit, core.HardwareFRU(comp), b.Detail), nil
 	}
@@ -370,7 +372,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		RestoredRound: fact.Engine.StateVersion(),
+		RestoredRound: fact.StateVersion(),
 		RestoredAt:    fact.Cluster.Sched.Now(),
 	}
 	if rep.RestoredRound > cfg.Rounds {
@@ -381,8 +383,9 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	fact.Cluster.RunToRound(cfg.Rounds)
-	counter.Cluster.RunToRound(cfg.Rounds)
+	// Both replicas resume on the round grid from the restored round.
+	fact.Cluster.RunRounds(context.Background(), cfg.Rounds-rep.RestoredRound)
+	counter.Cluster.RunRounds(context.Background(), cfg.Rounds-rep.RestoredRound)
 
 	rep.FactualEvents = len(factCap.events)
 	rep.CounterEvents = len(counterCap.events)
@@ -401,8 +404,8 @@ func Run(cfg Config) (*Report, error) {
 // FRU when the stage implements diagnosis.Ranker; nil otherwise. The
 // ranked slices are copied — the classifier owns its return value only
 // until the next call.
-func rankedOf(sys *scenario.System, verdicts []diagnosis.Verdict) map[string][]diagnosis.RankedVerdict {
-	ranker, ok := sys.Diag.Assessor.Classifier().(diagnosis.Ranker)
+func rankedOf(eng *engine.Engine, verdicts []diagnosis.Verdict) map[string][]diagnosis.RankedVerdict {
+	ranker, ok := eng.Diag.Assessor.Classifier().(diagnosis.Ranker)
 	if !ok {
 		return nil
 	}

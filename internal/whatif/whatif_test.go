@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -47,14 +48,14 @@ func record(t *testing.T, plan []scenario.InjectPlan, extra ...engine.Option) *r
 		append([]engine.Option{engineCheckpointEvery(rec, 50)}, extra...)...)
 	// decos-sim attaches the trace outside the engine; mirror that so the
 	// checkpoints carry no trace attachment.
-	trace.AttachSink(sys.Cluster, sys.Diag, sys.Engine.Injector,
+	trace.AttachSink(sys.Cluster, sys.Diag, sys.Injector,
 		trace.NewNDJSONSink(&buf), trace.Options{TrustEveryEpochs: 5})
-	for _, a := range sys.Ledger() {
+	for _, a := range sys.Injector.Ledger() {
 		rec.ledger = append(rec.ledger, a.Culprit.String())
 	}
-	sys.Cluster.RunToRound(testRounds)
-	if sys.Engine.CkptErr != nil {
-		t.Fatalf("checkpoint sink: %v", sys.Engine.CkptErr)
+	sys.Cluster.RunRounds(context.Background(), testRounds)
+	if sys.CkptErr != nil {
+		t.Fatalf("checkpoint sink: %v", sys.CkptErr)
 	}
 	rd, _ := trace.OpenReader(bytes.NewReader(buf.Bytes()))
 	var bin bytes.Buffer

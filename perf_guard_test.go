@@ -115,7 +115,7 @@ func TestAllocGuardAssessorEpoch(t *testing.T) {
 		t.Skip("cluster warm-up in -short mode")
 	}
 	sys := scenario.Fig10(20050404, diagnosis.Options{}, frettingConnector)
-	sys.Run(2000)
+	sys.Cluster.RunRounds(context.Background(), 2000)
 	a := sys.Diag.Assessor
 
 	granule := int64(2000)
@@ -145,9 +145,9 @@ func TestAllocGuardTelemetryRound(t *testing.T) {
 	}
 	perRound := func(extra ...engine.Option) float64 {
 		sys := scenario.Fig10(20050404, diagnosis.Options{}, nil, extra...)
-		sys.Run(200) // warm pools, scratch and trust histories
+		sys.Cluster.RunRounds(context.Background(), 200) // warm pools, scratch and trust histories
 		const roundsPerRun = 64
-		allocs := testing.AllocsPerRun(5, func() { sys.Run(roundsPerRun) })
+		allocs := testing.AllocsPerRun(5, func() { sys.Cluster.RunRounds(context.Background(), roundsPerRun) })
 		return allocs / roundsPerRun
 	}
 
@@ -174,9 +174,9 @@ func TestAllocGuardBayesOffRound(t *testing.T) {
 		t.Skip("cluster warm-up in -short mode")
 	}
 	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil)
-	sys.Run(200) // warm pools, scratch and trust histories
+	sys.Cluster.RunRounds(context.Background(), 200) // warm pools, scratch and trust histories
 	const roundsPerRun = 64
-	allocs := testing.AllocsPerRun(5, func() { sys.Run(roundsPerRun) })
+	allocs := testing.AllocsPerRun(5, func() { sys.Cluster.RunRounds(context.Background(), roundsPerRun) })
 	perRound := allocs / roundsPerRun
 	t.Logf("bayes-off cluster round: %.3f allocs/round", perRound)
 	if perRound > 3 {
@@ -195,7 +195,7 @@ func TestAllocGuardOBDHooks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster warm-up in -short mode")
 	}
-	faulty := func() *scenario.System {
+	faulty := func() *engine.Engine {
 		return scenario.Fig10(20050404, diagnosis.Options{}, []scenario.InjectPlan{
 			{At: sim.Time(100 * sim.Millisecond), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 3}},
 			// Every speed value exceeds the threshold: A1 always publishes 400.
@@ -206,9 +206,9 @@ func TestAllocGuardOBDHooks(t *testing.T) {
 	obd := baseline.Attach(extra.Cluster)
 	const roundsPerRun = 512
 	var perRun [2]float64
-	for i, sys := range []*scenario.System{plain, extra} {
-		sys.Run(2000) // past the DTC threshold: both codes stored and re-counting
-		perRun[i] = testing.AllocsPerRun(2, func() { sys.Run(roundsPerRun) })
+	for i, sys := range []*engine.Engine{plain, extra} {
+		sys.Cluster.RunRounds(context.Background(), 2000) // past the DTC threshold: both codes stored and re-counting
+		perRun[i] = testing.AllocsPerRun(2, func() { sys.Cluster.RunRounds(context.Background(), roundsPerRun) })
 	}
 	dtcs := obd.DTCs()
 	t.Logf("allocs per %d rounds: %.0f plain, %.0f with a second OBD (its codes: %v)", roundsPerRun, perRun[0], perRun[1], dtcs)
@@ -303,13 +303,13 @@ func TestAllocGuardTraceRecord(t *testing.T) {
 			opts = append(opts, engine.WithSink(sink, trace.Options{TrustEveryEpochs: 5, Vehicle: 1}))
 		}
 		sys := scenario.Fig10(20050404, diagnosis.Options{}, frettingConnector, opts...)
-		sys.Run(2000) // warm pools, scratch and histories; verdicts settle
+		sys.Cluster.RunRounds(context.Background(), 2000) // warm pools, scratch and histories; verdicts settle
 		const runs = 5
 		counts := make([]int, 0, runs+1) // AllocsPerRun adds a warm-up call
 		allocs = testing.AllocsPerRun(runs, func() {
 			buf.Reset()
 			n0 := sink.n
-			sys.Run(roundsPerRun)
+			sys.Cluster.RunRounds(context.Background(), roundsPerRun)
 			counts = append(counts, sink.n-n0)
 		})
 		for _, n := range counts[1:] {
@@ -368,11 +368,11 @@ func TestAllocGuardCheckpointEncode(t *testing.T) {
 		t.Skip("cluster warm-up in -short mode")
 	}
 	sys := scenario.Fig10(20050404, diagnosis.Options{}, frettingConnector)
-	sys.Run(2000)
+	sys.Cluster.RunRounds(context.Background(), 2000)
 	var buf bytes.Buffer
 	encode := func() {
 		buf.Reset()
-		if err := sys.Engine.Checkpoint(&buf); err != nil {
+		if err := sys.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,17 +432,17 @@ func TestAllocGuardChunkedResume(t *testing.T) {
 		return allocatedBytes(func() {
 			sys := scenario.Fig10(seed, diagnosis.Options{}, plan)
 			for ran := int64(chunk); ran < rounds; ran += chunk {
-				sys.Cluster.RunToRound(ran)
+				sys.Cluster.RunRounds(context.Background(), chunk)
 				trip := allocatedBytes(func() {
 					ck.Reset()
-					if err := sys.Engine.Checkpoint(&ck); err != nil {
+					if err := sys.Checkpoint(&ck); err != nil {
 						t.Fatal(err)
 					}
 					sys = scenario.Fig10(seed, diagnosis.Options{}, plan, engine.WithRestore(ck.Bytes()))
 				})
 				perTrip = append(perTrip, float64(trip)/float64(ck.Len()))
 			}
-			sys.Cluster.RunToRound(rounds)
+			sys.Cluster.RunRounds(context.Background(), rounds-sys.StateVersion())
 		})
 	}
 	// With the collector off, no GC empties the encoder pool mid-run.
@@ -483,11 +483,13 @@ func TestAllocGuardBoundedStores(t *testing.T) {
 	sys := scenario.Fig10(20050404, diagnosis.Options{}, []scenario.InjectPlan{
 		{At: scenario.RoundsAt(10), Fault: &pack.FaultSpec{Kind: "permanent-silent", Component: 0}},
 	})
-	sys.Run(4500) // past 1200 granules and 4096 actuations
+	sys.Cluster.RunRounds(context.Background(), 4500) // past 1200 granules and 4096 actuations
 	if n := len(sys.Cluster.Env.Actuations("brake")); n != 4096 {
 		t.Fatalf("brake history holds %d commands after 4500 rounds, want the 4096 cap", n)
 	}
-	perRound := func() float64 { return float64(allocatedBytes(func() { sys.Run(span) })) / span }
+	perRound := func() float64 {
+		return float64(allocatedBytes(func() { sys.Cluster.RunRounds(context.Background(), span) })) / span
+	}
 	early, late := perRound(), perRound()
 	t.Logf("bytes/round past the retention bounds: %.1f, then %.1f", early, late)
 	if late > early {
@@ -513,16 +515,16 @@ func TestAllocGuardWarmVehicle(t *testing.T) {
 	round := scenario.Fig10(seed, diagnosis.Options{}, nil).Cluster.Cfg.RoundDuration().Micros()
 	horizon := sim.Time(rounds * round)
 	plan := []scenario.InjectPlan{{Kind: scenario.KindIntermittent, At: horizon / 5}}
-	var sys *scenario.System
+	var sys *engine.Engine
 	first := allocatedBytes(func() {
 		sys = scenario.Fig10(seed, diagnosis.Options{}, plan, engine.WithClassifier(bayes.New()))
-		sys.Run(rounds)
+		sys.Cluster.RunRounds(context.Background(), rounds)
 	})
 	second := allocatedBytes(func() {
-		if err := sys.Reset(seed+7919, plan); err != nil {
+		if err := sys.Reset(engine.WithSeed(seed+7919), scenario.PlanFaults(plan)); err != nil {
 			t.Fatal(err)
 		}
-		sys.Run(rounds)
+		sys.Cluster.RunRounds(context.Background(), rounds)
 	})
 	ratio := float64(second) / float64(first)
 	t.Logf("first vehicle %d B, warm second vehicle %d B (%.3fx)", first, second, ratio)
