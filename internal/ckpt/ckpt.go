@@ -565,8 +565,9 @@ func Sparse(c *Coder, n int, set func(i int) bool, elem func(c *Coder, i int)) {
 	}
 }
 
-// Log is Slice for a segmented log: decoding resets l onto its free list
-// and reserves once for the checked count.
+// Log is Slice for a segmented log. Decoding empties l onto its free list
+// and appends onto those retired segments, so a log decoded again and
+// again holds at most one segment more than its longest decoded length.
 func Log[T any](c *Coder, l *seglog.Log[T], limit int, elem func(*Coder, *T)) {
 	n := l.Len()
 	c.Len(&n, limit)
@@ -580,7 +581,6 @@ func Log[T any](c *Coder, l *seglog.Log[T], limit int, elem func(*Coder, *T)) {
 		return
 	}
 	l.Reset()
-	l.Reserve(n)
 	var zero T
 	for i := 0; i < n && c.dec.err == nil; i++ {
 		l.Append(zero)

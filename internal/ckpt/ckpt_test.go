@@ -584,6 +584,41 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLogDecodeStaysBounded: decoding a growing log again and again into
+// the same Log, as a run restored in place every chunk does, draws on the
+// segments the previous decode retired. The log's storage, live and
+// retired segments together, stays within one segment (at most 256
+// elements) of the longest log decoded.
+func TestLogDecodeStaysBounded(t *testing.T) {
+	var src, dst seglog.Log[int64]
+	for k := 0; k < 40; k++ {
+		for i := 0; i < 97; i++ {
+			src.Append(int64(k*97 + i))
+		}
+		c, _ := coded(t, func(c *Coder) { Log(c, &src, 1<<16, Varint[int64]) })
+		if Log(c, &dst, 1<<16, Varint[int64]); c.Err() != nil || dst.Len() != src.Len() {
+			t.Fatalf("decode %d: %d elements, err %v", k, dst.Len(), c.Err())
+		}
+		if got := logCap(&dst); got > src.Len()+256 {
+			t.Fatalf("decode %d: %d elements held in segments of %d in all, want at most %d",
+				k, dst.Len(), got, src.Len()+256)
+		}
+	}
+}
+
+// logCap is the total capacity of a log's live and retired segments,
+// read through reflection: seglog does not export them.
+func logCap(l *seglog.Log[int64]) int {
+	v, total := reflect.ValueOf(l).Elem(), 0
+	for _, name := range []string{"segs", "free"} {
+		segs := v.FieldByName(name)
+		for i := 0; i < segs.Len(); i++ {
+			total += segs.Index(i).Cap()
+		}
+	}
+	return total
+}
+
 // TestSortedMapRoundTrip: a map encodes in ascending key order whatever
 // its insertion history, and decoding replaces the destination's entries
 // (allocating a nil destination).

@@ -9,8 +9,8 @@ import (
 )
 
 // Checkpointing of the application layer. The deployment (components,
-// DASs, jobs, ports, specs) is configuration rebuilt by the engine's
-// build path; a checkpoint carries the mutable per-job run state and the
+// DASs, jobs, ports, specs) is configuration wired by the engine's
+// build path and kept by a reset; a checkpoint carries the mutable per-job run state and the
 // environment's actuator history. Jobs whose implementation holds state
 // between rounds implement ckpt.Snapshotter; the standard jobs below do.
 // The fault filters (OutFault/SensorFault) are closures owned by the

@@ -8,8 +8,8 @@ import (
 )
 
 // Checkpointing of the diagnostic subsystem. The registry, tracker
-// topology and pipeline wiring are configuration rebuilt by the engine's
-// build path; a checkpoint carries the evidence: the distributed-state
+// topology and pipeline wiring are configuration wired by the engine's
+// build path and kept by a reset; a checkpoint carries the evidence: the distributed-state
 // history, recurrence scores, trust trajectories, standing verdicts, and
 // every monitor's incremental-scan cursors. A checkpoint is taken at a
 // round boundary, after monitors flushed and the assessor drained, so

@@ -1,6 +1,8 @@
 package diagnosis
 
 import (
+	"bytes"
+	"math"
 	"slices"
 
 	"decos/internal/component"
@@ -252,14 +254,14 @@ func (m *Monitor) scanPort(pt *portTracker, round int64) {
 				}
 				m.observe(SymValue, pt.meta.ProducerJob, pt.port.Channel, 1, over/half)
 			default:
-				if pos := abs(v-mid) / half; pos >= DeviationWarnFraction {
+				if pos := math.Abs(v-mid) / half; pos >= DeviationWarnFraction {
 					m.observe(SymDeviation, pt.meta.ProducerJob, pt.port.Channel, 1, pos)
 				}
 			}
 		}
 		// Stuck-at plausibility for dynamic signals.
 		if spec.StuckRounds > 0 {
-			if seqAdvanced && bytesEqual(st.LastValue, pt.lastValue) {
+			if seqAdvanced && bytes.Equal(st.LastValue, pt.lastValue) {
 				pt.sameValue++
 			} else if seqAdvanced {
 				pt.sameValue = 0
@@ -320,23 +322,4 @@ func accKeyLess(a, b accKey) bool {
 		return a.subject < b.subject
 	}
 	return a.channel < b.channel
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

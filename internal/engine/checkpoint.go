@@ -21,11 +21,13 @@ import (
 // run restored from the checkpoint is byte-identical to the uninterrupted
 // run from the same seed.
 //
-// Restore works by reconstruction: the engine is rebuilt from the same
-// Options (the build pipeline re-executes deterministically at t=0,
-// recreating every closure — job implementations, fault role handlers,
-// trace hooks), then the section table (sections) overwrites every
-// subsystem's state from the stream and re-arms what it carries.
+// Restore works by reconstruction: the run starts as every run does
+// (Engine.start, after New's build or Reset's in-place reset), so the
+// fault manifest re-executes deterministically at t=0 and recreates its
+// closures — fault role handlers, job filters — on wiring that already
+// holds every other closure (job implementations, trace hooks); then the
+// section table (sections) overwrites every subsystem's state from the
+// stream and re-arms what it carries.
 
 // CheckpointSink receives encoded checkpoints at the configured round
 // cadence. The byte slice is freshly allocated per call; the sink owns
@@ -41,12 +43,13 @@ func WithCheckpointSink(sink CheckpointSink, everyRounds int64) Option {
 	return func(c *Config) { c.ckptSink, c.ckptEvery = sink, everyRounds }
 }
 
-// WithRestore makes New restore the engine from the checkpoint stream
-// data instead of starting fresh. The remaining options must describe the
+// WithRestore makes New or Reset resume the run from the checkpoint
+// stream data instead of starting it fresh. The engine must describe the
 // same system the checkpoint was taken from (same topology, seed, build
-// hooks and fault manifest); the meta section is validated against them.
-// The bytes are read in place, not copied, and every restored field is
-// copied out of them, so the caller may reuse data once New returns.
+// hooks and fault manifest); the meta section is validated against it. A
+// corrupt or mismatched stream is an error, never a panic. The bytes are
+// read in place, not copied, and every restored field is copied out of
+// them, so the caller may reuse data once New or Reset returns.
 func WithRestore(data []byte) Option {
 	return func(c *Config) { c.restore = &data }
 }
@@ -95,7 +98,7 @@ func (e *Engine) installCheckpointHook() {
 }
 
 // meta is the checkpoint's fingerprint section: the completed round
-// count and what a restore must match before it builds anything.
+// count and what a restore must match before it starts anything.
 type meta struct {
 	rounds           int64
 	nodes, slotBytes int
@@ -160,26 +163,17 @@ func (e *Engine) sections(buf []section) []section {
 	return append(buf, section{"faults", e.Injector})
 }
 
-// restoreEngine is the WithRestore build path: parse, validate the meta
-// fingerprint, reconstruct, overwrite state, re-arm.
-func restoreEngine(cfg Config) (e *Engine, err error) {
-	// Subsystem Code methods validate counts, keys, enums and what they
-	// re-arm, so input should never reach an invariant that panics by
-	// design on programmer error. Arbitrary bytes reach this path —
-	// checkpoint files travel through disks and pipelines — so a panic
-	// still degrades to an error here, as a backstop: a corrupt
-	// checkpoint must never take the process down.
-	defer func() {
-		if p := recover(); p != nil {
-			e, err = nil, fmt.Errorf("engine: restore: corrupt checkpoint: %v", p)
-		}
-	}()
-	var d *ckpt.Decoder
-	if d, err = ckpt.NewDecoder(*cfg.restore); err != nil {
+// checkMeta opens the checkpoint stream data and checks its meta section
+// against the engine before anything is restored: the topology, seed and
+// attachments must be those the checkpoint was taken with. The decoded
+// section stays in e.meta.
+func (e *Engine) checkMeta(data []byte) (*ckpt.Decoder, error) {
+	d, err := ckpt.NewDecoder(data)
+	if err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
-	var m meta
-	if err := d.Get("meta", &m); err != nil {
+	m, cfg := &e.meta, &e.cfg
+	if err := d.Get("meta", m); err != nil {
 		return nil, fmt.Errorf("engine: restore: meta: %w", err)
 	}
 	if m.nodes != cfg.Nodes || m.slotLen != cfg.SlotLen || m.slotBytes != cfg.SlotBytes {
@@ -189,27 +183,11 @@ func restoreEngine(cfg Config) (e *Engine, err error) {
 	if m.seed != cfg.Seed {
 		return nil, fmt.Errorf("engine: restore: checkpoint seed %d, options say %d — the manifest reconstruction would diverge", m.seed, cfg.Seed)
 	}
-
-	if e, err = build(cfg, true); err != nil {
-		return nil, err
-	}
 	if a := e.attachments(); a != m.att {
 		return nil, fmt.Errorf("engine: restore: checkpoint attachments (clocks=%v diag=%v obd=%v trace=%v) do not match options (clocks=%v diag=%v obd=%v trace=%v)",
 			m.att[0], m.att[1], m.att[2], m.att[3], a[0], a[1], a[2], a[3])
 	}
-	var buf [16]section
-	for _, s := range e.sections(buf[:0]) {
-		if s.name == "cls" && !d.Has("cls") {
-			continue
-		}
-		if err := d.Get(s.name, s.s); err != nil {
-			return nil, fmt.Errorf("engine: restore %s: %w", s.name, err)
-		}
-	}
-	e.Cluster.Bus.Rearm()
-	e.rounds = m.rounds
-	e.installCheckpointHook()
-	return e, nil
+	return d, nil
 }
 
 // classifierSnapshotter returns the active classification stage as a

@@ -16,7 +16,9 @@
 // so a new workload is an engine configuration, not a new copy of the
 // wiring — the same argument "Diagnosable-by-Design" makes for diagnosis
 // infrastructure as an architectural layer rather than per-experiment
-// scaffolding.
+// scaffolding. New builds an engine and starts its first run; Reset
+// starts another on the same engine, in place. Both start every run
+// through one path, which also resumes a checkpointed run (WithRestore).
 //
 // The builder is behaviour-preserving by construction: it performs
 // exactly the calls the hand-rolled sites performed, in the same order,
@@ -29,6 +31,7 @@ import (
 	"fmt"
 
 	"decos/internal/baseline"
+	"decos/internal/ckpt"
 	"decos/internal/clock"
 	"decos/internal/component"
 	"decos/internal/diagnosis"
@@ -71,7 +74,7 @@ type Config struct {
 	metrics       *telemetry.Registry
 	ckptSink      CheckpointSink
 	ckptEvery     int64
-	restore       *[]byte // the checkpoint stream; nil builds fresh
+	restore       *[]byte // the checkpoint stream; nil starts fresh
 }
 
 // Option configures an Engine build.
@@ -186,32 +189,29 @@ type Engine struct {
 	rounds   int64
 }
 
-// New assembles and starts a cluster from the given options. The build
-// pipeline is fixed — schedule, cluster, clocks, topology hooks,
-// diagnosis, OBD, classifier selection, trace, seal/start, injector,
-// fault manifest — so every consumer constructs byte-identical systems
-// for identical options.
+// New assembles a cluster from the given options and starts its first
+// run. The build pipeline is fixed — schedule, cluster, clocks, topology
+// hooks, diagnosis, OBD, classifier selection, trace, injector — so every
+// consumer constructs byte-identical systems for identical options; the
+// run then starts as every run does (see start).
 func New(opts ...Option) (*Engine, error) {
 	var cfg Config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.restore != nil {
-		return restoreEngine(cfg)
-	}
-	e, err := build(cfg, false)
+	e, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.installCheckpointHook()
+	if err := e.start(); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
-// build runs the assembly pipeline. In restoring mode the injector
-// suppresses manifest-time timer arming: the manifest re-registers every
-// fault's role handlers and filter closures, while the checkpoint's
-// pending-timer list is the authoritative phase (see WithRestore).
-func build(cfg Config, restoring bool) (*Engine, error) {
+// build wires the engine: it assembles every subsystem and installs the
+// hooks, and starts nothing.
+func build(cfg Config) (*Engine, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("engine: topology with %d nodes (use WithTopology)", cfg.Nodes)
 	}
@@ -251,9 +251,6 @@ func build(cfg Config, restoring bool) (*Engine, error) {
 		e.Diag.Assessor.SetClassifier(cls)
 	}
 	e.Injector = faults.NewInjector(cl)
-	if restoring {
-		e.Injector.SetReconstructing(true)
-	}
 	if cfg.sink != nil {
 		e.Recorder = trace.AttachSink(cl, e.Diag, e.Injector, cfg.sink, cfg.traceOpts)
 	}
@@ -261,20 +258,15 @@ func build(cfg Config, restoring bool) (*Engine, error) {
 		e.Telemetry = cfg.metrics
 		instrument(e, cfg.metrics)
 	}
-	if err := cl.Start(); err != nil {
-		return nil, fmt.Errorf("engine: start: %w", err)
-	}
-	for _, apply := range cfg.manifest {
-		apply(e.Injector)
-	}
+	e.installCheckpointHook()
 	return e, nil
 }
 
 // Reset returns the engine to the state New leaves it in, without
-// rebuilding it, for another run: every subsystem is reset in place and
-// keeps its storage, and the topology wiring stays as built. opts apply
-// on top of the options the engine was built with, and only these three
-// may be given:
+// rebuilding it, and starts another run: every subsystem is reset in
+// place and keeps its storage, and the topology wiring stays as built.
+// opts apply on top of the options the engine was built with, and only
+// these four may be given:
 //
 //   - WithSeed sets the run's master seed (default: the current one).
 //     The named RNG streams restart from it and the clock drifts are
@@ -284,6 +276,8 @@ func build(cfg Config, restoring bool) (*Engine, error) {
 //   - WithSink re-points the trace recorder (default: the current sink
 //     and options). It cannot attach recording to an engine built
 //     without it, nor detach it.
+//   - WithRestore resumes the run from a checkpoint, as New does: the
+//     seed and fault manifest must be the checkpointed run's.
 //
 // For the same seed and faults a reset engine is indistinguishable from
 // a freshly built one: its checkpoint, and everything it records and
@@ -291,7 +285,8 @@ func build(cfg Config, restoring bool) (*Engine, error) {
 // Results of the previous run that the caller keeps are left alone:
 // Injector.Ledger and Assessor.Emitted start new slices, and trust
 // trajectories are read out as copies. A telemetry registry keeps
-// accumulating across runs.
+// accumulating across runs. A failed restore leaves the engine half
+// restored, and a later Reset does not undo that: discard the engine.
 func (e *Engine) Reset(opts ...Option) error {
 	// The options write into a scratch held by the engine: a local would
 	// escape through the option calls and cost an allocation per reset.
@@ -304,13 +299,13 @@ func (e *Engine) Reset(opts ...Option) error {
 		o(run)
 	}
 	if !run.perRun() {
-		return fmt.Errorf("engine: reset: only WithSeed, WithFaults and WithSink may change between runs")
+		return fmt.Errorf("engine: reset: only WithSeed, WithFaults, WithSink and WithRestore may change between runs")
 	}
 	if (run.sink == nil) != (e.Recorder == nil) {
 		return fmt.Errorf("engine: reset: cannot attach or detach trace recording")
 	}
 	cfg := &e.cfg
-	cfg.Seed, cfg.manifest, cfg.sink, cfg.traceOpts, cfg.restore = run.Seed, run.manifest, run.sink, run.traceOpts, nil
+	cfg.Seed, cfg.manifest, cfg.sink, cfg.traceOpts, cfg.restore = run.Seed, run.manifest, run.sink, run.traceOpts, run.restore
 
 	// The build pipeline's order, over the existing subsystems.
 	cl := e.Cluster
@@ -329,22 +324,67 @@ func (e *Engine) Reset(opts ...Option) error {
 	if e.Recorder != nil {
 		e.Recorder.Reset(cfg.sink, cfg.traceOpts)
 	}
-	if err := cl.Start(); err != nil {
-		return fmt.Errorf("engine: reset: start: %w", err)
+	return e.start()
+}
+
+// start begins a run on the just-built or just-reset subsystems: it
+// starts the cluster and applies the fault manifest. With WithRestore it
+// first checks the checkpoint's meta section against the engine, runs
+// the manifest without arming its timers (the checkpoint's pending-timer
+// list is the authoritative phase), then overwrites every subsystem's
+// state from the checkpoint's sections and re-arms the slot chain.
+func (e *Engine) start() (err error) {
+	data := e.cfg.restore
+	e.cfg.restore = nil // the engine keeps no hold on the caller's bytes
+	var d *ckpt.Decoder
+	if data != nil {
+		// Subsystem Code methods validate counts, keys, enums and what
+		// they re-arm, so input should never reach an invariant that
+		// panics by design on programmer error. Arbitrary bytes reach
+		// this path — checkpoint files travel through disks and
+		// pipelines — so a panic still degrades to an error here, as a
+		// backstop: a corrupt checkpoint must never take the process
+		// down.
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("engine: restore: corrupt checkpoint: %v", p)
+			}
+		}()
+		if d, err = e.checkMeta(*data); err != nil {
+			return err
+		}
+		e.Injector.SetReconstructing(true)
 	}
-	for _, apply := range cfg.manifest {
+	if err := e.Cluster.Start(); err != nil {
+		return fmt.Errorf("engine: start: %w", err)
+	}
+	for _, apply := range e.cfg.manifest {
 		apply(e.Injector)
 	}
+	if d == nil {
+		return nil
+	}
+	var buf [16]section
+	for _, s := range e.sections(buf[:0]) {
+		if s.name == "cls" && !d.Has("cls") {
+			continue
+		}
+		if err := d.Get(s.name, s.s); err != nil {
+			return fmt.Errorf("engine: restore %s: %w", s.name, err)
+		}
+	}
+	e.Cluster.Bus.Rearm()
+	e.rounds = e.meta.rounds
 	return nil
 }
 
 // perRun reports whether the configuration sets nothing but the per-run
-// fields Reset may change: seed, fault manifest and trace sink.
+// fields Reset may change: seed, fault manifest, trace sink and restore
+// stream.
 func (c *Config) perRun() bool {
 	return c.Nodes == 0 && c.SlotLen == 0 && c.SlotBytes == 0 && c.clocks == nil &&
 		c.build == nil && !c.withDiag && !c.withOBD && c.classifier == nil &&
-		!c.obdClassifier && c.metrics == nil && c.ckptSink == nil && c.ckptEvery == 0 &&
-		c.restore == nil
+		!c.obdClassifier && c.metrics == nil && c.ckptSink == nil && c.ckptEvery == 0
 }
 
 // MustNew is New, panicking on configuration errors — for scenario

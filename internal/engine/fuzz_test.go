@@ -27,14 +27,17 @@ const (
 	goldenCkptRounds = 80
 )
 
-// restoreGolden rebuilds the golden run's system from checkpoint bytes
-// through the error-returning constructor — the exact path external
-// checkpoint files (decos-sim -checkpoint-dir, decos-whatif -ckpt) take.
+// restoreGolden builds the golden run's system and restores checkpoint
+// bytes into it in place — the path external checkpoint files
+// (decos-whatif -ckpt) take.
 func restoreGolden(data []byte) (*engine.Engine, error) {
 	var tr bytes.Buffer
-	return scenario.Fig10Restored(data, 20050404, diagnosis.Options{}, nil,
-		engine.WithFaults(richManifest),
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, nil, engine.WithFaults(richManifest),
 		engine.WithSink(trace.NewNDJSONSink(&tr), trace.Options{AllFrames: true, TrustEveryEpochs: 2}))
+	if err := sys.Reset(engine.WithFaults(richManifest), engine.WithRestore(data)); err != nil {
+		return nil, err
+	}
+	return sys, nil
 }
 
 func generateGoldenCkpt(tb testing.TB) []byte {

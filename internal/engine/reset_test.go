@@ -44,8 +44,14 @@ func checkpointOf(t *testing.T, sys *engine.Engine) []byte {
 // fault) and is then reset must checkpoint exactly like a freshly built
 // engine for the same seed and faults, and must record the same binary
 // trace and reach the same final checkpoint when both run the vehicle.
-// The previous vehicle stops a third of the way in, so any event it left
-// pending would fire inside the checked run.
+// The previous vehicle stops half way in, so any event it left pending
+// would fire inside the checked run.
+//
+// Its restore leg: the previous vehicle's checkpoint at that half-way
+// point is restored in place into the worker, which last ran the checked
+// vehicle, and into a freshly built engine. Both must re-encode the
+// checkpoint exactly, then record the same trace and reach the same
+// final checkpoint over the remaining rounds.
 func TestResetMatchesFreshEngine(t *testing.T) {
 	kinds := scenario.AllKinds()
 	for _, cls := range []string{pack.ClassifierDECOS, pack.ClassifierOBD, pack.ClassifierBayes} {
@@ -69,7 +75,8 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 						freshOpts = append(freshOpts, engine.WithSink(trace.NewBinarySink(&freshBuf), trace.Options{TrustEveryEpochs: 5, Vehicle: 2}))
 					}
 					worker := scenario.Fig10(seed^0xfeed, diagnosis.Options{}, prev, workerOpts...)
-					worker.Cluster.RunRounds(context.Background(), resetRounds/3)
+					worker.Cluster.RunRounds(context.Background(), resetRounds/2)
+					mid := checkpointOf(t, worker)
 
 					plan := resetPlan(kind, faulty)
 					var extra []engine.Option
@@ -91,6 +98,31 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 					}
 					if w, f := checkpointOf(t, worker), checkpointOf(t, fresh); !bytes.Equal(w, f) {
 						t.Errorf("after the run the reset engine checkpoints %d bytes, the fresh engine %d: they differ", len(w), len(f))
+					}
+
+					// The restore leg resumes the previous vehicle.
+					restoreOpts := []engine.Option{engine.WithSeed(seed ^ 0xfeed), scenario.PlanFaults(prev)}
+					freshOpts = pack.ClassifierOptions(cls)
+					if traced {
+						workerBuf.Reset()
+						freshBuf.Reset()
+						restoreOpts = append(restoreOpts, engine.WithSink(trace.NewBinarySink(&workerBuf), trace.Options{TrustEveryEpochs: 5, Vehicle: 1}))
+						freshOpts = append(freshOpts, engine.WithSink(trace.NewBinarySink(&freshBuf), trace.Options{TrustEveryEpochs: 5, Vehicle: 1}))
+					}
+					if err := worker.Reset(append(restoreOpts, engine.WithRestore(mid))...); err != nil {
+						t.Fatal(err)
+					}
+					fresh = scenario.Fig10(seed^0xfeed, diagnosis.Options{}, prev, append(freshOpts, engine.WithRestore(mid))...)
+					if w, f := checkpointOf(t, worker), checkpointOf(t, fresh); !bytes.Equal(w, mid) || !bytes.Equal(f, mid) {
+						t.Fatalf("restored in place the checkpoint re-encodes equal=%t, restored fresh equal=%t", bytes.Equal(w, mid), bytes.Equal(f, mid))
+					}
+					worker.Cluster.RunRounds(context.Background(), resetRounds/2)
+					fresh.Cluster.RunRounds(context.Background(), resetRounds/2)
+					if !bytes.Equal(workerBuf.Bytes(), freshBuf.Bytes()) {
+						t.Errorf("restored in place the engine traced %d bytes, restored fresh %d: they differ", workerBuf.Len(), freshBuf.Len())
+					}
+					if w, f := checkpointOf(t, worker), checkpointOf(t, fresh); !bytes.Equal(w, f) {
+						t.Errorf("after the run the engine restored in place checkpoints %d bytes, restored fresh %d: they differ", len(w), len(f))
 					}
 				})
 			}
@@ -138,13 +170,12 @@ func TestResetRejectsBuildOptions(t *testing.T) {
 		sys *engine.Engine
 		opt engine.Option
 	}{
-		"topology":       {untraced, engine.WithTopology(4, 250, 256)},
-		"obd":            {untraced, engine.WithOBD()},
-		"classifier":     {untraced, engine.WithOBDClassifier()},
-		"attach sink":    {untraced, engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{})},
-		"detach sink":    {traced, engine.WithSink(nil, trace.Options{})},
-		"checkpointing":  {untraced, engine.WithCheckpointSink(func(int64, []byte) error { return nil }, 10)},
-		"restore stream": {untraced, engine.WithRestore(nil)},
+		"topology":      {untraced, engine.WithTopology(4, 250, 256)},
+		"obd":           {untraced, engine.WithOBD()},
+		"classifier":    {untraced, engine.WithOBDClassifier()},
+		"attach sink":   {untraced, engine.WithSink(trace.NewBinarySink(new(bytes.Buffer)), trace.Options{})},
+		"detach sink":   {traced, engine.WithSink(nil, trace.Options{})},
+		"checkpointing": {untraced, engine.WithCheckpointSink(func(int64, []byte) error { return nil }, 10)},
 	} {
 		if err := c.sys.Reset(c.opt); err == nil {
 			t.Errorf("%s: Reset accepted the option", name)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 
 	"decos/internal/core"
 	"decos/internal/diagnosis"
@@ -62,7 +63,7 @@ func formatActionDist(actions map[core.MaintenanceAction]int) string {
 			}
 			out += a.String()
 			if n > 1 {
-				out += "×" + itoa(n)
+				out += "×" + strconv.Itoa(n)
 			}
 		}
 	}
@@ -72,20 +73,6 @@ func formatActionDist(actions map[core.MaintenanceAction]int) string {
 	return out
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 func frac(a, b int) string {
-	return itoa(a) + "/" + itoa(b)
+	return strconv.Itoa(a) + "/" + strconv.Itoa(b)
 }

@@ -34,9 +34,6 @@ func TestTableGrowsColumns(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if itoa(0) != "0" || itoa(1234) != "1234" {
-		t.Error("itoa wrong")
-	}
 	if frac(3, 4) != "3/4" {
 		t.Error("frac wrong")
 	}

@@ -196,8 +196,8 @@ func (in *Injector) Reset() {
 
 // SetReconstructing switches the injector into (or out of) restore-
 // reconstruction mode. The engine enables it before re-running the fault
-// manifest of a checkpointed run and disables it again after Restore has
-// re-armed the checkpointed phase.
+// manifest of a checkpointed run; decoding the injector's checkpoint
+// section disables it again before re-arming the checkpointed phase.
 func (in *Injector) SetReconstructing(v bool) { in.restoring = v }
 
 // timer schedules a tracked instant for the activation: the role's

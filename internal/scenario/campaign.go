@@ -179,10 +179,11 @@ type Campaign struct {
 	Classifier string
 	// ChunkRounds > 0 runs every vehicle in chunks of that many rounds,
 	// checkpointing the engine between chunks and restoring each
-	// continuation into a freshly built engine (engine.WithRestore). The
-	// result is bit-identical to an unchunked run — this is the campaign-
-	// scale exercise of the checkpoint determinism contract, and the
-	// execution shape of resumable long-horizon campaigns.
+	// continuation in place into the same engine (engine.Engine.Reset
+	// with engine.WithRestore). The result is bit-identical to an
+	// unchunked run — this is the campaign-scale exercise of the
+	// checkpoint determinism contract, and the execution shape of
+	// resumable long-horizon campaigns.
 	ChunkRounds int64
 }
 
@@ -334,14 +335,10 @@ func (c Campaign) runReplicates(ctx context.Context, n int, sink TraceSink) []*r
 					w.sink.Reset()
 					rec = w.sink
 				}
-				eng, err := c.runVehicle(ctx, w.eng, v, p, rec, &w.ckpt)
-				if c.ChunkRounds == 0 {
-					w.eng = eng
-				}
-				if err != nil {
+				if err := c.runVehicle(ctx, &w, v, p, rec); err != nil {
 					continue
 				}
-				rep.outcomes[v] = outcomeOf(eng, v, p)
+				rep.outcomes[v] = outcomeOf(w.eng, v, p)
 				if sink != nil {
 					sink(v+1, w.trace.Bytes())
 				}
@@ -453,9 +450,8 @@ func (c Campaign) plans() []vehiclePlan {
 }
 
 // worker is one campaign worker's state, kept from vehicle to vehicle:
-// its engine (nil until its first vehicle, and for chunked campaigns),
-// the vehicle's binary trace buffer and sink (traced runs only), and the
-// chunk checkpoint.
+// its engine (nil until its first vehicle), the vehicle's binary trace
+// buffer and sink (traced runs only), and the chunk checkpoint.
 type worker struct {
 	eng   *engine.Engine
 	trace *bytes.Buffer
@@ -477,25 +473,18 @@ func (w *worker) release() {
 	}
 }
 
-// runVehicle readies an engine for vehicle v (0-based) of the campaign
-// from its plan and runs it to the horizon. eng is the worker's engine
-// from its previous vehicle, reset in place for this one
-// (engine.Engine.Reset); a nil eng builds a fresh one. A chunked
-// campaign runs in ChunkRounds checkpoint/restore chunks through ck,
-// each restored into a freshly built engine, so its workers keep no
-// engine and always pass nil. With a non-nil rec, the vehicle records
-// into it and ends its trace with the audit block. It fails only when
-// ctx is cancelled mid-run.
-func (c Campaign) runVehicle(ctx context.Context, eng *engine.Engine, v int, p vehiclePlan, rec trace.Sink, ck *bytes.Buffer) (*engine.Engine, error) {
-	var extra []engine.Option
-	if rec != nil {
-		extra = append(extra, engine.WithSink(rec,
-			trace.Options{TrustEveryEpochs: 5, Vehicle: v + 1}))
-	}
+// runVehicle readies the worker's engine for vehicle v (0-based) of the
+// campaign from its plan and runs it to the horizon: the engine from the
+// worker's previous vehicle is reset in place for this one
+// (engine.Engine.Reset), and a worker's first vehicle builds it. A
+// chunked campaign runs in ChunkRounds chunks, checkpointing through the
+// worker's buffer and restoring each chunk in place into the same engine.
+// With a non-nil rec, the vehicle records into it and ends its trace with
+// the audit block. It fails only when ctx is cancelled mid-run.
+func (c Campaign) runVehicle(ctx context.Context, w *worker, v int, p vehiclePlan, rec trace.Sink) error {
 	// The injections ride in the fault manifest (Fig10's plan): a
-	// manifest is what a checkpoint restore can reconstruct, so chunked
-	// execution replays it per chunk, and what a reset re-runs on the
-	// worker's engine.
+	// manifest is what a reset re-runs on the worker's engine, and what
+	// a checkpoint restore reconstructs the run from.
 	horizon := RoundsAt(c.Rounds)
 	plan := make([]InjectPlan, 0, len(p.kinds))
 	for i, kind := range p.kinds {
@@ -503,49 +492,47 @@ func (c Campaign) runVehicle(ctx context.Context, eng *engine.Engine, v int, p v
 			Kind: kind, At: sim.Time(float64(horizon) * p.atFrac[i]),
 		})
 	}
-	if eng != nil {
-		if err := eng.Reset(append([]engine.Option{engine.WithSeed(p.seed), PlanFaults(plan)}, extra...)...); err != nil {
-			panic(fmt.Sprintf("scenario: vehicle reset: %v", err))
-		}
-	} else {
-		// Each vehicle's engine gets its own classifier instance (the
-		// Bayesian stage is stateful; a reset clears it).
-		extra = append(pack.ClassifierOptions(c.Classifier), extra...)
-		eng = Fig10(p.seed, diagnosis.Options{}, plan, extra...)
+	// Every chunk records into the same sink: the restored recorder's
+	// cursors continue the stream seamlessly, and a second binary sink
+	// would open a second stream header mid-stream.
+	run := []engine.Option{engine.WithSeed(p.seed), PlanFaults(plan)}
+	if rec != nil {
+		run = append(run, engine.WithSink(rec, trace.Options{TrustEveryEpochs: 5, Vehicle: v + 1}))
 	}
-	if c.ChunkRounds > 0 {
-		// Chunked resume: run, checkpoint, rebuild restored, repeat. Every
-		// chunk engine records into the same sink — the restored
-		// recorder's cursors continue the stream seamlessly, and a second
-		// binary sink would open a second stream header mid-stream.
-		for ran := int64(0); ran < c.Rounds; {
-			step := min(c.ChunkRounds, c.Rounds-ran)
-			ran += step
-			if err := eng.Cluster.RunRounds(ctx, step); err != nil {
-				return nil, err
-			}
-			if ran >= c.Rounds {
-				break
-			}
-			// The restore copies everything it keeps out of ck, so the
-			// next chunk's checkpoint may overwrite it.
-			ck.Reset()
-			if err := eng.Checkpoint(ck); err != nil {
+	if w.eng == nil {
+		// Each worker's engine gets its own classifier instance (the
+		// Bayesian stage is stateful; a reset clears it).
+		w.eng = Fig10(p.seed, diagnosis.Options{}, nil, append(pack.ClassifierOptions(c.Classifier), run...)...)
+	} else if err := w.eng.Reset(run...); err != nil {
+		panic(fmt.Sprintf("scenario: vehicle reset: %v", err))
+	}
+	eng := w.eng
+	for ran := int64(0); ran < c.Rounds; {
+		step := c.Rounds - ran
+		if c.ChunkRounds > 0 {
+			step = min(c.ChunkRounds, step)
+		}
+		if err := eng.Cluster.RunRounds(ctx, step); err != nil {
+			return err
+		}
+		if ran += step; ran < c.Rounds {
+			// The restore copies everything it keeps out of the buffer,
+			// so the next chunk's checkpoint may overwrite it.
+			w.ckpt.Reset()
+			if err := eng.Checkpoint(&w.ckpt); err != nil {
 				panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
 			}
-			eng = Fig10(p.seed, diagnosis.Options{}, plan,
-				append(append([]engine.Option{}, extra...),
-					engine.WithRestore(ck.Bytes()))...)
+			if err := eng.Reset(append(run, engine.WithRestore(w.ckpt.Bytes()))...); err != nil {
+				panic(fmt.Sprintf("scenario: chunk restore: %v", err))
+			}
 		}
-	} else if err := eng.Cluster.RunRounds(ctx, c.Rounds); err != nil {
-		return eng, err
 	}
 	if r := eng.Recorder; r != nil {
 		r.WriteAudit(horizon, p.faultFree, eng.Injector.Ledger(),
 			[]trace.Advisor{{Name: "decos", Adv: eng.Diag}, {Name: "obd", Adv: eng.OBD}},
 			hardwareFRUs(eng))
 	}
-	return eng, nil
+	return nil
 }
 
 // hardwareFRUs lists the hardware FRUs of a system (the audit block

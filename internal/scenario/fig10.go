@@ -56,9 +56,11 @@ type InjectPlan struct {
 // Fig10 builds the canonical system with the given seed, diagnostic
 // options and fault plan. The cluster is started and ready to run. The
 // plan's injections ride the engine's fault manifest, which
-// engine.WithRestore re-executes to reconstruct a run. The activations
-// land in the injector's ledger (Injector.Ledger) in plan order; an
-// empty plan is a fault-free run. extra composes engine options onto the
+// engine.WithRestore re-executes to reconstruct a run. Fig10 panics on
+// any build error; a checkpoint from outside the process is restored
+// into the built system with Engine.Reset, which returns a corrupt stream
+// as an error. The activations land in the injector's ledger
+// (Injector.Ledger) in plan order; an empty plan is a fault-free run. extra composes engine options onto the
 // canonical configuration — trace sinks, checkpoint sinks, classifier
 // selection (engine.WithOBDClassifier and friends).
 func Fig10(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *engine.Engine {
@@ -81,16 +83,6 @@ func PlanFaults(plan []InjectPlan) engine.Option {
 			f.Apply(inj, p.At)
 		}
 	})
-}
-
-// Fig10Restored rebuilds a Fig. 10 system from an engine checkpoint:
-// Fig10's configuration plus engine.WithRestore, through the
-// error-returning constructor. Checkpoint bytes are external input
-// (files, uplinks), so a corrupt or mismatched stream must surface as an
-// error, not a panic. The bytes are read in place and may be reused once
-// Fig10Restored returns.
-func Fig10Restored(data []byte, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) (*engine.Engine, error) {
-	return engine.New(fig10Options(seed, opts, plan, append([]engine.Option{engine.WithRestore(data)}, extra...))...)
 }
 
 // fig10Topology is the resolved Fig. 10 topology every system builds

@@ -23,10 +23,10 @@ func resultJSON(t *testing.T, res *CampaignResult) []byte {
 // build-per-vehicle path: every replicate of a Monte Carlo pool, run by
 // workers that reset one engine from vehicle to vehicle and replicate to
 // replicate, merges to exactly the result of the same replicate run with
-// a freshly built engine per vehicle (ChunkRounds = Rounds: one chunk, no
-// checkpoint), under each classifier and for 1, 2 and 8 workers. Besides
-// the default mix, a permanent-fault fleet makes the OBD baseline store
-// trouble codes that a stale engine would carry into the next vehicle.
+// a freshly built engine per vehicle, under each classifier and for 1, 2
+// and 8 workers. Besides the default mix, a permanent-fault fleet makes
+// the OBD baseline store trouble codes that a stale engine would carry
+// into the next vehicle.
 func TestCampaignReuseMatchesFreshEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated campaigns in -short mode")
@@ -49,8 +49,16 @@ func reuseMatchesFresh(t *testing.T, replicates int, base Campaign) {
 	var want [][]byte
 	for r := 0; r < replicates; r++ {
 		fresh := base
-		fresh.Seed, fresh.ChunkRounds, fresh.Workers = base.replicateSeed(r), base.Rounds, 1
-		want = append(want, resultJSON(t, fresh.Run()))
+		fresh.Seed = base.replicateSeed(r)
+		rep := &replicate{plans: fresh.plans(), outcomes: make([]vehicleOutcome, base.Vehicles), done: make([]bool, base.Vehicles)}
+		for v, p := range rep.plans {
+			w := new(worker) // no engine yet: runVehicle builds one
+			if err := fresh.runVehicle(context.Background(), w, v, p, nil); err != nil {
+				t.Fatal(err)
+			}
+			rep.outcomes[v], rep.done[v] = outcomeOf(w.eng, v, p), true
+		}
+		want = append(want, resultJSON(t, rep.result(context.Background())))
 	}
 	for _, workers := range []int{1, 2, 8} {
 		c := base

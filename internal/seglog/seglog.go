@@ -21,9 +21,8 @@ const (
 // log ready to use. A Log must not be copied after first use.
 type Log[T any] struct {
 	// segs holds the live segments in order. A segment's length is its
-	// fill, and only the last one may be empty (Reserve can leave room
-	// unused in the one before it). The first head elements of segs[0]
-	// are dead; the rest of segs[0] is not.
+	// fill, and none is empty. The first head elements of segs[0] are
+	// dead; the rest of segs[0] is not.
 	segs [][]T
 	head int
 	n    int
@@ -49,12 +48,11 @@ func (l *Log[T]) Seg(k int) []T {
 
 // Last returns the tail element; ok is false when the log is empty.
 func (l *Log[T]) Last() (v T, ok bool) {
-	for k := len(l.segs) - 1; k >= 0; k-- {
-		if s := l.Seg(k); len(s) > 0 {
-			return s[len(s)-1], true
-		}
+	if l.n == 0 {
+		return v, false
 	}
-	return v, false
+	s := l.segs[len(l.segs)-1]
+	return s[len(s)-1], true
 }
 
 // Append adds v at the tail.
@@ -147,21 +145,4 @@ func (l *Log[T]) Reset() {
 func (l *Log[T]) retire(s []T) {
 	clear(s) // release anything the dead elements reference
 	l.free = append(l.free, s[:0])
-}
-
-// Reserve makes room for n more elements at the tail, so the next n
-// appends allocate nothing. When the tail segment lacks that room, one
-// segment of exactly n elements is added: a checkpoint restore sizes a
-// log once, with no headroom, because later appends never copy it.
-func (l *Log[T]) Reserve(n int) {
-	t := len(l.segs) - 1
-	if n <= 0 || t >= 0 && cap(l.segs[t])-len(l.segs[t]) >= n {
-		return
-	}
-	if t >= 0 && len(l.segs[t]) == 0 {
-		// An empty tail would be left empty in the middle of the log.
-		l.retire(l.segs[t])
-		l.segs = l.segs[:t]
-	}
-	l.segs = append(l.segs, make([]T, 0, n))
 }

@@ -26,7 +26,7 @@ func runOps(t *testing.T, data []byte) {
 	}
 	val := 0
 	for step := 0; pos < len(data); step++ {
-		op := next() % 8
+		op := next() % 7
 		var desc string
 		switch op {
 		case 0, 1, 2: // append a run: logs mostly grow at the tail
@@ -49,10 +49,6 @@ func runOps(t *testing.T, data []byte) {
 			model = model[min(k, len(model)):]
 			desc = fmt.Sprintf("DropFront(%d)", k)
 		case 6:
-			n := next() * 4
-			l.Reserve(n)
-			desc = fmt.Sprintf("Reserve(%d)", n)
-		case 7:
 			if next()%4 == 0 {
 				l.Reset()
 				model = model[:0]
@@ -76,7 +72,7 @@ func sameAs(l *Log[int], model []int) error {
 	var scanned []int
 	for k := 0; k < l.NumSegs(); k++ {
 		seg := l.Seg(k)
-		if len(seg) == 0 && k != l.NumSegs()-1 {
+		if len(seg) == 0 {
 			return fmt.Errorf("segment %d of %d is empty", k, l.NumSegs())
 		}
 		scanned = append(scanned, seg...)
@@ -102,8 +98,7 @@ func TestLogMatchesSliceModel(t *testing.T) {
 
 // TestSlidingWindowStopsAllocating pins the reason the package exists: a
 // window kept at a fixed length by appending at the tail and dropping at
-// the front allocates nothing once it has reached that length, and a
-// Reserve'd restore allocates once.
+// the front allocates nothing once it has reached that length.
 func TestSlidingWindowStopsAllocating(t *testing.T) {
 	var l Log[[5]int64]
 	const window = 1000
@@ -119,17 +114,6 @@ func TestSlidingWindowStopsAllocating(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady sliding window allocates %.1f objects per %d appends, want 0", allocs, window)
-	}
-
-	allocs = testing.AllocsPerRun(20, func() {
-		var r Log[int64]
-		r.Reserve(window)
-		for i := 0; i < window; i++ {
-			r.Append(int64(i))
-		}
-	})
-	if allocs != 2 { // the segment and the segment list
-		t.Errorf("reserved restore of %d elements allocates %.1f objects, want 2", window, allocs)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 )
 
 // Checkpointing of the virtual-network layer. Configuration (networks,
-// channels, layout, subscriptions) is rebuilt by the engine's build path;
+// channels, layout, subscriptions) is wired by the engine's build path
+// and kept by a reset;
 // what a checkpoint carries is the mutable run state: per-channel
 // sequence counters, endpoint outbound queues and published TT state,
 // queue capacities (mutable through the misconfiguration faults), port

@@ -198,14 +198,14 @@ type capture struct{ events []trace.Event }
 func (c *capture) Record(e *trace.Event) error { c.events = append(c.events, *e); return nil }
 func (c *capture) Close() error                { return nil }
 
-// replica restores one engine from the checkpoint and instruments it
-// with a full-fidelity capture (every frame, every symptom, every
-// verdict — trust sampling and ledger echo off, so the stream is a pure
-// function of cluster behaviour).
+// replica builds one engine, restores the checkpoint into it and
+// instruments it with a full-fidelity capture (every frame, every
+// symptom, every verdict — trust sampling and ledger echo off, so the
+// stream is a pure function of cluster behaviour). The checkpoint is
+// external input, so a corrupt or mismatched one is an error.
 func (cfg *Config) replica() (*engine.Engine, *capture, error) {
-	eng, err := scenario.Fig10Restored(cfg.Checkpoint, cfg.Seed, cfg.Opts, cfg.Plan,
-		pack.ClassifierOptions(cfg.Classifier)...)
-	if err != nil {
+	eng := scenario.Fig10(cfg.Seed, cfg.Opts, cfg.Plan, pack.ClassifierOptions(cfg.Classifier)...)
+	if err := eng.Reset(scenario.PlanFaults(cfg.Plan), engine.WithRestore(cfg.Checkpoint)); err != nil {
 		return nil, nil, err
 	}
 	cap := &capture{}
